@@ -126,14 +126,15 @@ class NiceConfig:
       pointed at its own listening address, so ``transport="socket"``
       works out of the box; set False when workers are started externally
       (e.g. on other machines) and the master should only wait for them.
-    * ``affinity`` — route a sibling group to the worker whose replay
-      cache holds its parent trace (DESIGN.md, "Affinity scheduling").
+    * ``affinity`` — route a sibling group to the worker that retained
+      its siblings (DESIGN.md, "Affinity scheduling").
       Disable for round-robin routing; results are identical either way,
       only restoration work changes.  Only composes with the default
       ``dfs`` search order — ``bfs``/``random`` frontiers pop globally
       and route round-robin regardless.
-    * ``worker_cache_size`` — per-worker LRU bound on cached node systems
-      used for prefix-replay restoration.
+    * ``worker_cache_size`` — per-worker bound on kept node systems: the
+      children retained for pick-up by handle and the LRU used for
+      prefix-replay restoration, together.
     * ``checkpoint_mode`` — how frontier states are stored:
       :data:`CHECKPOINT_DEEPCOPY` (seed behavior) or
       :data:`CHECKPOINT_TRACE` (trace-replay restoration, Section 6).

@@ -7,16 +7,20 @@ full :class:`~repro.mc.system.System` objects never cross a process or
 socket boundary.  Children returned by a task are deduplicated against
 the global explored set *before* they are scheduled, so every reachable
 state is expanded exactly once, exactly like the serial loop.  Workers
-(:mod:`repro.mc.worker`) restore a group's parent by trace replay and
-expand every sibling; the scheduler merges results as they arrive — no
-wave barrier; completed tasks immediately refill the workers.
+(:mod:`repro.mc.worker`) pick up the siblings they retained — or
+restore the group's parent by trace replay and rebuild them — and expand
+every sibling; the scheduler merges results as they arrive — no wave
+barrier; completed tasks immediately refill the workers.
 
 **Affinity routing** (``NiceConfig.affinity``, default on): every group
-discovered by worker *w* has its parent trace sitting in *w*'s replay
-LRU, so the scheduler keeps a per-worker frontier queue and prefers
-handing a worker its own groups — the restore is then one cache hit plus
-a one-transition suffix.  An idle worker with an empty queue *steals*
-from the longest other queue, so affinity never serializes the search.
+discovered by worker *w* has its siblings retained in *w*'s memory, so
+the scheduler keeps a per-worker frontier queue, prefers handing a
+worker its own groups, and attaches the *handle* that names the
+retained siblings there — no restore at all.  A group that reaches any
+other worker (or outlives its owner, or a checkpoint) goes without one
+and is restored by trace replay.  An idle worker with an empty queue
+*steals* from the longest other queue, so affinity never serializes the
+search.
 ``affinity_hits`` / ``affinity_misses`` in :class:`SearchStats` count
 groups that ran on their owner vs. stolen/rerouted ones; with affinity
 off, routing is round-robin and every group counts as a miss.  Affinity
@@ -186,9 +190,13 @@ class _Scheduler:
         #: like PR 1's engine (which had no affinity on any order).
         self._affine = (self.config.affinity
                         and self.config.search_order == ORDER_DFS)
-        #: owner worker id (or None) -> queue of (trace, steps) groups.
-        #: With affinity off everything lives under None.  Deques: BFS pops
-        #: the head and defers oversized groups back to it, both O(1).
+        #: owner worker id (or None) -> queue of ``(group, handle)``
+        #: entries: the ``(trace, steps)`` sibling group and, when a live
+        #: worker produced its siblings, ``(that worker, task id, node
+        #: position, kid indices)`` — where the worker retained them (see
+        #: ``_push``).  With affinity off everything lives under None.
+        #: Deques: BFS pops the head and defers oversized groups back to
+        #: it, both O(1).
         self._queues: dict[int | None, deque] = {None: deque()}
         self._pending_groups = 0
         self._explored = store_mod.create_store(self.config)
@@ -303,8 +311,9 @@ class _Scheduler:
             baseline = store_mod.restore_store(self._explored, resume)
             if resume.rng_state is not None:
                 searcher._rng.setstate(resume.rng_state)
-            # The old owners' replay caches died with the previous run:
-            # every checkpointed group restarts unowned.
+            # The old owners' caches and retained children died with the
+            # previous run: every checkpointed group restarts unowned and
+            # without a handle (handles are never persisted).
             for group in resume.frontier:
                 self._push(None, group)
         checkpointer = store_mod.Checkpointer(
@@ -373,10 +382,9 @@ class _Scheduler:
     def _frontier_groups(self) -> list:
         """Every queued sibling group, global queue first then per-owner
         queues in worker-id order — the checkpoint's frontier."""
-        groups = list(self._queues.get(None, ()))
-        for owner in sorted(w for w in self._queues if w is not None):
-            groups.extend(self._queues[owner])
-        return groups
+        owners = sorted(w for w in self._queues if w is not None)
+        return [group for owner in (None, *owners)
+                for group, _ in self._queues.get(owner, ())]
 
     def _handle(self, message) -> None:
         if isinstance(message, TaskResult):
@@ -457,13 +465,17 @@ class _Scheduler:
                     poisoned.append((group, attempts))
                 else:
                     self._push(None, group)
-        # Affinity repair: the dead worker's replay cache is gone, so its
-        # queued groups lose their owner and rejoin the global queue (the
-        # next dispatch re-counts them as affinity misses).
+        # Affinity repair: the dead worker's replay cache and retained
+        # children are gone, so its queued groups lose their owner and
+        # rejoin the global queue (the next dispatch re-counts them as
+        # affinity misses).  Handles naming the dead worker that sit in
+        # other queues need no sweep: worker ids are never reused, so
+        # ``_pack`` can never match them to a live worker.
         orphaned = self._queues.pop(worker_id, None)
         if orphaned:
             stats.groups_reassigned += len(orphaned)
-            self._queues[None].extend(orphaned)
+            self._queues[None].extend(
+                (group, None) for group, _ in orphaned)
         if self.config.respawn_workers:
             # Autoscaler: replace the dead worker *before* the policy
             # check, so a synchronously respawned local worker keeps the
@@ -675,11 +687,20 @@ class _Scheduler:
     # Routing
     # ------------------------------------------------------------------
 
-    def _push(self, owner: int | None, group: tuple) -> None:
-        if not self._affine or (owner is not None
-                                and owner not in self._live):
+    def _push(self, owner: int | None, group: tuple,
+              handle: tuple | None = None) -> None:
+        """Queue ``group`` for ``owner``.  ``handle`` is ``(task id, node
+        position, kid indices)`` when ``owner`` retained the group's
+        siblings while expanding that task (``WorkerRuntime.expand``); it
+        is only ever sent back to ``owner`` itself, and only while
+        ``owner`` lives — a routing hint, never persisted."""
+        if owner is None or owner not in self._live:
+            owner = handle = None
+        if handle is not None:
+            handle = (owner, *handle)
+        if not self._affine:
             owner = None
-        self._queues.setdefault(owner, deque()).append(group)
+        self._queues.setdefault(owner, deque()).append((group, handle))
         self._pending_groups += 1
 
     def _pop_group(self, queue: deque) -> tuple:
@@ -705,7 +726,7 @@ class _Scheduler:
             worker_id = self._pick_worker()
             if worker_id is None:
                 return
-            groups = self._pack(worker_id)
+            groups, handles = self._pack(worker_id)
             task_id = self._next_task_id
             self._next_task_id += 1
             self._in_flight[task_id] = (worker_id, groups)
@@ -730,7 +751,8 @@ class _Scheduler:
                     self.transport.submit(worker_id, summary)
                     summary = None
                 self.transport.submit(
-                    worker_id, ExpandTask(task_id, groups, summary))
+                    worker_id,
+                    ExpandTask(task_id, groups, summary, handles))
             except WorkerLost as lost:
                 # The task is registered in-flight, so the death handler
                 # requeues it along with anything else the worker held.
@@ -860,32 +882,40 @@ class _Scheduler:
         """Pop up to the worker's group budget (node-budget bounded) for
         one task.  Groups owned by ``worker_id`` are taken first (affinity
         hits); an empty own queue steals from the longest other queue
-        (affinity misses)."""
+        (affinity misses).  Returns the groups and their parallel wire
+        handles (None when no group has one): a group's handle rides
+        along only when ``worker_id`` is the worker that retained its
+        siblings — on any route, stolen and round-robin ones included."""
         budget = self._node_budget(worker_id)
         group_budget = self._group_budget(worker_id, budget)
         groups: list = []
+        handles: list = []
         nodes = 0
         while self._pending_groups and len(groups) < group_budget \
                 and nodes < budget:
             queue, owned = self._source_queue(worker_id)
-            trace, steps = self._pop_group(queue)
+            entry = self._pop_group(queue)
+            group, handle = entry
+            steps = group[1]
             take = len(steps) if steps is not None else 1
             if steps is not None and nodes + take > budget and groups:
                 # Defer an oversized group rather than overshooting,
                 # putting it back where the order's next pop finds it.
                 if self.config.search_order == ORDER_BFS:
-                    queue.appendleft((trace, steps))
+                    queue.appendleft(entry)
                 else:
-                    queue.append((trace, steps))
+                    queue.append(entry)
                 break
             self._pending_groups -= 1
             if owned and self._affine:
                 self.stats.affinity_hits += 1
             else:
                 self.stats.affinity_misses += 1
-            groups.append((trace, steps))
+            groups.append(group)
+            handles.append(handle[1:] if handle is not None
+                           and handle[0] == worker_id else None)
             nodes += take
-        return groups
+        return groups, (handles if any(handles) else None)
 
     def _source_queue(self, worker_id: int) -> tuple[list, bool]:
         own = self._queues.get(worker_id)
@@ -1074,7 +1104,7 @@ class _Scheduler:
                 worker_id, (time.monotonic() - sent_at) / max(depth, 1))
         self.stats.worker_tasks[worker_id] = \
             self.stats.worker_tasks.get(worker_id, 0) + 1
-        self._absorb(out, groups, worker_id)
+        self._absorb(out, groups, worker_id, task_id)
 
     def _on_child_data(self, message: ChildData) -> None:
         """Complete (or requeue) a task parked for stub hydration."""
@@ -1112,8 +1142,10 @@ class _Scheduler:
 
     def _requeue_task(self, task_id: int) -> None:
         """Forget a live task and push its groups back to their owner
-        (its replay cache is intact — only the parked children are gone);
-        the old task id's late messages then drop as stale."""
+        (its replay cache is intact — only the parked children are gone,
+        and the retained siblings the first expansion consumed, so the
+        groups go back without handles); the old task id's late messages
+        then drop as stale."""
         worker_id, groups = self._in_flight.pop(task_id)
         self._awaiting.pop(task_id, None)
         self._submit_times.pop(task_id, None)
@@ -1124,11 +1156,13 @@ class _Scheduler:
             self.stats.groups_reassigned += 1
             self._push(worker_id, group)
 
-    def _absorb(self, out: dict, groups, worker_id: int | None) -> None:
+    def _absorb(self, out: dict, groups, worker_id: int | None,
+                task_id: int | None = None) -> None:
         """Fold one expansion output into the search state — the shared
         back half of merging, used by pool task results and quarantine
-        sandbox successes alike (``worker_id`` None for the sandbox: its
-        one-shot process has no replay cache to route children back to)."""
+        sandbox successes alike (``worker_id``/``task_id`` None for the
+        sandbox: its one-shot process retains nothing to route children
+        back to)."""
         stats = self.stats
         stats.discover_packet_runs += out["discover_packet_runs"]
         stats.discover_stats_runs += out["discover_stats_runs"]
@@ -1178,9 +1212,9 @@ class _Scheduler:
             # frontier matches what per-child adds would have built.
             flags = iter(self._explored.add_batch(
                 [digest for _, _, kids in children for _, digest in kids]))
-            for gi, si, kids in children:
-                fresh = []
-                for transition, _ in kids:
+            for position, (gi, si, kids) in enumerate(children):
+                fresh, picked = [], []
+                for index, (transition, _) in enumerate(kids):
                     if next(flags):
                         if transition is None:
                             # A still-stubbed kid can only be a predicted
@@ -1191,19 +1225,24 @@ class _Scheduler:
                                 " fresh child arrived as a digest-only"
                                 " stub")
                         fresh.append(transition)
+                        picked.append(index)
                     else:
                         stats.revisited_states += 1
                 if fresh:
-                    # The worker that expanded this node holds its trace
-                    # in its replay LRU — route the children back to it.
+                    # The worker that expanded this node retained the
+                    # children it shipped — route them back to it, with
+                    # the handle that names them there.
                     self._push(worker_id,
-                               (self._node_trace(groups, gi, si), fresh))
+                               (self._node_trace(groups, gi, si), fresh),
+                               (task_id, position, tuple(picked)))
         else:
-            for gi, si, kids in children:
+            for position, (gi, si, kids) in enumerate(children):
                 if kids:
                     self._push(worker_id,
                                (self._node_trace(groups, gi, si),
-                                [transition for transition, _ in kids]))
+                                [transition for transition, _ in kids]),
+                               (task_id, position,
+                                tuple(range(len(kids)))))
 
 
 def _describe_exit(exitcode: int | None) -> str:

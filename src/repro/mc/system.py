@@ -567,7 +567,13 @@ class System:
         if digest is None:
             if callable(obj):
                 obj = obj()
-            data = render_canonical(self._memo(key, obj))
+            # Not ``_memo``: once the digest is cached nothing reads the
+            # canonical form again, and every clone would carry it along
+            # (a form ``canonical_state`` already cached is reused).
+            form = self._canon_cache.get(key)
+            if form is None:
+                form = canonicalize(obj)
+            data = render_canonical(form)
             digest = digest_bytes(data)
             self._digest_cache[key] = digest
             self._hash_stats.misses += 1

@@ -52,7 +52,13 @@ class Transition:
     payload's canonical form folded into ``arg`` by the constructor caller.
     """
 
-    __slots__ = ("kind", "actor", "arg", "payload")
+    #: ``_key``/``_hash`` memoise :meth:`key` and its hash: descriptors are
+    #: pure data (nothing assigns to the four fields after ``__init__``),
+    #: and traces of them key dicts on the search's hot paths.  The memo
+    #: slots are filled on first use rather than by ``__init__``, which
+    #: unpickling never runs — a descriptor off the wire, or out of a
+    #: checkpoint written before the memo existed, starts with them unset.
+    __slots__ = ("kind", "actor", "arg", "payload", "_key", "_hash")
 
     def __init__(self, kind: str, actor: str, arg=None, payload=None):
         self.kind = kind
@@ -60,16 +66,33 @@ class Transition:
         self.arg = arg
         self.payload = payload
 
+    def __getstate__(self):
+        # Only the four fields cross the wire or reach a checkpoint — the
+        # very slots-state form pickled before the memo existed, byte for
+        # byte; whoever unpickles rebuilds the memo on demand.
+        return None, {"kind": self.kind, "actor": self.actor,
+                      "arg": self.arg, "payload": self.payload}
+
     def key(self) -> tuple:
-        return (self.kind, self.actor, canonicalize(self.arg))
+        try:
+            return self._key
+        except AttributeError:
+            key = self._key = (self.kind, self.actor, canonicalize(self.arg))
+            return key
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Transition):
             return NotImplemented
         return self.key() == other.key()
 
     def __hash__(self):
-        return hash(self.key())
+        try:
+            return self._hash
+        except AttributeError:
+            value = self._hash = hash(self.key())
+            return value
 
     def canonical(self) -> tuple:
         return self.key()

@@ -48,7 +48,10 @@ from repro.config import NiceConfig
 #:     pushed standalone on the socket transport), digest-only child
 #:     stubs in results, and the :class:`FetchChildren` /
 #:     :class:`ChildData` hydration round-trip for Bloom false positives.
-PROTOCOL_VERSION = 4
+#: v5: :class:`ExpandTask` carries per-group retention handles — a worker
+#:     keeps the children it ships and picks them up again by
+#:     ``(task id, node position, kid index)`` instead of rebuilding them.
+PROTOCOL_VERSION = 5
 
 _HEADER = struct.Struct("!I")
 
@@ -180,11 +183,23 @@ class ExpandTask:
     optional piggy-backed :class:`BloomSummary` delta (the local pipe
     transports ride the dispatch; the socket transport pushes summaries
     as standalone messages instead).
+
+    ``handles`` (protocol v5) runs parallel to ``groups``, or is None
+    when no group has one: entry *i* is ``(task id, node position, kid
+    indices)`` naming where the receiving worker *itself* produced group
+    *i*'s siblings — the task whose result shipped them, the position of
+    their parent node in that result's ``children`` list, and each
+    sibling's index among the node's kids — or None.  A handle is a
+    routing hint into the worker's retained-children store
+    (``WorkerRuntime.retained``), never state: a worker that no longer
+    holds a named child rebuilds it from ``groups`` as if no handle had
+    been sent.
     """
 
     task_id: int
     groups: list
     summary: BloomSummary | None = None
+    handles: list | None = None
 
 
 @dataclass

@@ -8,17 +8,23 @@ property check per child, hash); only *restoration* work (parent replay,
 sibling rebuild) is extra, and none of it is counted in the transition
 totals.
 
-Restoration cost is amortized by an LRU cache of node systems keyed by
-trace (``NiceConfig.worker_cache_size`` entries): restoring a group clones
-the longest cached ancestor and replays only the missing suffix, and long
-replays snapshot a spine of intermediates back into the cache
-(:func:`~repro.mc.replay.replay_with_spine`).  The cache is also what the
-scheduler's affinity routing exploits — a child group sent to the worker
-that expanded its parent finds the parent trace cached and replays a
-one-transition suffix.  ``cache_hits`` / ``cache_misses`` count ancestor
-restorations vs. full replays from the initial state — every restoration
-increments exactly one of the two — and are reported to the master with
-every result.
+Restoration is retain-then-fallback (DESIGN.md, "Retained children and
+handles").  A worker keeps every child it ships in full
+(``WorkerRuntime.retained``) and the scheduler sends the child's address
+back with the sibling group — a *handle* — so the worker expands the very
+System it built: executed, checked, hashed, as the serial loop's frontier
+entry would be.  A sibling the worker cannot pick up (no handle, not its
+own, evicted) is restored by trace instead: an LRU cache of node systems
+keyed by trace lets it clone the longest cached ancestor of the group's
+parent and replay only the missing suffix — long replays snapshot a spine
+of intermediates back into the cache
+(:func:`~repro.mc.replay.replay_with_spine`) — and the sibling's step is
+re-executed.  Both stores are charged against
+``NiceConfig.worker_cache_size`` together.  ``cache_hits`` /
+``cache_misses`` count restorations that started from something kept (a
+retained child, a cached ancestor) vs. full replays from the initial
+state — every restoration increments exactly one of the two — and are
+reported to the master with every result.
 
 Workers also run the sending half of the v4 dedup pre-filter (DESIGN.md,
 "Distributed dedup"): the scheduler broadcasts Bloom summaries of the
@@ -65,6 +71,37 @@ from repro.mc.wire import (
 _INHERITED_SEARCHER = None
 
 
+class _Retained:
+    """The children a worker shipped in full and kept, under the node
+    they hang off: ``(task id, node position) -> {kid index: System}``,
+    oldest node first.  ``systems`` counts the kept Systems — the unit
+    ``worker_cache_size`` bounds."""
+
+    def __init__(self):
+        self.nodes: OrderedDict[tuple, dict] = OrderedDict()
+        self.systems = 0
+
+    def put(self, node: tuple, kids: dict) -> None:
+        if kids:
+            self.nodes[node] = kids
+            self.systems += len(kids)
+
+    def take(self, node: tuple) -> dict:
+        """Remove and return ``node``'s kept children ({} when none are
+        left).  Taking the whole node is what sheds the siblings the
+        master found to be revisits: no handle will ever name them."""
+        kids = self.nodes.pop(node, None) or {}
+        self.systems -= len(kids)
+        return kids
+
+    def shed_oldest(self) -> None:
+        self.take(next(iter(self.nodes)))
+
+    def drop_task(self, task_id) -> None:
+        for node in [node for node in self.nodes if node[0] == task_id]:
+            self.take(node)
+
+
 class WorkerRuntime:
     """Everything one worker process needs, built once per process."""
 
@@ -86,6 +123,14 @@ class WorkerRuntime:
         #: The initial state lives in ``self.initial``, not here, so
         #: eviction never has to special-case it.
         self.cache: OrderedDict[tuple, object] = OrderedDict()
+        #: Every child System this worker shipped in full, addressed by
+        #: ``(task id, node position)`` + kid index: executed, property-
+        #: checked and hashed, exactly what the serial loop would have put
+        #: on its frontier.  Taken out when the scheduler routes the
+        #: children back (their handle rides the ExpandTask), shed oldest
+        #: node first otherwise; charged against ``max_cache`` together
+        #: with ``cache`` (see :meth:`_trim`).
+        self.retained = _Retained()
         #: The master's broadcast dedup summary; None until the first
         #: BloomSummary arrives (and always None with --no-worker-bloom,
         #: which disables the pre-filter entirely).
@@ -128,16 +173,74 @@ class WorkerRuntime:
         return replay_with_spine(system, trace, k, self.strategy,
                                  snapshot=self.remember, stride=self.SPINE)
 
+    def _warm(self, system):
+        """Hash a just re-executed system once, so the clones taken from
+        it inherit warm component digests instead of each re-digesting
+        what the re-execution dirtied.  Pointless when children are not
+        hashed (no state matching) or digests are not cached."""
+        if self.config.state_matching and self.config.hash_memoization:
+            system.state_hash()
+        return system
+
     def remember(self, trace, system) -> None:
         self.cache[trace] = system
-        if len(self.cache) > self.max_cache:
-            self.cache.popitem(last=False)
+        self._trim()
+
+    def _trim(self) -> None:
+        """Hold ``cache`` and ``retained`` to ``max_cache`` systems
+        *together*.  Retained children get what the replay cache leaves,
+        up to half the bound, and shed oldest-first.  The split follows
+        what the worker observes: the replay cache only grows by
+        fallback restorations, so a worker that keeps receiving its own
+        children back leaves it near empty and retention has its half,
+        while one fed other workers' groups (BFS, round-robin, steals)
+        fills it and squeezes out retained children that were not coming
+        back here anyway."""
+        cache, retained = self.cache, self.retained
+        while len(cache) > self.max_cache:
+            cache.popitem(last=False)
+        room = min(self.max_cache // 2, self.max_cache - len(cache))
+        while retained.systems > room:
+            retained.shed_oldest()
+
+    def restore(self, trace, steps, handle, out) -> list:
+        """The Systems of one sibling group, in ``steps`` order.
+
+        A sibling this worker retained under ``handle`` is picked up as
+        is — no clone, no re-execution, digest cache warm.  Any other —
+        no handle (a steal, a requeue, a resumed frontier), an evicted
+        entry, a hydrated stub — is rebuilt from the parent, which is
+        restored (at most once per group) by :meth:`base_for`; a rebuilt
+        node also enters the replay cache, where its own children find an
+        ancestor should they come back without handles.
+        """
+        base = None
+        nodes = []
+        kept, kids = {}, ()
+        if handle is not None:
+            task_id, position, kids = handle
+            kept = self.retained.take((task_id, position))
+        for si, step in enumerate(steps):
+            system = kept.get(kids[si]) if kept else None
+            if system is not None:
+                out["cache_hits"] += 1
+                nodes.append(system)
+                continue
+            if base is None:
+                base = self.base_for(trace, out)
+            system = base.clone()
+            system.execute(step)
+            self.strategy.post_execute(system, step)
+            out["rebuilt"] += 1
+            self.remember(trace + (step,), self._warm(system))
+            nodes.append(system)
+        return nodes
 
     # ------------------------------------------------------------------
     # Expansion
     # ------------------------------------------------------------------
 
-    def expand(self, groups, task_id=None) -> dict:
+    def expand(self, groups, task_id=None, handles=None) -> dict:
         """Expand every node of every sibling group, one clone per child.
 
         Nodes are referenced back to the master as
@@ -148,6 +251,13 @@ class WorkerRuntime:
         summary may hold — or whose transition this very result already
         ships — becomes a ``(None, digest)`` stub and its transition is
         parked under ``task_id`` for a possible hydration fetch.
+
+        Every child shipped in full is also *retained* under
+        ``(task_id, position of its parent in out["children"])`` and its
+        kid index; ``handles`` (parallel to ``groups``, see
+        :class:`~repro.mc.wire.ExpandTask`) names the retained children
+        the groups of this task were, and :meth:`restore` picks them up.
+        Without a ``task_id`` (quarantine sandboxes) nothing is retained.
         """
         searcher = self.searcher
         config = self.config
@@ -167,27 +277,23 @@ class WorkerRuntime:
             "quiescent": 0,
             "violations": [],   # (property, message, hash, gi, si, transition)
             "transitions": 0,
-            "replayed": 0,      # restoration transitions (not in totals)
-            "rebuilt": 0,       # sibling-rebuild transitions (ditto)
+            "replayed": 0,      # base_for suffix replays (not in totals)
+            "rebuilt": 0,       # siblings re-executed from a base (ditto)
             "cache_hits": 0,
             "cache_misses": 0,
             "prefilter_stubs": 0,
             "prefilter_bytes_saved": 0,
         }
         for gi, (trace, steps) in enumerate(groups):
-            base = self.base_for(trace, out)
             if steps is None:       # the initial-state group
-                nodes = [(base, trace, None)]
+                root = self.base_for(trace, out)
+                self.remember(trace, root)
+                nodes = [(None, root)]
             else:
-                nodes = []
-                for si, step in enumerate(steps):
-                    system = base.clone()
-                    system.execute(step)
-                    self.strategy.post_execute(system, step)
-                    out["rebuilt"] += 1
-                    nodes.append((system, trace + (step,), si))
-            for system, node_trace, si in nodes:
-                self.remember(node_trace, system)
+                nodes = enumerate(self.restore(
+                    trace, steps, handles[gi] if handles else None, out))
+            depth = len(trace) + (steps is not None)
+            for si, system in nodes:
                 enabled = searcher._enabled(system, self.strategy, stats_sink)
                 if not enabled:
                     out["quiescent"] += 1
@@ -196,10 +302,10 @@ class WorkerRuntime:
                     if config.stop_at_first_violation and out["violations"]:
                         return self._finish(out, stats_sink, parked, task_id)
                     continue
-                if (config.max_depth is not None
-                        and len(node_trace) >= config.max_depth):
+                if config.max_depth is not None and depth >= config.max_depth:
                     continue
                 kids = []
+                keep = {}
                 for transition in enabled:
                     child = system.clone()
                     try:
@@ -251,7 +357,11 @@ class WorkerRuntime:
                             # just closes the broadcast staleness window
                             # for same-worker resends.
                             summary.add(digest)
+                        if task_id is not None:
+                            keep[len(kids)] = child
                         kids.append((transition, digest))
+                self.retained.put((task_id, len(out["children"])), keep)
+                self._trim()
                 out["children"].append((gi, si, kids))
         return self._finish(out, stats_sink, parked, task_id)
 
@@ -363,14 +473,18 @@ class WorkerRuntime:
 
     def fetch_children(self, task_id, ordinals):
         """The parked transitions for these stub ordinals, keyed by
-        ordinal — or None when the task left the bounded cache."""
+        ordinal — or None when the task left the bounded cache.  The
+        master answers None by discarding the task's result and
+        requeueing its groups, so the children retained for that result
+        are dropped here: no handle will ever name them."""
         held = self.parked.pop(task_id, None)
-        if held is None:
-            return None
         try:
-            return {ordinal: held[ordinal] for ordinal in ordinals}
+            if held is not None:
+                return {ordinal: held[ordinal] for ordinal in ordinals}
         except IndexError:
-            return None
+            pass
+        self.retained.drop_task(task_id)
+        return None
 
     def _check(self, method, system, gi, si, transition, out) -> None:
         """Run every property, appending violations as picklable tuples."""
@@ -393,13 +507,13 @@ class WorkerRuntime:
     def should_recycle(self, worker_id: int) -> bool:
         """Memory watchdog (``worker_memory_limit``), called between tasks.
 
-        Over the limit, shed the replay cache first — it is the one
-        unbounded-value structure a worker owns, and losing it only costs
-        restoration replays.  Still over after a collection, ask to be
-        recycled: the caller returns, the channel EOFs, and the master's
-        respawn path replaces the process.  Checked *after* a result is
-        sent, so even a worker whose base RSS exceeds the limit makes
-        forward progress (one task per incarnation)."""
+        Over the limit, shed the replay cache and the retained children
+        first — they are the unbounded-value structures a worker owns,
+        and losing them only costs restoration replays.  Still over after
+        a collection, ask to be recycled: the caller returns, the channel
+        EOFs, and the master's respawn path replaces the process.  Checked
+        *after* a result is sent, so even a worker whose base RSS exceeds
+        the limit makes forward progress (one task per incarnation)."""
         limit = self.config.worker_memory_limit
         if not limit:
             return False
@@ -410,8 +524,10 @@ class WorkerRuntime:
 
         print(f"search worker {worker_id}: rss {rss} B over"
               f" worker_memory_limit {limit} B; shedding replay cache"
-              f" ({len(self.cache)} entries)", file=sys.stderr, flush=True)
+              f" ({len(self.cache)} entries) and {self.retained.systems}"
+              f" retained children", file=sys.stderr, flush=True)
         self.cache.clear()
+        self.retained = _Retained()
         gc.collect()
         rss = _rss_bytes()
         if rss is None or rss <= limit:
@@ -535,7 +651,8 @@ def local_worker_main(worker_id: int, task_queue, result_conn, spec) -> None:
                     runtime.apply_summary(message.summary)
                 try:
                     out = runtime.expand(message.groups,
-                                         task_id=message.task_id)
+                                         task_id=message.task_id,
+                                         handles=message.handles)
                     reply = TaskResult(message.task_id, worker_id, out)
                 except Exception:  # noqa: BLE001 - surface the traceback
                     reply = WorkerError(message.task_id, worker_id,
@@ -608,7 +725,8 @@ def socket_worker_loop(sock) -> None:
                     runtime.apply_summary(message.summary)
                 try:
                     out = runtime.expand(message.groups,
-                                         task_id=message.task_id)
+                                         task_id=message.task_id,
+                                         handles=message.handles)
                     reply = TaskResult(message.task_id, worker_id, out)
                 except Exception:  # noqa: BLE001 - surface the traceback
                     reply = WorkerError(message.task_id, worker_id,

@@ -66,6 +66,48 @@ class TestTransitionDescriptors:
         b = Transition(tk.HOST_SEND, "A", ("sym", (1, 2)), payload="Y")
         assert a == b
 
+    def test_key_and_hash_are_memoised_off_the_wire(self):
+        """The memo is per-process scratch: a pickled descriptor carries
+        the four fields and nothing else — warm or cold, the very bytes
+        pickled before the memo existed, so result payloads and
+        checkpoints did not grow."""
+        import copy
+        import pickle
+
+        cold = Transition(tk.HOST_SEND, "h1", ("send", 1, {"a": 2}))
+        warm = Transition(tk.HOST_SEND, "h1", ("send", 1, {"a": 2}))
+        assert warm.key() is warm.key() and hash(warm) == hash(cold)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(warm, protocol) == pickle.dumps(cold, protocol)
+        assert pickle.dumps(warm, 5) == self.PARENT_PICKLE
+        for copied in (pickle.loads(pickle.dumps(warm)),
+                       copy.deepcopy(warm)):
+            assert copied == warm and hash(copied) == hash(warm)
+            assert copied.payload is None and copied.arg == warm.arg
+
+    #: ``pickle.dumps(Transition("host_send", "h1", ("send", 1, {"a": 2})),
+    #: protocol=5)`` at the commit before the memo slots existed — the
+    #: slots-state form every checkpoint written until then contains.
+    PARENT_PICKLE = (
+        b"\x80\x05\x95w\x00\x00\x00\x00\x00\x00\x00\x8c\x14"
+        b"repro.mc.transitions\x94\x8c\nTransition\x94\x93\x94)\x81"
+        b"\x94N}\x94(\x8c\x04kind\x94\x8c\thost_send\x94\x8c\x05"
+        b"actor\x94\x8c\x02h1\x94\x8c\x03arg\x94\x8c\x04send\x94K"
+        b"\x01}\x94\x8c\x01a\x94K\x02s\x87\x94\x8c\x07payload\x94Nu"
+        b"\x86\x94b.")
+
+    def test_descriptor_pickled_before_the_memo_still_loads(self):
+        import pickle
+
+        old = pickle.loads(self.PARENT_PICKLE)
+        new = Transition(tk.HOST_SEND, "h1", ("send", 1, {"a": 2}))
+        assert (old.kind, old.actor, old.arg, old.payload) == \
+            ("host_send", "h1", ("send", 1, {"a": 2}), None)
+        assert old == new and new == old and hash(old) == hash(new)
+        assert {old: "found"}[new] == "found"
+        assert (old, new) == (new, old)  # as trace tuples compare
+        assert repr(old) == repr(new)
+
     def test_repr(self):
         assert repr(Transition(tk.HOST_RECV, "A")) == "host_recv(A)"
         assert "script" in repr(Transition(tk.HOST_SEND, "A", ("script", 0)))

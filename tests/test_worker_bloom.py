@@ -26,7 +26,7 @@ from fault_helpers import ChaosTransport, install
 from repro import nice, scenarios
 from repro.mc.scheduler import _Scheduler
 from repro.mc.store import BloomFilter, DedupSummary, ShardedStore
-from repro.mc.worker import WorkerRuntime
+from repro.mc.worker import WorkerRuntime, _Retained
 from repro.mc.wire import BloomSummary
 from repro.scenarios import with_config
 
@@ -196,6 +196,28 @@ class TestSummaryBroadcastBudget:
                 rebuilt[offset:offset + len(chunk)] = chunk
         assert bytes(rebuilt) == big
 
+    def test_worst_case_task_frame_fits_a_pipe_buffer(self):
+        """Protocol v5 adds handles to the frame a summary can ride on.
+        The largest task ``_pack`` can emit names MAX_BATCH_NODES
+        siblings — worst case one group each, late in a long run (big
+        task ids and node positions) — and with a budget-filling summary
+        on top the frame must still leave most of the 64 KiB pipe buffer
+        to the groups themselves."""
+        import pickle
+
+        from repro.mc.wire import ExpandTask
+
+        sched = self._scheduler({0: b"\xff" * _Scheduler.SUMMARY_BUDGET})
+        summary = sched._summary_for(0)
+        handles = [(10 ** 9 + node, 60_000 + node, (250,))
+                   for node in range(_Scheduler.MAX_BATCH_NODES)]
+        alone = len(pickle.dumps(handles, protocol=pickle.HIGHEST_PROTOCOL))
+        assert alone <= 8 << 10  # a few ints per group
+        frame = len(pickle.dumps(ExpandTask(10 ** 9, [], summary, handles),
+                                 protocol=pickle.HIGHEST_PROTOCOL))
+        assert frame <= (_Scheduler.SUMMARY_BUDGET + (8 << 10) + 512)
+        assert frame < (64 << 10) // 2
+
     def test_version_bump_mid_broadcast_reships_the_shard(self):
         size = _Scheduler.SUMMARY_BUDGET * 2
         sched = self._scheduler({0: b"a" * size})
@@ -267,10 +289,15 @@ class TestCompactInflate:
 # ----------------------------------------------------------------------
 
 class TestBaseForAccounting:
-    """DESIGN.md: every restoration bumps exactly one of cache_hits /
-    cache_misses — a hit whenever *any* cached entry provided the clone
-    source (the root entry ``()`` included), a miss only for the
-    fall-through full replay from the initial state."""
+    """DESIGN.md, "Restoration counters": every restoration bumps exactly
+    one of cache_hits / cache_misses.  ``base_for`` — the fallback for
+    groups whose retained children cannot be picked up by handle — counts
+    a hit whenever *any* cached entry provided the clone source (the root
+    entry ``()`` included) and a miss only for the fall-through full
+    replay from the initial state; ``replayed`` counts exactly the suffix
+    it re-executed.  (The other kind of restoration, a retained child
+    picked up as is, is a hit that re-executes nothing:
+    ``tests/test_retention.py``.)"""
 
     class _FakeSystem:
         def clone(self):
@@ -339,6 +366,7 @@ class TestParkedCache:
     def _runtime(self):
         runtime = WorkerRuntime.__new__(WorkerRuntime)
         runtime.parked = OrderedDict()
+        runtime.retained = _Retained()  # a missing fetch drops from it
         return runtime
 
     def test_fetch_returns_exactly_the_requested_ordinals(self):
