@@ -2,7 +2,9 @@
 
 Measures the two per-state costs Section 6 names — state hashing and
 checkpointing — across three engine configurations on the pyswitch
-(MAC-learning) workloads:
+(MAC-learning) workloads, and on ``loadbalancer-2`` (13 629 transitions;
+the row where component size matters — the other two are tiny-state —
+without the ``seed`` engine, which would take most of a minute there):
 
 * **cow+digest** — the new defaults: copy-on-write clones and per-component
   digest hashing (DESIGN.md, "Per-state hot path");
@@ -28,6 +30,7 @@ import time
 import pytest
 
 from repro import nice, scenarios
+from repro.config import NiceConfig
 from repro.scenarios import with_config
 
 from .conftest import print_table
@@ -43,16 +46,25 @@ ENGINES = {
                  hash_mode="full"),
 }
 
-#: Workloads: the BUG-II scenario (symbolic client) and the Table 1
-#: MAC-learning ping workload (scripted, symbolic execution off).
+REPEATS = 5
+
+
+#: Workloads, as ``name -> (builder, engines measured, repeats)``: the
+#: BUG-II scenario (symbolic client), the Table 1 MAC-learning ping
+#: workload (scripted, symbolic execution off), and the load balancer with
+#: two-packet sequences (fewer repeats: one round is ~2.5 s).
 def _workloads():
     return {
-        "pyswitch-direct-path": lambda: scenarios.pyswitch_direct_path(),
-        "ping-2": lambda: scenarios.ping_experiment(pings=2),
+        "pyswitch-direct-path": (
+            lambda: scenarios.pyswitch_direct_path(), tuple(ENGINES), REPEATS),
+        "ping-2": (
+            lambda: scenarios.ping_experiment(pings=2), tuple(ENGINES),
+            REPEATS),
+        "loadbalancer-2": (
+            lambda: scenarios.loadbalancer_scenario(
+                config=NiceConfig(max_pkt_sequence=2)),
+            ("cow+digest", "pre-cow"), 3),
     }
-
-
-REPEATS = 5
 
 
 def _one_run(scenario, overrides):
@@ -72,20 +84,21 @@ def _clone_cost(scenario, overrides, clones: int = 2000) -> float:
 @pytest.fixture(scope="module")
 def hotpath_results():
     results: dict[str, dict] = {}
-    for workload, build in _workloads().items():
+    for workload, (build, engines, repeats) in _workloads().items():
         # Interleave the engines round-robin across the repeats so ambient
         # machine load inflates every engine's samples alike and best-of-N
         # ratios stay honest on noisy (CI) runners.
         best: dict[str, tuple[float, object]] = {
-            engine: (float("inf"), None) for engine in ENGINES
+            engine: (float("inf"), None) for engine in engines
         }
-        for _ in range(REPEATS):
-            for engine, overrides in ENGINES.items():
-                result = _one_run(build(), overrides)
+        for _ in range(repeats):
+            for engine in engines:
+                result = _one_run(build(), ENGINES[engine])
                 if result.wall_time < best[engine][0]:
                     best[engine] = (result.wall_time, result)
         per_engine = {}
-        for engine, overrides in ENGINES.items():
+        for engine in engines:
+            overrides = ENGINES[engine]
             wall, stats = best[engine]
             per_engine[engine] = {
                 "wall_time": wall,
@@ -100,7 +113,8 @@ def hotpath_results():
         results[workload] = per_engine
     payload = {
         "benchmark": "hotpath",
-        "repeats": REPEATS,
+        "repeats": {name: repeats
+                    for name, (_, _, repeats) in _workloads().items()},
         "engines": {name: dict(overrides) for name, overrides in
                     ENGINES.items()},
         "workloads": results,
@@ -134,7 +148,7 @@ def test_hotpath_report(hotpath_results):
 
 def test_state_space_identical_across_engines(hotpath_results):
     for workload, per_engine in hotpath_results.items():
-        reference = per_engine["seed"]
+        reference = per_engine["pre-cow"]
         for engine, r in per_engine.items():
             assert r["transitions"] == reference["transitions"], (
                 f"{workload}: {engine} executed a different transition count")
@@ -168,12 +182,11 @@ def test_digest_mode_hashes_fewer_bytes(hotpath_results):
 
 def test_cow_clone_is_cheaper(hotpath_results):
     for workload, per_engine in hotpath_results.items():
-        cow = per_engine["cow+digest"]["clone_seconds"]
-        eager = per_engine["pre-cow"]["clone_seconds"]
-        deep = per_engine["seed"]["clone_seconds"]
-        assert cow < eager < deep, (
+        costs = [per_engine[engine]["clone_seconds"]
+                 for engine in ENGINES if engine in per_engine]
+        assert all(a < b for a, b in zip(costs, costs[1:])), (
             f"{workload}: expected clone cost cow < eager < deepcopy,"
-            f" got {cow:.2e} / {eager:.2e} / {deep:.2e}")
+            f" got {' / '.join(f'{cost:.2e}' for cost in costs)}")
 
 
 def test_bench_file_written(hotpath_results):

@@ -33,9 +33,8 @@ Reproduced bugs:
 
 from __future__ import annotations
 
-import copy
-
 from repro.controller.app import App
+from repro.mc.canonical import canonicalize
 from repro.openflow.actions import ActionOutput
 from repro.openflow.match import Match
 from repro.openflow.packet import ETH_TYPE_IP
@@ -48,6 +47,21 @@ UTILIZATION_THRESHOLD = 70
 
 TABLE_ALWAYS_ON = "always_on"
 TABLE_ON_DEMAND = "on_demand"
+
+
+class RoutingTables(dict):
+    """The precomputed routing tables, by table name.  Static configuration
+    — never changed once built — so the canonical form (what
+    ``canonicalize`` builds for the plain dict) is rendered once instead
+    of on every re-hash of the controller state."""
+
+    _canon: tuple | None = None
+
+    def canonical(self) -> tuple:
+        canon = self._canon
+        if canon is None:
+            canon = self._canon = canonicalize(dict(self))
+        return canon
 
 
 class EnergyTrafficEngineering(App):
@@ -64,10 +78,10 @@ class EnergyTrafficEngineering(App):
         list of ``(switch, out_port)`` hops, ingress first."""
         self.ingress = ingress
         self.monitor_port = monitor_port
-        self.tables = {
+        self.tables = RoutingTables({
             TABLE_ALWAYS_ON: {ip: list(path) for ip, path in always_on.items()},
             TABLE_ON_DEMAND: {ip: list(path) for ip, path in on_demand.items()},
-        }
+        })
         self.energy_state = "low"
         #: BUG-X: the "extra routing table" cached by the stats handler.
         self.active_table = TABLE_ALWAYS_ON
@@ -144,7 +158,8 @@ class EnergyTrafficEngineering(App):
     def clone(self):
         """Fast checkpoint copy: scalars plus the flow->table map; the
         routing tables themselves are static configuration, shared."""
-        new = copy.copy(self)
+        new = type(self).__new__(type(self))
+        new.__dict__.update(self.__dict__)
         new.flow_tables = dict(self.flow_tables)
         return new
 

@@ -32,10 +32,9 @@ can reproduce the paper's fix-one-find-next narrative;
 
 from __future__ import annotations
 
-import copy
-
 from repro.controller.app import App
 from repro.hosts.base import Host
+from repro.mc.canonical import canonicalize
 from repro.openflow.actions import ActionController, ActionOutput
 from repro.openflow.match import Match
 from repro.openflow.messages import OFPR_ACTION
@@ -61,13 +60,27 @@ PRIORITY_REDIRECT = 0x6000
 
 
 class ReplicaSpec:
-    """One server replica: where it is attached and its addresses."""
+    """One server replica: where it is attached and its addresses.
+    Static configuration — never changed once built."""
 
     def __init__(self, name: str, mac: MacAddress, ip: int, port: int):
         self.name = name
         self.mac = mac
         self.ip = ip
         self.port = port
+        self._canon: tuple | None = None
+
+    def canonical(self) -> tuple:
+        """What ``canonicalize`` builds for a plain object with these
+        attributes, rendered once: every re-hash of the controller state
+        used to re-walk its (immutable) replicas."""
+        canon = self._canon
+        if canon is None:
+            fields = {name: value for name, value in vars(self).items()
+                      if name != "_canon"}
+            canon = self._canon = (
+                "obj", type(self).__name__, canonicalize(fields))
+        return canon
 
     def __repr__(self):
         return f"ReplicaSpec({self.name}, port={self.port})"
@@ -142,7 +155,8 @@ class LoadBalancer(App):
     def clone(self):
         """Fast checkpoint copy: scalars plus the flow-assignment map; the
         replica specs are static configuration and stay shared."""
-        new = copy.copy(self)
+        new = type(self).__new__(type(self))
+        new.__dict__.update(self.__dict__)
         new.flow_assignments = dict(self.flow_assignments)
         return new
 

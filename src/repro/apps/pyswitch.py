@@ -20,8 +20,6 @@ This is the application in which NICE uncovers:
 
 from __future__ import annotations
 
-import copy
-
 from repro.controller.app import App
 from repro.controller.api import OUTPUT
 from repro.openflow.match import DL_DST, DL_SRC, DL_TYPE, IN_PORT
@@ -41,7 +39,8 @@ class PySwitch(App):
 
     def clone(self):
         """Fast checkpoint copy: the state is one dict of MAC tables."""
-        new = copy.copy(self)
+        new = type(self).__new__(type(self))
+        new.__dict__.update(self.__dict__)
         new.ctrl_state = {sw: dict(table)
                           for sw, table in self.ctrl_state.items()}
         return new

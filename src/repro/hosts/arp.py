@@ -35,11 +35,11 @@ class ArpClient(Host):
         self.data_script: list[Packet] = list(script or [])
         self.script = [arp_request(mac, ip, target_ip)]
 
-    def clone(self, packet_memo: dict) -> "ArpClient":
+    def clone(self) -> "ArpClient":
         """Unlike the base host, this client *appends* to ``script`` when
         resolution completes (``on_receive``), so the list cannot stay
         shared between checkpoint copies as the base clone leaves it."""
-        new = super().clone(packet_memo)
+        new = super().clone()
         new.script = list(self.script)
         return new
 

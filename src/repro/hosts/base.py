@@ -20,8 +20,7 @@ serialize it.
 
 from __future__ import annotations
 
-import copy
-
+from repro.mc.canonical import insort_canonical
 from repro.openflow.packet import MacAddress, Packet
 
 
@@ -39,7 +38,12 @@ class Host:
         #: transition (the "concurrent pings" workload of Section 7).
         self.ordered_script = True
         self.inbox: list[Packet] = []
+        #: Packets consumed so far, in arrival order (properties read it);
+        #: appended to only by :meth:`_pop_inbox`, which keeps
+        #: ``_received_canon`` — its canonical form, a sorted multiset —
+        #: in step.
         self.received: list[Packet] = []
+        self._received_canon: tuple = ()
         self.pending: list[Packet] = []
         self.script_done: set[int] = set()
         self.reply_sent = 0
@@ -54,25 +58,27 @@ class Host:
         #: ``NiceConfig.max_outstanding``.
         self.counter_c = 1
 
-    def clone(self, packet_memo: dict) -> "Host":
+    def clone(self) -> "Host":
         """Checkpoint copy (``System.clone``).
 
-        Shallow-copies the instance — subclasses that only add scalar state
-        (all the bundled ones) inherit this — then replaces the mutable
-        containers.  ``script`` stays shared (templates are copied at send
-        time; a subclass that mutates its script must copy it, see
-        ``ArpClient.clone``) and so do the ``received`` packets (immutable
-        history); ``inbox``/``pending`` packets are memo-copied because a
-        send resets the packet's identity fields in place.
+        Copies the instance field by field — subclasses that only add
+        scalar state (all the bundled ones) inherit this — then replaces
+        the mutable containers with shallow copies.  The packets in them
+        are shared with the original: everything a host stores is sealed
+        (the seal rule in :mod:`repro.openflow.packet`; :meth:`take_send`
+        hands out a copy of a queued reply, never the reply).  ``script``
+        stays shared too (templates are copied at send time; a subclass
+        that mutates its script must copy it, see ``ArpClient.clone``).
 
         Under copy-on-write checkpointing the whole host stays shared
         between parent and child until ``System._dirty`` materializes a
         copy for whichever side mutates first — receive/send/move must
         always go through the owning System's transitions.
         """
-        new = copy.copy(self)
-        new.inbox = [p.copy_memo(packet_memo) for p in self.inbox]
-        new.pending = [p.copy_memo(packet_memo) for p in self.pending]
+        new = type(self).__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        new.inbox = list(self.inbox)
+        new.pending = list(self.pending)
         new.received = list(self.received)
         new.script_done = set(self.script_done)
         new.send_sig_counts = dict(self.send_sig_counts)
@@ -100,13 +106,23 @@ class Host:
 
     def receive(self) -> Packet:
         """Pop one packet: record it, replenish the burst counter, queue replies."""
+        packet = self._pop_inbox()
+        self.counter_c += 1
+        self._queue_replies(packet)
+        return packet
+
+    def _pop_inbox(self) -> Packet:
+        """Move the head of the inbox into the received record."""
         packet = self.inbox.pop(0)
         self.received.append(packet)
-        self.counter_c += 1
-        replies = self.on_receive(packet)
-        if replies:
-            self.pending.extend(replies)
+        self._received_canon = insort_canonical(self._received_canon,
+                                                packet.canonical())
         return packet
+
+    def _queue_replies(self, packet: Packet) -> None:
+        """Run :meth:`on_receive` and store its replies, sealed."""
+        for reply in self.on_receive(packet) or ():
+            self.pending.append(reply.seal())
 
     def on_receive(self, packet: Packet) -> list[Packet]:
         """Hook: return reply packets to queue.  Default: none."""
@@ -151,7 +167,10 @@ class Host:
             packet = self.script[index].copy()
             self.script_done.add(index)
         elif kind == "pending":
-            packet = self.pending.pop(index)
+            # A copy, like the script branch: the queued reply is sealed
+            # (clones of this host share it) and the send resets the
+            # identity of what it is handed.
+            packet = self.pending.pop(index).copy()
             self.reply_sent += 1
         else:
             raise ValueError(f"unknown send descriptor {descriptor!r}")
@@ -186,7 +205,7 @@ class Host:
             # in does not, so it is serialized as a sorted multiset to let
             # equivalent interleavings hash together.
             tuple(p.canonical() for p in self.inbox),
-            tuple(sorted((p.canonical() for p in self.received), key=repr)),
+            self._received_canon,
             tuple(p.canonical() for p in self.pending),
             tuple(sorted(self.script_done)),
             self.reply_sent,

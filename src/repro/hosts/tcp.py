@@ -37,17 +37,14 @@ class TcpLikeClient(Host):
 
     def receive(self) -> Packet:
         """Receive = ACK: replenish up to the window, grow additively."""
-        packet = self.inbox.pop(0)
-        self.received.append(packet)
+        packet = self._pop_inbox()
         self._acks_seen += 1
         if self._acks_seen % self.acks_per_increase == 0 \
                 and self.window < self.max_window:
             self.window += 1
         if self.counter_c < self.window:
             self.counter_c += 1
-        replies = self.on_receive(packet)
-        if replies:
-            self.pending.extend(replies)
+        self._queue_replies(packet)
         return packet
 
     def on_loss(self) -> None:

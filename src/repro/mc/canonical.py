@@ -21,9 +21,11 @@ of re-rendering the whole tree (DESIGN.md, "Per-state hot path").
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import marshal
 import re
+from bisect import bisect_right
 
 #: Digest width for state hashes, in bytes (hex-doubles when rendered).
 DIGEST_SIZE = 16
@@ -56,10 +58,28 @@ def render_canonical(form) -> bytes:
 _SAFE_KEY_RE = re.compile(r"[\x28-\x5b\x5d-\x7e]*\Z")
 
 
+@functools.lru_cache(maxsize=4096)
+def _safe_text(key: str) -> bool:
+    """The :data:`_SAFE_KEY_RE` verdict, remembered: dict keys are mostly
+    attribute names, which repeat on every component re-hash."""
+    return _SAFE_KEY_RE.match(key) is not None
+
+
 def _safe_string_key(key) -> bool:
     """True when sorting ``key`` directly orders identically to sorting by
     ``repr(key)`` (see :data:`_SAFE_KEY_RE`)."""
-    return type(key) is str and _SAFE_KEY_RE.match(key) is not None
+    return type(key) is str and _safe_text(key)
+
+
+def insort_canonical(forms: tuple, form) -> tuple:
+    """``forms`` with ``form`` added, where ``forms`` is a multiset kept as
+    ``tuple(sorted(items, key=repr))`` — the canonical form of an unordered
+    record.  One bisect (a handful of ``repr`` calls, none retained) per
+    insertion instead of a full re-sort per hash; equal reprs mean equal
+    forms, so the result is exactly what the re-sort would build.
+    """
+    at = bisect_right(forms, repr(form), key=repr)
+    return forms[:at] + (form,) + forms[at:]
 
 
 def canonicalize(obj):

@@ -558,7 +558,7 @@ class Searcher:
     def _add_symbolic_sends(self, system, enabled, result):
         ctrl_hash = system.controller_state_hash()
         extra: list[Transition] = []
-        for name in sorted(system.hosts):
+        for name in system._host_order:
             host = system.hosts[name]
             if not getattr(host, "symbolic_client", False):
                 continue

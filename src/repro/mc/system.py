@@ -25,10 +25,11 @@ from repro.mc.canonical import (
     DIGEST_SIZE,
     canonicalize,
     digest_bytes,
+    insort_canonical,
     render_canonical,
 )
 from repro.mc.transitions import Transition
-from repro.openflow.messages import StatsReply
+from repro.openflow.messages import PacketIn, StatsReply
 from repro.openflow.packet import Packet
 from repro.openflow.switch import SwitchModel
 from repro.topo.topology import Endpoint, Topology
@@ -80,6 +81,11 @@ class PacketLedger:
         self.lost: list[tuple] = []
         #: fault-model events (op, switch, port).
         self.faults: list[tuple] = []
+        #: The canonical form: the four records above, in that order, each
+        #: as a sorted multiset (which events happened matters, not in what
+        #: order).  Kept in step by the ``record_*`` methods — the only
+        #: writers of the lists.
+        self._canon: tuple = ((), (), (), ())
         #: Ordered history of all of the above, for properties that need
         #: happened-before information ("wait until a safe time", §5.2).
         #: Deliberately *excluded* from canonical() — two interleavings that
@@ -90,23 +96,31 @@ class PacketLedger:
         #: established-flow test).  Derivable from ``injected``; not hashed.
         self.history: list[Packet] = []
 
+    def _record(self, records: list, index: int, entry: tuple) -> None:
+        records.append(entry)
+        forms = self._canon
+        self._canon = (forms[:index]
+                       + (insort_canonical(forms[index], entry),)
+                       + forms[index + 1:])
+
     def record_injected(self, packet: Packet, host: str) -> None:
-        self.injected.append((packet.uid, host))
+        self._record(self.injected, 0, (packet.uid, host))
         self.log.append(("inj", packet.uid, host, packet.flow_key()))
         header_copy = packet.copy()
         header_copy.hops = []
         self.history.append(header_copy)
 
     def record_delivered(self, packet: Packet, host: str) -> None:
-        self.delivered.append((packet.uid, packet.copy_id, host))
+        self._record(self.delivered, 1, (packet.uid, packet.copy_id, host))
         self.log.append(("del", packet.uid, host, packet.flow_key()))
 
     def record_lost(self, packet: Packet, switch: str, port: int) -> None:
-        self.lost.append((packet.uid, packet.copy_id, switch, port))
+        self._record(self.lost, 2,
+                     (packet.uid, packet.copy_id, switch, port))
         self.log.append(("lost", packet.uid, switch, port))
 
     def record_fault(self, op: tuple, switch: str, port: int) -> None:
-        self.faults.append((op, switch, port))
+        self._record(self.faults, 3, (op, switch, port))
         self.log.append(("fault", op, switch, port))
 
     def clone(self) -> "PacketLedger":
@@ -118,17 +132,13 @@ class PacketLedger:
         new.delivered = list(self.delivered)
         new.lost = list(self.lost)
         new.faults = list(self.faults)
+        new._canon = self._canon
         new.log = list(self.log)
         new.history = list(self.history)
         return new
 
     def canonical(self) -> tuple:
-        return (
-            tuple(sorted(self.injected, key=repr)),
-            tuple(sorted(self.delivered, key=repr)),
-            tuple(sorted(self.lost, key=repr)),
-            tuple(sorted(self.faults, key=repr)),
-        )
+        return self._canon
 
 
 class System:
@@ -350,6 +360,9 @@ class System:
         self._dirty(("host", transition.actor), "ledger")
         host = self._host(transition.actor)
         descriptor = transition.arg
+        # Either way the host hands out a private, unsealed copy (the seal
+        # rule, ``repro.openflow.packet``), so the identity reset below
+        # changes no packet another state can see.
         if descriptor[0] == "sym":
             if transition.payload is None:
                 raise TransitionError("symbolic send without packet payload")
@@ -369,7 +382,7 @@ class System:
         packet.hops = []
         switch_id, port = self.host_locations[host.name]
         self._dirty(("sw", switch_id))
-        self._switch(switch_id).port_in[port].enqueue(packet)
+        self._switch(switch_id).port_in[port].enqueue(packet.seal())
         self.ledger.record_injected(packet, host.name)
 
     def _execute_host_move(self, transition: Transition) -> None:
@@ -388,8 +401,6 @@ class System:
         self.host_locations[host.name] = target
 
     def _begin_handler(self, kind: str, actor: str, pending_message) -> None:
-        from repro.openflow.messages import PacketIn
-
         self._api_calls = []
         packet = None
         if isinstance(pending_message, PacketIn):
@@ -410,8 +421,12 @@ class System:
     # ------------------------------------------------------------------
 
     def route(self, sw_id: str, emissions: list[tuple[int, Packet]]) -> None:
-        """Deliver switch emissions along links; track black-holed packets."""
+        """Deliver switch emissions along links; track black-holed packets.
+
+        A packet put on the wire is stored from here on, hence sealed: the
+        next switch records its hop on a copy (``process_pkt``)."""
         for port, packet in emissions:
+            packet.seal()
             host_name = self.attachments.get((sw_id, port))
             if host_name is not None:
                 self._dirty(("host", host_name))
@@ -497,9 +512,9 @@ class System:
         else:
             kind, name = key
             if kind == "sw":
-                self.switches[name] = self.switches[name].clone({})
+                self.switches[name] = self.switches[name].clone()
             else:
-                self.hosts[name] = self.hosts[name].clone({})
+                self.hosts[name] = self.hosts[name].clone()
 
     def _memo(self, key, obj):
         """Cached ``canonicalize(obj)``; recomputed only after `_dirty`."""
@@ -642,24 +657,25 @@ class System:
         component, not one full state copy per child.
 
         ``cow_clone=False`` falls back to the eager component-wise copy
-        (``fast_clone``) — the ``clone`` methods on :class:`SwitchModel`,
-        :class:`FlowTable`, :class:`~repro.hosts.base.Host`,
-        :class:`PacketLedger` and the apps, sharing immutable objects and
-        memo-copying data-plane packets — and ``fast_clone=False`` keeps
-        the seed's full deepcopy, the baselines the hot-path benchmark
-        measures against (DESIGN.md, "Per-state hot path").
+        (``fast_clone``) — the same ``clone`` methods on
+        :class:`SwitchModel`, :class:`FlowTable`,
+        :class:`~repro.hosts.base.Host`, :class:`PacketLedger` and the
+        apps that copy-on-write runs lazily: field-wise shallow copies
+        sharing messages, sealed packets and cached canonical sub-forms —
+        and ``fast_clone=False`` keeps the seed's full deepcopy, the
+        baselines the hot-path benchmark measures against (DESIGN.md,
+        "Per-state hot path").
         """
         if self.config.cow_clone:
             return self._clone_cow()
         if not self.config.fast_clone:
             return self._clone_deepcopy()
-        packet_memo: dict = {}
         new = object.__new__(System)
         new.topo = self.topo
         new.config = self.config
-        new.switches = {sw_id: switch.clone(packet_memo)
+        new.switches = {sw_id: switch.clone()
                         for sw_id, switch in self.switches.items()}
-        new.hosts = {name: host.clone(packet_memo)
+        new.hosts = {name: host.clone()
                      for name, host in self.hosts.items()}
         new.runtime = ControllerRuntime(self.runtime.app.clone())
         new.ledger = self.ledger.clone()

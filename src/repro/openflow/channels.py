@@ -16,10 +16,15 @@ from typing import Iterable
 from repro.errors import ChannelError
 
 
+def _item_canonical(item):
+    canon = getattr(item, "canonical", None)
+    return canon() if callable(canon) else item
+
+
 class Channel:
     """A FIFO buffer of items (packets or OpenFlow messages)."""
 
-    __slots__ = ("name", "reliable", "failed", "_items")
+    __slots__ = ("name", "reliable", "failed", "_items", "_canon")
 
     def __init__(self, name: str, reliable: bool = True):
         self.name = name
@@ -29,6 +34,8 @@ class Channel:
         #: A failed link silently discards enqueues and never dequeues.
         self.failed = False
         self._items: list = []
+        #: Cached :meth:`canonical` form; every mutator below resets it.
+        self._canon: tuple | None = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -40,6 +47,7 @@ class Channel:
         if self.failed:
             return
         self._items.append(item)
+        self._canon = None
 
     def extend(self, items: Iterable) -> None:
         for item in items:
@@ -53,37 +61,35 @@ class Channel:
     def dequeue(self):
         if not self._items:
             raise ChannelError(f"dequeue on empty channel {self.name}")
+        self._canon = None
         return self._items.pop(0)
 
     def items(self) -> list:
         """A snapshot copy of the queued items (head first)."""
         return list(self._items)
 
-    def clone(self, packet_memo: dict | None = None) -> "Channel":
-        """Checkpoint copy (``System.clone``).
-
-        With ``packet_memo`` the items are data-plane packets, which the
-        switch mutates in place as they traverse it (hop recording), so
-        each is memo-copied.  Without it the items are OpenFlow messages,
-        immutable once enqueued, and stay shared with the original.
+    def clone(self) -> "Channel":
+        """Checkpoint copy (``System.clone``): a new queue over the *same*
+        items and the same cached form.  OpenFlow messages are immutable
+        once enqueued and queued packets are sealed (the seal rule in
+        :mod:`repro.openflow.packet` — whoever dequeues one to change it
+        copies it first), so neither is ever copied here.
 
         Under copy-on-write checkpointing the channel is shared (inside
-        its switch/host) until the owning System materializes its copy via
+        its switch) until the owning System materializes its copy via
         ``_dirty`` — enqueue/dequeue must never run on a shared channel.
         """
         new = Channel.__new__(Channel)
         new.name = self.name
         new.reliable = self.reliable
         new.failed = self.failed
-        if packet_memo is None:
-            new._items = list(self._items)
-        else:
-            new._items = [item.copy_memo(packet_memo)
-                          for item in self._items]
+        new._items = list(self._items)
+        new._canon = self._canon
         return new
 
     def clear(self) -> list:
         drained, self._items = self._items, []
+        self._canon = None
         return drained
 
     # ------------------------------------------------------------------
@@ -115,6 +121,7 @@ class Channel:
         """Apply a fault descriptor; returns the affected item (if any)."""
         if self.reliable:
             raise ChannelError(f"fault injection on reliable channel {self.name}")
+        self._canon = None
         kind = op[0]
         if kind == "fail":
             self.failed = True
@@ -125,14 +132,13 @@ class Channel:
         if kind == "drop":
             return self._items.pop(index)
         if kind == "duplicate":
-            # Insert a distinct copy, not an alias: packets are mutated in
-            # place as they traverse switches (hop recording), so an alias
-            # left behind would see the other copy's hops — and would leave
-            # stale memoized canonical forms once the aliases end up in
-            # different components (System._dirty tracks mutations per
-            # component).  Items without a copy() are immutable test values.
+            # Insert a distinct copy, not an alias: apps tell "the same
+            # packet" from "an equal packet" by identity
+            # (``LoadBalancer.is_same_flow``), and the duplicate is a new
+            # packet on the wire — stored here, hence sealed.  Items
+            # without a copy() are immutable test values.
             item = self._items[index]
-            dup = item.copy() if hasattr(item, "copy") else item
+            dup = item.copy().seal() if hasattr(item, "copy") else item
             self._items.insert(index, dup)
             return self._items[index]
         if kind == "reorder":
@@ -146,12 +152,14 @@ class Channel:
         raise ChannelError(f"unknown fault op {op!r}")
 
     def canonical(self) -> tuple:
-        """Stable serialization for state hashing."""
-        def enc(item):
-            canon = getattr(item, "canonical", None)
-            return canon() if callable(canon) else item
-
-        return (self.name, self.failed, tuple(enc(item) for item in self._items))
+        """Stable serialization for state hashing, cached until the next
+        mutation (the queued items never change, see :meth:`clone`)."""
+        canon = self._canon
+        if canon is None:
+            canon = self._canon = (
+                self.name, self.failed,
+                tuple(_item_canonical(item) for item in self._items))
+        return canon
 
     def __repr__(self) -> str:
         state = "FAILED " if self.failed else ""

@@ -27,8 +27,15 @@ class FlowTable:
 
     def __init__(self, canonical: bool = True):
         self.canonical_mode = canonical
-        self._entries: list[tuple[int, Rule]] = []  # (insertion_seq, rule)
+        #: ``(insertion_seq, rule)`` pairs.  A replace-on-write value: every
+        #: mutator builds a new tuple and installed rules are never changed
+        #: in place, so checkpoint clones share it.
+        self._entries: tuple[tuple[int, Rule], ...] = ()
         self._next_seq = 0
+        #: Cached :meth:`canonical` forms, without and with the traffic
+        #: counters; a rule hit resets only the second.
+        self._canon: tuple | None = None
+        self._canon_counted: tuple | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -41,16 +48,17 @@ class FlowTable:
         return [rule for _, rule in self._entries]
 
     def clone(self) -> "FlowTable":
-        """Checkpoint copy: rules are cloned (their counters are per-state),
-        sharing patterns, actions, and each rule's cached counter-free
-        canonical form; insertion order is preserved.  Under copy-on-write
-        checkpointing this runs only when the owning switch materializes
-        (``System._dirty``) — the table is never mutated while shared."""
+        """Checkpoint copy: a new table over the same entries and cached
+        forms (see ``_entries``); insertion order is preserved.  Under
+        copy-on-write checkpointing this runs only when the owning switch
+        materializes (``System._dirty``)."""
         new = FlowTable.__new__(FlowTable)
-        new.canonical_mode = self.canonical_mode
-        new._entries = [(seq, rule.clone()) for seq, rule in self._entries]
-        new._next_seq = self._next_seq
+        new.__dict__.update(self.__dict__)
         return new
+
+    def _replace(self, entries) -> None:
+        self._entries = tuple(entries)
+        self._canon = self._canon_counted = None
 
     def install(self, rule: Rule) -> None:
         """Add a rule; replaces an existing entry with identical match+priority.
@@ -62,10 +70,21 @@ class FlowTable:
         ordered tables that the canonical representation merges (Table 1's
         NO-SWITCH-REDUCTION comparison).
         """
-        self._entries = [(seq, existing) for seq, existing in self._entries
-                         if not existing.same_entry(rule)]
-        self._entries.append((self._next_seq, rule))
+        self._replace(
+            [entry for entry in self._entries if not entry[1].same_entry(rule)]
+            + [(self._next_seq, rule)])
         self._next_seq += 1
+
+    def record_hit(self, rule: Rule, byte_count: int) -> None:
+        """Count a match on the installed ``rule`` — on a copy that takes
+        its place, because the rule object itself is shared with every
+        clone of this table."""
+        counted = rule.clone()
+        counted.record_hit(byte_count)
+        self._entries = tuple(
+            (seq, counted if existing is rule else existing)
+            for seq, existing in self._entries)
+        self._canon_counted = None
 
     def remove(self, pattern: Match, priority: int | None = None,
                strict: bool = False) -> list[Rule]:
@@ -91,16 +110,16 @@ class FlowTable:
                 removed.append(rule)
             else:
                 kept.append((seq, rule))
-        self._entries = kept
+        self._replace(kept)
         return removed
 
     def remove_rule(self, rule: Rule) -> bool:
         """Remove one specific rule object (used by expiry transitions)."""
-        for i, (_, existing) in enumerate(self._entries):
-            if existing is rule:
-                del self._entries[i]
-                return True
-        return False
+        kept = [entry for entry in self._entries if entry[1] is not rule]
+        if len(kept) == len(self._entries):
+            return False
+        self._replace(kept)
+        return True
 
     def lookup(self, packet: Packet, in_port: int) -> Rule | None:
         """Return the highest-priority rule matching ``packet`` on ``in_port``.
@@ -123,17 +142,25 @@ class FlowTable:
                 if rule.hard_timeout and rule.hard_timeout > 0]
 
     def canonical(self, include_counters: bool = True) -> tuple:
-        """Serialization for state hashing.
+        """Serialization for state hashing, cached until the table changes.
 
         Canonical mode sorts rules into the unique order described in the
         paper; non-canonical mode preserves the insertion order, so the model
         checker sees two insertion orders of non-overlapping rules as two
         distinct states (NO-SWITCH-REDUCTION).
         """
-        serialized = [rule.canonical(include_counters) for _, rule in self._entries]
-        if self.canonical_mode:
-            serialized.sort()
-        return tuple(serialized)
+        canon = self._canon_counted if include_counters else self._canon
+        if canon is None:
+            serialized = [rule.canonical(include_counters)
+                          for _, rule in self._entries]
+            if self.canonical_mode:
+                serialized.sort()
+            canon = tuple(serialized)
+            if include_counters:
+                self._canon_counted = canon
+            else:
+                self._canon = canon
+        return canon
 
     def __repr__(self) -> str:
         return f"FlowTable({self.rules!r})"

@@ -15,6 +15,15 @@ Packets also carry *model metadata* that is not part of any header: a unique
 id (``uid``) assigned at injection time, a ``copy_id`` distinguishing flood
 copies, and the list of ``(switch, in_port)`` hops traversed, which the
 NoForwardingLoops property inspects.
+
+**The seal rule** (DESIGN.md, "Sub-forms and sealed packets"): a packet
+that has been *stored* — queued on a channel, buffered at a switch, held in
+a host's ``inbox``/``pending``/``received``, carried by a ``PacketIn``,
+logged in ``packet_in_log`` or the ledger history — is never mutated
+again.  Whoever needs to change one (record a hop, reset the identity of a
+reply) takes it out and works on a :meth:`Packet.copy`.  That is what lets
+checkpoint clones share packets instead of copying them, and lets
+:meth:`Packet.seal` keep the canonical form for good.
 """
 
 from __future__ import annotations
@@ -163,6 +172,7 @@ class Packet:
         "copy_id",
         "hops",
         "_header",
+        "_canon",
     )
 
     def __init__(
@@ -203,8 +213,11 @@ class Packet:
         #: fields on freshly made copies (set-dl actions, ARP resolution),
         #: never on a packet that has already been observed/hashed, so the
         #: cache cannot go stale; identity fields (uid/copy_id/hops) do
-        #: mutate in place and are deliberately not cached.
+        #: mutate in place until the packet is sealed.
         self._header: tuple | None = None
+        #: The canonical form, kept from :meth:`seal` on; ``None`` while the
+        #: packet is still private to whoever is building it.
+        self._canon: tuple | None = None
 
     # Aliases matching the names controller programs use (Figure 3 uses
     # pkt.src / pkt.dst / pkt.type for the Ethernet header).
@@ -272,22 +285,35 @@ class Packet:
         dup.hops = list(self.hops)
         return dup
 
-    def copy_memo(self, memo: dict) -> "Packet":
-        """Memoized :meth:`copy` for checkpointing (``System.clone``).
-
-        Keyed by ``id``: packets aliased in the source state (e.g. buffered
-        *and* queued) stay aliased in the copy, exactly as one ``deepcopy``
-        pass over the whole system would leave them.
-        """
-        dup = memo.get(id(self))
-        if dup is None:
-            dup = self.copy()
-            memo[id(self)] = dup
-        return dup
+    def seal(self) -> "Packet":
+        """Declare the packet stored: it will not be mutated again (the
+        seal rule, module docstring), so its canonical form is rendered
+        here once and every later :meth:`canonical` returns that object.
+        Copies start unsealed.  Returns ``self`` so store sites read
+        ``enqueue(packet.seal())``."""
+        if self._canon is None:
+            self._canon = self.canonical()
+        return self
 
     def canonical(self) -> tuple:
         """Stable serialization for state hashing (includes identity)."""
+        canon = self._canon
+        if canon is not None:
+            return canon
         return self.header_tuple() + (self.uid, self.copy_id, tuple(self.hops))
+
+    def __getstate__(self):
+        """Every slot but the sealed form, in the slots-state shape pickle
+        derives by itself — symbolic ``HOST_SEND`` payloads travel the
+        worker wire and sit in checkpoints, and both must stay readable
+        by, and byte-identical to, the format without the ``_canon``
+        slot."""
+        return None, {name: getattr(self, name) for name in _PICKLED_SLOTS}
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._canon = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Packet):
@@ -306,6 +332,11 @@ class Packet:
             f" nw={ip_to_string(self.ip_src)}->{ip_to_string(self.ip_dst)}"
             f" tp={self.tp_src}->{self.tp_dst})"
         )
+
+
+#: The slots :meth:`Packet.__getstate__` pickles — the same ``str`` objects
+#: as ``__slots__``, which is what pickle's own slot walk would emit.
+_PICKLED_SLOTS = Packet.__slots__[:-1]
 
 
 def l2_ping(src: MacAddress, dst: MacAddress, payload: str = "ping") -> Packet:

@@ -61,13 +61,18 @@ class Rule:
         self._static_canon: tuple | None = None
 
     def record_hit(self, byte_count: int) -> None:
-        """Update the rule's traffic counters after a match."""
+        """Update the rule's traffic counters after a match — in place,
+        so only on a rule no table holds yet: an installed rule is shared
+        by every checkpoint clone of its table and is counted through
+        :meth:`FlowTable.record_hit
+        <repro.openflow.flowtable.FlowTable.record_hit>`."""
         self.packet_count += 1
         self.byte_count += byte_count
 
     def clone(self) -> "Rule":
-        """Checkpoint copy: counters are per-state; the match pattern and
-        action objects are immutable once installed and stay shared."""
+        """A copy whose counters can diverge (what a table swaps in when
+        it counts a hit); the match pattern and action objects are
+        immutable once installed and stay shared."""
         new = Rule.__new__(Rule)
         new.match = self.match
         new.actions = list(self.actions)

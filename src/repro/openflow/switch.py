@@ -32,6 +32,7 @@ from repro.openflow.actions import (
     ActionOutput,
     ActionSetDlDst,
     ActionSetDlSrc,
+    ActionTable,
 )
 from repro.openflow.channels import Channel
 from repro.openflow.flowtable import FlowTable
@@ -45,8 +46,10 @@ from repro.openflow.messages import (
     OFPFC_DELETE_STRICT,
     OFPR_ACTION,
     OFPR_NO_MATCH,
+    OFPST_FLOW,
     PacketIn,
     PacketOut,
+    PortStatus,
     StatsReply,
     StatsRequest,
 )
@@ -56,6 +59,12 @@ from repro.openflow.rules import Rule
 
 def _new_port_stats() -> dict:
     return {"rx_packets": 0, "tx_packets": 0, "rx_bytes": 0, "tx_bytes": 0}
+
+
+#: The buffer-id renumbering of a switch with nothing to renumber.  One
+#: shared object, because cached forms are reused while the remap they were
+#: built under is the *same object* (``SwitchModel._of_canonical``).
+_NO_REMAP: dict = {}
 
 
 class SwitchModel:
@@ -79,14 +88,19 @@ class SwitchModel:
         self.ofp_in = Channel(f"ctrl->{switch_id}")
         self.ofp_out = Channel(f"{switch_id}->ctrl")
         #: Packets awaiting a controller decision: buffer_id -> (packet, in_port).
+        #: Changed only by :meth:`_buffer_and_notify` and
+        #: :meth:`_apply_packet_out`, which reset ``_buffers_canon``.
         self.buffers: dict[int, tuple[Packet, int]] = {}
         self._next_buffer_id = 1
+        #: Per-port counters.  The inner dicts are replace-on-write values
+        #: (:meth:`_count`), so checkpoint clones share them.
         self.port_stats: dict[int, dict] = {
             port: _new_port_stats() for port in self.ports
         }
         self.port_up: dict[int, bool] = {port: True for port in self.ports}
         #: uids of packets discarded by an explicit drop rule or by a
         #: buffer-discarding packet-out; the packet ledger reads these.
+        #: Replace-on-write (:meth:`_drop`), shared by checkpoint clones.
         self.dropped: list[tuple] = []
         #: Whether rule/port counters participate in the state hash (see
         #: NiceConfig.hash_counters).  Counters always *function*; this only
@@ -96,18 +110,31 @@ class SwitchModel:
         #: reason) in occurrence order.  Properties read it (a pending
         #: PacketIn may be consumed within the same atomic step under
         #: NO-DELAY, so queue contents alone are not observable enough).
-        #: History, not state: excluded from canonical().
+        #: History, not state: excluded from canonical().  Replace-on-write
+        #: like ``dropped``.
         self.packet_in_log: list[tuple[Packet, str]] = []
+        #: Cached pieces of :meth:`canonical`, each reset by the mutators
+        #: of what it renders (DESIGN.md, "Sub-forms and sealed packets"):
+        #: ``(remap, buffers part)``; per OpenFlow channel ``(channel form,
+        #: remap, rewritten form)``; the port-stats and dropped parts.
+        self._buffers_canon: tuple | None = None
+        self._ofp_in_canon: tuple | None = None
+        self._ofp_out_canon: tuple | None = None
+        self._stats_canon: tuple | None = None
+        self._dropped_canon: tuple | None = None
 
-    def clone(self, packet_memo: dict) -> "SwitchModel":
-        """Checkpoint copy (``System.clone``), ~10x cheaper than deepcopy.
+    def clone(self) -> "SwitchModel":
+        """Checkpoint copy (``System.clone``): field-wise and shallow.
 
-        Shared with the original: queued OpenFlow messages (immutable once
-        enqueued — ``PacketIn`` carries a private packet copy, packet-outs
-        copy before emitting) and the ``packet_in_log`` entries (private
-        copies, read-only).  Memo-copied: data-plane packets in the port
-        channels and the controller-decision buffers, which the pipeline
-        mutates in place (hop recording, identity reset on release).
+        The channels and the flow table are cloned (new queues and a new
+        table over the same items, entries and cached forms) and the
+        dicts this switch writes into are copied one level deep.
+        Everything they hold is shared with the original and never changed
+        in place: queued messages, sealed packets (the seal rule in
+        :mod:`repro.openflow.packet`), flow-table rules, the per-port
+        counter dicts, and the ``dropped`` / ``packet_in_log`` lists
+        (replace-on-write) — as are the cached pieces of
+        :meth:`canonical`.
 
         Under copy-on-write checkpointing (``cow_clone``) this runs
         *lazily*: the whole switch stays shared between parent and child
@@ -116,24 +143,15 @@ class SwitchModel:
         "Per-state hot path").
         """
         new = SwitchModel.__new__(SwitchModel)
-        new.switch_id = self.switch_id
-        new.ports = self.ports
+        new.__dict__.update(self.__dict__)
         new.table = self.table.clone()
-        new.port_in = {port: channel.clone(packet_memo)
+        new.port_in = {port: channel.clone()
                        for port, channel in self.port_in.items()}
         new.ofp_in = self.ofp_in.clone()
         new.ofp_out = self.ofp_out.clone()
-        new.buffers = {
-            buffer_id: (packet.copy_memo(packet_memo), in_port)
-            for buffer_id, (packet, in_port) in self.buffers.items()
-        }
-        new._next_buffer_id = self._next_buffer_id
-        new.port_stats = {port: dict(stats)
-                          for port, stats in self.port_stats.items()}
+        new.buffers = dict(self.buffers)
+        new.port_stats = dict(self.port_stats)
         new.port_up = dict(self.port_up)
-        new.dropped = list(self.dropped)
-        new.hash_counters = self.hash_counters
-        new.packet_in_log = list(self.packet_in_log)
         return new
 
     # ------------------------------------------------------------------
@@ -162,28 +180,45 @@ class SwitchModel:
             channel = self.port_in[port]
             if len(channel) == 0:
                 continue
-            packet = channel.dequeue()
+            # The queued packet is sealed — clones of this switch share
+            # it — so the hop is recorded on a copy taken out here.
+            packet = channel.dequeue().copy()
             emissions.extend(self._handle_packet(packet, port))
         return emissions
 
     def _handle_packet(self, packet: Packet, in_port: int) -> list[tuple[int, Packet]]:
-        stats = self.port_stats[in_port]
-        stats["rx_packets"] += 1
-        stats["rx_bytes"] += packet.size
+        self._count(in_port, "rx_packets", "rx_bytes", packet.size)
         packet.hops.append((self.switch_id, in_port))
+        return self._run_table(packet, in_port)
 
+    def _run_table(self, packet: Packet, in_port: int) -> list[tuple[int, Packet]]:
         rule = self.table.lookup(packet, in_port)
         if rule is None:
             self._buffer_and_notify(packet, in_port, OFPR_NO_MATCH)
             return []
-        rule.record_hit(packet.size)
+        self.table.record_hit(rule, packet.size)
         return self._apply_actions(rule.actions, packet, in_port)
+
+    def _count(self, port: int, packets_key: str, bytes_key: str,
+               size: int) -> None:
+        """Bump one direction of a port's counters, replacing the port's
+        dict (clones of this switch share the old one)."""
+        stats = self.port_stats[port]
+        self.port_stats[port] = {**stats,
+                                 packets_key: stats[packets_key] + 1,
+                                 bytes_key: stats[bytes_key] + size}
+        self._stats_canon = None
+
+    def _drop(self, entry: tuple) -> None:
+        self.dropped = self.dropped + [entry]
+        self._dropped_canon = None
 
     def _buffer_and_notify(self, packet: Packet, in_port: int, reason: str) -> None:
         buffer_id = self._next_buffer_id
         self._next_buffer_id += 1
-        self.buffers[buffer_id] = (packet, in_port)
-        self.packet_in_log.append((packet.copy(), reason))
+        self.buffers[buffer_id] = (packet.seal(), in_port)
+        self._buffers_canon = None
+        self.packet_in_log = self.packet_in_log + [(packet.copy(), reason)]
         self.ofp_out.enqueue(
             PacketIn(self.switch_id, in_port, packet.copy(), buffer_id, reason)
         )
@@ -203,8 +238,9 @@ class SwitchModel:
                         emissions.append((port, working))
             elif isinstance(action, ActionController):
                 # Buffer a copy: with an output action in the same list the
-                # packet object is also emitted, and the two references must
-                # not share in-place hop mutations (see Channel.apply_fault).
+                # packet object is also emitted, and the buffered and the
+                # forwarded packet are two packets, told apart by identity
+                # (see Channel.apply_fault).
                 self._buffer_and_notify(working.copy(), in_port, OFPR_ACTION)
             elif isinstance(action, ActionDrop):
                 explicit_drop = True
@@ -217,7 +253,7 @@ class SwitchModel:
             else:
                 raise SwitchError(f"unknown action {action!r}")
         if explicit_drop and not emissions:
-            self.dropped.append(("rule_drop", packet.uid, packet.copy_id))
+            self._drop(("rule_drop", packet.uid, packet.copy_id))
         return self._materialize(emissions)
 
     def _materialize(self, emissions: list[tuple[int, Packet]]):
@@ -239,10 +275,8 @@ class SwitchModel:
                 )
                 out.append((port, dup))
         for port, packet in out:
-            stats = self.port_stats.get(port)
-            if stats is not None:
-                stats["tx_packets"] += 1
-                stats["tx_bytes"] += packet.size
+            if port in self.port_stats:
+                self._count(port, "tx_packets", "tx_bytes", packet.size)
         return out
 
     # ------------------------------------------------------------------
@@ -266,8 +300,6 @@ class SwitchModel:
         if isinstance(message, PacketOut):
             return self._apply_packet_out(message)
         if isinstance(message, StatsRequest):
-            from repro.openflow.messages import OFPST_FLOW
-
             if message.kind == OFPST_FLOW:
                 payload = self.flow_stats_snapshot()
             else:
@@ -305,27 +337,21 @@ class SwitchModel:
             if entry is None:
                 # Unknown / already-released buffer: real switches return an
                 # error message; the model records it and moves on.
-                self.dropped.append(("bad_buffer", out.buffer_id, None))
+                self._drop(("bad_buffer", out.buffer_id, None))
                 return []
+            self._buffers_canon = None
             packet, in_port = entry
         else:
             packet, in_port = out.packet.copy(), -1
         if not out.actions:
             # Empty action list discards the buffered packet: this is how a
             # controller intentionally consumes a packet.
-            self.dropped.append(("ctrl_discard", packet.uid, packet.copy_id))
+            self._drop(("ctrl_discard", packet.uid, packet.copy_id))
             return []
-        from repro.openflow.actions import ActionTable
-
         if any(isinstance(a, ActionTable) for a in out.actions):
             # OFPP_TABLE: run the packet through the flow table as if it had
             # just arrived on its original port (without re-counting rx).
-            rule = self.table.lookup(packet, in_port)
-            if rule is None:
-                self._buffer_and_notify(packet, in_port, OFPR_NO_MATCH)
-                return []
-            rule.record_hit(packet.size)
-            return self._apply_actions(rule.actions, packet, in_port)
+            return self._run_table(packet, in_port)
         return self._apply_actions(out.actions, packet, in_port)
 
     # ------------------------------------------------------------------
@@ -349,8 +375,6 @@ class SwitchModel:
             raise SwitchError(f"unknown port {port} on {self.switch_id}")
         if self.port_up[port] != is_up:
             self.port_up[port] = is_up
-            from repro.openflow.messages import PortStatus
-
             self.ofp_out.enqueue(PortStatus(self.switch_id, port, is_up))
 
     def stats_snapshot(self) -> dict:
@@ -383,55 +407,84 @@ class SwitchModel:
         order still hash together.  References to buffer ids inside pending
         packet-in / packet-out messages are rewritten consistently.  The
         NO-SWITCH-REDUCTION baseline keeps raw ids (and unsorted tables).
+
+        This method only *assembles*: every part is cached where its data
+        lives — the flow table and each channel keep their own form, the
+        parts built here (``_buffers_canon`` and friends) are reset by the
+        few methods that change what they render — so a re-hash after a
+        transition re-renders what the transition touched.
         """
-        canonical_mode = self.table.canonical_mode
-        if canonical_mode and self.buffers:
-            order = sorted(
-                self.buffers,
-                key=lambda bid: (repr(self.buffers[bid][0].canonical()),
-                                 self.buffers[bid][1]),
-            )
-            remap = {bid: index for index, bid in enumerate(order)}
-        else:
-            remap = {}
-
-        def msg_canonical(message):
-            base = message.canonical()
-            if not canonical_mode:
-                return base
-            if isinstance(message, PacketIn) and message.buffer_id in remap:
-                return base[:4] + (remap[message.buffer_id],) + base[5:]
-            if isinstance(message, PacketOut) and message.buffer_id in remap:
-                return base[:1] + (remap[message.buffer_id],) + base[2:]
-            return base
-
-        def buffer_key(bid):
-            return remap.get(bid, bid) if canonical_mode else bid
-
+        remap, buffers_part = self._buffers_canonical()
+        stats_part = ()
         if self.hash_counters:
-            stats_part = tuple(sorted(
-                (port, tuple(sorted(stats.items())))
-                for port, stats in self.port_stats.items()
-            ))
-        else:
-            stats_part = ()
+            stats_part = self._stats_canon
+            if stats_part is None:
+                stats_part = self._stats_canon = tuple(sorted(
+                    (port, tuple(sorted(stats.items())))
+                    for port, stats in self.port_stats.items()
+                ))
+        dropped_part = self._dropped_canon
+        if dropped_part is None:
+            dropped_part = self._dropped_canon = tuple(
+                sorted(self.dropped, key=repr))
         return (
             self.switch_id,
             self.table.canonical(include_counters=self.hash_counters),
             tuple(self.port_in[p].canonical() for p in self.ports),
-            (self.ofp_in.name, self.ofp_in.failed,
-             tuple(msg_canonical(m) for m in self.ofp_in.items())),
-            (self.ofp_out.name, self.ofp_out.failed,
-             tuple(msg_canonical(m) for m in self.ofp_out.items())),
-            tuple(sorted(
-                (buffer_key(bid), pkt.canonical(), port)
-                for bid, (pkt, port) in self.buffers.items()
-            )),
+            self._of_canonical(self.ofp_in, remap, "_ofp_in_canon"),
+            self._of_canonical(self.ofp_out, remap, "_ofp_out_canon"),
+            buffers_part,
             stats_part,
             # self.ports is sorted, so this equals sorted(port_up.items()).
             tuple((p, self.port_up[p]) for p in self.ports),
-            tuple(sorted(self.dropped, key=repr)),
+            dropped_part,
         )
+
+    def _buffers_canonical(self) -> tuple[dict, tuple]:
+        """``(remap, buffers part)``: the content-derived renumbering of
+        the buffer ids and the buffers rendered under it."""
+        cached = self._buffers_canon
+        if cached is None:
+            buffers = self.buffers
+            if self.table.canonical_mode and buffers:
+                order = sorted(
+                    buffers,
+                    key=lambda bid: (repr(buffers[bid][0].canonical()),
+                                     buffers[bid][1]),
+                )
+                remap = {bid: index for index, bid in enumerate(order)}
+            else:
+                order, remap = sorted(buffers), _NO_REMAP
+            part = tuple(
+                (remap.get(bid, bid), buffers[bid][0].canonical(),
+                 buffers[bid][1])
+                for bid in order
+            )
+            cached = self._buffers_canon = (remap, part)
+        return cached
+
+    def _of_canonical(self, channel: Channel, remap: dict, slot: str) -> tuple:
+        """One OpenFlow channel's form with buffer ids rewritten through
+        ``remap``.  The rewritten form is kept in the attribute ``slot``
+        and reused while the channel's own form and the remap are the
+        same objects it was built from."""
+        form = channel.canonical()
+        if not remap:
+            return form
+        cached = getattr(self, slot)
+        if cached is None or cached[0] is not form or cached[1] is not remap:
+            messages = []
+            for message, base in zip(channel.items(), form[2]):
+                if isinstance(message, PacketIn) \
+                        and message.buffer_id in remap:
+                    base = base[:4] + (remap[message.buffer_id],) + base[5:]
+                elif isinstance(message, PacketOut) \
+                        and message.buffer_id in remap:
+                    base = base[:1] + (remap[message.buffer_id],) + base[2:]
+                messages.append(base)
+            cached = (form, remap, (form[0], form[1], tuple(messages)))
+            setattr(self, slot, cached)
+        return cached[2]
 
     def __repr__(self) -> str:
         return (f"SwitchModel({self.switch_id}, rules={len(self.table)},"

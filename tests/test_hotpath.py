@@ -169,6 +169,68 @@ class TestDigestRecomputation:
         components = len(child.switches) + len(child.hosts) + 2  # app+ledger
         assert stats.hits - hits == components - 1
 
+    @staticmethod
+    def _state_with_a_buffered_packet():
+        """ping-2 after A's first ping missed at s1: a buffered packet and
+        its pending PacketIn (so buffer ids are being renumbered), and A's
+        second scripted send enabled."""
+        system = with_config(
+            scenarios.ping_experiment(pings=2)).system_factory()
+        for kind, actor in ((tk.HOST_SEND, "A"), (tk.PROCESS_PKT, "s1")):
+            system.execute(next(t for t in system.enabled_transitions()
+                                if (t.kind, t.actor) == (kind, actor)))
+        assert system.switches["s1"].buffers and system.switches["s1"].ofp_out
+        system.state_hash()
+        send = next(t for t in system.enabled_transitions()
+                    if t.kind == tk.HOST_SEND)
+        return system, send
+
+    def test_host_send_child_shares_every_switch_sub_form_but_one(self):
+        parent, send = self._state_with_a_buffered_packet()
+        sw_id, port = parent.host_locations[send.actor]
+        before = parent.switches[sw_id].canonical()
+        child = parent.clone()
+        child.execute(send)
+        child.state_hash()
+        switch = child.switches[sw_id]
+        assert switch is not parent.switches[sw_id]
+        (_, table, channels, ofp_in, ofp_out, buffers, _stats, _up,
+         dropped) = after = switch.canonical()
+        # Only the channel of the port the packet was enqueued on is
+        # re-rendered; every other cached part is the parent's object.
+        assert table is before[1] and dropped is before[8]
+        assert ofp_in is before[3] and ofp_out is before[4]
+        assert buffers is before[5] and buffers
+        for position, channel_port in enumerate(switch.ports):
+            if channel_port == port:
+                assert len(channels[position][2]) \
+                    == len(before[2][position][2]) + 1
+            else:
+                assert channels[position] is before[2][position]
+        assert after != before
+
+    def test_parent_cached_forms_survive_its_child(self):
+        parent, send = self._state_with_a_buffered_packet()
+        switches = {s: sw.canonical() for s, sw in parent.switches.items()}
+        hosts = {h: host.canonical() for h, host in parent.hosts.items()}
+        ledger = parent.ledger.canonical()
+        digest = parent.state_hash()
+        child = parent.clone()
+        child.execute(send)
+        assert child.state_hash() != digest
+        # Equal — and the cached parts are the very same objects: the
+        # child re-rendered its own copies, not the ones it shares.
+        for sw_id, form in switches.items():
+            now = parent.switches[sw_id].canonical()
+            assert now == form
+            assert all(now[i] is form[i] for i in (1, 3, 4, 5, 8))
+            assert all(a is b for a, b in zip(now[2], form[2]))
+        for name, form in hosts.items():
+            now = parent.hosts[name].canonical()
+            assert now == form and now[4] is form[4]
+        assert parent.ledger.canonical() is ledger
+        assert parent.state_hash() == digest
+
     def test_unchanged_state_rehash_is_all_hits(self):
         system = with_config(scenarios.pyswitch_direct_path()).system_factory()
         first = system.state_hash()
@@ -303,7 +365,7 @@ class TestComponentCloneContracts:
         peer = MacAddress.from_string("00:00:00:00:00:02")
         client = ArpClient("A", mac, 1, target_ip=2,
                            script=[l2_ping(mac, peer)])
-        clone = client.clone({})
+        clone = client.clone()
         clone.deliver(arp_reply(peer, mac, 2, 1))
         clone.receive()
         assert len(clone.script) == 2      # data packet released

@@ -108,6 +108,68 @@ class TestTransitionDescriptors:
         assert (old, new) == (new, old)  # as trace tuples compare
         assert repr(old) == repr(new)
 
+    @staticmethod
+    def _sym_payload():
+        """A packet as a symbolic ``HOST_SEND`` carries one: header tuple
+        cached (``("sym", packet.header_tuple())`` is the descriptor)."""
+        from repro.openflow.packet import MacAddress, TCP_SYN, tcp_packet
+
+        packet = tcp_packet(MacAddress.from_string("00:00:00:00:00:01"),
+                            MacAddress.from_string("00:00:00:00:00:02"),
+                            1, 2, 1000, 80, flags=TCP_SYN, payload="x")
+        packet.uid = ("h1", "abcd1234", 0)
+        packet.copy_id = (("s1", 2),)
+        packet.hops = [("s1", 1)]
+        packet.header_tuple()
+        return packet
+
+    #: ``pickle.dumps(_sym_payload(), protocol=5)`` at the commit before
+    #: packets had a sealed-form slot — what symbolic sends put on the
+    #: worker wire and into every checkpoint written until then.
+    PARENT_PACKET_PICKLE = (
+        b"\x80\x05\x95\xa6\x01\x00\x00\x00\x00\x00\x00\x8c\x15repro."
+        b"openflow.packet\x94\x8c\x06Packet\x94\x93\x94)\x81\x94N}"
+        b"\x94(\x8c\x07eth_src\x94h\x00\x8c\nMacAddress\x94\x93\x94)"
+        b"\x81\x94N}\x94(\x8c\x06_bytes\x94(K\x00K\x00K\x00K\x00K"
+        b"\x00K\x01t\x94\x8c\x06_canon\x94\x8c\x1100:00:00:00:00:01"
+        b"\x94u\x86\x94b\x8c\x07eth_dst\x94h\x07)\x81\x94N}\x94(h\n("
+        b"K\x00K\x00K\x00K\x00K\x00K\x02t\x94h\x0c\x8c\x1100:00:00:0"
+        b"0:00:02\x94u\x86\x94b\x8c\x08eth_type\x94M\x00\x08\x8c\x06"
+        b"ip_src\x94K\x01\x8c\x06ip_dst\x94K\x02\x8c\x08nw_proto\x94"
+        b"K\x06\x8c\x06tp_src\x94M\xe8\x03\x8c\x06tp_dst\x94KP\x8c\t"
+        b"tcp_flags\x94K\x02\x8c\x06arp_op\x94K\x00\x8c\x07payload"
+        b"\x94\x8c\x01x\x94\x8c\x04size\x94K@\x8c\x03uid\x94\x8c\x02"
+        b"h1\x94\x8c\x08abcd1234\x94K\x00\x87\x94\x8c\x07copy_id\x94"
+        b"\x8c\x02s1\x94K\x02\x86\x94\x85\x94\x8c\x04hops\x94]\x94h%"
+        b"K\x01\x86\x94a\x8c\x07_header\x94(h\rh\x13M\x00\x08K\x01K"
+        b"\x02K\x06M\xe8\x03KPK\x02K\x00h\x1eK@t\x94u\x86\x94b.")
+
+    def test_packet_pickles_without_its_sealed_form(self):
+        import copy
+        import pickle
+
+        packet = self._sym_payload()
+        assert pickle.dumps(packet, 5) == self.PARENT_PACKET_PICKLE
+        sealed = self._sym_payload().seal()
+        assert sealed.canonical() is sealed.canonical()
+        assert pickle.dumps(sealed, 5) == self.PARENT_PACKET_PICKLE
+        for copied in (pickle.loads(pickle.dumps(sealed)),
+                       copy.deepcopy(sealed)):
+            # Copies start unsealed, like ``Packet.copy()``.
+            assert copied == sealed and copied._canon is None
+            assert copied.canonical() is not copied.canonical()
+
+    def test_packet_pickled_before_the_seal_still_loads_and_hashes(self):
+        import pickle
+
+        old = pickle.loads(self.PARENT_PACKET_PICKLE)
+        new = self._sym_payload()
+        assert old == new and hash(old) == hash(new)
+        assert old.canonical() == new.canonical()
+        assert old.seal().canonical() == new.canonical()
+        assert state_hash(old) == state_hash(new)
+        assert old.copy().hops == [("s1", 1)]
+
     def test_repr(self):
         assert repr(Transition(tk.HOST_RECV, "A")) == "host_recv(A)"
         assert "script" in repr(Transition(tk.HOST_SEND, "A", ("script", 0)))

@@ -87,8 +87,11 @@ class TestRuleProcessing:
         sw.table.install(rule)
         sw.port_in[1].enqueue(pkt())
         sw.process_pkt()
-        assert rule.packet_count == 1
-        assert rule.byte_count == 64
+        # Counted on the table's own copy: the installed object is shared
+        # with every checkpoint clone of the table and stays as it was.
+        (counted,) = sw.table.rules
+        assert (counted.packet_count, counted.byte_count) == (1, 64)
+        assert (rule.packet_count, rule.byte_count) == (0, 0)
 
     def test_flood_copies_to_all_other_ports(self):
         from repro.openflow.rules import Rule
@@ -140,11 +143,17 @@ class TestRuleProcessing:
         assert emissions[0][1].eth_dst == mac(9)
 
     def test_hops_recorded(self):
+        from repro.openflow.rules import Rule
+
         sw = make_switch()
+        sw.table.install(Rule(Match(), [ActionOutput(2)]))
         p = pkt()
         sw.port_in[1].enqueue(p)
-        sw.process_pkt()
-        assert p.hops == [("s1", 1)]
+        ((_, emitted),) = sw.process_pkt()
+        # The hop is on the emitted packet — a copy taken out of the
+        # channel; the enqueued original is stored, hence never mutated.
+        assert emitted.hops == [("s1", 1)]
+        assert emitted is not p and p.hops == []
 
     def test_process_pkt_handles_all_channels_in_one_transition(self):
         # Section 2.2.2: the head of *each* channel is processed as a single

@@ -1,0 +1,146 @@
+"""Cached sub-forms and sealed packets against the from-scratch oracle.
+
+Contracts under test (DESIGN.md, "Sub-forms and sealed packets"):
+
+* **no stale cache, no CoW leak** — on a random walk driven the way the
+  search drives a system (clone, execute, hash; several children per
+  parent, earlier states revisited), after every step each component's
+  ``canonical()`` equals :mod:`reference_forms` on the child *and* on the
+  parent, and ``state_hash()`` equals the digest built from those
+  from-scratch forms — with ``cow_clone`` on and off;
+* **the seal** — no packet reachable from the parent changes its
+  from-scratch form while a child executes;
+* **byte identity** — the digest sets and hot-path counters of three
+  exhaustive searches, as measured at the commit before any sub-form was
+  cached (Python 3.11.7).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+
+import reference_forms as ref
+from repro import nice, scenarios
+from repro.config import NiceConfig
+from repro.mc import store as store_mod
+from repro.mc.canonical import canonicalize
+from repro.mc.search import SearchStats
+from repro.mc.strategies import make_strategy
+from repro.scenarios import REGISTRY, with_config
+from scenario_gen import random_scenario
+
+#: Steps per walk (the issue's floor) and states kept to branch from.
+STEPS = 200
+POOL = 8
+
+
+def _walks():
+    """Every registered scenario — the looping one included: a walk is
+    bounded by its step count, not by the state space — four generated
+    ones, the fault model and counter hashing."""
+    cases = [pytest.param(builder, {}, id=name)
+             for name, builder in sorted(REGISTRY.items())]
+    cases += [pytest.param(lambda seed=seed: random_scenario(seed), {},
+                           id=f"random-{seed}")
+              for seed in (1, 2, 3, 4)]
+    cases.append(pytest.param(lambda: scenarios.ping_experiment(pings=2),
+                              dict(channel_faults=True), id="channel-faults"))
+    cases.append(pytest.param(REGISTRY["energy-te"],
+                              dict(hash_counters=True), id="hash-counters"))
+    return cases
+
+
+def assert_forms_match_oracle(system, where: str) -> None:
+    expected = ref.component_forms(system)
+    for sw_id, switch in system.switches.items():
+        assert switch.canonical() == expected["sw", sw_id], (where, sw_id)
+    for name, host in system.hosts.items():
+        assert host.canonical() == expected["host", name], (where, name)
+    assert system.ledger.canonical() == expected["ledger"], where
+    assert canonicalize(system.app.state_vars()) == expected["app"], where
+    assert system.state_hash() == ref.state_hash(system), where
+
+
+@pytest.mark.parametrize("cow_clone", [True, False], ids=["cow", "eager"])
+@pytest.mark.parametrize("builder,overrides", _walks())
+def test_random_walk_matches_oracle_and_keeps_the_seal(builder, overrides,
+                                                       cow_clone):
+    scenario = with_config(builder(), cow_clone=cow_clone,
+                           stop_at_first_violation=False, **overrides)
+    searcher = scenario.make_searcher()
+    initial = scenario.system_factory()
+    strategy = make_strategy(scenario.config, initial.app)
+    stats = SearchStats()
+    rng = random.Random(13)
+    assert_forms_match_oracle(initial, "initial")
+    pool = [initial]
+    steps = 0
+    while steps < STEPS:
+        parent = rng.choice(pool)
+        enabled = searcher._enabled(parent, strategy, stats)
+        if not enabled:
+            pool.remove(parent)
+            if not pool:
+                pool.append(scenario.system_factory())
+            continue
+        transition = rng.choice(enabled)
+        sealed = [(packet, ref.packet_form(packet))
+                  for packet in ref.reachable_packets(parent)]
+        child = parent.clone()
+        child.execute(transition)
+        strategy.post_execute(child, transition)
+        child.state_hash()
+        steps += 1
+        where = f"step {steps}: {transition!r}"
+        for packet, before in sealed:
+            assert ref.packet_form(packet) == before, where
+        assert_forms_match_oracle(child, where + " (child)")
+        assert_forms_match_oracle(parent, where + " (parent)")
+        if len(pool) < POOL:
+            pool.append(child)
+        else:
+            pool[rng.randrange(POOL)] = child
+
+
+# ----------------------------------------------------------------------
+# Literal pins
+# ----------------------------------------------------------------------
+
+def _exhaust(scenario, monkeypatch):
+    """``(stats, blake2b-16 over the concatenated sorted digest set)``."""
+    stores = []
+    create = store_mod.create_store
+
+    def capturing(config):
+        stores.append(create(config))
+        return stores[-1]
+
+    monkeypatch.setattr(store_mod, "create_store", capturing)
+    stats = nice.run(with_config(scenario, stop_at_first_violation=False))
+    (store,) = stores
+    digests = "".join(sorted(store.digests())).encode()
+    return stats, hashlib.blake2b(digests, digest_size=16).hexdigest()
+
+
+@pytest.mark.parametrize("build,states,digest_set,hot_path", [
+    pytest.param(lambda: scenarios.ping_experiment(pings=2), 510,
+                 "d9d9354f5870deb69c3d249293e592b7",
+                 (751714, 3644, 1582, 1576), id="ping-2"),
+    pytest.param(scenarios.pyswitch_direct_path, 1284,
+                 "6fe619a94bc173b68498e1be7ff30e85",
+                 (2362789, 10612, 4731, 4726), id="pyswitch-direct-path"),
+    pytest.param(lambda: scenarios.loadbalancer_scenario(
+                     config=NiceConfig(max_pkt_sequence=2)), 5190,
+                 "877c4f7ddc8b3c72cd6c71baa166f2b1",
+                 (13483973, 67039, 25331, 25325), id="loadbalancer-2"),
+])
+def test_digest_sets_and_counters_are_pinned(build, states, digest_set,
+                                             hot_path, monkeypatch):
+    stats, measured = _exhaust(build(), monkeypatch)
+    assert stats.unique_states == states
+    assert measured == digest_set
+    assert (stats.bytes_hashed, stats.hash_hits, stats.hash_misses,
+            stats.cow_copied) == hot_path
