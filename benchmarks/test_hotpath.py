@@ -1,23 +1,23 @@
 """The per-state hot path: copy-on-write checkpointing + digest hashing.
 
 Measures the two per-state costs Section 6 names — state hashing and
-checkpointing — across three engine configurations on the pyswitch
-(MAC-learning) workloads, and on ``loadbalancer-2`` (13 629 transitions;
-the row where component size matters — the other two are tiny-state —
-without the ``seed`` engine, which would take most of a minute there):
+checkpointing — on the pyswitch (MAC-learning) workloads, and on
+``loadbalancer-2`` (13 629 transitions; the row where component size
+matters — the other two are tiny-state), for two engines:
 
-* **cow+digest** — the new defaults: copy-on-write clones and per-component
-  digest hashing (DESIGN.md, "Per-state hot path");
-* **pre-cow** — the previous defaults (PR 2): eager component-wise clones
-  and full md5-over-repr hashing (``cow_clone=False, hash_mode="full"``);
-* **seed** — deepcopy checkpointing with no memoization at all.
+* **product** — the engine: copy-on-write clones and per-component digest
+  hashing (DESIGN.md, "Per-state hot path");
+* **reference** — ``tests/reference_engine.py``: every checkpoint a deep
+  copy, every hash rendered from scratch, nothing cached or shared — what
+  the per-state path costs without its shortcuts (not run on
+  ``loadbalancer-2``, where it would take most of a minute).
 
 Per engine it records end-to-end search wall time, a clone-cost
 microbenchmark, bytes actually hashed, and the digest/CoW counters, and
-writes everything to ``BENCH_hotpath.json`` at the repository root — the
-first entry of the perf trajectory.  The headline assertion: cow+digest
-beats the pre-cow baseline by >= 1.5x end-to-end on pyswitch-direct-path
-(override the floor with ``NICE_HOTPATH_SPEEDUP_FLOOR``).
+writes everything to ``BENCH_hotpath.json`` at the repository root.  The
+headline assertion: the product beats the reference by >= 5x end-to-end on
+pyswitch-direct-path (measured ~15x; override the floor with
+``NICE_HOTPATH_SPEEDUP_FLOOR``).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import time
 
 import pytest
 
+from reference_engine import reference_factory, reference_run
 from repro import nice, scenarios
 from repro.config import NiceConfig
 from repro.scenarios import with_config
@@ -38,12 +39,12 @@ from .conftest import print_table
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_hotpath.json"
 
-#: Engine configurations under measurement.
+#: Engines under measurement: ``name -> (run a scenario, build its
+#: initial system)``.
 ENGINES = {
-    "cow+digest": {},
-    "pre-cow": dict(cow_clone=False, hash_mode="full"),
-    "seed": dict(cow_clone=False, fast_clone=False, hash_memoization=False,
-                 hash_mode="full"),
+    "product": (nice.run, lambda scenario: scenario.system_factory()),
+    "reference": (reference_run,
+                  lambda scenario: reference_factory(scenario)()),
 }
 
 REPEATS = 5
@@ -63,18 +64,19 @@ def _workloads():
         "loadbalancer-2": (
             lambda: scenarios.loadbalancer_scenario(
                 config=NiceConfig(max_pkt_sequence=2)),
-            ("cow+digest", "pre-cow"), 3),
+            ("product",), 3),
     }
 
 
-def _one_run(scenario, overrides):
-    return nice.run(with_config(scenario, stop_at_first_violation=False,
-                                **overrides))
+def _one_run(scenario, engine):
+    run, _ = ENGINES[engine]
+    return run(with_config(scenario, stop_at_first_violation=False))
 
 
-def _clone_cost(scenario, overrides, clones: int = 2000) -> float:
+def _clone_cost(scenario, engine, clones: int = 2000) -> float:
     """Seconds per checkpoint clone of the booted initial state."""
-    system = with_config(scenario, **overrides).system_factory()
+    _, boot = ENGINES[engine]
+    system = boot(scenario)
     start = time.perf_counter()
     for _ in range(clones):
         system.clone()
@@ -93,16 +95,15 @@ def hotpath_results():
         }
         for _ in range(repeats):
             for engine in engines:
-                result = _one_run(build(), ENGINES[engine])
+                result = _one_run(build(), engine)
                 if result.wall_time < best[engine][0]:
                     best[engine] = (result.wall_time, result)
         per_engine = {}
         for engine in engines:
-            overrides = ENGINES[engine]
             wall, stats = best[engine]
             per_engine[engine] = {
                 "wall_time": wall,
-                "clone_seconds": _clone_cost(build(), overrides),
+                "clone_seconds": _clone_cost(build(), engine),
                 "transitions": stats.transitions_executed,
                 "unique_states": stats.unique_states,
                 "bytes_hashed": stats.bytes_hashed,
@@ -115,8 +116,8 @@ def hotpath_results():
         "benchmark": "hotpath",
         "repeats": {name: repeats
                     for name, (_, _, repeats) in _workloads().items()},
-        "engines": {name: dict(overrides) for name, overrides in
-                    ENGINES.items()},
+        "engines": {"product": "repro.nice.run",
+                    "reference": "tests/reference_engine.py reference_run"},
         "workloads": results,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
@@ -125,68 +126,80 @@ def hotpath_results():
 
 def test_hotpath_report(hotpath_results):
     for workload, per_engine in hotpath_results.items():
-        baseline = per_engine["pre-cow"]["wall_time"]
+        baseline = per_engine.get("reference")
         rows = []
         for engine, r in per_engine.items():
             rows.append([
                 engine,
                 f"{r['transitions']} / {r['unique_states']}",
                 f"{r['wall_time']:.3f}s",
-                f"{baseline / r['wall_time']:.2f}x",
+                f"{baseline['wall_time'] / r['wall_time']:.2f}x"
+                if baseline else "-",
                 f"{r['clone_seconds'] * 1e6:.0f}us",
                 f"{r['bytes_hashed'] / 1e6:.2f}MB",
                 f"{r['hash_hits']}/{r['hash_misses']}",
             ])
         print_table(
             f"Per-state hot path on {workload}",
-            ["engine", "transitions / unique", "time", "vs pre-cow",
+            ["engine", "transitions / unique", "time", "vs reference",
              "clone", "hashed", "digest hit/miss"],
             rows,
         )
     print(f"\nwrote {OUTPUT}")
 
 
+def _measured_on_both(hotpath_results):
+    return {workload: per_engine
+            for workload, per_engine in hotpath_results.items()
+            if "reference" in per_engine}
+
+
 def test_state_space_identical_across_engines(hotpath_results):
-    for workload, per_engine in hotpath_results.items():
-        reference = per_engine["pre-cow"]
-        for engine, r in per_engine.items():
-            assert r["transitions"] == reference["transitions"], (
-                f"{workload}: {engine} executed a different transition count")
-            assert r["unique_states"] == reference["unique_states"], (
-                f"{workload}: {engine} explored a different state space")
+    for workload, per_engine in _measured_on_both(hotpath_results).items():
+        reference, product = per_engine["reference"], per_engine["product"]
+        assert product["transitions"] == reference["transitions"], (
+            f"{workload}: the engines executed different transition counts")
+        assert product["unique_states"] == reference["unique_states"], (
+            f"{workload}: the engines explored different state spaces")
+
+
+def _floor() -> float:
+    return float(os.environ.get("NICE_HOTPATH_SPEEDUP_FLOOR", "5.0"))
 
 
 def test_cow_digest_beats_pre_cow_baseline(hotpath_results):
-    """The acceptance gate: >= 1.5x end-to-end on pyswitch-direct-path."""
-    floor = float(os.environ.get("NICE_HOTPATH_SPEEDUP_FLOOR", "1.5"))
+    """The acceptance gate: >= 5x end-to-end on pyswitch-direct-path over
+    the engine without copy-on-write or digests — the reference."""
+    floor = _floor()
     per_engine = hotpath_results["pyswitch-direct-path"]
-    speedup = (per_engine["pre-cow"]["wall_time"]
-               / per_engine["cow+digest"]["wall_time"])
+    speedup = (per_engine["reference"]["wall_time"]
+               / per_engine["product"]["wall_time"])
     assert speedup >= floor, (
-        f"cow+digest is only {speedup:.2f}x over the pre-CoW baseline"
-        f" on pyswitch-direct-path (floor {floor:.1f}x)")
+        f"the product is only {speedup:.2f}x over the from-scratch"
+        f" reference on pyswitch-direct-path (floor {floor:.1f}x)")
 
 
 def test_digest_mode_hashes_fewer_bytes(hotpath_results):
-    for workload, per_engine in hotpath_results.items():
-        new = per_engine["cow+digest"]
-        baseline = per_engine["pre-cow"]
-        # Digest mode re-renders only dirtied components; how much that
+    for workload, per_engine in _measured_on_both(hotpath_results).items():
+        product, reference = per_engine["product"], per_engine["reference"]
+        # Cached digests re-render only dirtied components; how much that
         # saves depends on how much of the state one transition touches
-        # (~1.7x on the 1-switch direct-path scenario, ~5x on ping).
-        assert new["bytes_hashed"] < 0.7 * baseline["bytes_hashed"], (
+        # (~2.2x on the 1-switch direct-path scenario, ~2.4x on ping).
+        assert product["bytes_hashed"] < 0.7 * reference["bytes_hashed"], (
             f"{workload}: digest hashing should render fewer bytes")
-        assert new["hash_hits"] > new["hash_misses"], (
+    for workload, per_engine in hotpath_results.items():
+        product = per_engine["product"]
+        assert product["hash_hits"] > product["hash_misses"], (
             f"{workload}: the digest cache should mostly hit")
 
 
 def test_cow_clone_is_cheaper(hotpath_results):
-    for workload, per_engine in hotpath_results.items():
-        costs = [per_engine[engine]["clone_seconds"]
-                 for engine in ENGINES if engine in per_engine]
-        assert all(a < b for a, b in zip(costs, costs[1:])), (
-            f"{workload}: expected clone cost cow < eager < deepcopy,"
-            f" got {' / '.join(f'{cost:.2e}' for cost in costs)}")
+    for workload, per_engine in _measured_on_both(hotpath_results).items():
+        cow = per_engine["product"]["clone_seconds"]
+        deep = per_engine["reference"]["clone_seconds"]
+        assert deep / cow >= _floor(), (
+            f"{workload}: a copy-on-write clone ({cow:.2e}s) should be at"
+            f" least {_floor():.1f}x cheaper than a deep copy ({deep:.2e}s)")
 
 
 def test_bench_file_written(hotpath_results):

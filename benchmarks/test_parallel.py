@@ -2,9 +2,9 @@
 
 The seed searcher checkpointed every frontier state with ``copy.deepcopy``
 and re-canonicalized the full state on every hash.  This suite measures the
-replacement engine (component-wise fast clones + memoized hashing,
-DESIGN.md "Cheap checkpointing") against a seed-equivalent configuration
-(``fast_clone=False, hash_memoization=False``) on the layer-2 ping workload
+engine (copy-on-write clones + cached digests, DESIGN.md "Per-state hot
+path") against the reference engine that still works that way
+(``tests/reference_engine.py``) on the layer-2 ping workload
 of Table 1, asserting the >= 2x wall-clock speedup the optimization is
 meant to deliver (hard floor on the nightly multi-core runner via
 ``NICE_FAST_ENGINE_SPEEDUP_FLOOR=2.0``; a jitter-tolerant 1.5x floor
@@ -28,6 +28,7 @@ import os
 
 import pytest
 
+from reference_engine import reference_run
 from repro import nice, scenarios
 from repro.scenarios import with_config
 
@@ -53,8 +54,8 @@ def available_cores() -> int:
 REPEATS = 3
 
 
-def best_of(config_kwargs: dict, scenario_factory):
-    runs = [nice.run(with_config(scenario_factory(), **config_kwargs))
+def best_of(config_kwargs: dict, scenario_factory, run=nice.run):
+    runs = [run(with_config(scenario_factory(), **config_kwargs))
             for _ in range(REPEATS)]
     return min(runs, key=lambda r: r.wall_time)
 
@@ -63,7 +64,7 @@ def best_of(config_kwargs: dict, scenario_factory):
 def engine_results():
     def scenario():
         return scenarios.ping_experiment(pings=PINGS)
-    seed = best_of(dict(fast_clone=False, hash_memoization=False), scenario)
+    seed = best_of({}, scenario, run=reference_run)
     fast = best_of({}, scenario)
     # The registry spec makes the pool work on every platform: fork where
     # available, spawn otherwise (DESIGN.md, "Scheduler and transports").

@@ -19,7 +19,7 @@ of every table and figure in the paper's evaluation.
 """
 
 from repro.config import NiceConfig
-from repro.mc.search import Searcher, SearchResult, SearchStats, Violation
+from repro.mc.search import Searcher, SearchStats, Violation
 from repro.mc.system import System
 from repro.nice import Scenario, random_walk, replay, run
 
@@ -28,7 +28,6 @@ __version__ = "1.0.0"
 __all__ = [
     "NiceConfig",
     "Scenario",
-    "SearchResult",
     "SearchStats",
     "Searcher",
     "System",

@@ -67,7 +67,7 @@ class JpfSystem(System):
             # The buffering API bypasses the stamping wrapper, so invalidate
             # the handled switch and controller state explicitly — and fetch
             # the switch only afterwards (copy-on-write may replace it).
-            self._dirty(("sw", transition.actor), "app", "ctrl")
+            self._dirty(("sw", transition.actor), "app")
             switch = self._switch(transition.actor)
             ops: list = []
             self.runtime.handle_message(_BufferingAPI(ops), switch)
@@ -76,8 +76,7 @@ class JpfSystem(System):
         super().execute(transition)
 
     def canonical_extra(self):
-        # Folded into the state hash in both hash modes (the digest
-        # combiner includes canonical_extra alongside the component tree).
+        # Folded into the state hash alongside the component digests.
         return tuple(
             (name, repr(args), repr(sorted(kwargs.items())))
             for name, args, kwargs in self.pending_ops

@@ -43,7 +43,7 @@ class SpinLikeResult:
 class SpinLikeSearcher:
     """Exhaustive DFS storing full state vectors."""
 
-    #: Bytes per stored hash in NICE's scheme (md5 hex digest).
+    #: Bytes per stored hash in NICE's scheme (a blake2b-16 hex digest).
     HASH_BYTES = 32
 
     def __init__(self, system_factory, config: NiceConfig | None = None,

@@ -31,13 +31,10 @@ import sys
 
 from repro import nice, scenarios
 from repro.config import (
-    ALL_CHECKPOINT_MODES,
-    ALL_HASH_MODES,
     ALL_START_METHODS,
     ALL_STORES,
     ALL_STRATEGIES,
     ALL_TRANSPORTS,
-    HASH_DIGEST,
     STORE_MEMORY,
     NiceConfig,
 )
@@ -140,24 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use the static --batch-groups/--batch-nodes "
                             "task sizes instead of adapting them per worker "
                             "from observed task round-trip times")
-    run_p.add_argument("--checkpoint-mode", choices=ALL_CHECKPOINT_MODES,
-                       default="deepcopy",
-                       help="frontier checkpointing: full deep copies or "
-                            "trace-replay restoration")
-    run_p.add_argument("--no-hash-memoization", action="store_true",
-                       help="recanonicalize the full state on every hash "
-                            "(the seed behavior)")
-    run_p.add_argument("--hash-mode", choices=ALL_HASH_MODES,
-                       default=HASH_DIGEST,
-                       help="state hashing: combine cached per-component "
-                            "digests (digest) or render the whole canonical "
-                            "tuple per call (full, the pre-digest baseline)")
-    run_p.add_argument("--no-fast-clone", action="store_true",
-                       help="checkpoint with full deepcopy instead of "
-                            "component-wise copies (the seed behavior)")
-    run_p.add_argument("--no-cow-clone", action="store_true",
-                       help="copy checkpoints eagerly instead of "
-                            "copy-on-write (the pre-CoW baseline)")
     run_p.add_argument("--batch-groups", type=int,
                        default=NiceConfig.batch_groups, metavar="N",
                        help="parallel scheduler: max sibling groups per "
@@ -292,11 +271,6 @@ def make_config(args) -> NiceConfig:
         worker_memory_limit=args.worker_memory_limit,
         fail_fast=args.fail_fast,
         adaptive_batching=not args.no_adaptive_batching,
-        checkpoint_mode=args.checkpoint_mode,
-        hash_memoization=not args.no_hash_memoization,
-        hash_mode=args.hash_mode,
-        fast_clone=not args.no_fast_clone,
-        cow_clone=not args.no_cow_clone,
         batch_groups=args.batch_groups,
         batch_nodes=args.batch_nodes,
         store=args.store,
@@ -486,7 +460,7 @@ def cmd_checkpoints(args) -> int:
             "format": checkpoint.format,
             # Bytes this snapshot actually wrote (hard-linked segments
             # excluded) — "delta" snapshots show a small number here even
-            # for a large explored set.  None for format-1 snapshots.
+            # for a large explored set.
             "bytes_written": checkpoint.bytes_written,
         })
         newest_valid = path.name
@@ -499,15 +473,13 @@ def cmd_checkpoints(args) -> int:
             print(f"no checkpoints under {args.checkpoint_dir}")
         for entry in report:
             if entry["valid"]:
-                written = entry["bytes_written"]
-                delta = ("" if written is None
-                         else f" written={written}B (delta)")
                 print(f"{entry['name']}: ok  scenario={entry['scenario']}"
                       f" states={entry['states']}"
                       f" frontier={entry['frontier']}"
                       f" transitions={entry['transitions']}"
                       f" violations={entry['violations']}"
-                      f" format={entry['format']}{delta}")
+                      f" format={entry['format']}"
+                      f" written={entry['bytes_written']}B (delta)")
             else:
                 print(f"{entry['name']}: INVALID ({entry['error']})")
         if newest_valid is not None:

@@ -30,25 +30,6 @@ ORDER_DFS = "dfs"
 ORDER_BFS = "bfs"
 ORDER_RANDOM = "random"
 
-#: Checkpoint modes for the search frontier (DESIGN.md, "Search engine").
-#: ``deepcopy`` keeps a full System copy per frontier entry (the seed
-#: behavior); ``trace`` stores only the transition path and restores by
-#: deterministic replay from the initial state — cheap enough to ship
-#: between worker processes.
-CHECKPOINT_DEEPCOPY = "deepcopy"
-CHECKPOINT_TRACE = "trace"
-
-ALL_CHECKPOINT_MODES = (CHECKPOINT_DEEPCOPY, CHECKPOINT_TRACE)
-
-#: State-hash modes (DESIGN.md, "Per-state hot path").  ``digest`` combines
-#: cached per-component digests, so a one-component transition re-hashes one
-#: component; ``full`` renders the whole canonical tuple and hashes it on
-#: every call — the measurable O(state-size) baseline.
-HASH_DIGEST = "digest"
-HASH_FULL = "full"
-
-ALL_HASH_MODES = (HASH_DIGEST, HASH_FULL)
-
 #: Transports for the parallel searcher (DESIGN.md, "Scheduler and
 #: transports").  ``local`` runs workers as child processes on this
 #: machine; ``socket`` drives TCP workers (started with ``nice worker``),
@@ -135,30 +116,6 @@ class NiceConfig:
     * ``worker_cache_size`` — per-worker bound on kept node systems: the
       children retained for pick-up by handle and the LRU used for
       prefix-replay restoration, together.
-    * ``checkpoint_mode`` — how frontier states are stored:
-      :data:`CHECKPOINT_DEEPCOPY` (seed behavior) or
-      :data:`CHECKPOINT_TRACE` (trace-replay restoration, Section 6).
-      The parallel engine always restores by trace replay.
-    * ``hash_memoization`` — reuse cached per-component canonical forms when
-      hashing a state; components invalidate on mutation, so unchanged
-      switches/hosts are not re-canonicalized on every expansion.  Disable
-      to reproduce the seed's full re-hash per state.
-    * ``hash_mode`` — :data:`HASH_DIGEST` (default) combines cached
-      per-component digests so ``state_hash()`` re-hashes only what the
-      transition touched; :data:`HASH_FULL` renders and hashes the entire
-      canonical tuple per call (the pre-digest baseline).  Digest mode
-      requires ``hash_memoization``; with memoization off the full render
-      is used regardless.
-    * ``fast_clone`` — hand-rolled component-wise checkpoint copies
-      (DESIGN.md, "Cheap checkpointing").  Disable to fall back to the
-      seed's ``copy.deepcopy`` checkpointing — the baseline the
-      checkpointing benchmark compares against.
-    * ``cow_clone`` — copy-on-write checkpointing (DESIGN.md, "Per-state
-      hot path"): ``System.clone()`` *shares* every switch/host/app/ledger
-      component and a component is copied lazily on its first mutation,
-      driven by the same ``_dirty`` keys that invalidate the hash memo.
-      Disable to fall back to eager ``fast_clone`` copies (or deepcopy,
-      when that is off too) — the measurable baselines.
     * ``batch_groups`` / ``batch_nodes`` — parallel-scheduler task sizing:
       at most ``batch_groups`` sibling groups and ``batch_nodes`` total
       nodes are packed into one worker task.  With ``adaptive_batching``
@@ -265,11 +222,6 @@ class NiceConfig:
     spawn_socket_workers: bool = True
     affinity: bool = True
     worker_cache_size: int = 2048
-    checkpoint_mode: str = CHECKPOINT_DEEPCOPY
-    hash_memoization: bool = True
-    hash_mode: str = HASH_DIGEST
-    fast_clone: bool = True
-    cow_clone: bool = True
     batch_groups: int = 8
     batch_nodes: int = 16
     adaptive_batching: bool = True
@@ -320,16 +272,6 @@ class NiceConfig:
             )
         if self.worker_cache_size < 1:
             raise ValueError("worker_cache_size must be >= 1")
-        if self.checkpoint_mode not in ALL_CHECKPOINT_MODES:
-            raise ValueError(
-                f"unknown checkpoint mode {self.checkpoint_mode!r};"
-                f" expected one of {ALL_CHECKPOINT_MODES}"
-            )
-        if self.hash_mode not in ALL_HASH_MODES:
-            raise ValueError(
-                f"unknown hash mode {self.hash_mode!r};"
-                f" expected one of {ALL_HASH_MODES}"
-            )
         if self.batch_groups < 1:
             raise ValueError("batch_groups must be >= 1")
         if self.batch_nodes < 1:

@@ -7,14 +7,13 @@ serialization + hashing (Section 6), and applies the OpenFlow-specific
 search strategies of Section 4.
 """
 
-from repro.mc.canonical import canonicalize, state_hash
-from repro.mc.search import Searcher, SearchResult, SearchStats, Violation
+from repro.mc.canonical import canonicalize
+from repro.mc.search import Searcher, SearchStats, Violation
 from repro.mc.strategies import make_strategy
 from repro.mc.system import System
 from repro.mc.transitions import Transition
 
 __all__ = [
-    "SearchResult",
     "SearchStats",
     "Searcher",
     "System",
@@ -22,5 +21,4 @@ __all__ = [
     "Violation",
     "canonicalize",
     "make_strategy",
-    "state_hash",
 ]

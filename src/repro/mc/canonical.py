@@ -10,13 +10,13 @@ objects contributing their own ``canonical()`` methods — and hashes its
 stable text rendering.  The same logical state always hashes identically,
 regardless of the event order that produced its containers.
 
-Hashing uses ``blake2b`` (16-byte digests), which is both faster than the
-md5 the seed used and available keyed/tree-hashing-free from the standard
-library.  :func:`digest_canonical` is the building block of the Merkle-style
-per-component digest cache in :meth:`System.state_hash
-<repro.mc.system.System.state_hash>`: each memoized component form is
-hashed once, and a state hash combines the cached component digests instead
-of re-rendering the whole tree (DESIGN.md, "Per-state hot path").
+Hashing uses ``blake2b`` (16-byte digests) from the standard library.
+:func:`render_canonical` + :func:`digest_bytes` are the building blocks of
+the Merkle-style per-component digest cache in :meth:`System.state_hash
+<repro.mc.system.System.state_hash>`: each component form is rendered and
+hashed once per change, and a state hash combines the cached component
+digests instead of re-rendering the whole tree (DESIGN.md, "Per-state hot
+path").
 """
 
 from __future__ import annotations
@@ -127,30 +127,3 @@ def state_string(obj) -> str:
 def digest_bytes(data: bytes) -> bytes:
     """Raw blake2b digest of ``data`` (the Merkle-tree building block)."""
     return hashlib.blake2b(data, digest_size=DIGEST_SIZE).digest()
-
-
-def digest_canonical(form) -> bytes:
-    """Raw digest of an *already canonical* form."""
-    return digest_bytes(render_canonical(form))
-
-
-def state_hash(obj) -> str:
-    """Compact digest of the canonical form, for the explored-state set.
-
-    Kept as md5-over-repr — the exact pre-digest hashing — so that
-    ``hash_mode="full"`` measures the unmodified old behavior; the digest
-    hot path uses :func:`render_canonical` + blake2b instead.
-    """
-    return hashlib.md5(state_string(obj).encode()).hexdigest()
-
-
-def hash_canonical(form) -> str:
-    """Digest of an *already canonical* form (legacy md5-over-repr).
-
-    ``canonicalize`` is idempotent, so for a form it produced this equals
-    ``state_hash(form)`` while skipping the full re-walk of the object tree
-    — the fast path the memoizing :meth:`System.state_hash` relied on
-    before per-component digests; it remains the ``hash_mode="full"``
-    baseline.
-    """
-    return hashlib.md5(repr(form).encode()).hexdigest()

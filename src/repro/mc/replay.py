@@ -20,8 +20,8 @@ from repro.mc.system import System
 def replay_from(system: System, trace, strategy: Strategy | None = None) -> System:
     """Re-execute ``trace`` on an existing initial-state ``system``, in place.
 
-    The workhorse of trace-replay checkpointing (``checkpoint_mode="trace"``
-    and the parallel engine): restoring a frontier node is a clone of the
+    The workhorse of trace-replay restoration (resumed frontiers and the
+    parallel workers' fallback): restoring a frontier node is a clone of the
     initial state plus a deterministic replay of the node's transition path.
     """
     strategy = strategy or Strategy()

@@ -205,12 +205,10 @@ class _Scheduler:
         #: Bloom summary so workers stop shipping known-duplicate
         #: children.  Pointless without state matching (nothing is
         #: deduplicated) or with the Bloom sized to zero.
-        self._summary_bits = getattr(self.config, "store_bloom_bits", 0)
+        self._summary_bits = self.config.store_bloom_bits
         self._summary_shards = self.config.store_shards
-        # getattr: a resumed checkpoint may carry a config pickled before
-        # this knob existed (same guard create_store uses for bloom bits).
         self._worker_bloom = (
-            getattr(self.config, "store_bloom_broadcast", True)
+            self.config.store_bloom_broadcast
             and self.config.state_matching
             and self._summary_bits > 0)
         if self._worker_bloom:

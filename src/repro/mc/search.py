@@ -16,15 +16,16 @@ self-loop bookkeeping — and the eager form keeps the explored-state set free
 of duplicate entries.  Discovery results are cached by (client, controller
 state hash), exactly the ``client.packets[state(ctrl)]`` map of Figure 5.
 
-Checkpointing is configurable (DESIGN.md, "Search engine"): ``deepcopy``
-keeps a full :class:`~repro.mc.system.System` copy per frontier entry (the
-seed behavior), while ``trace`` stores only the transition path and restores
-a popped node by deterministically replaying it from the initial state — the
-same mechanism the paper uses to reproduce violations (Section 6), and the
-representation cheap enough to ship between the worker processes of
-:class:`~repro.mc.parallel.ParallelSearcher`.  State hashing is memoized per
-component (see ``NiceConfig.hash_memoization``), so expanding a state only
-re-canonicalizes the switches/hosts the transition actually touched.
+The frontier holds the children themselves: each is a copy-on-write clone
+of its parent (:meth:`System.clone <repro.mc.system.System.clone>`),
+executed, checked and hashed once, and popped as is.  Where no System is at
+hand — a frontier resumed from a checkpoint here, a sibling group a worker
+of :class:`~repro.mc.scheduler.ParallelSearcher` did not retain — the node
+is restored by deterministically replaying its transition path from the
+initial state, the same mechanism the paper uses to reproduce violations
+(Section 6).  State hashing combines cached per-component digests, so
+expanding a state only re-renders the switches/hosts the transition
+actually touched (DESIGN.md, "Search engine" and "Per-state hot path").
 
 The explored set lives behind a :class:`~repro.mc.store.StateStore`
 (``NiceConfig.store`` — in-memory by default, or sharded with disk
@@ -42,7 +43,6 @@ import traceback
 from collections import deque
 
 from repro.config import (
-    CHECKPOINT_TRACE,
     NiceConfig,
     ORDER_BFS,
     ORDER_DFS,
@@ -332,10 +332,6 @@ class SearchStats:
                 f" violations={len(self.violations)})")
 
 
-#: Backwards-compatible alias — PR 1 shipped the class as ``SearchResult``.
-SearchResult = SearchStats
-
-
 class Searcher:
     """Figure 5's model-checking loop."""
 
@@ -363,7 +359,6 @@ class Searcher:
         #: discover_stats cache: (switch, ctrl_hash) -> [stats dict].
         self._stats_cache: dict[tuple[str, str], list] = {}
         self._rng = random.Random(config.seed)
-        self._trace_checkpoints = config.checkpoint_mode == CHECKPOINT_TRACE
         #: Pristine initial state kept for trace-replay restoration.
         self._initial: System | None = None
 
@@ -389,10 +384,10 @@ class Searcher:
                 return result
 
         explored = store_mod.create_store(self.config)
-        # Frontier entries are (system | None, trace): in trace-checkpoint
-        # mode the system slot is None and the node is restored by replay.
-        # DFS pops the tail and BFS the head, both O(1) on a deque; the
-        # random order needs positional pops, so it keeps a plain list.
+        # Frontier entries are (system | None, trace): a resumed node has
+        # no live system and is restored by replay on pop.  DFS pops the
+        # tail and BFS the head, both O(1) on a deque; the random order
+        # needs positional pops, so it keeps a plain list.
         frontier_type = (list if self.config.search_order == ORDER_RANDOM
                          else deque)
         baseline = None
@@ -405,15 +400,10 @@ class Searcher:
             baseline = store_mod.restore_store(explored, resume)
             if resume.rng_state is not None:
                 self._rng.setstate(resume.rng_state)
-            # Restored nodes carry no live system — they are rebuilt by
-            # trace replay on pop, whatever the checkpoint_mode (the same
-            # restoration path ``trace`` mode always uses).
             frontier = frontier_type(self._resume_nodes(resume.frontier))
         else:
             explored.add(initial.state_hash())
-            frontier = frontier_type(
-                [(None if self._trace_checkpoints else initial, ())]
-            )
+            frontier = frontier_type([(initial, ())])
         checkpointer = store_mod.Checkpointer(
             self.config, self.scenario_spec, explored, result,
             previous=baseline)
@@ -474,8 +464,7 @@ class Searcher:
                             result.terminated = "max_transitions"
                             raise _StopSearch()
                         batch.append(
-                            (None if self._trace_checkpoints else child,
-                             child_trace,
+                            (child, child_trace,
                              child.state_hash()
                              if self.config.state_matching else None)
                         )

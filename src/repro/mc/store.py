@@ -44,9 +44,7 @@ Two concerns the search engines delegate here:
   range appended since — snapshot cost is O(new states), not O(all
   states).  Bloom bitsets ride along as ``bloom-NNNN.bin`` summary files
   (linked too while their shard is unchanged) so resume loads them
-  instead of recomputing from a full scan.  Format-1 checkpoints (ASCII
-  records, no summaries) still load; the first snapshot a resumed run
-  writes is a full format-2 one.
+  instead of recomputing from a full scan.
 """
 
 from __future__ import annotations
@@ -62,18 +60,15 @@ import tempfile
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.config import STORE_MEMORY, STORE_SHARDED
 
 #: Bump when the checkpoint layout changes.  Format 2 packs hex digests
 #: to raw bytes, names record files as per-shard segments, and adds
-#: Bloom summary files; the loader still accepts format-1 snapshots.
+#: Bloom summary files.  It is the only format the loader reads.
 CHECKPOINT_FORMAT = 2
-
-#: Formats :func:`load_latest_checkpoint` accepts.
-_READABLE_FORMATS = (1, CHECKPOINT_FORMAT)
 
 #: Complete checkpoints kept per directory.  Two, not one: torn-write
 #: recovery needs the previous snapshot to still exist when the newest
@@ -82,8 +77,8 @@ CHECKPOINT_KEEP = 2
 
 #: Record encodings.  ``hex``: the digest string is lowercase hex and is
 #: stored packed (`bytes.fromhex`), record width = len(digest) / 2.
-#: ``ascii``: the digest is stored as its ASCII bytes verbatim (format-1
-#: behaviour, and the fallback for non-hex digests).
+#: ``ascii``: the digest is stored as its ASCII bytes verbatim (the
+#: fallback for non-hex digests).
 RECORD_HEX = "hex"
 RECORD_ASCII = "ascii"
 
@@ -481,8 +476,8 @@ class MemoryStore(StateStore):
                     # the first odd one out on resume — refuse now.
                     raise ValueError(
                         f"digest width changed mid-run: {digest!r} does "
-                        f"not pack to {width} {encoding} bytes (mixed "
-                        f"hash modes in one store?)")
+                        f"not pack to {width} {encoding} bytes (two "
+                        f"digest schemes in one store?)")
                 buffer += record
                 if len(buffer) >= (1 << 20):
                     handle.write(buffer)
@@ -593,7 +588,7 @@ class ShardedStore(StateStore):
 
     def _pack(self, digest: str) -> bytes:
         """``digest`` as this store's packed record; raises the
-        mixed-hash-modes ValueError on any width/encoding mismatch —
+        mixed-width ValueError on any width/encoding mismatch —
         from lookups as well as inserts (a silent False here would let
         one run mix digest schemes and corrupt dedup).  Hex-mode records
         canonicalize to lowercase (``bytes.fromhex`` is case-blind)."""
@@ -614,7 +609,7 @@ class ShardedStore(StateStore):
                 return record
         raise ValueError(
             f"digest width changed mid-run: {digest!r} does not pack to "
-            f"{self._width} {self._encoding} bytes (mixed hash modes in "
+            f"{self._width} {self._encoding} bytes (two digest schemes in "
             f"one store?)")
 
     def _bloom_may_hold(self, shard: int, record: bytes) -> bool:
@@ -1041,8 +1036,7 @@ def create_store(config) -> StateStore:
     if config.store == STORE_SHARDED:
         return ShardedStore(
             config.store_shards, config.store_memory_budget,
-            bloom_bits=getattr(config, "store_bloom_bits",
-                               DEFAULT_BLOOM_BITS))
+            bloom_bits=config.store_bloom_bits)
     return MemoryStore()
 
 
@@ -1069,11 +1063,11 @@ class Checkpoint:
     states: int             # digest count across the record files
     record_width: int
     record_files: list[Path]
-    record_encoding: str = RECORD_ASCII
-    summary_files: list[Path] = field(default_factory=list)
-    file_info: dict = field(default_factory=dict)
-    format: int = 1
-    bytes_written: int | None = None
+    record_encoding: str
+    summary_files: list[Path]
+    file_info: dict
+    format: int
+    bytes_written: int
 
     def iter_digests(self):
         width = self.record_width
@@ -1249,12 +1243,23 @@ def _prune(root: Path) -> None:
         shutil.rmtree(stale, ignore_errors=True)
 
 
+#: ``NiceConfig`` fields that no longer exist (CHANGES.md, PR 14) -> the
+#: value that, found in a checkpoint's pickled config, means its store
+#: holds md5 state digests.  Those are as wide as blake2b-16 ones, so the
+#: width guard cannot tell the two apart: the config is the only evidence.
+#: (The other fields deleted with them — how states were cloned and how
+#: the serial frontier kept them — never changed a digest; a stale value
+#: of theirs is ignored.)
+_FOREIGN_DIGEST_KNOBS = {"hash_mode": "full", "hash_memoization": False}
+
+
 def _validate(path: Path) -> Checkpoint:
     manifest = json.loads((path / _MANIFEST).read_text())
-    if manifest.get("format") not in _READABLE_FORMATS:
+    if manifest.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(
             f"{path.name}: checkpoint format {manifest.get('format')!r} "
-            f"not in {_READABLE_FORMATS}")
+            f"is not readable (this build reads format "
+            f"{CHECKPOINT_FORMAT})")
     for file_name, expected in manifest["files"].items():
         target = path / file_name
         if not target.is_file():
@@ -1268,6 +1273,15 @@ def _validate(path: Path) -> Checkpoint:
                 f"{path.name}: {file_name} fails its checksum")
     with open(path / _META, "rb") as handle:
         meta = pickle.load(handle)
+    # Unpickling restores whatever attributes the config had when it was
+    # written, deleted fields included, into the instance ``__dict__``.
+    pickled = vars(meta["config"])
+    for knob, foreign in _FOREIGN_DIGEST_KNOBS.items():
+        if pickled.get(knob) == foreign:
+            raise CheckpointError(
+                f"{path.name}: written with {knob}={foreign!r}, whose md5 "
+                f"state digests this build cannot match against its own; "
+                f"the search cannot be resumed")
     return Checkpoint(
         path=path,
         spec=meta["spec"],
@@ -1278,13 +1292,11 @@ def _validate(path: Path) -> Checkpoint:
         states=manifest["states"],
         record_width=manifest["record_width"],
         record_files=[path / name for name in manifest["record_files"]],
-        # Format-1 snapshots predate packing, summaries and compaction.
-        record_encoding=manifest.get("record_encoding", RECORD_ASCII),
-        summary_files=[path / name
-                       for name in manifest.get("summary_files", [])],
+        record_encoding=manifest["record_encoding"],
+        summary_files=[path / name for name in manifest["summary_files"]],
         file_info=manifest["files"],
         format=manifest["format"],
-        bytes_written=manifest.get("bytes_written"),
+        bytes_written=manifest["bytes_written"],
     )
 
 

@@ -1,10 +1,10 @@
 """The composed system model: controller + switches + hosts + channels.
 
 A :class:`System` is the model-checker's notion of "state": a plain-Python
-object tree that can be deep-copied (checkpointing), canonically serialized
-(state matching), and advanced by executing :class:`~repro.mc.transitions.
-Transition` descriptors (always deterministically — the foundation of
-trace replay, Section 6).
+object tree that can be cloned copy-on-write (checkpointing), canonically
+serialized and digested per component (state matching), and advanced by
+executing :class:`~repro.mc.transitions.Transition` descriptors (always
+deterministically — the foundation of trace replay, Section 6).
 
 The system also keeps the :class:`PacketLedger`: a record of every packet
 injected, delivered, lost (forwarded out a port with nothing attached — the
@@ -13,10 +13,9 @@ black holes of BUG-I), or dropped, which the correctness properties read.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 
-from repro.config import HASH_DIGEST, NiceConfig
+from repro.config import NiceConfig
 from repro.controller.api import LiveControllerAPI
 from repro.controller.runtime import ControllerRuntime
 from repro.errors import TransitionError
@@ -42,14 +41,11 @@ class HashStats:
     descended from it, so a search run (or one worker process) accumulates
     into a single place:
 
-    * ``hits`` / ``misses`` — component-digest cache hits vs. recomputes in
-      digest hash mode;
+    * ``hits`` / ``misses`` — component-digest cache hits vs. recomputes;
     * ``bytes_hashed`` — bytes of canonical *rendering* performed for
-      hashing, the O(changed) work: full mode renders the whole state per
-      call (plus the controller form on discovery-cache misses), digest
-      mode only re-rendered components and the meta tail.  Re-feeding
-      already-cached digests/tails to the 16-byte combiner is not counted
-      — it is not rendering work;
+      hashing, the O(changed) work: re-rendered components and the meta
+      tail.  Re-feeding already-cached digests/tails to the 16-byte
+      combiner is not counted — it is not rendering work;
     * ``cow_copied`` — components lazily copied by copy-on-write clones.
     """
 
@@ -185,14 +181,11 @@ class System:
         #: Ephemeral (derived from the last transition) — not hashed.
         self.last_handler: dict | None = None
         self._api_calls: list[tuple] = []
-        #: Memoized per-component canonical forms (DESIGN.md, "Hash
-        #: memoization").  Keys: ``("sw", id)``, ``("host", name)``,
-        #: ``"app"``, ``"ctrl"`` (controller-state digest), ``"ledger"``.
-        #: Every mutation path pops the affected keys via :meth:`_dirty`.
-        self._canon_cache: dict = {}
-        #: Merkle layer on top of the canonical memo: per-component blake2b
-        #: digests, invalidated by the same :meth:`_dirty` keys.  A state
-        #: hash combines these instead of re-rendering the whole tree.
+        #: Per-component blake2b digests (DESIGN.md, "Per-state hot
+        #: path").  Keys: ``("sw", id)``, ``("host", name)``, ``"app"``,
+        #: ``"ledger"``, plus the rendered ``"meta"`` tail.  Every mutation
+        #: path pops the affected keys via :meth:`_dirty`; a state hash
+        #: combines what is left instead of re-rendering the whole tree.
         self._digest_cache: dict = {}
         #: Hot-path counters, shared by reference with every clone.
         self._hash_stats = HashStats()
@@ -234,7 +227,7 @@ class System:
         of setup orderings.
         """
         self.runtime.boot(self.api(), self.topo, sorted(self.switches))
-        self._dirty("app", "ctrl")
+        self._dirty("app")
         self.drain_control_plane()
 
     # ------------------------------------------------------------------
@@ -307,7 +300,7 @@ class System:
             self._end_handler()
         elif kind == tk.CTRL_STATS:
             self._begin_handler("ctrl_stats", transition.actor, None)
-            self._dirty(("sw", transition.actor), "app", "ctrl")
+            self._dirty(("sw", transition.actor), "app")
             self._execute_ctrl_stats(transition)
             self._end_handler()
         elif kind == tk.CTRL_EVENT:
@@ -315,7 +308,7 @@ class System:
                 raise TransitionError(f"event {transition.actor!r} already fired")
             self.events_fired[transition.actor] = True
             self._begin_handler("ctrl_event", transition.actor, None)
-            self._dirty("app", "ctrl", "meta")
+            self._dirty("app", "meta")
             self.app.handle_event(self.api(), transition.actor)
             self._end_handler()
         elif kind == tk.HOST_SEND:
@@ -372,8 +365,7 @@ class System:
         # Identity independent of global interleaving: the n-th send of a
         # given header signature by this host always gets the same uid, so
         # equivalent event orders still reach identical states.  (The
-        # header tuple is already canonical; the fast renderer is used in
-        # every mode, so uids never differ between engine configurations.)
+        # header tuple is already canonical.)
         signature = digest_bytes(render_canonical(packet.header_tuple())).hex()[:8]
         occurrence = host.send_sig_counts.get(signature, 0)
         host.send_sig_counts[signature] = occurrence + 1
@@ -472,7 +464,7 @@ class System:
         wrapper.  Strategies that pump the control plane outside ``execute``
         (NO-DELAY) must go through here.
         """
-        self._dirty(("sw", switch.switch_id), "app", "ctrl")
+        self._dirty(("sw", switch.switch_id), "app")
         # _dirty may have copied the switch (copy-on-write); dequeue from
         # this system's own object, not the caller's possibly-stale one.
         self.runtime.handle_message(self.api(), self.switches[switch.switch_id])
@@ -492,13 +484,12 @@ class System:
 
         Two jobs, driven by the same keys: materialize any component still
         shared with a parent/child clone (copy-on-write), and drop its
-        cached canonical form and digest.  Every mutation path calls this
-        *before* touching the component and fetches its reference *after*.
+        cached digest.  Every mutation path calls this *before* touching
+        the component and fetches its reference *after*.
         """
         for key in keys:
             if key in self._shared:
                 self._materialize(key)
-            self._canon_cache.pop(key, None)
             self._digest_cache.pop(key, None)
 
     def _materialize(self, key) -> None:
@@ -516,59 +507,32 @@ class System:
             else:
                 self.hosts[name] = self.hosts[name].clone()
 
-    def _memo(self, key, obj):
-        """Cached ``canonicalize(obj)``; recomputed only after `_dirty`."""
-        if not self.config.hash_memoization:
-            return canonicalize(obj)
-        form = self._canon_cache.get(key)
-        if form is None:
-            form = canonicalize(obj)
-            self._canon_cache[key] = form
-        return form
-
     def canonical_state(self) -> tuple:
-        """Fully canonical state tuple.
-
-        Component entries are memoized per switch/host/app/ledger (see
-        ``hash_memoization``); ``canonicalize`` is idempotent, so the overall
-        form — and therefore every state hash — is identical to canonicalizing
-        the raw component tuples from scratch.
-        """
+        """Fully canonical state tuple — the SPIN-like baseline's state
+        vector.  Each component only assembles the sub-forms it keeps
+        cached (DESIGN.md, "Sub-forms and sealed packets"), so nothing is
+        memoized here."""
         base = (
-            tuple(self._memo(("sw", s), self.switches[s])
-                  for s in self._sw_order),
-            tuple(self._memo(("host", h), self.hosts[h])
-                  for h in self._host_order),
-            self._memo("app", self.app.state_vars()),
+            tuple(canonicalize(self.switches[s]) for s in self._sw_order),
+            tuple(canonicalize(self.hosts[h]) for h in self._host_order),
+            canonicalize(self.app.state_vars()),
             tuple(sorted(self.attachments.items())),
-            self._memo("ledger", self.ledger),
+            canonicalize(self.ledger),
             tuple((e, self.events_fired[e]) for e in self._event_order),
         )
         extra = self.canonical_extra()
         return base + ((extra,) if extra else ())
 
     def canonical_extra(self) -> tuple:
-        """Subclass hook: extra state folded into the hash in *both* hash
-        modes (e.g. the JPF baseline's pending handler operations).  Must
-        return an already-canonical tuple; ``()`` contributes nothing."""
+        """Subclass hook: extra state folded into the hash (e.g. the JPF
+        baseline's pending handler operations).  Must return an
+        already-canonical tuple; ``()`` contributes nothing."""
         return ()
 
     def controller_state_hash(self) -> str:
         """Hash of the controller state only — the discovery-cache key of
         Figure 5 (``client.packets[state(ctrl)]``)."""
-        if not self.config.hash_memoization:
-            data = repr(canonicalize(self.app.state_vars())).encode()
-            self._hash_stats.bytes_hashed += len(data)
-            return hashlib.md5(data).hexdigest()
-        if self.config.hash_mode == HASH_DIGEST:
-            return self._digest("app", self.app.state_vars).hex()
-        digest = self._canon_cache.get("ctrl")
-        if digest is None:
-            data = repr(self._memo("app", self.app.state_vars())).encode()
-            self._hash_stats.bytes_hashed += len(data)
-            digest = hashlib.md5(data).hexdigest()
-            self._canon_cache["ctrl"] = digest
-        return digest
+        return self._digest("app", self.app.state_vars).hex()
 
     def _digest(self, key, obj) -> bytes:
         """Cached blake2b digest of one component's canonical form.
@@ -582,13 +546,7 @@ class System:
         if digest is None:
             if callable(obj):
                 obj = obj()
-            # Not ``_memo``: once the digest is cached nothing reads the
-            # canonical form again, and every clone would carry it along
-            # (a form ``canonical_state`` already cached is reused).
-            form = self._canon_cache.get(key)
-            if form is None:
-                form = canonicalize(obj)
-            data = render_canonical(form)
+            data = render_canonical(canonicalize(obj))
             digest = digest_bytes(data)
             self._digest_cache[key] = digest
             self._hash_stats.misses += 1
@@ -600,21 +558,11 @@ class System:
     def state_hash(self) -> str:
         """Digest of the full state, for the explored-state set.
 
-        Digest mode (the default) combines the cached per-component
-        digests Merkle-style: a transition that touched one switch
-        re-renders and re-hashes that one switch, not the whole tree.
-        Full mode — and any run with ``hash_memoization`` off — renders
-        the entire canonical tuple per call, the O(state size) baseline.
-        Both modes induce the same state partition: two states combine to
-        the same digest exactly when their canonical forms are equal.
+        Combines the cached per-component digests Merkle-style: a
+        transition that touched one switch re-renders and re-hashes that
+        one switch, not the whole tree.  Two states combine to the same
+        digest exactly when their canonical forms are equal.
         """
-        config = self.config
-        if not (config.hash_memoization and config.hash_mode == HASH_DIGEST):
-            # The measurable old behavior: md5 over a repr of the entire
-            # canonical tuple, exactly as shipped before digest hashing.
-            data = repr(self.canonical_state()).encode()
-            self._hash_stats.bytes_hashed += len(data)
-            return hashlib.md5(data).hexdigest()
         combined = hashlib.blake2b(digest_size=DIGEST_SIZE)
         for sw_id in self._sw_order:
             combined.update(self._digest(("sw", sw_id), self.switches[sw_id]))
@@ -646,44 +594,20 @@ class System:
         return combined.hexdigest()
 
     def clone(self) -> "System":
-        """Checkpoint: copy the mutable parts, share everything static.
+        """Checkpoint: share everything, copy on write.
 
-        Copy-on-write (default): the clone *shares* every switch, host,
-        app, and ledger component with this system, and a component is
-        copied lazily on its first mutation — by :meth:`_dirty`, the same
-        invalidation that already knows exactly which components a
-        transition touches.  Cloning becomes O(#components) dict copies
-        and executing a child costs one component copy per touched
-        component, not one full state copy per child.
-
-        ``cow_clone=False`` falls back to the eager component-wise copy
-        (``fast_clone``) — the same ``clone`` methods on
+        The clone *shares* every switch, host, app, and ledger component
+        with this system, and a component is copied lazily on its first
+        mutation — by :meth:`_dirty`, the same invalidation that already
+        knows exactly which components a transition touches.  Cloning is
+        O(#components) dict copies and executing a child costs one
+        component copy per touched component (the ``clone`` methods on
         :class:`SwitchModel`, :class:`FlowTable`,
         :class:`~repro.hosts.base.Host`, :class:`PacketLedger` and the
-        apps that copy-on-write runs lazily: field-wise shallow copies
-        sharing messages, sealed packets and cached canonical sub-forms —
-        and ``fast_clone=False`` keeps the seed's full deepcopy, the
-        baselines the hot-path benchmark measures against (DESIGN.md,
-        "Per-state hot path").
+        apps: field-wise shallow copies sharing messages, sealed packets
+        and cached canonical sub-forms), not one full state copy per
+        child (DESIGN.md, "Per-state hot path").
         """
-        if self.config.cow_clone:
-            return self._clone_cow()
-        if not self.config.fast_clone:
-            return self._clone_deepcopy()
-        new = object.__new__(System)
-        new.topo = self.topo
-        new.config = self.config
-        new.switches = {sw_id: switch.clone()
-                        for sw_id, switch in self.switches.items()}
-        new.hosts = {name: host.clone()
-                     for name, host in self.hosts.items()}
-        new.runtime = ControllerRuntime(self.runtime.app.clone())
-        new.ledger = self.ledger.clone()
-        new._shared = set()
-        return self._finish_clone(new)
-
-    def _clone_cow(self) -> "System":
-        """Copy-on-write checkpoint: share every component, copy none."""
         new = object.__new__(System)
         new.topo = self.topo
         new.config = self.config
@@ -696,31 +620,14 @@ class System:
         # exclusive ownership too: whichever side mutates a component
         # first materializes its own copy (isolation in both directions).
         self._shared.update(self._component_keys)
-        return self._finish_clone(new)
-
-    def _clone_deepcopy(self) -> "System":
-        """The seed's checkpointing: deep-copy every mutable component."""
-        new = object.__new__(System)
-        new.topo = self.topo
-        new.config = self.config
-        new.switches = copy.deepcopy(self.switches)
-        new.hosts = copy.deepcopy(self.hosts)
-        new.runtime = ControllerRuntime(copy.deepcopy(self.runtime.app))
-        new.ledger = copy.deepcopy(self.ledger)
-        new._shared = set()
-        return self._finish_clone(new)
-
-    def _finish_clone(self, new: "System") -> "System":
-        """Fields copied identically by all three clone strategies."""
         new.attachments = dict(self.attachments)
         new.host_locations = dict(self.host_locations)
         new.events_fired = dict(self.events_fired)
         new.of_seq = self.of_seq
         new.last_handler = None
         new._api_calls = []
-        # Canonical forms and digests are immutable; a shallow copy lets
-        # the child reuse everything its transition does not invalidate.
-        new._canon_cache = dict(self._canon_cache)
+        # Digests are immutable; a shallow copy lets the child reuse
+        # everything its transition does not invalidate.
         new._digest_cache = dict(self._digest_cache)
         new._hash_stats = self._hash_stats
         new._component_keys = self._component_keys
@@ -765,7 +672,7 @@ class _StampingAPI:
             # Invalidate (and, under copy-on-write, materialize) before
             # fetching the switch: the API call must enqueue onto this
             # system's own copy, and the stamping below must read it.
-            self._system._dirty(("sw", sw_id), "app", "ctrl")
+            self._system._dirty(("sw", sw_id), "app")
             switch = self._system.switches.get(sw_id)
             before = len(switch.ofp_in) if switch else 0
             result = method(sw_id, *args, **kwargs)

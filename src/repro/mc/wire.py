@@ -105,21 +105,7 @@ def spec_is_portable(spec: ScenarioSpec | None) -> bool:
 def searcher_from_spec(spec: ScenarioSpec):
     """A *serial* :class:`~repro.mc.search.Searcher` for worker-side
     expansion — workers never recurse into the parallel engine."""
-    from repro.mc.search import Searcher
-    from repro.mc.strategies import make_strategy
-
-    scenario = spec.build()
-    config = scenario.config
-    discoverer = None
-    if config.use_symbolic_execution:
-        from repro.sym.engine import ConcolicEngine
-
-        discoverer = ConcolicEngine(max_paths=config.max_paths)
-    return Searcher(
-        scenario.system_factory, scenario.properties, config,
-        strategy=make_strategy(config, scenario.app_factory()),
-        discoverer=discoverer,
-    )
+    return spec.build().make_searcher(parallel=False)
 
 
 # ----------------------------------------------------------------------

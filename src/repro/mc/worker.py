@@ -177,8 +177,8 @@ class WorkerRuntime:
         """Hash a just re-executed system once, so the clones taken from
         it inherit warm component digests instead of each re-digesting
         what the re-execution dirtied.  Pointless when children are not
-        hashed (no state matching) or digests are not cached."""
-        if self.config.state_matching and self.config.hash_memoization:
+        hashed (no state matching)."""
+        if self.config.state_matching:
             system.state_hash()
         return system
 
@@ -605,40 +605,26 @@ def _start_heartbeat(send, worker_id: int, interval: float):
 # Process entry points
 # ----------------------------------------------------------------------
 
-def local_worker_main(worker_id: int, task_queue, result_conn, spec) -> None:
-    """Entry point of a local-transport worker process.
-
-    ``spec`` is None under ``fork`` (the searcher is inherited via
-    :data:`_INHERITED_SEARCHER`); under ``spawn`` it is the pickled
-    :class:`~repro.mc.wire.ScenarioSpec` to rebuild from.  ``result_conn``
-    is this worker's private result pipe — per-worker channels are what
-    lets the master survive a worker killed mid-write (see
-    ``repro/mc/transport/local.py``).
-    """
-    send_lock = threading.Lock()
-
-    def send(message) -> None:
-        with send_lock:
-            result_conn.send(message)
-
-    try:
-        searcher = (_INHERITED_SEARCHER if spec is None
-                    else searcher_from_spec(spec))
-        runtime = WorkerRuntime(searcher)
-    except Exception:  # noqa: BLE001 - report startup failure to the master
-        result_conn.send(WorkerError(None, worker_id, traceback.format_exc()))
-        return
+def _serve(runtime: WorkerRuntime, worker_id: int, recv, send) -> None:
+    """The worker message loop, one for every transport: ``recv()`` returns
+    the master's next message (None on a clean EOF) and ``send(reply)``
+    ships one back; both raise ``OSError`` once the channel is gone.
+    Returns when told to stop, when the master hangs up, or when the
+    memory watchdog asks for this process to be recycled."""
     beat = _start_heartbeat(send, worker_id,
                             runtime.config.heartbeat_interval)
     try:
         while True:
-            message = task_queue.get()
+            try:
+                message = recv()
+            except OSError:
+                return  # master hung up (early stop) — a clean shutdown
             if message is None or isinstance(message, Shutdown):
                 return
             if isinstance(message, BloomSummary):
-                # Standalone summary push (the local transports normally
-                # piggy-back on ExpandTask instead; accepted for parity
-                # with the socket loop).
+                # Standalone summary push: socket masters send deltas
+                # FIFO before the dispatch they cover (the local pipes
+                # piggy-back on ExpandTask instead).
                 runtime.apply_summary(message)
                 continue
             if isinstance(message, FetchChildren):
@@ -646,7 +632,7 @@ def local_worker_main(worker_id: int, task_queue, result_conn, spec) -> None:
                                                  message.ordinals)
                 reply = ChildData(message.task_id, worker_id,
                                   fetched or {}, missing=fetched is None)
-            else:
+            elif isinstance(message, ExpandTask):
                 if message.summary is not None:
                     runtime.apply_summary(message.summary)
                 try:
@@ -657,19 +643,49 @@ def local_worker_main(worker_id: int, task_queue, result_conn, spec) -> None:
                 except Exception:  # noqa: BLE001 - surface the traceback
                     reply = WorkerError(message.task_id, worker_id,
                                         traceback.format_exc())
+            else:
+                raise ConnectionError(f"unexpected message {message!r}")
             try:
                 send(reply)
             except OSError:
-                # The master stopped reading (early stop, or it gave up on
-                # the pool): its search is over, so are we.
+                # The master stopped reading mid-task (first violation
+                # found, transition cap hit, or it gave up on the pool):
+                # its search is over, so are we.
                 return
             if runtime.should_recycle(worker_id):
-                # Exit cleanly; EOF surfaces as WorkerGone and the respawn
-                # path replaces us with a fresh-memory sibling.
+                # Exit cleanly; the master sees EOF -> WorkerGone and the
+                # respawn path (or an elastic joiner) replaces us with a
+                # fresh-memory sibling.
                 return
     finally:
         if beat is not None:
             beat.stop()
+
+
+def local_worker_main(worker_id: int, task_queue, result_conn, spec) -> None:
+    """Entry point of a local-transport worker process.
+
+    ``spec`` is None under ``fork`` (the searcher is inherited via
+    :data:`_INHERITED_SEARCHER`); under ``spawn`` it is the pickled
+    :class:`~repro.mc.wire.ScenarioSpec` to rebuild from.  ``result_conn``
+    is this worker's private result pipe — per-worker channels are what
+    lets the master survive a worker killed mid-write (see
+    ``repro/mc/transport/local.py``).
+    """
+    try:
+        searcher = (_INHERITED_SEARCHER if spec is None
+                    else searcher_from_spec(spec))
+        runtime = WorkerRuntime(searcher)
+    except Exception:  # noqa: BLE001 - report startup failure to the master
+        result_conn.send(WorkerError(None, worker_id, traceback.format_exc()))
+        return
+    send_lock = threading.Lock()
+
+    def send(message) -> None:
+        with send_lock:
+            result_conn.send(message)
+
+    _serve(runtime, worker_id, task_queue.get, send)
 
 
 #: Seconds a connecting worker waits for the master's InitWorker reply —
@@ -700,53 +716,7 @@ def socket_worker_loop(sock) -> None:
         with send_lock:
             send_msg(sock, message)
 
-    beat = _start_heartbeat(send, worker_id,
-                            runtime.config.heartbeat_interval)
-    try:
-        while True:
-            try:
-                message = recv_msg(sock)
-            except (OSError, ConnectionError):
-                return  # master hung up (early stop) — a clean shutdown
-            if message is None or isinstance(message, Shutdown):
-                return
-            if isinstance(message, BloomSummary):
-                # Socket masters push summary deltas standalone, FIFO
-                # before the dispatch they cover.
-                runtime.apply_summary(message)
-                continue
-            if isinstance(message, FetchChildren):
-                fetched = runtime.fetch_children(message.task_id,
-                                                 message.ordinals)
-                reply = ChildData(message.task_id, worker_id,
-                                  fetched or {}, missing=fetched is None)
-            elif isinstance(message, ExpandTask):
-                if message.summary is not None:
-                    runtime.apply_summary(message.summary)
-                try:
-                    out = runtime.expand(message.groups,
-                                         task_id=message.task_id,
-                                         handles=message.handles)
-                    reply = TaskResult(message.task_id, worker_id, out)
-                except Exception:  # noqa: BLE001 - surface the traceback
-                    reply = WorkerError(message.task_id, worker_id,
-                                        traceback.format_exc())
-            else:
-                raise ConnectionError(f"unexpected message {message!r}")
-            try:
-                send(reply)
-            except (OSError, ConnectionError):
-                # The master stopped reading mid-task (first violation
-                # found, transition cap hit): its search is over, so are
-                # we.
-                return
-            if runtime.should_recycle(worker_id):
-                # Close the connection; the master sees EOF -> WorkerGone
-                # and respawns (or elastically re-admits) a replacement.
-                return
-    finally:
-        if beat is not None:
-            beat.stop()
+    _serve(runtime, worker_id, lambda: recv_msg(sock), send)
 
 
 # ----------------------------------------------------------------------

@@ -12,9 +12,11 @@ True
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.config import NiceConfig
 from repro.mc.scheduler import ParallelSearcher
-from repro.mc.search import Searcher, SearchResult
+from repro.mc.search import Searcher, SearchStats
 from repro.mc.strategies import make_strategy
 from repro.mc.system import System
 from repro.sym.engine import ConcolicEngine
@@ -52,28 +54,40 @@ class Scenario:
         system.boot()
         return system
 
-    def make_searcher(self) -> Searcher:
+    def with_config(self, config: NiceConfig | None = None,
+                    **overrides) -> "Scenario":
+        """A copy of this scenario under ``config`` (default: its own)
+        with the ``overrides`` fields replaced.  The registry spec, if
+        any, is carried over with the new config, so the derived scenario
+        stays shippable to spawn/socket workers and resumable by name."""
+        config = dataclasses.replace(config or self.config, **overrides)
+        derived = Scenario(self.topo, self.app_factory, self.hosts_factory,
+                           self.properties, config, name=self.name)
+        if self.spec is not None:
+            derived.spec = dataclasses.replace(self.spec, config=config)
+        return derived
+
+    def make_searcher(self, parallel: bool | None = None) -> Searcher:
+        """The searcher ``config`` asks for: the parallel scheduler when
+        ``workers > 1``, else the serial loop.  Workers pass
+        ``parallel=False`` — they expand with the serial searcher's
+        machinery and never recurse into the parallel engine."""
+        if parallel is None:
+            parallel = self.config.workers > 1
         discoverer = None
         if self.config.use_symbolic_execution:
             discoverer = ConcolicEngine(max_paths=self.config.max_paths)
-        strategy = make_strategy(self.config, self.app_factory())
-        if self.config.workers > 1:
-            return ParallelSearcher(
-                self.system_factory, self.properties, self.config,
-                strategy=strategy, discoverer=discoverer,
-                scenario_spec=self.spec,
-            )
-        return Searcher(
+        return (ParallelSearcher if parallel else Searcher)(
             self.system_factory, self.properties, self.config,
-            strategy=strategy, discoverer=discoverer,
-            scenario_spec=self.spec,
+            strategy=make_strategy(self.config, self.app_factory()),
+            discoverer=discoverer, scenario_spec=self.spec,
         )
 
     def __repr__(self):
         return f"Scenario({self.name})"
 
 
-def run(scenario: Scenario) -> SearchResult:
+def run(scenario: Scenario) -> SearchStats:
     """Perform the state-space search and return violations + statistics."""
     return scenario.make_searcher().run()
 
@@ -98,29 +112,17 @@ def resume(checkpoint_path, scenario: Scenario | None = None,
 
     Returns ``(scenario, stats)``.
     """
-    import dataclasses
-
     from repro.mc import store as store_mod
 
     checkpoint = store_mod.load_latest_checkpoint(checkpoint_path)
-    config = checkpoint.config
-    if config_overrides:
-        config = dataclasses.replace(config, **config_overrides)
     if scenario is None:
         if checkpoint.spec is None:
             raise store_mod.CheckpointError(
                 f"the checkpoint under {checkpoint_path} carries no "
                 f"scenario spec (hand-built scenario); pass the scenario "
                 f"to nice.resume() explicitly")
-        spec = dataclasses.replace(checkpoint.spec, config=config)
-        scenario = spec.build()
-    else:
-        derived = Scenario(scenario.topo, scenario.app_factory,
-                           scenario.hosts_factory, scenario.properties,
-                           config, name=scenario.name)
-        if scenario.spec is not None:
-            derived.spec = dataclasses.replace(scenario.spec, config=config)
-        scenario = derived
+        scenario = checkpoint.spec.build()
+    scenario = scenario.with_config(checkpoint.config, **config_overrides)
     searcher = scenario.make_searcher()
     searcher._resume = checkpoint
     return scenario, searcher.run()
@@ -138,16 +140,8 @@ def replay(scenario: Scenario, trace, expected_hash: str | None = None):
 
 
 def random_walk(scenario: Scenario, steps: int = 100,
-                seed: int = 0) -> SearchResult:
+                seed: int = 0) -> SearchStats:
     """Random-walk mode (Section 1.3: "random walks on system states")."""
-    import dataclasses
-
-    config = dataclasses.replace(scenario.config, search_order="random",
-                                 seed=seed, max_transitions=steps,
-                                 stop_at_first_violation=False)
-    walk = Scenario(scenario.topo, scenario.app_factory,
-                    scenario.hosts_factory, scenario.properties, config,
-                    name=f"{scenario.name}-walk")
-    if scenario.spec is not None:
-        walk.spec = dataclasses.replace(scenario.spec, config=config)
-    return run(walk)
+    return run(scenario.with_config(search_order="random", seed=seed,
+                                    max_transitions=steps,
+                                    stop_at_first_violation=False))

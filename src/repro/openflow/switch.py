@@ -136,10 +136,10 @@ class SwitchModel:
         (replace-on-write) — as are the cached pieces of
         :meth:`canonical`.
 
-        Under copy-on-write checkpointing (``cow_clone``) this runs
-        *lazily*: the whole switch stays shared between parent and child
-        until ``System._dirty`` materializes the mutating side's own copy,
-        so all mutation must go through the owning System (DESIGN.md,
+        This runs *lazily* (copy-on-write checkpointing): the whole
+        switch stays shared between parent and child until
+        ``System._dirty`` materializes the mutating side's own copy, so
+        all mutation must go through the owning System (DESIGN.md,
         "Per-state hot path").
         """
         new = SwitchModel.__new__(SwitchModel)

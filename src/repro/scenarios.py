@@ -74,23 +74,11 @@ def registered(name: str):
 
 
 def with_config(scenario: Scenario, **overrides) -> Scenario:
-    """A copy of ``scenario`` with config fields replaced.
-
-    The standard way tests and benchmarks derive engine variants of one
-    experiment — ``with_config(sc, workers=4)`` for the parallel searcher,
-    ``with_config(sc, checkpoint_mode="trace")`` for trace-replay
-    checkpointing, ``with_config(sc, fast_clone=False,
-    hash_memoization=False)`` for the seed-behavior baseline.  The
-    scenario's registry spec (if any) is carried over with the new config,
-    so derived variants stay shippable to spawn/socket workers.
-    """
-    config = dataclasses.replace(scenario.config, **overrides)
-    derived = Scenario(scenario.topo, scenario.app_factory,
-                       scenario.hosts_factory, scenario.properties, config,
-                       name=scenario.name)
-    if scenario.spec is not None:
-        derived.spec = dataclasses.replace(scenario.spec, config=config)
-    return derived
+    """:meth:`Scenario.with_config <repro.nice.Scenario.with_config>` as a
+    function — how tests and benchmarks derive engine variants of one
+    experiment (``with_config(sc, workers=4)``, ``with_config(sc,
+    store="sharded")``)."""
+    return scenario.with_config(**overrides)
 
 
 MAC_A = MacAddress.from_string("00:00:00:00:00:01")

@@ -1,0 +1,83 @@
+"""The trust-nothing reference engine — the oracle for the product's
+per-state hot path (DESIGN.md, "Per-state hot path").
+
+:class:`ReferenceSystem` is a :class:`~repro.mc.system.System` that takes
+neither of the product's shortcuts: a checkpoint deep-copies every mutable
+part (nothing is shared with the parent, so no write can leak either way,
+and no cache is carried over), and a state hash is built from scratch by
+:mod:`reference_forms` (every component re-read, re-sorted and re-rendered,
+no ``_canon``/``_digest_cache`` slot consulted).  Transitions execute
+through the product's own ``execute`` — the reference checks *how states
+are copied and hashed*, not what a transition does — so its digests are
+byte-identical to the product's and the two can be compared state by
+state, at roughly a fifteenth of the product's speed.
+
+:func:`reference_run` feeds it to the ordinary serial ``Searcher``.  It
+replaces the seed / eager-clone / full-render configurations the engine
+used to carry as ``NiceConfig`` knobs; ``benchmarks/`` imports it for the
+product-vs-from-scratch rows of ``BENCH_hotpath.json``.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import reference_forms
+from repro.controller.runtime import ControllerRuntime
+from repro.mc.system import System
+
+
+class ReferenceSystem(System):
+    """A System checkpointed by deep copy and hashed from scratch."""
+
+    def clone(self) -> "ReferenceSystem":
+        new = object.__new__(type(self))
+        # Static for the lifetime of a search: never written after boot.
+        new.topo = self.topo
+        new.config = self.config
+        new._component_keys = self._component_keys
+        new._sw_order = self._sw_order
+        new._host_order = self._host_order
+        new._event_order = self._event_order
+        # Counters only; shared so a run accumulates in one place.
+        new._hash_stats = self._hash_stats
+        new.switches = copy.deepcopy(self.switches)
+        new.hosts = copy.deepcopy(self.hosts)
+        new.runtime = ControllerRuntime(copy.deepcopy(self.runtime.app))
+        new.ledger = copy.deepcopy(self.ledger)
+        new.attachments = dict(self.attachments)
+        new.host_locations = dict(self.host_locations)
+        new.events_fired = dict(self.events_fired)
+        new.of_seq = self.of_seq
+        new.last_handler = None
+        new._api_calls = []
+        # What ``execute`` expects to find, and finds empty: nothing is
+        # shared, no digest is cached.
+        new._shared = set()
+        new._digest_cache = {}
+        return new
+
+    def state_hash(self) -> str:
+        return reference_forms.state_hash(self, stats=self._hash_stats)
+
+    def controller_state_hash(self) -> str:
+        return reference_forms.controller_state_hash(self)
+
+
+def reference_factory(scenario):
+    """``scenario.system_factory`` for a :class:`ReferenceSystem`."""
+    def factory():
+        system = ReferenceSystem(scenario.topo, scenario.app_factory(),
+                                 scenario.hosts_factory(), scenario.config)
+        system.boot()
+        return system
+
+    return factory
+
+
+def reference_run(scenario):
+    """Search ``scenario`` serially on the reference engine; the result is
+    comparable field by field with ``nice.run``'s."""
+    searcher = scenario.make_searcher(parallel=False)
+    searcher.system_factory = reference_factory(scenario)
+    return searcher.run()

@@ -231,24 +231,41 @@ def component_forms(system) -> dict:
     return forms
 
 
-def state_hash(system) -> str:
-    """``System.state_hash`` (digest mode) over the from-scratch forms,
-    consulting none of the system's caches."""
+def state_hash(system, stats=None) -> str:
+    """``System.state_hash`` over the from-scratch forms, consulting none
+    of the system's caches.  ``stats`` (a ``HashStats``) is charged for the
+    rendering: every component is a miss."""
     forms = component_forms(system)
     combined = hashlib.blake2b(digest_size=DIGEST_SIZE)
+    rendered = 0
     for key in ([("sw", s) for s in sorted(system.switches)]
                 + [("host", h) for h in sorted(system.hosts)]
                 + ["app", "ledger"]):
-        combined.update(digest_bytes(render_canonical(forms[key])))
-    combined.update(render_canonical((
+        data = render_canonical(forms[key])
+        rendered += len(data)
+        combined.update(digest_bytes(data))
+    tail = render_canonical((
         tuple(sorted(system.attachments.items())),
         tuple((e, system.events_fired[e])
               for e in sorted(system.events_fired)),
-    )))
+    ))
+    combined.update(tail)
+    rendered += len(tail)
     extra = system.canonical_extra()
     if extra:
-        combined.update(render_canonical(extra))
+        data = render_canonical(extra)
+        rendered += len(data)
+        combined.update(data)
+    if stats is not None:
+        stats.misses += len(forms)
+        stats.bytes_hashed += rendered
     return combined.hexdigest()
+
+
+def controller_state_hash(system) -> str:
+    """``System.controller_state_hash``, from scratch."""
+    return digest_bytes(render_canonical(
+        canonicalize(system.app.state_vars()))).hex()
 
 
 def reachable_packets(system):

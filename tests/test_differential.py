@@ -1,9 +1,9 @@
 """Differential testing over randomized scenarios (ISSUE 4, extended by
 ISSUE 5).
 
-Every engine variant of the search — serial, parallel over two fork
-workers, the eager-clone baseline (``cow_clone=False``), the
-full-render hash baseline (``hash_mode="full"``), the sharded
+Every engine variant of the search — serial, the reference engine
+(deep-copied checkpoints hashed from scratch, :mod:`reference_engine`),
+parallel over two fork workers, the sharded
 explored-set store under a spill-forcing memory budget, and the
 worker-side Bloom dedup pre-filter both disabled
 (``store_bloom_broadcast=False``) and saturated into a
@@ -28,6 +28,7 @@ import pytest
 
 from checkpoint_helpers import Interrupted, interrupt_after
 from contract import counters, requires_fork, violated_properties
+from reference_engine import reference_run
 from repro import nice
 from repro.scenarios import with_config
 from scenario_gen import random_scenario
@@ -35,8 +36,6 @@ from scenario_gen import random_scenario
 #: Engine variants cross-checked against the serial default.
 VARIANTS = {
     "parallel-2": dict(workers=2),
-    "eager-clone": dict(cow_clone=False),
-    "full-hash": dict(hash_mode="full"),
     # A tiny resident budget forces the disk-spill lookup path on every
     # generated scenario, not just giant ones.
     "sharded-store": dict(store="sharded", store_shards=4,
@@ -53,12 +52,17 @@ FAST_SEEDS = range(4)
 SLOW_SEEDS = range(4, 20)
 
 
+def variant_runs(scenario):
+    yield "reference", reference_run(scenario)
+    for variant, overrides in VARIANTS.items():
+        yield variant, nice.run(with_config(scenario, **overrides))
+
+
 def check_seed(seed: int, tmp_path, monkeypatch) -> None:
     scenario = random_scenario(seed)
     baseline = nice.run(scenario)
     replay = f"replay with scenario_gen.random_scenario({seed})"
-    for variant, overrides in VARIANTS.items():
-        result = nice.run(with_config(scenario, **overrides))
+    for variant, result in variant_runs(scenario):
         assert counters(result) == counters(baseline), (
             f"seed {seed}: {variant} explored a different state space"
             f" ({counters(result)} != {counters(baseline)}); {replay}")

@@ -187,6 +187,9 @@ class TestQuarantine:
         assert stats.tasks_quarantined == 0
         assert stats.quarantined_tasks
         assert "disabled" in stats.quarantined_tasks[0].reason
+        # max_task_retries=1: given up after the second death, not the
+        # default's third.
+        assert stats.quarantined_tasks[0].attempts == 2
 
 
 # ----------------------------------------------------------------------

@@ -2,38 +2,31 @@
 
 Contracts under test (DESIGN.md, "Per-state hot path"):
 
-* a copy-on-write clone is bit-identical to a deepcopy clone — same state
-  hash before and after executing any enabled transition — on **every**
-  registered scenario, and mutations are isolated in both directions
-  (child-to-parent and parent-to-child);
-* the explored state space is unchanged by ``cow_clone`` + digest hashing:
-  serial counters and violations equal the deepcopy/md5-baseline run, and
-  a 2-worker parallel run equals serial, all under the new defaults;
+* a copy-on-write clone hashed from cached digests is bit-identical to
+  the reference engine's deep-copied clone hashed from scratch
+  (:mod:`reference_engine`) — same digest before and after executing any
+  enabled transition — on **every** registered scenario, and mutations
+  are isolated in both directions (child-to-parent and parent-to-child);
+* the explored state space is the reference engine's: serial counters
+  and violations equal ``reference_run``, and a 2-worker parallel run
+  equals serial;
 * after a transition that touches a single component, ``state_hash()``
   recomputes exactly one component digest (counter-asserted);
 * the all-string-key fast path of ``canonicalize`` orders identically to
-  the repr-keyed slow path (hash-pinned), and unsafe keys fall back;
-* ``hash_mode="full"`` reproduces the legacy md5-over-repr hash exactly.
+  the repr-keyed slow path (hash-pinned), and unsafe keys fall back.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import pytest
 
-from contract import counters, exhaustive, requires_fork
+from contract import counters, exhaustive, requires_fork, violation_messages
+from reference_engine import reference_factory, reference_run
 from repro import scenarios
 from repro.config import NiceConfig
 from repro.mc import transitions as tk
 from repro.mc.canonical import _safe_string_key, canonicalize, state_string
 from repro.scenarios import REGISTRY, with_config
-
-#: Baseline knobs: the engine exactly as it ran before this change —
-#: eager component clones, full md5-over-repr hashing.
-PRE_COW = dict(cow_clone=False, hash_mode="full")
-#: The seed-equivalent engine (deepcopy checkpointing, no memoization).
-DEEPCOPY = dict(cow_clone=False, fast_clone=False)
 
 
 def all_scenarios():
@@ -42,13 +35,14 @@ def all_scenarios():
 
 
 class TestCowCloneBitIdentity:
-    """CoW clones == deepcopy clones, on every registered scenario."""
+    """CoW clones + cached digests == deep copies hashed from scratch, on
+    every registered scenario."""
 
     @pytest.mark.parametrize("builder", all_scenarios())
     def test_clone_and_children_hash_identically(self, builder):
         scenario = builder()
-        cow = with_config(scenario).system_factory()
-        ref = with_config(scenario, **DEEPCOPY).system_factory()
+        cow = scenario.system_factory()
+        ref = reference_factory(scenario)()
         assert cow.state_hash() == ref.state_hash()
         assert cow.clone().state_hash() == ref.clone().state_hash()
         for transition in cow.enabled_transitions():
@@ -57,7 +51,7 @@ class TestCowCloneBitIdentity:
             ref_child = ref.clone()
             ref_child.execute(transition)
             assert cow_child.state_hash() == ref_child.state_hash(), (
-                f"{scenario.name}: CoW and deepcopy children diverge"
+                f"{scenario.name}: product and reference children diverge"
                 f" after {transition!r}")
 
     @pytest.mark.parametrize("builder", all_scenarios())
@@ -102,7 +96,7 @@ class TestCowCloneBitIdentity:
 
 
 class TestExploredSpaceUnchanged:
-    """cow_clone + digest hashing explore exactly the baseline space."""
+    """The product explores exactly the reference engine's space."""
 
     #: pyswitch-mobile and -loop have state spaces far too large to
     #: exhaust in a unit test; a transition cap keeps the comparison exact
@@ -112,20 +106,23 @@ class TestExploredSpaceUnchanged:
         (scenarios.pyswitch_direct_path, None),
         (scenarios.pyswitch_mobile, 3000),
         # Looping flood copies make every pyswitch-loop state enormous;
-        # the deepcopy/full-rehash baseline needs ~18ms per transition
-        # there, so the cap stays small.
+        # the reference engine needs ~18ms per transition there, so the
+        # cap stays small.
         (scenarios.pyswitch_loop, 600),
     ])
     def test_serial_equals_md5_deepcopy_baseline(self, builder, cap):
-        scenario = builder()
-        new = exhaustive(scenario, max_transitions=cap)
-        baseline = exhaustive(scenario, max_transitions=cap,
-                              hash_mode="full", cow_clone=False,
-                              fast_clone=False, hash_memoization=False)
-        assert counters(new) == counters(baseline)
-        assert (sorted((v.property_name, v.message) for v in new.violations)
-                == sorted((v.property_name, v.message)
-                          for v in baseline.violations))
+        """The baseline is the reference engine: deep-copied checkpoints,
+        from-scratch hashes (blake2b like the product's, hence comparable
+        digest by digest — the md5 of the name went with the knobs)."""
+        scenario = with_config(builder(), stop_at_first_violation=False,
+                               max_transitions=cap)
+        new = exhaustive(scenario)
+        reference = reference_run(scenario)
+        assert counters(new) == counters(reference)
+        assert violation_messages(new) == violation_messages(reference)
+        # Byte-identical digests, not just equal counts.
+        assert ([v.state_hash for v in new.violations]
+                == [v.state_hash for v in reference.violations])
 
     @requires_fork
     def test_parallel_two_workers_equals_serial(self):
@@ -239,27 +236,6 @@ class TestDigestRecomputation:
         assert system.state_hash() == first
         assert stats.misses == misses
 
-    def test_full_mode_reproduces_legacy_md5(self):
-        scenario = scenarios.pyswitch_direct_path()
-        system = with_config(scenario, hash_mode="full").system_factory()
-        expected = hashlib.md5(
-            repr(system.canonical_state()).encode()).hexdigest()
-        assert system.state_hash() == expected
-
-    def test_hash_modes_induce_the_same_partition(self):
-        scenario = scenarios.pyswitch_loop()
-        digest_sys = with_config(scenario).system_factory()
-        full_sys = with_config(scenario, hash_mode="full").system_factory()
-        transition = digest_sys.enabled_transitions()[0]
-        a, b = digest_sys.clone(), digest_sys.clone()
-        a.execute(transition)
-        b.execute(transition)
-        assert a.state_hash() == b.state_hash()
-        full_child = full_sys.clone()
-        full_child.execute(transition)
-        assert full_child.state_hash() != full_sys.state_hash()
-        assert a.state_hash() != digest_sys.state_hash()
-
 
 class TestCanonicalizeFastPath:
     """Plain sort on string keys must equal the repr-keyed slow path."""
@@ -324,24 +300,18 @@ class TestSearchOrderFrontiers:
 class TestConfigKnobs:
     def test_new_fields_validate(self):
         with pytest.raises(ValueError):
-            NiceConfig(hash_mode="middle-out")
-        with pytest.raises(ValueError):
             NiceConfig(batch_groups=0)
         with pytest.raises(ValueError):
             NiceConfig(batch_nodes=0)
         config = NiceConfig()
-        assert config.cow_clone and config.hash_mode == "digest"
         assert config.batch_groups == 8 and config.batch_nodes == 16
 
     def test_cli_plumbs_the_new_flags(self):
         from repro.cli import build_parser, make_config
 
         args = build_parser().parse_args(
-            ["run", "ping", "--hash-mode", "full", "--no-cow-clone",
-             "--batch-groups", "4", "--batch-nodes", "32"])
+            ["run", "ping", "--batch-groups", "4", "--batch-nodes", "32"])
         config = make_config(args)
-        assert config.hash_mode == "full"
-        assert not config.cow_clone
         assert config.batch_groups == 4
         assert config.batch_nodes == 32
 

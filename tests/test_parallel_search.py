@@ -1,10 +1,12 @@
-"""The parallel search engine and the checkpointing modes.
+"""The parallel search engine against the serial one, and the serial one
+against the reference.
 
-Exactness contracts under test (see ``repro/mc/parallel.py`` and DESIGN.md):
+Exactness contracts under test (see ``repro/mc/scheduler.py`` and DESIGN.md):
 
-* serial search is bit-identical across checkpoint modes (``deepcopy`` vs
-  ``trace``) and clone implementations (``fast_clone`` on/off) — same
-  counters, same violations, same messages;
+* serial search on copy-on-write clones is bit-identical to the reference
+  engine, which checkpoints by deep copy as the seed did
+  (:mod:`reference_engine`) — same counters, same violations, same
+  messages;
 * the parallel engine (``workers=4``) explores exactly the serial state
   space: equal ``unique_states`` / ``transitions_executed`` /
   ``quiescent_states`` / ``revisited_states`` and the same set of violated
@@ -12,8 +14,8 @@ Exactness contracts under test (see ``repro/mc/parallel.py`` and DESIGN.md):
   ``(property, state hash)`` violation set matches too.  Violation
   *records* of history-reading properties may differ in message text, the
   same way serial DFS and BFS differ;
-* trace-replay checkpoint restoration is deterministic: replaying a
-  violation trace reproduces the recorded state hash.
+* trace replay is deterministic: replaying a violation trace reproduces
+  the recorded state hash.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from contract import (
     violation_messages,
     violation_states,
 )
+from reference_engine import reference_run
 from repro import nice, scenarios
-from repro.mc.parallel import ParallelSearcher
+from repro.mc.scheduler import ParallelSearcher
 from repro.mc.search import Searcher
 from repro.scenarios import with_config
 
@@ -41,24 +44,14 @@ pytestmark = pytest.mark.skipif(
 
 
 class TestSerialCheckpointModes:
-    """`trace` restoration and fast clones must not change serial results."""
-
-    @pytest.mark.parametrize("scenario_builder", [
-        scenarios.pyswitch_direct_path,
-        pytest.param(scenarios.loadbalancer_scenario,
-                     marks=pytest.mark.slow),
-    ])
-    def test_trace_checkpoints_bit_identical(self, scenario_builder):
-        scenario = scenario_builder()
-        deepcopy_run = exhaustive(scenario)
-        trace_run = exhaustive(scenario, checkpoint_mode="trace")
-        assert counters(deepcopy_run) == counters(trace_run)
-        assert violation_messages(deepcopy_run) == violation_messages(trace_run)
+    """How a frontier state is checkpointed must not change serial results
+    (``tests/test_hotpath.py`` and ``tests/test_reference_engine.py`` hold
+    five more scenarios to the same reference)."""
 
     def test_fast_clone_bit_identical_to_seed_clone(self):
-        scenario = scenarios.pyswitch_direct_path()
-        fast = exhaustive(scenario)
-        seed = exhaustive(scenario, fast_clone=False, hash_memoization=False)
+        scenario = scenarios.ping_experiment(pings=2)
+        fast = nice.run(scenario)
+        seed = reference_run(scenario)
         assert counters(fast) == counters(seed)
         assert violation_messages(fast) == violation_messages(seed)
 
@@ -108,11 +101,11 @@ class TestParallelMatchesSerial:
 
 
 class TestTraceReplayDeterminism:
-    """Restoring a checkpoint is a pure function of the transition path."""
+    """Restoring a state is a pure function of the transition path."""
 
     def test_violation_trace_replays_to_recorded_hash(self):
         scenario = scenarios.pyswitch_direct_path()
-        result = nice.run(with_config(scenario, checkpoint_mode="trace"))
+        result = nice.run(scenario)
         assert result.found_violation
         violation = result.violations[0]
         replayed = nice.replay(scenario, violation.trace,
@@ -128,10 +121,3 @@ class TestTraceReplayDeterminism:
             replayed = nice.replay(scenario, violation.trace,
                                    expected_hash=violation.state_hash)
             assert replayed.state_hash() == violation.state_hash
-
-    def test_repeated_trace_runs_identical(self):
-        scenario = scenarios.pyswitch_direct_path()
-        first = exhaustive(scenario, checkpoint_mode="trace")
-        second = exhaustive(scenario, checkpoint_mode="trace")
-        assert counters(first) == counters(second)
-        assert violation_messages(first) == violation_messages(second)

@@ -1,0 +1,153 @@
+"""The reference engine is a real oracle (DESIGN.md, "Per-state hot
+path"; :mod:`reference_engine`).
+
+* ``reference_run`` explores exactly the product's state space —
+  counters, violation messages and violation digests — on loadbalancer-2
+  and energy-te (``tests/test_hotpath.py`` holds the three pyswitch
+  scenarios to it, ``tests/test_parallel_search.py`` ping-2,
+  ``tests/test_differential.py`` every generated seed);
+* walked in lockstep with the product, the way the search drives a system
+  (clone, execute, hash; several children per parent), its digests are
+  byte-identical after every step;
+* it trusts nothing the product caches or shares: it never calls a
+  component's ``clone()``, and it *disagrees* with the product as soon as a
+  cache reset or the ``process_pkt`` take-out copy is removed — the two
+  mutations that ``System.state_hash`` alone cannot see.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from contract import counters, violation_messages
+from reference_engine import ReferenceSystem, reference_factory, reference_run
+from repro import nice, scenarios
+from repro.config import NiceConfig
+from repro.hosts.base import Host
+from repro.mc.search import SearchStats
+from repro.mc.strategies import make_strategy
+from repro.mc.system import PacketLedger
+from repro.openflow.channels import Channel
+from repro.openflow.flowtable import FlowTable
+from repro.openflow.switch import SwitchModel
+from repro.scenarios import with_config
+
+STEPS = 200
+POOL = 8
+
+
+def first_disagreement(scenario, steps: int = STEPS):
+    """Walk the product and the reference in lockstep; the first step after
+    which their digests differ — on the child or on the parent it was
+    cloned from — or None."""
+    rng = random.Random(13)
+    roots = (scenario.system_factory, reference_factory(scenario))
+
+    def initial_pair():
+        return tuple(root() for root in roots)
+
+    pool = [initial_pair()]
+    searcher = scenario.make_searcher()
+    strategy = make_strategy(scenario.config, pool[0][0].app)
+    for step in range(steps):
+        pair = rng.choice(pool)
+        product, reference = pair
+        assert product.enabled_transitions() == reference.enabled_transitions()
+        enabled = searcher._enabled(product, strategy, SearchStats())
+        if not enabled:
+            pool.remove(pair)
+            if not pool:
+                pool.append(initial_pair())
+            continue
+        transition = rng.choice(enabled)
+        children = (product.clone(), reference.clone())
+        for child in children:
+            child.execute(transition)
+            strategy.post_execute(child, transition)
+        if (children[0].state_hash() != children[1].state_hash()
+                or product.state_hash() != reference.state_hash()):
+            return step, transition
+        if len(pool) < POOL:
+            pool.append(children)
+        else:
+            pool[rng.randrange(POOL)] = children
+    return None
+
+
+def faulty_ping():
+    return scenarios.ping_experiment(pings=2,
+                                     config=NiceConfig(channel_faults=True))
+
+
+@pytest.mark.parametrize("build,cap", [
+    (lambda: scenarios.loadbalancer_scenario(
+        config=NiceConfig(max_pkt_sequence=2)), 3000),
+    (scenarios.energy_te_scenario, None),
+], ids=["loadbalancer-2", "energy-te"])
+def test_reference_run_matches_product(build, cap):
+    scenario = with_config(build(), max_transitions=cap,
+                           stop_at_first_violation=False)
+    product = nice.run(scenario)
+    reference = reference_run(scenario)
+    assert counters(product) == counters(reference)
+    assert violation_messages(product) == violation_messages(reference)
+    assert ([v.state_hash for v in product.violations]
+            == [v.state_hash for v in reference.violations])
+    # From scratch means every component of every hash is a miss.
+    assert reference.hash_hits == 0 and reference.cow_copied == 0
+    assert reference.bytes_hashed > product.bytes_hashed
+
+
+@pytest.mark.parametrize("build", [
+    faulty_ping, scenarios.pyswitch_direct_path, scenarios.energy_te_scenario,
+], ids=["channel-faults", "pyswitch-direct-path", "energy-te"])
+def test_lockstep_walk_digests_are_byte_identical(build):
+    assert first_disagreement(build()) is None
+
+
+def test_reference_clones_through_no_component_clone(monkeypatch):
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__}.clone() called")
+
+    scenario = scenarios.ping_experiment(pings=1)
+    for component in (SwitchModel, FlowTable, Channel, Host, PacketLedger,
+                      type(scenario.app_factory())):
+        monkeypatch.setattr(component, "clone", forbidden)
+    parent = reference_factory(scenario)()
+    before = parent.state_hash()
+    child = parent.clone()
+    assert type(child) is ReferenceSystem
+    child.execute(child.enabled_transitions()[0])
+    assert child.state_hash() != before and parent.state_hash() == before
+    assert not child._shared and not child._digest_cache
+
+
+class TestMutantsAreCaught:
+    """Break the product the two ways a cached, shared hot path can break;
+    the reference must notice both."""
+
+    def test_a_missing_cache_reset(self, monkeypatch):
+        apply_fault = Channel.apply_fault
+
+        def without_the_reset(self, op):
+            stale = self._canon
+            affected = apply_fault(self, op)
+            self._canon = stale
+            return affected
+
+        monkeypatch.setattr(Channel, "apply_fault", without_the_reset)
+        assert first_disagreement(faulty_ping()) is not None
+
+    def test_a_missing_take_out_copy(self, monkeypatch):
+        def without_the_copy(self):
+            emissions = []
+            for port in self.ports:
+                if len(self.port_in[port]):
+                    emissions.extend(self._handle_packet(
+                        self.port_in[port].dequeue(), port))
+            return emissions
+
+        monkeypatch.setattr(SwitchModel, "process_pkt", without_the_copy)
+        assert first_disagreement(scenarios.pyswitch_direct_path()) is not None

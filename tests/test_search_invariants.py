@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+import reference_forms
 from repro import scenarios
 from repro.mc import transitions as tk
 
@@ -103,22 +104,25 @@ class TestExecutionDeterminism:
 
 
 class TestHashMemoization:
-    """The memoized per-component canonical forms must never go stale."""
+    """The cached per-component digests and sub-forms must never go stale:
+    after every step the hash equals the one :mod:`reference_forms` builds
+    from scratch, consulting no cache."""
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.integers(0, 100), min_size=1, max_size=25))
-    def test_memoized_hash_equals_fresh_hash(self, choices):
-        scenario = scenarios.ping_experiment(pings=2)
-        system = scenario.system_factory()
+    @staticmethod
+    def walk(system, choices):
         for choice in choices:
             enabled = system.enabled_transitions()
             if not enabled:
                 break
             system = system.clone()
             system.execute(enabled[choice % len(enabled)])
-            memoized = system.state_hash()
-            system._canon_cache.clear()
-            assert system.state_hash() == memoized
+            assert system.state_hash() == reference_forms.state_hash(system)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 100), min_size=1, max_size=25))
+    def test_memoized_hash_equals_fresh_hash(self, choices):
+        self.walk(scenarios.ping_experiment(pings=2).system_factory(),
+                  choices)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=25))
@@ -131,13 +135,4 @@ class TestHashMemoization:
 
         scenario = scenarios.ping_experiment(
             pings=1, config=NiceConfig(channel_faults=True))
-        system = scenario.system_factory()
-        for choice in choices:
-            enabled = system.enabled_transitions()
-            if not enabled:
-                break
-            system = system.clone()
-            system.execute(enabled[choice % len(enabled)])
-            memoized = system.state_hash()
-            system._canon_cache.clear()
-            assert system.state_hash() == memoized
+        self.walk(scenario.system_factory(), choices)

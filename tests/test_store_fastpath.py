@@ -4,11 +4,12 @@ packed v2 records, and O(new-states) checkpoint compaction.
 Unit coverage for the machinery the differential/crash suites exercise
 end-to-end: add_batch semantics and the flush-on-checkpoint ordering of
 the tail buffers, Bloom negative gating of disk probes (and false
-positives falling through to the exact probe), the mixed-hash-mode
+positives falling through to the exact probe), the mixed-width
 guard on lookups as well as inserts, hard-link compaction across
-snapshot generations (including survival of retention pruning), the
-format-1 -> format-2 migration path, and the Checkpointer's counter
-rollback when a snapshot fails mid-write.
+snapshot generations (including survival of retention pruning), what a
+resume accepts from builds before the engine knobs were deleted (and the
+one format it reads), and the Checkpointer's counter rollback when a
+snapshot fails mid-write.
 """
 
 from __future__ import annotations
@@ -17,16 +18,18 @@ import dataclasses
 import hashlib
 import json
 import os
+import pickle
 
 import pytest
 
 from checkpoint_helpers import Interrupted, crash_run, interrupt_after
 from contract import counters, violated_properties
-from repro import nice, scenarios
+from repro import cli, nice, scenarios
 from repro.config import NiceConfig
 from repro.mc import store as store_mod
 from repro.mc.search import SearchStats
 from repro.mc.store import (
+    CheckpointError,
     Checkpointer,
     MemoryStore,
     ShardedStore,
@@ -405,49 +408,28 @@ class TestBloomKnobResume:
 
 
 # ----------------------------------------------------------------------
-# Format-1 checkpoints still resume (migration path)
+# Resume across the deleted engine knobs; one readable format
 # ----------------------------------------------------------------------
 
-def _downconvert_to_format_1(snapshot) -> None:
-    """Rewrite a format-2 snapshot as its format-1 equivalent: ASCII
-    records in one ``states-SSSS.bin`` per shard, no Bloom summaries, no
-    v2 manifest keys — what a pre-bump build would have written."""
+def _plant_in_pickled_config(snapshot, **stale) -> None:
+    """Rewrite the snapshot's ``meta.pkl`` with ``stale`` attributes in
+    its config's instance ``__dict__`` — where a pickle written before
+    those fields were deleted carries them — and re-seal the manifest."""
+    meta = pickle.loads((snapshot / "meta.pkl").read_bytes())
+    vars(meta["config"]).update(stale)
+    (snapshot / "meta.pkl").write_bytes(
+        pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL))
     manifest = json.loads((snapshot / "MANIFEST.json").read_text())
-    assert manifest["format"] == store_mod.CHECKPOINT_FORMAT
-    by_shard: dict[int, list] = {}
-    for name in manifest["record_files"]:
-        shard = int(name.split("-")[1].split(".")[0])
-        by_shard.setdefault(shard, []).append(name)
-    record_files = []
-    files = {"meta.pkl": manifest["files"]["meta.pkl"]}
-    for shard, names in sorted(by_shard.items()):
-        ascii_records = bytearray()
-        for name in sorted(names):
-            packed = (snapshot / name).read_bytes()
-            for off in range(0, len(packed), manifest["record_width"]):
-                record = packed[off:off + manifest["record_width"]]
-                ascii_records += record.hex().encode("ascii")
-            (snapshot / name).unlink()
-        legacy = f"states-{shard:04d}.bin"
-        (snapshot / legacy).write_bytes(ascii_records)
-        record_files.append(legacy)
-        files[legacy] = {"bytes": len(ascii_records),
-                         "blake2b": store_mod._file_digest(snapshot / legacy)}
-    for name in manifest.get("summary_files", []):
-        (snapshot / name).unlink()
-    (snapshot / "MANIFEST.json").write_text(json.dumps({
-        "format": 1,
-        "states": manifest["states"],
-        "record_width": manifest["record_width"] * 2,
-        "record_files": record_files,
-        "store": manifest["store"],
-        "files": files,
-    }, indent=1))
+    manifest["files"]["meta.pkl"] = {
+        "bytes": (snapshot / "meta.pkl").stat().st_size,
+        "blake2b": store_mod._file_digest(snapshot / "meta.pkl")}
+    (snapshot / "MANIFEST.json").write_text(json.dumps(manifest))
 
 
-class TestFormatMigration:
-    def test_resume_from_format_1_is_bit_identical(
-            self, tmp_path, monkeypatch, serial_ping):
+class TestResumeAcrossDeletedKnobs:
+    @pytest.fixture
+    def interrupted(self, tmp_path, monkeypatch):
+        """A checkpoint directory of a search cut at 150 states."""
         scenario = _ping(checkpoint_dir=str(tmp_path / "c"),
                          checkpoint_interval=60, store="sharded",
                          store_shards=4, store_memory_budget=32)
@@ -455,21 +437,47 @@ class TestFormatMigration:
         with pytest.raises(Interrupted):
             nice.run(scenario)
         monkeypatch.undo()
-        snapshots = sorted((tmp_path / "c").glob("ckpt-*"))
-        _downconvert_to_format_1(snapshots[-1])
-        for stale in snapshots[:-1]:  # leave only the format-1 snapshot
-            import shutil
-            shutil.rmtree(stale)
-        loaded = load_latest_checkpoint(tmp_path / "c")
-        assert loaded.format == 1
-        assert loaded.record_encoding == store_mod.RECORD_ASCII
-        _, stats = nice.resume(tmp_path / "c")
+        return tmp_path / "c"
+
+    @pytest.mark.parametrize("knob,value", [
+        ("hash_mode", "full"), ("hash_memoization", False)])
+    def test_md5_digest_snapshots_are_refused(self, interrupted, knob,
+                                              value, capsys):
+        """md5 and blake2b-16 hex digests are equally wide, so only the
+        pickled config can tell a foreign explored set from ours."""
+        for snapshot in interrupted.glob("ckpt-*"):
+            _plant_in_pickled_config(snapshot, **{knob: value})
+        with pytest.raises(CheckpointError, match=knob):
+            load_latest_checkpoint(interrupted)
+        with pytest.raises(CheckpointError, match=knob):
+            nice.resume(interrupted)
+        capsys.readouterr()
+        assert cli.main(["resume", str(interrupted)]) == 2
+        assert knob in capsys.readouterr().err
+        assert cli.main(["checkpoints", str(interrupted)]) == 2
+        report = capsys.readouterr().out
+        assert "INVALID" in report and knob in report
+
+    def test_stale_clone_and_frontier_knobs_are_ignored(
+            self, interrupted, serial_ping):
+        """The deleted knobs that never changed a digest — and the
+        digest-preserving values of the two that did."""
+        for snapshot in interrupted.glob("ckpt-*"):
+            _plant_in_pickled_config(
+                snapshot, fast_clone=False, cow_clone=False,
+                checkpoint_mode="trace", hash_mode="digest",
+                hash_memoization=True)
+        scenario, stats = nice.resume(interrupted)
         assert_matches_serial(stats, serial_ping)
-        # The resumed lineage writes format-2 snapshots from then on.
-        newest = validate_checkpoint(
-            sorted((tmp_path / "c").glob("ckpt-*"))[-1])
-        assert newest.format == store_mod.CHECKPOINT_FORMAT
-        assert newest.record_encoding == store_mod.RECORD_HEX
+        assert not hasattr(scenario.config, "cow_clone")
+
+    def test_format_1_manifest_is_refused(self, interrupted):
+        for snapshot in interrupted.glob("ckpt-*"):
+            manifest = json.loads((snapshot / "MANIFEST.json").read_text())
+            manifest["format"] = 1
+            (snapshot / "MANIFEST.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="format 1 is not readable"):
+            load_latest_checkpoint(interrupted)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,10 @@ Contracts under test (DESIGN.md, "Sub-forms and sealed packets"):
   parent, earlier states revisited), after every step each component's
   ``canonical()`` equals :mod:`reference_forms` on the child *and* on the
   parent, and ``state_hash()`` equals the digest built from those
-  from-scratch forms — with ``cow_clone`` on and off;
+  from-scratch forms — on the product's copy-on-write clones (``cow``)
+  and again on the reference engine's eager deep copies (``eager``), where
+  nothing is shared: a failure in both legs is a stale cache, in the first
+  alone a CoW leak;
 * **the seal** — no packet reachable from the parent changes its
   from-scratch form while a child executes;
 * **byte identity** — the digest sets and hot-path counters of three
@@ -23,6 +26,7 @@ import random
 import pytest
 
 import reference_forms as ref
+from reference_engine import reference_factory
 from repro import nice, scenarios
 from repro.config import NiceConfig
 from repro.mc import store as store_mod
@@ -64,14 +68,17 @@ def assert_forms_match_oracle(system, where: str) -> None:
     assert system.state_hash() == ref.state_hash(system), where
 
 
-@pytest.mark.parametrize("cow_clone", [True, False], ids=["cow", "eager"])
+@pytest.mark.parametrize("factory", [
+    lambda scenario: scenario.system_factory, reference_factory,
+], ids=["cow", "eager"])
 @pytest.mark.parametrize("builder,overrides", _walks())
 def test_random_walk_matches_oracle_and_keeps_the_seal(builder, overrides,
-                                                       cow_clone):
-    scenario = with_config(builder(), cow_clone=cow_clone,
-                           stop_at_first_violation=False, **overrides)
+                                                       factory):
+    scenario = with_config(builder(), stop_at_first_violation=False,
+                           **overrides)
     searcher = scenario.make_searcher()
-    initial = scenario.system_factory()
+    system_factory = factory(scenario)
+    initial = system_factory()
     strategy = make_strategy(scenario.config, initial.app)
     stats = SearchStats()
     rng = random.Random(13)
@@ -84,7 +91,7 @@ def test_random_walk_matches_oracle_and_keeps_the_seal(builder, overrides,
         if not enabled:
             pool.remove(parent)
             if not pool:
-                pool.append(scenario.system_factory())
+                pool.append(system_factory())
             continue
         transition = rng.choice(enabled)
         sealed = [(packet, ref.packet_form(packet))
