@@ -10,14 +10,13 @@ this down from the original 1.3x).  A second configuration squeezes the
 resident set to a tiny memory budget so the disk-spill lookup path is
 actually exercised (asserted via the eviction/spill counters), and a
 micro-benchmark times raw insert/lookup throughput of both stores, with
-a floor on sharded insert rate (``NICE_STORE_INSERT_FLOOR``, default
-1.1 M/s — 4x what the pre-v2 store managed here).  A checkpoint section
+a floor on sharded insert rate: by default a ratio to the memory store's
+rate measured in the same fixture, so a slow or loaded box moves both
+sides; ``NICE_STORE_INSERT_FLOOR`` (the nightly ``hotpath`` job pins
+1.1 M/s — 4x what the pre-v2 store managed) makes it absolute.  A
+checkpoint section
 snapshots a grown store twice and asserts the second snapshot's record
-bytes are O(new states), not O(all states).  A wire section runs the
-revisit-heavy loadbalancer workload over two workers with the dedup
-pre-filter on and off and asserts the pre-filter ships at least **2x**
-fewer result-payload bytes (``NICE_WIRE_SAVINGS_FLOOR``) while
-exploring the identical state space.
+bytes are O(new states), not O(all states).
 
 Everything lands in ``BENCH_store.json`` at the repository root; the
 nightly ``hotpath`` CI job runs this file and uploads the artifact.
@@ -152,37 +151,6 @@ def _checkpoint_bench(base_states: int = 50_000,
     }
 
 
-def _wire_bench() -> dict:
-    """Result-payload bytes over two fork workers on a revisit-heavy
-    workload (loadbalancer at ``max_pkt_sequence=3``: about two thirds
-    of all children are revisits), with the worker-side Bloom pre-filter
-    on versus off.  One run per leg — the payload byte count is a
-    deterministic function of what shipped, not a timing measurement,
-    and the two legs must agree on the explored space exactly."""
-    scenario = with_config(scenarios.loadbalancer_scenario(),
-                           stop_at_first_violation=False,
-                           max_pkt_sequence=3, workers=2)
-    legs = {}
-    for name, overrides in (("prefilter-on", {}),
-                            ("prefilter-off",
-                             dict(store_bloom_broadcast=False))):
-        stats = nice.run(with_config(scenario, **overrides))
-        legs[name] = {
-            "wall_time": stats.wall_time,
-            "transitions": stats.transitions_executed,
-            "unique_states": stats.unique_states,
-            "revisited_states": stats.revisited_states,
-            "result_payload_bytes": stats.result_payload_bytes,
-            "bloom_prefilter_drops": stats.bloom_prefilter_drops,
-            "bloom_prefilter_fp": stats.bloom_prefilter_fp,
-            "result_bytes_saved": stats.result_bytes_saved,
-        }
-    legs["savings_ratio"] = (
-        legs["prefilter-off"]["result_payload_bytes"]
-        / legs["prefilter-on"]["result_payload_bytes"])
-    return legs
-
-
 @pytest.fixture(scope="module")
 def store_results():
     best: dict[str, tuple[float, object]] = {
@@ -226,7 +194,6 @@ def store_results():
         "micro": micro,
         "bloom": _bloom_micro(),
         "checkpoint": _checkpoint_bench(),
-        "wire": _wire_bench(),
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
@@ -258,13 +225,6 @@ def test_store_report(store_results):
     print(f"checkpoint: full snapshot {ckpt['full_bytes_written']} B, "
           f"delta snapshot {ckpt['delta_bytes_written']} B "
           f"(+{ckpt['new_states']} states)")
-    wire = store_results["wire"]
-    print(f"wire: pre-filter ships "
-          f"{wire['prefilter-on']['result_payload_bytes']} B vs "
-          f"{wire['prefilter-off']['result_payload_bytes']} B "
-          f"({wire['savings_ratio']:.2f}x fewer, "
-          f"{wire['prefilter-on']['bloom_prefilter_drops']} stubs, "
-          f"{wire['prefilter-on']['bloom_prefilter_fp']} hydrated)")
     print(f"wrote {OUTPUT}")
 
 
@@ -290,15 +250,31 @@ def test_sharded_overhead_within_bound(store_results):
         f" pyswitch-direct-path (ceiling {ceiling:.2f}x)")
 
 
+#: Default floor on the sharded/memory micro insert rate ratio.  Healthy
+#: readings on the reference box span 0.10-0.24 (the memory store's 2 ms
+#: loop swings 4.9-10.4 M/s with the box, the sharded store's 0.8-1.4);
+#: the pre-v2 store this guards against read a quarter of today's.
+INSERT_RATIO_FLOOR = 0.06
+
+
 def test_sharded_micro_insert_floor(store_results):
-    """Raw sharded insert throughput must clear 1.1 M/s (4x what the
-    pre-v2 ASCII-record store managed on this workload); override with
-    ``NICE_STORE_INSERT_FLOOR`` for slower CI runners."""
-    floor = float(os.environ.get("NICE_STORE_INSERT_FLOOR", "1.1e6"))
-    rate = store_results["micro"]["sharded"]["inserts_per_s"]
-    assert rate >= floor, (
-        f"sharded micro insert rate {rate / 1e6:.2f} M/s is below the"
-        f" {floor / 1e6:.2f} M/s floor")
+    """Raw sharded insert throughput must not fall behind the memory
+    store's, measured side by side, by more than it does today.  The
+    absolute 1.1 M/s contract (4x the pre-v2 ASCII-record store) holds
+    where timing is trustworthy: the nightly ``hotpath`` job pins
+    ``NICE_STORE_INSERT_FLOOR``."""
+    micro = store_results["micro"]
+    rate = micro["sharded"]["inserts_per_s"]
+    if "NICE_STORE_INSERT_FLOOR" in os.environ:
+        floor = float(os.environ["NICE_STORE_INSERT_FLOOR"])
+        assert rate >= floor, (
+            f"sharded micro insert rate {rate / 1e6:.2f} M/s is below the"
+            f" {floor / 1e6:.2f} M/s floor")
+        return
+    ratio = rate / micro["memory"]["inserts_per_s"]
+    assert ratio >= INSERT_RATIO_FLOOR, (
+        f"sharded micro insert rate is {ratio:.2f}x the memory store's"
+        f" ({rate / 1e6:.2f} M/s; floor {INSERT_RATIO_FLOOR:.2f}x)")
 
 
 def test_bloom_answers_absent_lookups(store_results):
@@ -332,31 +308,11 @@ def test_spill_path_exercised(store_results):
         "the default budget should keep every digest resident here"
 
 
-def test_wire_prefilter_savings_floor(store_results):
-    """The acceptance gate for the worker-side dedup pre-filter: at
-    least 2x fewer result-payload bytes shipped on the revisit-heavy
-    leg (``NICE_WIRE_SAVINGS_FLOOR``), with the explored state space
-    bit-identical either way."""
-    floor = float(os.environ.get("NICE_WIRE_SAVINGS_FLOOR", "2.0"))
-    wire = store_results["wire"]
-    on, off = wire["prefilter-on"], wire["prefilter-off"]
-    for key in ("transitions", "unique_states", "revisited_states"):
-        assert on[key] == off[key], (
-            f"pre-filter changed the explored state space ({key}:"
-            f" {on[key]} != {off[key]})")
-    assert on["bloom_prefilter_drops"] > 0, \
-        "the revisit-heavy leg should stub duplicate children"
-    assert wire["savings_ratio"] >= floor, (
-        f"pre-filter shipped only {wire['savings_ratio']:.2f}x fewer"
-        f" result-payload bytes (floor {floor:.2f}x)")
-
-
 def test_bench_file_written(store_results):
     data = json.loads(OUTPUT.read_text())
     assert data["benchmark"] == "store"
     assert set(data["searches"]) == set(CONFIGS)
     assert "bloom_hit_rate" in data["bloom"]
     assert "delta_bytes_written" in data["checkpoint"]
-    assert data["wire"]["savings_ratio"] > 0
     for search in data["searches"].values():
         assert "store_bloom_negatives" in search

@@ -136,16 +136,9 @@ class NiceConfig:
       Bloom filter (bits, rounded up to a power of two; 0 disables it) —
       a compact bitset answering definite-negative membership before the
       index/disk probe, serialized into checkpoints so resume reloads it
-      instead of recomputing.
-    * ``store_bloom_broadcast`` — worker-side dedup pre-filter (DESIGN.md,
-      "Distributed dedup"): broadcast the explored set's Bloom summary to
-      workers so children the master has (probably) already seen cross
-      the wire as digest-only stubs instead of full transitions.  Purely
-      a wire/CPU optimization — the master still verifies every stub
-      against the authoritative store, so the explored state space stays
-      bit-identical.  Requires ``state_matching`` and a nonzero
-      ``store_bloom_bits`` (the summary works with either store kind);
-      ``--no-worker-bloom`` on the CLI sets this to False.
+      instead of recomputing.  The same size (with either store) gives
+      each parallel worker its retention hint, the filter of digests it
+      has already hashed (DESIGN.md, "Dedup"); 0 turns the hint off.
     * ``checkpoint_interval`` / ``checkpoint_dir`` — master
       checkpointing: with ``checkpoint_dir`` set, the search atomically
       snapshots the explored-set store, the frontier, the statistics and
@@ -237,7 +230,6 @@ class NiceConfig:
     store_shards: int = 16
     store_memory_budget: int = 1_000_000
     store_bloom_bits: int = 1 << 20
-    store_bloom_broadcast: bool = True
     checkpoint_interval: int = 1000
     checkpoint_dir: str | None = None
     respawn_workers: bool = False

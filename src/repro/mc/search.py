@@ -154,6 +154,13 @@ class SearchStats:
     received work) are auditable after the fact.
     """
 
+    #: Counters of the deleted worker-side dedup pre-filter.  Nothing sets
+    #: them; ``bench/trace.py`` still reads them by ``getattr``, so they
+    #: stay until a ``benchmark`` PR drops them together with the metrics
+    #: they feed (``mc.worker.stub_ratio``, ``mc.worker.stub_fp``,
+    #: ``mc.wire.bytes_saved``).
+    bloom_prefilter_drops = bloom_prefilter_fp = result_bytes_saved = 0
+
     def __init__(self):
         self.violations: list[Violation] = []
         self.transitions_executed = 0
@@ -206,16 +213,8 @@ class SearchStats:
         #: Lookups the sharded store's per-shard Bloom filters answered
         #: (definite negatives that skipped the index/disk probe).
         self.store_bloom_negatives = 0
-        #: Worker-side Bloom dedup pre-filter (DESIGN.md, "Distributed
-        #: dedup"): children shipped as digest-only stubs instead of full
-        #: transitions, stubs that turned out to be Bloom false positives
-        #: (hydrated with a fetch round-trip), net result-payload bytes
-        #: the stubs kept off the wire, and the pickled size of every
-        #: merged task result's children payload — the per-child part of
-        #: results, the benchmark's bytes-shipped measure.
-        self.bloom_prefilter_drops = 0
-        self.bloom_prefilter_fp = 0
-        self.result_bytes_saved = 0
+        #: Pickled size of every merged task result's children payload —
+        #: the per-child part of results (parallel runs only).
         self.result_payload_bytes = 0
         #: Master checkpointing: snapshots written (and the wall time they
         #: took), bytes actually written (hard-linked segments excluded —
@@ -294,14 +293,10 @@ class SearchStats:
                 f" affinity {self.affinity_hits}/"
                 f"{self.affinity_hits + self.affinity_misses})"
             ))
-            if self.bloom_prefilter_drops or self.result_payload_bytes:
-                lines.insert(-1, (
-                    f"dedup pre-filter     : {self.bloom_prefilter_drops}"
-                    f" stub(s), {self.bloom_prefilter_fp} false"
-                    f" positive(s) hydrated,"
-                    f" {self.result_bytes_saved} B saved"
-                    f" ({self.result_payload_bytes} B shipped)"
-                ))
+            lines.insert(-1, (
+                f"result payload       : {self.result_payload_bytes} B"
+                f" shipped"
+            ))
             lines.insert(-1, (
                 f"fault tolerance      : {self.worker_failures} worker"
                 f" failure(s), {self.tasks_retried} task(s) retried,"

@@ -62,14 +62,6 @@ class Transport:
     #: "local-spawn", "socket").
     name = "transport"
 
-    #: How Bloom dedup summaries reach workers (wire protocol v4).  False:
-    #: the scheduler piggy-backs the delta on the next ExpandTask (local
-    #: pipes — one fewer message per dispatch).  True: the scheduler
-    #: submits a standalone :class:`~repro.mc.wire.BloomSummary` ahead of
-    #: the task (socket — the channel is FIFO, so the worker installs the
-    #: summary before it sees the task).
-    summary_push = False
-
     def __init__(self, workers: int):
         self.workers = workers
 

@@ -70,10 +70,6 @@ def parse_address(address: str) -> tuple[str, int]:
 class SocketTransport(Transport):
     """Master side of the TCP worker protocol."""
 
-    #: Bloom summaries go out as standalone framed messages, not
-    #: piggy-backed on tasks (see the base class attribute).
-    summary_push = True
-
     #: Seconds to wait for all *initial* workers to connect before giving
     #: up on the run (elastic joiners can arrive any time after that).
     ACCEPT_TIMEOUT = 60.0

@@ -12,9 +12,7 @@ protocol:
   closures from a forked parent;
 * task/result messages — :class:`Hello`, :class:`InitWorker`,
   :class:`ExpandTask`, :class:`TaskResult`, :class:`WorkerError`,
-  :class:`Shutdown`, plus the v4 dedup pre-filter trio:
-  :class:`BloomSummary` (explored-set summary broadcast),
-  :class:`FetchChildren` / :class:`ChildData` (stub hydration);
+  :class:`Shutdown`, :class:`Heartbeat`;
 * pool-membership events — :class:`WorkerGone` and :class:`WorkerJoined`.
   Transports translate their own failure signals (a dead child process,
   a socket EOF, a connection reset) into :class:`WorkerGone` so the
@@ -43,15 +41,14 @@ from repro.config import NiceConfig
 #: remote worker fails fast instead of mis-decoding tasks.
 #: v2: Hello carries host/pid (elastic joins + fault-injection hooks).
 #: v3: workers emit :class:`Heartbeat` liveness beats on the result channel.
-#: v4: worker-side Bloom dedup pre-filter — :class:`BloomSummary`
-#:     broadcasts (piggy-backed on :class:`ExpandTask` for local pipes,
-#:     pushed standalone on the socket transport), digest-only child
-#:     stubs in results, and the :class:`FetchChildren` /
-#:     :class:`ChildData` hydration round-trip for Bloom false positives.
+#: v4: results pack their kid digests into one ``kid_digests`` blob.
 #: v5: :class:`ExpandTask` carries per-group retention handles — a worker
 #:     keeps the children it ships and picks them up again by
 #:     ``(task id, node position, kid index)`` instead of rebuilding them.
-PROTOCOL_VERSION = 5
+#: v6: the v4 worker-side dedup pre-filter is gone (summary broadcasts,
+#:     digest-only stubs, the mid-task fetch round-trip): every result
+#:     ships every child, in the packed layout.
+PROTOCOL_VERSION = 6
 
 _HEADER = struct.Struct("!I")
 
@@ -136,39 +133,11 @@ class InitWorker:
 
 
 @dataclass
-class BloomSummary:
-    """Master -> worker: a dirty-shard delta of the explored set's
-    dedup Bloom summary (protocol v4; DESIGN.md, "Distributed dedup").
-
-    ``deltas`` carries ``(shard, offset, chunk)`` bitset slices for
-    shards that grew since this worker's last sync (a fresh or elastic
-    worker gets every shard), capped per message at the scheduler's
-    SUMMARY_BUDGET so no transport write can outgrow a pipe buffer and
-    block the master against a dead worker; a ``{shard: bitset}``
-    mapping of whole bitsets is also accepted
-    (:meth:`~repro.mc.store.DedupSummary.apply` handles both).
-    ``shards``/``bits`` (the configured *total* bit budget) let the
-    worker size its :class:`~repro.mc.store.DedupSummary` identically
-    to the master's.  Summaries are advisory and may be stale: a
-    missing bit only makes the worker ship a child in full (the master
-    dedups as always), a stale-set bit only costs a stub that the
-    master then verifies — never a lost state.
-    """
-
-    shards: int
-    bits: int
-    deltas: tuple | dict
-
-
-@dataclass
 class ExpandTask:
     """Master -> worker: expand these sibling groups.
 
     ``groups`` is a list of ``(parent trace, [transition, ...] | None)``
-    pairs — ``None`` marks the initial-state group.  ``summary`` is an
-    optional piggy-backed :class:`BloomSummary` delta (the local pipe
-    transports ride the dispatch; the socket transport pushes summaries
-    as standalone messages instead).
+    pairs — ``None`` marks the initial-state group.
 
     ``handles`` (protocol v5) runs parallel to ``groups``, or is None
     when no group has one: entry *i* is ``(task id, node position, kid
@@ -184,7 +153,6 @@ class ExpandTask:
 
     task_id: int
     groups: list
-    summary: BloomSummary | None = None
     handles: list | None = None
 
 
@@ -192,44 +160,15 @@ class ExpandTask:
 class TaskResult:
     """Worker -> master: the expansion of one :class:`ExpandTask`.
 
-    Under protocol v4, children whose digest hit the worker's Bloom
-    summary ship as digest-only *stubs* — ``(None, digest)`` kid
-    entries — while the withheld transitions stay parked worker-side
-    (bounded cache) until the master either confirms the duplicate
-    against the authoritative store or hydrates the rare false positive
-    via :class:`FetchChildren`.
+    ``out["children"]`` holds every child of every expanded node as a
+    ``(transition, None)`` slot, its digest in the packed
+    ``out["kid_digests"]`` blob (``WorkerRuntime._compact_digests``);
+    the master alone decides which are fresh.
     """
 
     task_id: int
     worker_id: int
     out: dict
-
-
-@dataclass
-class FetchChildren:
-    """Master -> worker: send the parked transitions for these stub
-    ordinals of ``task_id`` (a stub's ordinal is its 0-based position
-    among the task's stubs, in result order).  Only sent for Bloom
-    false positives — stubs the authoritative store does not hold."""
-
-    task_id: int
-    ordinals: list
-
-
-@dataclass
-class ChildData:
-    """Worker -> master: the :class:`FetchChildren` reply.
-
-    ``children`` maps stub ordinal -> the parked transition.  ``missing``
-    is True when the worker no longer holds the task's parked children
-    (bounded-cache eviction); the master then requeues the whole task —
-    re-expansion plus master-side dedup keeps the result bit-identical.
-    """
-
-    task_id: int
-    worker_id: int
-    children: dict
-    missing: bool = False
 
 
 @dataclass

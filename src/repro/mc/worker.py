@@ -9,7 +9,7 @@ sibling rebuild) is extra, and none of it is counted in the transition
 totals.
 
 Restoration is retain-then-fallback (DESIGN.md, "Retained children and
-handles").  A worker keeps every child it ships in full
+handles").  A worker keeps the children it ships
 (``WorkerRuntime.retained``) and the scheduler sends the child's address
 back with the sibling group — a *handle* — so the worker expands the very
 System it built: executed, checked, hashed, as the serial loop's frontier
@@ -26,13 +26,11 @@ retained child, a cached ancestor) vs. full replays from the initial
 state — every restoration increments exactly one of the two — and are
 reported to the master with every result.
 
-Workers also run the sending half of the v4 dedup pre-filter (DESIGN.md,
-"Distributed dedup"): the scheduler broadcasts Bloom summaries of the
-master's explored set, and a child whose digest hits the summary (or
-whose transition this task already ships) crosses the wire as a
-digest-only stub while the full transition is parked in a bounded
-per-worker cache, ready for a :class:`~repro.mc.wire.FetchChildren`
-hydration round-trip should the hit turn out to be a false positive.
+Deduplication is the master's alone (DESIGN.md, "Dedup"): a worker ships
+every child it builds.  What it decides locally is only which of them to
+*keep* — ``WorkerRuntime.seen`` remembers the digests this worker has
+hashed, and a child whose digest it has hashed before is shipped but not
+retained: the master will find it a revisit, so no handle will name it.
 """
 
 from __future__ import annotations
@@ -47,13 +45,10 @@ from collections import OrderedDict
 from repro.errors import NiceError, PropertyViolation
 from repro.mc.replay import replay_with_spine
 from repro.mc.search import MODEL_ERROR_PROPERTY
-from repro.mc.store import DedupSummary
+from repro.mc.store import BloomFilter, pack_digest
 from repro.mc.strategies import make_strategy
 from repro.mc.wire import (
-    BloomSummary,
-    ChildData,
     ExpandTask,
-    FetchChildren,
     Heartbeat,
     Hello,
     InitWorker,
@@ -72,7 +67,7 @@ _INHERITED_SEARCHER = None
 
 
 class _Retained:
-    """The children a worker shipped in full and kept, under the node
+    """The children a worker shipped and kept, under the node
     they hang off: ``(task id, node position) -> {kid index: System}``,
     oldest node first.  ``systems`` counts the kept Systems — the unit
     ``worker_cache_size`` bounds."""
@@ -97,10 +92,6 @@ class _Retained:
     def shed_oldest(self) -> None:
         self.take(next(iter(self.nodes)))
 
-    def drop_task(self, task_id) -> None:
-        for node in [node for node in self.nodes if node[0] == task_id]:
-            self.take(node)
-
 
 class WorkerRuntime:
     """Everything one worker process needs, built once per process."""
@@ -123,7 +114,7 @@ class WorkerRuntime:
         #: The initial state lives in ``self.initial``, not here, so
         #: eviction never has to special-case it.
         self.cache: OrderedDict[tuple, object] = OrderedDict()
-        #: Every child System this worker shipped in full, addressed by
+        #: The child Systems this worker shipped and kept, addressed by
         #: ``(task id, node position)`` + kid index: executed, property-
         #: checked and hashed, exactly what the serial loop would have put
         #: on its frontier.  Taken out when the scheduler routes the
@@ -131,13 +122,15 @@ class WorkerRuntime:
         #: node first otherwise; charged against ``max_cache`` together
         #: with ``cache`` (see :meth:`_trim`).
         self.retained = _Retained()
-        #: The master's broadcast dedup summary; None until the first
-        #: BloomSummary arrives (and always None with --no-worker-bloom,
-        #: which disables the pre-filter entirely).
-        self.summary: DedupSummary | None = None
-        #: task_id -> parked stub transitions, in stub-ordinal order,
-        #: awaiting a possible FetchChildren hydration request.
-        self.parked: OrderedDict[int, list] = OrderedDict()
+        #: Retention hint: the digests this worker has hashed.  A child
+        #: whose digest is (probably) among them is a revisit the master
+        #: will drop, so it is shipped but not retained.  Nothing checks
+        #: the answer: a false positive costs one rebuild through
+        #: :meth:`restore`'s fallback, a miss one System kept until shed.
+        #: None (retain everything) without digests or a filter size.
+        self.seen = (BloomFilter(self.config.store_bloom_bits)
+                     if self.config.state_matching
+                     and self.config.store_bloom_bits else None)
 
     # ------------------------------------------------------------------
     # Restoration
@@ -209,10 +202,11 @@ class WorkerRuntime:
         A sibling this worker retained under ``handle`` is picked up as
         is — no clone, no re-execution, digest cache warm.  Any other —
         no handle (a steal, a requeue, a resumed frontier), an evicted
-        entry, a hydrated stub — is rebuilt from the parent, which is
-        restored (at most once per group) by :meth:`base_for`; a rebuilt
-        node also enters the replay cache, where its own children find an
-        ancestor should they come back without handles.
+        entry, a child :attr:`seen` declined to keep — is rebuilt from
+        the parent, which is restored (at most once per group) by
+        :meth:`base_for`; a rebuilt node also enters the replay cache,
+        where its own children find an ancestor should they come back
+        without handles.
         """
         base = None
         nodes = []
@@ -247,12 +241,8 @@ class WorkerRuntime:
         ``(group index, sibling index | None)`` so only transitions and
         digests cross the process boundary, never System objects.
 
-        With a broadcast summary installed, a child whose digest the
-        summary may hold — or whose transition this very result already
-        ships — becomes a ``(None, digest)`` stub and its transition is
-        parked under ``task_id`` for a possible hydration fetch.
-
-        Every child shipped in full is also *retained* under
+        Every child is shipped; one whose digest this worker had not
+        hashed before (:attr:`seen`) is also *retained* under
         ``(task_id, position of its parent in out["children"])`` and its
         kid index; ``handles`` (parallel to ``groups``, see
         :class:`~repro.mc.wire.ExpandTask`) names the retained children
@@ -262,12 +252,7 @@ class WorkerRuntime:
         searcher = self.searcher
         config = self.config
         stats_sink = _StatsSink()  # scratch counter sink for _enabled()
-        summary = self.summary
-        #: Digests this result already ships a full transition for; a
-        #: repeat within one task is a *certain* master-side revisit, so
-        #: it is stubbed without even consulting the Bloom summary.
-        shipped: set = set()
-        parked: list = []
+        seen = self.seen
         # Every system this worker touches descends from self.initial by
         # clone, so one shared HashStats accumulates the hot-path counters;
         # each result carries this task's delta back to the master.
@@ -281,8 +266,6 @@ class WorkerRuntime:
             "rebuilt": 0,       # siblings re-executed from a base (ditto)
             "cache_hits": 0,
             "cache_misses": 0,
-            "prefilter_stubs": 0,
-            "prefilter_bytes_saved": 0,
         }
         for gi, (trace, steps) in enumerate(groups):
             if steps is None:       # the initial-state group
@@ -300,7 +283,7 @@ class WorkerRuntime:
                     self._check(
                         "check_quiescent", system, gi, si, None, out)
                     if config.stop_at_first_violation and out["violations"]:
-                        return self._finish(out, stats_sink, parked, task_id)
+                        return self._finish(out, stats_sink)
                     continue
                 if config.max_depth is not None and depth >= config.max_depth:
                     continue
@@ -327,101 +310,44 @@ class WorkerRuntime:
                              gi, si, transition, traceback.format_exc())
                         )
                         if config.stop_at_first_violation:
-                            return self._finish(out, stats_sink, parked,
-                                                task_id)
+                            return self._finish(out, stats_sink)
                         continue
                     out["transitions"] += 1
                     self._check("check", child, gi, si, transition, out)
                     if config.stop_at_first_violation and out["violations"]:
-                        return self._finish(out, stats_sink, parked, task_id)
+                        return self._finish(out, stats_sink)
                     # The digest feeds the master's explored-set dedup;
                     # without state matching it would be discarded (the
                     # serial loop skips hashing there too).
                     digest = (child.state_hash() if config.state_matching
                               else None)
-                    if summary is not None and digest is not None and (
-                            digest in shipped
-                            or summary.probably_contains(digest)):
-                        parked.append(transition)
-                        kids.append((None, digest))
-                    else:
-                        if summary is not None and digest is not None:
-                            shipped.add(digest)
-                            # Seed the local summary too: by the time a
-                            # later task's result merges, this worker's
-                            # earlier results have merged first (results
-                            # are FIFO per worker), so the digest is in
-                            # the store — and if a requeue broke that
-                            # order, the stub verification walk catches
-                            # it and hydrates.  Either way exact; this
-                            # just closes the broadcast staleness window
-                            # for same-worker resends.
-                            summary.add(digest)
-                        if task_id is not None:
+                    if task_id is not None:
+                        record = (pack_digest(digest)
+                                  if seen is not None else None)
+                        if record is None or seen.add(record):
                             keep[len(kids)] = child
-                        kids.append((transition, digest))
+                    kids.append((transition, digest))
                 self.retained.put((task_id, len(out["children"])), keep)
                 self._trim()
                 out["children"].append((gi, si, kids))
-        return self._finish(out, stats_sink, parked, task_id)
+        return self._finish(out, stats_sink)
 
-    def _finish(self, out, stats_sink, parked=None, task_id=None) -> dict:
+    def _finish(self, out, stats_sink) -> dict:
         out["discover_packet_runs"] = stats_sink.discover_packet_runs
         out["discover_stats_runs"] = stats_sink.discover_stats_runs
         after = self.initial._hash_stats.snapshot()
         out["hash_stats"] = tuple(
             now - before for now, before in zip(after, self._hash_before)
         )
-        if parked:
-            # What the stubs kept off the wire: the parked transitions'
-            # pickled size (each stub still ships its digest).  Parked in
-            # emission order, so stub ordinal == list index — including
-            # on the early-return paths above, where any not-yet-visible
-            # stubs of a half-expanded node sit strictly after every
-            # visible one.
-            out["prefilter_stubs"] = len(parked)
-            out["prefilter_bytes_saved"] = len(
-                pickle.dumps(parked, protocol=pickle.HIGHEST_PROTOCOL))
-            if task_id is not None:
-                self.park(task_id, parked)
-        if self.summary is not None:
-            # The v4 result encoding rides with the pre-filter: digests
-            # move out of the kid tuples into one packed blob.  Without a
-            # summary (--no-worker-bloom, quarantine sandboxes) results
-            # keep the v3 inline layout.
-            self._compact_digests(out)
+        self._compact_digests(out)
         # Measured (not estimated) children payload — the per-child part
-        # of the result, the bytes the pre-filter exists to shrink (the
-        # rest of ``out`` is a fixed-size stats envelope independent of
-        # how many children shipped).  The packed digest blob is part of
-        # that payload, so it is counted too; the master adds any
-        # hydration-fetched bytes on top.  The benchmark's bytes-shipped
-        # assertion and SearchStats.result_payload_bytes both read this.
+        # of the result (the rest of ``out`` is a fixed-size stats
+        # envelope independent of how many children shipped), packed
+        # digest blob included.  SearchStats.result_payload_bytes sums it.
         out["result_bytes"] = len(pickle.dumps(
             (out["children"], out.get("kid_digests")),
             protocol=pickle.HIGHEST_PROTOCOL))
         return out
-
-    # ------------------------------------------------------------------
-    # Dedup pre-filter (protocol v4)
-    # ------------------------------------------------------------------
-
-    #: Parked-task cache bound, in tasks.  The scheduler keeps at most
-    #: PER_WORKER_INFLIGHT (2) tasks outstanding per worker, so 16 is
-    #: slack for requeue/hydration races, not a working-set knob; an
-    #: eviction is answered with ``ChildData(missing=True)`` and costs a
-    #: task re-expansion, never a lost state.
-    MAX_PARKED = 16
-
-    def apply_summary(self, message: BloomSummary) -> None:
-        """Install a broadcast summary delta, resizing if the shape
-        changed (it only would across a resume with different knobs)."""
-        summary = self.summary
-        if (summary is None or summary.shards != message.shards
-                or summary.budget != message.bits):
-            summary = DedupSummary(message.bits, message.shards)
-            self.summary = summary
-        summary.apply(message.deltas)
 
     @staticmethod
     def _compact_digests(out) -> None:
@@ -429,13 +355,12 @@ class WorkerRuntime:
         tuple into one packed blob (``out["kid_digests"]``, blob order ==
         kid order): a pickled digest string costs ~40 B per kid while its
         packed record is the raw width (16 B for the hex digests
-        ``state_hash`` emits) — for a digest-only stub that difference is
-        most of its wire cost.  Packing only happens when every digest
+        ``state_hash`` emits).  Packing only happens when every digest
         round-trips losslessly at one uniform width and encoding;
-        anything else ships the digests inline, which is always
-        correct.  Compacted kid slots are ``(transition, None)`` for a
-        full child and a bare ``None`` for a stub (one pickle byte
-        instead of an empty pair)."""
+        anything else (no digests at all, without state matching) ships
+        them inline, which is always correct.  Compacted kid slots are
+        ``(transition, None)``; ``_Scheduler._inflate_digests`` is the
+        inverse."""
         width = encoding = None
         blob = bytearray()
         for _, _, kids in out["children"]:
@@ -464,27 +389,7 @@ class WorkerRuntime:
         out["kid_digests"] = (encoding, width, bytes(blob))
         for _, _, kids in out["children"]:
             for j, (transition, _) in enumerate(kids):
-                kids[j] = None if transition is None else (transition, None)
-
-    def park(self, task_id, transitions) -> None:
-        self.parked[task_id] = transitions
-        while len(self.parked) > self.MAX_PARKED:
-            self.parked.popitem(last=False)
-
-    def fetch_children(self, task_id, ordinals):
-        """The parked transitions for these stub ordinals, keyed by
-        ordinal — or None when the task left the bounded cache.  The
-        master answers None by discarding the task's result and
-        requeueing its groups, so the children retained for that result
-        are dropped here: no handle will ever name them."""
-        held = self.parked.pop(task_id, None)
-        try:
-            if held is not None:
-                return {ordinal: held[ordinal] for ordinal in ordinals}
-        except IndexError:
-            pass
-        self.retained.drop_task(task_id)
-        return None
+                kids[j] = (transition, None)
 
     def _check(self, method, system, gi, si, transition, out) -> None:
         """Run every property, appending violations as picklable tuples."""
@@ -621,30 +526,16 @@ def _serve(runtime: WorkerRuntime, worker_id: int, recv, send) -> None:
                 return  # master hung up (early stop) — a clean shutdown
             if message is None or isinstance(message, Shutdown):
                 return
-            if isinstance(message, BloomSummary):
-                # Standalone summary push: socket masters send deltas
-                # FIFO before the dispatch they cover (the local pipes
-                # piggy-back on ExpandTask instead).
-                runtime.apply_summary(message)
-                continue
-            if isinstance(message, FetchChildren):
-                fetched = runtime.fetch_children(message.task_id,
-                                                 message.ordinals)
-                reply = ChildData(message.task_id, worker_id,
-                                  fetched or {}, missing=fetched is None)
-            elif isinstance(message, ExpandTask):
-                if message.summary is not None:
-                    runtime.apply_summary(message.summary)
-                try:
-                    out = runtime.expand(message.groups,
-                                         task_id=message.task_id,
-                                         handles=message.handles)
-                    reply = TaskResult(message.task_id, worker_id, out)
-                except Exception:  # noqa: BLE001 - surface the traceback
-                    reply = WorkerError(message.task_id, worker_id,
-                                        traceback.format_exc())
-            else:
+            if not isinstance(message, ExpandTask):
                 raise ConnectionError(f"unexpected message {message!r}")
+            try:
+                out = runtime.expand(message.groups,
+                                     task_id=message.task_id,
+                                     handles=message.handles)
+                reply = TaskResult(message.task_id, worker_id, out)
+            except Exception:  # noqa: BLE001 - surface the traceback
+                reply = WorkerError(message.task_id, worker_id,
+                                    traceback.format_exc())
             try:
                 send(reply)
             except OSError:

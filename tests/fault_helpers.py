@@ -31,6 +31,24 @@ from repro.mc import scheduler as scheduler_mod
 from repro.mc.transport import create_transport
 
 
+#: Seconds a launched socket worker gets to be admitted by the master.
+JOIN_TIMEOUT = 30.0
+
+
+def spawn_and_await_join(transport) -> set[int]:
+    """Launch one more socket worker and block until the master's elastic
+    accept loop has admitted it; returns the worker ids present before."""
+    before = set(transport._connections)
+    transport.spawn_worker()
+    deadline = time.monotonic() + JOIN_TIMEOUT
+    while time.monotonic() < deadline:
+        if set(transport._connections) - before:
+            return before
+        time.sleep(0.01)
+    raise AssertionError(
+        f"elastic worker did not join within {JOIN_TIMEOUT:.0f}s")
+
+
 class _TransportWrapper:
     """Delegate everything to the wrapped transport except ``submit``."""
 
@@ -70,6 +88,18 @@ class ChaosTransport(_TransportWrapper):
             self._inner.kill_worker(victim)
             self.killed.append(victim)
 
+    def spawn_worker(self):
+        """The replacement the scheduler asks for after a kill
+        (``respawn_workers``).  A local pool answers with the new id; a
+        socket replacement joins in its own time, and a search as small
+        as the chaos suite's can end first — so wait for it here, and
+        "the replacement joined" is not a race against the search."""
+        inner = self._inner
+        if not hasattr(inner, "_connections"):
+            return inner.spawn_worker()
+        spawn_and_await_join(inner)
+        return None
+
 
 class StallTransport(_TransportWrapper):
     """SIGSTOP (wedge, don't kill) worker K after the Nth submission.
@@ -106,8 +136,6 @@ class ElasticJoiner(_TransportWrapper):
     """Launch one extra socket worker after the Nth submission and wait
     until the master's elastic accept loop has admitted it."""
 
-    JOIN_TIMEOUT = 30.0
-
     def __init__(self, inner, after: int):
         super().__init__(inner)
         self._after = after
@@ -119,16 +147,7 @@ class ElasticJoiner(_TransportWrapper):
         self._submitted += 1
         if self._submitted != self._after:
             return
-        inner = self._inner
-        self.initial_workers = set(inner._connections)
-        inner.spawn_worker()
-        deadline = time.monotonic() + self.JOIN_TIMEOUT
-        while time.monotonic() < deadline:
-            if set(inner._connections) - self.initial_workers:
-                return
-            time.sleep(0.01)
-        raise AssertionError(
-            f"elastic worker did not join within {self.JOIN_TIMEOUT:.0f}s")
+        self.initial_workers = spawn_and_await_join(self._inner)
 
 
 def install(monkeypatch, wrap):

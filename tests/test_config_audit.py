@@ -55,8 +55,8 @@ def _engine_sources() -> str:
                      if path.name not in ("config.py", "cli.py"))
 
 
-def test_the_config_has_42_fields():
-    assert len(FIELDS) == 42
+def test_the_config_has_41_fields():
+    assert len(FIELDS) == 41
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -5,9 +5,9 @@ Every engine variant of the search — serial, the reference engine
 (deep-copied checkpoints hashed from scratch, :mod:`reference_engine`),
 parallel over two fork workers, the sharded
 explored-set store under a spill-forcing memory budget, and the
-worker-side Bloom dedup pre-filter both disabled
-(``store_bloom_broadcast=False``) and saturated into a
-hydration storm (``store_bloom_bits=8``) — must explore
+workers' retention hint both saturated (``store_bloom_bits=8``: nothing
+is retained, every restoration is a rebuild) and off
+(``store_bloom_bits=0``: everything is) — must explore
 the identical state space and reach identical property verdicts on
 every scenario :mod:`scenario_gen` can generate.  On top of the
 variants, every seed also runs **interrupted-then-resumed**: the search
@@ -40,12 +40,12 @@ VARIANTS = {
     # generated scenario, not just giant ones.
     "sharded-store": dict(store="sharded", store_shards=4,
                           store_memory_budget=16),
-    # The worker-side dedup pre-filter, off (parallel-2 above runs it
-    # on — the default) and *saturated*: an 8-bit summary turns nearly
-    # every child into a false-positive stub, so the stub verification
-    # and hydration round-trips run on every task.
-    "no-worker-bloom": dict(workers=2, store_bloom_broadcast=False),
-    "worker-bloom-fp": dict(workers=2, store_bloom_bits=8),
+    # The workers' retention hint (parallel-2 above runs it at its
+    # default size) *saturated* — an 8-bit filter answers "seen" for
+    # nearly every digest, so nothing is retained and every handle
+    # misses — and off.
+    "hint-saturated": dict(workers=2, store_bloom_bits=8),
+    "hint-off": dict(workers=2, store_bloom_bits=0),
 }
 
 FAST_SEEDS = range(4)

@@ -18,6 +18,7 @@ import pytest
 from contract import counters, requires_fork, violated_properties
 from repro import cli, nice, scenarios
 from repro.config import NiceConfig
+from repro.mc.scheduler import _Scheduler
 from repro.mc.transport import TransportError
 from repro.scenarios import with_config
 
@@ -143,11 +144,22 @@ class TestHangDetection:
 class TestQuarantine:
     @pytest.mark.parametrize("overrides", ENGINES)
     def test_poison_group_is_quarantined_with_bit_identity(
-            self, overrides, benign_serial, tmp_path):
+            self, overrides, benign_serial, tmp_path, monkeypatch):
         """A crash-on-sight model kills every fleet worker that touches a
         poison group; after max_task_retries deaths the group runs in the
         sandbox (where this model behaves — a fleet-poisonous but
-        salvageable task) and the search finishes bit-identical."""
+        salvageable task) and the search finishes bit-identical.  The
+        sandbox answers in the one result layout, digests packed."""
+        packed = []
+        sandbox_expand = _Scheduler._sandbox_expand
+
+        def spy(scheduler, group):
+            out, failure = sandbox_expand(scheduler, group)
+            if out is not None and any(kids for _, _, kids in out["children"]):
+                packed.append("kid_digests" in out)
+            return out, failure
+
+        monkeypatch.setattr(_Scheduler, "_sandbox_expand", spy)
         stats = nice.run(build(mode="crash", arm_file=arm(tmp_path, -1),
                                max_task_retries=2, **CONTAIN, **overrides))
         assert counters(stats) == counters(benign_serial)
@@ -156,6 +168,7 @@ class TestQuarantine:
         assert stats.tasks_quarantined >= 1
         assert stats.worker_failures >= 3
         assert stats.quarantined_tasks == []
+        assert packed and all(packed)
 
     @requires_fork
     def test_unsalvageable_task_degrades_to_a_diagnostic(

@@ -1,13 +1,15 @@
 """Retained children and their handles (ISSUE 12, protocol v5).
 
-A worker keeps every child it ships in full and the scheduler sends the
+A worker keeps the children it ships and the scheduler sends the
 address back with the sibling group — ``(task id, node position, kid
 indices)`` — so the worker picks the children up instead of rebuilding
-them.  Handles are hints: every way one can fail to resolve (eviction, a
-steal, a dead or respawned owner, a resumed frontier, a hydrated stub,
-a sandbox) must fall back to trace restoration and land on the serial
-state space.  Unit tests pin the worker-side store and the counter
-contract; the end-to-end half runs the hot path and every forced
+them.  Which children it keeps is a local guess (``WorkerRuntime.seen``:
+not the ones whose digest it has hashed before) that nothing verifies,
+and handles are hints: every way one can fail to resolve (eviction, a
+steal, a dead or respawned owner, a resumed frontier, a child the guess
+declined, a sandbox) must fall back to trace restoration and land on
+the serial state space.  Unit tests pin the worker-side store and the
+counter contract; the end-to-end half runs the hot path and every forced
 fallback on the fork, spawn and socket transports.
 """
 
@@ -23,7 +25,6 @@ from fault_helpers import ChaosTransport, install
 from repro import nice, scenarios
 from repro.mc.scheduler import _Scheduler
 from repro.mc.search import SearchStats
-from repro.mc.store import DedupSummary
 from repro.mc.wire import searcher_from_spec
 from repro.mc.worker import WorkerRuntime
 from repro.scenarios import with_config
@@ -59,15 +60,18 @@ def _runtime(**overrides) -> WorkerRuntime:
 
 
 def _root_group(runtime, task_id):
-    """Expand the initial state as ``task_id`` and return its result
-    plus the sibling group and handle the scheduler would send back."""
+    """Expand the initial state as ``task_id`` and return its result (as
+    the master reads it) plus the sibling group and handle the scheduler
+    would send back."""
     out = runtime.expand([((), None)], task_id=task_id)
+    _Scheduler._inflate_digests(out)
     (_, _, kids), = out["children"]
     steps = [transition for transition, _ in kids]
     return out, ((), steps), (task_id, 0, tuple(range(len(kids))))
 
 
 def _shipped(out):
+    _Scheduler._inflate_digests(out)
     return [[digest for _, digest in kids] for _, _, kids in out["children"]]
 
 
@@ -80,7 +84,7 @@ class TestRetainedChild:
         runtime = _runtime()
         out, (_, steps), _ = _root_group(runtime, task_id=3)
         kept = runtime.retained.nodes[3, 0]
-        assert sorted(kept) == list(range(len(steps)))  # no summary: all
+        assert sorted(kept) == list(range(len(steps)))  # all first seen
         hash_stats = runtime.initial._hash_stats
         for index, step in enumerate(steps):
             serial = runtime.initial.clone()
@@ -146,8 +150,9 @@ class TestHandlePickup:
             assert out["cache_hits"] + out["cache_misses"] == 1
 
     def test_partly_retained_group_rebuilds_only_the_missing(self):
-        """A hydrated stub is fresh but was never retained: its group
-        arrives with a handle naming a kid the store does not hold."""
+        """A child the hint declined can be fresh (a Bloom false
+        positive): its group arrives with a handle naming a kid the store
+        does not hold."""
         reference = _runtime()
         _, group, handle = _root_group(reference, task_id=0)
         expected = _shipped(
@@ -184,16 +189,34 @@ class TestHandlePickup:
         assert out["children"]
         assert runtime.retained.systems == 0 and not runtime.retained.nodes
 
-    def test_stubs_are_not_retained(self):
+    def test_revisits_are_shipped_but_not_retained(self):
+        """The hint: a digest this worker has hashed before is a revisit
+        the master will drop.  Shipped all the same — in full, identical
+        digests — because only the master's store decides."""
         runtime = _runtime()
-        plain = runtime.expand([((), None)], task_id=0)
-        digests = _shipped(plain)[0]
-        runtime = _runtime()
-        runtime.summary = DedupSummary(1 << 12, shards=1)
-        runtime.summary.add(digests[0])  # the master "knows" kid 0
-        runtime.expand([((), None)], task_id=0)
+        first = runtime.expand([((), None)], task_id=0)
         assert sorted(runtime.retained.nodes[0, 0]) == \
-            list(range(1, len(digests)))
+            list(range(len(first["children"][0][2])))
+        again = runtime.expand([((), None)], task_id=1)
+        assert not any(node[0] == 1 for node in runtime.retained.nodes)
+        for out in (first, again):
+            assert "kid_digests" in out  # the one (packed) layout
+            _Scheduler._inflate_digests(out)
+            assert all(transition is not None and digest
+                       for _, _, kids in out["children"]
+                       for transition, digest in kids)
+        assert first["children"] == again["children"]
+
+    @pytest.mark.parametrize("knobs", [dict(store_bloom_bits=0),
+                                       dict(state_matching=False)],
+                             ids=["no-filter", "no-digests"])
+    def test_without_a_hint_everything_is_retained(self, knobs):
+        runtime = _runtime(**knobs)
+        assert runtime.seen is None
+        for task_id in (0, 1):
+            out = runtime.expand([((), None)], task_id=task_id)
+            assert len(runtime.retained.nodes[task_id, 0]) == \
+                len(out["children"][0][2])
 
 
 class TestSharedBound:
@@ -220,17 +243,6 @@ class TestSharedBound:
         assert runtime.retained.systems == 0
         out = runtime.expand([group], task_id=1, handles=[handle])
         assert out["rebuilt"] == len(group[1])  # every handle evicted
-
-    def test_missing_parked_children_drop_the_tasks_retained(self):
-        """``ChildData(missing=True)`` makes the master discard the
-        task's result and requeue its groups: no handle will ever name
-        the children retained for it."""
-        runtime = _runtime()
-        _root_group(runtime, task_id=0)
-        _root_group(runtime, task_id=1)
-        assert runtime.fetch_children(0, [0]) is None  # nothing parked
-        assert {node[0] for node in runtime.retained.nodes} == {1}
-        assert runtime.retained.systems == len(runtime.retained.nodes[1, 0])
 
     def test_memory_watchdog_sheds_retained_children_too(self, capsys):
         runtime = _runtime(worker_memory_limit=1)  # always over the limit
@@ -309,7 +321,8 @@ class TestEndToEnd:
         pytest.param(dict(worker_cache_size=1), id="evicted"),
         pytest.param(dict(affinity=False), id="round-robin"),
         pytest.param(dict(search_order="bfs"), id="bfs"),
-        pytest.param(dict(store_bloom_bits=8), id="hydrated-stubs"),
+        pytest.param(dict(store_bloom_bits=8), id="hint-saturated"),
+        pytest.param(dict(store_bloom_bits=0), id="hint-off"),
     ])
     def test_forced_fallbacks_are_bit_identical(self, fallback, overrides,
                                                 serial_ping):
@@ -322,11 +335,11 @@ class TestEndToEnd:
         if "worker_cache_size" in fallback:
             # Nothing can be retained: every non-root node is rebuilt.
             assert stats.rebuilt_transitions == stats.unique_states - 1
-        if "store_bloom_bits" in fallback:
-            # Saturated summary: fresh children cross as stubs, are
-            # hydrated, and come back under handles that miss.
-            assert stats.bloom_prefilter_fp > 0
-            assert stats.rebuilt_transitions > 0
+        if fallback.get("store_bloom_bits") == 8:
+            # Every retained child flips at least one of its worker's 8
+            # bits, so each worker keeps 8 at most; past that first
+            # handful nothing is retained and every handle misses.
+            assert stats.rebuilt_transitions >= stats.unique_states - 1 - 16
 
     @pytest.mark.parametrize("overrides", ENGINES)
     def test_death_of_an_owner_misses_and_never_aliases(

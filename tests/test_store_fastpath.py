@@ -471,6 +471,18 @@ class TestResumeAcrossDeletedKnobs:
         assert_matches_serial(stats, serial_ping)
         assert not hasattr(scenario.config, "cow_clone")
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_stale_prefilter_knob_is_ignored(self, interrupted,
+                                             serial_ping, value):
+        """``store_bloom_broadcast`` chose how children crossed the wire,
+        never what a digest was: either value resumes, on workers too."""
+        for snapshot in interrupted.glob("ckpt-*"):
+            _plant_in_pickled_config(snapshot, store_bloom_broadcast=value)
+        scenario, stats = nice.resume(interrupted, workers=2)
+        assert stats.workers == 2
+        assert_matches_serial(stats, serial_ping)
+        assert not hasattr(scenario.config, "store_bloom_broadcast")
+
     def test_format_1_manifest_is_refused(self, interrupted):
         for snapshot in interrupted.glob("ckpt-*"):
             manifest = json.loads((snapshot / "MANIFEST.json").read_text())

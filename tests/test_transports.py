@@ -11,10 +11,12 @@ fork-only suite (``tests/test_parallel_search.py``) opened.
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 import socket as socket_mod
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 
 import pytest
 
@@ -23,7 +25,7 @@ from repro import nice, scenarios
 from repro.config import NiceConfig
 from repro.mc import scheduler as scheduler_mod
 from repro.mc import wire
-from repro.mc.scheduler import ParallelSearcher
+from repro.mc.scheduler import ParallelSearcher, _Scheduler
 from repro.mc.transport import Transport, create_transport
 from repro.mc.transport.socket import (
     SocketTransport,
@@ -207,6 +209,8 @@ class TestReplayCache:
         assert result.rebuilt_transitions < result.unique_states // 4
         assert result.replayed_transitions > 0
         assert "cache" in result.summary()
+        assert result.result_payload_bytes > 0
+        assert "result payload" in result.summary()
 
     def test_correct_after_heavy_eviction(self, serial_direct_path):
         """worker_cache_size=1 leaves no room to retain a child and
@@ -265,6 +269,80 @@ class TestReplayCache:
         assert counters(adaptive) == counters(serial_direct_path)
         assert violated_properties(adaptive) == \
             violated_properties(serial_direct_path)
+
+
+# ----------------------------------------------------------------------
+# base_for counter contract
+# ----------------------------------------------------------------------
+
+class TestBaseForAccounting:
+    """DESIGN.md, "Restoration counters": every restoration bumps exactly
+    one of cache_hits / cache_misses.  ``base_for`` — the fallback for
+    groups whose retained children cannot be picked up by handle — counts
+    a hit whenever *any* cached entry provided the clone source (the root
+    entry ``()`` included) and a miss only for the fall-through full
+    replay from the initial state; ``replayed`` counts exactly the suffix
+    it re-executed.  (The other kind of restoration, a retained child
+    picked up as is, is a hit that re-executes nothing:
+    ``tests/test_retention.py``.)"""
+
+    class _FakeSystem:
+        def clone(self):
+            return self
+
+    def _runtime(self, cached=()):
+        runtime = WorkerRuntime.__new__(WorkerRuntime)
+        runtime.cache = OrderedDict(
+            (trace, self._FakeSystem()) for trace in cached)
+        runtime.initial = self._FakeSystem()
+        runtime._replay = lambda system, trace, k: system
+        return runtime
+
+    @staticmethod
+    def _counters():
+        return {"cache_hits": 0, "cache_misses": 0, "replayed": 0}
+
+    def test_exact_hit_replays_nothing(self):
+        runtime = self._runtime(cached=[("a", "b")])
+        out = self._counters()
+        runtime.base_for(("a", "b"), out)
+        assert (out["cache_hits"], out["cache_misses"]) == (1, 0)
+        assert out["replayed"] == 0
+
+    def test_ancestor_hit_replays_the_suffix(self):
+        runtime = self._runtime(cached=[("a",)])
+        out = self._counters()
+        runtime.base_for(("a", "b", "c"), out)
+        assert (out["cache_hits"], out["cache_misses"]) == (1, 0)
+        assert out["replayed"] == 2
+
+    def test_root_entry_restore_of_a_deep_trace_is_a_hit(self):
+        runtime = self._runtime(cached=[()])
+        out = self._counters()
+        runtime.base_for(("a", "b", "c"), out)
+        assert (out["cache_hits"], out["cache_misses"]) == (1, 0)
+        assert out["replayed"] == 3
+
+    def test_root_trace_restore_with_cached_root_is_a_hit(self):
+        runtime = self._runtime(cached=[()])
+        out = self._counters()
+        runtime.base_for((), out)
+        assert (out["cache_hits"], out["cache_misses"]) == (1, 0)
+        assert out["replayed"] == 0
+
+    def test_cold_cache_is_a_miss_with_full_replay(self):
+        runtime = self._runtime(cached=[])
+        out = self._counters()
+        runtime.base_for(("a", "b"), out)
+        assert (out["cache_hits"], out["cache_misses"]) == (0, 1)
+        assert out["replayed"] == 2
+
+    def test_hits_plus_misses_equals_restorations(self):
+        runtime = self._runtime(cached=[(), ("a",)])
+        out = self._counters()
+        for trace in [(), ("a",), ("a", "b"), ("x", "y"), ("a", "b")]:
+            runtime.base_for(trace, out)
+        assert out["cache_hits"] + out["cache_misses"] == 5
 
 
 # ----------------------------------------------------------------------
@@ -360,17 +438,15 @@ class TestWorkerServeLoop:
         return WorkerRuntime(wire.searcher_from_spec(with_config(
             scenarios.ping_experiment(pings=1), **overrides).spec))
 
-    def test_expands_fetches_and_stops(self):
-        inbox = iter([wire.ExpandTask(3, [((), None)]),
-                      wire.FetchChildren(3, [0]), wire.Shutdown(),
+    def test_expands_and_stops(self):
+        inbox = iter([wire.ExpandTask(3, [((), None)]), wire.Shutdown(),
                       wire.ExpandTask(4, [((), None)])])
         sent = []
         _serve(self._runtime(heartbeat_interval=0), 5,
                lambda: next(inbox), sent.append)
-        result, fetched = sent  # nothing after the Shutdown
+        result, = sent  # nothing after the Shutdown
         assert isinstance(result, wire.TaskResult)
         assert (result.task_id, result.worker_id) == (3, 5)
-        assert isinstance(fetched, wire.ChildData) and fetched.missing
 
     def test_unexpected_message_is_rejected_on_every_transport(self):
         with pytest.raises(ConnectionError, match="unexpected message"):
@@ -408,6 +484,63 @@ class TestWorkerServeLoop:
 
 
 # ----------------------------------------------------------------------
+# The one result layout (compact on the worker, inflate on the master)
+# ----------------------------------------------------------------------
+
+def _hex(i: int) -> str:
+    return hashlib.md5(str(i).encode()).hexdigest()
+
+
+def _out(children):
+    return {"children": [(gi, si, list(kids))
+                         for gi, si, kids in children]}
+
+
+class TestCompactInflate:
+    def test_round_trip_restores_every_kid(self):
+        kids_a = [("t1", _hex(1)), (None, _hex(2)), ("t2", _hex(3))]
+        kids_b = [(None, _hex(2)), ("t3", _hex(4))]
+        out = _out([(0, None, kids_a), (1, 2, kids_b)])
+        WorkerRuntime._compact_digests(out)
+        packed = out["kid_digests"]
+        assert packed[0] == "hex" and packed[1] == 16
+        assert len(packed[2]) == 5 * 16
+        # Every slot keeps its transition; the digests live in the blob.
+        assert out["children"][0][2][:2] == [("t1", None), (None, None)]
+        _Scheduler._inflate_digests(out)
+        assert out["children"] == [(0, None, kids_a), (1, 2, kids_b)]
+        assert "kid_digests" not in out
+
+    def test_ascii_digests_round_trip(self):
+        kids = [("t", "state-one"), (None, "state-two")]
+        out = _out([(0, 0, kids)])
+        WorkerRuntime._compact_digests(out)
+        assert out["kid_digests"][0] == "ascii"
+        _Scheduler._inflate_digests(out)
+        assert out["children"] == [(0, 0, kids)]
+
+    def test_mixed_widths_fall_back_to_inline(self):
+        kids = [("t", "ab"), (None, "abcd")]
+        out = _out([(0, 0, kids)])
+        WorkerRuntime._compact_digests(out)
+        assert "kid_digests" not in out
+        assert out["children"] == [(0, 0, kids)]  # untouched
+
+    def test_unencodable_digest_falls_back_to_inline(self):
+        kids = [("t", "ok-digest"), (None, "bad☃digest")]
+        out = _out([(0, 0, kids)])
+        WorkerRuntime._compact_digests(out)
+        assert "kid_digests" not in out
+        assert out["children"] == [(0, 0, kids)]
+
+    def test_inflate_without_blob_is_a_no_op(self):
+        kids = [("t", _hex(1)), (None, _hex(2))]
+        out = _out([(0, 0, kids)])
+        _Scheduler._inflate_digests(out)
+        assert out["children"] == [(0, 0, kids)]
+
+
+# ----------------------------------------------------------------------
 # Wire framing
 # ----------------------------------------------------------------------
 
@@ -432,14 +565,27 @@ class TestWireFraming:
                 handles=[(7, 2, (0, 3)), None]))
             received = wire.recv_msg(right)
             assert received.handles == [(7, 2, (0, 3)), None]
-            assert received.summary is None
+
+    def test_worst_case_handles_leave_the_pipe_buffer_to_the_groups(self):
+        """A local-pipe submit must never block (a worker SIGKILLed
+        between the liveness check and the write would hang the master),
+        so what a task frame carries besides its groups stays small: the
+        largest task ``_pack`` can emit names MAX_BATCH_NODES siblings —
+        worst case one group each, late in a long run (big task ids and
+        node positions)."""
+        handles = [(10 ** 9 + node, 60_000 + node, (250,))
+                   for node in range(_Scheduler.MAX_BATCH_NODES)]
+        frame = len(pickle.dumps(wire.ExpandTask(10 ** 9, [], handles),
+                                 protocol=pickle.HIGHEST_PROTOCOL))
+        assert frame <= (8 << 10) + 512  # a few ints per group
 
     @pytest.mark.parametrize("protocol", [wire.PROTOCOL_VERSION - 1,
                                           wire.PROTOCOL_VERSION + 1])
     def test_hello_with_another_protocol_is_dropped(self, protocol, capsys):
-        """A v4 worker would ignore handles harmlessly, but it would also
-        be a worker the v5 master cannot reason about (what else does it
-        not know?): mismatched peers are dropped at the handshake."""
+        """A v5 worker would wait for summaries that never come and stub
+        children the v6 master no longer fetches; a v7 one knows things
+        this master does not: mismatched peers are dropped at the
+        handshake."""
         transport = SocketTransport(1, "127.0.0.1:0", spec=None,
                                     spawn_workers=False)
         master, worker = socket_mod.socketpair()
@@ -452,7 +598,7 @@ class TestWireFraming:
             in capsys.readouterr().err
 
     def test_hello_with_this_protocol_is_admitted(self):
-        assert wire.PROTOCOL_VERSION == 5
+        assert wire.PROTOCOL_VERSION == 6
         transport = SocketTransport(1, "127.0.0.1:0", spec=None,
                                     spawn_workers=False)
         master, worker = socket_mod.socketpair()
