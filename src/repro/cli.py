@@ -36,6 +36,7 @@ from repro.config import (
     ALL_STRATEGIES,
     ALL_TRANSPORTS,
     STORE_MEMORY,
+    ConfigError,
     NiceConfig,
 )
 from repro.apps.hostile import MODES as HOSTILE_MODES
@@ -479,13 +480,18 @@ def cmd_checkpoints(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "resume":
-        return cmd_resume(args)
-    if args.command == "walk":
-        return cmd_walk(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        if args.command == "run":
+            return cmd_run(args)
+        if args.command == "resume":
+            return cmd_resume(args)
+        if args.command == "walk":
+            return cmd_walk(args)
+    except ConfigError as exc:
+        # --workers -1, --batch-nodes 0, a bad resume override, ...
+        parser.error(str(exc))
     if args.command == "worker":
         return cmd_worker(args)
     if args.command == "checkpoints":

@@ -57,6 +57,11 @@ STORE_SHARDED = "sharded"
 ALL_STORES = (STORE_MEMORY, STORE_SHARDED)
 
 
+class ConfigError(ValueError):
+    """A :class:`NiceConfig` field set out of its range — on the command
+    line, a usage error (``nice: error: ...``, exit status 2)."""
+
+
 @dataclass
 class NiceConfig:
     """All knobs for a NICE run.
@@ -238,60 +243,60 @@ class NiceConfig:
 
     def __post_init__(self) -> None:
         if self.strategy not in ALL_STRATEGIES:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown strategy {self.strategy!r}; expected one of {ALL_STRATEGIES}"
             )
         if self.search_order not in (ORDER_DFS, ORDER_BFS, ORDER_RANDOM):
-            raise ValueError(f"unknown search order {self.search_order!r}")
+            raise ConfigError(f"unknown search order {self.search_order!r}")
         if self.max_pkt_sequence < 0:
-            raise ValueError("max_pkt_sequence must be >= 0")
+            raise ConfigError("max_pkt_sequence must be >= 0")
         if self.max_outstanding < 1:
-            raise ValueError("max_outstanding must be >= 1")
+            raise ConfigError("max_outstanding must be >= 1")
         if self.max_paths < 1:
-            raise ValueError("max_paths must be >= 1")
+            raise ConfigError("max_paths must be >= 1")
         if self.workers < 0:
-            raise ValueError("workers must be >= 0")
+            raise ConfigError("workers must be >= 0")
         if self.transport not in ALL_TRANSPORTS:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown transport {self.transport!r};"
                 f" expected one of {ALL_TRANSPORTS}"
             )
         if (self.start_method is not None
                 and self.start_method not in ALL_START_METHODS):
-            raise ValueError(
+            raise ConfigError(
                 f"unknown start method {self.start_method!r};"
                 f" expected one of {ALL_START_METHODS} or None"
             )
         if self.worker_cache_size < 1:
-            raise ValueError("worker_cache_size must be >= 1")
+            raise ConfigError("worker_cache_size must be >= 1")
         if self.batch_groups < 1:
-            raise ValueError("batch_groups must be >= 1")
+            raise ConfigError("batch_groups must be >= 1")
         if self.batch_nodes < 1:
-            raise ValueError("batch_nodes must be >= 1")
+            raise ConfigError("batch_nodes must be >= 1")
         if self.min_workers < 1:
-            raise ValueError("min_workers must be >= 1")
+            raise ConfigError("min_workers must be >= 1")
         if self.max_worker_failures is not None \
                 and self.max_worker_failures < 0:
-            raise ValueError("max_worker_failures must be >= 0 or None")
+            raise ConfigError("max_worker_failures must be >= 0 or None")
         if self.heartbeat_interval < 0:
-            raise ValueError("heartbeat_interval must be >= 0")
+            raise ConfigError("heartbeat_interval must be >= 0")
         if self.task_deadline is not None and self.task_deadline < 0:
-            raise ValueError("task_deadline must be >= 0 or None")
+            raise ConfigError("task_deadline must be >= 0 or None")
         if self.max_task_retries < 0:
-            raise ValueError("max_task_retries must be >= 0")
+            raise ConfigError("max_task_retries must be >= 0")
         if self.worker_memory_limit is not None \
                 and self.worker_memory_limit < 1:
-            raise ValueError("worker_memory_limit must be >= 1 or None")
+            raise ConfigError("worker_memory_limit must be >= 1 or None")
         if self.store not in ALL_STORES:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown store {self.store!r};"
                 f" expected one of {ALL_STORES}"
             )
         if self.store_shards < 1:
-            raise ValueError("store_shards must be >= 1")
+            raise ConfigError("store_shards must be >= 1")
         if self.store_memory_budget < 1:
-            raise ValueError("store_memory_budget must be >= 1")
+            raise ConfigError("store_memory_budget must be >= 1")
         if self.store_bloom_bits < 0:
-            raise ValueError("store_bloom_bits must be >= 0")
+            raise ConfigError("store_bloom_bits must be >= 0")
         if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
+            raise ConfigError("checkpoint_interval must be >= 1")

@@ -1,16 +1,22 @@
-"""Transport-agnostic parallel search scheduler (DESIGN.md, "Scheduler
-and transports" and "Fault tolerance and elasticity").
+"""The pool expander: the scheduler that puts workers behind the one
+search loop (DESIGN.md, "Search engine", "Scheduler and transports" and
+"Fault tolerance and elasticity").
 
-The master owns the explored-state set and a frontier of **sibling
-groups** ``(parent trace, [transitions])`` — trace-replay checkpoints;
-full :class:`~repro.mc.system.System` objects never cross a process or
-socket boundary.  Children returned by a task are deduplicated against
-the global explored set *before* they are scheduled, so every reachable
-state is expanded exactly once, exactly like the serial loop.  Workers
-(:mod:`repro.mc.worker`) pick up the siblings they retained — or
-restore the group's parent by trace replay and rebuild them — and expand
-every sibling; the scheduler merges results as they arrive — no wave
-barrier; completed tasks immediately refill the workers.
+:class:`~repro.mc.search.Searcher` owns the loop — the explored set, the
+statistics, the checkpoint cut, the commit; :class:`ParallelSearcher`
+only swaps what expands the frontier.  ``_Scheduler`` is that expander:
+it keeps a frontier of **sibling groups** ``(parent trace,
+[transitions])`` — trace-replay checkpoints; full
+:class:`~repro.mc.system.System` objects never cross a process or socket
+boundary — routes them to workers, and decodes each result off the wire
+into one :meth:`Searcher.absorb <repro.mc.search.Searcher.absorb>` call,
+which deduplicates the children against the global explored set *before*
+the fresh ones are queued here again, so every reachable state is
+expanded exactly once.  Workers (:mod:`repro.mc.worker`) pick up the siblings they
+retained — or restore the group's parent by trace replay and rebuild
+them — and expand every sibling with the loop's own per-node body;
+results are merged as they arrive — no wave barrier; completed tasks
+immediately refill the workers.
 
 **Affinity routing** (``NiceConfig.affinity``, default on): every group
 discovered by worker *w* has its siblings retained in *w*'s memory, so
@@ -25,8 +31,9 @@ search.
 groups that ran on their owner vs. stolen/rerouted ones; with affinity
 off, routing is round-robin and every group counts as a miss.  Affinity
 composes with the default ``dfs`` order only: ``bfs`` and ``random``
-frontiers pop from one global queue in frontier order (the policy
-``Searcher._pop`` applies serially) and route round-robin.
+frontiers pop from one global queue in frontier order (the policy the
+in-process expander applies to nodes, here over groups) and route
+round-robin.
 
 **Worker churn** (PR 4): the pool membership is dynamic.  A worker death
 (process exit, socket EOF — delivered by the transport as a
@@ -51,14 +58,10 @@ fine-grained load balancing (which also caps how much work a dying worker
 can strand).  Batch sizing never affects *what* is explored, only how it
 is packed.
 
-**Checkpointing** (PR 5): with ``checkpoint_dir`` set the scheduler
-periodically snapshots the explored-set store, the queued sibling
-groups, the stats and the config (DESIGN.md, "State store and
-restartability").  A snapshot is only written at a **consistent cut**:
-dispatching pauses and every in-flight task is drained (merged) first,
-so no unit of work can be half-counted; ``nice resume`` then continues
-the search — on any transport — with a final explored state space
-bit-identical to an uninterrupted run.
+**Checkpointing**: the driver cuts a snapshot only when :meth:`drain
+<_Scheduler.drain>` has merged every in-flight task, so no unit of work
+can be half-counted, and :meth:`groups <_Scheduler.groups>` is then the
+whole frontier; handles are never persisted.
 
 Exactness contract (unchanged from PR 1): every (state, transition) pair
 is executed and property-checked exactly once, so for an exhaustive
@@ -72,7 +75,8 @@ their messages and traces whenever a property reads execution *history*
 path that reaches each state, and which path wins is a search-order
 artifact — serial DFS and BFS disagree on those records the same way.
 Early-stopping runs are approximate: workers in flight when the stop
-condition trips may have executed extra transitions.
+condition trips may have executed extra transitions — but what *is*
+counted is committed (DESIGN.md, "Search engine": commit, then stop).
 """
 
 from __future__ import annotations
@@ -82,18 +86,10 @@ import pickle
 import sys
 import time
 from collections import deque
+from itertools import compress
 
 from repro.config import ORDER_BFS, ORDER_DFS
-from repro.mc import store as store_mod
-from repro.mc.search import (
-    MODEL_ERROR_PROPERTY,
-    ModelError,
-    QuarantinedTask,
-    Searcher,
-    SearchStats,
-    Violation,
-    _StopSearch,
-)
+from repro.mc.search import QuarantinedTask, Searcher
 from repro.mc.transport import TransportError, WorkerLost, create_transport
 from repro.mc.wire import (
     ExpandTask,
@@ -106,32 +102,27 @@ from repro.mc.wire import (
 
 
 class ParallelSearcher(Searcher):
-    """Figure 5's loop, sharded across ``config.workers`` workers.
+    """:class:`~repro.mc.search.Searcher` with ``config.workers`` workers
+    behind it: the same driver, per-node body and commit, expanding
+    through a transport instead of in process.  Spawn/socket workers are
+    shipped ``scenario_spec`` to rebuild the initial System by registry
+    name; without one only ``fork`` workers — which inherit the closures
+    — are possible."""
 
-    ``scenario_spec`` (a :class:`~repro.mc.wire.ScenarioSpec` or None) is
-    what spawn/socket transports ship to workers so they can rebuild the
-    initial System by registry name; without it only ``fork`` workers —
-    which inherit the closures — are possible.
-    """
-
-    def __init__(self, system_factory, properties, config, strategy=None,
-                 discoverer=None, scenario_spec=None):
-        super().__init__(system_factory, properties, config,
-                         strategy=strategy, discoverer=discoverer,
-                         scenario_spec=scenario_spec)
-
-    def run(self) -> SearchStats:
-        if self.config.workers <= 1:
-            return super().run()
-        transport = create_transport(self.config, self.scenario_spec)
+    def _expander(self, strategy):
+        transport = (create_transport(self.config, self.scenario_spec)
+                     if self.config.workers > 1 else None)
         if transport is None:
-            # create_transport already warned about why.
-            return super().run()
-        return _Scheduler(self, transport).run()
+            # One worker is no pool; or create_transport warned about why.
+            return super()._expander(strategy)
+        return _Scheduler(self, transport)
 
 
 class _Scheduler:
-    """One search run: a frontier of sibling groups routed to workers."""
+    """The pool expander of one search run: a frontier of sibling groups
+    routed to workers.  ``Searcher.run`` drives it; the explored set,
+    the statistics and the commit (``Searcher.absorb``) are the
+    searcher's."""
 
     #: Tasks kept in flight per worker (>1 hides result latency).
     PER_WORKER_INFLIGHT = 2
@@ -168,7 +159,9 @@ class _Scheduler:
     def __init__(self, searcher: ParallelSearcher, transport):
         self.searcher = searcher
         self.config = searcher.config
+        self.stats = searcher.stats
         self.transport = transport
+        self.name, self.workers = transport.name, transport.workers
         #: Affinity routing only composes with DFS pops: BFS and random
         #: orders need one global queue popped in frontier order, exactly
         #: like PR 1's engine (which had no affinity on any order).
@@ -183,7 +176,6 @@ class _Scheduler:
         #: it, both O(1).
         self._queues: dict[int | None, deque] = {None: deque()}
         self._pending_groups = 0
-        self._explored = store_mod.create_store(self.config)
         self._in_flight: dict[int, tuple[int, list]] = {}  # task_id -> (wid, groups)
         #: Live pool membership; filled from ``transport.worker_ids()``
         #: once the transport is up — deaths remove ids, elastic joins add
@@ -217,7 +209,6 @@ class _Scheduler:
         self._respawn_deadline: float | None = None
         self._next_task_id = 0
         self._next_round_robin = 0
-        self.stats = SearchStats()
         if transport.workers < self.config.min_workers:
             # An availability floor above the pool size would otherwise be
             # silently violated for the whole run and only noticed if a
@@ -227,99 +218,33 @@ class _Scheduler:
                 f" configured pool of {transport.workers} worker(s)")
 
     # ------------------------------------------------------------------
-    # Main loop
+    # The expander seam (driven by Searcher.run)
     # ------------------------------------------------------------------
 
-    def run(self) -> SearchStats:
-        searcher, stats = self.searcher, self.stats
-        stats.engine = self.transport.name
-        stats.workers = self.transport.workers
-        resume = searcher._resume
-        baseline = None
-        start = time.perf_counter()
-        initial = searcher.system_factory()
-        for prop in searcher.properties:
-            prop.reset(initial)
-        if resume is None:
-            try:
-                searcher._check_properties(initial, None, stats, ())
-            except _StopSearch:
-                # The search ends before the transport comes up, but the
-                # store from __init__ is live: close it (a sharded store
-                # holds open shard files and a temp spill directory).
-                stats.store = self._explored.kind
-                stats.unique_states = len(self._explored)
-                self._explored.close()
-                stats.wall_time = time.perf_counter() - start
-                return stats
-            self._explored.add(initial.state_hash())
-            self._push(None, ((), None))
-        else:
-            resume.restore_stats(stats)
-            # Preload the explored set (with the checkpoint's Bloom
-            # summaries when compatible); a layout-compatible checkpoint
-            # becomes the baseline the next snapshot hard-links from.
-            baseline = store_mod.restore_store(self._explored, resume)
-            if resume.rng_state is not None:
-                searcher._rng.setstate(resume.rng_state)
-            # The old owners' caches and retained children died with the
-            # previous run: every checkpointed group restarts unowned and
-            # without a handle (handles are never persisted).
-            for group in resume.frontier:
-                self._push(None, group)
-        checkpointer = store_mod.Checkpointer(
-            self.config, searcher.scenario_spec, self._explored, stats,
-            previous=baseline)
-        checkpointer.install()
-        # start() is inside the try: a transport that fails to come up
-        # (accept deadline, dead spawn) must still have stop() run so no
-        # listener or half-started worker outlives the search.
-        try:
-            self.transport.start(searcher)
-            # Enroll the pool the transport *actually* brought up: the
-            # socket accept barrier can burn ids on workers that die
-            # mid-handshake, so the live ids need not be 0..workers-1.
-            for worker_id in self.transport.worker_ids():
-                self._enroll(worker_id)
-            while self._pending_groups or self._in_flight:
-                if checkpointer.due():
-                    # Drain first: a snapshot must capture a consistent
-                    # cut (every dispatched task merged, nothing in
-                    # flight), or resumed counters would double-count.
-                    self._drain()
-                    checkpointer.write(self._frontier_groups(),
-                                       searcher._rng.getstate())
-                    if checkpointer.sigterm:
-                        stats.terminated = "sigterm"
-                        raise _StopSearch()
-                    continue  # the drain may have emptied the frontier
-                self._dispatch()
-                message = self.transport.recv(timeout=self._recv_timeout())
-                if message is not None:
-                    self._handle(message)
-                self._check_deadlines()
-        except _StopSearch:
-            pass
-        finally:
-            # Nested so an exception out of stop() (a transport teardown
-            # bug, a signal mid-close) can never skip restoring the
-            # previous SIGTERM handler — leaking the checkpointer's
-            # flag-setting handler past the search would swallow real
-            # SIGTERMs for the rest of the process.
-            try:
-                self.transport.stop()
-            finally:
-                checkpointer.restore()
-                checkpointer.sync()
-                stats.unique_states = len(self._explored)
-                self._explored.close()
-        stats.wall_time = time.perf_counter() - start
-        # Worker deltas were merged per task; add the master's own hashing
-        # (the initial state) on top.
-        stats.add_hash_stats(initial._hash_stats.snapshot())
-        return stats
+    def start(self) -> None:
+        self.transport.start(self.searcher)
+        # Enroll the pool the transport *actually* brought up: the
+        # socket accept barrier can burn ids on workers that die
+        # mid-handshake, so the live ids need not be 0..workers-1.
+        for worker_id in self.transport.worker_ids():
+            self._enroll(worker_id)
 
-    def _drain(self) -> None:
+    def stop(self) -> None:
+        self.transport.stop()
+
+    def pending(self) -> bool:
+        return bool(self._pending_groups or self._in_flight)
+
+    def pump(self) -> None:
+        """Refill every worker with spare capacity, then take one message
+        (or a deadline wakeup) off the transport."""
+        self._dispatch()
+        message = self.transport.recv(timeout=self._recv_timeout())
+        if message is not None:
+            self._handle(message)
+        self._check_deadlines()
+
+    def drain(self) -> None:
         """Absorb every in-flight result (worker churn included) so the
         master state is a consistent cut of the search.  Deadlines keep
         ticking here too — a worker that hangs while a checkpoint drains
@@ -330,7 +255,7 @@ class _Scheduler:
                 self._handle(message)
             self._check_deadlines()
 
-    def _frontier_groups(self) -> list:
+    def groups(self) -> list:
         """Every queued sibling group, global queue first then per-owner
         queues in worker-id order — the checkpoint's frontier."""
         owners = sorted(w for w in self._queues if w is not None)
@@ -352,7 +277,7 @@ class _Scheduler:
             # way, so surface the traceback instead of looping forever.
             # Model-handler exceptions never arrive here unless fail_fast
             # asked for exactly this abort — workers contain them as
-            # ModelError counterexamples (see WorkerRuntime.expand).
+            # ModelError counterexamples (see Searcher.expand_node).
             raise TransportError(
                 f"worker {message.worker_id} failed on task"
                 f" {message.task_id}:\n{message.error}")
@@ -633,6 +558,11 @@ class _Scheduler:
     # Routing
     # ------------------------------------------------------------------
 
+    def push(self, group: tuple, systems=None) -> None:
+        """Seed or resume the frontier: an unowned group, restored by
+        replay (Systems never cross to a worker)."""
+        self._push(None, group)
+
     def _push(self, owner: int | None, group: tuple,
               handle: tuple | None = None) -> None:
         """Queue ``group`` for ``owner``.  ``handle`` is ``(task id, node
@@ -651,8 +581,8 @@ class _Scheduler:
 
     def _pop_group(self, queue: deque) -> tuple:
         """Pop per ``config.search_order`` — dfs from the end, bfs from the
-        front, random via the searcher's seeded RNG (the same policy
-        ``Searcher._pop`` applies to the serial frontier)."""
+        front, random via the searcher's seeded RNG (the policy the
+        in-process expander applies to nodes)."""
         order = self.config.search_order
         if order == ORDER_DFS:
             return queue.pop()
@@ -722,7 +652,7 @@ class _Scheduler:
         ``batch_nodes`` (adaptive batching off — the measurable baseline)
         or the worker's RTT-adapted budget applies.
         """
-        if len(self._explored) < 4 * max(len(self._live), 1):
+        if len(self.searcher._explored) < 4 * max(len(self._live), 1):
             return 1
         if not self.config.adaptive_batching:
             return self.config.batch_nodes
@@ -896,11 +826,6 @@ class _Scheduler:
     # Merging
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _node_trace(groups, gi, si) -> tuple:
-        trace, steps = groups[gi]
-        return trace if si is None else trace + (steps[si],)
-
     def _merge(self, result: TaskResult) -> None:
         """Retire one completed task's bookkeeping and fold its output
         into the search state."""
@@ -941,80 +866,45 @@ class _Scheduler:
 
     def _absorb(self, out: dict, groups, worker_id: int | None,
                 task_id: int | None = None) -> None:
-        """Fold one expansion output into the search state — the shared
-        back half of merging, used by pool task results and quarantine
-        sandbox successes alike (``worker_id``/``task_id`` None for the
-        sandbox: its one-shot process retains nothing to route children
-        back to)."""
+        """Decode one expansion output off the wire and hand it to the
+        search loop's commit (:meth:`Searcher.absorb`) — for pool task
+        results and quarantine sandbox successes alike (``worker_id`` /
+        ``task_id`` None for the sandbox: its one-shot process retains
+        nothing to route children back to)."""
         self._inflate_digests(out)
         stats = self.stats
         stats.discover_packet_runs += out["discover_packet_runs"]
         stats.discover_stats_runs += out["discover_stats_runs"]
-        stats.transitions_executed += out["transitions"]
-        stats.quiescent_states += out["quiescent"]
         stats.replayed_transitions += out["replayed"]
         stats.rebuilt_transitions += out["rebuilt"]
         stats.cache_hits += out["cache_hits"]
         stats.cache_misses += out["cache_misses"]
         stats.result_payload_bytes += out["result_bytes"]
         stats.add_hash_stats(out["hash_stats"])
-        for record in out["violations"]:
-            # Plain violations are 6-tuples; contained model exceptions
-            # carry a 7th element, the worker-side traceback.
-            property_name, message, digest, gi, si, transition = record[:6]
-            trace = self._node_trace(groups, gi, si)
-            if transition is not None:
-                trace = trace + (transition,)
-            if property_name == MODEL_ERROR_PROPERTY and len(record) > 6:
-                stats.model_errors += 1
-                stats.violations.append(
-                    ModelError(property_name, message, trace, digest,
-                               stats.transitions_executed,
-                               details=record[6])
-                )
-            else:
-                stats.violations.append(
-                    Violation(property_name, message, trace, digest,
-                              stats.transitions_executed)
-                )
-            if self.config.stop_at_first_violation:
-                stats.terminated = "first_violation"
-                raise _StopSearch()
-        if (self.config.max_transitions is not None
-                and stats.transitions_executed
-                >= self.config.max_transitions):
-            stats.terminated = "max_transitions"
-            raise _StopSearch()
+
+        def node_trace(gi, si) -> tuple:
+            trace, steps = groups[gi]
+            return trace if si is None else trace + (steps[si],)
+
+        # Wire violations carry their node as (gi, si) — and contained
+        # model exceptions a 7th element, the worker-side traceback.
+        violations = [
+            (node_trace(record[3], record[4]), record[:3] + record[5:])
+            for record in out["violations"]]
         children = out["children"]
-        if self.config.state_matching and children:
-            # One batched store append per merged task result; add_batch
-            # preserves order (and in-batch duplicate semantics), so the
-            # frontier matches what per-child adds would have built.
-            flags = iter(self._explored.add_batch(
-                [digest for _, _, kids in children for _, digest in kids]))
-            for position, (gi, si, kids) in enumerate(children):
-                fresh, picked = [], []
-                for index, (transition, _) in enumerate(kids):
-                    if next(flags):
-                        fresh.append(transition)
-                        picked.append(index)
-                    else:
-                        stats.revisited_states += 1
-                if fresh:
-                    # The worker that expanded this node retained the
-                    # children it shipped — route them back to it, with
-                    # the handle that names them there.
-                    self._push(worker_id,
-                               (self._node_trace(groups, gi, si), fresh),
-                               (task_id, position, tuple(picked)))
-        else:
-            for position, (gi, si, kids) in enumerate(children):
-                if kids:
-                    self._push(worker_id,
-                               (self._node_trace(groups, gi, si),
-                                [transition for transition, _ in kids]),
-                               (task_id, position,
-                                tuple(range(len(kids)))))
+        flags = iter(self.searcher.absorb(
+            out["transitions"], out["quiescent"], violations,
+            [digest for _, _, kids in children for _, digest in kids]))
+        for position, (gi, si, kids) in enumerate(children):
+            picked = tuple(compress(range(len(kids)), flags))
+            if picked:
+                # The worker that expanded this node retained the children
+                # it shipped — route the fresh ones back to it, with the
+                # handle that names them there.
+                self._push(worker_id,
+                           (node_trace(gi, si),
+                            [kids[index][0] for index in picked]),
+                           (task_id, position, picked))
 
 
 def _describe_exit(exitcode: int | None) -> str:

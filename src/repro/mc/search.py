@@ -16,39 +16,38 @@ self-loop bookkeeping — and the eager form keeps the explored-state set free
 of duplicate entries.  Discovery results are cached by (client, controller
 state hash), exactly the ``client.packets[state(ctrl)]`` map of Figure 5.
 
+There is one loop, and this module is it (DESIGN.md, "Search engine"):
+:meth:`Searcher.run` drives an *expander* until nothing is pending,
+snapshotting between expansions (and on SIGTERM) when ``checkpoint_dir``
+is set; :meth:`Searcher.expand_node` is the per-node body and
+:meth:`Searcher.absorb` the commit into the explored set.  The serial
+engine is that loop over :class:`_InlineExpander`; the parallel engine
+the same loop over the pool scheduler (:mod:`repro.mc.scheduler`), whose
+workers call the same ``expand_node``.
+
 The frontier holds the children themselves: each is a copy-on-write clone
 of its parent (:meth:`System.clone <repro.mc.system.System.clone>`),
-executed, checked and hashed once, and popped as is.  Where no System is at
-hand — a frontier resumed from a checkpoint here, a sibling group a worker
-of :class:`~repro.mc.scheduler.ParallelSearcher` did not retain — the node
-is restored by deterministically replaying its transition path from the
-initial state, the same mechanism the paper uses to reproduce violations
-(Section 6).  State hashing combines cached per-component digests, so
-expanding a state only re-renders the switches/hosts the transition
-actually touched (DESIGN.md, "Search engine" and "Per-state hot path").
-
-The explored set lives behind a :class:`~repro.mc.store.StateStore`
-(``NiceConfig.store`` — in-memory by default, or sharded with disk
-spill), and with ``checkpoint_dir`` set the loop snapshots store +
-frontier + stats between expansions (and on SIGTERM) so a killed search
-resumes mid-flight via ``nice resume``, bit-identical to an
-uninterrupted run — DESIGN.md, "State store and restartability".
+executed, checked and hashed once, and expanded as is.  Where no System
+is at hand — a frontier resumed from a checkpoint here, a sibling group a
+pool worker did not retain — the node is restored by deterministically
+replaying its transition path from the initial state, the same mechanism
+the paper uses to reproduce violations (Section 6).  State hashing
+combines cached per-component digests, so expanding a state only
+re-renders the switches/hosts the transition actually touched
+(DESIGN.md, "Per-state hot path").
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 import traceback
 from collections import deque
+from itertools import compress
 
-from repro.config import (
-    NiceConfig,
-    ORDER_BFS,
-    ORDER_DFS,
-    ORDER_RANDOM,
-)
-from repro.errors import NiceError, PropertyViolation, SearchError
+from repro.config import NiceConfig, ORDER_DFS, ORDER_RANDOM
+from repro.errors import NiceError, PropertyViolation
 from repro.mc import store as store_mod
 from repro.mc import transitions as tk
 from repro.mc.replay import replay_from
@@ -63,13 +62,11 @@ class Violation:
     reproduces it from the initial state."""
 
     def __init__(self, property_name: str, message: str,
-                 trace: tuple[Transition, ...], state_hash: str,
-                 transitions_at_detection: int):
+                 trace: tuple[Transition, ...], state_hash: str):
         self.property_name = property_name
         self.message = message
         self.trace = trace
         self.state_hash = state_hash
-        self.transitions_at_detection = transitions_at_detection
 
     def __repr__(self):
         return (f"Violation({self.property_name}: {self.message!r},"
@@ -94,9 +91,8 @@ class ModelError(Violation):
     ``fail_fast=True`` restores abort-on-exception for model code too."""
 
     def __init__(self, property_name, message, trace, state_hash,
-                 transitions_at_detection, details: str = ""):
-        super().__init__(property_name, message, trace, state_hash,
-                         transitions_at_detection)
+                 details: str = ""):
+        super().__init__(property_name, message, trace, state_hash)
         self.details = details
 
     def __repr__(self):
@@ -328,7 +324,9 @@ class SearchStats:
 
 
 class Searcher:
-    """Figure 5's model-checking loop."""
+    """Figure 5's model-checking loop: the one driver (:meth:`run`), the
+    one per-node body (:meth:`expand_node`) and the one commit
+    (:meth:`absorb`) of every engine."""
 
     def __init__(self, system_factory, properties: list, config: NiceConfig,
                  strategy: Strategy | None = None, discoverer=None,
@@ -337,8 +335,9 @@ class Searcher:
         ``discoverer`` provides concolic discovery (None disables symbolic
         execution regardless of config); ``scenario_spec`` (a
         :class:`~repro.mc.wire.ScenarioSpec` or None) is the scenario's
-        portable identity, stored into checkpoints so ``nice resume`` can
-        rebuild the System by registry name."""
+        portable identity: stored into checkpoints so ``nice resume`` can
+        rebuild the System by registry name, and shipped to spawn/socket
+        workers so they can."""
         self.system_factory = system_factory
         self.properties = list(properties)
         self.config = config
@@ -354,192 +353,232 @@ class Searcher:
         #: discover_stats cache: (switch, ctrl_hash) -> [stats dict].
         self._stats_cache: dict[tuple[str, str], list] = {}
         self._rng = random.Random(config.seed)
-        #: Pristine initial state kept for trace-replay restoration.
+        #: Filled in by :meth:`run` (a worker's searcher only ever counts
+        #: its discovery runs in ``stats``): the statistics, the explored
+        #: set, and the pristine initial state restorations replay from.
+        self.stats = SearchStats()
+        self._explored = None
         self._initial: System | None = None
 
     # ------------------------------------------------------------------
-    # Main loop
+    # The driver
     # ------------------------------------------------------------------
 
     def run(self) -> SearchStats:
-        result = SearchStats()
+        stats = self.stats = SearchStats()
         resume = self._resume
         start = time.perf_counter()
-        initial = self.system_factory()
-        self._initial = initial
+        initial = self._initial = self.system_factory()
         strategy = self._strategy or make_strategy(self.config, initial.app)
         for prop in self.properties:
             prop.reset(initial)
-        if resume is None:
-            try:
-                self._check_properties(initial, None, result, ())
-            except _StopSearch:
-                result.wall_time = time.perf_counter() - start
-                result.add_hash_stats(initial._hash_stats.snapshot())
-                return result
-
-        explored = store_mod.create_store(self.config)
-        # Frontier entries are (system | None, trace): a resumed node has
-        # no live system and is restored by replay on pop.  DFS pops the
-        # tail and BFS the head, both O(1) on a deque; the random order
-        # needs positional pops, so it keeps a plain list.
-        frontier_type = (list if self.config.search_order == ORDER_RANDOM
-                         else deque)
-        baseline = None
-        if resume is not None:
-            resume.restore_stats(result)
-            # Preload the explored set (with the checkpoint's Bloom
-            # summaries when compatible); when the checkpoint's record
-            # layout matches the store's, its path becomes the baseline
-            # the next snapshot hard-links unchanged segments from.
-            baseline = store_mod.restore_store(explored, resume)
-            if resume.rng_state is not None:
-                self._rng.setstate(resume.rng_state)
-            frontier = frontier_type(self._resume_nodes(resume.frontier))
-        else:
-            explored.add(initial.state_hash())
-            frontier = frontier_type([(initial, ())])
-        checkpointer = store_mod.Checkpointer(
-            self.config, self.scenario_spec, explored, result,
-            previous=baseline)
-        checkpointer.install()
+        expander = self._expander(strategy)
+        stats.engine, stats.workers = expander.name, expander.workers
         try:
-            while frontier:
-                if checkpointer.due():
-                    # Between node expansions every structure is
-                    # consistent: snapshot the frontier as single-node
-                    # sibling groups (the scheduler's wire form, so a
-                    # serial checkpoint resumes on any transport).
-                    checkpointer.write(
-                        [(trace, None) for _, trace in frontier],
-                        self._rng.getstate())
-                    if checkpointer.sigterm:
-                        result.terminated = "sigterm"
-                        raise _StopSearch()
-                system, trace = self._pop(frontier)
-                if system is None:
-                    system = self._restore(trace, strategy)
-                enabled = self._enabled(system, strategy, result)
-                if not enabled:
-                    result.quiescent_states += 1
-                    self._check_quiescent(system, result, trace)
-                    continue
-                if (self.config.max_depth is not None
-                        and len(trace) >= self.config.max_depth):
-                    continue
-                # One expansion = one batched store append: children are
-                # collected (digests computed at the same per-child point
-                # as before) and committed through add_batch in a finally,
-                # so the children executed before a mid-expansion stop
-                # still land exactly as per-child adds did.
-                batch: list = []
+            if resume is None:
+                # Before anything is opened: a search that ends at its
+                # initial state has no store, no workers, no handler.
+                self.absorb(0, 0, [
+                    ((), found) for found in self._check(initial, None, [])],
+                    ())
+            explored = self._explored = store_mod.create_store(self.config)
+            baseline = None
+            if resume is None:
+                explored.add(initial.state_hash())
+                expander.push(((), None), [initial])
+            else:
+                resume.restore_stats(stats)
+                # Preload the explored set (with the checkpoint's Bloom
+                # summaries when compatible); when the checkpoint's record
+                # layout matches the store's, its path becomes the baseline
+                # the next snapshot hard-links unchanged segments from.
+                baseline = store_mod.restore_store(explored, resume)
+                if resume.rng_state is not None:
+                    self._rng.setstate(resume.rng_state)
+                # Whatever held these nodes died with the previous run:
+                # every checkpointed group restarts unowned, by replay.
+                for group in resume.frontier:
+                    expander.push(group)
+            checkpointer = store_mod.Checkpointer(
+                self.config, self.scenario_spec, explored, stats,
+                previous=baseline)
+            checkpointer.install()
+            # start() is inside the try: a transport that fails to come up
+            # (accept deadline, dead spawn) must still have stop() run so
+            # no listener or half-started worker outlives the search.
+            try:
+                expander.start()
+                pending, pump, due = \
+                    expander.pending, expander.pump, checkpointer.due
+                while pending():
+                    if due():
+                        # A snapshot captures a consistent cut: between
+                        # node expansions, with nothing in flight (or
+                        # resumed counters would double-count).
+                        expander.drain()
+                        checkpointer.write(expander.groups(),
+                                           self._rng.getstate())
+                        if checkpointer.sigterm:
+                            stats.terminated = "sigterm"
+                            break
+                    else:
+                        pump()
+            finally:
+                # Nested so an exception out of stop() (a transport
+                # teardown bug, a signal mid-close) can never skip
+                # restoring the previous SIGTERM handler — leaking the
+                # checkpointer's flag-setting handler past the search
+                # would swallow real SIGTERMs for the rest of the process.
                 try:
-                    for transition in enabled:
-                        child = system.clone()
-                        child_trace = trace + (transition,)
-                        try:
-                            child.execute(transition)
-                            strategy.post_execute(child, transition)
-                        except Exception as exc:
-                            # Engine errors always propagate; model-handler
-                            # exceptions become counterexamples unless
-                            # fail_fast restores abort-on-exception.
-                            if isinstance(exc, NiceError) \
-                                    or self.config.fail_fast:
-                                raise
-                            result.transitions_executed += 1
-                            self._record_model_error(exc, child_trace, result)
-                            continue
-                        result.transitions_executed += 1
-                        self._check_properties(child, transition, result,
-                                               child_trace)
-                        if (self.config.max_transitions is not None
-                                and result.transitions_executed
-                                >= self.config.max_transitions):
-                            result.terminated = "max_transitions"
-                            raise _StopSearch()
-                        batch.append(
-                            (child, child_trace,
-                             child.state_hash()
-                             if self.config.state_matching else None)
-                        )
+                    expander.stop()
                 finally:
-                    self._commit_batch(batch, explored, frontier, result)
+                    checkpointer.restore()
+                    checkpointer.sync()
+                    stats.unique_states = len(explored)
+                    explored.close()
         except _StopSearch:
             pass
+        stats.wall_time = time.perf_counter() - start
+        # Every System this process touched descends from `initial` by
+        # clone, so its shared HashStats holds all the hashing done here;
+        # a pool's workers ship theirs with each result.
+        stats.add_hash_stats(initial._hash_stats.snapshot())
+        return stats
+
+    def _expander(self, strategy: Strategy):
+        """What expands the frontier: this process — or a worker pool, in
+        :class:`~repro.mc.scheduler.ParallelSearcher`."""
+        return _InlineExpander(self, strategy)
+
+    # ------------------------------------------------------------------
+    # One node, one commit
+    # ------------------------------------------------------------------
+
+    def expand_node(self, system: System, strategy: Strategy, depth: int,
+                    budget: float = math.inf):
+        """Enumerate ``system``'s enabled transitions and clone, execute,
+        property-check and hash one child per transition.
+
+        Returns ``(steps, digests, built, violations, transitions,
+        quiescent)``: the transition, digest and System of every child to
+        commit, in step; :meth:`_check`'s violation records; the
+        transitions executed; 1 for a quiescent node.  The child that
+        trips a stop — a violation under ``stop_at_first_violation``, the
+        ``budget``-th transition — is executed and counted, not committed."""
+        config = self.config
+        enabled = self._enabled(system, strategy)
+        if not enabled:
+            return (), (), (), self._check(system, None, [], True), 0, 1
+        if config.max_depth is not None and depth >= config.max_depth:
+            return (), (), (), (), 0, 0
+        stop_first = config.stop_at_first_violation
+        matching = config.state_matching
+        steps, digests, built, violations = [], [], [], []
+        executed = 0
+        for transition in enabled:
+            child = system.clone()
+            executed += 1
+            try:
+                child.execute(transition)
+                strategy.post_execute(child, transition)
+            except Exception as exc:
+                # Engine errors always propagate; an exception out of a
+                # model handler becomes a counterexample (the crashed
+                # child is discarded — it is not a state of the model)
+                # unless fail_fast restores abort-on-exception.  The
+                # message is ``type: str(exc)``, identical wherever the
+                # transition ran; the local traceback is the details.
+                if isinstance(exc, NiceError) or config.fail_fast:
+                    raise
+                violations.append(
+                    (MODEL_ERROR_PROPERTY, f"{type(exc).__name__}: {exc}",
+                     "", transition, traceback.format_exc()))
+                child = None
+            else:
+                self._check(child, transition, violations)
+            if (violations and stop_first) or executed >= budget:
+                break
+            if child is not None:
+                # The digest feeds the explored-set dedup; without state
+                # matching nothing would read it.
+                steps.append(transition)
+                digests.append(child.state_hash() if matching else None)
+                built.append(child)
+        return steps, digests, built, violations, executed, 0
+
+    def absorb(self, transitions: int, quiescent: int, violations,
+               digests) -> list:
+        """Commit expanded nodes: count, record the ``(node trace,
+        violation record)`` pairs, apply the budget, and — in a
+        ``finally``, so the children always land before a stop unwinds —
+        deduplicate their children's ``digests`` against the explored set
+        in one batched append.  Returns one flag per digest, True for a
+        fresh child: the expander's to queue."""
+        stats = self.stats
+        stats.transitions_executed += transitions
+        stats.quiescent_states += quiescent
+        try:
+            for trace, found in violations:
+                self._record(trace, *found)
+            limit = self.config.max_transitions
+            if limit is not None and stats.transitions_executed >= limit:
+                stats.terminated = "max_transitions"
+                raise _StopSearch()
         finally:
-            checkpointer.restore()
-            checkpointer.sync()
-            result.unique_states = len(explored)
-            explored.close()
-        result.wall_time = time.perf_counter() - start
-        # Every system in a serial run descends from `initial` by clone, so
-        # the shared HashStats object holds the whole run's counters.
-        result.add_hash_stats(initial._hash_stats.snapshot())
-        return result
+            # add_batch preserves order and in-batch duplicate semantics:
+            # the frontier is what per-child adds built.
+            flags = (self._explored.add_batch(digests)
+                     if digests and self.config.state_matching
+                     else [True] * len(digests))
+            stats.revisited_states += flags.count(False)
+        return flags
 
-    def _commit_batch(self, batch, explored, frontier, result) -> None:
-        """Deduplicate one expansion's children against the explored set
-        as a single batched append; frontier order and revisit counts are
-        identical to the per-child form (add_batch preserves order and
-        in-batch duplicate semantics)."""
-        if not batch:
-            return
-        if not self.config.state_matching:
-            for node, child_trace, _ in batch:
-                frontier.append((node, child_trace))
-            return
-        for new, (node, child_trace, _) in zip(
-                explored.add_batch([digest for _, _, digest in batch]),
-                batch):
-            if new:
-                frontier.append((node, child_trace))
-            else:
-                result.revisited_states += 1
+    def _record(self, trace, property_name: str, message: str, digest: str,
+                transition, details: str | None = None) -> None:
+        stats = self.stats
+        if transition is not None:
+            trace += (transition,)
+        if details is None:
+            stats.violations.append(
+                Violation(property_name, message, trace, digest))
+        else:
+            stats.model_errors += 1
+            stats.violations.append(
+                ModelError(property_name, message, trace, digest, details))
+        if self.config.stop_at_first_violation:
+            stats.terminated = "first_violation"
+            raise _StopSearch()
 
-    @staticmethod
-    def _resume_nodes(groups):
-        """Checkpointed sibling groups -> serial frontier nodes, in
-        checkpoint order.  ``(trace, None)`` is the single node *at*
-        ``trace``; ``(trace, steps)`` fans out one node per sibling —
-        the same expansion :meth:`WorkerRuntime.expand` applies, so a
-        checkpoint written by the parallel scheduler resumes serially."""
-        for trace, steps in groups:
-            if steps is None:
-                yield (None, trace)
-            else:
-                for step in steps:
-                    yield (None, trace + (step,))
-
-    def _restore(self, trace, strategy: Strategy) -> System:
-        """Trace-replay checkpoint restoration (Section 6): clone the initial
-        state and deterministically re-execute the node's transition path."""
-        return replay_from(self._initial.clone(), trace, strategy)
-
-    def _pop(self, frontier):
-        if self.config.search_order == ORDER_DFS:
-            return frontier.pop()
-        if self.config.search_order == ORDER_BFS:
-            # O(1) on the deque frontier; list.pop(0) was O(n) per pop.
-            return frontier.popleft()
-        if self.config.search_order == ORDER_RANDOM:
-            index = self._rng.randrange(len(frontier))
-            return frontier.pop(index)
-        raise SearchError(f"unknown search order {self.config.search_order!r}")
+    def _check(self, system: System, transition, found: list,
+               quiescent: bool = False) -> list:
+        """Append every property's verdict on ``system`` — reached by
+        ``transition``, or found quiescent — to ``found``, as
+        ``(property, message, digest, transition)`` records (a contained
+        model exception's has a fifth element, its traceback)."""
+        for prop in self.properties:
+            try:
+                if quiescent:
+                    prop.check_quiescent(system)
+                else:
+                    prop.check(system, transition)
+            except PropertyViolation as violation:
+                found.append((violation.property_name, violation.message,
+                              system.state_hash(), transition))
+        return found
 
     # ------------------------------------------------------------------
     # Enabled transitions (base + discovery)
     # ------------------------------------------------------------------
 
-    def _enabled(self, system: System, strategy: Strategy,
-                 result: SearchStats) -> list[Transition]:
+    def _enabled(self, system: System,
+                 strategy: Strategy) -> list[Transition]:
         enabled = system.enabled_transitions()
         if self._use_se:
-            enabled = self._add_symbolic_sends(system, enabled, result)
-            enabled = self._substitute_stats(system, enabled, result)
+            enabled = self._add_symbolic_sends(system, enabled)
+            enabled = self._substitute_stats(system, enabled)
         return strategy.filter(system, enabled)
 
-    def _add_symbolic_sends(self, system, enabled, result):
+    def _add_symbolic_sends(self, system, enabled):
         ctrl_hash = system.controller_state_hash()
         extra: list[Transition] = []
         for name in system._host_order:
@@ -555,7 +594,7 @@ class Searcher:
                     system.app, switch_id, port, system.topo, host
                 )
                 self._packet_cache[key] = packets
-                result.discover_packet_runs += 1
+                self.stats.discover_packet_runs += 1
             for packet in self._packet_cache[key]:
                 extra.append(
                     Transition(tk.HOST_SEND, name,
@@ -564,7 +603,7 @@ class Searcher:
                 )
         return enabled + extra
 
-    def _substitute_stats(self, system, enabled, result):
+    def _substitute_stats(self, system, enabled):
         """Replace plain delivery of a pending StatsReply with transitions
         carrying symbolically-discovered representative values."""
         ctrl_hash = system.controller_state_hash()
@@ -585,7 +624,7 @@ class Searcher:
                     system.app, transition.actor, reply.stats
                 )
                 self._stats_cache[key] = variants
-                result.discover_stats_runs += 1
+                self.stats.discover_stats_runs += 1
             variants = self._stats_cache[key]
             if not variants:
                 out.append(transition)
@@ -597,50 +636,83 @@ class Searcher:
                 )
         return out
 
-    # ------------------------------------------------------------------
-    # Property checking
-    # ------------------------------------------------------------------
 
-    def _check_properties(self, system, transition, result, trace) -> None:
-        for prop in self.properties:
-            try:
-                prop.check(system, transition)
-            except PropertyViolation as violation:
-                self._record(violation, system, result, trace)
+class _InlineExpander:
+    """The zero-worker expander: the frontier lives here and every node
+    is expanded in this process, one per :meth:`pump` — with no pickling,
+    digest packing or result message, the costs of the transport boundary
+    (``WorkerRuntime.expand``).
 
-    def _check_quiescent(self, system, result, trace) -> None:
-        for prop in self.properties:
-            try:
-                prop.check_quiescent(system)
-            except PropertyViolation as violation:
-                self._record(violation, system, result, trace)
+    The frontier is a sequence of sibling groups ``[parent trace, steps,
+    Systems | None]`` (no Systems: resumed from a checkpoint, restored by
+    replay).  Flattened, it is Figure 5's node stack/queue: DFS takes the
+    last step of the last group, BFS the first of the first, and the
+    random order keeps groups of one, so its seeded draw over
+    ``len(frontier)`` picks a node.  ``steps`` None is the single node
+    *at* ``trace``: the initial state, or any node of an older serial
+    checkpoint."""
 
-    def _record(self, violation: PropertyViolation, system, result, trace):
-        result.violations.append(
-            Violation(violation.property_name, violation.message, trace,
-                      system.state_hash(), result.transitions_executed)
-        )
-        if self.config.stop_at_first_violation:
-            result.terminated = "first_violation"
-            raise _StopSearch()
+    name = "serial"
+    workers = 0
 
-    def _record_model_error(self, exc: Exception, trace, result) -> None:
-        """Contain an exception that escaped a model handler: record it as
-        a replayable :class:`ModelError` counterexample (the crashed child
-        state is discarded — it is not a state of the model).  The message
-        is ``type: str(exc)`` — identical however the transition executed,
-        so serial and every transport agree on the recorded violation; the
-        engine-specific traceback goes into ``details``."""
-        result.model_errors += 1
-        result.violations.append(
-            ModelError(MODEL_ERROR_PROPERTY,
-                       f"{type(exc).__name__}: {exc}", trace, "",
-                       result.transitions_executed,
-                       details=traceback.format_exc())
-        )
-        if self.config.stop_at_first_violation:
-            result.terminated = "first_violation"
-            raise _StopSearch()
+    def __init__(self, searcher: Searcher, strategy: Strategy):
+        self.searcher = searcher
+        self.strategy = strategy
+        order = searcher.config.search_order
+        self._random = order == ORDER_RANDOM
+        # DFS pops the tail and BFS the head, both O(1) on a deque; the
+        # random order needs positional pops, so it keeps a plain list.
+        frontier = self._frontier = [] if self._random else deque()
+        self._at = -1 if order == ORDER_DFS else 0
+        #: Truthy while a node is left (bound: asked once per node).
+        self.pending = frontier.__len__
+
+    def start(self) -> None:
+        """Nothing to bring up, to wait for, or to tear down."""
+
+    drain = stop = start
+
+    def groups(self) -> list:
+        return [(trace, steps) for trace, steps, _ in self._frontier]
+
+    def push(self, group, systems=None) -> None:
+        trace, steps = group
+        if steps is None or not self._random:
+            self._frontier.append([trace, steps, systems])
+        else:
+            for index, step in enumerate(steps):
+                self._frontier.append(
+                    [trace, [step], systems and [systems[index]]])
+
+    def pump(self) -> None:
+        searcher, frontier, at = self.searcher, self._frontier, self._at
+        index = (searcher._rng.randrange(len(frontier)) if self._random
+                 else at)
+        trace, steps, systems = frontier[index]
+        if steps is None or len(steps) == 1:
+            del frontier[index]
+        system = systems.pop(at) if systems else None
+        if steps is not None:
+            trace += (steps.pop(at),)
+        if system is None:
+            # Trace-replay restoration (Section 6): clone the initial
+            # state and deterministically re-execute the node's path.
+            system = replay_from(searcher._initial.clone(), trace,
+                                 self.strategy)
+        limit = searcher.config.max_transitions
+        kids, digests, built, violations, transitions, quiescent = \
+            searcher.expand_node(
+                system, self.strategy, len(trace),
+                math.inf if limit is None
+                else limit - searcher.stats.transitions_executed)
+        fresh = searcher.absorb(
+            transitions, quiescent,
+            violations and [(trace, found) for found in violations], digests)
+        if False in fresh:
+            kids, built = (list(compress(kids, fresh)),
+                           list(compress(built, fresh)))
+        if kids:
+            self.push((trace, kids), built)
 
 
 class _StopSearch(Exception):

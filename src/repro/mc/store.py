@@ -111,29 +111,25 @@ def _is_hex(digest: str) -> bool:
             and not set(digest) - _HEX_DIGITS)
 
 
-def _encode_digest(digest: str, encoding: str) -> bytes | None:
-    """``digest`` as a packed record, or None if it doesn't fit
-    ``encoding`` (non-hex under RECORD_HEX, non-ASCII under RECORD_ASCII)."""
-    if encoding == RECORD_HEX:
-        if not _is_hex(digest):
-            return None
-        return bytes.fromhex(digest)
-    try:
-        return digest.encode("ascii")
-    except UnicodeEncodeError:
-        return None
+def digest_encoding(digest: str) -> str:
+    """The record encoding ``digest`` packs under: hex digests to raw
+    bytes, anything else to its ASCII bytes."""
+    return RECORD_HEX if _is_hex(digest) else RECORD_ASCII
 
 
-def pack_digest(digest: str) -> bytes | None:
-    """``digest`` packed the way every Bloom participant packs it (hex
-    digests to raw bytes, anything else to its ASCII bytes), or None
-    when it fits neither (None and empty included).  Callers treat an
-    unpackable digest as definitely-new — which is always safe, just
-    unfiltered."""
+def pack_digest(digest: str, encoding: str | None = None) -> bytes | None:
+    """``digest`` as a packed record under ``encoding`` (default: its
+    own, :func:`digest_encoding` — the way every Bloom participant packs
+    it), or None if it does not fit (non-hex under RECORD_HEX, non-ASCII
+    under RECORD_ASCII, None and empty under either).  Bloom callers
+    treat an unpackable digest as definitely-new — which is always safe,
+    just unfiltered."""
     if not digest:
         return None
-    if _is_hex(digest):
+    if encoding != RECORD_ASCII and _is_hex(digest):
         return bytes.fromhex(digest)
+    if encoding == RECORD_HEX:
+        return None
     try:
         return digest.encode("ascii")
     except (AttributeError, UnicodeEncodeError):
@@ -349,14 +345,12 @@ class MemoryStore(StateStore):
 
     def record_encoding(self) -> str:
         for digest in self._digests:
-            return RECORD_HEX if _is_hex(digest) else RECORD_ASCII
+            return digest_encoding(digest)
         return RECORD_ASCII
 
     def record_width(self) -> int:
         for digest in self._digests:
-            if _is_hex(digest):
-                return len(digest) // 2
-            return len(digest.encode("ascii"))
+            return len(pack_digest(digest) or b"")
         return 0
 
     def snapshot_into(self, directory: Path, previous: Path | None = None):
@@ -366,7 +360,7 @@ class MemoryStore(StateStore):
         buffer = bytearray()
         with open(directory / name, "wb") as handle:
             for digest in self._digests:
-                record = _encode_digest(digest, encoding)
+                record = pack_digest(digest, encoding)
                 if record is None or len(record) != width:
                     # Mis-sliced records would corrupt every digest after
                     # the first odd one out on resume — refuse now.
@@ -1248,9 +1242,9 @@ class Checkpointer:
     Enabled iff ``config.checkpoint_dir`` is set.  ``due()`` fires every
     ``config.checkpoint_interval`` units of progress (newly explored
     states; executed transitions when state matching is off) and immediately
-    after a SIGTERM (the handler only sets a flag — the engine writes the
-    snapshot at its next *consistent* point: between node expansions
-    serially, after draining in-flight tasks in the scheduler).
+    after a SIGTERM (the handler only sets a flag — ``Searcher.run``
+    writes the snapshot at its next *consistent* point: between node
+    expansions, with every in-flight task of a pool drained).
     ``install()``/``restore()`` bracket the run so the previous SIGTERM
     handler (coverage.py installs one, for instance) is always put back.
 

@@ -100,9 +100,10 @@ def spec_is_portable(spec: ScenarioSpec | None) -> bool:
 
 
 def searcher_from_spec(spec: ScenarioSpec):
-    """A *serial* :class:`~repro.mc.search.Searcher` for worker-side
-    expansion — workers never recurse into the parallel engine."""
-    return spec.build().make_searcher(parallel=False)
+    """The :class:`~repro.mc.search.Searcher` a worker expands with: the
+    scenario's own, with no pool behind it — workers never recurse into
+    the scheduler."""
+    return spec.build().with_config(workers=0).make_searcher()
 
 
 # ----------------------------------------------------------------------

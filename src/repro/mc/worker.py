@@ -2,18 +2,20 @@
 
 A worker — forked, spawned, or connected over TCP — runs the same code:
 build a :class:`WorkerRuntime`, then expand :class:`~repro.mc.wire.ExpandTask`
-sibling groups until told to stop.  Expansion mirrors the serial loop's
-per-node work exactly (enumerate enabled transitions, one clone + execute +
-property check per child, hash); only *restoration* work (parent replay,
-sibling rebuild) is extra, and none of it is counted in the transition
-totals.
+sibling groups until told to stop.  Each node goes through the search
+loop's own per-node body (:meth:`Searcher.expand_node
+<repro.mc.search.Searcher.expand_node>`, the function the serial engine
+calls); this module is the transport boundary around it: *restoration*
+of the nodes to expand (parent replay, sibling rebuild — none of it
+counted in the transition totals), *retention* of the children built,
+and *packing* of the result for the wire.
 
 Restoration is retain-then-fallback (DESIGN.md, "Retained children and
 handles").  A worker keeps the children it ships
 (``WorkerRuntime.retained``) and the scheduler sends the child's address
 back with the sibling group — a *handle* — so the worker expands the very
-System it built: executed, checked, hashed, as the serial loop's frontier
-entry would be.  A sibling the worker cannot pick up (no handle, not its
+System it built: executed, checked, hashed, exactly the in-process
+frontier's entry.  A sibling the worker cannot pick up (no handle, not its
 own, evicted) is restored by trace instead: an LRU cache of node systems
 keyed by trace lets it clone the longest cached ancestor of the group's
 parent and replay only the missing suffix — long replays snapshot a spine
@@ -42,10 +44,8 @@ import threading
 import traceback
 from collections import OrderedDict
 
-from repro.errors import NiceError, PropertyViolation
 from repro.mc.replay import replay_with_spine
-from repro.mc.search import MODEL_ERROR_PROPERTY
-from repro.mc.store import BloomFilter, pack_digest
+from repro.mc.store import BloomFilter, digest_encoding, pack_digest
 from repro.mc.strategies import make_strategy
 from repro.mc.wire import (
     ExpandTask,
@@ -106,8 +106,7 @@ class WorkerRuntime:
         self.initial = searcher.system_factory()
         self.strategy = (searcher._strategy
                          or make_strategy(self.config, self.initial.app))
-        self.properties = searcher.properties
-        for prop in self.properties:
+        for prop in searcher.properties:
             prop.reset(self.initial)
         #: trace -> System at that trace.  Entries are never mutated (they
         #: only serve as clone sources), so cache hits are safe to reuse.
@@ -116,7 +115,7 @@ class WorkerRuntime:
         self.cache: OrderedDict[tuple, object] = OrderedDict()
         #: The child Systems this worker shipped and kept, addressed by
         #: ``(task id, node position)`` + kid index: executed, property-
-        #: checked and hashed, exactly what the serial loop would have put
+        #: checked and hashed, exactly what the in-process expander puts
         #: on its frontier.  Taken out when the scheduler routes the
         #: children back (their handle rides the ExpandTask), shed oldest
         #: node first otherwise; charged against ``max_cache`` together
@@ -234,8 +233,25 @@ class WorkerRuntime:
     # Expansion
     # ------------------------------------------------------------------
 
+    def _nodes(self, groups, handles, out):
+        """Every node of every sibling group, restored group by group:
+        ``(group index, sibling index | None, depth, System)``."""
+        for gi, (trace, steps) in enumerate(groups):
+            if steps is None:       # the initial-state group
+                root = self.base_for(trace, out)
+                self.remember(trace, root)
+                yield gi, None, len(trace), root
+            else:
+                handle = handles[gi] if handles else None
+                for si, system in enumerate(
+                        self.restore(trace, steps, handle, out)):
+                    yield gi, si, len(trace) + 1, system
+
     def expand(self, groups, task_id=None, handles=None) -> dict:
-        """Expand every node of every sibling group, one clone per child.
+        """Expand every node of every sibling group through the search
+        loop's own per-node body (:meth:`Searcher.expand_node
+        <repro.mc.search.Searcher.expand_node>`), and pack what it
+        returns for the wire.
 
         Nodes are referenced back to the master as
         ``(group index, sibling index | None)`` so only transitions and
@@ -249,161 +265,88 @@ class WorkerRuntime:
         the groups of this task were, and :meth:`restore` picks them up.
         Without a ``task_id`` (quarantine sandboxes) nothing is retained.
         """
-        searcher = self.searcher
-        config = self.config
-        stats_sink = _StatsSink()  # scratch counter sink for _enabled()
-        seen = self.seen
+        searcher, seen = self.searcher, self.seen
+        stats = searcher.stats
         # Every system this worker touches descends from self.initial by
-        # clone, so one shared HashStats accumulates the hot-path counters;
-        # each result carries this task's delta back to the master.
-        self._hash_before = self.initial._hash_stats.snapshot()
+        # clone, so one shared HashStats accumulates the hot-path counters
+        # (as the searcher's stats do its discovery runs); each result
+        # carries this task's delta back to the master.
+        hashed = self.initial._hash_stats.snapshot()
+        discovered = (stats.discover_packet_runs, stats.discover_stats_runs)
+        children, violations = [], []
         out = {
-            "children": [],     # (gi, si, [(transition, digest), ...])
+            "children": children,   # (gi, si, [(transition, digest), ...])
             "quiescent": 0,
-            "violations": [],   # (property, message, hash, gi, si, transition)
+            # (property, message, hash, gi, si, transition[, traceback])
+            "violations": violations,
             "transitions": 0,
             "replayed": 0,      # base_for suffix replays (not in totals)
             "rebuilt": 0,       # siblings re-executed from a base (ditto)
             "cache_hits": 0,
             "cache_misses": 0,
         }
-        for gi, (trace, steps) in enumerate(groups):
-            if steps is None:       # the initial-state group
-                root = self.base_for(trace, out)
-                self.remember(trace, root)
-                nodes = [(None, root)]
-            else:
-                nodes = enumerate(self.restore(
-                    trace, steps, handles[gi] if handles else None, out))
-            depth = len(trace) + (steps is not None)
-            for si, system in nodes:
-                enabled = searcher._enabled(system, self.strategy, stats_sink)
-                if not enabled:
-                    out["quiescent"] += 1
-                    self._check(
-                        "check_quiescent", system, gi, si, None, out)
-                    if config.stop_at_first_violation and out["violations"]:
-                        return self._finish(out, stats_sink)
-                    continue
-                if config.max_depth is not None and depth >= config.max_depth:
-                    continue
-                kids = []
+        #: Every kid's digest, packed once under the first one's encoding:
+        #: the retention hint's key here, its slice of the wire blob next.
+        encoding, records = None, []
+        for gi, si, depth, system in self._nodes(groups, handles, out):
+            steps, digests, built, found, transitions, quiescent = \
+                searcher.expand_node(system, self.strategy, depth)
+            out["transitions"] += transitions
+            out["quiescent"] += quiescent
+            violations += [record[:3] + (gi, si) + record[3:]
+                           for record in found]
+            if steps:
+                if encoding is None:
+                    encoding = digest_encoding(digests[0])
                 keep = {}
-                for transition in enabled:
-                    child = system.clone()
-                    try:
-                        child.execute(transition)
-                        self.strategy.post_execute(child, transition)
-                    except Exception as exc:
-                        # Mirror of the serial loop's containment: a model-
-                        # handler exception becomes a ModelError violation
-                        # tuple and the crashed child is discarded.  Engine
-                        # errors (NiceError: replay divergence, transition
-                        # bugs) still escape as WorkerError — fail_fast
-                        # additionally forwards model exceptions there.
-                        if isinstance(exc, NiceError) or config.fail_fast:
-                            raise
-                        out["transitions"] += 1
-                        out["violations"].append(
-                            (MODEL_ERROR_PROPERTY,
-                             f"{type(exc).__name__}: {exc}", "",
-                             gi, si, transition, traceback.format_exc())
-                        )
-                        if config.stop_at_first_violation:
-                            return self._finish(out, stats_sink)
-                        continue
-                    out["transitions"] += 1
-                    self._check("check", child, gi, si, transition, out)
-                    if config.stop_at_first_violation and out["violations"]:
-                        return self._finish(out, stats_sink)
-                    # The digest feeds the master's explored-set dedup;
-                    # without state matching it would be discarded (the
-                    # serial loop skips hashing there too).
-                    digest = (child.state_hash() if config.state_matching
-                              else None)
-                    if task_id is not None:
-                        record = (pack_digest(digest)
-                                  if seen is not None else None)
-                        if record is None or seen.add(record):
-                            keep[len(kids)] = child
-                    kids.append((transition, digest))
-                self.retained.put((task_id, len(out["children"])), keep)
+                for index, digest in enumerate(digests):
+                    record = pack_digest(digest, encoding)
+                    records.append(record)
+                    if task_id is not None and (
+                            seen is None or record is None
+                            or seen.add(record)):
+                        keep[index] = built[index]
+                self.retained.put((task_id, len(children)), keep)
                 self._trim()
-                out["children"].append((gi, si, kids))
-        return self._finish(out, stats_sink)
-
-    def _finish(self, out, stats_sink) -> dict:
-        out["discover_packet_runs"] = stats_sink.discover_packet_runs
-        out["discover_stats_runs"] = stats_sink.discover_stats_runs
-        after = self.initial._hash_stats.snapshot()
+                children.append((gi, si, list(zip(steps, digests))))
+            if found and self.config.stop_at_first_violation:
+                # The master stops at the first violation it absorbs; the
+                # kids hashed so far still ship, and are committed.
+                break
+        self._compact_digests(out, encoding, records)
+        out["discover_packet_runs"] = \
+            stats.discover_packet_runs - discovered[0]
+        out["discover_stats_runs"] = stats.discover_stats_runs - discovered[1]
         out["hash_stats"] = tuple(
-            now - before for now, before in zip(after, self._hash_before)
-        )
-        self._compact_digests(out)
+            now - before for now, before
+            in zip(self.initial._hash_stats.snapshot(), hashed))
         # Measured (not estimated) children payload — the per-child part
         # of the result (the rest of ``out`` is a fixed-size stats
         # envelope independent of how many children shipped), packed
         # digest blob included.  SearchStats.result_payload_bytes sums it.
         out["result_bytes"] = len(pickle.dumps(
-            (out["children"], out.get("kid_digests")),
+            (children, out.get("kid_digests")),
             protocol=pickle.HIGHEST_PROTOCOL))
         return out
 
     @staticmethod
-    def _compact_digests(out) -> None:
+    def _compact_digests(out, encoding, records) -> None:
         """Move every kid digest out of its ``(transition, digest)``
         tuple into one packed blob (``out["kid_digests"]``, blob order ==
         kid order): a pickled digest string costs ~40 B per kid while its
         packed record is the raw width (16 B for the hex digests
-        ``state_hash`` emits).  Packing only happens when every digest
-        round-trips losslessly at one uniform width and encoding;
-        anything else (no digests at all, without state matching) ships
-        them inline, which is always correct.  Compacted kid slots are
-        ``(transition, None)``; ``_Scheduler._inflate_digests`` is the
-        inverse."""
-        width = encoding = None
-        blob = bytearray()
-        for _, _, kids in out["children"]:
-            for _, digest in kids:
-                record = kind = None
-                try:
-                    packed = bytes.fromhex(digest)
-                    if packed and packed.hex() == digest:
-                        record, kind = packed, "hex"
-                except (ValueError, TypeError):
-                    pass
-                if record is None:
-                    try:
-                        record, kind = digest.encode("ascii"), "ascii"
-                    except (AttributeError, UnicodeEncodeError):
-                        return
-                if not record:
-                    return
-                if width is None:
-                    width, encoding = len(record), kind
-                elif len(record) != width or kind != encoding:
-                    return
-                blob += record
-        if width is None:
+        ``state_hash`` emits).  ``records`` are the kids' digests packed
+        under ``encoding``, None where one did not fit it; the blob only
+        ships when every one fits at one width — anything else (no
+        digests at all, without state matching) leaves them inline, which
+        is always correct.  Compacted kid slots are ``(transition,
+        None)``; ``_Scheduler._inflate_digests`` is the inverse."""
+        if not records or None in records \
+                or len(set(map(len, records))) != 1:
             return
-        out["kid_digests"] = (encoding, width, bytes(blob))
+        out["kid_digests"] = (encoding, len(records[0]), b"".join(records))
         for _, _, kids in out["children"]:
-            for j, (transition, _) in enumerate(kids):
-                kids[j] = (transition, None)
-
-    def _check(self, method, system, gi, si, transition, out) -> None:
-        """Run every property, appending violations as picklable tuples."""
-        for prop in self.properties:
-            try:
-                if method == "check":
-                    prop.check(system, transition)
-                else:
-                    prop.check_quiescent(system)
-            except PropertyViolation as violation:
-                out["violations"].append(
-                    (violation.property_name, violation.message,
-                     system.state_hash(), gi, si, transition)
-                )
+            kids[:] = [(transition, None) for transition, _ in kids]
 
     # ------------------------------------------------------------------
     # Memory watchdog
@@ -457,14 +400,6 @@ def _rss_bytes() -> int | None:
         return kb * 1024  # high-water mark: conservative fallback
     except Exception:  # noqa: BLE001 - no resource module on this platform
         return None
-
-
-class _StatsSink:
-    """Just the counters ``Searcher._enabled`` increments."""
-
-    def __init__(self):
-        self.discover_packet_runs = 0
-        self.discover_stats_runs = 0
 
 
 # ----------------------------------------------------------------------

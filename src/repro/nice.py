@@ -67,17 +67,13 @@ class Scenario:
             derived.spec = dataclasses.replace(self.spec, config=config)
         return derived
 
-    def make_searcher(self, parallel: bool | None = None) -> Searcher:
-        """The searcher ``config`` asks for: the parallel scheduler when
-        ``workers > 1``, else the serial loop.  Workers pass
-        ``parallel=False`` — they expand with the serial searcher's
-        machinery and never recurse into the parallel engine."""
-        if parallel is None:
-            parallel = self.config.workers > 1
+    def make_searcher(self) -> Searcher:
+        """The searcher ``config`` asks for: one search loop, with a
+        worker pool behind it when ``workers > 1``."""
         discoverer = None
         if self.config.use_symbolic_execution:
             discoverer = ConcolicEngine(max_paths=self.config.max_paths)
-        return (ParallelSearcher if parallel else Searcher)(
+        return (ParallelSearcher if self.config.workers > 1 else Searcher)(
             self.system_factory, self.properties, self.config,
             strategy=make_strategy(self.config, self.app_factory()),
             discoverer=discoverer, scenario_spec=self.spec,

@@ -78,6 +78,6 @@ def reference_factory(scenario):
 def reference_run(scenario):
     """Search ``scenario`` serially on the reference engine; the result is
     comparable field by field with ``nice.run``'s."""
-    searcher = scenario.make_searcher(parallel=False)
+    searcher = scenario.with_config(workers=0).make_searcher()
     searcher.system_factory = reference_factory(scenario)
     return searcher.run()

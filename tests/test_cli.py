@@ -189,3 +189,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "transitions executed" in out
         assert code in (0, 1)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "ping", "--workers", "-1"], "workers must be >= 0"),
+        (["run", "ping", "--batch-nodes", "0"], "batch_nodes must be >= 1"),
+        (["run", "ping", "--store-shards", "0"],
+         "store_shards must be >= 1"),
+    ])
+    def test_invalid_config_is_a_usage_error(self, argv, message, capsys):
+        """A flag value NiceConfig rejects is reported the way argparse
+        reports its own (``nice: error: ...``, exit 2), not as a
+        ``__post_init__`` traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"nice: error: {message}" in capsys.readouterr().err
+
+    def test_invalid_resume_override_is_a_usage_error(self, capsys,
+                                                      tmp_path):
+        ckpt = str(tmp_path / "ck")
+        main(["run", "ping", "--pings", "1", "--all-violations",
+              "--checkpoint-dir", ckpt, "--checkpoint-interval", "10"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["resume", ckpt, "--workers", "-1"])
+        assert exit_info.value.code == 2
+        assert "nice: error: workers must be >= 0" in capsys.readouterr().err

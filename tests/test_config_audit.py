@@ -20,6 +20,7 @@ import pathlib
 import pickle
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -113,7 +114,7 @@ def _task_budgets(**knobs) -> tuple[int, int]:
     pending."""
     sched = _Scheduler.__new__(_Scheduler)
     sched.config = NiceConfig(**knobs)
-    sched._explored = range(1000)
+    sched.searcher = SimpleNamespace(_explored=range(1000))
     sched._live = {0, 1}
     sched._batch = {0: 40.0}
     sched._pending_groups = 1000

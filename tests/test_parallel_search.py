@@ -33,8 +33,6 @@ from contract import (
 )
 from reference_engine import reference_run
 from repro import nice, scenarios
-from repro.mc.scheduler import ParallelSearcher
-from repro.mc.search import Searcher
 from repro.scenarios import with_config
 
 pytestmark = pytest.mark.skipif(
@@ -89,15 +87,15 @@ class TestParallelMatchesSerial:
         assert violated_properties(result) == ["StrictDirectPaths"]
 
     def test_workers_one_uses_serial_engine(self):
-        searcher = with_config(scenarios.pyswitch_direct_path(),
-                               workers=1).make_searcher()
-        # workers <= 1 falls back to the serial loop inside Searcher.run.
-        assert type(searcher) is Searcher
+        # One worker is no pool: the loop expands in process.
+        result = nice.run(with_config(scenarios.pyswitch_direct_path(),
+                                      workers=1))
+        assert (result.engine, result.workers) == ("serial", 0)
 
     def test_workers_config_selects_parallel_engine(self):
-        searcher = with_config(scenarios.pyswitch_direct_path(),
-                               workers=4).make_searcher()
-        assert isinstance(searcher, ParallelSearcher)
+        result = nice.run(with_config(scenarios.pyswitch_direct_path(),
+                                      workers=4))
+        assert (result.engine, result.workers) == ("local-fork", 4)
 
 
 class TestTraceReplayDeterminism:

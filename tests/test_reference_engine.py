@@ -26,7 +26,6 @@ from reference_engine import ReferenceSystem, reference_factory, reference_run
 from repro import nice, scenarios
 from repro.config import NiceConfig
 from repro.hosts.base import Host
-from repro.mc.search import SearchStats
 from repro.mc.strategies import make_strategy
 from repro.mc.system import PacketLedger
 from repro.openflow.channels import Channel
@@ -55,7 +54,7 @@ def first_disagreement(scenario, steps: int = STEPS):
         pair = rng.choice(pool)
         product, reference = pair
         assert product.enabled_transitions() == reference.enabled_transitions()
-        enabled = searcher._enabled(product, strategy, SearchStats())
+        enabled = searcher._enabled(product, strategy)
         if not enabled:
             pool.remove(pair)
             if not pool:

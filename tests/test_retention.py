@@ -16,6 +16,7 @@ fallback on the fork, spawn and socket transports.
 from __future__ import annotations
 
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
@@ -266,7 +267,8 @@ class TestHandleRouting:
         sched._queues = {None: deque()}
         sched._pending_groups = 0
         sched._live = set(live)
-        sched._explored = range(1000)  # past the fan-out phase
+        # past the fan-out phase
+        sched.searcher = SimpleNamespace(_explored=range(1000))
         sched._batch = dict.fromkeys(live, 16.0)
         sched.stats = SearchStats()
         return sched
@@ -299,7 +301,7 @@ class TestHandleRouting:
         sched._push(None, ((), None))
         sched._push(1, (("a",), ["b"]), (4, 0, (1,)))
         sched._push(0, (("c",), ["d"]), (5, 1, (0,)))
-        assert sched._frontier_groups() == [
+        assert sched.groups() == [
             ((), None), (("c",), ["d"]), (("a",), ["b"])]
 
 

@@ -1,0 +1,111 @@
+"""One of each, by construction: a structure guard over ``src/repro/mc``.
+
+The search has one driver (``Searcher.run``), one per-node body
+(``Searcher.expand_node``) and one commit (``Searcher.absorb``); the
+serial engine is that loop with an in-process expander, the parallel one
+the same loop with the scheduler as its expander.  "Bit-identical to
+serial" rests on there being no second copy of any of the three, so a
+second copy must fail ``pytest`` rather than wait for the differential
+suite to catch the two drifting apart.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import repro
+
+MC = pathlib.Path(repro.__file__).resolve().parent / "mc"
+
+
+def _functions() -> dict:
+    """``(module, qualified name) -> FunctionDef`` for every module-level
+    function and every method of ``src/repro/mc``."""
+    found = {}
+    for path in sorted(MC.rglob("*.py")):
+        module = path.relative_to(MC).with_suffix("").as_posix()
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                found[module, node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                for child in node.body:
+                    if isinstance(child, ast.FunctionDef):
+                        found[module, f"{node.name}.{child.name}"] = child
+    return found
+
+
+FUNCTIONS = _functions()
+
+
+def _calls(function) -> set[str]:
+    """Names called inside ``function`` (its nested functions included,
+    they run as part of it): ``f(...)`` as ``f``, ``x.y.f(...)`` as
+    ``.f``."""
+    names = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Attribute):
+                names.add("." + node.func.attr)
+            elif isinstance(node.func, ast.Name):
+                names.add(node.func.id)
+    return names
+
+
+def _callers(*wanted: str, outside: str | None = None) -> set[tuple]:
+    """The functions calling every name of ``wanted``."""
+    return {(module, name) for (module, name), function in FUNCTIONS.items()
+            if module != outside and set(wanted) <= _calls(function)}
+
+
+def test_one_clone_execute_check_hash_body():
+    """Besides ``WorkerRuntime.restore``'s rebuild of a sibling it did
+    not retain (restoration: never counted, never property-checked), the
+    only function that clones a System and executes a transition on the
+    clone is ``expand_node`` — and it alone goes on to hash the child."""
+    assert _callers(".clone", ".execute") == {
+        ("search", "Searcher.expand_node"), ("worker", "WorkerRuntime.restore")}
+    assert _callers(".clone", ".execute", ".state_hash") == {
+        ("search", "Searcher.expand_node")}
+
+
+def test_one_driver_owns_the_store_and_the_checkpointer():
+    run = {("search", "Searcher.run")}
+    assert _callers(".Checkpointer") | _callers("Checkpointer") == run
+    assert _callers(".create_store") | _callers("create_store") == run
+    assert _callers(".restore_store") | _callers("restore_store") == run
+
+
+def test_one_commit():
+    """Outside the store itself, only ``absorb`` appends to the explored
+    set, and only ``_record`` (called by nothing else) builds the
+    violation objects."""
+    assert _callers(".add_batch", outside="store") == {
+        ("search", "Searcher.absorb")}
+    assert _callers("Violation") | _callers("ModelError") == {
+        ("search", "Searcher._record")}
+    assert {caller for caller in _callers("._record")
+            if caller[0] in ("search", "scheduler", "worker")} == {
+        ("search", "Searcher.absorb")}
+
+
+def test_the_scheduler_is_an_expander_not_a_second_loop():
+    methods = {name.split(".", 1)[1] for module, name in FUNCTIONS
+               if module == "scheduler" and name.startswith("_Scheduler.")}
+    assert "run" not in methods
+    assert {"start", "pending", "pump", "drain", "groups", "stop",
+            "push"} <= methods
+    tree = ast.parse((MC / "scheduler.py").read_text())
+    # No statistics and no store of its own: both are the searcher's.
+    assert "SearchStats" not in {
+        node.func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not any("store" in alias.name
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for alias in node.names)
+    parallel, = (node for node in tree.body if isinstance(node, ast.ClassDef)
+                 and node.name == "ParallelSearcher")
+    assert [child.name for child in parallel.body
+            if isinstance(child, ast.FunctionDef)] == ["_expander"]
+    assert parallel.end_lineno - parallel.lineno + 1 <= 20

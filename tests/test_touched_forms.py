@@ -31,7 +31,6 @@ from repro import nice, scenarios
 from repro.config import NiceConfig
 from repro.mc import store as store_mod
 from repro.mc.canonical import canonicalize
-from repro.mc.search import SearchStats
 from repro.mc.strategies import make_strategy
 from repro.scenarios import REGISTRY, with_config
 from scenario_gen import random_scenario
@@ -80,14 +79,13 @@ def test_random_walk_matches_oracle_and_keeps_the_seal(builder, overrides,
     system_factory = factory(scenario)
     initial = system_factory()
     strategy = make_strategy(scenario.config, initial.app)
-    stats = SearchStats()
     rng = random.Random(13)
     assert_forms_match_oracle(initial, "initial")
     pool = [initial]
     steps = 0
     while steps < STEPS:
         parent = rng.choice(pool)
-        enabled = searcher._enabled(parent, strategy, stats)
+        enabled = searcher._enabled(parent, strategy)
         if not enabled:
             pool.remove(parent)
             if not pool:

@@ -24,8 +24,10 @@ from contract import counters, exhaustive, requires_fork, violated_properties
 from repro import nice, scenarios
 from repro.config import NiceConfig
 from repro.mc import scheduler as scheduler_mod
+from repro.mc import store as store_mod
 from repro.mc import wire
 from repro.mc.scheduler import ParallelSearcher, _Scheduler
+from repro.mc.store import digest_encoding, pack_digest
 from repro.mc.transport import Transport, create_transport
 from repro.mc.transport.socket import (
     SocketTransport,
@@ -34,6 +36,7 @@ from repro.mc.transport.socket import (
 )
 from repro.mc.worker import WorkerRuntime, _serve
 from repro.nice import Scenario
+from repro.properties.base import Property
 from repro.scenarios import with_config
 
 
@@ -272,6 +275,89 @@ class TestReplayCache:
 
 
 # ----------------------------------------------------------------------
+# One stop rule: what is counted is committed, on every engine
+# ----------------------------------------------------------------------
+
+class _RejectsTheInitialState(Property):
+    name = "RejectsTheInitialState"
+
+    def check(self, system, transition) -> None:
+        if transition is None:
+            self.violation("the initial state itself is bad")
+
+
+class TestStopRule:
+    """``Searcher.absorb`` commits in a ``finally`` (DESIGN.md, "Search
+    engine": commit, then stop).  On :class:`InlineTransport`, so the
+    task a stop lands in is the same every run."""
+
+    @staticmethod
+    def _inline_pool(monkeypatch):
+        started = []
+
+        class Recording(InlineTransport):
+            def start(self, searcher) -> None:
+                started.append(self)
+                super().start(searcher)
+
+        monkeypatch.setattr(
+            scheduler_mod, "create_transport",
+            lambda config, spec: Recording(config.workers))
+        return started
+
+    @pytest.mark.parametrize("limit", [50, 333])
+    def test_budget_stop_commits_every_counted_child(self, limit,
+                                                     monkeypatch):
+        """A pool's workers expand whole nodes, so every transition a
+        merged result counts has a child in that result — and the stop
+        must not unwind before those children reach the explored set.
+        Serially the budget is applied per child: the one that trips it
+        is executed and counted, never committed."""
+        scenario = with_config(
+            scenarios.ping_experiment(pings=2), max_transitions=limit,
+            stop_at_first_violation=False, heartbeat_interval=0)
+        serial = nice.run(scenario)
+        assert serial.terminated == "max_transitions"
+        assert serial.transitions_executed == limit
+        assert serial.unique_states - 1 + serial.revisited_states \
+            == serial.transitions_executed - 1
+        assert self._inline_pool(monkeypatch) == []
+        pool = nice.run(with_config(scenario, workers=2))
+        assert pool.engine == "inline"
+        assert pool.terminated == "max_transitions"
+        assert pool.transitions_executed >= limit
+        assert pool.unique_states - 1 + pool.revisited_states \
+            == pool.transitions_executed
+
+    def test_initial_state_stop_is_the_same_on_every_engine(
+            self, monkeypatch):
+        """A search that ends at its initial state brought nothing up:
+        no store, no worker — and still reports the hashing it did."""
+        started = self._inline_pool(monkeypatch)
+        stores = []
+        create_store = store_mod.create_store
+        monkeypatch.setattr(
+            store_mod, "create_store",
+            lambda config: stores.append(create_store(config)) or stores[-1])
+        template = scenarios.ping_experiment(pings=1)
+        for workers, engine in ((0, "serial"), (2, "inline")):
+            scenario = with_config(
+                Scenario(template.topo, template.app_factory,
+                         template.hosts_factory,
+                         [_RejectsTheInitialState()], template.config),
+                workers=workers, stop_at_first_violation=True)
+            stats = nice.run(scenario)
+            assert stats.engine == engine
+            assert stats.terminated == "first_violation"
+            assert [v.property_name for v in stats.violations] \
+                == ["RejectsTheInitialState"]
+            assert stats.violations[0].trace == ()
+            assert stats.transitions_executed == stats.unique_states == 0
+            assert stats.hash_misses > 0
+        assert started == [] and stores == []
+
+
+# ----------------------------------------------------------------------
 # base_for counter contract
 # ----------------------------------------------------------------------
 
@@ -496,12 +582,23 @@ def _out(children):
                          for gi, si, kids in children]}
 
 
+def _compact(out) -> None:
+    """Compact ``out`` with its kid digests packed as
+    ``WorkerRuntime.expand`` packs them: once each, all under the first
+    one's encoding."""
+    digests = [digest for _, _, kids in out["children"]
+               for _, digest in kids]
+    encoding = digest_encoding(digests[0])
+    WorkerRuntime._compact_digests(
+        out, encoding, [pack_digest(digest, encoding) for digest in digests])
+
+
 class TestCompactInflate:
     def test_round_trip_restores_every_kid(self):
         kids_a = [("t1", _hex(1)), (None, _hex(2)), ("t2", _hex(3))]
         kids_b = [(None, _hex(2)), ("t3", _hex(4))]
         out = _out([(0, None, kids_a), (1, 2, kids_b)])
-        WorkerRuntime._compact_digests(out)
+        _compact(out)
         packed = out["kid_digests"]
         assert packed[0] == "hex" and packed[1] == 16
         assert len(packed[2]) == 5 * 16
@@ -514,7 +611,7 @@ class TestCompactInflate:
     def test_ascii_digests_round_trip(self):
         kids = [("t", "state-one"), (None, "state-two")]
         out = _out([(0, 0, kids)])
-        WorkerRuntime._compact_digests(out)
+        _compact(out)
         assert out["kid_digests"][0] == "ascii"
         _Scheduler._inflate_digests(out)
         assert out["children"] == [(0, 0, kids)]
@@ -522,14 +619,14 @@ class TestCompactInflate:
     def test_mixed_widths_fall_back_to_inline(self):
         kids = [("t", "ab"), (None, "abcd")]
         out = _out([(0, 0, kids)])
-        WorkerRuntime._compact_digests(out)
+        _compact(out)
         assert "kid_digests" not in out
         assert out["children"] == [(0, 0, kids)]  # untouched
 
     def test_unencodable_digest_falls_back_to_inline(self):
         kids = [("t", "ok-digest"), (None, "bad☃digest")]
         out = _out([(0, 0, kids)])
-        WorkerRuntime._compact_digests(out)
+        _compact(out)
         assert "kid_digests" not in out
         assert out["children"] == [(0, 0, kids)]
 
