@@ -26,6 +26,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -35,7 +36,6 @@ from repro.config import (
     ALL_STORES,
     ALL_STRATEGIES,
     ALL_TRANSPORTS,
-    STORE_MEMORY,
     ConfigError,
     NiceConfig,
 )
@@ -47,6 +47,15 @@ from repro.mc.store import CheckpointError
 #: specs against (repro/scenarios.py).
 SCENARIOS = scenarios.REGISTRY
 
+#: Fields only a worker pool reads: `nice run` warns when one is set
+#: without ``--workers N`` (N > 1).
+POOL_FIELDS = frozenset({
+    "transport", "start_method", "worker_address", "spawn_socket_workers",
+    "min_workers", "max_worker_failures", "respawn_workers",
+    "heartbeat_interval", "task_deadline", "max_task_retries",
+    "worker_memory_limit",
+})
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -57,133 +66,115 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="model-check a scenario")
     run_p.add_argument("scenario", choices=sorted(SCENARIOS))
-    run_p.add_argument("--strategy", choices=ALL_STRATEGIES,
-                       default="PKT-SEQ")
-    run_p.add_argument("--pings", type=int, default=2,
-                       help="ping pairs (ping scenario only)")
-    run_p.add_argument("--mode", choices=HOSTILE_MODES, default="benign",
-                       help="misbehavior mode (hostile scenario only)")
-    run_p.add_argument("--arm-file", default=None,
-                       help="hostile scenario: arm-counter file; each"
-                            " misbehavior decrements it, -1 = always fire")
-    run_p.add_argument("--max-transitions", type=int, default=None)
-    run_p.add_argument("--max-pkt-sequence", type=int, default=2)
-    run_p.add_argument("--max-outstanding", type=int, default=1)
-    run_p.add_argument("--no-canonical", action="store_true",
-                       help="disable the canonical switch representation "
-                            "(NO-SWITCH-REDUCTION)")
-    run_p.add_argument("--no-state-matching", action="store_true")
-    run_p.add_argument("--workers", type=int, default=0,
-                       help="search worker processes (0/1 = serial)")
-    run_p.add_argument("--transport", choices=ALL_TRANSPORTS,
-                       default="local",
-                       help="how workers are reached: in-process pool or "
-                            "TCP workers (see `nice worker`)")
-    run_p.add_argument("--start-method", choices=ALL_START_METHODS,
-                       default=None,
-                       help="local-transport start method (default: fork "
-                            "where available, else spawn)")
-    run_p.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
-                       help="socket transport listen address "
-                            "(port 0 = pick a free port)")
-    run_p.add_argument("--external-workers", action="store_true",
-                       help="socket transport: wait for externally started "
-                            "`nice worker`s instead of spawning local ones")
-    run_p.add_argument("--no-affinity", action="store_true",
-                       help="route sibling groups round-robin instead of to "
-                            "the worker whose replay cache holds the parent")
-    run_p.add_argument("--min-workers", type=int,
-                       default=NiceConfig.min_workers, metavar="N",
-                       help="abort (cleanly) if worker deaths shrink the "
-                            "live pool below N workers (default 1: keep "
-                            "searching on the last survivor)")
-    run_p.add_argument("--max-worker-failures", type=int,
-                       default=NiceConfig.max_worker_failures,
-                       metavar="N",
-                       help="tolerate at most N worker deaths before giving "
-                            "up (default: unlimited while min-workers "
-                            "survive; 0 = abort on the first death)")
-    run_p.add_argument("--respawn-workers", action="store_true",
-                       help="replace each dead worker with a fresh process "
-                            "(the autoscaler hook; keeps the pool at size "
-                            "through crash storms)")
-    run_p.add_argument("--heartbeat-interval", type=float,
-                       default=NiceConfig.heartbeat_interval, metavar="SEC",
-                       help="worker liveness beat period (0 disables "
-                            "heartbeats and hang detection)")
-    run_p.add_argument("--task-deadline", type=float, default=None,
-                       metavar="SEC",
-                       help="hard per-task deadline after which a silent "
-                            "worker is declared hung and killed (default: "
-                            "derived from observed task round-trip times; "
-                            "0 disables deadlines)")
-    run_p.add_argument("--max-task-retries", type=int,
-                       default=NiceConfig.max_task_retries, metavar="N",
-                       help="worker deaths one sibling group may survive "
-                            "before it is quarantined as a poison task")
-    run_p.add_argument("--no-quarantine", action="store_true",
-                       help="record poison tasks as diagnostics immediately "
-                            "instead of retrying them in a sandboxed "
-                            "subprocess")
-    run_p.add_argument("--worker-memory-limit", type=int, default=None,
-                       metavar="BYTES",
-                       help="worker rss watchdog: above this, a worker "
-                            "sheds its replay cache and, if still over, "
-                            "recycles itself")
-    run_p.add_argument("--fail-fast", action="store_true",
-                       help="abort on exceptions raised by the model under "
-                            "test instead of recording them as replayable "
-                            "ModelError counterexamples")
-    run_p.add_argument("--no-adaptive-batching", action="store_true",
-                       help="use the static --batch-groups/--batch-nodes "
-                            "task sizes instead of adapting them per worker "
-                            "from observed task round-trip times")
-    run_p.add_argument("--batch-groups", type=int,
-                       default=NiceConfig.batch_groups, metavar="N",
-                       help="parallel scheduler: max sibling groups per "
-                            "worker task")
-    run_p.add_argument("--batch-nodes", type=int,
-                       default=NiceConfig.batch_nodes, metavar="N",
-                       help="parallel scheduler: max total nodes per "
-                            "worker task")
-    run_p.add_argument("--store", choices=ALL_STORES, default=STORE_MEMORY,
-                       help="explored-set storage: in-memory hash table, or "
-                            "digest-prefix shards spilling to disk under an "
-                            "LRU memory budget")
-    run_p.add_argument("--store-shards", type=int,
-                       default=NiceConfig.store_shards, metavar="N",
-                       help="sharded store: number of digest-prefix shards")
-    run_p.add_argument("--store-memory-budget", type=int,
-                       default=NiceConfig.store_memory_budget, metavar="N",
-                       help="sharded store: digests kept resident in memory "
-                            "(the rest spill to disk)")
-    run_p.add_argument("--store-bloom-bits", type=int,
-                       default=NiceConfig.store_bloom_bits, metavar="N",
-                       help="Bloom filter size in bits (rounded up to a "
-                            "power of two; 0 disables): per shard of the "
-                            "sharded store, and per worker for the "
-                            "retention hint")
-    run_p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                       help="periodically snapshot the master state "
-                            "(explored set, frontier, stats, config) into "
-                            "DIR; continue later with `nice resume DIR`")
-    run_p.add_argument("--checkpoint-interval", type=int,
-                       default=NiceConfig.checkpoint_interval, metavar="N",
-                       help="states explored between checkpoints (SIGTERM "
-                            "also triggers one)")
-    run_p.add_argument("--all-violations", action="store_true",
-                       help="keep searching after the first violation")
-    run_p.add_argument("--trace", action="store_true",
-                       help="print the violation trace(s)")
-    run_p.add_argument("--json", action="store_true",
-                       help="machine-readable output")
+    # A config option is declared once: its ``dest`` is its NiceConfig
+    # field (``make_config``) and its default that field's.
+    run_p.set_defaults(**{
+        field.name: field.default for field in dataclasses.fields(NiceConfig)
+        if field.default is not dataclasses.MISSING})
+    #: ``dest`` -> flag of every `nice run` option.
+    parser.run_flags = {}
+
+    def option(flag, **kwargs):
+        parser.run_flags[run_p.add_argument(flag, **kwargs).dest] = flag
+
+    option("--strategy", choices=ALL_STRATEGIES)
+    option("--pings", type=int, default=2,
+           help="ping pairs (ping scenario only)")
+    option("--mode", choices=HOSTILE_MODES, default="benign",
+           help="misbehavior mode (hostile scenario only)")
+    option("--arm-file",
+           help="hostile scenario: arm-counter file; each misbehavior"
+                " decrements it, -1 = always fire")
+    option("--max-transitions", type=int)
+    option("--max-pkt-sequence", type=int)
+    option("--max-outstanding", type=int)
+    option("--no-canonical", dest="canonical_flow_tables",
+           action="store_false",
+           help="disable the canonical switch representation "
+                "(NO-SWITCH-REDUCTION)")
+    option("--no-state-matching", dest="state_matching",
+           action="store_false")
+    option("--workers", type=int,
+           help="search worker processes (0/1 = serial)")
+    option("--transport", choices=ALL_TRANSPORTS,
+           help="how workers are reached: in-process pool or "
+                "TCP workers (see `nice worker`)")
+    option("--start-method", choices=ALL_START_METHODS,
+           help="local-transport start method (default: fork "
+                "where available, else spawn)")
+    option("--listen", dest="worker_address", metavar="HOST:PORT",
+           help="socket transport listen address "
+                "(port 0 = pick a free port)")
+    option("--external-workers", dest="spawn_socket_workers",
+           action="store_false",
+           help="socket transport: wait for externally started "
+                "`nice worker`s instead of spawning local ones")
+    option("--min-workers", type=int, metavar="N",
+           help="abort (cleanly) if worker deaths shrink the "
+                "live pool below N workers (default 1: keep "
+                "searching on the last survivor)")
+    option("--max-worker-failures", type=int, metavar="N",
+           help="tolerate at most N worker deaths before giving "
+                "up (default: unlimited while min-workers "
+                "survive; 0 = abort on the first death)")
+    option("--respawn-workers", action="store_true",
+           help="replace each dead worker with a fresh process "
+                "(the autoscaler hook; keeps the pool at size "
+                "through crash storms)")
+    option("--heartbeat-interval", type=float, metavar="SEC",
+           help="worker liveness beat period (0 sends no beats; "
+                "hang detection is --task-deadline's)")
+    option("--task-deadline", type=float, metavar="SEC",
+           help="hard per-task deadline after which a silent "
+                "worker is declared hung and killed (default: "
+                "derived from observed task round-trip times; "
+                "0 disables deadlines)")
+    option("--max-task-retries", type=int, metavar="N",
+           help="worker deaths one sibling group may survive "
+                "before it is quarantined as a poison task")
+    option("--worker-memory-limit", type=int, metavar="BYTES",
+           help="worker rss watchdog: above this, a worker "
+                "sheds its replay cache and, if still over, "
+                "recycles itself")
+    option("--fail-fast", action="store_true",
+           help="abort on exceptions raised by the model under "
+                "test instead of recording them as replayable "
+                "ModelError counterexamples")
+    option("--store", choices=ALL_STORES,
+           help="explored-set storage: in-memory hash table, or "
+                "digest-prefix shards spilling to disk under an "
+                "LRU memory budget")
+    option("--store-shards", type=int, metavar="N",
+           help="sharded store: number of digest-prefix shards")
+    option("--store-memory-budget", type=int, metavar="N",
+           help="sharded store: digests kept resident in memory "
+                "(the rest spill to disk)")
+    option("--store-bloom-bits", type=int, metavar="N",
+           help="Bloom filter size in bits (rounded up to a "
+                "power of two; 0 disables): per shard of the "
+                "sharded store, and per worker for the "
+                "retention hint")
+    option("--checkpoint-dir", metavar="DIR",
+           help="periodically snapshot the master state "
+                "(explored set, frontier, stats, config) into "
+                "DIR; continue later with `nice resume DIR`")
+    option("--checkpoint-interval", type=int, metavar="N",
+           help="states explored between checkpoints (SIGTERM "
+                "also triggers one)")
+    option("--all-violations", dest="stop_at_first_violation",
+           action="store_false",
+           help="keep searching after the first violation")
+    option("--trace", action="store_true",
+           help="print the violation trace(s)")
+    option("--json", action="store_true",
+           help="machine-readable output")
 
     resume_p = sub.add_parser(
         "resume",
         help="continue a checkpointed search (see `nice run "
              "--checkpoint-dir`); the resumed run explores the identical "
              "state space an uninterrupted run would have")
-    resume_p.add_argument("checkpoint_dir", metavar="DIR",
+    resume_p.add_argument("directory", metavar="DIR",
                           help="checkpoint directory written by a previous "
                                "run; the newest valid snapshot is used "
                                "(torn ones fall back to the previous)")
@@ -198,14 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
                           help="override the local-transport start method")
     resume_p.add_argument("--store", choices=ALL_STORES, default=None,
                           help="override the explored-set store")
-    resume_p.add_argument("--checkpoint-dir", dest="new_checkpoint_dir",
-                          default=None, metavar="DIR",
+    resume_p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                           help="keep checkpointing, into DIR (default: the "
                                "directory being resumed from)")
     resume_p.add_argument("--checkpoint-interval", type=int, default=None,
                           metavar="N",
                           help="override the checkpoint interval")
-    resume_p.add_argument("--no-checkpoints", action="store_true",
+    resume_p.add_argument("--no-checkpoints", dest="checkpointing",
+                          action="store_false",
                           help="do not write further checkpoints")
     resume_p.add_argument("--trace", action="store_true",
                           help="print the violation trace(s)")
@@ -244,39 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def make_config(args) -> NiceConfig:
-    return NiceConfig(
-        strategy=args.strategy,
-        max_pkt_sequence=args.max_pkt_sequence,
-        max_outstanding=args.max_outstanding,
-        canonical_flow_tables=not args.no_canonical,
-        state_matching=not args.no_state_matching,
-        max_transitions=args.max_transitions,
-        stop_at_first_violation=not args.all_violations,
-        workers=args.workers,
-        transport=args.transport,
-        start_method=args.start_method,
-        worker_address=args.listen,
-        spawn_socket_workers=not args.external_workers,
-        affinity=not args.no_affinity,
-        min_workers=args.min_workers,
-        max_worker_failures=args.max_worker_failures,
-        respawn_workers=args.respawn_workers,
-        heartbeat_interval=args.heartbeat_interval,
-        task_deadline=args.task_deadline,
-        max_task_retries=args.max_task_retries,
-        quarantine=not args.no_quarantine,
-        worker_memory_limit=args.worker_memory_limit,
-        fail_fast=args.fail_fast,
-        adaptive_batching=not args.no_adaptive_batching,
-        batch_groups=args.batch_groups,
-        batch_nodes=args.batch_nodes,
-        store=args.store,
-        store_shards=args.store_shards,
-        store_memory_budget=args.store_memory_budget,
-        store_bloom_bits=args.store_bloom_bits,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_interval=args.checkpoint_interval,
-    )
+    return NiceConfig(**{
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(NiceConfig)
+        if hasattr(args, field.name)})
 
 
 def build_scenario(name: str, args, config: NiceConfig | None):
@@ -290,30 +252,12 @@ def build_scenario(name: str, args, config: NiceConfig | None):
     return builder(config=config)
 
 
-def cmd_run(args) -> int:
+def cmd_run(args, run_flags) -> int:
     config = make_config(args)
-    if args.workers <= 1:
-        ignored = [flag for flag, is_default in [
-            ("--transport", args.transport == "local"),
-            ("--start-method", args.start_method is None),
-            ("--listen", args.listen == "127.0.0.1:0"),
-            ("--external-workers", not args.external_workers),
-            ("--no-affinity", not args.no_affinity),
-            ("--min-workers", args.min_workers == NiceConfig.min_workers),
-            ("--max-worker-failures",
-             args.max_worker_failures == NiceConfig.max_worker_failures),
-            ("--respawn-workers", not args.respawn_workers),
-            ("--heartbeat-interval",
-             args.heartbeat_interval == NiceConfig.heartbeat_interval),
-            ("--task-deadline", args.task_deadline is None),
-            ("--max-task-retries",
-             args.max_task_retries == NiceConfig.max_task_retries),
-            ("--no-quarantine", not args.no_quarantine),
-            ("--worker-memory-limit", args.worker_memory_limit is None),
-            ("--no-adaptive-batching", not args.no_adaptive_batching),
-            ("--batch-groups", args.batch_groups == NiceConfig.batch_groups),
-            ("--batch-nodes", args.batch_nodes == NiceConfig.batch_nodes),
-        ] if not is_default]
+    if config.workers <= 1:
+        ignored = [flag for name, flag in run_flags.items()
+                   if name in POOL_FIELDS
+                   and getattr(config, name) != getattr(NiceConfig, name)]
         if ignored:
             print(f"warning: {', '.join(ignored)} have no effect without"
                   f" --workers N (N > 1); running the serial engine",
@@ -384,23 +328,15 @@ def _report(result, args, scenario_name: str, strategy: str) -> int:
 
 
 def cmd_resume(args) -> int:
-    overrides = {}
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.transport is not None:
-        overrides["transport"] = args.transport
-    if args.start_method is not None:
-        overrides["start_method"] = args.start_method
-    if args.store is not None:
-        overrides["store"] = args.store
-    if args.checkpoint_interval is not None:
-        overrides["checkpoint_interval"] = args.checkpoint_interval
-    if args.no_checkpoints:
+    # An option left unset (None) keeps the checkpointed value.
+    overrides = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(NiceConfig)
+        if getattr(args, field.name, None) is not None}
+    if not args.checkpointing:
         overrides["checkpoint_dir"] = None
-    elif args.new_checkpoint_dir is not None:
-        overrides["checkpoint_dir"] = args.new_checkpoint_dir
     try:
-        scenario, result = nice.resume(args.checkpoint_dir, **overrides)
+        scenario, result = nice.resume(args.directory, **overrides)
     except CheckpointError as exc:
         print(f"nice resume: {exc}", file=sys.stderr)
         return 2
@@ -484,16 +420,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(args)
+            return cmd_run(args, parser.run_flags)
         if args.command == "resume":
             return cmd_resume(args)
         if args.command == "walk":
             return cmd_walk(args)
+        if args.command == "worker":
+            return cmd_worker(args)
     except ConfigError as exc:
-        # --workers -1, --batch-nodes 0, a bad resume override, ...
+        # --workers -1, --listen nonsense, a bad resume override, ...
         parser.error(str(exc))
-    if args.command == "worker":
-        return cmd_worker(args)
     if args.command == "checkpoints":
         return cmd_checkpoints(args)
     if args.command == "list":

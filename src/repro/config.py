@@ -112,25 +112,9 @@ class NiceConfig:
       pointed at its own listening address, so ``transport="socket"``
       works out of the box; set False when workers are started externally
       (e.g. on other machines) and the master should only wait for them.
-    * ``affinity`` — route a sibling group to the worker that retained
-      its siblings (DESIGN.md, "Affinity scheduling").
-      Disable for round-robin routing; results are identical either way,
-      only restoration work changes.  Only composes with the default
-      ``dfs`` search order — ``bfs``/``random`` frontiers pop globally
-      and route round-robin regardless.
     * ``worker_cache_size`` — per-worker bound on kept node systems: the
       children retained for pick-up by handle and the LRU used for
       prefix-replay restoration, together.
-    * ``batch_groups`` / ``batch_nodes`` — parallel-scheduler task sizing:
-      at most ``batch_groups`` sibling groups and ``batch_nodes`` total
-      nodes are packed into one worker task.  With ``adaptive_batching``
-      off these static values are used verbatim (the measurable baseline).
-    * ``adaptive_batching`` — let the scheduler adapt the per-worker batch
-      size from observed task round-trip times (DESIGN.md, "Fault
-      tolerance and elasticity"): fast round trips grow a worker's batch
-      (amortizing per-task overhead — the sweet spot for high-RTT socket
-      workers), slow ones shrink it back toward fine-grained load
-      balancing.  ``batch_groups``/``batch_nodes`` seed the initial size.
     * ``store`` — explored-set storage: :data:`STORE_MEMORY` (the
       default in-process hash table — zero regression) or
       :data:`STORE_SHARDED` (``store_shards`` digest-prefix shards, each
@@ -160,27 +144,26 @@ class NiceConfig:
       ``max_worker_failures``.
     * ``min_workers`` — fault-tolerance floor: a clean error is raised if
       worker deaths shrink the live pool below this many workers (the
-      default ``1`` keeps searching on the last surviving worker).
+      default ``1`` keeps searching on the last surviving worker).  A
+      floor above a pool's ``workers`` is rejected here.
     * ``max_worker_failures`` — how many worker deaths the scheduler
       tolerates before giving up; ``None`` (the default) tolerates any
-      number while ``min_workers`` workers survive, ``0`` restores the
-      pre-PR 4 abort-on-first-death behavior.
+      number while ``min_workers`` workers survive, ``0`` aborts on the
+      first death.
     * ``heartbeat_interval`` — seconds between worker liveness beats on
       the result channel (DESIGN.md, "Failure containment").  ``0``
-      disables heartbeats.
+      disables heartbeats (not hang detection: see ``task_deadline``).
     * ``task_deadline`` — hard per-task deadline in seconds after which a
       silent worker is declared *hung*, killed, and its groups requeued.
       ``None`` (the default) derives the deadline from the adaptive-RTT
       estimator; ``0`` disables hang detection entirely.
     * ``max_task_retries`` — how many times a sibling group implicated in
       a worker death is re-dispatched to the fleet before it is treated
-      as *poison* and quarantined.
-    * ``quarantine`` — execute a poison group once in a sandboxed
-      one-shot subprocess with rlimits; on success the result is merged
-      (bit-identity preserved), on a second death the search degrades
+      as *poison* and quarantined: executed once in a sandboxed one-shot
+      subprocess with rlimits.  On success the result is merged
+      (bit-identity preserved); on a death there too the search degrades
       gracefully and records a :class:`~repro.mc.search.QuarantinedTask`
-      diagnostic instead of aborting.  ``False`` skips the sandbox and
-      degrades immediately after ``max_task_retries``.
+      diagnostic instead of aborting.
     * ``worker_memory_limit`` — soft RSS bound in bytes per worker; an
       over-limit worker sheds its replay cache and, if still over,
       recycles itself through the respawn path.  Also used as the
@@ -218,17 +201,12 @@ class NiceConfig:
     start_method: str | None = None
     worker_address: str = "127.0.0.1:0"
     spawn_socket_workers: bool = True
-    affinity: bool = True
     worker_cache_size: int = 2048
-    batch_groups: int = 8
-    batch_nodes: int = 16
-    adaptive_batching: bool = True
     min_workers: int = 1
     max_worker_failures: int | None = None
     heartbeat_interval: float = 0.5
     task_deadline: float | None = None
     max_task_retries: int = 2
-    quarantine: bool = True
     worker_memory_limit: int | None = None
     fail_fast: bool = False
     store: str = STORE_MEMORY
@@ -269,12 +247,14 @@ class NiceConfig:
             )
         if self.worker_cache_size < 1:
             raise ConfigError("worker_cache_size must be >= 1")
-        if self.batch_groups < 1:
-            raise ConfigError("batch_groups must be >= 1")
-        if self.batch_nodes < 1:
-            raise ConfigError("batch_nodes must be >= 1")
         if self.min_workers < 1:
             raise ConfigError("min_workers must be >= 1")
+        if self.workers > 1 and self.min_workers > self.workers:
+            # A floor the pool can never meet would be silently violated
+            # for the whole run and only noticed if a worker died.
+            raise ConfigError(
+                f"min_workers={self.min_workers} exceeds the configured"
+                f" pool of {self.workers} worker(s)")
         if self.max_worker_failures is not None \
                 and self.max_worker_failures < 0:
             raise ConfigError("max_worker_failures must be >= 0 or None")

@@ -18,24 +18,22 @@ them — and expand every sibling with the loop's own per-node body;
 results are merged as they arrive — no wave barrier; completed tasks
 immediately refill the workers.
 
-**Affinity routing** (``NiceConfig.affinity``, default on): every group
-discovered by worker *w* has its siblings retained in *w*'s memory, so
-the scheduler keeps a per-worker frontier queue, prefers handing a
-worker its own groups, and attaches the *handle* that names the
-retained siblings there — no restore at all.  A group that reaches any
-other worker (or outlives its owner, or a checkpoint) goes without one
-and is restored by trace replay.  An idle worker with an empty queue
-*steals* from the longest other queue, so affinity never serializes the
-search.
+**Affinity routing**: every group discovered by worker *w* has its
+siblings retained in *w*'s memory, so the scheduler keeps a per-worker
+frontier queue, prefers handing a worker its own groups, and attaches
+the *handle* that names the retained siblings there — no restore at
+all.  A group that reaches any other worker (or outlives its owner, or a
+checkpoint) goes without one and is restored by trace replay.  An idle
+worker with an empty queue *steals* from the longest other queue, so
+affinity never serializes the search.
 ``affinity_hits`` / ``affinity_misses`` in :class:`SearchStats` count
-groups that ran on their owner vs. stolen/rerouted ones; with affinity
-off, routing is round-robin and every group counts as a miss.  Affinity
-composes with the default ``dfs`` order only: ``bfs`` and ``random``
-frontiers pop from one global queue in frontier order (the policy the
-in-process expander applies to nodes, here over groups) and route
-round-robin.
+groups that ran on their owner vs. stolen/rerouted ones.  Affinity is
+how the ``dfs`` order routes: ``bfs`` and ``random`` frontiers pop from
+one global queue in frontier order (the policy the in-process expander
+applies to nodes, here over groups), route round-robin, and count every
+group as a miss.
 
-**Worker churn** (PR 4): the pool membership is dynamic.  A worker death
+**Worker churn**: the pool membership is dynamic.  A worker death
 (process exit, socket EOF — delivered by the transport as a
 :class:`~repro.mc.wire.WorkerGone` event, or discovered at submit time as
 a :class:`~repro.mc.transport.WorkerLost`) requeues the dead worker's
@@ -49,21 +47,21 @@ live pool shrinks below ``min_workers`` or more than
 socket worker connecting mid-search (:class:`~repro.mc.wire.WorkerJoined`)
 enters the routing tables and receives work on the next dispatch.
 
-**Adaptive batch sizing** (``adaptive_batching``, default on): the
-per-task node/group budgets start from ``batch_nodes``/``batch_groups``
-and adapt per worker from observed task round-trip times — fast round
-trips grow the batch geometrically (amortizing per-task overhead, the
-regime high-RTT socket workers live in), slow ones shrink it back toward
-fine-grained load balancing (which also caps how much work a dying worker
-can strand).  Batch sizing never affects *what* is explored, only how it
-is packed.
+**Adaptive batch sizing**: a task's node budget starts at
+``BATCH_NODES`` (its group budget keeps the ``BATCH_GROUPS`` :
+``BATCH_NODES`` ratio) and adapts per worker from observed task
+round-trip times — fast round trips grow the batch geometrically
+(amortizing per-task overhead, the regime high-RTT socket workers live
+in), slow ones shrink it back toward fine-grained load balancing (which
+also caps how much work a dying worker can strand).  Batch sizing never
+affects *what* is explored, only how it is packed.
 
 **Checkpointing**: the driver cuts a snapshot only when :meth:`drain
 <_Scheduler.drain>` has merged every in-flight task, so no unit of work
 can be half-counted, and :meth:`groups <_Scheduler.groups>` is then the
 whole frontier; handles are never persisted.
 
-Exactness contract (unchanged from PR 1): every (state, transition) pair
+Exactness contract: every (state, transition) pair
 is executed and property-checked exactly once, so for an exhaustive
 search ``unique_states``, ``transitions_executed``, ``revisited_states``
 and ``quiescent_states`` all equal the serial searcher's — on every
@@ -127,10 +125,14 @@ class _Scheduler:
     #: Tasks kept in flight per worker (>1 hides result latency).
     PER_WORKER_INFLIGHT = 2
 
-    #: Adaptive batching (``NiceConfig.adaptive_batching``): grow a
-    #: worker's batch while its task round trips finish under RTT_LOW
-    #: seconds, shrink while they exceed RTT_HIGH.  The asymmetric step
-    #: (gentle growth, halving shrink) converges without oscillating.
+    #: Adaptive batching: a worker's task starts at BATCH_NODES nodes in
+    #: at most BATCH_GROUPS sibling groups; the node budget grows while
+    #: its task round trips finish under RTT_LOW seconds and shrinks
+    #: while they exceed RTT_HIGH, between 1 and MAX_BATCH_NODES.  The
+    #: asymmetric step (gentle growth, halving shrink) converges without
+    #: oscillating.
+    BATCH_NODES = 16
+    BATCH_GROUPS = 8
     RTT_LOW = 0.010
     RTT_HIGH = 0.100
     BATCH_GROW = 1.5
@@ -163,15 +165,13 @@ class _Scheduler:
         self.transport = transport
         self.name, self.workers = transport.name, transport.workers
         #: Affinity routing only composes with DFS pops: BFS and random
-        #: orders need one global queue popped in frontier order, exactly
-        #: like PR 1's engine (which had no affinity on any order).
-        self._affine = (self.config.affinity
-                        and self.config.search_order == ORDER_DFS)
+        #: orders need one global queue popped in frontier order.
+        self._affine = self.config.search_order == ORDER_DFS
         #: owner worker id (or None) -> queue of ``(group, handle)``
         #: entries: the ``(trace, steps)`` sibling group and, when a live
         #: worker produced its siblings, ``(that worker, task id, node
         #: position, kid indices)`` — where the worker retained them (see
-        #: ``_push``).  With affinity off everything lives under None.
+        #: ``_push``).  Off DFS everything lives under None.
         #: Deques: BFS pops the head and defers oversized groups back to
         #: it, both O(1).
         self._queues: dict[int | None, deque] = {None: deque()}
@@ -191,8 +191,7 @@ class _Scheduler:
         #: task id -> (submit timestamp, pipelining depth at submit).
         self._submit_times: dict[int, tuple[float, int]] = {}
         #: Per-worker EWMA of per-task service time, feeding the deadline
-        #: derivation (kept separately from ``_batch`` so hang detection
-        #: works with adaptive batching off).
+        #: derivation.
         self._rtt: dict[int, float] = {}
         #: task id -> absolute monotonic deadline (only tasks with hang
         #: detection enabled appear here).
@@ -209,13 +208,6 @@ class _Scheduler:
         self._respawn_deadline: float | None = None
         self._next_task_id = 0
         self._next_round_robin = 0
-        if transport.workers < self.config.min_workers:
-            # An availability floor above the pool size would otherwise be
-            # silently violated for the whole run and only noticed if a
-            # worker happened to die.
-            raise TransportError(
-                f"min_workers={self.config.min_workers} exceeds the"
-                f" configured pool of {transport.workers} worker(s)")
 
     # ------------------------------------------------------------------
     # The expander seam (driven by Searcher.run)
@@ -330,8 +322,8 @@ class _Scheduler:
             stats.tasks_retried += 1
             for group in groups:
                 stats.groups_reassigned += 1
-                attempts = self._poison.get(self._group_key(group), 0) + 1
-                self._poison[self._group_key(group)] = attempts
+                key = self._group_key(group)
+                attempts = self._poison[key] = self._poison.get(key, 0) + 1
                 if attempts > self.config.max_task_retries:
                     poisoned.append((group, attempts))
                 else:
@@ -387,28 +379,25 @@ class _Scheduler:
 
     def _quarantine(self, group, attempts: int) -> None:
         """A group has now been in flight for ``attempts`` worker deaths:
-        stop feeding it to the fleet.  With quarantine enabled it gets one
-        last run in a sandboxed one-shot subprocess (rlimits contain what
-        killed the pool workers); a sandbox success merges normally —
-        bit-identity to serial is preserved.  Any sandbox failure — or
-        quarantine disabled — degrades gracefully: the group is abandoned
-        and a :class:`~repro.mc.search.QuarantinedTask` diagnostic records
-        what was given up, instead of the whole search aborting."""
+        stop feeding it to the fleet.  It gets one last run in a sandboxed
+        one-shot subprocess (rlimits contain what killed the pool
+        workers); a sandbox success merges normally — bit-identity to
+        serial is preserved.  Any sandbox failure degrades gracefully: the
+        group is abandoned and a :class:`~repro.mc.search.QuarantinedTask`
+        diagnostic records what was given up, instead of the whole search
+        aborting."""
         stats = self.stats
         trace, steps = group
-        if self.config.quarantine:
-            stats.tasks_quarantined += 1
-            print(f"sibling group at trace length {len(trace)} survived"
-                  f" {attempts} worker death(s); quarantining it in a"
-                  f" sandboxed subprocess", file=sys.stderr, flush=True)
-            out, failure = self._sandbox_expand(group)
-            if out is not None:
-                print("quarantined group completed in the sandbox;"
-                      " merging its result", file=sys.stderr, flush=True)
-                self._absorb(out, [group], None)
-                return
-        else:
-            failure = "quarantine disabled (NiceConfig.quarantine=False)"
+        stats.tasks_quarantined += 1
+        print(f"sibling group at trace length {len(trace)} survived"
+              f" {attempts} worker death(s); quarantining it in a"
+              f" sandboxed subprocess", file=sys.stderr, flush=True)
+        out, failure = self._sandbox_expand(group)
+        if out is not None:
+            print("quarantined group completed in the sandbox;"
+                  " merging its result", file=sys.stderr, flush=True)
+            self._absorb(out, [group], None)
+            return
         stats.quarantined_tasks.append(
             QuarantinedTask(trace, steps, attempts, failure))
         print(f"abandoning poison sibling group after {attempts}"
@@ -538,7 +527,7 @@ class _Scheduler:
         """Enter a worker into the routing tables."""
         self._live.add(worker_id)
         self._load[worker_id] = 0
-        self._batch[worker_id] = float(self.config.batch_nodes)
+        self._batch[worker_id] = float(self.BATCH_NODES)
         self.stats.worker_tasks.setdefault(worker_id, 0)
 
     def _on_worker_joined(self, worker_id: int) -> None:
@@ -648,51 +637,38 @@ class _Scheduler:
 
         While the explored set is small a task carries a single node, so
         the search fans out across the pool instead of running serially
-        inside one worker.  After that, either the static
-        ``batch_nodes`` (adaptive batching off — the measurable baseline)
-        or the worker's RTT-adapted budget applies.
+        inside one worker.  After that the worker's RTT-adapted budget
+        applies.
         """
         if len(self.searcher._explored) < 4 * max(len(self._live), 1):
             return 1
-        if not self.config.adaptive_batching:
-            return self.config.batch_nodes
         adapted = max(1, int(self._batch[worker_id]))
         # Fair-share guard: an RTT-*grown* batch must never swallow so
         # much of the frontier that the rest of the pool idles — cap each
         # task at this worker's share of the pending work (group count as
-        # a proxy for nodes).  The cap never bites below the configured
-        # ``batch_nodes`` seed: up to there the static baseline is the
-        # contract, and throttling it would just add per-task overhead.
+        # a proxy for nodes).  The cap never bites below the BATCH_NODES
+        # seed: throttling that would just add per-task overhead.
         fair = self._pending_groups // (max(len(self._live), 1)
                                         * self.PER_WORKER_INFLIGHT)
-        return max(1, min(adapted, max(self.config.batch_nodes, fair)))
+        return max(1, min(adapted, max(self.BATCH_NODES, fair)))
 
-    def _group_budget(self, worker_id: int, node_budget: int) -> int:
-        """Groups per task: the static cap, or — adaptive — the static
-        groups:nodes ratio applied to the adapted node budget."""
-        if not self.config.adaptive_batching:
-            return self.config.batch_groups
-        ratio = self.config.batch_groups / self.config.batch_nodes
-        return max(1, round(node_budget * ratio))
+    def _group_budget(self, node_budget: int) -> int:
+        """Groups per task: the seed's groups:nodes ratio applied to the
+        adapted node budget."""
+        return max(1, round(node_budget * self.BATCH_GROUPS
+                            / self.BATCH_NODES))
 
     def _observe_rtt(self, worker_id: int, rtt: float) -> None:
-        # The deadline estimator smooths every sample, independent of
-        # whether batch adaptation is on — hang detection must not change
-        # its trigger when the batching baseline is being measured.
         previous = self._rtt.get(worker_id)
         self._rtt[worker_id] = (rtt if previous is None else
                                 (1 - self.RTT_EWMA) * previous
                                 + self.RTT_EWMA * rtt)
-        if not self.config.adaptive_batching \
-                or worker_id not in self._batch:
+        if worker_id not in self._batch:
             return
         budget = self._batch[worker_id]
         if rtt < self.RTT_LOW:
-            # The growth ceiling never sits below a larger configured
-            # seed: a fast round trip must not *shrink* --batch-nodes.
-            ceiling = max(float(self.MAX_BATCH_NODES),
-                          float(self.config.batch_nodes))
-            budget = min(budget * self.BATCH_GROW, ceiling)
+            budget = min(budget * self.BATCH_GROW,
+                         float(self.MAX_BATCH_NODES))
         elif rtt > self.RTT_HIGH:
             budget = max(budget * self.BATCH_SHRINK, 1.0)
         self._batch[worker_id] = budget
@@ -706,7 +682,7 @@ class _Scheduler:
         along only when ``worker_id`` is the worker that retained its
         siblings — on any route, stolen and round-robin ones included."""
         budget = self._node_budget(worker_id)
-        group_budget = self._group_budget(worker_id, budget)
+        group_budget = self._group_budget(budget)
         groups: list = []
         handles: list = []
         nodes = 0

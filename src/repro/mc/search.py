@@ -105,11 +105,11 @@ class QuarantinedTask:
     executing (DESIGN.md, "Failure containment").
 
     Recorded when a group implicated in ``max_task_retries`` worker deaths
-    *also* fails in the quarantine sandbox (or quarantine is disabled):
-    the search degrades gracefully — every other branch of the state space
-    is still explored — and this object preserves what was abandoned:
-    the parent ``trace``, the sibling transitions (``siblings`` is None
-    for an initial-state group), how many ``attempts`` were made, and the
+    *also* fails in the quarantine sandbox: the search degrades
+    gracefully — every other branch of the state space is still
+    explored — and this object preserves what was abandoned: the parent
+    ``trace``, the sibling transitions (``siblings`` is None for an
+    initial-state group), how many ``attempts`` were made, and the
     ``reason`` the last one failed (signal name, exit code, or timeout)."""
 
     def __init__(self, trace, siblings, attempts: int, reason: str):

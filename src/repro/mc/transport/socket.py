@@ -41,6 +41,7 @@ import threading
 from time import monotonic as _monotonic
 
 import repro
+from repro.config import ConfigError
 from repro.mc.transport import Transport, TransportError, WorkerLost
 from repro.mc.wire import (
     PROTOCOL_VERSION,
@@ -63,7 +64,7 @@ def parse_address(address: str) -> tuple[str, int]:
     try:
         return host or "127.0.0.1", int(port)
     except ValueError:
-        raise ValueError(
+        raise ConfigError(
             f"bad worker address {address!r}; expected host:port") from None
 
 

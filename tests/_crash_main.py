@@ -14,6 +14,9 @@ The interruption point is planted through the
 time for exactly this purpose): every *fresh* digest admitted to the
 explored set counts toward ``kill_after_states``.
 
+Tasks are one node each (:func:`fault_helpers.small_tasks`, applied to
+this process's scheduler), as in the suites that launch this script.
+
 Usage: ``python _crash_main.py '<json payload>'`` with keys
 ``scenario`` (registry name), ``kwargs`` (builder kwargs),
 ``overrides`` (NiceConfig fields — must include ``checkpoint_dir``),
@@ -34,12 +37,14 @@ def main() -> int:
     # Our own directory is on sys.path (script invocation), so the
     # interruption seam is the exact same code the in-process tests use.
     from checkpoint_helpers import interrupting_create_store
+    from fault_helpers import small_tasks
 
     from repro import nice, scenarios
     from repro.mc import store as store_mod
     from repro.scenarios import with_config
 
     kill_after = payload["kill_after_states"]
+    small_tasks()
 
     def kill_own_process_group():
         os.killpg(os.getpgid(0), signal.SIGKILL)

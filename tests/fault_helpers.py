@@ -21,6 +21,10 @@ race.
 
 Both install via :func:`install`, which monkeypatches the scheduler's
 ``create_transport`` seam.
+
+:func:`small_tasks` is the suites' static-batch baseline: batching is the
+master's policy and has no knob, so a suite that wants every task the
+same size pins the scheduler's constants.
 """
 
 from __future__ import annotations
@@ -28,11 +32,24 @@ from __future__ import annotations
 import time
 
 from repro.mc import scheduler as scheduler_mod
+from repro.mc.scheduler import _Scheduler
 from repro.mc.transport import create_transport
 
 
 #: Seconds a launched socket worker gets to be admitted by the master.
 JOIN_TIMEOUT = 30.0
+
+
+def small_tasks(setattr=setattr, nodes: int = 1) -> None:
+    """Pin every worker task to ``nodes`` nodes, no adaptive growth.  One
+    node (the default) sends each sibling group alone: a kill schedule
+    keyed on submission counts has many deterministic kill points, a
+    death always strands requeueable work, and poison attribution acts
+    on exactly the poisoned group.  Pass ``monkeypatch.setattr`` (the
+    ``small_tasks`` fixture does); a process of its own
+    (``_crash_main.py``) needs no undo."""
+    setattr(_Scheduler, "BATCH_NODES", nodes)
+    setattr(_Scheduler, "MAX_BATCH_NODES", nodes)
 
 
 def spawn_and_await_join(transport) -> set[int]:

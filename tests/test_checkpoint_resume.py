@@ -46,8 +46,9 @@ from repro.scenarios import with_config
 
 #: Deterministic small tasks, as in the chaos suite: many interruption
 #: points, and parallel legs that cannot hide work in large batches.
-KNOBS = dict(stop_at_first_violation=False, batch_groups=1, batch_nodes=1,
-             adaptive_batching=False)
+pytestmark = pytest.mark.usefixtures("small_tasks")
+
+KNOBS = dict(stop_at_first_violation=False)
 
 ENGINES = [
     pytest.param(dict(workers=2, start_method="fork"), "local-fork",

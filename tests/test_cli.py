@@ -5,7 +5,10 @@ import json
 import pytest
 
 from contract import requires_fork
-from repro.cli import build_parser, main
+from repro import nice
+from repro.cli import build_parser, main, make_config
+from repro.config import NiceConfig
+from repro.mc.store import CheckpointError
 
 
 class TestParser:
@@ -14,9 +17,12 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_run_defaults(self):
-        args = build_parser().parse_args(["run", "pyswitch-loop"])
-        assert args.strategy == "PKT-SEQ"
-        assert not args.no_canonical
+        """Every default is ``NiceConfig``'s
+        (``test_config_audit.py::test_run_defaults_are_the_dataclass``);
+        here, that a flag moves exactly its own field."""
+        args = build_parser().parse_args(
+            ["run", "pyswitch-loop", "--no-canonical"])
+        assert make_config(args) == NiceConfig(canonical_flow_tables=False)
 
     def test_rejects_unknown_scenario(self):
         with pytest.raises(SystemExit):
@@ -30,10 +36,10 @@ class TestParser:
     def test_transport_flags(self):
         args = build_parser().parse_args(
             ["run", "pyswitch-loop", "--workers", "2", "--transport",
-             "socket", "--listen", "127.0.0.1:7001", "--no-affinity"])
-        assert args.transport == "socket"
-        assert args.listen == "127.0.0.1:7001"
-        assert args.no_affinity
+             "socket", "--listen", "127.0.0.1:7001", "--external-workers"])
+        assert make_config(args) == NiceConfig(
+            workers=2, transport="socket", worker_address="127.0.0.1:7001",
+            spawn_socket_workers=False)
 
     def test_rejects_unknown_transport(self):
         with pytest.raises(SystemExit):
@@ -43,16 +49,23 @@ class TestParser:
     def test_fault_tolerance_flags(self):
         args = build_parser().parse_args(
             ["run", "pyswitch-loop", "--workers", "4", "--min-workers", "2",
-             "--max-worker-failures", "3", "--no-adaptive-batching"])
+             "--max-worker-failures", "3"])
         assert args.min_workers == 2
         assert args.max_worker_failures == 3
-        assert args.no_adaptive_batching
 
     def test_fault_tolerance_defaults(self):
         args = build_parser().parse_args(["run", "pyswitch-loop"])
         assert args.min_workers == 1
         assert args.max_worker_failures is None
-        assert not args.no_adaptive_batching
+
+    @pytest.mark.parametrize("flag", [
+        "--no-affinity", "--no-adaptive-batching", "--batch-groups=4",
+        "--batch-nodes=32", "--no-quarantine"])
+    def test_deleted_ablation_flags_are_unrecognized(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "pyswitch-loop", flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_worker_requires_connect(self):
         with pytest.raises(SystemExit):
@@ -81,9 +94,10 @@ class TestParser:
             build_parser().parse_args(["resume"])
         args = build_parser().parse_args(
             ["resume", "/tmp/ck", "--workers", "4", "--transport", "socket"])
-        assert args.checkpoint_dir == "/tmp/ck"
+        assert args.directory == "/tmp/ck"
         assert args.workers == 4
         assert args.transport == "socket"
+        assert args.checkpoint_dir is None and args.checkpointing
 
 
 class TestCommands:
@@ -152,6 +166,14 @@ class TestCommands:
         code = main(["run", "ping", "--pings", "1"])
         assert code == 0
 
+    def test_pool_only_flags_warn_on_a_serial_run(self, capsys):
+        main(["run", "ping", "--pings", "1", "--store-shards", "4"])
+        assert "warning" not in capsys.readouterr().err
+        main(["run", "ping", "--pings", "1", "--store-shards", "4",
+              "--listen", "127.0.0.1:7001", "--task-deadline", "3"])
+        assert ("warning: --listen, --task-deadline have no effect without"
+                " --workers N") in capsys.readouterr().err
+
     def test_run_max_transitions_bound(self, capsys):
         code = main(["run", "ping", "--pings", "2",
                      "--max-transitions", "10"])
@@ -177,6 +199,25 @@ class TestCommands:
         # counters land where the uninterrupted run would have
         assert payload["unique_states"] > 0
 
+    @pytest.mark.parametrize("argv,overrides", [
+        ([], {}),
+        (["--workers", "4", "--store", "sharded"],
+         dict(workers=4, store="sharded")),
+        (["--checkpoint-dir", "/tmp/new"], dict(checkpoint_dir="/tmp/new")),
+        (["--checkpoint-dir", "/tmp/new", "--no-checkpoints"],
+         dict(checkpoint_dir=None)),
+    ])
+    def test_resume_options_override_the_checkpointed_fields(
+            self, argv, overrides, monkeypatch):
+        """Only what was typed is overridden; the rest stays as
+        checkpointed."""
+        def resume(directory, **seen):
+            assert (directory, seen) == ("/tmp/ck", overrides)
+            raise CheckpointError("far enough")
+
+        monkeypatch.setattr(nice, "resume", resume)
+        assert main(["resume", "/tmp/ck", *argv]) == 2
+
     def test_resume_without_checkpoints_fails_cleanly(self, capsys,
                                                       tmp_path):
         code = main(["resume", str(tmp_path / "empty")])
@@ -192,9 +233,15 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv,message", [
         (["run", "ping", "--workers", "-1"], "workers must be >= 0"),
-        (["run", "ping", "--batch-nodes", "0"], "batch_nodes must be >= 1"),
+        (["run", "ping", "--workers", "2", "--min-workers", "3"],
+         "min_workers=3 exceeds"),
         (["run", "ping", "--store-shards", "0"],
          "store_shards must be >= 1"),
+        (["run", "ping", "--workers", "2", "--transport", "socket",
+          "--listen", "nonsense:port"],
+         "bad worker address 'nonsense:port'"),
+        (["worker", "--connect", "nonsense:port"],
+         "bad worker address 'nonsense:port'"),
     ])
     def test_invalid_config_is_a_usage_error(self, argv, message, capsys):
         """A flag value NiceConfig rejects is reported the way argparse

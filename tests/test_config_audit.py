@@ -6,10 +6,16 @@ Every ``NiceConfig`` field must be read by the engine — some file under
 table naming its reader and a test that fails without it; the named test
 must exist.  A field added without a reader, a row or a test fails here.
 
+A knob is declared once: ``nice run``'s defaults, its flag -> field
+mapping and its "ignored without --workers" warning all derive from the
+dataclass, so the guards below hold the parser to ``NiceConfig`` as a
+whole instead of flag by flag.
+
 Fields whose only readers copy a value into the object that acts on it
-(a bound handed to a constructor, a budget the scheduler returns) have no
-behavioural test that would notice the copy going missing; the reader
-pins at the bottom hold those copies directly.
+(a bound handed to a constructor) have no behavioural test that would
+notice the copy going missing; the reader pins hold those copies
+directly.  What has no knob — the scheduler's one batching policy — is
+pinned by its decisions at the bottom.
 """
 
 from __future__ import annotations
@@ -23,8 +29,10 @@ import re
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import scenarios
+from repro.cli import POOL_FIELDS, build_parser, main, make_config
 from repro.config import NiceConfig
 from repro.mc import store as store_mod
 from repro.mc.scheduler import _Scheduler
@@ -56,8 +64,8 @@ def _engine_sources() -> str:
                      if path.name not in ("config.py", "cli.py"))
 
 
-def test_the_config_has_41_fields():
-    assert len(FIELDS) == 41
+def test_the_config_has_36_fields():
+    assert len(FIELDS) == 36
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -94,6 +102,31 @@ def test_config_pickled_before_a_field_existed_reads_its_default():
 
 
 # ----------------------------------------------------------------------
+# Declared once: the parser is built from the dataclass
+# ----------------------------------------------------------------------
+
+def test_run_defaults_are_the_dataclass():
+    assert make_config(build_parser().parse_args(["run", "ping"])) \
+        == NiceConfig()
+
+
+def test_every_run_option_sets_the_field_it_is_named_for():
+    run_flags = build_parser().run_flags
+    assert set(run_flags) - {"pings", "mode", "arm_file", "trace", "json"} \
+        <= set(FIELDS)
+    assert POOL_FIELDS <= set(run_flags)
+
+
+def test_run_help_lists_31_options(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    listed = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out,
+                            re.MULTILINE))
+    assert listed == set(build_parser().run_flags.values())
+    assert len(listed) == 31
+
+
+# ----------------------------------------------------------------------
 # Reader pins
 # ----------------------------------------------------------------------
 
@@ -106,20 +139,6 @@ def _sharded_store(**knobs):
     store = store_mod.create_store(NiceConfig(store="sharded", **knobs))
     store.close()
     return store
-
-
-def _task_budgets(**knobs) -> tuple[int, int]:
-    """``(nodes, groups)`` one task for worker 0 of two may carry, past
-    the fan-out phase, its RTT-grown batch at 40 nodes and 1000 groups
-    pending."""
-    sched = _Scheduler.__new__(_Scheduler)
-    sched.config = NiceConfig(**knobs)
-    sched.searcher = SimpleNamespace(_explored=range(1000))
-    sched._live = {0, 1}
-    sched._batch = {0: 40.0}
-    sched._pending_groups = 1000
-    nodes = sched._node_budget(0)
-    return nodes, sched._group_budget(0, nodes)
 
 
 def _same_flow(packet_a, packet_b) -> bool:
@@ -145,15 +164,58 @@ READER_PINS = {
     "store_shards": lambda: _sharded_store(store_shards=4).shards == 4,
     "store_memory_budget": lambda:
         _sharded_store(store_memory_budget=7).memory_budget == 7,
-    "batch_nodes": lambda:
-        _task_budgets(adaptive_batching=False, batch_nodes=3)[0] == 3,
-    "batch_groups": lambda:
-        _task_budgets(adaptive_batching=False, batch_groups=2)[1] == 2,
-    "adaptive_batching": lambda:
-        _task_budgets(batch_nodes=3, batch_groups=2) == (40, 27),
 }
 
 
 @pytest.mark.parametrize("field", sorted(READER_PINS))
 def test_reader_pin(field):
     assert READER_PINS[field]()
+
+
+# ----------------------------------------------------------------------
+# The one batching policy (DESIGN.md, "Adaptive batch sizing")
+# ----------------------------------------------------------------------
+
+def _scheduler(batch: float, pending: int) -> _Scheduler:
+    """Worker 0 of two live ones, past the fan-out phase, its RTT-adapted
+    batch at ``batch`` nodes with ``pending`` groups queued."""
+    sched = _Scheduler.__new__(_Scheduler)
+    sched.searcher = SimpleNamespace(_explored=range(1000))
+    sched._live = {0, 1}
+    sched._batch = {0: batch}
+    sched._rtt = {}
+    sched._pending_groups = pending
+    return sched
+
+
+def _task_budgets(sched: _Scheduler) -> tuple[int, int]:
+    """``(nodes, groups)`` worker 0's next task may carry."""
+    nodes = sched._node_budget(0)
+    return nodes, sched._group_budget(nodes)
+
+
+@pytest.mark.parametrize("batch,pending,nodes,groups", [
+    (40, 1000, 40, 20),     # an RTT-grown batch, half as many groups
+    (16, 3, 16, 8),         # the seed is never throttled by fair share
+    (512, 1000, 250, 125),  # fair share: 1000 groups / (2 workers x 2)
+    (512, 10000, 512, 256),
+    (1, 1000, 1, 1),
+    (3.4, 50, 3, 2),
+])
+def test_task_budgets_at_the_defaults(batch, pending, nodes, groups):
+    """Literal packing decisions (they held before the batch knobs were
+    deleted): a drift in the policy or its constants fails here."""
+    assert _task_budgets(_scheduler(float(batch), pending)) \
+        == (nodes, groups)
+
+
+@given(rtts=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=60),
+       pending=st.integers(min_value=0, max_value=100_000))
+def test_adapted_budgets_stay_in_bounds(rtts, pending):
+    sched = _scheduler(float(_Scheduler.BATCH_NODES), pending)
+    for rtt in rtts:
+        sched._observe_rtt(0, rtt)
+        nodes, groups = _task_budgets(sched)
+        assert 1 <= nodes <= _Scheduler.MAX_BATCH_NODES
+        assert 1 <= groups <= nodes
+        assert nodes <= max(_Scheduler.BATCH_NODES, pending // 4)

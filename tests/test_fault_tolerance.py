@@ -24,14 +24,16 @@ from contract import counters, requires_fork, violated_properties
 from fault_helpers import (ChaosTransport, ElasticJoiner, StallTransport,
                            install)
 from repro import nice, scenarios
+from repro.config import ConfigError
 from repro.mc.transport import TransportError
 from repro.scenarios import with_config
 
 #: Small static tasks (one node each, no adaptive growth) so a chaos
 #: schedule keyed on submission counts has many deterministic kill points
 #: and a death always strands requeueable work.
-CHAOS_KNOBS = dict(stop_at_first_violation=False, batch_groups=1,
-                   batch_nodes=1, adaptive_batching=False)
+pytestmark = pytest.mark.usefixtures("small_tasks")
+
+CHAOS_KNOBS = dict(stop_at_first_violation=False)
 
 ENGINES = [
     pytest.param(dict(start_method="fork"), "local-fork",
@@ -260,12 +262,11 @@ class TestFailurePolicy:
                 monkeypatch,
                 exhaustive_ping(workers=2, min_workers=2), {5: 0})
 
-    @requires_fork
     def test_min_workers_above_pool_rejected_up_front(self):
-        """A floor the pool can never satisfy fails at start, not only
-        when a worker happens to die."""
-        with pytest.raises(TransportError, match="exceeds the configured"):
-            nice.run(exhaustive_ping(workers=2, min_workers=3))
+        """A floor the pool can never satisfy is a bad config, not
+        something only noticed when a worker happens to die."""
+        with pytest.raises(ConfigError, match="exceeds the configured"):
+            exhaustive_ping(workers=2, min_workers=3)
 
     @requires_fork
     def test_survivable_death_does_not_raise(self, serial_ping,
@@ -336,9 +337,6 @@ class TestRegisteredScenarioChaosMatrix:
         worker death."""
         stats, _ = run_with_chaos(
             monkeypatch,
-            with_config(scenarios.pyswitch_loop(), workers=2,
-                        batch_groups=1, batch_nodes=1,
-                        adaptive_batching=False),
-            {3: 0})
+            with_config(scenarios.pyswitch_loop(), workers=2), {3: 0})
         assert stats.found_violation
         assert violated_properties(stats) == ["NoForwardingLoops"]

@@ -25,8 +25,7 @@ from repro.scenarios import with_config
 #: One node per task, no adaptive growth: every sibling group travels
 #: alone, so death attribution and quarantine act on exactly the poisoned
 #: group and bit-identity comparisons stay meaningful.
-KNOBS = dict(stop_at_first_violation=False, batch_groups=1, batch_nodes=1,
-             adaptive_batching=False)
+pytestmark = pytest.mark.usefixtures("small_tasks")
 
 ENGINES = [
     pytest.param(dict(start_method="fork"), marks=requires_fork, id="fork"),
@@ -45,7 +44,7 @@ def build(mode="benign", arm_file=None, pings=0, spare_quarantine=True,
     scenario = scenarios.REGISTRY["hostile"](
         mode=mode, arm_file=arm_file, pings=pings,
         spare_quarantine=spare_quarantine, ballast_mb=ballast_mb)
-    return with_config(scenario, **{**KNOBS, **overrides})
+    return with_config(scenario, stop_at_first_violation=False, **overrides)
 
 
 def arm(tmp_path, count):
@@ -171,38 +170,27 @@ class TestQuarantine:
         assert packed and all(packed)
 
     @requires_fork
+    @pytest.mark.parametrize("retries", [1, 2])
     def test_unsalvageable_task_degrades_to_a_diagnostic(
-            self, benign_serial, tmp_path):
+            self, retries, benign_serial, tmp_path):
         """SIGKILL-everything, sandbox included: the group dies in
         quarantine too, and the search records a structured diagnostic
-        and finishes instead of aborting."""
+        and finishes instead of aborting.  ``max_task_retries`` is how
+        many fleet deaths come first."""
         stats = nice.run(build(mode="crash", arm_file=arm(tmp_path, -1),
-                               spare_quarantine=False, max_task_retries=2,
+                               spare_quarantine=False,
+                               max_task_retries=retries,
                                start_method="fork", **CONTAIN))
         assert stats.terminated == "exhausted"
         assert stats.tasks_quarantined >= 1
         assert stats.quarantined_tasks
         diagnostic = stats.quarantined_tasks[0]
-        assert diagnostic.attempts == 3
+        assert diagnostic.attempts == retries + 1
         assert "SIGKILL" in diagnostic.reason
         # Graceful degradation is lossy by design: the poisoned subtree
         # was skipped, never explored twice.
         assert stats.unique_states <= benign_serial.unique_states
         assert "quarantined" in stats.summary()
-
-    @requires_fork
-    def test_quarantine_disabled_records_diagnostic_immediately(
-            self, tmp_path):
-        stats = nice.run(build(mode="crash", arm_file=arm(tmp_path, -1),
-                               quarantine=False, max_task_retries=1,
-                               start_method="fork", **CONTAIN))
-        assert stats.terminated == "exhausted"
-        assert stats.tasks_quarantined == 0
-        assert stats.quarantined_tasks
-        assert "disabled" in stats.quarantined_tasks[0].reason
-        # max_task_retries=1: given up after the second death, not the
-        # default's third.
-        assert stats.quarantined_tasks[0].attempts == 2
 
 
 # ----------------------------------------------------------------------
@@ -246,13 +234,12 @@ class TestConfigValidation:
         args = cli.build_parser().parse_args(
             ["run", "hostile", "--workers", "2",
              "--heartbeat-interval", "0.25", "--task-deadline", "3",
-             "--max-task-retries", "5", "--no-quarantine",
+             "--max-task-retries", "5",
              "--worker-memory-limit", "1000000", "--fail-fast"])
         config = cli.make_config(args)
         assert config.heartbeat_interval == 0.25
         assert config.task_deadline == 3.0
         assert config.max_task_retries == 5
-        assert config.quarantine is False
         assert config.worker_memory_limit == 1000000
         assert config.fail_fast is True
 

@@ -23,7 +23,6 @@ import pytest
 from contract import counters, exhaustive, requires_fork, violation_messages
 from reference_engine import reference_factory, reference_run
 from repro import scenarios
-from repro.config import NiceConfig
 from repro.mc import transitions as tk
 from repro.mc.canonical import _safe_string_key, canonicalize, state_string
 from repro.scenarios import REGISTRY, with_config
@@ -135,14 +134,6 @@ class TestExploredSpaceUnchanged:
         # The workers' hot-path counters ride back to the master.
         assert parallel.hash_misses > 0
         assert parallel.cow_copied > 0
-
-    @requires_fork
-    def test_batch_knobs_do_not_change_the_space(self):
-        scenario = scenarios.pyswitch_direct_path()
-        default = exhaustive(scenario, workers=2)
-        tiny_batches = exhaustive(scenario, workers=2, batch_groups=1,
-                                  batch_nodes=1)
-        assert counters(default) == counters(tiny_batches)
 
 
 class TestDigestRecomputation:
@@ -298,23 +289,6 @@ class TestSearchOrderFrontiers:
 
 
 class TestConfigKnobs:
-    def test_new_fields_validate(self):
-        with pytest.raises(ValueError):
-            NiceConfig(batch_groups=0)
-        with pytest.raises(ValueError):
-            NiceConfig(batch_nodes=0)
-        config = NiceConfig()
-        assert config.batch_groups == 8 and config.batch_nodes == 16
-
-    def test_cli_plumbs_the_new_flags(self):
-        from repro.cli import build_parser, make_config
-
-        args = build_parser().parse_args(
-            ["run", "ping", "--batch-groups", "4", "--batch-nodes", "32"])
-        config = make_config(args)
-        assert config.batch_groups == 4
-        assert config.batch_nodes == 32
-
     def test_stats_surface_hot_path_counters(self):
         result = exhaustive(scenarios.pyswitch_direct_path())
         assert result.hash_misses > 0

@@ -38,7 +38,7 @@ ENGINES = [
 
 #: One node per task, no adaptive growth (as in the chaos suite): many
 #: tasks, so many handles cross the wire and a kill strands real work.
-SMALL_TASKS = dict(batch_groups=1, batch_nodes=1, adaptive_batching=False)
+small_tasks = pytest.mark.usefixtures("small_tasks")
 
 
 def _ping(**overrides):
@@ -321,18 +321,17 @@ class TestEndToEnd:
     @pytest.mark.parametrize("overrides", ENGINES)
     @pytest.mark.parametrize("fallback", [
         pytest.param(dict(worker_cache_size=1), id="evicted"),
-        pytest.param(dict(affinity=False), id="round-robin"),
         pytest.param(dict(search_order="bfs"), id="bfs"),
         pytest.param(dict(store_bloom_bits=8), id="hint-saturated"),
         pytest.param(dict(store_bloom_bits=0), id="hint-off"),
     ])
+    @small_tasks
     def test_forced_fallbacks_are_bit_identical(self, fallback, overrides,
                                                 serial_ping):
         serial = serial_ping
         if "search_order" in fallback:
             serial = nice.run(_ping(**fallback))
-        stats = nice.run(_ping(workers=2, **SMALL_TASKS, **fallback,
-                               **overrides))
+        stats = nice.run(_ping(workers=2, **fallback, **overrides))
         assert_matches_serial(stats, serial)
         if "worker_cache_size" in fallback:
             # Nothing can be retained: every non-root node is rebuilt.
@@ -343,6 +342,7 @@ class TestEndToEnd:
             # handful nothing is retained and every handle misses.
             assert stats.rebuilt_transitions >= stats.unique_states - 1 - 16
 
+    @small_tasks
     @pytest.mark.parametrize("overrides", ENGINES)
     def test_death_of_an_owner_misses_and_never_aliases(
             self, overrides, serial_ping, monkeypatch):
@@ -358,19 +358,19 @@ class TestEndToEnd:
 
         install(monkeypatch, wrap)
         stats = nice.run(_ping(workers=2, respawn_workers=True,
-                               **SMALL_TASKS, **overrides))
+                               **overrides))
         assert wrappers and wrappers[0].killed == [0]
         assert_matches_serial(stats, serial_ping)
         assert stats.worker_failures == 1 and stats.workers_respawned == 1
         assert stats.rebuilt_transitions > 0  # the orphans fell back
 
+    @small_tasks
     def test_resumed_frontier_carries_no_handles(self, serial_ping,
                                                  tmp_path, monkeypatch):
         interrupt_after(monkeypatch, 150)
         with pytest.raises(Interrupted):
             nice.run(_ping(workers=2, checkpoint_interval=60,
-                           checkpoint_dir=str(tmp_path / "c"),
-                           **SMALL_TASKS))
+                           checkpoint_dir=str(tmp_path / "c")))
         monkeypatch.undo()
         _, stats = nice.resume(tmp_path / "c")
         assert stats.workers == 2

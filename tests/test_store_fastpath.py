@@ -40,8 +40,10 @@ from repro.mc.store import (
 )
 from repro.scenarios import with_config
 
-KNOBS = dict(stop_at_first_violation=False, batch_groups=1, batch_nodes=1,
-             adaptive_batching=False)
+#: One-node tasks for the parallel legs, as in the chaos suite.
+pytestmark = pytest.mark.usefixtures("small_tasks")
+
+KNOBS = dict(stop_at_first_violation=False)
 
 WIDTH = 16  # packed md5 record bytes
 
@@ -471,17 +473,23 @@ class TestResumeAcrossDeletedKnobs:
         assert_matches_serial(stats, serial_ping)
         assert not hasattr(scenario.config, "cow_clone")
 
-    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("knob,value", [
+        pytest.param("store_bloom_broadcast", True, id="True"),
+        pytest.param("store_bloom_broadcast", False, id="False"),
+        ("affinity", False), ("adaptive_batching", False),
+        ("batch_groups", 1), ("batch_nodes", 1), ("quarantine", False)])
     def test_stale_prefilter_knob_is_ignored(self, interrupted,
-                                             serial_ping, value):
+                                             serial_ping, knob, value):
         """``store_bloom_broadcast`` chose how children crossed the wire,
-        never what a digest was: either value resumes, on workers too."""
+        the five scheduler switches how tasks were packed, routed and
+        given up on — never what a digest was: any value resumes, on
+        workers too."""
         for snapshot in interrupted.glob("ckpt-*"):
-            _plant_in_pickled_config(snapshot, store_bloom_broadcast=value)
+            _plant_in_pickled_config(snapshot, **{knob: value})
         scenario, stats = nice.resume(interrupted, workers=2)
         assert stats.workers == 2
         assert_matches_serial(stats, serial_ping)
-        assert not hasattr(scenario.config, "store_bloom_broadcast")
+        assert not hasattr(scenario.config, knob)
 
     def test_format_1_manifest_is_refused(self, interrupted):
         for snapshot in interrupted.glob("ckpt-*"):

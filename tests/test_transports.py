@@ -21,6 +21,7 @@ from collections import OrderedDict, deque
 import pytest
 
 from contract import counters, exhaustive, requires_fork, violated_properties
+from fault_helpers import small_tasks
 from repro import nice, scenarios
 from repro.config import NiceConfig
 from repro.mc import scheduler as scheduler_mod
@@ -190,10 +191,9 @@ class InlineTransport(Transport):
 
 
 class TestReplayCache:
-    """Restoration-work measurements pin ``adaptive_batching=False``:
-    they characterize the *static* batch-size baseline (adaptive batching
-    grows batches until replay all but disappears, which is the point of
-    adaptive batching but not of these tests).
+    """Restoration-work measurements hold the batch at its seed
+    (``static_batches``): adaptive batching grows batches until replay
+    all but disappears, which is its point but not these tests'.
 
     Counter contract (DESIGN.md, "Restoration counters"): ``cache_hits``
     counts retained children picked up by handle plus ``base_for``
@@ -202,9 +202,13 @@ class TestReplayCache:
     ``rebuilt_transitions`` / ``replayed_transitions`` count only steps
     actually re-executed."""
 
-    def test_cache_counters_exposed_in_stats(self, serial_direct_path):
-        result = exhaustive(scenarios.pyswitch_direct_path(), workers=2,
-                            adaptive_batching=False)
+    @pytest.fixture
+    def static_batches(self, monkeypatch):
+        small_tasks(monkeypatch.setattr, nodes=_Scheduler.BATCH_NODES)
+
+    def test_cache_counters_exposed_in_stats(self, serial_direct_path,
+                                             static_batches):
+        result = exhaustive(scenarios.pyswitch_direct_path(), workers=2)
         # Most nodes come back to the worker that retained them; a
         # handful of steals pay a replay and a rebuild.
         assert result.cache_hits > result.unique_states // 2
@@ -215,12 +219,13 @@ class TestReplayCache:
         assert result.result_payload_bytes > 0
         assert "result payload" in result.summary()
 
-    def test_correct_after_heavy_eviction(self, serial_direct_path):
+    def test_correct_after_heavy_eviction(self, serial_direct_path,
+                                          static_batches):
         """worker_cache_size=1 leaves no room to retain a child and
         forces near-constant replay-cache eviction; the search must still
         be exact, just slower (every node rebuilt, mostly full replays)."""
         result = exhaustive(scenarios.pyswitch_direct_path(), workers=2,
-                            worker_cache_size=1, adaptive_batching=False)
+                            worker_cache_size=1)
         assert counters(result) == counters(serial_direct_path)
         assert violated_properties(result) == \
             violated_properties(serial_direct_path)
@@ -237,32 +242,6 @@ class TestReplayCache:
                               search_order=order, workers=2)
         assert counters(parallel) == counters(serial)
         assert parallel.affinity_hits == 0
-
-    def test_affinity_reduces_replay_vs_round_robin(self, serial_direct_path,
-                                                    monkeypatch):
-        """Routing child groups to the worker that retained them must
-        measurably cut restoration work — re-executed transitions,
-        replayed or rebuilt — on a deep scenario.  (Round-robin still
-        resolves the handles that happen to land on their owner.)  Run on
-        :class:`InlineTransport`: with real workers, which groups get
-        stolen — so how much is restored — follows process timing on this
-        small space, and the margin below was missed in ~4 % of runs."""
-        monkeypatch.setattr(
-            scheduler_mod, "create_transport",
-            lambda config, spec: InlineTransport(config.workers))
-        knobs = dict(workers=2, adaptive_batching=False,
-                     heartbeat_interval=0)
-        affine = exhaustive(scenarios.pyswitch_direct_path(), **knobs)
-        round_robin = exhaustive(scenarios.pyswitch_direct_path(),
-                                 affinity=False, **knobs)
-        assert counters(affine) == counters(round_robin) \
-            == counters(serial_direct_path)
-        assert affine.affinity_hits > affine.affinity_misses
-        assert round_robin.affinity_hits == 0
-        assert (affine.replayed_transitions
-                + affine.rebuilt_transitions) * 2 \
-            < (round_robin.replayed_transitions
-               + round_robin.rebuilt_transitions)
 
     def test_adaptive_batching_matches_static_results(
             self, serial_direct_path):
