@@ -163,6 +163,13 @@ class EnergyTrafficEngineering(App):
         new.flow_tables = dict(self.flow_tables)
         return new
 
+    def canonical_state(self):
+        """Routing tables and bug switches are configuration; the stats
+        and ``packet_in`` handlers write these five."""
+        return self._assemble_state(
+            ("active_table", "energy_state", "flow_tables", "flows_routed",
+             "polls_left"))
+
     def packet_in(self, api, sw_id, inport, pkt, bufid, reason):
         if pkt.type != ETH_TYPE_IP:
             api.drop_buffer(sw_id, bufid)

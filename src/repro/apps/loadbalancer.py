@@ -160,6 +160,12 @@ class LoadBalancer(App):
         new.flow_assignments = dict(self.flow_assignments)
         return new
 
+    def canonical_state(self):
+        """Addresses, replicas and bug switches are configuration; the
+        reconfiguration and ``packet_in`` handlers write these four."""
+        return self._assemble_state(
+            ("current_policy", "flow_assignments", "mode", "old_policy"))
+
     def boot(self, api, topo):
         self._install_policy_rules(api, self.current_policy)
         # Return traffic from the replicas back to the client.

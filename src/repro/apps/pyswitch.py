@@ -45,6 +45,10 @@ class PySwitch(App):
                           for sw, table in self.ctrl_state.items()}
         return new
 
+    def canonical_state(self):
+        """The timers are configuration; handlers write the MAC tables."""
+        return self._assemble_state(("ctrl_state",))
+
     def switch_join(self, api, sw_id, stats):  # Figure 3, lines 17-19
         if sw_id not in self.ctrl_state:
             self.ctrl_state[sw_id] = {}

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import copy
 
+from repro.mc.canonical import canonicalize
+
 
 class App:
     """Subclass and override the handlers your application needs."""
@@ -61,8 +63,11 @@ class App:
         """Handle one of :meth:`external_events`."""
 
     def state_vars(self) -> dict:
-        """The controller state to serialize; defaults to all attributes."""
-        return dict(vars(self))
+        """The controller state to serialize; defaults to all attributes
+        (less the ``_static_canon`` cache slot, which is no state)."""
+        state = dict(vars(self))
+        state.pop("_static_canon", None)
+        return state
 
     def clone(self) -> "App":
         """Checkpoint copy of the controller state (``System.clone``).
@@ -73,3 +78,37 @@ class App:
         profiles.
         """
         return copy.deepcopy(self)
+
+    def canonical_state(self) -> tuple:
+        """The canonical form of :meth:`state_vars` — what the ``"app"``
+        component digest is taken over.  The default walks the dict
+        generically on every call, always right for arbitrary user
+        applications; the bundled apps assemble the same tuple around the
+        few attributes their handlers write (:meth:`_assemble_state`)."""
+        return canonicalize(self.state_vars())
+
+    #: :meth:`_assemble_state`'s template, built on its first call and
+    #: shared by every clone.
+    _static_canon = None
+
+    def _assemble_state(self, written: tuple[str, ...]) -> tuple:
+        """:meth:`canonical_state` for an app whose handlers, once booted,
+        write only the attributes named in ``written``: every other
+        attribute is configuration, rendered once — on the first call,
+        which the search makes after boot — and the generic forms of the
+        written few are set into a copy of that rendering.  An attribute
+        a subclass adds and writes must be named too, or its changes go
+        unhashed (the oracle walk of ``tests/test_touched_forms.py`` shows
+        such a difference on the first step that makes one)."""
+        static = self._static_canon
+        if static is None:
+            form = canonicalize(self.state_vars())
+            static = self._static_canon = (
+                list(form),
+                [(at, item[0]) for at, item in enumerate(form)
+                 if at and item[0] in written])
+        template, slots = static
+        items = template.copy()
+        for at, name in slots:
+            items[at] = (name, canonicalize(getattr(self, name)))
+        return tuple(items)

@@ -574,12 +574,13 @@ class Searcher:
                  strategy: Strategy) -> list[Transition]:
         enabled = system.enabled_transitions()
         if self._use_se:
-            enabled = self._add_symbolic_sends(system, enabled)
-            enabled = self._substitute_stats(system, enabled)
+            # Figure 5's ``state(ctrl)``, the key of both discovery caches.
+            ctrl_hash = system.controller_state_hash()
+            enabled = self._add_symbolic_sends(system, enabled, ctrl_hash)
+            enabled = self._substitute_stats(system, enabled, ctrl_hash)
         return strategy.filter(system, enabled)
 
-    def _add_symbolic_sends(self, system, enabled):
-        ctrl_hash = system.controller_state_hash()
+    def _add_symbolic_sends(self, system, enabled, ctrl_hash):
         extra: list[Transition] = []
         for name in system._host_order:
             host = system.hosts[name]
@@ -603,10 +604,9 @@ class Searcher:
                 )
         return enabled + extra
 
-    def _substitute_stats(self, system, enabled):
+    def _substitute_stats(self, system, enabled, ctrl_hash):
         """Replace plain delivery of a pending StatsReply with transitions
         carrying symbolically-discovered representative values."""
-        ctrl_hash = system.controller_state_hash()
         out: list[Transition] = []
         for transition in enabled:
             if transition.kind != tk.CTRL_HANDLE:

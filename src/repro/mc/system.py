@@ -22,8 +22,8 @@ from repro.errors import TransitionError
 from repro.mc import transitions as tk
 from repro.mc.canonical import (
     DIGEST_SIZE,
+    DigestMemo,
     canonicalize,
-    digest_bytes,
     insort_canonical,
     render_canonical,
 )
@@ -34,27 +34,33 @@ from repro.openflow.switch import SwitchModel
 from repro.topo.topology import Endpoint, Topology
 
 
-class HashStats:
-    """Per-state hot-path counters (DESIGN.md, "Per-state hot path").
+class HashStats(DigestMemo):
+    """Per-state hot-path counters, and the memo that renders each distinct
+    form once (DESIGN.md, "Per-state hot path").
 
     One object is shared by reference between a System and every clone
     descended from it, so a search run (or one worker process) accumulates
-    into a single place:
+    into a single place — and remembers forms in a single place, never
+    module-global:
 
     * ``hits`` / ``misses`` — component-digest cache hits vs. recomputes;
     * ``bytes_hashed`` — bytes of canonical *rendering* performed for
-      hashing, the O(changed) work: re-rendered components and the meta
-      tail.  Re-feeding already-cached digests/tails to the 16-byte
-      combiner is not counted — it is not rendering work;
+      hashing: the forms :meth:`~repro.mc.canonical.DigestMemo.digest` had
+      not seen lately (components and per-send header signatures) and the
+      meta tail.  About a tenth of the bytes the recomputed components
+      hold, because nine in ten of them return to a remembered form;
+      deterministic for a serial search.  Re-feeding already-cached
+      digests/tails to the 16-byte combiner is not counted — it is not
+      rendering work;
     * ``cow_copied`` — components lazily copied by copy-on-write clones.
     """
 
-    __slots__ = ("hits", "misses", "bytes_hashed", "cow_copied")
+    __slots__ = ("hits", "misses", "cow_copied")
 
     def __init__(self):
+        super().__init__()
         self.hits = 0
         self.misses = 0
-        self.bytes_hashed = 0
         self.cow_copied = 0
 
     def snapshot(self) -> tuple[int, int, int, int]:
@@ -195,17 +201,19 @@ class System:
         #: path goes through :meth:`_dirty`, which materializes shared
         #: components before dropping their cached forms.
         self._shared: set = set()
-        self._component_keys = frozenset(
-            [("sw", sw_id) for sw_id in self.switches]
-            + [("host", name) for name in self.hosts]
-            + ["app", "ledger"]
-        )
         #: Component and event orderings are fixed for the lifetime of the
         #: system (and every clone); precomputing them keeps sorts out of
         #: the per-state hot path.
         self._sw_order = tuple(sorted(self.switches))
         self._host_order = tuple(sorted(self.hosts))
         self._event_order = tuple(sorted(self.events_fired))
+        #: The component keys in the order ``state_hash`` combines them.
+        self._hash_order = (
+            tuple(("sw", sw_id) for sw_id in self._sw_order)
+            + tuple(("host", name) for name in self._host_order)
+            + ("app", "ledger")
+        )
+        self._component_keys = frozenset(self._hash_order)
 
     # ------------------------------------------------------------------
     # Setup
@@ -366,7 +374,7 @@ class System:
         # given header signature by this host always gets the same uid, so
         # equivalent event orders still reach identical states.  (The
         # header tuple is already canonical.)
-        signature = digest_bytes(render_canonical(packet.header_tuple())).hex()[:8]
+        signature = self._hash_stats.digest(packet.header_tuple()).hex()[:8]
         occurrence = host.send_sig_counts.get(signature, 0)
         host.send_sig_counts[signature] = occurrence + 1
         packet.uid = (host.name, signature, occurrence)
@@ -515,7 +523,7 @@ class System:
         base = (
             tuple(canonicalize(self.switches[s]) for s in self._sw_order),
             tuple(canonicalize(self.hosts[h]) for h in self._host_order),
-            canonicalize(self.app.state_vars()),
+            self.app.canonical_state(),
             tuple(sorted(self.attachments.items())),
             canonicalize(self.ledger),
             tuple((e, self.events_fired[e]) for e in self._event_order),
@@ -532,66 +540,72 @@ class System:
     def controller_state_hash(self) -> str:
         """Hash of the controller state only — the discovery-cache key of
         Figure 5 (``client.packets[state(ctrl)]``)."""
-        return self._digest("app", self.app.state_vars).hex()
-
-    def _digest(self, key, obj) -> bytes:
-        """Cached blake2b digest of one component's canonical form.
-
-        ``obj`` is the component, or a zero-argument callable invoked only
-        on a miss (``app.state_vars`` allocates a dict per call, so it is
-        passed as the bound method).  Hit/miss/bytes counters feed
-        :class:`HashStats`.
-        """
-        digest = self._digest_cache.get(key)
+        digest = self._digest_cache.get("app")
         if digest is None:
-            if callable(obj):
-                obj = obj()
-            data = render_canonical(canonicalize(obj))
-            digest = digest_bytes(data)
-            self._digest_cache[key] = digest
             self._hash_stats.misses += 1
-            self._hash_stats.bytes_hashed += len(data)
+            digest = self._digest_miss("app")
         else:
             self._hash_stats.hits += 1
+        return digest.hex()
+
+    def _digest_miss(self, key) -> bytes:
+        """Digest the component under ``key`` anew and cache the digest
+        (the caller counts the miss).  Its form has to be assembled — it
+        is what the memo is asked by — but is rendered only if
+        :class:`HashStats` has not seen it lately."""
+        if type(key) is tuple:
+            kind, name = key
+            form = (self.switches if kind == "sw"
+                    else self.hosts)[name].canonical()
+        elif key == "app":
+            form = self.app.canonical_state()
+        else:
+            form = self.ledger.canonical()
+        digest = self._digest_cache[key] = self._hash_stats.digest(form)
         return digest
 
     def state_hash(self) -> str:
         """Digest of the full state, for the explored-state set.
 
         Combines the cached per-component digests Merkle-style: a
-        transition that touched one switch re-renders and re-hashes that
-        one switch, not the whole tree.  Two states combine to the same
-        digest exactly when their canonical forms are equal.
+        transition that touched one switch re-digests that one switch, not
+        the whole tree.  Two states combine to the same digest exactly
+        when their canonical forms are equal.
         """
-        combined = hashlib.blake2b(digest_size=DIGEST_SIZE)
-        for sw_id in self._sw_order:
-            combined.update(self._digest(("sw", sw_id), self.switches[sw_id]))
-        for name in self._host_order:
-            combined.update(self._digest(("host", name), self.hosts[name]))
-        combined.update(self._digest("app", self.app.state_vars))
-        combined.update(self._digest("ledger", self.ledger))
+        cache = self._digest_cache
+        stats = self._hash_stats
+        parts = []
+        missing = 0
+        for key in self._hash_order:
+            digest = cache.get(key)
+            if digest is None:
+                missing += 1
+                digest = self._digest_miss(key)
+            parts.append(digest)
+        stats.misses += missing
+        stats.hits += len(parts) - missing
         # The small always-owned fields (attachments, fired events) ride
         # along as a cached rendered tail under the "meta" dirty key; the
         # component digest count is fixed per topology, so the
         # concatenation is unambiguous.
-        tail = self._digest_cache.get("meta")
+        tail = cache.get("meta")
         if tail is None:
-            tail = render_canonical((
+            tail = cache["meta"] = render_canonical((
                 tuple(sorted(self.attachments.items())),
                 tuple((e, self.events_fired[e]) for e in self._event_order),
             ))
-            self._digest_cache["meta"] = tail
-            self._hash_stats.bytes_hashed += len(tail)
-        combined.update(tail)
+            stats.bytes_hashed += len(tail)
+        parts.append(tail)
         # Subclass extras (the JPF baseline's pending operations) may be
         # mutated directly from outside ``execute``, so they are rendered
         # per call, never cached — they are empty for plain systems.
         extra = self.canonical_extra()
         if extra:
             data = render_canonical(extra)
-            self._hash_stats.bytes_hashed += len(data)
-            combined.update(data)
-        return combined.hexdigest()
+            stats.bytes_hashed += len(data)
+            parts.append(data)
+        return hashlib.blake2b(b"".join(parts),
+                               digest_size=DIGEST_SIZE).hexdigest()
 
     def clone(self) -> "System":
         """Checkpoint: share everything, copy on write.
@@ -631,6 +645,7 @@ class System:
         new._digest_cache = dict(self._digest_cache)
         new._hash_stats = self._hash_stats
         new._component_keys = self._component_keys
+        new._hash_order = self._hash_order
         new._sw_order = self._sw_order
         new._host_order = self._host_order
         new._event_order = self._event_order

@@ -430,13 +430,14 @@ class SwitchModel:
         return (
             self.switch_id,
             self.table.canonical(include_counters=self.hash_counters),
-            tuple(self.port_in[p].canonical() for p in self.ports),
+            # port_in and port_up were filled in the order of self.ports,
+            # which is sorted, and a clone copies them in that order.
+            tuple([channel.canonical() for channel in self.port_in.values()]),
             self._of_canonical(self.ofp_in, remap, "_ofp_in_canon"),
             self._of_canonical(self.ofp_out, remap, "_ofp_out_canon"),
             buffers_part,
             stats_part,
-            # self.ports is sorted, so this equals sorted(port_up.items()).
-            tuple((p, self.port_up[p]) for p in self.ports),
+            tuple(self.port_up.items()),
             dropped_part,
         )
 
@@ -469,7 +470,7 @@ class SwitchModel:
         and reused while the channel's own form and the remap are the
         same objects it was built from."""
         form = channel.canonical()
-        if not remap:
+        if not remap or not form[2]:
             return form
         cached = getattr(self, slot)
         if cached is None or cached[0] is not form or cached[1] is not remap:

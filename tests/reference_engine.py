@@ -36,10 +36,13 @@ class ReferenceSystem(System):
         new.topo = self.topo
         new.config = self.config
         new._component_keys = self._component_keys
+        new._hash_order = self._hash_order
         new._sw_order = self._sw_order
         new._host_order = self._host_order
         new._event_order = self._event_order
-        # Counters only; shared so a run accumulates in one place.
+        # Counters, and the digest memo ``execute`` signs sent headers
+        # through (``state_hash`` below never asks it); shared so a run
+        # accumulates in one place.
         new._hash_stats = self._hash_stats
         new.switches = copy.deepcopy(self.switches)
         new.hosts = copy.deepcopy(self.hosts)

@@ -13,7 +13,12 @@ Contracts under test (DESIGN.md, "Per-state hot path"):
 * after a transition that touches a single component, ``state_hash()``
   recomputes exactly one component digest (counter-asserted);
 * the all-string-key fast path of ``canonicalize`` orders identically to
-  the repr-keyed slow path (hash-pinned), and unsafe keys fall back.
+  the repr-keyed slow path (hash-pinned), and unsafe keys fall back;
+* the digest memo renders a form it remembers zero times, holds two
+  generations at most, digests an unhashable form all the same — and
+  compares forms by value, the one clause it adds to the ``canonical()``
+  contract (``tests/test_touched_forms.py`` holds it to the oracle on
+  whole walks and searches).
 """
 
 from __future__ import annotations
@@ -24,7 +29,15 @@ from contract import counters, exhaustive, requires_fork, violation_messages
 from reference_engine import reference_factory, reference_run
 from repro import scenarios
 from repro.mc import transitions as tk
-from repro.mc.canonical import _safe_string_key, canonicalize, state_string
+from repro.mc import canonical
+from repro.mc.canonical import (
+    DigestMemo,
+    _safe_string_key,
+    canonicalize,
+    digest_bytes,
+    render_canonical,
+    state_string,
+)
 from repro.scenarios import REGISTRY, with_config
 
 
@@ -226,6 +239,68 @@ class TestDigestRecomputation:
         misses = stats.misses
         assert system.state_hash() == first
         assert stats.misses == misses
+
+
+class TestDigestMemo:
+    """``canonical form -> digest``, rendered once per remembered form."""
+
+    @staticmethod
+    def rendered(form) -> bytes:
+        return digest_bytes(render_canonical(form))
+
+    def test_a_remembered_form_is_not_rendered_again(self):
+        memo = DigestMemo()
+        form = ("s1", (("a", 1), ("b", (2, 3))), None, 1.5, b"x")
+        assert memo.digest(form) == self.rendered(form)
+        assert memo.bytes_hashed == len(render_canonical(form))
+        # An equal form built apart from the first, as the search's are.
+        again = ("s1", (("a", 1), ("b", (2, 3))), None, 1.5, b"x")
+        assert memo.digest(again) == self.rendered(form)
+        assert memo.bytes_hashed == len(render_canonical(form))
+
+    def test_two_generations_at_most_and_what_is_asked_for_survives(
+            self, monkeypatch):
+        monkeypatch.setattr(canonical, "MEMO_GENERATION", 4)
+        memo = DigestMemo()
+        hot = ("hot",)
+        memo.digest(hot)
+        for index in range(40):
+            assert memo.digest((index,)) == self.rendered((index,))
+            assert len(memo._young) <= 4 and len(memo._old) <= 4
+            if index % 3 == 0:
+                memo.digest(hot)
+        # Asked for once per three forms, ``hot`` moved from the old
+        # generation to the young one each time: rendered only once.
+        rendered = sum(len(render_canonical((index,))) for index in range(40))
+        assert memo.bytes_hashed == rendered + len(render_canonical(hot))
+        # What was not asked for again is gone, and renders again.
+        memo.digest((0,))
+        assert memo.bytes_hashed > rendered + len(render_canonical(hot))
+
+    def test_an_unhashable_form_still_hashes(self):
+        memo = DigestMemo()
+        form = ("host", ["a", "list"], {"a": "dict"})
+        for _ in range(2):
+            assert memo.digest(form) == self.rendered(form)
+        # Nothing to look it up by: rendered on both calls, never held.
+        assert memo.bytes_hashed == 2 * len(render_canonical(form))
+        assert not memo._young and not memo._old
+
+    def test_forms_are_compared_by_value(self):
+        """The contract case: ``1``, ``True`` and ``1.0`` are one key but
+        three renderings, so a position that alternated between them would
+        be answered with whichever was rendered first."""
+        assert (1,) == (True,) == (1.0,)
+        assert len({render_canonical(form)
+                    for form in ((1,), (True,), (1.0,))}) == 3
+        memo = DigestMemo()
+        first = memo.digest((1,))
+        assert first == self.rendered((1,))
+        assert memo.digest((True,)) == first != self.rendered((True,))
+        assert memo.digest((1.0,)) == first
+        # None of the other types a form holds collides with another.
+        assert len({memo.digest(form) for form in (
+            ("1",), (b"1",), (None,), ((),), ("",), (0,), (2,))}) == 7
 
 
 class TestCanonicalizeFastPath:

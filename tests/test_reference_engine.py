@@ -12,7 +12,16 @@ path"; :mod:`reference_engine`).
 * it trusts nothing the product caches or shares: it never calls a
   component's ``clone()``, and it *disagrees* with the product as soon as a
   cache reset or the ``process_pkt`` take-out copy is removed — the two
-  mutations that ``System.state_hash`` alone cannot see.
+  mutations that ``System.state_hash`` alone cannot see — or as soon as a
+  handler of one of the three paper apps writes an attribute its
+  ``canonical_state()`` renders once as configuration (the
+  ``_static_canon`` slot of ``App._assemble_state``).
+
+The digest memo under ``state_hash`` (``repro.mc.canonical.DigestMemo``)
+has no demo here because it has no way to go stale: its key is the
+canonical form itself, an immutable value, and its value a pure function
+of the key — there is no mutator to forget a reset in.  What it relies on
+instead, forms compared by value, is pinned in ``tests/test_hotpath.py``.
 """
 
 from __future__ import annotations
@@ -24,8 +33,13 @@ import pytest
 from contract import counters, violation_messages
 from reference_engine import ReferenceSystem, reference_factory, reference_run
 from repro import nice, scenarios
+from repro.apps.energy_te import EnergyTrafficEngineering
+from repro.apps.loadbalancer import LoadBalancer
+from repro.apps.pyswitch import PySwitch
 from repro.config import NiceConfig
+from repro.controller.app import App
 from repro.hosts.base import Host
+from repro.mc.canonical import canonicalize
 from repro.mc.strategies import make_strategy
 from repro.mc.system import PacketLedger
 from repro.openflow.channels import Channel
@@ -106,6 +120,28 @@ def test_lockstep_walk_digests_are_byte_identical(build):
     assert first_disagreement(build()) is None
 
 
+class CountingHub(App):
+    """A user app: floods, counts, and overrides neither ``clone`` nor
+    ``canonical_state``."""
+
+    name = "counting-hub"
+
+    def __init__(self):
+        self.seen = {}
+
+    def packet_in(self, api, sw_id, inport, pkt, bufid, reason):
+        self.seen[sw_id] = self.seen.get(sw_id, 0) + 1
+        api.flood_packet(sw_id, None, bufid)
+
+
+def test_a_user_app_keeps_the_generic_copy_and_form():
+    scenario = scenarios.ping_experiment(pings=2, app_factory=CountingHub)
+    assert first_disagreement(scenario) is None
+    app = scenario.system_factory().app
+    assert app.canonical_state() == canonicalize(app.state_vars())
+    assert app._static_canon is None
+
+
 def test_reference_clones_through_no_component_clone(monkeypatch):
     def forbidden(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__}.clone() called")
@@ -124,8 +160,8 @@ def test_reference_clones_through_no_component_clone(monkeypatch):
 
 
 class TestMutantsAreCaught:
-    """Break the product the two ways a cached, shared hot path can break;
-    the reference must notice both."""
+    """Break the product the ways a cached, shared hot path can break; the
+    reference must notice each."""
 
     def test_a_missing_cache_reset(self, monkeypatch):
         apply_fault = Channel.apply_fault
@@ -150,3 +186,24 @@ class TestMutantsAreCaught:
 
         monkeypatch.setattr(SwitchModel, "process_pkt", without_the_copy)
         assert first_disagreement(scenarios.pyswitch_direct_path()) is not None
+
+    @pytest.mark.parametrize("build,app,configuration", [
+        (scenarios.pyswitch_direct_path, PySwitch, "soft_timer"),
+        (lambda: scenarios.loadbalancer_scenario(
+            config=NiceConfig(max_pkt_sequence=2)), LoadBalancer,
+         "client_port"),
+        (scenarios.energy_te_scenario, EnergyTrafficEngineering,
+         "monitor_port"),
+    ], ids=["pyswitch", "loadbalancer", "energy-te"])
+    def test_a_handler_writing_what_the_app_form_holds_static(
+            self, monkeypatch, build, app, configuration):
+        """``_static_canon`` is never reset: an attribute outside the
+        app's ``written`` names must not change once the search hashes."""
+        packet_in = app.packet_in
+
+        def reconfiguring(self, *args, **kwargs):
+            setattr(self, configuration, getattr(self, configuration) + 1)
+            return packet_in(self, *args, **kwargs)
+
+        monkeypatch.setattr(app, "packet_in", reconfiguring)
+        assert first_disagreement(build()) is not None

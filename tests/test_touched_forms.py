@@ -15,7 +15,11 @@ Contracts under test (DESIGN.md, "Sub-forms and sealed packets"):
   from-scratch form while a child executes;
 * **byte identity** — the digest sets and hot-path counters of three
   exhaustive searches, as measured at the commit before any sub-form was
-  cached (Python 3.11.7).
+  cached (Python 3.11.7);
+* **the digest memo** (DESIGN.md, "The digest tree") — every digest it
+  holds at the end of a walk is the digest of its form's rendering, it
+  holds at most two generations of forms, and the three searches read
+  the same with it effectively switched off.
 """
 
 from __future__ import annotations
@@ -27,10 +31,11 @@ import pytest
 
 import reference_forms as ref
 from reference_engine import reference_factory
-from repro import nice, scenarios
+from repro import scenarios
 from repro.config import NiceConfig
+from repro.mc import canonical
 from repro.mc import store as store_mod
-from repro.mc.canonical import canonicalize
+from repro.mc.canonical import digest_bytes, render_canonical
 from repro.mc.strategies import make_strategy
 from repro.scenarios import REGISTRY, with_config
 from scenario_gen import random_scenario
@@ -63,8 +68,16 @@ def assert_forms_match_oracle(system, where: str) -> None:
     for name, host in system.hosts.items():
         assert host.canonical() == expected["host", name], (where, name)
     assert system.ledger.canonical() == expected["ledger"], where
-    assert canonicalize(system.app.state_vars()) == expected["app"], where
+    assert system.app.canonical_state() == expected["app"], where
     assert system.state_hash() == ref.state_hash(system), where
+
+
+def assert_memo_is_exact(memo) -> None:
+    """Every remembered digest is what rendering its form again yields."""
+    held = {**memo._old, **memo._young}
+    assert held
+    for form, digest in held.items():
+        assert digest == digest_bytes(render_canonical(form)), form
 
 
 @pytest.mark.parametrize("factory", [
@@ -108,6 +121,8 @@ def test_random_walk_matches_oracle_and_keeps_the_seal(builder, overrides,
             pool.append(child)
         else:
             pool[rng.randrange(POOL)] = child
+    # One memo per lineage: every system of the walk fed the initial one's.
+    assert_memo_is_exact(initial._hash_stats)
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +130,8 @@ def test_random_walk_matches_oracle_and_keeps_the_seal(builder, overrides,
 # ----------------------------------------------------------------------
 
 def _exhaust(scenario, monkeypatch):
-    """``(stats, blake2b-16 over the concatenated sorted digest set)``."""
+    """``(stats, blake2b-16 over the concatenated sorted digest set, the
+    search's digest memo)``."""
     stores = []
     create = store_mod.create_store
 
@@ -124,28 +140,52 @@ def _exhaust(scenario, monkeypatch):
         return stores[-1]
 
     monkeypatch.setattr(store_mod, "create_store", capturing)
-    stats = nice.run(with_config(scenario, stop_at_first_violation=False))
+    searcher = with_config(scenario,
+                           stop_at_first_violation=False).make_searcher()
+    stats = searcher.run()
     (store,) = stores
     digests = "".join(sorted(store.digests())).encode()
-    return stats, hashlib.blake2b(digests, digest_size=16).hexdigest()
+    return (stats, hashlib.blake2b(digests, digest_size=16).hexdigest(),
+            searcher._initial._hash_stats)
 
 
+# The digest sets, misses and CoW copies are the literals recorded before
+# any sub-form was cached.  ``bytes_hashed`` was re-cut when the digest
+# memo arrived (it counts bytes *rendered*: 751 714 / 2 362 789 /
+# 13 483 973 before).  ``hash_hits`` of the two searches that run concolic
+# discovery fell in the same PR by exactly one per expanded state (10 612
+# and 67 039 before): ``Searcher._enabled`` asks for the controller digest
+# once per node, not twice — the memo itself moved no hit.
 @pytest.mark.parametrize("build,states,digest_set,hot_path", [
     pytest.param(lambda: scenarios.ping_experiment(pings=2), 510,
                  "d9d9354f5870deb69c3d249293e592b7",
-                 (751714, 3644, 1582, 1576), id="ping-2"),
+                 (163506, 3644, 1582, 1576), id="ping-2"),
     pytest.param(scenarios.pyswitch_direct_path, 1284,
                  "6fe619a94bc173b68498e1be7ff30e85",
-                 (2362789, 10612, 4731, 4726), id="pyswitch-direct-path"),
+                 (543500, 10612 - 1284, 4731, 4726),
+                 id="pyswitch-direct-path"),
     pytest.param(lambda: scenarios.loadbalancer_scenario(
                      config=NiceConfig(max_pkt_sequence=2)), 5190,
                  "877c4f7ddc8b3c72cd6c71baa166f2b1",
-                 (13483973, 67039, 25331, 25325), id="loadbalancer-2"),
+                 (2419382, 67039 - 5190, 25331, 25325), id="loadbalancer-2"),
 ])
 def test_digest_sets_and_counters_are_pinned(build, states, digest_set,
                                              hot_path, monkeypatch):
-    stats, measured = _exhaust(build(), monkeypatch)
+    stats, measured, memo = _exhaust(build(), monkeypatch)
     assert stats.unique_states == states
     assert measured == digest_set
     assert (stats.bytes_hashed, stats.hash_hits, stats.hash_misses,
             stats.cow_copied) == hot_path
+    # The bound: two generations, however many forms the search saw.
+    assert len(memo._young) <= canonical.MEMO_GENERATION
+    assert len(memo._old) <= canonical.MEMO_GENERATION
+    assert_memo_is_exact(memo)
+    # Purity: with one-form generations nearly everything is rendered
+    # again, and nothing but the rendering count moves.
+    monkeypatch.setattr(canonical, "MEMO_GENERATION", 1)
+    unmemoized, measured, memo = _exhaust(build(), monkeypatch)
+    assert measured == digest_set
+    assert (unmemoized.hash_hits, unmemoized.hash_misses,
+            unmemoized.cow_copied) == hot_path[1:]
+    assert unmemoized.bytes_hashed > 3 * stats.bytes_hashed
+    assert len(memo._young) + len(memo._old) <= 2
