@@ -14,9 +14,10 @@ a floor on sharded insert rate: by default a ratio to the memory store's
 rate measured in the same fixture, so a slow or loaded box moves both
 sides; ``NICE_STORE_INSERT_FLOOR`` (the nightly ``hotpath`` job pins
 1.1 M/s — 4x what the pre-v2 store managed) makes it absolute.  A
-checkpoint section
-snapshots a grown store twice and asserts the second snapshot's record
-bytes are O(new states), not O(all states).
+checkpoint section snapshots a grown store twice and asserts the second
+snapshot writes the new records plus ``meta.pkl`` and nothing else —
+O(new states), not O(all states) — and a checkpointed run of the
+spilling search holds the checkpointer to the same sum end to end.
 
 Everything lands in ``BENCH_store.json`` at the repository root; the
 nightly ``hotpath`` CI job runs this file and uploads the artifact.
@@ -28,16 +29,19 @@ import hashlib
 import json
 import os
 import pathlib
+import tempfile
 import time
 
 import pytest
 
 from repro import nice, scenarios
 from repro.config import NiceConfig
+from repro.mc import store as store_mod
 from repro.mc.search import SearchStats
 from repro.mc.store import (
     MemoryStore,
     ShardedStore,
+    list_checkpoints,
     validate_checkpoint,
     write_checkpoint,
 )
@@ -88,42 +92,16 @@ def _micro(make_store, n: int) -> dict:
     return {"inserts_per_s": best_insert, "lookups_per_s": best_lookup}
 
 
-def _bloom_micro(n: int = 5_000, lookups: int = 2_000) -> dict:
-    """What the per-shard Bloom bitsets buy: absent digests that share a
-    48-bit index prefix with a flushed record would each cost a disk
-    probe — the filter answers them from memory."""
-    store = ShardedStore(shards=4)
-    digests = [hashlib.md5(str(i).encode()).hexdigest() for i in range(n)]
-    for digest in digests:
-        store.add(digest)
-    store.flush()
-    start = time.perf_counter()
-    for digest in digests[:lookups]:
-        assert digest[:12] + "f" * 20 not in store
-    elapsed = time.perf_counter() - start
-    negatives = store.counters()["bloom_negatives"]
-    store.close()
-    return {
-        "lookups": lookups,
-        "bloom_hit_rate": negatives / lookups,
-        "absent_lookups_per_s": lookups / elapsed,
-    }
-
-
 def _checkpoint_bench(base_states: int = 50_000,
                       new_states: int = 2_000) -> dict:
     """Snapshot a populated store, grow it, snapshot again with the
     first snapshot as the hard-link baseline; report both snapshots'
-    written bytes.  Small Bloom bitsets keep the fixed per-changed-shard
-    summary cost from drowning the record delta being measured."""
-    import tempfile
-
+    written bytes."""
     digests = [hashlib.md5(str(i).encode()).hexdigest()
                for i in range(base_states + new_states)]
     with tempfile.TemporaryDirectory(prefix="nice-bench-ckpt-") as tmp:
         root = pathlib.Path(tmp)
-        store = ShardedStore(shards=8, bloom_bits=1 << 14,
-                             directory=str(root / "store"))
+        store = ShardedStore(shards=8, directory=str(root / "store"))
         config = NiceConfig(checkpoint_dir=str(root / "c"))
         store.add_batch(digests[:base_states])
         first = write_checkpoint(root / "c", spec=None, config=config,
@@ -148,6 +126,30 @@ def _checkpoint_bench(base_states: int = 50_000,
         "full_bytes_written": full.bytes_written,
         "delta_bytes_written": delta.bytes_written,
         "delta_new_record_bytes": new_segment_bytes,
+        "delta_meta_bytes": delta.file_info["meta.pkl"]["bytes"],
+    }
+
+
+def _checkpointed_search(interval: int = 200) -> dict:
+    """The spilling search again, checkpointed every ``interval`` states.
+    Every snapshot is kept (retention would prune all but two) so each
+    one's ``meta.pkl`` can be counted."""
+    with tempfile.TemporaryDirectory(prefix="nice-bench-ckpt-") as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(store_mod, "CHECKPOINT_KEEP", 1 << 30)
+        stats = _one_run(dict(CONFIGS["sharded-spill"], checkpoint_dir=tmp,
+                              checkpoint_interval=interval))
+        snapshots = [validate_checkpoint(path)
+                     for path in list_checkpoints(tmp)]
+    return {
+        "checkpoint_interval": interval,
+        "unique_states": stats.unique_states,
+        "checkpoints_written": stats.checkpoints_written,
+        "checkpoint_bytes_written": stats.checkpoint_bytes_written,
+        "snapshots_kept": len(snapshots),
+        "record_bytes": snapshots[-1].states * snapshots[-1].record_width,
+        "meta_bytes": sum(snapshot.file_info["meta.pkl"]["bytes"]
+                          for snapshot in snapshots),
     }
 
 
@@ -174,7 +176,6 @@ def store_results():
             "store_hits": stats.store_hits,
             "store_spill_reads": stats.store_spill_reads,
             "store_evictions": stats.store_evictions,
-            "store_bloom_negatives": stats.store_bloom_negatives,
         }
     micro = {
         "memory": _micro(MemoryStore, MICRO_OPS),
@@ -192,8 +193,8 @@ def store_results():
                     for name, overrides in CONFIGS.items()},
         "searches": searches,
         "micro": micro,
-        "bloom": _bloom_micro(),
         "checkpoint": _checkpoint_bench(),
+        "checkpointed_search": _checkpointed_search(),
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
@@ -218,13 +219,16 @@ def test_store_report(store_results):
          "spill reads/evictions", "micro ins/lkp per s"],
         rows,
     )
-    bloom = store_results["bloom"]
     ckpt = store_results["checkpoint"]
-    print(f"\nbloom: {bloom['bloom_hit_rate']:.0%} of absent same-prefix "
-          f"lookups answered without a disk probe")
-    print(f"checkpoint: full snapshot {ckpt['full_bytes_written']} B, "
+    search = store_results["checkpointed_search"]
+    print(f"\ncheckpoint: full snapshot {ckpt['full_bytes_written']} B, "
           f"delta snapshot {ckpt['delta_bytes_written']} B "
           f"(+{ckpt['new_states']} states)")
+    print(f"checkpointed sharded-spill search: "
+          f"{search['checkpoints_written']} snapshots, "
+          f"{search['checkpoint_bytes_written']} B written = "
+          f"{search['record_bytes']} B of records + "
+          f"{search['meta_bytes']} B of meta.pkl")
     print(f"wrote {OUTPUT}")
 
 
@@ -277,24 +281,26 @@ def test_sharded_micro_insert_floor(store_results):
         f" ({rate / 1e6:.2f} M/s; floor {INSERT_RATIO_FLOOR:.2f}x)")
 
 
-def test_bloom_answers_absent_lookups(store_results):
-    """Absent digests sharing an index prefix with flushed records are
-    answered by the Bloom bitsets, not disk probes."""
-    bloom = store_results["bloom"]
-    assert bloom["bloom_hit_rate"] >= 0.9, (
-        f"Bloom filters answered only {bloom['bloom_hit_rate']:.0%} of"
-        f" absent same-prefix lookups")
-
-
 def test_checkpoint_delta_is_o_new_states(store_results):
     """Snapshot cost scales with states added since the previous
     snapshot: the delta snapshot's newly written record bytes are
-    exactly the new records, and its total written bytes stay well
-    under a full rewrite (the remainder is hard links)."""
+    exactly the new records, and they and ``meta.pkl`` are all it
+    writes (the remainder is hard links)."""
     ckpt = store_results["checkpoint"]
     assert ckpt["delta_new_record_bytes"] == \
         ckpt["new_states"] * ckpt["record_width"]
-    assert ckpt["delta_bytes_written"] < ckpt["full_bytes_written"] / 4
+    assert ckpt["delta_bytes_written"] == \
+        ckpt["delta_new_record_bytes"] + ckpt["delta_meta_bytes"]
+
+
+def test_checkpointed_search_writes_records_and_meta_only(store_results):
+    """End to end, through the Checkpointer: every record is written by
+    one snapshot, and besides the records only the ``meta.pkl``s are."""
+    search = store_results["checkpointed_search"]
+    assert search["checkpoints_written"] == search["snapshots_kept"] > 1
+    assert search["record_bytes"] > 0
+    assert search["checkpoint_bytes_written"] <= \
+        search["record_bytes"] + search["meta_bytes"]
 
 
 def test_spill_path_exercised(store_results):
@@ -312,7 +318,5 @@ def test_bench_file_written(store_results):
     data = json.loads(OUTPUT.read_text())
     assert data["benchmark"] == "store"
     assert set(data["searches"]) == set(CONFIGS)
-    assert "bloom_hit_rate" in data["bloom"]
     assert "delta_bytes_written" in data["checkpoint"]
-    for search in data["searches"].values():
-        assert "store_bloom_negatives" in search
+    assert "checkpoint_bytes_written" in data["checkpointed_search"]

@@ -149,11 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     option("--store-memory-budget", type=int, metavar="N",
            help="sharded store: digests kept resident in memory "
                 "(the rest spill to disk)")
-    option("--store-bloom-bits", type=int, metavar="N",
-           help="Bloom filter size in bits (rounded up to a "
-                "power of two; 0 disables): per shard of the "
-                "sharded store, and per worker for the "
-                "retention hint")
     option("--checkpoint-dir", metavar="DIR",
            help="periodically snapshot the master state "
                 "(explored set, frontier, stats, config) into "
@@ -302,7 +297,6 @@ def _report(result, args, scenario_name: str, strategy: str) -> int:
             "store_hits": result.store_hits,
             "store_spill_reads": result.store_spill_reads,
             "store_evictions": result.store_evictions,
-            "store_bloom_negatives": result.store_bloom_negatives,
             "result_payload_bytes": result.result_payload_bytes,
             "checkpoints_written": result.checkpoints_written,
             "checkpoint_seconds": result.checkpoint_seconds,

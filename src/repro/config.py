@@ -121,13 +121,7 @@ class NiceConfig:
       an append-only file of fixed-width packed hash records with an
       in-memory index; at most ``store_memory_budget`` digests stay
       resident, the rest spill to disk — the explored set can outgrow
-      RAM).  ``store_bloom_bits`` sizes the sharded store's per-shard
-      Bloom filter (bits, rounded up to a power of two; 0 disables it) —
-      a compact bitset answering definite-negative membership before the
-      index/disk probe, serialized into checkpoints so resume reloads it
-      instead of recomputing.  The same size (with either store) gives
-      each parallel worker its retention hint, the filter of digests it
-      has already hashed (DESIGN.md, "Dedup"); 0 turns the hint off.
+      RAM).
     * ``checkpoint_interval`` / ``checkpoint_dir`` — master
       checkpointing: with ``checkpoint_dir`` set, the search atomically
       snapshots the explored-set store, the frontier, the statistics and
@@ -212,7 +206,6 @@ class NiceConfig:
     store: str = STORE_MEMORY
     store_shards: int = 16
     store_memory_budget: int = 1_000_000
-    store_bloom_bits: int = 1 << 20
     checkpoint_interval: int = 1000
     checkpoint_dir: str | None = None
     respawn_workers: bool = False
@@ -276,7 +269,5 @@ class NiceConfig:
             raise ConfigError("store_shards must be >= 1")
         if self.store_memory_budget < 1:
             raise ConfigError("store_memory_budget must be >= 1")
-        if self.store_bloom_bits < 0:
-            raise ConfigError("store_bloom_bits must be >= 0")
         if self.checkpoint_interval < 1:
             raise ConfigError("checkpoint_interval must be >= 1")

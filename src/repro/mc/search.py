@@ -150,12 +150,14 @@ class SearchStats:
     received work) are auditable after the fact.
     """
 
-    #: Counters of the deleted worker-side dedup pre-filter.  Nothing sets
-    #: them; ``bench/trace.py`` still reads them by ``getattr``, so they
-    #: stay until a ``benchmark`` PR drops them together with the metrics
-    #: they feed (``mc.worker.stub_ratio``, ``mc.worker.stub_fp``,
-    #: ``mc.wire.bytes_saved``).
-    bloom_prefilter_drops = bloom_prefilter_fp = result_bytes_saved = 0
+    #: Counters of the deleted worker-side dedup pre-filter and of the
+    #: deleted sharded-store Bloom filter.  Nothing sets them;
+    #: ``bench/trace.py`` still reads them by ``getattr``, so they stay
+    #: until a ``benchmark`` PR drops them together with the metrics they
+    #: feed (``mc.worker.stub_ratio``, ``mc.worker.stub_fp``,
+    #: ``mc.wire.bytes_saved``, ``mc.store.bloom_negatives``).
+    bloom_prefilter_drops = bloom_prefilter_fp = result_bytes_saved = \
+        store_bloom_negatives = 0
 
     def __init__(self):
         self.violations: list[Violation] = []
@@ -206,9 +208,6 @@ class SearchStats:
         self.store_hits = 0
         self.store_spill_reads = 0
         self.store_evictions = 0
-        #: Lookups the sharded store's per-shard Bloom filters answered
-        #: (definite negatives that skipped the index/disk probe).
-        self.store_bloom_negatives = 0
         #: Pickled size of every merged task result's children payload —
         #: the per-child part of results (parallel runs only).
         self.result_payload_bytes = 0
@@ -270,8 +269,7 @@ class SearchStats:
                 f"state store          : {self.store},"
                 f" {self.store_hits} memory hit(s),"
                 f" {self.store_spill_reads} spill read(s),"
-                f" {self.store_evictions} eviction(s),"
-                f" {self.store_bloom_negatives} bloom negative(s)"
+                f" {self.store_evictions} eviction(s)"
             ))
         if self.resumed_from:
             lines.insert(-1, f"resumed from         : {self.resumed_from}")
@@ -388,8 +386,7 @@ class Searcher:
                 expander.push(((), None), [initial])
             else:
                 resume.restore_stats(stats)
-                # Preload the explored set (with the checkpoint's Bloom
-                # summaries when compatible); when the checkpoint's record
+                # Preload the explored set; when the checkpoint's record
                 # layout matches the store's, its path becomes the baseline
                 # the next snapshot hard-links unchanged segments from.
                 baseline = store_mod.restore_store(explored, resume)

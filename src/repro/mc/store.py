@@ -16,11 +16,11 @@ Two concerns the search engines delegate here:
 
   The sharded fast path (record format v2): hex digests are packed to
   raw bytes (16 B for the engines' 32-char hashes — half the ASCII
-  footprint), appends land in a per-shard tail buffer flushed in 64 KiB
-  runs instead of one ``write()`` per state, and a per-shard Bloom
-  filter answers definite-negative membership before the index or the
-  disk probe is consulted.  A Bloom positive falls through to the exact
-  probe, so false positives cost time, never correctness.
+  footprint) and appends land in a per-shard tail buffer flushed in
+  64 KiB runs instead of one ``write()`` per state.  The index is exact
+  — a digest prefix it does not hold is a definitive, I/O-free "new" —
+  so no approximate filter sits in front of the disk probe (DESIGN.md
+  says what one cost and what it answered).
 
 * **Checkpointing** the master's irreplaceable state.  A checkpoint is a
   directory ``ckpt-NNNNNNNN/`` holding the store's record files, a pickled
@@ -42,9 +42,7 @@ Two concerns the search engines delegate here:
   the previous snapshot is hard-linked (same inode, zero bytes copied)
   and a grown shard links its old segments and writes only the byte
   range appended since — snapshot cost is O(new states), not O(all
-  states).  Bloom bitsets ride along as ``bloom-NNNN.bin`` summary files
-  (linked too while their shard is unchanged) so resume loads them
-  instead of recomputing from a full scan.
+  states).
 """
 
 from __future__ import annotations
@@ -66,8 +64,8 @@ from pathlib import Path
 from repro.config import STORE_MEMORY, STORE_SHARDED
 
 #: Bump when the checkpoint layout changes.  Format 2 packs hex digests
-#: to raw bytes, names record files as per-shard segments, and adds
-#: Bloom summary files.  It is the only format the loader reads.
+#: to raw bytes and names record files as per-shard segments.  It is the
+#: only format the loader reads.
 CHECKPOINT_FORMAT = 2
 
 #: Complete checkpoints kept per directory.  Two, not one: torn-write
@@ -81,10 +79,6 @@ CHECKPOINT_KEEP = 2
 #: fallback for non-hex digests).
 RECORD_HEX = "hex"
 RECORD_ASCII = "ascii"
-
-#: Default per-shard Bloom filter size in bits (128 KiB of bitset per
-#: shard); 0 disables the filter.  Mirrored by NiceConfig.store_bloom_bits.
-DEFAULT_BLOOM_BITS = 1 << 20
 
 #: A shard's tail buffer is appended to its record file once it reaches
 #: this many bytes (and always at flush/snapshot time).
@@ -119,11 +113,9 @@ def digest_encoding(digest: str) -> str:
 
 def pack_digest(digest: str, encoding: str | None = None) -> bytes | None:
     """``digest`` as a packed record under ``encoding`` (default: its
-    own, :func:`digest_encoding` — the way every Bloom participant packs
-    it), or None if it does not fit (non-hex under RECORD_HEX, non-ASCII
-    under RECORD_ASCII, None and empty under either).  Bloom callers
-    treat an unpackable digest as definitely-new — which is always safe,
-    just unfiltered."""
+    own, :func:`digest_encoding`), or None if it does not fit (non-hex
+    under RECORD_HEX, non-ASCII under RECORD_ASCII, None and empty under
+    either)."""
     if not digest:
         return None
     if encoding != RECORD_ASCII and _is_hex(digest):
@@ -134,81 +126,6 @@ def pack_digest(digest: str, encoding: str | None = None) -> bytes | None:
         return digest.encode("ascii")
     except (AttributeError, UnicodeEncodeError):
         return None
-
-
-# ----------------------------------------------------------------------
-# Bloom filters
-# ----------------------------------------------------------------------
-
-class BloomFilter:
-    """A k=2 double-hashed bitset over packed digest records.
-
-    ShardedStore's per-shard disk-probe bitsets, and the workers'
-    retention hint (``WorkerRuntime.seen``).  Sizes round up to a power
-    of two (each probe is a mask, not a modulo) and both probe positions
-    come from record bytes ``[6:14]`` — bytes the sharded index prefix
-    does not use, so a prefix collision still gets a real second
-    opinion.  False positives cost time, never correctness; a false
-    negative is impossible for any record whose bits were added.
-    """
-
-    __slots__ = ("bits", "mask", "data")
-
-    def __init__(self, bits: int, data: bytes | bytearray | None = None):
-        if bits < 1:
-            raise ValueError("bits must be >= 1")
-        m = 1 << max(3, (bits - 1).bit_length())
-        self.bits = m
-        self.mask = m - 1
-        if data is None:
-            self.data = bytearray(m >> 3)
-        else:
-            if len(data) != m >> 3:
-                raise ValueError(
-                    f"bitset is {len(data)} bytes, want {m >> 3}")
-            self.data = bytearray(data)
-
-    def add(self, record: bytes) -> bool:
-        """Set ``record``'s bits; True iff any bit actually changed —
-        ``record`` was definitely never added before."""
-        data = self.data
-        mask = self.mask
-        b = _from_bytes(record[6:14], "little")
-        b1 = b & mask
-        b2 = (b >> 32) & mask
-        changed = False
-        byte, bit = b1 >> 3, 1 << (b1 & 7)
-        if not data[byte] & bit:
-            data[byte] |= bit
-            changed = True
-        byte, bit = b2 >> 3, 1 << (b2 & 7)
-        if not data[byte] & bit:
-            data[byte] |= bit
-            changed = True
-        return changed
-
-    def add_run(self, view: bytes, width: int) -> None:
-        """Batched ``add`` over a packed run of ``width``-byte records
-        (the store's flush path; no change tracking)."""
-        data = self.data
-        mask = self.mask
-        hi = min(width, 14)
-        for start in range(0, len(view), width):
-            b = _from_bytes(view[start + 6:start + hi], "little")
-            b1 = b & mask
-            b2 = (b >> 32) & mask
-            data[b1 >> 3] |= 1 << (b1 & 7)
-            data[b2 >> 3] |= 1 << (b2 & 7)
-
-    def may_hold(self, record: bytes) -> bool:
-        """False means ``record`` was definitely never added."""
-        data = self.data
-        mask = self.mask
-        b = _from_bytes(record[6:14], "little")
-        b1 = b & mask
-        b2 = (b >> 32) & mask
-        return bool((data[b1 >> 3] >> (b1 & 7)) & 1
-                    and (data[b2 >> 3] >> (b2 & 7)) & 1)
 
 
 # ----------------------------------------------------------------------
@@ -251,19 +168,12 @@ class StateStore:
 
     def counters(self) -> dict:
         """Spill/hit counters: ``hits`` (lookups answered from memory),
-        ``spill_reads`` (lookups that had to read shard records),
-        ``evictions`` (digests spilled out of the resident set) and
-        ``bloom_negatives`` (lookups the Bloom filter answered)."""
-        return {"hits": 0, "spill_reads": 0, "evictions": 0,
-                "bloom_negatives": 0}
+        ``spill_reads`` (lookups that had to read shard records) and
+        ``evictions`` (digests spilled out of the resident set)."""
+        return {"hits": 0, "spill_reads": 0, "evictions": 0}
 
-    def preload(self, digests, summaries=None) -> None:
-        """Bulk-load digests (checkpoint resume) without counter noise.
-
-        ``summaries`` is an optional ``[(shard, path), ...]`` list of
-        Bloom bitset files from the checkpoint being resumed; stores
-        without shard summaries ignore it.
-        """
+    def preload(self, digests) -> None:
+        """Bulk-load digests (checkpoint resume) without counter noise."""
         for digest in digests:
             self.add(digest)
         self.reset_counters()
@@ -273,8 +183,8 @@ class StateStore:
 
     def snapshot_into(self, directory: Path, previous: Path | None = None):
         """Write the store's contents as fixed-width record files into
-        ``directory``; returns ``(record_names, summary_names, carried)``
-        where ``carried`` maps file names that were hard-linked from the
+        ``directory``; returns ``(record_names, carried)`` where
+        ``carried`` maps file names that were hard-linked from the
         ``previous`` checkpoint directory to their known manifest info
         (``{"bytes": ..., "blake2b": ...}``) so the writer can skip
         re-hashing them."""
@@ -337,8 +247,7 @@ class MemoryStore(StateStore):
         return iter(self._digests)
 
     def counters(self) -> dict:
-        return {"hits": self._hits, "spill_reads": 0, "evictions": 0,
-                "bloom_negatives": 0}
+        return {"hits": self._hits, "spill_reads": 0, "evictions": 0}
 
     def reset_counters(self) -> None:
         self._hits = 0
@@ -373,7 +282,7 @@ class MemoryStore(StateStore):
                     handle.write(buffer)
                     buffer.clear()
             handle.write(buffer)
-        return [name], [], {}
+        return [name], {}
 
 
 class ShardedStore(StateStore):
@@ -382,35 +291,24 @@ class ShardedStore(StateStore):
     Layout per shard ``i``: an append-only file of fixed-width packed
     records (record ``n`` lives at byte ``n * width``) behind an
     in-memory tail buffer, plus an in-memory index mapping a 48-bit
-    digest prefix to the slot(s) holding it, plus a Bloom bitset over
-    the shard's *flushed* (on-disk) records.  Membership: the LRU
+    digest prefix to the slot(s) holding it.  Membership: the LRU
     *resident* dict answers hot lookups from memory; a prefix absent
     from the (exact) index is a definitive memory-only miss; otherwise
     the candidate slots are compared against the tail buffer or the
-    shard file — and before any disk read the Bloom bitset gets a say:
-    a definite negative skips the file probe entirely.  Inserts append
-    one record to the tail buffer (flushed to the file in 64 KiB runs)
-    and one index entry; when the resident set exceeds
-    ``memory_budget`` digests the oldest entries spill (the index entry
-    — one small int — is all that remains in memory).
-
-    Bloom maintenance is deferred to flush time — bits are set in one
-    batched pass over each 64 KiB run as it goes to disk, LSM-style
-    (build the summary when the data becomes immutable), which keeps
-    the add() hot path free of per-record bitset arithmetic.
+    shard file.  Inserts append one record to the tail buffer (flushed
+    to the file in 64 KiB runs) and one index entry; when the resident
+    set exceeds ``memory_budget`` digests the oldest entries spill (the
+    index entry — one small int — is all that remains in memory).
     """
 
     kind = STORE_SHARDED
 
     def __init__(self, shards: int = 16, memory_budget: int = 1_000_000,
-                 directory: str | None = None,
-                 bloom_bits: int = DEFAULT_BLOOM_BITS):
+                 directory: str | None = None):
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if memory_budget < 1:
             raise ValueError("memory_budget must be >= 1")
-        if bloom_bits < 0:
-            raise ValueError("bloom_bits must be >= 0")
         self.shards = shards
         self.memory_budget = memory_budget
         self._owns_dir = directory is None
@@ -439,29 +337,13 @@ class ShardedStore(StateStore):
         # negative, so add()'s single-comparison fast-path check stays
         # false both before init and in ascii mode.
         self._hexlen = -1
-        if bloom_bits:
-            self._bloom: list[BloomFilter] | None = [
-                BloomFilter(bloom_bits) for _ in range(shards)]
-            self.bloom_bits = self._bloom[0].bits
-        else:
-            self.bloom_bits = 0
-            self._bloom = None
-        #: True while preload() replays a checkpoint whose Bloom
-        #: summaries were loaded verbatim — flushes skip rebuilding bits
-        #: the summary already holds.
-        self._bloom_precovered = False
         self._hits = 0
         self._spill_reads = 0
         self._evictions = 0
-        self._bloom_negatives = 0
         #: Committed snapshot baseline, per shard: [(name, bytes, info)]
         #: segment lists matching the previous successful checkpoint.
         self._segments: list[list] = [[] for _ in range(shards)]
-        self._snap_slots = [0] * shards
-        #: Manifest info for committed Bloom files, by file name.
-        self._bloom_info: dict[str, dict] = {}
         self._pending_segments: list[list] | None = None
-        self._pending_bloom: list[str] = []
 
     @staticmethod
     def _shard_name(index: int) -> str:
@@ -502,43 +384,24 @@ class ShardedStore(StateStore):
             f"{self._width} {self._encoding} bytes (two digest schemes in "
             f"one store?)")
 
-    def _bloom_may_hold(self, shard: int, record: bytes) -> bool:
-        """False means ``record`` is definitely not among the shard's
-        flushed records (the bitset covers exactly those)."""
-        bloom = self._bloom
-        if bloom is None:
-            return True
-        return bloom[shard].may_hold(record)
-
     def _probe_records(self, shard: int, slots, record: bytes) -> bool:
         """Compare ``record`` against the candidate slots — in the tail
-        buffer when the slot hasn't been flushed yet, else on disk.
-        Disk probes cost a seek+read, so the shard's Bloom bitset is
-        consulted once before the first one: a definite negative skips
-        every flushed slot (tail slots are still compared — they live
-        in memory and the bitset does not cover them)."""
+        buffer when the slot hasn't been flushed yet, else on disk."""
         width = self._width
         flushed = self._flushed[shard]
         tail = self._tails[shard]
         handle = self._files[shard]
-        disk_ok = None
         for slot in slots if isinstance(slots, tuple) else (slots,):
             offset = slot * width
+            self._spill_reads += 1
             if offset >= flushed:
-                self._spill_reads += 1
                 start = offset - flushed
                 if bytes(tail[start:start + width]) == record:
                     return True
             else:
-                if disk_ok is None:
-                    disk_ok = self._bloom_may_hold(shard, record)
-                    if not disk_ok:
-                        self._bloom_negatives += 1
-                if disk_ok:
-                    self._spill_reads += 1
-                    handle.seek(offset)
-                    if handle.read(width) == record:
-                        return True
+                handle.seek(offset)
+                if handle.read(width) == record:
+                    return True
         return False
 
     def _touch(self, digest: str) -> None:
@@ -624,12 +487,6 @@ class ShardedStore(StateStore):
         tail = self._tails[shard]
         if not tail:
             return
-        bloom = self._bloom
-        if bloom is not None and not self._bloom_precovered:
-            # Deferred Bloom maintenance: the bitset covers exactly the
-            # flushed records, so the per-record arithmetic runs here in
-            # one batched pass over the outgoing run — never on add().
-            bloom[shard].add_run(bytes(tail), self._width)
         handle = self._files[shard]
         handle.seek(0, io.SEEK_END)
         handle.write(tail)
@@ -681,48 +538,10 @@ class ShardedStore(StateStore):
 
     def counters(self) -> dict:
         return {"hits": self._hits, "spill_reads": self._spill_reads,
-                "evictions": self._evictions,
-                "bloom_negatives": self._bloom_negatives}
+                "evictions": self._evictions}
 
     def reset_counters(self) -> None:
         self._hits = self._spill_reads = self._evictions = 0
-        self._bloom_negatives = 0
-
-    def preload(self, digests, summaries=None) -> None:
-        # Bloom disabled (store_bloom_bits=0) is an explicit no-op for
-        # shipped summaries: a resumed bloom-less store must never load
-        # a checkpoint's stale bitsets.  The inverse — bloom enabled,
-        # summary-less snapshot — takes the `summaries is None` path and
-        # rebuilds bitsets at flush time below.
-        if summaries is not None and self._bloom is not None:
-            expected = self.bloom_bits >> 3
-            loaded = [BloomFilter(self.bloom_bits)
-                      for _ in range(self.shards)]
-            usable = True
-            for shard, path in summaries:
-                try:
-                    data = Path(path).read_bytes()
-                except OSError:
-                    usable = False
-                    break
-                if shard >= self.shards or len(data) != expected:
-                    usable = False
-                    break
-                loaded[shard] = BloomFilter(self.bloom_bits, data)
-            if usable:
-                # The shipped summaries cover every checkpointed record,
-                # so the replay below skips rebuilding bits at flush
-                # time — the point of serializing them.
-                self._bloom = loaded
-                self._bloom_precovered = True
-        try:
-            for digest in digests:
-                self.add(digest)
-            if self._bloom_precovered:
-                self.flush()
-        finally:
-            self._bloom_precovered = False
-        self.reset_counters()
 
     def record_width(self) -> int:
         return self._width
@@ -735,10 +554,6 @@ class ShardedStore(StateStore):
     @staticmethod
     def _segment_name(shard: int, segment: int) -> str:
         return f"states-{shard:04d}-{segment:04d}.bin"
-
-    @staticmethod
-    def _bloom_name(shard: int) -> str:
-        return f"bloom-{shard:04d}.bin"
 
     def _copy_range(self, shard: int, start: int, end: int,
                     dest: Path) -> None:
@@ -758,10 +573,8 @@ class ShardedStore(StateStore):
         self.flush()
         directory = Path(directory)
         record_names: list[str] = []
-        summary_names: list[str] = []
         carried: dict[str, dict] = {}
         pending: list[list] = [[] for _ in range(self.shards)]
-        pending_bloom: list[str] = []
         for shard in range(self.shards):
             size = self._flushed[shard]
             if not size:
@@ -796,29 +609,8 @@ class ShardedStore(StateStore):
                 record_names.append(name)
                 if info is not None:
                     carried[name] = info
-            if self._bloom is not None:
-                bloom_name = self._bloom_name(shard)
-                info = self._bloom_info.get(bloom_name)
-                linked = False
-                if previous is not None and info is not None and \
-                        self._slots[shard] == self._snap_slots[shard]:
-                    try:
-                        os.link(previous / bloom_name, directory / bloom_name)
-                        carried[bloom_name] = info
-                        linked = True
-                    except OSError:
-                        try:
-                            (directory / bloom_name).unlink()
-                        except OSError:
-                            pass
-                if not linked:
-                    (directory / bloom_name).write_bytes(
-                        bytes(self._bloom[shard].data))
-                summary_names.append(bloom_name)
-                pending_bloom.append(bloom_name)
         self._pending_segments = pending
-        self._pending_bloom = pending_bloom
-        return record_names, summary_names, carried
+        return record_names, carried
 
     def note_snapshot(self, files_info: dict) -> None:
         pending = self._pending_segments
@@ -830,13 +622,7 @@ class ShardedStore(StateStore):
              for name, nbytes, info in segments]
             for segments in pending
         ]
-        self._snap_slots = list(self._slots)
-        self._bloom_info = {
-            name: files_info[name]
-            for name in self._pending_bloom if name in files_info
-        }
         self._pending_segments = None
-        self._pending_bloom = []
 
     @staticmethod
     def _parse_record_name(name: str):
@@ -852,15 +638,6 @@ class ShardedStore(StateStore):
         except ValueError:
             return None
         return shard, segment
-
-    @staticmethod
-    def _parse_bloom_name(name: str):
-        if not name.startswith("bloom-") or not name.endswith(".bin"):
-            return None
-        try:
-            return int(name[len("bloom-"):-len(".bin")])
-        except ValueError:
-            return None
 
     def adopt_baseline(self, checkpoint: "Checkpoint") -> bool:
         if not self._count or checkpoint.record_encoding != self._encoding \
@@ -888,16 +665,6 @@ class ShardedStore(StateStore):
         if sizes != self._flushed:
             return False
         self._segments = segments
-        self._snap_slots = list(self._slots)
-        self._bloom_info = {}
-        if self._bloom is not None:
-            for path in checkpoint.summary_files:
-                shard = self._parse_bloom_name(path.name)
-                info = checkpoint.file_info.get(path.name)
-                if shard is None or shard >= self.shards or info is None:
-                    continue
-                if info["bytes"] == len(self._bloom[shard].data):
-                    self._bloom_info[path.name] = info
         return True
 
     def close(self) -> None:
@@ -922,9 +689,7 @@ def create_store(config) -> StateStore:
     module (``store_mod.create_store``) at run time, not import time.
     """
     if config.store == STORE_SHARDED:
-        return ShardedStore(
-            config.store_shards, config.store_memory_budget,
-            bloom_bits=config.store_bloom_bits)
+        return ShardedStore(config.store_shards, config.store_memory_budget)
     return MemoryStore()
 
 
@@ -952,7 +717,6 @@ class Checkpoint:
     record_width: int
     record_files: list[Path]
     record_encoding: str
-    summary_files: list[Path]
     file_info: dict
     format: int
     bytes_written: int
@@ -987,45 +751,14 @@ class Checkpoint:
 
 
 def restore_store(store: StateStore, checkpoint: Checkpoint):
-    """Rebuild ``store`` from ``checkpoint``: preload every digest (with
-    the checkpoint's Bloom summaries when they fit this store's shape)
-    and adopt the checkpoint's record files as the compaction baseline.
+    """Rebuild ``store`` from ``checkpoint``: preload every digest and
+    adopt the checkpoint's record files as the compaction baseline.
     Returns the baseline path for the next snapshot to hard-link from,
     or None when the layouts are incompatible (full rewrite instead)."""
-    store.preload(checkpoint.iter_digests(),
-                  summaries=_compatible_summaries(store, checkpoint))
+    store.preload(checkpoint.iter_digests())
     if store.adopt_baseline(checkpoint):
         return checkpoint.path
     return None
-
-
-def _compatible_summaries(store: StateStore, checkpoint: Checkpoint):
-    """The checkpoint's ``(shard, path)`` Bloom files, iff they describe
-    this store's exact shard layout and bitset size — a bitset for a
-    different sharding would answer false negatives, which (unlike false
-    positives) would corrupt dedup.
-
-    Both resume mismatch directions return None on purpose: a bloom-less
-    snapshot resumed with bloom enabled rebuilds bitsets at flush time,
-    and a bloom-carrying snapshot resumed with ``store_bloom_bits=0``
-    (or any other bitset/shard shape) ignores the stale files."""
-    if not checkpoint.summary_files or not isinstance(store, ShardedStore):
-        return None
-    if store._bloom is None:
-        return None
-    if getattr(checkpoint.config, "store_shards", None) != store.shards:
-        return None
-    expected = store.bloom_bits >> 3
-    pairs = []
-    for path in checkpoint.summary_files:
-        shard = ShardedStore._parse_bloom_name(path.name)
-        info = checkpoint.file_info.get(path.name)
-        if shard is None or shard >= store.shards or info is None:
-            return None
-        if info["bytes"] != expected:
-            return None
-        pairs.append((shard, path))
-    return pairs
 
 
 def _file_digest(path: Path) -> str:
@@ -1062,9 +795,9 @@ def write_checkpoint(directory: str | Path, *, spec, config, stats,
                      previous: str | Path | None = None) -> Path:
     """Atomically snapshot one consistent master state; returns the new
     checkpoint's path.  ``previous`` is the last committed checkpoint of
-    this same store, if any — unchanged record segments and Bloom files
-    are hard-linked from it instead of rewritten, which is what makes
-    snapshot cost O(new states).  See the module docstring for the
+    this same store, if any — unchanged record segments are hard-linked
+    from it instead of rewritten, which is what makes snapshot cost
+    O(new states).  See the module docstring for the
     atomicity protocol."""
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
@@ -1075,7 +808,7 @@ def write_checkpoint(directory: str | Path, *, spec, config, stats,
         shutil.rmtree(staging)
     staging.mkdir()
     try:
-        record_files, summary_files, carried = store.snapshot_into(
+        record_files, carried = store.snapshot_into(
             staging, previous=Path(previous) if previous else None)
         meta = {
             "spec": spec,
@@ -1088,7 +821,7 @@ def write_checkpoint(directory: str | Path, *, spec, config, stats,
             pickle.dump(meta, handle, protocol=pickle.HIGHEST_PROTOCOL)
         files = {}
         bytes_written = 0
-        for file_name in [*record_files, *summary_files, _META]:
+        for file_name in [*record_files, _META]:
             info = carried.get(file_name)
             if info is None:
                 path = staging / file_name
@@ -1102,7 +835,6 @@ def write_checkpoint(directory: str | Path, *, spec, config, stats,
             "record_width": store.record_width(),
             "record_encoding": store.record_encoding(),
             "record_files": record_files,
-            "summary_files": summary_files,
             "bytes_written": bytes_written,
             "store": store.kind,
             "files": files,
@@ -1148,7 +880,11 @@ def _validate(path: Path) -> Checkpoint:
             f"{path.name}: checkpoint format {manifest.get('format')!r} "
             f"is not readable (this build reads format "
             f"{CHECKPOINT_FORMAT})")
-    for file_name, expected in manifest["files"].items():
+    files = manifest["files"]
+    # Every listed file is checked, whatever it is: a manifest written
+    # by an older build also lists per-shard filter bitsets (its
+    # ``summary_files``); they are validated like the rest, then ignored.
+    for file_name, expected in files.items():
         target = path / file_name
         if not target.is_file():
             raise CheckpointError(f"{path.name}: missing {file_name}")
@@ -1159,6 +895,25 @@ def _validate(path: Path) -> Checkpoint:
         if _file_digest(target) != expected["blake2b"]:
             raise CheckpointError(
                 f"{path.name}: {file_name} fails its checksum")
+    # The manifest is the one file no checksum covers, so what it says
+    # about the records must at least agree with itself.
+    width = manifest["record_width"]
+    record_bytes = 0
+    for name in manifest["record_files"]:
+        if name not in files or Path(name).name != name:
+            raise CheckpointError(
+                f"{path.name}: record file {name!r} is not a file name "
+                f"the manifest lists")
+        nbytes = files[name]["bytes"]
+        if nbytes and (width < 1 or nbytes % width):
+            raise CheckpointError(
+                f"{path.name}: {name} is {nbytes} bytes, not a multiple "
+                f"of the manifest's record width {width}")
+        record_bytes += nbytes
+    if record_bytes != manifest["states"] * width:
+        raise CheckpointError(
+            f"{path.name}: manifest says {manifest['states']} states of "
+            f"{width} bytes, its record files hold {record_bytes} bytes")
     with open(path / _META, "rb") as handle:
         meta = pickle.load(handle)
     # Unpickling restores whatever attributes the config had when it was
@@ -1178,11 +933,10 @@ def _validate(path: Path) -> Checkpoint:
         frontier=meta["frontier"],
         rng_state=meta["rng_state"],
         states=manifest["states"],
-        record_width=manifest["record_width"],
+        record_width=width,
         record_files=[path / name for name in manifest["record_files"]],
         record_encoding=manifest["record_encoding"],
-        summary_files=[path / name for name in manifest["summary_files"]],
-        file_info=manifest["files"],
+        file_info=files,
         format=manifest["format"],
         bytes_written=manifest["bytes_written"],
     )
@@ -1195,24 +949,29 @@ def list_checkpoints(directory: str | Path) -> list[Path]:
 
 def validate_checkpoint(path: str | Path) -> Checkpoint:
     """Validate and load one checkpoint directory (manifest format, file
-    sizes, blake2b checksums) — the ``nice checkpoints`` inspector's entry
-    point into the same validator ``nice resume`` trusts.  Raises
-    :class:`CheckpointError` on a torn or corrupt snapshot."""
+    sizes, blake2b checksums, the manifest against itself) — what ``nice
+    resume`` trusts and the ``nice checkpoints`` inspector reports.
+    Raises :class:`CheckpointError` on a torn, corrupt or inconsistent
+    snapshot, whatever reading it raised: a missing or unparsable file
+    (``JSONDecodeError`` is a ``ValueError``), or a well-formed manifest
+    or meta of the wrong shape."""
+    path = Path(path)
     try:
-        return _validate(Path(path))
+        return _validate(path)
     except CheckpointError:
         raise
-    except (OSError, json.JSONDecodeError, pickle.UnpicklingError,
-            KeyError, EOFError) as exc:
-        raise CheckpointError(f"{Path(path).name}: {exc}") from exc
+    except (OSError, ValueError, pickle.UnpicklingError, EOFError,
+            KeyError, TypeError, AttributeError) as exc:
+        raise CheckpointError(f"{path.name}: {exc}") from exc
 
 
 def load_latest_checkpoint(directory: str | Path) -> Checkpoint:
     """The newest checkpoint under ``directory`` that validates.
 
-    Invalid snapshots (torn writes, truncations, bad checksums) are
-    reported to stderr and skipped — resume falls back to the previous
-    good one.  Raises :class:`CheckpointError` when none validates.
+    Invalid snapshots (torn writes, truncations, bad checksums, a
+    manifest that contradicts itself) are reported to stderr and skipped
+    — resume falls back to the previous good one.  Raises
+    :class:`CheckpointError` when none validates.
     """
     import sys
 
@@ -1221,10 +980,9 @@ def load_latest_checkpoint(directory: str | Path) -> Checkpoint:
     failures = []
     for candidate in candidates:
         try:
-            return _validate(candidate)
-        except (CheckpointError, OSError, json.JSONDecodeError,
-                pickle.UnpicklingError, KeyError, EOFError) as exc:
-            failures.append(f"{candidate.name}: {exc}")
+            return validate_checkpoint(candidate)
+        except CheckpointError as exc:
+            failures.append(str(exc))
             print(f"checkpoint {candidate} is unusable ({exc}); "
                   f"falling back to the previous one",
                   file=sys.stderr, flush=True)
@@ -1269,8 +1027,7 @@ class Checkpointer:
         # so sync() adds the live deltas onto that base (absolute set —
         # safe to call any number of times).
         self._counter_base = (stats.store_hits, stats.store_spill_reads,
-                              stats.store_evictions,
-                              stats.store_bloom_negatives)
+                              stats.store_evictions)
         stats.store = store.kind
         if self.enabled and spec is None:
             warnings.warn(
@@ -1303,8 +1060,6 @@ class Checkpointer:
             self._counter_base[1] + counters["spill_reads"]
         self.stats.store_evictions = \
             self._counter_base[2] + counters["evictions"]
-        self.stats.store_bloom_negatives = \
-            self._counter_base[3] + counters.get("bloom_negatives", 0)
 
     def _progress(self) -> int:
         """What ``checkpoint_interval`` counts: newly explored states —

@@ -45,7 +45,7 @@ import traceback
 from collections import OrderedDict
 
 from repro.mc.replay import replay_with_spine
-from repro.mc.store import BloomFilter, digest_encoding, pack_digest
+from repro.mc.store import digest_encoding, pack_digest
 from repro.mc.strategies import make_strategy
 from repro.mc.wire import (
     ExpandTask,
@@ -64,6 +64,42 @@ from repro.mc.wire import (
 #: workers inherit the live searcher (closures included) by copy-on-write.
 #: Spawned and socket workers rebuild theirs from a ScenarioSpec instead.
 _INHERITED_SEARCHER = None
+
+
+class BloomFilter:
+    """A k=2 double-hashed bitset over packed digest records: the
+    retention hint (``WorkerRuntime.seen``).  Sizes round up to a power
+    of two (each probe is a mask, not a modulo) and both probe positions
+    come from record bytes ``[6:14]``.  A false positive costs one
+    rebuild, never correctness; a record whose bits were added is never
+    reported new again.
+    """
+
+    __slots__ = ("mask", "data")
+
+    def __init__(self, bits: int):
+        m = 1 << max(3, (bits - 1).bit_length())
+        self.mask = m - 1
+        self.data = bytearray(m >> 3)
+
+    def add(self, record: bytes) -> bool:
+        """Set ``record``'s bits; True iff any bit actually changed —
+        ``record`` was definitely never added before."""
+        data = self.data
+        mask = self.mask
+        b = int.from_bytes(record[6:14], "little")
+        b1 = b & mask
+        b2 = (b >> 32) & mask
+        changed = False
+        byte, bit = b1 >> 3, 1 << (b1 & 7)
+        if not data[byte] & bit:
+            data[byte] |= bit
+            changed = True
+        byte, bit = b2 >> 3, 1 << (b2 & 7)
+        if not data[byte] & bit:
+            data[byte] |= bit
+            changed = True
+        return changed
 
 
 class _Retained:
@@ -98,6 +134,8 @@ class WorkerRuntime:
 
     #: Snapshot stride while replaying long suffixes.
     SPINE = 8
+    #: Bits of the retention hint (:attr:`seen`): 128 KiB per worker.
+    SEEN_BITS = 1 << 20
 
     def __init__(self, searcher):
         self.searcher = searcher
@@ -126,10 +164,9 @@ class WorkerRuntime:
         #: will drop, so it is shipped but not retained.  Nothing checks
         #: the answer: a false positive costs one rebuild through
         #: :meth:`restore`'s fallback, a miss one System kept until shed.
-        #: None (retain everything) without digests or a filter size.
-        self.seen = (BloomFilter(self.config.store_bloom_bits)
-                     if self.config.state_matching
-                     and self.config.store_bloom_bits else None)
+        #: None (retain everything) without digests.
+        self.seen = (BloomFilter(self.SEEN_BITS)
+                     if self.config.state_matching else None)
 
     # ------------------------------------------------------------------
     # Restoration

@@ -24,7 +24,8 @@ Both install via :func:`install`, which monkeypatches the scheduler's
 
 :func:`small_tasks` is the suites' static-batch baseline: batching is the
 master's policy and has no knob, so a suite that wants every task the
-same size pins the scheduler's constants.
+same size pins the scheduler's constants.  :func:`saturated_hint` pins
+the workers' retention hint the same way.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import time
 from repro.mc import scheduler as scheduler_mod
 from repro.mc.scheduler import _Scheduler
 from repro.mc.transport import create_transport
+from repro.mc.worker import WorkerRuntime
 
 
 #: Seconds a launched socket worker gets to be admitted by the master.
@@ -50,6 +52,17 @@ def small_tasks(setattr=setattr, nodes: int = 1) -> None:
     (``_crash_main.py``) needs no undo."""
     setattr(_Scheduler, "BATCH_NODES", nodes)
     setattr(_Scheduler, "MAX_BATCH_NODES", nodes)
+
+
+def saturated_hint(setattr=setattr) -> None:
+    """Shrink the retention hint of every worker built from here on to
+    8 bits.  Each child a worker keeps flips at least one of them, so it
+    keeps 8 at most; past that handful nothing is retained and every
+    handle misses.  The hint's size is a class constant, not a knob: the
+    pin reaches a ``WorkerRuntime`` built in this process and fork
+    workers (which inherit the class as patched), not spawned or socket
+    workers, which import it afresh."""
+    setattr(WorkerRuntime, "SEEN_BITS", 8)
 
 
 def spawn_and_await_join(transport) -> set[int]:

@@ -20,6 +20,7 @@ guard) and the checkpoint validator directly.
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import signal
 
@@ -32,7 +33,7 @@ from checkpoint_helpers import (
     interrupt_after,
 )
 from contract import counters, requires_fork, violated_properties
-from repro import nice, scenarios
+from repro import cli, nice, scenarios
 from repro.config import NiceConfig
 from repro.mc import store as store_mod
 from repro.mc.store import (
@@ -150,6 +151,103 @@ class TestTornWrites:
             target.write_bytes(target.read_bytes()[:16])
         with pytest.raises(CheckpointError, match="no usable checkpoint"):
             nice.resume(ckpt_dir)
+
+
+# ----------------------------------------------------------------------
+# The manifest is checked against itself: it is the one file no checksum
+# covers, so an edit that keeps every listed file intact must still send
+# resume back to the previous snapshot
+# ----------------------------------------------------------------------
+
+def _unlisted_record_file(manifest, older):
+    manifest["record_files"].append("states-9999.bin")
+
+
+def _record_file_outside_the_snapshot(manifest, older):
+    """Every size and checksum holds: the newest frontier over the older
+    snapshot's explored set."""
+    listed = json.loads((older / "MANIFEST.json").read_text())
+    name, = listed["record_files"]
+    outside = os.path.join(os.pardir, older.name, name)
+    manifest["record_files"] = [outside]
+    manifest["files"][outside] = listed["files"][name]
+    manifest["states"] = listed["states"]
+
+
+def _record_width(manifest, older):
+    manifest["record_width"] = 7
+
+
+def _state_count(manifest, older):
+    manifest["states"] += 1
+
+
+def _files_of_the_wrong_shape(manifest, older):
+    manifest["files"] = sorted(manifest["files"])
+
+
+def _record_files_of_the_wrong_shape(manifest, older):
+    manifest["record_files"] = 5
+
+
+MANIFEST_EDITS = [
+    pytest.param(edit, id=edit.__name__.strip("_"))
+    for edit in (_unlisted_record_file, _record_file_outside_the_snapshot,
+                 _record_width, _state_count, _files_of_the_wrong_shape,
+                 _record_files_of_the_wrong_shape)]
+
+
+class TestManifestSelfCheck:
+    @pytest.fixture
+    def snapshots(self, tmp_path, monkeypatch):
+        """The two snapshots (retention's whole point) of a search cut
+        at 150 states, oldest first."""
+        interrupt_after(monkeypatch, 150)
+        with pytest.raises(Interrupted):
+            nice.run(exhaustive_ping(checkpoint_dir=str(tmp_path / "c"),
+                                     checkpoint_interval=60))
+        monkeypatch.undo()
+        older, newest = sorted((tmp_path / "c").glob("ckpt-*"))
+        return older, newest
+
+    @staticmethod
+    def _edit(newest, edit, older) -> None:
+        manifest = json.loads((newest / "MANIFEST.json").read_text())
+        edit(manifest, older)
+        (newest / "MANIFEST.json").write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("edit", MANIFEST_EDITS)
+    def test_resume_falls_back_to_the_older_snapshot(
+            self, edit, snapshots, serial_ping, capsys):
+        older, newest = snapshots
+        self._edit(newest, edit, older)
+        with pytest.raises(CheckpointError, match=newest.name):
+            store_mod.validate_checkpoint(newest)
+        _, stats = nice.resume(older.parent)
+        assert stats.resumed_from == str(older)
+        assert f"checkpoint {newest} is unusable" in capsys.readouterr().err
+        assert_matches_serial(stats, serial_ping)
+
+    @pytest.mark.parametrize("edit", MANIFEST_EDITS)
+    def test_inspector_reports_the_edit_and_what_resume_loads(
+            self, edit, snapshots, capsys):
+        older, newest = snapshots
+        self._edit(newest, edit, older)
+        assert cli.main(["checkpoints", str(older.parent)]) == 0
+        report = capsys.readouterr().out
+        assert f"{newest.name}: INVALID" in report
+        assert f"{older.name}: ok" in report
+        assert f"resume would load: {older.name}" in report
+
+    def test_an_empty_store_has_width_zero_and_no_record_bytes(
+            self, tmp_path):
+        from repro.mc.search import SearchStats
+        store_mod.write_checkpoint(
+            tmp_path, spec=None, config=NiceConfig(), stats=SearchStats(),
+            frontier=[], rng_state=None, store=MemoryStore())
+        loaded = load_latest_checkpoint(tmp_path)
+        assert (loaded.states, loaded.record_width) == (0, 0)
+        assert list(loaded.iter_digests()) == []
 
 
 # ----------------------------------------------------------------------

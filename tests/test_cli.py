@@ -60,7 +60,7 @@ class TestParser:
 
     @pytest.mark.parametrize("flag", [
         "--no-affinity", "--no-adaptive-batching", "--batch-groups=4",
-        "--batch-nodes=32", "--no-quarantine"])
+        "--batch-nodes=32", "--no-quarantine", "--store-bloom-bits=0"])
     def test_deleted_ablation_flags_are_unrecognized(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(["run", "pyswitch-loop", flag])

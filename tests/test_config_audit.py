@@ -64,8 +64,8 @@ def _engine_sources() -> str:
                      if path.name not in ("config.py", "cli.py"))
 
 
-def test_the_config_has_36_fields():
-    assert len(FIELDS) == 36
+def test_the_config_has_35_fields():
+    assert len(FIELDS) == 35
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -95,10 +95,10 @@ def test_config_pickled_before_a_field_existed_reads_its_default():
     """A dataclass default is a class attribute: unpickling restores only
     the instance ``__dict__``, so a field the pickle predates falls back
     to the default with plain attribute access (no ``getattr`` guard)."""
-    config = NiceConfig(store_bloom_bits=64)
-    del config.__dict__["store_bloom_bits"]
-    assert pickle.loads(pickle.dumps(config)).store_bloom_bits \
-        == NiceConfig.store_bloom_bits
+    config = NiceConfig(store_shards=64)
+    del config.__dict__["store_shards"]
+    assert pickle.loads(pickle.dumps(config)).store_shards \
+        == NiceConfig.store_shards
 
 
 # ----------------------------------------------------------------------
@@ -117,13 +117,13 @@ def test_every_run_option_sets_the_field_it_is_named_for():
     assert POOL_FIELDS <= set(run_flags)
 
 
-def test_run_help_lists_31_options(capsys):
+def test_run_help_lists_30_options(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--help"])
     listed = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out,
                             re.MULTILINE))
     assert listed == set(build_parser().run_flags.values())
-    assert len(listed) == 31
+    assert len(listed) == 30
 
 
 # ----------------------------------------------------------------------

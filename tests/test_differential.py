@@ -5,9 +5,8 @@ Every engine variant of the search — serial, the reference engine
 (deep-copied checkpoints hashed from scratch, :mod:`reference_engine`),
 parallel over two fork workers, the sharded
 explored-set store under a spill-forcing memory budget, and the
-workers' retention hint both saturated (``store_bloom_bits=8``: nothing
-is retained, every restoration is a rebuild) and off
-(``store_bloom_bits=0``: everything is) — must explore
+workers' retention hint saturated (:func:`fault_helpers.saturated_hint`:
+nothing is retained, every restoration is a rebuild) — must explore
 the identical state space and reach identical property verdicts on
 every scenario :mod:`scenario_gen` can generate.  On top of the
 variants, every seed also runs **interrupted-then-resumed**: the search
@@ -28,6 +27,7 @@ import pytest
 
 from checkpoint_helpers import Interrupted, interrupt_after
 from contract import counters, requires_fork, violated_properties
+from fault_helpers import saturated_hint
 from reference_engine import reference_run
 from repro import nice
 from repro.scenarios import with_config
@@ -40,12 +40,6 @@ VARIANTS = {
     # generated scenario, not just giant ones.
     "sharded-store": dict(store="sharded", store_shards=4,
                           store_memory_budget=16),
-    # The workers' retention hint (parallel-2 above runs it at its
-    # default size) *saturated* — an 8-bit filter answers "seen" for
-    # nearly every digest, so nothing is retained and every handle
-    # misses — and off.
-    "hint-saturated": dict(workers=2, store_bloom_bits=8),
-    "hint-off": dict(workers=2, store_bloom_bits=0),
 }
 
 FAST_SEEDS = range(4)
@@ -56,6 +50,13 @@ def variant_runs(scenario):
     yield "reference", reference_run(scenario)
     for variant, overrides in VARIANTS.items():
         yield variant, nice.run(with_config(scenario, **overrides))
+    # The workers' retention hint (parallel-2 above runs it at its real
+    # size) saturated: an 8-bit filter answers "seen" for nearly every
+    # digest, so nothing is retained and every handle misses.
+    with pytest.MonkeyPatch.context() as patch:
+        saturated_hint(patch.setattr)
+        saturated = nice.run(with_config(scenario, workers=2))
+    yield "hint-saturated", saturated
 
 
 def check_seed(seed: int, tmp_path, monkeypatch) -> None:

@@ -22,7 +22,7 @@ import pytest
 
 from checkpoint_helpers import Interrupted, interrupt_after
 from contract import counters, requires_fork, violated_properties
-from fault_helpers import ChaosTransport, install
+from fault_helpers import ChaosTransport, install, saturated_hint
 from repro import nice, scenarios
 from repro.mc.scheduler import _Scheduler
 from repro.mc.search import SearchStats
@@ -208,9 +208,8 @@ class TestHandlePickup:
                        for transition, digest in kids)
         assert first["children"] == again["children"]
 
-    @pytest.mark.parametrize("knobs", [dict(store_bloom_bits=0),
-                                       dict(state_matching=False)],
-                             ids=["no-filter", "no-digests"])
+    @pytest.mark.parametrize("knobs", [dict(state_matching=False)],
+                             ids=["no-digests"])
     def test_without_a_hint_everything_is_retained(self, knobs):
         runtime = _runtime(**knobs)
         assert runtime.seen is None
@@ -218,6 +217,23 @@ class TestHandlePickup:
             out = runtime.expand([((), None)], task_id=task_id)
             assert len(runtime.retained.nodes[task_id, 0]) == \
                 len(out["children"][0][2])
+
+    def test_saturated_hint_keeps_a_handful_then_nothing(self, monkeypatch):
+        """Every kept child flips at least one bit of its worker's hint,
+        so an 8-bit hint keeps 8 children at most — whatever ships."""
+        saturated_hint(monkeypatch.setattr)
+        runtime = _runtime()
+        assert len(runtime.seen.data) == 1
+        frontier, shipped = deque([((), None)]), 0
+        for task_id in range(12):  # no handles: nothing is taken back
+            trace, steps = frontier.popleft()
+            out = runtime.expand([(trace, steps)], task_id=task_id)
+            for _, si, kids in out["children"]:
+                shipped += len(kids)
+                parent = trace if si is None else trace + (steps[si],)
+                frontier.append((parent, [t for t, _ in kids]))
+        assert shipped > 16
+        assert 0 < runtime.retained.systems <= 8
 
 
 class TestSharedBound:
@@ -322,8 +338,6 @@ class TestEndToEnd:
     @pytest.mark.parametrize("fallback", [
         pytest.param(dict(worker_cache_size=1), id="evicted"),
         pytest.param(dict(search_order="bfs"), id="bfs"),
-        pytest.param(dict(store_bloom_bits=8), id="hint-saturated"),
-        pytest.param(dict(store_bloom_bits=0), id="hint-off"),
     ])
     @small_tasks
     def test_forced_fallbacks_are_bit_identical(self, fallback, overrides,
@@ -336,11 +350,20 @@ class TestEndToEnd:
         if "worker_cache_size" in fallback:
             # Nothing can be retained: every non-root node is rebuilt.
             assert stats.rebuilt_transitions == stats.unique_states - 1
-        if fallback.get("store_bloom_bits") == 8:
-            # Every retained child flips at least one of its worker's 8
-            # bits, so each worker keeps 8 at most; past that first
-            # handful nothing is retained and every handle misses.
-            assert stats.rebuilt_transitions >= stats.unique_states - 1 - 16
+
+    @small_tasks
+    @requires_fork
+    def test_saturated_hint_is_bit_identical(self, serial_ping,
+                                             monkeypatch):
+        """Fork only: the pin is a class attribute, which spawned and
+        socket workers import afresh — there the every-handle-misses
+        path is the ``evicted`` leg above."""
+        saturated_hint(monkeypatch.setattr)
+        stats = nice.run(_ping(workers=2, start_method="fork"))
+        assert_matches_serial(stats, serial_ping)
+        # Each worker keeps 8 children at most; past that first handful
+        # nothing is retained and every handle misses.
+        assert stats.rebuilt_transitions >= stats.unique_states - 1 - 16
 
     @small_tasks
     @pytest.mark.parametrize("overrides", ENGINES)

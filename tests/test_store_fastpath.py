@@ -1,15 +1,14 @@
-"""Store fast path (ISSUE 9): batched appends, per-shard Bloom filters,
-packed v2 records, and O(new-states) checkpoint compaction.
+"""Store fast path (ISSUE 9): batched appends, packed v2 records, and
+O(new-states) checkpoint compaction.
 
 Unit coverage for the machinery the differential/crash suites exercise
 end-to-end: add_batch semantics and the flush-on-checkpoint ordering of
-the tail buffers, Bloom negative gating of disk probes (and false
-positives falling through to the exact probe), the mixed-width
-guard on lookups as well as inserts, hard-link compaction across
-snapshot generations (including survival of retention pruning), what a
-resume accepts from builds before the engine knobs were deleted (and the
-one format it reads), and the Checkpointer's counter rollback when a
-snapshot fails mid-write.
+the tail buffers, exact membership when digests share an index prefix,
+the mixed-width guard on lookups as well as inserts, hard-link
+compaction across snapshot generations (including survival of retention
+pruning), what a resume accepts from builds before the engine knobs and
+the store's Bloom files were deleted (and the one format it reads), and
+the Checkpointer's counter rollback when a snapshot fails mid-write.
 """
 
 from __future__ import annotations
@@ -121,64 +120,36 @@ class TestAddBatch:
 
 
 # ----------------------------------------------------------------------
-# Bloom filters
+# The index is exact: a shared 48-bit prefix goes to the records
 # ----------------------------------------------------------------------
 
-class TestBloom:
-    def test_negative_gates_the_disk_probe(self, tmp_path):
-        store = ShardedStore(shards=2, memory_budget=1,
-                             directory=str(tmp_path / "s"))
-        held = _shard0_digest(1)
-        store.add(held)
-        store.add(_hex(2))  # evicts `held` from the resident set
-        store.flush()       # `held` now lives on disk only
-        probes_before = store.counters()["spill_reads"]
-        # Same 48-bit prefix, different record: the index alone cannot
-        # answer, but the Bloom bitset can — definitely not flushed.
-        absent = _shard0_digest(99)
-        assert absent not in store
-        assert store.counters()["bloom_negatives"] == 1
-        assert store.counters()["spill_reads"] == probes_before
-        # A true hit passes the filter and reads the record back.
-        assert held in store
-        assert store.counters()["spill_reads"] > probes_before
-        store.close()
-
-    def test_false_positive_falls_through_to_exact_probe(self, tmp_path):
-        """A saturated one-byte bitset answers 'maybe' for everything;
-        membership must stay exact regardless."""
-        store = ShardedStore(shards=2, memory_budget=5, bloom_bits=8,
+class TestSamePrefix:
+    def test_membership_is_exact_under_prefix_collisions(self, tmp_path):
+        store = ShardedStore(shards=2, memory_budget=5,
                              directory=str(tmp_path / "s"))
         batch = _digests(100)
-        for digest in batch:
-            store.add(digest)
+        store.add_batch(batch)
         store.flush()
         assert all(digest in store for digest in batch)
-        for digest in batch[:20]:  # present prefix, absent record
-            assert digest[:12] + "f" * 20 not in store
+        held = batch[0]  # long evicted: on disk only
+        reads = store.counters()["spill_reads"]
+        # An unknown prefix is a definitive miss without any read ...
         assert "f" * 32 not in store
-        store.close()
-
-    def test_disabled_bloom_still_exact(self, tmp_path):
-        store = ShardedStore(shards=2, memory_budget=5, bloom_bits=0,
-                             directory=str(tmp_path / "s"))
-        for digest in _digests(100):
-            store.add(digest)
+        assert store.counters()["spill_reads"] == reads
+        # ... a present prefix over an absent record costs exactly one.
+        assert held[:12] + "f" * 20 not in store
+        assert store.counters()["spill_reads"] == reads + 1
+        # Two *stored* digests sharing a prefix: a tuple of slots.
+        twin = held[:12] + "e" * 20
+        assert store.add(twin)
+        assert any(isinstance(slots, tuple)
+                   for index in store._index for slots in index.values())
+        store.add_batch(_hex(i) for i in range(100, 110))  # evicts both
         store.flush()
-        assert all(digest in store for digest in _digests(100))
-        assert "f" * 32 not in store
-        assert store.counters()["bloom_negatives"] == 0
-        store.close()
-
-    def test_bits_cover_exactly_the_flushed_records(self, tmp_path):
-        """Deferred maintenance: bits are set when a tail run goes to
-        disk, so a record still in the tail gets no bits — and its
-        probes stay in memory."""
-        store = ShardedStore(shards=1, directory=str(tmp_path / "s"))
-        store.add(_hex(1))
-        assert not any(store._bloom[0].data)  # nothing flushed, no bits
-        store.flush()
-        assert any(store._bloom[0].data)
+        assert held in store and twin in store
+        assert not store.add(held) and not store.add(twin)
+        assert held[:12] + "f" * 20 not in store
+        assert len(store) == 111
         store.close()
 
 
@@ -216,7 +187,7 @@ class TestCompaction:
             store=store, previous=previous)
 
     def test_unchanged_shards_are_linked_grown_shards_append(self, tmp_path):
-        store = ShardedStore(shards=4, memory_budget=16, bloom_bits=1 << 10,
+        store = ShardedStore(shards=4, memory_budget=16,
                              directory=str(tmp_path / "s"))
         store.add_batch(_digests(200))
         first = self._write(tmp_path / "c", store)
@@ -235,13 +206,12 @@ class TestCompaction:
         assert (second / "states-0000-0000.bin").stat().st_ino == \
             (first / "states-0000-0000.bin").stat().st_ino
         # O(new states): the second snapshot writes exactly the grown
-        # shard's delta segment + its rewritten Bloom bitset + the meta
-        # blob — every other byte is a hard link.
+        # shard's delta segment + the meta blob — every other byte is a
+        # hard link.
         loaded_second = validate_checkpoint(second)
         meta_bytes = loaded_second.file_info["meta.pkl"]["bytes"]
-        bloom0_bytes = (second / "bloom-0000.bin").stat().st_size
         assert loaded_second.bytes_written == \
-            meta_bytes + delta.stat().st_size + bloom0_bytes
+            meta_bytes + delta.stat().st_size
         assert loaded_second.bytes_written < full_bytes
         loaded = load_latest_checkpoint(tmp_path / "c")
         assert sorted(loaded.iter_digests()) == sorted(_digests(200) + extra)
@@ -251,8 +221,7 @@ class TestCompaction:
         """CHECKPOINT_KEEP drops the snapshot a segment was first
         written into; the hard link keeps the inode alive and the
         newest snapshot keeps validating (checksums included)."""
-        store = ShardedStore(shards=2, bloom_bits=1 << 10,
-                             directory=str(tmp_path / "s"))
+        store = ShardedStore(shards=2, directory=str(tmp_path / "s"))
         store.add_batch(_digests(100))
         previous = self._write(tmp_path / "c", store)
         for start in (100, 110, 120):  # two prunes of the chain's head
@@ -279,37 +248,12 @@ class TestCompaction:
         assert baseline == ckpt.path
         assert len(fresh) == 300
         assert all(digest in fresh for digest in _digests(300))
-        # The shipped Bloom summaries were loaded verbatim.
-        for shard in range(4):
-            bloom_file = ckpt.path / f"bloom-{shard:04d}.bin"
-            if bloom_file.exists():
-                assert bytes(fresh._bloom[shard].data) == \
-                    bloom_file.read_bytes()
         second = self._write(tmp_path / "c", fresh, previous=baseline)
         for name in os.listdir(first):
             if name.endswith(".bin"):
                 assert (second / name).stat().st_ino == \
                     (first / name).stat().st_ino
         fresh.close()
-
-    def test_rebuilt_blooms_match_shipped_summaries(self, tmp_path):
-        """Bitset content is a pure function of the shard's record set —
-        a resume that cannot use the summaries (changed layout) rebuilds
-        byte-identical ones at flush time."""
-        store = ShardedStore(shards=4, directory=str(tmp_path / "a"))
-        store.add_batch(_digests(300))
-        self._write(tmp_path / "c", store)
-        store.close()
-        ckpt = load_latest_checkpoint(tmp_path / "c")
-        rebuilt = ShardedStore(shards=4, directory=str(tmp_path / "b"))
-        rebuilt.preload(ckpt.iter_digests())  # no summaries offered
-        rebuilt.flush()
-        for shard in range(4):
-            bloom_file = ckpt.path / f"bloom-{shard:04d}.bin"
-            if bloom_file.exists():
-                assert bytes(rebuilt._bloom[shard].data) == \
-                    bloom_file.read_bytes()
-        rebuilt.close()
 
 
 # ----------------------------------------------------------------------
@@ -354,63 +298,8 @@ class TestDigestsMidFlush:
 
 
 # ----------------------------------------------------------------------
-# Resume across Bloom knob changes (ISSUE 10 bugfix)
-# ----------------------------------------------------------------------
-
-class TestBloomKnobResume:
-    def _write(self, root, store):
-        return write_checkpoint(
-            root, spec=None,
-            config=NiceConfig(checkpoint_dir=str(root), store_shards=4),
-            stats=SearchStats(), frontier=[], rng_state=None, store=store)
-
-    def test_bloom_checkpoint_resumes_with_bloom_disabled(self, tmp_path):
-        """``--store-bloom-bits 0`` resuming a bloom-carrying snapshot
-        must ignore the stale bitsets entirely, not load or consult
-        them."""
-        store = ShardedStore(shards=4, bloom_bits=1 << 10,
-                             directory=str(tmp_path / "a"))
-        store.add_batch(_digests(200))
-        self._write(tmp_path / "c", store)
-        store.close()
-        ckpt = load_latest_checkpoint(tmp_path / "c")
-        assert ckpt.summary_files  # the snapshot does carry bitsets
-        fresh = ShardedStore(shards=4, bloom_bits=0,
-                             directory=str(tmp_path / "b"))
-        restore_store(fresh, ckpt)
-        assert fresh._bloom is None  # no stale bitsets adopted
-        assert len(fresh) == 200
-        assert all(digest in fresh for digest in _digests(200))
-        assert _hex(10_000) not in fresh  # exact probes, no filter
-        fresh.close()
-
-    def test_bloomless_checkpoint_resumes_with_bloom_enabled(
-            self, tmp_path):
-        """The inverse direction: a summary-less snapshot resumed with
-        bloom enabled rebuilds bitsets from the records at flush time —
-        byte-identical to a store that grew the same records natively."""
-        store = ShardedStore(shards=4, bloom_bits=0,
-                             directory=str(tmp_path / "a"))
-        store.add_batch(_digests(200))
-        self._write(tmp_path / "c", store)
-        store.close()
-        ckpt = load_latest_checkpoint(tmp_path / "c")
-        assert not ckpt.summary_files
-        fresh = ShardedStore(shards=4, directory=str(tmp_path / "b"))
-        restore_store(fresh, ckpt)
-        fresh.flush()
-        native = ShardedStore(shards=4, directory=str(tmp_path / "n"))
-        native.add_batch(_digests(200))
-        native.flush()
-        for shard in range(4):
-            assert bytes(fresh._bloom[shard].data) == \
-                bytes(native._bloom[shard].data)
-        fresh.close()
-        native.close()
-
-
-# ----------------------------------------------------------------------
-# Resume across the deleted engine knobs; one readable format
+# Resume across the deleted engine knobs and Bloom files; one readable
+# format
 # ----------------------------------------------------------------------
 
 def _plant_in_pickled_config(snapshot, **stale) -> None:
@@ -425,6 +314,26 @@ def _plant_in_pickled_config(snapshot, **stale) -> None:
     manifest["files"]["meta.pkl"] = {
         "bytes": (snapshot / "meta.pkl").stat().st_size,
         "blake2b": store_mod._file_digest(snapshot / "meta.pkl")}
+    (snapshot / "MANIFEST.json").write_text(json.dumps(manifest))
+
+
+def _add_bloom_files(snapshot) -> None:
+    """Make ``snapshot`` what the build before the sharded store lost
+    its Bloom filter wrote: a 128 KiB ``bloom-NNNN.bin`` per populated
+    shard, listed under ``files`` and ``summary_files`` and counted in
+    ``bytes_written``, and ``store_bloom_bits`` in the pickled config."""
+    _plant_in_pickled_config(snapshot, store_bloom_bits=1 << 20)
+    manifest = json.loads((snapshot / "MANIFEST.json").read_text())
+    shards = sorted({name[:len("states-0000")]
+                     for name in manifest["record_files"]})
+    manifest["summary_files"] = [
+        shard.replace("states", "bloom") + ".bin" for shard in shards]
+    for index, name in enumerate(manifest["summary_files"]):
+        (snapshot / name).write_bytes(bytes([index + 1]) * (1 << 17))
+        manifest["files"][name] = {
+            "bytes": 1 << 17,
+            "blake2b": store_mod._file_digest(snapshot / name)}
+        manifest["bytes_written"] += 1 << 17
     (snapshot / "MANIFEST.json").write_text(json.dumps(manifest))
 
 
@@ -490,6 +399,65 @@ class TestResumeAcrossDeletedKnobs:
         assert stats.workers == 2
         assert_matches_serial(stats, serial_ping)
         assert not hasattr(scenario.config, knob)
+
+    def test_checkpoints_hold_segments_meta_and_manifest_only(
+            self, interrupted):
+        names = {path.name for snapshot in interrupted.glob("ckpt-*")
+                 for path in snapshot.iterdir()}
+        assert names >= {"meta.pkl", "MANIFEST.json"}
+        assert all(
+            ShardedStore._parse_record_name(name) is not None
+            for name in names - {"meta.pkl", "MANIFEST.json"}), names
+
+    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "workers2"])
+    def test_bloom_carrying_checkpoint_resumes(self, interrupted,
+                                               serial_ping, workers):
+        """The files are validated like any other, then ignored; the
+        stale field does not survive ``with_config``."""
+        for snapshot in interrupted.glob("ckpt-*"):
+            _add_bloom_files(snapshot)
+        assert load_latest_checkpoint(interrupted).config.store_bloom_bits
+        scenario, stats = nice.resume(interrupted, workers=workers)
+        assert stats.workers == workers
+        assert_matches_serial(stats, serial_ping)
+        assert not hasattr(scenario.config, "store_bloom_bits")
+
+    def test_bloom_carrying_checkpoint_is_the_link_baseline(
+            self, interrupted, serial_ping, monkeypatch):
+        """The first snapshot a resumed run writes hard-links the adopted
+        segments and carries no Bloom file forward."""
+        for snapshot in interrupted.glob("ckpt-*"):
+            _add_bloom_files(snapshot)
+        adopted = sorted(interrupted.glob("ckpt-*"))[-1]
+        # Snapshots fall every 60 states: one more, then cut again.
+        cut = validate_checkpoint(adopted).states + 90
+        interrupt_after(monkeypatch, cut)
+        with pytest.raises(Interrupted):
+            nice.resume(interrupted)
+        monkeypatch.undo()
+        kept, first_resumed = sorted(interrupted.glob("ckpt-*"))
+        assert kept == adopted
+        segments = [path for path in adopted.iterdir()
+                    if path.name.startswith("states-")]
+        assert segments
+        for segment in segments:
+            assert (first_resumed / segment.name).stat().st_ino == \
+                segment.stat().st_ino
+        assert not list(first_resumed.glob("bloom-*"))
+        assert "summary_files" not in json.loads(
+            (first_resumed / "MANIFEST.json").read_text())
+        _, stats = nice.resume(interrupted)
+        assert_matches_serial(stats, serial_ping)
+
+    def test_torn_bloom_file_still_invalidates_its_snapshot(
+            self, interrupted, capsys):
+        older, newest = sorted(interrupted.glob("ckpt-*"))
+        for snapshot in (older, newest):
+            _add_bloom_files(snapshot)
+        bloom = next(newest.glob("bloom-*"))
+        bloom.write_bytes(bloom.read_bytes()[:100])
+        assert load_latest_checkpoint(interrupted).path == older
+        assert bloom.name in capsys.readouterr().err
 
     def test_format_1_manifest_is_refused(self, interrupted):
         for snapshot in interrupted.glob("ckpt-*"):
