@@ -2,7 +2,7 @@
 
 The paper's engine assumes model code is merely *buggy* — handlers that
 install the wrong rule, not handlers that never return.  The containment
-layer (ISSUE 8) drops that assumption, and this module supplies the
+layer drops that assumption, and this module supplies the
 adversaries it is tested against: a MAC-learning switch that misbehaves
 when it sees a *poison* packet (payload tagged ``poison*``).
 
@@ -49,7 +49,7 @@ MODE_OOM = "oom"
 MODES = (MODE_BENIGN, MODE_RAISE, MODE_HANG, MODE_CRASH, MODE_OOM)
 
 #: Set (to "1") in the quarantine sandbox's environment by
-#: ``repro.mc.worker.quarantine_worker_main``.  A hostile app with
+#: ``repro.mc.worker.local_worker_main``.  A hostile app with
 #: ``spare_quarantine=True`` behaves inside the sandbox, which is how the
 #: tests model a *flaky* poison task: one that killed every fleet worker
 #: it touched but succeeds on the isolated retry.

@@ -32,10 +32,6 @@ class TransitionError(NiceError):
     """Raised when a transition descriptor cannot be executed in a state."""
 
 
-class SearchError(NiceError):
-    """Raised for invalid model-checker configurations."""
-
-
 class SolverError(NiceError):
     """Raised when the constraint solver is given constraints it cannot decide."""
 

@@ -79,6 +79,7 @@ counted is committed (DESIGN.md, "Search engine": commit, then stop).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import pickle
 import sys
@@ -86,8 +87,9 @@ import time
 from collections import deque
 from itertools import compress
 
-from repro.config import ORDER_BFS, ORDER_DFS
+from repro.config import ORDER_BFS, ORDER_DFS, TRANSPORT_LOCAL
 from repro.mc.search import QuarantinedTask, Searcher
+from repro.mc.store import unpack_digests
 from repro.mc.transport import TransportError, WorkerLost, create_transport
 from repro.mc.wire import (
     ExpandTask,
@@ -380,10 +382,10 @@ class _Scheduler:
     def _quarantine(self, group, attempts: int) -> None:
         """A group has now been in flight for ``attempts`` worker deaths:
         stop feeding it to the fleet.  It gets one last run in a sandboxed
-        one-shot subprocess (rlimits contain what killed the pool
-        workers); a sandbox success merges normally — bit-identity to
-        serial is preserved.  Any sandbox failure degrades gracefully: the
-        group is abandoned and a :class:`~repro.mc.search.QuarantinedTask`
+        one-shot worker (rlimits contain what killed the pool workers);
+        a sandbox success merges normally — bit-identity to serial is
+        preserved.  Any sandbox failure degrades gracefully: the group
+        is abandoned and a :class:`~repro.mc.search.QuarantinedTask`
         diagnostic records what was given up, instead of the whole search
         aborting."""
         stats = self.stats
@@ -405,91 +407,43 @@ class _Scheduler:
               f" still being explored", file=sys.stderr, flush=True)
 
     def _sandbox_expand(self, group):
-        """Run one group through ``quarantine_worker_main`` in a fresh
-        subprocess.  Returns ``(out, "")`` on success or ``(None, why)``
-        on any failure."""
-        import multiprocessing
-        import signal
-        import threading
-
-        from repro.mc import worker as worker_mod
-        from repro.mc.wire import spec_is_portable
-
-        spec = self.searcher.scenario_spec
-        if "fork" in multiprocessing.get_all_start_methods():
-            # Fork even under spawn/socket transports: it inherits the
-            # live searcher, so hand-built scenarios stay quarantinable.
-            context = multiprocessing.get_context("fork")
-            use_spec = None
-        elif spec_is_portable(spec):
-            context = multiprocessing.get_context("spawn")
-            use_spec = spec
-        else:
+        """Run one group on a sandbox: a local transport of one worker,
+        started with rlimits.  It forks wherever the platform can, even
+        under a spawn/socket master — a fork inherits the live searcher,
+        so hand-built scenarios stay quarantinable.  Returns ``(out,
+        "")`` on success or ``(None, why)`` on any failure."""
+        allowance = self.config.task_deadline or self.QUARANTINE_DEADLINE
+        sandbox = create_transport(
+            dataclasses.replace(self.config, workers=1,
+                                transport=TRANSPORT_LOCAL, start_method=None),
+            self.searcher.scenario_spec,
+            limits={"cpu": int(allowance) + 1,
+                    "address_space": self.config.worker_memory_limit})
+        if sandbox is None:
             return None, ("no sandbox available: the platform lacks 'fork'"
                           " and the scenario has no portable spec")
-        allowance = self.config.task_deadline or self.QUARANTINE_DEADLINE
-        limits = {"cpu": int(allowance) + 1,
-                  "address_space": self.config.worker_memory_limit}
-        recv_end, send_end = context.Pipe(duplex=False)
-        inherit = use_spec is None
-        if inherit:
-            worker_mod._INHERITED_SEARCHER = self.searcher
         try:
-            process = context.Process(
-                target=worker_mod.quarantine_worker_main,
-                args=(send_end, use_spec, [group], limits), daemon=True)
-            # Same SIGTERM bracket as the local transport's _launch: the
-            # sandbox must not inherit the checkpointer's flag handler.
-            previous = None
-            if threading.current_thread() is threading.main_thread():
-                previous = signal.signal(signal.SIGTERM, signal.SIG_DFL)
-            try:
-                process.start()
-            finally:
-                if previous is not None:
-                    signal.signal(signal.SIGTERM, previous)
-        finally:
-            if inherit:
-                worker_mod._INHERITED_SEARCHER = None
-        send_end.close()
-        reply = None
-        timed_out = False
-        try:
-            if recv_end.poll(allowance + 5.0):
-                reply = recv_end.recv()
-            else:
-                timed_out = True
-        except (EOFError, OSError):
-            reply = None  # died mid-write; exit status tells the story
-        try:
+            sandbox.start(self.searcher)
+            sandbox.submit(0, ExpandTask(0, [group]))
+            deadline = time.monotonic() + allowance + 5.0
+            while True:
+                reply = sandbox.recv(
+                    timeout=max(0.0, deadline - time.monotonic()))
+                if not isinstance(reply, Heartbeat):
+                    break
             if reply is None:
-                if timed_out and process.is_alive():
-                    process.kill()
-                    process.join(5.0)
-                    return None, (f"sandbox run exceeded its"
-                                  f" {allowance:.0f}s allowance")
-                # A pipe EOF races process teardown: the kernel closes the
-                # child's fds a beat before it becomes reapable, so join
-                # *before* reading the exit code or a self-inflicted
-                # SIGKILL gets misread as a hang.
-                process.join(5.0)
-                if process.is_alive():
-                    process.kill()
-                    process.join(5.0)
-                    return None, (f"sandbox run exceeded its"
-                                  f" {allowance:.0f}s allowance")
-                return None, (f"sandbox run died"
-                              f" ({_describe_exit(process.exitcode)})")
+                sandbox.kill_worker(0)
+                return None, (f"sandbox run exceeded its"
+                              f" {allowance:.0f}s allowance")
             if isinstance(reply, TaskResult):
                 return reply.out, ""
             if isinstance(reply, WorkerError):
                 return None, f"sandbox run raised:\n{reply.error}"
+            if isinstance(reply, WorkerGone):
+                return None, f"sandbox run died ({reply.reason})"
             return None, f"sandbox sent an unexpected {reply!r}"
         finally:
-            if process.is_alive():
-                process.kill()
-            process.join(5.0)
-            recv_end.close()
+            sandbox.stop()
 
     def _respawn(self, dead_worker_id: int) -> None:
         """Ask the transport for a replacement worker (``respawn_workers``).
@@ -823,31 +777,13 @@ class _Scheduler:
             self.stats.worker_tasks.get(worker_id, 0) + 1
         self._absorb(result.out, groups, worker_id, task_id)
 
-    @staticmethod
-    def _inflate_digests(out: dict) -> None:
-        """Restore every kid's digest from the worker's packed blob (see
-        ``WorkerRuntime._compact_digests``; blob order == kid order) so
-        every kid is a plain ``(transition, digest)`` pair again."""
-        packed = out.pop("kid_digests", None)
-        if not packed:
-            return
-        encoding, width, blob = packed
-        offset = 0
-        for _, _, kids in out["children"]:
-            for j, (transition, _) in enumerate(kids):
-                record = blob[offset:offset + width]
-                offset += width
-                kids[j] = (transition, record.hex() if encoding == "hex"
-                           else record.decode("ascii"))
-
     def _absorb(self, out: dict, groups, worker_id: int | None,
                 task_id: int | None = None) -> None:
         """Decode one expansion output off the wire and hand it to the
         search loop's commit (:meth:`Searcher.absorb`) — for pool task
         results and quarantine sandbox successes alike (``worker_id`` /
-        ``task_id`` None for the sandbox: its one-shot process retains
-        nothing to route children back to)."""
-        self._inflate_digests(out)
+        ``task_id`` None for the sandbox: its one-shot process is gone,
+        there is nowhere to route children back to)."""
         stats = self.stats
         stats.discover_packet_runs += out["discover_packet_runs"]
         stats.discover_stats_runs += out["discover_stats_runs"]
@@ -870,7 +806,8 @@ class _Scheduler:
         children = out["children"]
         flags = iter(self.searcher.absorb(
             out["transitions"], out["quiescent"], violations,
-            [digest for _, _, kids in children for _, digest in kids]))
+            unpack_digests(out["digests"],
+                           sum(len(kids) for _, _, kids in children))))
         for position, (gi, si, kids) in enumerate(children):
             picked = tuple(compress(range(len(kids)), flags))
             if picked:
@@ -879,19 +816,5 @@ class _Scheduler:
                 # handle that names them there.
                 self._push(worker_id,
                            (node_trace(gi, si),
-                            [kids[index][0] for index in picked]),
+                            [kids[index] for index in picked]),
                            (task_id, position, picked))
-
-
-def _describe_exit(exitcode: int | None) -> str:
-    """Human-readable subprocess exit status (signal names included)."""
-    if exitcode is None:
-        return "still running"
-    if exitcode < 0:
-        import signal
-
-        try:
-            return f"killed by {signal.Signals(-exitcode).name}"
-        except ValueError:
-            return f"killed by signal {-exitcode}"
-    return f"exit code {exitcode}"

@@ -138,8 +138,8 @@ class SearchStats:
     serial engine does not do and are never counted in
     ``transitions_executed``.
 
-    The churn counters (PR 4, DESIGN.md "Fault tolerance and
-    elasticity") are likewise parallel-only: ``worker_failures`` counts
+    The churn counters (DESIGN.md, "Fault tolerance and elasticity")
+    are likewise parallel-only: ``worker_failures`` counts
     workers that died mid-search, ``tasks_retried`` the in-flight tasks
     requeued because their worker died, ``groups_reassigned`` the sibling
     groups that lost their affinity owner (requeued in-flight work plus

@@ -73,12 +73,10 @@ CHECKPOINT_FORMAT = 2
 #: turns out to be corrupt.
 CHECKPOINT_KEEP = 2
 
-#: Record encodings.  ``hex``: the digest string is lowercase hex and is
-#: stored packed (`bytes.fromhex`), record width = len(digest) / 2.
-#: ``ascii``: the digest is stored as its ASCII bytes verbatim (the
-#: fallback for non-hex digests).
+#: The one record encoding, as manifests name it: a digest is lowercase
+#: hex in memory and ``bytes.fromhex(digest)`` wherever it is stored or
+#: shipped (record width = len(digest) / 2).
 RECORD_HEX = "hex"
-RECORD_ASCII = "ascii"
 
 #: A shard's tail buffer is appended to its record file once it reaches
 #: this many bytes (and always at flush/snapshot time).
@@ -87,8 +85,6 @@ _FLUSH_BYTES = 1 << 16
 #: Pre-bound for the insert/lookup hot paths — skips the global + attr
 #: lookup per call.
 _from_bytes = int.from_bytes
-
-_HEX_DIGITS = frozenset("0123456789abcdef")
 
 _CKPT_PREFIX = "ckpt-"
 _TMP_PREFIX = "tmp-ckpt-"
@@ -100,32 +96,38 @@ class CheckpointError(RuntimeError):
     """No usable checkpoint could be written or loaded."""
 
 
-def _is_hex(digest: str) -> bool:
-    return (bool(digest) and len(digest) % 2 == 0
-            and not set(digest) - _HEX_DIGITS)
+#: ``digest`` as its packed record (ValueError for anything but hex).
+pack_digest = bytes.fromhex
 
 
-def digest_encoding(digest: str) -> str:
-    """The record encoding ``digest`` packs under: hex digests to raw
-    bytes, anything else to its ASCII bytes."""
-    return RECORD_HEX if _is_hex(digest) else RECORD_ASCII
+def unpack_digests(blob: bytes, count: int) -> list:
+    """The ``count`` digests whose fixed-width records ``blob``
+    concatenates, in order — :data:`pack_digest`'s inverse, for the
+    checkpoint reader and the scheduler alike.  An empty blob is
+    ``count`` Nones: without state matching nothing is hashed."""
+    if not blob:
+        return [None] * count
+    hexed = blob.hex()
+    width, odd = divmod(len(hexed), count)
+    if odd:
+        raise ValueError(
+            f"{len(blob)} record bytes do not hold {count} digests of one "
+            f"width")
+    return [hexed[start:start + width]
+            for start in range(0, len(hexed), width)]
 
 
-def pack_digest(digest: str, encoding: str | None = None) -> bytes | None:
-    """``digest`` as a packed record under ``encoding`` (default: its
-    own, :func:`digest_encoding`), or None if it does not fit (non-hex
-    under RECORD_HEX, non-ASCII under RECORD_ASCII, None and empty under
-    either)."""
-    if not digest:
-        return None
-    if encoding != RECORD_ASCII and _is_hex(digest):
-        return bytes.fromhex(digest)
-    if encoding == RECORD_HEX:
-        return None
-    try:
-        return digest.encode("ascii")
-    except (AttributeError, UnicodeEncodeError):
-        return None
+def _packed(digest: str, width: int) -> bytes:
+    """``digest`` as a ``width``-byte record; anything else — another
+    width, not hex — is a second digest scheme."""
+    if width and len(digest) == 2 * width:
+        try:
+            return bytes.fromhex(digest)
+        except ValueError:
+            pass
+    raise ValueError(
+        f"digest width changed mid-run: {digest!r} does not pack to "
+        f"{width} hex bytes (two digest schemes in one store?)")
 
 
 # ----------------------------------------------------------------------
@@ -160,10 +162,6 @@ class StateStore:
         raise NotImplementedError
 
     def __len__(self) -> int:
-        raise NotImplementedError
-
-    def digests(self):
-        """Iterate every stored digest (insertion order per shard)."""
         raise NotImplementedError
 
     def counters(self) -> dict:
@@ -208,10 +206,6 @@ class StateStore:
         """Bytes per record (0 while empty)."""
         raise NotImplementedError
 
-    def record_encoding(self) -> str:
-        """How records map back to digest strings (RECORD_HEX/ASCII)."""
-        raise NotImplementedError
-
     def close(self) -> None:
         pass
 
@@ -243,41 +237,26 @@ class MemoryStore(StateStore):
     def __len__(self) -> int:
         return len(self._digests)
 
-    def digests(self):
-        return iter(self._digests)
-
     def counters(self) -> dict:
         return {"hits": self._hits, "spill_reads": 0, "evictions": 0}
 
     def reset_counters(self) -> None:
         self._hits = 0
 
-    def record_encoding(self) -> str:
-        for digest in self._digests:
-            return digest_encoding(digest)
-        return RECORD_ASCII
-
     def record_width(self) -> int:
         for digest in self._digests:
-            return len(pack_digest(digest) or b"")
+            return len(digest) // 2
         return 0
 
     def snapshot_into(self, directory: Path, previous: Path | None = None):
         name = "states-0000.bin"
-        encoding = self.record_encoding()
         width = self.record_width()
         buffer = bytearray()
         with open(directory / name, "wb") as handle:
             for digest in self._digests:
-                record = pack_digest(digest, encoding)
-                if record is None or len(record) != width:
-                    # Mis-sliced records would corrupt every digest after
-                    # the first odd one out on resume — refuse now.
-                    raise ValueError(
-                        f"digest width changed mid-run: {digest!r} does "
-                        f"not pack to {width} {encoding} bytes (two "
-                        f"digest schemes in one store?)")
-                buffer += record
+                # Mis-sliced records would corrupt every digest after the
+                # first odd one out on resume — _packed refuses now.
+                buffer += _packed(digest, width)
                 if len(buffer) >= (1 << 20):
                     handle.write(buffer)
                     buffer.clear()
@@ -332,10 +311,9 @@ class ShardedStore(StateStore):
         self._resident: dict[str, None] = {}
         self._count = 0
         self._width = 0
-        self._encoding: str | None = None
-        # -1 until hex encoding is chosen: ``len(digest)`` can never be
-        # negative, so add()'s single-comparison fast-path check stays
-        # false both before init and in ascii mode.
+        # -1 until the first digest sets the width: ``len(digest)`` can
+        # never be negative, so add()'s single-comparison fast-path
+        # check stays false before then.
         self._hexlen = -1
         self._hits = 0
         self._spill_reads = 0
@@ -349,40 +327,17 @@ class ShardedStore(StateStore):
     def _shard_name(index: int) -> str:
         return f"states-{index:04d}.bin"
 
-    def _init_encoding(self, digest: str) -> None:
-        if _is_hex(digest):
-            self._encoding = RECORD_HEX
-            self._hexlen = len(digest)
-            self._width = len(digest) // 2
-        else:
-            self._encoding = RECORD_ASCII
-            self._width = len(digest.encode("ascii"))
-
     def _pack(self, digest: str) -> bytes:
-        """``digest`` as this store's packed record; raises the
-        mixed-width ValueError on any width/encoding mismatch —
+        """``digest`` as this store's packed record — the first one sets
+        the width; raises the mixed-width ValueError on any mismatch,
         from lookups as well as inserts (a silent False here would let
-        one run mix digest schemes and corrupt dedup).  Hex-mode records
+        one run mix digest schemes and corrupt dedup).  Records
         canonicalize to lowercase (``bytes.fromhex`` is case-blind)."""
-        if self._encoding is None:
-            self._init_encoding(digest)
-        if self._encoding == RECORD_HEX:
-            if len(digest) == self._hexlen:
-                try:
-                    return bytes.fromhex(digest)
-                except ValueError:
-                    pass
-        else:
-            try:
-                record = digest.encode("ascii")
-            except UnicodeEncodeError:
-                record = None
-            if record is not None and len(record) == self._width:
-                return record
-        raise ValueError(
-            f"digest width changed mid-run: {digest!r} does not pack to "
-            f"{self._width} {self._encoding} bytes (two digest schemes in "
-            f"one store?)")
+        width = self._width or len(digest) // 2
+        record = _packed(digest, width)
+        if not self._width:
+            self._width, self._hexlen = width, len(digest)
+        return record
 
     def _probe_records(self, shard: int, slots, record: bytes) -> bool:
         """Compare ``record`` against the candidate slots — in the tail
@@ -444,9 +399,9 @@ class ShardedStore(StateStore):
             del resident[digest]
             resident[digest] = None
             return False
-        # Inlined hex fast path of _pack (this is *the* hot loop of an
+        # Inlined fast path of _pack (this is *the* hot loop of an
         # exhaustive search); everything else falls into _pack, which
-        # also performs first-digest encoding setup and error reporting.
+        # also performs first-digest width setup and error reporting.
         if len(digest) == self._hexlen:
             try:
                 record = bytes.fromhex(digest)
@@ -499,43 +454,6 @@ class ShardedStore(StateStore):
             if self._tails[shard]:
                 self._flush_shard(shard)
 
-    def digests(self):
-        width = self._width
-        if not width:
-            return
-        # Chunked, record-aligned reads: iterating the store must not
-        # buffer a whole shard file — for the explored sets this store
-        # exists for, that file can approach the RAM being avoided.
-        chunk_size = max(1, (1 << 20) // width) * width
-        hexed = self._encoding == RECORD_HEX
-        for shard in range(self.shards):
-            handle = self._files[shard]
-            # Snapshot the flushed extent and the tail buffer *together*
-            # before streaming either leg: this is a generator, and a
-            # flush on another code path (a checkpoint mid-iteration)
-            # both moves tail records past the flushed mark and moves
-            # the shared file handle — reading "flushed then tail" live
-            # would skip those records or yield them twice.  The
-            # snapshot pins exactly the records present when the
-            # shard's iteration began, and every read re-seeks to its
-            # own offset so a concurrent append can't hijack the
-            # position.
-            flushed = self._flushed[shard]
-            tail = bytes(self._tails[shard])
-            offset = 0
-            while offset < flushed:
-                handle.seek(offset)
-                data = handle.read(min(chunk_size, flushed - offset))
-                if not data:
-                    break
-                offset += len(data)
-                for start in range(0, len(data), width):
-                    record = data[start:start + width]
-                    yield record.hex() if hexed else record.decode("ascii")
-            for start in range(0, len(tail), width):
-                record = tail[start:start + width]
-                yield record.hex() if hexed else record.decode("ascii")
-
     def counters(self) -> dict:
         return {"hits": self._hits, "spill_reads": self._spill_reads,
                 "evictions": self._evictions}
@@ -545,9 +463,6 @@ class ShardedStore(StateStore):
 
     def record_width(self) -> int:
         return self._width
-
-    def record_encoding(self) -> str:
-        return self._encoding or RECORD_ASCII
 
     # -- snapshots ------------------------------------------------------
 
@@ -640,8 +555,7 @@ class ShardedStore(StateStore):
         return shard, segment
 
     def adopt_baseline(self, checkpoint: "Checkpoint") -> bool:
-        if not self._count or checkpoint.record_encoding != self._encoding \
-                or checkpoint.record_width != self._width:
+        if not self._count or checkpoint.record_width != self._width:
             return False
         self.flush()
         grouped: dict[int, list] = {}
@@ -716,7 +630,6 @@ class Checkpoint:
     states: int             # digest count across the record files
     record_width: int
     record_files: list[Path]
-    record_encoding: str
     file_info: dict
     format: int
     bytes_written: int
@@ -725,7 +638,6 @@ class Checkpoint:
         width = self.record_width
         if not width:
             return  # a checkpoint of an empty store holds no records
-        hexed = self.record_encoding == RECORD_HEX
         # Chunked, record-aligned reads: resume must not buffer a whole
         # record file — for the explored sets the sharded store exists
         # for, that file can approach the RAM the store is avoiding.
@@ -736,10 +648,7 @@ class Checkpoint:
                     data = handle.read(chunk_size)
                     if not data:
                         break
-                    for offset in range(0, len(data), width):
-                        record = data[offset:offset + width]
-                        yield record.hex() if hexed \
-                            else record.decode("ascii")
+                    yield from unpack_digests(data, len(data) // width)
 
     def restore_stats(self, stats) -> None:
         """Seed a fresh SearchStats with the checkpointed counters."""
@@ -833,7 +742,7 @@ def write_checkpoint(directory: str | Path, *, spec, config, stats,
             "format": CHECKPOINT_FORMAT,
             "states": len(store),
             "record_width": store.record_width(),
-            "record_encoding": store.record_encoding(),
+            "record_encoding": RECORD_HEX,
             "record_files": record_files,
             "bytes_written": bytes_written,
             "store": store.kind,
@@ -895,6 +804,11 @@ def _validate(path: Path) -> Checkpoint:
         if _file_digest(target) != expected["blake2b"]:
             raise CheckpointError(
                 f"{path.name}: {file_name} fails its checksum")
+    if manifest["record_encoding"] != RECORD_HEX:
+        raise CheckpointError(
+            f"{path.name}: record encoding "
+            f"{manifest['record_encoding']!r} is not readable (this build "
+            f"reads {RECORD_HEX!r} records)")
     # The manifest is the one file no checksum covers, so what it says
     # about the records must at least agree with itself.
     width = manifest["record_width"]
@@ -935,7 +849,6 @@ def _validate(path: Path) -> Checkpoint:
         states=manifest["states"],
         record_width=width,
         record_files=[path / name for name in manifest["record_files"]],
-        record_encoding=manifest["record_encoding"],
         file_info=files,
         format=manifest["format"],
         bytes_written=manifest["bytes_written"],

@@ -11,9 +11,9 @@ A transport owns the worker lifecycle and message movement; the scheduler
 
 :func:`create_transport` picks one from the config and *warns* — never
 silently falls back — when a ``workers>0`` request cannot be honored as
-asked (satellite of ISSUE 2): an unavailable start method, or a scenario
-that is not registry-reconstructable and therefore cannot cross a spawn or
-socket boundary.
+asked: an unavailable start method, or a scenario that is not
+registry-reconstructable and therefore cannot cross a spawn or socket
+boundary.
 """
 
 from __future__ import annotations
@@ -122,70 +122,50 @@ class Transport:
         return None
 
 
-def _warn(message: str) -> None:
-    warnings.warn(message, RuntimeWarning, stacklevel=4)
+def create_transport(config, spec, limits=None) -> Transport | None:
+    """Build the configured transport, or return None when no worker can
+    be started at all and serial search is the only remaining option.
 
-
-def create_transport(config, spec) -> Transport | None:
-    """Build the configured transport, or return None (with a visible
-    RuntimeWarning) when the request cannot be honored and serial search
-    is the only remaining option."""
+    One rule: socket workers and ``spawn`` children rebuild the scenario
+    from a portable ``spec``, ``fork`` children inherit it where the
+    platform forks; the request is honored if it can be, else the first
+    local start method that can (fork before spawn) is used instead —
+    with a visible RuntimeWarning whenever it is not met as asked.
+    ``limits`` is handed to the
+    :class:`~repro.mc.transport.local.LocalTransport` (the quarantine
+    sandbox asks for one local worker and its rlimits).
+    """
     from repro.mc.transport.local import LocalTransport
     from repro.mc.transport.socket import SocketTransport
 
     portable = spec_is_portable(spec)
+    unmet = []
     if config.transport == TRANSPORT_SOCKET:
-        if not portable:
-            _warn(
-                "workers>0 with transport='socket' needs a registry"
-                " scenario (socket workers rebuild the System by name);"
-                " this scenario has no portable spec — falling back to the"
-                " local transport"
-            )
-        else:
+        if portable:
             return SocketTransport(config.workers, config.worker_address,
                                    spec, config.spawn_socket_workers)
-
+        unmet.append("transport='socket'")
     fork_ok = "fork" in multiprocessing.get_all_start_methods()
+    available = ([START_METHOD_FORK] if fork_ok else []) \
+        + ([START_METHOD_SPAWN] if portable else [])
     method = config.start_method
+    if method not in available:
+        if method is not None:
+            unmet.append(f"start_method={method!r}")
+        method = available[0] if available else None
+    if unmet or method is None:
+        asked = f" with {' and '.join(unmet)}" if unmet else ""
+        outcome = (f"using {method!r} workers on the local transport"
+                   if method else "running the serial engine")
+        warnings.warn(
+            f"workers>0{asked} cannot be honored: 'fork' is"
+            f" {'available' if fork_ok else 'unavailable on this platform'}"
+            f" and this scenario has {'a' if portable else 'no'} portable"
+            f" spec for 'spawn' or socket workers (they rebuild the System"
+            f" by registry name) — {outcome} instead",
+            RuntimeWarning, stacklevel=3)
     if method is None:
-        method = (START_METHOD_FORK if fork_ok
-                  else START_METHOD_SPAWN if portable else None)
-        if method is None:
-            _warn(
-                "workers>0 cannot be honored: the platform has no 'fork'"
-                " start method and this scenario has no portable spec for"
-                " 'spawn' workers — running the serial engine instead"
-            )
-            return None
-    elif method == START_METHOD_FORK and not fork_ok:
-        if portable:
-            _warn(
-                "start_method='fork' is unavailable on this platform —"
-                " using 'spawn' workers instead"
-            )
-            method = START_METHOD_SPAWN
-        else:
-            _warn(
-                "workers>0 cannot be honored: 'fork' is unavailable and"
-                " this scenario has no portable spec for 'spawn' workers —"
-                " running the serial engine instead"
-            )
-            return None
-    elif method == START_METHOD_SPAWN and not portable:
-        if fork_ok:
-            _warn(
-                "start_method='spawn' needs a registry scenario (spawned"
-                " workers rebuild the System by name); this scenario has"
-                " no portable spec — using 'fork' workers instead"
-            )
-            method = START_METHOD_FORK
-        else:
-            _warn(
-                "workers>0 cannot be honored: 'spawn' needs a registry"
-                " scenario and 'fork' is unavailable — running the serial"
-                " engine instead"
-            )
-            return None
+        return None
     return LocalTransport(config.workers, method,
-                          spec if method == START_METHOD_SPAWN else None)
+                          spec if method == START_METHOD_SPAWN else None,
+                          limits)

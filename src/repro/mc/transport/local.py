@@ -1,25 +1,28 @@
 """In-process-pool transport: worker child processes on this machine.
 
-Unlike PR 1's ``ProcessPoolExecutor`` pool, every worker has its *own*
-task queue, because affinity scheduling must address a specific worker —
-the one whose replay LRU holds a group's parent trace.  Results travel on
-a *per-worker pipe* rather than one shared queue: a worker killed mid-write
-(the fault-injection tests do exactly that) can only corrupt its own
-channel, which the master reads as that worker's death — never garbage on
-a channel other workers still need.  A closed pipe is also an immediate,
-poll-free death signal: ``recv()`` wakes on EOF the moment the process
-exits and reports a :class:`~repro.mc.wire.WorkerGone` event for the
-scheduler to requeue the dead worker's tasks.
+Every worker has its *own* task queue, because affinity scheduling must
+address a specific worker — the one that retained a group's siblings.
+Results travel on a *per-worker pipe* rather than one shared queue: a
+worker killed mid-write (the fault-injection tests do exactly that) can
+only corrupt its own channel, which the master reads as that worker's
+death — never garbage on a channel other workers still need.  A closed
+pipe is also an immediate, poll-free death signal: ``recv()`` wakes on
+EOF the moment the process exits and reports a
+:class:`~repro.mc.wire.WorkerGone` event for the scheduler to requeue
+the dead worker's tasks.
 
 Two start methods:
 
 * ``fork`` — workers inherit the live searcher (scenario closures
-  included) by copy-on-write via ``repro.mc.worker._INHERITED_SEARCHER``,
-  exactly like PR 1's pool;
+  included) by copy-on-write via ``repro.mc.worker._INHERITED_SEARCHER``;
 * ``spawn`` — workers start from a fresh interpreter and rebuild the
   searcher from the pickled :class:`~repro.mc.wire.ScenarioSpec`, which is
   what makes parallel search work on platforms without ``fork`` and what
   the socket transport reuses for remote workers.
+
+This is the one place a worker process is launched, watched and torn
+down — the quarantine sandbox (DESIGN.md, "Failure containment") is one
+worker of this transport, started with ``limits``.
 """
 
 from __future__ import annotations
@@ -42,34 +45,31 @@ class LocalTransport(Transport):
     #: Seconds to wait for a clean worker exit before terminating it.
     JOIN_TIMEOUT = 5.0
 
-    def __init__(self, workers: int, start_method: str, spec):
+    def __init__(self, workers: int, start_method: str, spec,
+                 limits: dict | None = None):
         super().__init__(workers)
         self.name = f"local-{start_method}"
         self.start_method = start_method
         self.spec = spec
+        #: The quarantine sandbox's rlimits (``local_worker_main``); None
+        #: for a pool.
+        self.limits = limits
         self._processes: list = []
         self._task_queues: list = []
         #: Master-side result ends, worker id -> Connection; dead workers'
         #: entries are dropped so ``recv`` never re-polls a broken pipe.
         self._result_conns: dict[int, object] = {}
         self._context = None
-        #: The live searcher, kept so ``spawn_worker`` can hand it to a
-        #: respawned fork child via the inheritance seam (spec-less
+        #: The live searcher, which a fork child — respawned ones
+        #: included — is handed via the inheritance seam (spec-less
         #: scenarios cannot cross a process boundary any other way).
         self._searcher = None
 
     def start(self, searcher) -> None:
         self._context = multiprocessing.get_context(self.start_method)
-        inherit = self.spec is None
-        if inherit:
-            self._searcher = searcher
-            worker_mod._INHERITED_SEARCHER = searcher
-        try:
-            for worker_id in range(self.workers):
-                self._launch(worker_id)
-        finally:
-            if inherit:
-                worker_mod._INHERITED_SEARCHER = None
+        self._searcher = searcher
+        for worker_id in range(self.workers):
+            self._launch(worker_id)
 
     def _launch(self, worker_id: int) -> None:
         """Start one child process serving ``worker_id`` (which must be
@@ -78,7 +78,7 @@ class LocalTransport(Transport):
         recv_end, send_end = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=local_worker_main,
-            args=(worker_id, task_queue, send_end, self.spec),
+            args=(worker_id, task_queue, send_end, self.spec, self.limits),
             daemon=True,
         )
         # Fork children inherit the master's signal handlers — including
@@ -90,9 +90,12 @@ class LocalTransport(Transport):
         previous = None
         if threading.current_thread() is threading.main_thread():
             previous = signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        if self.spec is None:
+            worker_mod._INHERITED_SEARCHER = self._searcher
         try:
             process.start()
         finally:
+            worker_mod._INHERITED_SEARCHER = None
             if previous is not None:
                 signal.signal(signal.SIGTERM, previous)
         # The child holds the only live send end now; closing ours
@@ -107,14 +110,7 @@ class LocalTransport(Transport):
         hook): a fresh child with the next worker id, inheriting the live
         searcher (fork) or rebuilding from the spec (spawn)."""
         worker_id = len(self._processes)
-        inherit = self.spec is None
-        if inherit:
-            worker_mod._INHERITED_SEARCHER = self._searcher
-        try:
-            self._launch(worker_id)
-        finally:
-            if inherit:
-                worker_mod._INHERITED_SEARCHER = None
+        self._launch(worker_id)
         return worker_id
 
     def submit(self, worker_id: int, message) -> None:
@@ -122,8 +118,7 @@ class LocalTransport(Transport):
             raise WorkerLost(worker_id, "already reported dead")
         process = self._processes[worker_id]
         if not process.is_alive():
-            raise WorkerLost(worker_id,
-                             f"process exited with code {process.exitcode}")
+            raise WorkerLost(worker_id, _describe_exit(process.exitcode))
         self._task_queues[worker_id].put(message)
 
     def recv(self, timeout: float | None = None):
@@ -143,8 +138,7 @@ class LocalTransport(Transport):
                     process = self._processes[worker_id]
                     if not process.is_alive():
                         return self._reap(
-                            worker_id,
-                            f"process exited with code {process.exitcode}")
+                            worker_id, _describe_exit(process.exitcode))
                 continue
             conn = ready[0]
             worker_id = next(w for w, c in self._result_conns.items()
@@ -152,9 +146,12 @@ class LocalTransport(Transport):
             try:
                 result = conn.recv()
             except (EOFError, OSError) as exc:
+                # A pipe EOF races process teardown: the kernel closes
+                # the child's fds a beat before it becomes reapable, so
+                # join *before* reading the exit code.
                 process = self._processes[worker_id]
                 process.join(timeout=self.JOIN_TIMEOUT)
-                reason = (f"process exited with code {process.exitcode}"
+                reason = (_describe_exit(process.exitcode)
                           if not process.is_alive()
                           else f"result pipe broke: {exc!r}")
                 return self._reap(worker_id, reason)
@@ -216,3 +213,13 @@ class LocalTransport(Transport):
         self._processes.clear()
         self._task_queues.clear()
         self._result_conns.clear()
+
+
+def _describe_exit(exitcode: int) -> str:
+    """How a child process ended, signal names included."""
+    if exitcode < 0:
+        try:
+            return f"killed by {signal.Signals(-exitcode).name}"
+        except ValueError:
+            return f"killed by signal {-exitcode}"
+    return f"exit code {exitcode}"

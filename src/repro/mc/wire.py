@@ -48,7 +48,10 @@ from repro.config import NiceConfig
 #: v6: the v4 worker-side dedup pre-filter is gone (summary broadcasts,
 #:     digest-only stubs, the mid-task fetch round-trip): every result
 #:     ships every child, in the packed layout.
-PROTOCOL_VERSION = 6
+#: v7: the packed layout is the only one and is built directly:
+#:     ``children`` hold bare transitions, ``digests`` the kids' records
+#:     (v4's ``kid_digests`` tuple and its inline fallback are gone).
+PROTOCOL_VERSION = 7
 
 _HEADER = struct.Struct("!I")
 
@@ -161,10 +164,10 @@ class ExpandTask:
 class TaskResult:
     """Worker -> master: the expansion of one :class:`ExpandTask`.
 
-    ``out["children"]`` holds every child of every expanded node as a
-    ``(transition, None)`` slot, its digest in the packed
-    ``out["kid_digests"]`` blob (``WorkerRuntime._compact_digests``);
-    the master alone decides which are fresh.
+    ``out["children"]`` holds every child of every expanded node as its
+    transition, ``out["digests"]`` their packed digest records in the
+    same order (``WorkerRuntime.expand``); the master alone decides
+    which are fresh.
     """
 
     task_id: int

@@ -40,12 +40,13 @@ from __future__ import annotations
 import gc
 import os
 import pickle
+import sys
 import threading
 import traceback
 from collections import OrderedDict
 
 from repro.mc.replay import replay_with_spine
-from repro.mc.store import digest_encoding, pack_digest
+from repro.mc.store import pack_digest
 from repro.mc.strategies import make_strategy
 from repro.mc.wire import (
     ExpandTask,
@@ -60,8 +61,8 @@ from repro.mc.wire import (
     send_msg,
 )
 
-#: Set by the fork local transport in the parent just before forking, so
-#: workers inherit the live searcher (closures included) by copy-on-write.
+#: Set by the local transport in the parent around a fork, so the child
+#: inherits the live searcher (closures included) by copy-on-write.
 #: Spawned and socket workers rebuild theirs from a ScenarioSpec instead.
 _INHERITED_SEARCHER = None
 
@@ -292,7 +293,12 @@ class WorkerRuntime:
 
         Nodes are referenced back to the master as
         ``(group index, sibling index | None)`` so only transitions and
-        digests cross the process boundary, never System objects.
+        digests cross the process boundary, never System objects: the
+        one result layout is ``out["children"]``, a ``(gi, si,
+        [transition, ...])`` entry per node with kids, beside
+        ``out["digests"]``, every kid's packed record in kid order (a
+        pickled digest string costs ~40 B per kid, its record the raw
+        16) — empty without state matching, which hashes no child.
 
         Every child is shipped; one whose digest this worker had not
         hashed before (:attr:`seen`) is also *retained* under
@@ -300,7 +306,7 @@ class WorkerRuntime:
         kid index; ``handles`` (parallel to ``groups``, see
         :class:`~repro.mc.wire.ExpandTask`) names the retained children
         the groups of this task were, and :meth:`restore` picks them up.
-        Without a ``task_id`` (quarantine sandboxes) nothing is retained.
+        Without a ``task_id`` nothing is retained.
         """
         searcher, seen = self.searcher, self.seen
         stats = searcher.stats
@@ -311,8 +317,11 @@ class WorkerRuntime:
         hashed = self.initial._hash_stats.snapshot()
         discovered = (stats.discover_packet_runs, stats.discover_stats_runs)
         children, violations = [], []
+        # Every kid's record: the retention hint's key here, its slice
+        # of the wire blob next.
+        records = []
         out = {
-            "children": children,   # (gi, si, [(transition, digest), ...])
+            "children": children,   # (gi, si, [transition, ...])
             "quiescent": 0,
             # (property, message, hash, gi, si, transition[, traceback])
             "violations": violations,
@@ -322,9 +331,6 @@ class WorkerRuntime:
             "cache_hits": 0,
             "cache_misses": 0,
         }
-        #: Every kid's digest, packed once under the first one's encoding:
-        #: the retention hint's key here, its slice of the wire blob next.
-        encoding, records = None, []
         for gi, si, depth, system in self._nodes(groups, handles, out):
             steps, digests, built, found, transitions, quiescent = \
                 searcher.expand_node(system, self.strategy, depth)
@@ -333,24 +339,24 @@ class WorkerRuntime:
             violations += [record[:3] + (gi, si) + record[3:]
                            for record in found]
             if steps:
-                if encoding is None:
-                    encoding = digest_encoding(digests[0])
-                keep = {}
-                for index, digest in enumerate(digests):
-                    record = pack_digest(digest, encoding)
-                    records.append(record)
-                    if task_id is not None and (
-                            seen is None or record is None
-                            or seen.add(record)):
-                        keep[index] = built[index]
-                self.retained.put((task_id, len(children)), keep)
-                self._trim()
-                children.append((gi, si, list(zip(steps, digests))))
+                if seen is None:
+                    keep = dict(enumerate(built))
+                else:
+                    keep = {}
+                    for index, digest in enumerate(digests):
+                        record = pack_digest(digest)
+                        records.append(record)
+                        if seen.add(record):
+                            keep[index] = built[index]
+                if task_id is not None:
+                    self.retained.put((task_id, len(children)), keep)
+                    self._trim()
+                children.append((gi, si, steps))
             if found and self.config.stop_at_first_violation:
                 # The master stops at the first violation it absorbs; the
                 # kids hashed so far still ship, and are committed.
                 break
-        self._compact_digests(out, encoding, records)
+        blob = out["digests"] = b"".join(records)
         out["discover_packet_runs"] = \
             stats.discover_packet_runs - discovered[0]
         out["discover_stats_runs"] = stats.discover_stats_runs - discovered[1]
@@ -362,28 +368,8 @@ class WorkerRuntime:
         # envelope independent of how many children shipped), packed
         # digest blob included.  SearchStats.result_payload_bytes sums it.
         out["result_bytes"] = len(pickle.dumps(
-            (children, out.get("kid_digests")),
-            protocol=pickle.HIGHEST_PROTOCOL))
+            (children, blob), protocol=pickle.HIGHEST_PROTOCOL))
         return out
-
-    @staticmethod
-    def _compact_digests(out, encoding, records) -> None:
-        """Move every kid digest out of its ``(transition, digest)``
-        tuple into one packed blob (``out["kid_digests"]``, blob order ==
-        kid order): a pickled digest string costs ~40 B per kid while its
-        packed record is the raw width (16 B for the hex digests
-        ``state_hash`` emits).  ``records`` are the kids' digests packed
-        under ``encoding``, None where one did not fit it; the blob only
-        ships when every one fits at one width — anything else (no
-        digests at all, without state matching) leaves them inline, which
-        is always correct.  Compacted kid slots are ``(transition,
-        None)``; ``_Scheduler._inflate_digests`` is the inverse."""
-        if not records or None in records \
-                or len(set(map(len, records))) != 1:
-            return
-        out["kid_digests"] = (encoding, len(records[0]), b"".join(records))
-        for _, _, kids in out["children"]:
-            kids[:] = [(transition, None) for transition, _ in kids]
 
     # ------------------------------------------------------------------
     # Memory watchdog
@@ -405,8 +391,6 @@ class WorkerRuntime:
         rss = _rss_bytes()
         if rss is None or rss <= limit:
             return False
-        import sys
-
         print(f"search worker {worker_id}: rss {rss} B over"
               f" worker_memory_limit {limit} B; shedding replay cache"
               f" ({len(self.cache)} entries) and {self.retained.systems}"
@@ -433,8 +417,10 @@ def _rss_bytes() -> int | None:
     try:
         import resource
 
-        kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        return kb * 1024  # high-water mark: conservative fallback
+        # High-water mark: a conservative fallback.  KiB — except on
+        # darwin, where ru_maxrss is already bytes.
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return peak if sys.platform == "darwin" else peak * 1024
     except Exception:  # noqa: BLE001 - no resource module on this platform
         return None
 
@@ -482,13 +468,28 @@ def _start_heartbeat(send, worker_id: int, interval: float):
 # Process entry points
 # ----------------------------------------------------------------------
 
-def _serve(runtime: WorkerRuntime, worker_id: int, recv, send) -> None:
-    """The worker message loop, one for every transport: ``recv()`` returns
-    the master's next message (None on a clean EOF) and ``send(reply)``
-    ships one back; both raise ``OSError`` once the channel is gone.
+def _serve(make_runtime, worker_id: int, recv, send) -> None:
+    """A worker's whole life after its channel is up, one for every
+    transport: build the :class:`WorkerRuntime` (``make_runtime()``) — a
+    failure is reported as a :class:`~repro.mc.wire.WorkerError` with no
+    task id, which the transports read as "failed to start" — then loop:
+    ``recv()`` returns the master's next message (None on a clean EOF)
+    and ``send(reply)`` ships one back, serialized here against the
+    heartbeat thread; both raise ``OSError`` once the channel is gone.
     Returns when told to stop, when the master hangs up, or when the
     memory watchdog asks for this process to be recycled."""
-    beat = _start_heartbeat(send, worker_id,
+    lock = threading.Lock()
+
+    def locked_send(message) -> None:
+        with lock:
+            send(message)
+
+    try:
+        runtime = make_runtime()
+    except Exception:  # noqa: BLE001 - report startup failure to the master
+        send(WorkerError(None, worker_id, traceback.format_exc()))
+        return
+    beat = _start_heartbeat(locked_send, worker_id,
                             runtime.config.heartbeat_interval)
     try:
         while True:
@@ -509,7 +510,7 @@ def _serve(runtime: WorkerRuntime, worker_id: int, recv, send) -> None:
                 reply = WorkerError(message.task_id, worker_id,
                                     traceback.format_exc())
             try:
-                send(reply)
+                locked_send(reply)
             except OSError:
                 # The master stopped reading mid-task (first violation
                 # found, transition cap hit, or it gave up on the pool):
@@ -525,7 +526,8 @@ def _serve(runtime: WorkerRuntime, worker_id: int, recv, send) -> None:
             beat.stop()
 
 
-def local_worker_main(worker_id: int, task_queue, result_conn, spec) -> None:
+def local_worker_main(worker_id: int, task_queue, result_conn, spec,
+                      limits: dict | None = None) -> None:
     """Entry point of a local-transport worker process.
 
     ``spec`` is None under ``fork`` (the searcher is inherited via
@@ -534,21 +536,20 @@ def local_worker_main(worker_id: int, task_queue, result_conn, spec) -> None:
     is this worker's private result pipe — per-worker channels are what
     lets the master survive a worker killed mid-write (see
     ``repro/mc/transport/local.py``).
+
+    ``limits`` makes this process the quarantine sandbox (DESIGN.md,
+    "Failure containment"): rlimits applied before anything is built —
+    CPU to contain hangs, address space to contain memory bombs, no core
+    dumps — and the sandbox advertised to the model under test, so the
+    hostile test apps (``repro/apps/hostile.py``) can model a task that
+    was poisonous to the fleet but is salvageable on the isolated retry.
     """
-    try:
-        searcher = (_INHERITED_SEARCHER if spec is None
-                    else searcher_from_spec(spec))
-        runtime = WorkerRuntime(searcher)
-    except Exception:  # noqa: BLE001 - report startup failure to the master
-        result_conn.send(WorkerError(None, worker_id, traceback.format_exc()))
-        return
-    send_lock = threading.Lock()
-
-    def send(message) -> None:
-        with send_lock:
-            result_conn.send(message)
-
-    _serve(runtime, worker_id, task_queue.get, send)
+    if limits is not None:
+        os.environ["NICE_QUARANTINE"] = "1"
+        _apply_rlimits(limits)
+    _serve(lambda: WorkerRuntime(_INHERITED_SEARCHER if spec is None
+                                 else searcher_from_spec(spec)),
+           worker_id, task_queue.get, result_conn.send)
 
 
 #: Seconds a connecting worker waits for the master's InitWorker reply —
@@ -567,51 +568,9 @@ def socket_worker_loop(sock) -> None:
     if not isinstance(init, InitWorker):
         raise ConnectionError(f"expected InitWorker, got {init!r}")
     sock.settimeout(None)
-    worker_id = init.worker_id
-    try:
-        runtime = WorkerRuntime(searcher_from_spec(init.spec))
-    except Exception:  # noqa: BLE001 - report startup failure to the master
-        send_msg(sock, WorkerError(None, worker_id, traceback.format_exc()))
-        return
-    send_lock = threading.Lock()
-
-    def send(message) -> None:
-        with send_lock:
-            send_msg(sock, message)
-
-    _serve(runtime, worker_id, lambda: recv_msg(sock), send)
-
-
-# ----------------------------------------------------------------------
-# Quarantine sandbox
-# ----------------------------------------------------------------------
-
-def quarantine_worker_main(result_conn, spec, groups, limits: dict) -> None:
-    """One-shot sandboxed expansion of a poison sibling group.
-
-    Runs in a dedicated subprocess with rlimits applied (CPU to contain
-    hangs, address space to contain memory bombs, no core dumps), expands
-    ``groups`` exactly as a pool worker would — so a success merges with
-    bit-identity to serial — and sends a single
-    :class:`~repro.mc.wire.TaskResult` or :class:`~repro.mc.wire.WorkerError`
-    back.  ``spec`` is None when the searcher is inherited by fork."""
-    # Advertise the sandbox to the model under test: the hostile test apps
-    # (repro/apps/hostile.py) read this to behave on the isolated retry,
-    # modelling a task that was poisonous to the fleet but is salvageable.
-    os.environ["NICE_QUARANTINE"] = "1"
-    _apply_rlimits(limits)
-    try:
-        searcher = (_INHERITED_SEARCHER if spec is None
-                    else searcher_from_spec(spec))
-        runtime = WorkerRuntime(searcher)
-        out = runtime.expand(groups)
-        reply = TaskResult(0, -1, out)
-    except Exception:  # noqa: BLE001 - the whole point is to catch anything
-        reply = WorkerError(0, -1, traceback.format_exc())
-    try:
-        result_conn.send(reply)
-    except OSError:
-        pass
+    _serve(lambda: WorkerRuntime(searcher_from_spec(init.spec)),
+           init.worker_id, lambda: recv_msg(sock),
+           lambda message: send_msg(sock, message))
 
 
 def _apply_rlimits(limits: dict) -> None:

@@ -23,7 +23,9 @@ import subprocess
 import sys
 
 import repro
+from repro.config import NiceConfig
 from repro.mc import store as store_mod
+from repro.mc.search import SearchStats
 
 HERE = pathlib.Path(__file__).resolve().parent
 _SRC = str(pathlib.Path(repro.__file__).resolve().parent.parent)
@@ -74,6 +76,16 @@ def corrupt_newest(checkpoint_dir, filename: str | None = None) -> pathlib.Path:
     data = target.read_bytes()
     target.write_bytes(data[:len(data) // 2])
     return newest
+
+
+def stored_digests(store, directory) -> list:
+    """Every digest ``store`` holds, read the way a resume reads them:
+    snapshot it into ``directory`` and walk the checkpoint's records
+    (``Checkpoint.iter_digests``, the one record reader)."""
+    store_mod.write_checkpoint(
+        directory, spec=None, config=NiceConfig(), stats=SearchStats(),
+        frontier=[], rng_state=None, store=store)
+    return list(store_mod.load_latest_checkpoint(directory).iter_digests())
 
 
 def interrupting_create_store(states: int, action):

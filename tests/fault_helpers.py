@@ -181,11 +181,12 @@ class ElasticJoiner(_TransportWrapper):
 
 
 def install(monkeypatch, wrap):
-    """Monkeypatch the scheduler's ``create_transport`` so every transport
-    it builds is passed through ``wrap`` (e.g. ``lambda t:
-    ChaosTransport(t, {3: 0})``)."""
-    def wrapped(config, spec):
-        transport = create_transport(config, spec)
-        return None if transport is None else wrap(transport)
+    """Monkeypatch the scheduler's ``create_transport`` so every pool
+    transport it builds is passed through ``wrap`` (e.g. ``lambda t:
+    ChaosTransport(t, {3: 0})``).  A quarantine sandbox (asked for with
+    ``limits``) is built as is: the fault schedules are the pool's."""
+    def wrapped(config, spec, **sandbox):
+        transport = create_transport(config, spec, **sandbox)
+        return transport if transport is None or sandbox else wrap(transport)
 
     monkeypatch.setattr(scheduler_mod, "create_transport", wrapped)

@@ -31,6 +31,7 @@ from checkpoint_helpers import (
     corrupt_newest,
     crash_run,
     interrupt_after,
+    stored_digests,
 )
 from contract import counters, requires_fork, violated_properties
 from repro import cli, nice, scenarios
@@ -178,6 +179,12 @@ def _record_width(manifest, older):
     manifest["record_width"] = 7
 
 
+def _record_encoding(manifest, older):
+    """The only encoding there is: any other name is a snapshot some
+    other build wrote, whatever its records say."""
+    manifest["record_encoding"] = "ascii"
+
+
 def _state_count(manifest, older):
     manifest["states"] += 1
 
@@ -193,7 +200,8 @@ def _record_files_of_the_wrong_shape(manifest, older):
 MANIFEST_EDITS = [
     pytest.param(edit, id=edit.__name__.strip("_"))
     for edit in (_unlisted_record_file, _record_file_outside_the_snapshot,
-                 _record_width, _state_count, _files_of_the_wrong_shape,
+                 _record_width, _record_encoding, _state_count,
+                 _files_of_the_wrong_shape,
                  _record_files_of_the_wrong_shape)]
 
 
@@ -390,7 +398,9 @@ class TestShardedStore:
         for digest in _digests(200):  # every re-add is a duplicate
             assert sharded.add(digest) is False
         assert len(sharded) == len(memory) == 200
-        assert sorted(sharded.digests()) == sorted(memory.digests())
+        assert sorted(stored_digests(sharded, tmp_path / "cs")) \
+            == sorted(stored_digests(memory, tmp_path / "cm")) \
+            == sorted(_digests(200))
         sharded.close()
 
     def test_spill_path_is_exercised_and_correct(self, tmp_path):

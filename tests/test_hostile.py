@@ -12,6 +12,12 @@ serial baseline.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import re
+import resource
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +25,9 @@ from contract import counters, requires_fork, violated_properties
 from repro import cli, nice, scenarios
 from repro.config import NiceConfig
 from repro.mc.scheduler import _Scheduler
+from repro.mc import worker as worker_mod
 from repro.mc.transport import TransportError
+from repro.mc.worker import WorkerRuntime
 from repro.scenarios import with_config
 
 #: One node per task, no adaptive growth: every sibling group travels
@@ -140,6 +148,31 @@ class TestHangDetection:
 # Poison-task quarantine
 # ----------------------------------------------------------------------
 
+def in_the_sandbox(monkeypatch, behave) -> None:
+    """Run ``behave(out)`` on every expansion result built inside the
+    quarantine sandbox, and nowhere else.  The patch is a class attribute
+    of this process: a forked child inherits it — the sandbox, which
+    forks wherever the platform can, under any master — and a spawned or
+    socket pool worker, a fresh interpreter, does not."""
+    expand = WorkerRuntime.expand
+
+    def patched(runtime, groups, task_id=None, handles=None):
+        out = expand(runtime, groups, task_id=task_id, handles=handles)
+        if os.environ.get("NICE_QUARANTINE"):
+            behave(out)
+        return out
+
+    monkeypatch.setattr(WorkerRuntime, "expand", patched)
+
+
+def probe(out) -> None:
+    """What the sandboxed run sees of its own containment."""
+    out["probe"] = (os.environ["NICE_QUARANTINE"], os.getppid(),
+                    *map(resource.getrlimit, (resource.RLIMIT_CPU,
+                                              resource.RLIMIT_AS,
+                                              resource.RLIMIT_CORE)))
+
+
 class TestQuarantine:
     @pytest.mark.parametrize("overrides", ENGINES)
     def test_poison_group_is_quarantined_with_bit_identity(
@@ -148,26 +181,62 @@ class TestQuarantine:
         poison group; after max_task_retries deaths the group runs in the
         sandbox (where this model behaves — a fleet-poisonous but
         salvageable task) and the search finishes bit-identical.  The
-        sandbox answers in the one result layout, digests packed."""
-        packed = []
+        sandbox answers in the one result layout, digests packed — and
+        is a fork of the master under every transport, socket included
+        (the probe rides a patch only a fork inherits), advertised to
+        the model and held by its rlimits."""
+        sandboxed = []
         sandbox_expand = _Scheduler._sandbox_expand
 
         def spy(scheduler, group):
             out, failure = sandbox_expand(scheduler, group)
             if out is not None and any(kids for _, _, kids in out["children"]):
-                packed.append("kid_digests" in out)
+                sandboxed.append((bool(out["digests"]), out.get("probe")))
             return out, failure
 
         monkeypatch.setattr(_Scheduler, "_sandbox_expand", spy)
+        in_the_sandbox(monkeypatch, probe)
+        limit = 8 << 30
         stats = nice.run(build(mode="crash", arm_file=arm(tmp_path, -1),
-                               max_task_retries=2, **CONTAIN, **overrides))
+                               max_task_retries=2, worker_memory_limit=limit,
+                               **CONTAIN, **overrides))
         assert counters(stats) == counters(benign_serial)
         assert violated_properties(stats) == violated_properties(benign_serial)
         assert stats.terminated == "exhausted"
         assert stats.tasks_quarantined >= 1
         assert stats.worker_failures >= 3
         assert stats.quarantined_tasks == []
-        assert packed and all(packed)
+        assert sandboxed and all(packed for packed, _ in sandboxed)
+        if "fork" in multiprocessing.get_all_start_methods():
+            cpu = int(CONTAIN["task_deadline"]) + 1
+            assert {seen for _, seen in sandboxed} == {
+                ("1", os.getpid(), (cpu, cpu), (limit, limit), (0, 0))}
+
+    @requires_fork
+    @pytest.mark.parametrize("behave,reason", [
+        pytest.param(lambda out: time.sleep(60),
+                     r"^sandbox run exceeded its 1s allowance$", id="hang"),
+        pytest.param(lambda out: 1 / 0,
+                     r"^sandbox run raised:\n(?s:.)*ZeroDivisionError",
+                     id="raise"),
+    ])
+    def test_sandbox_failures_are_worded_for_the_operator(
+            self, behave, reason, tmp_path, monkeypatch):
+        """One poison execution (``max_task_retries=0``: its first fleet
+        death quarantines the group), then the sandboxed retry itself
+        blocks without burning CPU — so the wall-clock allowance, not
+        ``RLIMIT_CPU``, ends it — or raises.  An exception *inside the
+        task* must read as one: "failed to start" is the wording for a
+        worker that never came up."""
+        in_the_sandbox(monkeypatch, behave)
+        stats = nice.run(build(mode="crash", arm_file=arm(tmp_path, 1),
+                               max_task_retries=0, start_method="fork",
+                               **{**CONTAIN, "task_deadline": 1.0}))
+        assert stats.terminated == "exhausted"
+        assert stats.quarantined_tasks
+        for diagnostic in stats.quarantined_tasks:
+            assert re.search(reason, diagnostic.reason), diagnostic.reason
+            assert "failed to start" not in diagnostic.reason
 
     @requires_fork
     @pytest.mark.parametrize("retries", [1, 2])
@@ -213,6 +282,24 @@ class TestMemoryWatchdog:
         assert stats.terminated == "exhausted"
         assert stats.worker_failures >= 1
         assert stats.tasks_quarantined == 0
+
+
+@pytest.mark.parametrize("platform,unit", [("linux", 1024), ("darwin", 1)])
+def test_rss_fallback_reads_ru_maxrss_in_the_platforms_unit(
+        platform, unit, monkeypatch):
+    """Without ``/proc/self/statm`` the watchdog reads the ``getrusage``
+    high-water mark, which is KiB everywhere but darwin, where it is
+    bytes: scaled there too, every healthy macOS worker read 1024x its
+    size and was recycled after each task."""
+    def no_proc(path, *args, **kwargs):
+        assert path == "/proc/self/statm"
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(worker_mod, "open", no_proc, raising=False)
+    monkeypatch.setattr(worker_mod, "sys", SimpleNamespace(platform=platform))
+    monkeypatch.setattr(resource, "getrusage",
+                        lambda who: SimpleNamespace(ru_maxrss=300_000))
+    assert worker_mod._rss_bytes() == 300_000 * unit
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,9 @@ from fault_helpers import ChaosTransport, install, saturated_hint
 from repro import nice, scenarios
 from repro.mc.scheduler import _Scheduler
 from repro.mc.search import SearchStats
+from repro.mc.store import pack_digest, unpack_digests
+from repro.mc.transitions import Transition
+from repro.mc.transport import create_transport
 from repro.mc.wire import searcher_from_spec
 from repro.mc.worker import WorkerRuntime
 from repro.scenarios import with_config
@@ -61,19 +64,86 @@ def _runtime(**overrides) -> WorkerRuntime:
 
 
 def _root_group(runtime, task_id):
-    """Expand the initial state as ``task_id`` and return its result (as
-    the master reads it) plus the sibling group and handle the scheduler
-    would send back."""
+    """Expand the initial state as ``task_id`` and return its result
+    plus the sibling group and handle the scheduler would send back."""
     out = runtime.expand([((), None)], task_id=task_id)
-    _Scheduler._inflate_digests(out)
-    (_, _, kids), = out["children"]
-    steps = [transition for transition, _ in kids]
-    return out, ((), steps), (task_id, 0, tuple(range(len(kids))))
+    (_, _, steps), = out["children"]
+    return out, ((), steps), (task_id, 0, tuple(range(len(steps))))
 
 
-def _shipped(out):
-    _Scheduler._inflate_digests(out)
-    return [[digest for _, digest in kids] for _, _, kids in out["children"]]
+def _shipped(out) -> list:
+    """Every kid's digest, in kid order — as the master reads them."""
+    return unpack_digests(
+        out["digests"], sum(len(kids) for _, _, kids in out["children"]))
+
+
+# ----------------------------------------------------------------------
+# One result layout, whoever built it
+# ----------------------------------------------------------------------
+
+RESULT_KEYS = {"children", "digests", "quiescent", "violations",
+               "transitions", "replayed", "rebuilt", "cache_hits",
+               "cache_misses", "discover_packet_runs",
+               "discover_stats_runs", "hash_stats", "result_bytes"}
+
+
+def assert_the_one_layout(out, matching) -> int:
+    """``children`` name bare transitions, ``digests`` is one blob of a
+    16-byte record per kid in kid order — empty without state matching.
+    Returns the number of kids."""
+    assert set(out) == RESULT_KEYS
+    kids = 0
+    for gi, si, steps in out["children"]:
+        assert type(gi) is int and (si is None or type(si) is int)
+        assert steps and all(type(step) is Transition for step in steps)
+        kids += len(steps)
+    assert type(out["digests"]) is bytes
+    assert len(out["digests"]) == (16 * kids if matching else 0)
+    digests = _shipped(out)
+    assert len(digests) == kids
+    assert all(len(digest) == 32 if matching else digest is None
+               for digest in digests)
+    return kids
+
+
+class TestOneResultLayout:
+    @pytest.mark.parametrize("matching", [True, False],
+                             ids=["state-matching", "no-digests"])
+    @pytest.mark.parametrize("overrides", ENGINES)
+    def test_pool_workers_and_the_sandbox_answer_alike(
+            self, overrides, matching, monkeypatch):
+        """Every result the master merges — from pool workers on each
+        transport, and from a quarantine sandbox asked directly — has
+        the same keys and the same ``children`` / ``digests`` shapes."""
+        absorbed = []
+        absorb = _Scheduler._absorb
+
+        def spy(scheduler, out, groups, worker_id, task_id=None):
+            absorbed.append(assert_the_one_layout(out, matching))
+            return absorb(scheduler, out, groups, worker_id, task_id)
+
+        monkeypatch.setattr(_Scheduler, "_absorb", spy)
+        scenario = _ping(workers=2, state_matching=matching,
+                         max_transitions=200, **overrides)
+        stats = nice.run(scenario)
+        assert stats.terminated == "max_transitions"
+        assert len(absorbed) > 2 and sum(absorbed) > 50
+        scheduler = _Scheduler(scenario.make_searcher(), create_transport(
+            scenario.config, scenario.spec))
+        out, failure = scheduler._sandbox_expand(((), None))
+        assert not failure
+        assert assert_the_one_layout(out, matching) > 0
+
+    def test_records_round_trip_in_order(self):
+        digests = [f"{i:032x}" for i in (0, 1, 2 ** 127, 2 ** 128 - 1)]
+        blob = b"".join(map(pack_digest, digests))
+        assert len(blob) == 4 * 16
+        assert unpack_digests(blob, 4) == digests
+        assert unpack_digests(b"", 3) == [None, None, None]
+        with pytest.raises(ValueError, match="of one width"):
+            unpack_digests(blob[:-1], 4)
+        with pytest.raises(ValueError):
+            pack_digest("state-one")  # hex or nothing
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +161,7 @@ class TestRetainedChild:
             serial = runtime.initial.clone()
             serial.execute(step)
             runtime.strategy.post_execute(serial, step)
-            digest = out["children"][0][2][index][1]
+            digest = _shipped(out)[index]
             assert serial.state_hash() == digest
             # Re-hashing the retained child digests nothing: warm cache.
             misses = hash_stats.misses
@@ -201,12 +271,12 @@ class TestHandlePickup:
         again = runtime.expand([((), None)], task_id=1)
         assert not any(node[0] == 1 for node in runtime.retained.nodes)
         for out in (first, again):
-            assert "kid_digests" in out  # the one (packed) layout
-            _Scheduler._inflate_digests(out)
-            assert all(transition is not None and digest
+            assert all(transition is not None
                        for _, _, kids in out["children"]
-                       for transition, digest in kids)
-        assert first["children"] == again["children"]
+                       for transition in kids)
+            assert all(_shipped(out))
+        assert (first["children"], first["digests"]) \
+            == (again["children"], again["digests"])
 
     @pytest.mark.parametrize("knobs", [dict(state_matching=False)],
                              ids=["no-digests"])
@@ -231,7 +301,7 @@ class TestHandlePickup:
             for _, si, kids in out["children"]:
                 shipped += len(kids)
                 parent = trace if si is None else trace + (steps[si],)
-                frontier.append((parent, [t for t, _ in kids]))
+                frontier.append((parent, kids))
         assert shipped > 16
         assert 0 < runtime.retained.systems <= 8
 
@@ -251,8 +321,7 @@ class TestSharedBound:
             assert runtime.retained.systems == sum(
                 len(kept) for kept in runtime.retained.nodes.values())
             for _, si, kids in out["children"]:
-                frontier.append(((trace + (steps[si],),
-                                  [t for t, _ in kids]), None))
+                frontier.append(((trace + (steps[si],), kids), None))
 
     def test_cache_size_one_retains_nothing(self):
         runtime = _runtime(worker_cache_size=1)

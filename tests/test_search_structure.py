@@ -7,6 +7,11 @@ the same loop with the scheduler as its expander.  "Bit-identical to
 serial" rests on there being no second copy of any of the three, so a
 second copy must fail ``pytest`` rather than wait for the differential
 suite to catch the two drifting apart.
+
+The process boundary around that loop has one of each too: one place a
+worker process is launched (the quarantine sandbox is a one-worker local
+transport, not a second launcher), and one pair of functions that turn a
+digest into its stored-or-shipped record and back.
 """
 
 from __future__ import annotations
@@ -109,3 +114,41 @@ def test_the_scheduler_is_an_expander_not_a_second_loop():
     assert [child.name for child in parallel.body
             if isinstance(child, ast.FunctionDef)] == ["_expander"]
     assert parallel.end_lineno - parallel.lineno + 1 <= 20
+
+
+# ----------------------------------------------------------------------
+# One of each at the process boundary
+# ----------------------------------------------------------------------
+
+def _assigners(name: str) -> set[tuple]:
+    """The functions assigning to ``name`` or to ``<anything>.name``."""
+    def targets(function):
+        for node in ast.walk(function):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                for target in getattr(node, "targets", None) or [node.target]:
+                    yield getattr(target, "attr", getattr(target, "id", None))
+    return {key for key, function in FUNCTIONS.items()
+            if name in targets(function)}
+
+
+def test_one_launch_path():
+    """A child process is started — and handed the live searcher through
+    the fork-inheritance seam — in one function; everything that wants a
+    sandboxed or replacement worker asks the local transport for one."""
+    launch = {("transport/local", "LocalTransport._launch")}
+    assert _callers(".Process") | _callers("Process") == launch
+    assert _assigners("_INHERITED_SEARCHER") == launch
+    assert not [name for _, name in FUNCTIONS if "quarantine_worker" in name]
+
+
+def test_one_record_codec():
+    """Workers and the scheduler move digests as packed records without
+    knowing how one is packed — ``mc/store.py``'s pair does both ways —
+    and a result is built in its final layout, not rewritten into it."""
+    for module in ("worker", "scheduler"):
+        attributes = {node.attr for node in ast.walk(
+                          ast.parse((MC / f"{module}.py").read_text()))
+                      if isinstance(node, ast.Attribute)}
+        assert not attributes & {"fromhex", "hex"}, module
+    assert not {"_compact_digests", "_inflate_digests"} & {
+        name.rpartition(".")[2] for _, name in FUNCTIONS}

@@ -4,7 +4,7 @@ O(new-states) checkpoint compaction.
 Unit coverage for the machinery the differential/crash suites exercise
 end-to-end: add_batch semantics and the flush-on-checkpoint ordering of
 the tail buffers, exact membership when digests share an index prefix,
-the mixed-width guard on lookups as well as inserts, hard-link
+the mixed-scheme guard on lookups as well as inserts, hard-link
 compaction across snapshot generations (including survival of retention
 pruning), what a resume accepts from builds before the engine knobs and
 the store's Bloom files were deleted (and the one format it reads), and
@@ -115,7 +115,6 @@ class TestAddBatch:
         loaded = load_latest_checkpoint(tmp_path / "c")
         assert sorted(loaded.iter_digests()) == sorted(_digests(50))
         assert loaded.record_width == WIDTH
-        assert loaded.record_encoding == store_mod.RECORD_HEX
         store.close()
 
 
@@ -158,13 +157,24 @@ class TestSamePrefix:
 # ----------------------------------------------------------------------
 
 class TestMixedWidthGuard:
-    def test_lookup_raises_like_add(self, tmp_path):
+    @pytest.mark.parametrize("foreign,is_hex", [
+        ("b" * 64, True), ("not-hex", False), ("z" * 32, False)],
+        ids=["wider", "not-hex", "not-hex-same-width"])
+    def test_lookup_raises_like_add(self, foreign, is_hex, tmp_path):
+        """One record encoding — packed lowercase hex of one width: a
+        digest that is anything else is a second scheme, refused on the
+        way in and on the way to a lookup alike, first digest included."""
         store = ShardedStore(directory=str(tmp_path / "s"))
+        if not is_hex:
+            with pytest.raises(ValueError, match="two digest schemes"):
+                store.add(foreign)
+            assert len(store) == 0 and store.record_width() == 0
         store.add("a" * 32)
-        with pytest.raises(ValueError, match="digest width"):
-            store.add("b" * 64)
-        with pytest.raises(ValueError, match="digest width"):
-            "b" * 64 in store
+        with pytest.raises(ValueError, match="two digest schemes"):
+            store.add(foreign)
+        with pytest.raises(ValueError, match="two digest schemes"):
+            foreign in store
+        assert len(store) == 1 and store.record_width() == 16
         store.close()
 
     def test_memory_store_snapshot_rejects_mixed_widths(self, tmp_path):
@@ -173,6 +183,40 @@ class TestMixedWidthGuard:
         store.add("b" * 64)  # the plain set cannot police this on add
         with pytest.raises(ValueError, match="digest width"):
             store.snapshot_into(tmp_path)
+
+    def test_the_record_bytes_are_the_ones_every_build_wrote(self, tmp_path):
+        """Literals recorded at the commit before the second record
+        encoding was deleted: for a fixed digest list, each store's
+        record files (blake2b-16 of their bytes) and what the manifest
+        says of them — checkpoints of either build are the other's."""
+        recorded = {
+            MemoryStore: {
+                "states-0000.bin": "b3251294848cd1eb37129648c13939dc"},
+            ShardedStore: {
+                "states-0000-0000.bin": "b2b0c54339a71cee51a1ecb2605ef44a",
+                "states-0001-0000.bin": "ba22e96ead09b56e3d4c7e811d22b288",
+                "states-0002-0000.bin": "5863d757b672de512d78adca074ee98b",
+                "states-0003-0000.bin": "7ab677a1fcc9962853b6034485fcdef4"},
+        }
+        for kind, files in recorded.items():
+            root = tmp_path / kind.kind
+            store = kind() if kind is MemoryStore else ShardedStore(
+                shards=4, directory=str(root / "s"))
+            store.add_batch(_digests(40))
+            snapshot = write_checkpoint(
+                root / "c", spec=None, config=NiceConfig(),
+                stats=SearchStats(), frontier=[], rng_state=None,
+                store=store)
+            manifest = json.loads((snapshot / "MANIFEST.json").read_text())
+            assert {key: manifest[key] for key in (
+                "format", "states", "record_width", "record_encoding",
+                "record_files", "store")} == {
+                "format": 2, "states": 40, "record_width": 16,
+                "record_encoding": "hex", "record_files": list(files),
+                "store": kind.kind}
+            assert {name: store_mod._file_digest(snapshot / name)
+                    for name in files} == files
+            store.close()
 
 
 # ----------------------------------------------------------------------
@@ -254,47 +298,6 @@ class TestCompaction:
                 assert (second / name).stat().st_ino == \
                     (first / name).stat().st_ino
         fresh.close()
-
-
-# ----------------------------------------------------------------------
-# digests() under a concurrent flush (ISSUE 10 regression)
-# ----------------------------------------------------------------------
-
-class TestDigestsMidFlush:
-    def test_flush_mid_iteration_neither_skips_nor_repeats(self, tmp_path):
-        """A checkpoint can flush the tails while ``digests()`` streams
-        (the frontier serializer iterates the store the snapshot is
-        about to pin): the iteration must still yield exactly the
-        records present when the shard's walk began — reading the
-        flushed extent and tail live would skip the migrated tail
-        records or yield them twice."""
-        store = ShardedStore(shards=1, directory=str(tmp_path / "s"))
-        store.add_batch(_digests(50))
-        store.flush()
-        store.add_batch([_hex(i) for i in range(50, 100)])  # tail only
-        walker = store.digests()
-        seen = [next(walker) for _ in range(10)]  # mid-flushed-leg
-        store.flush()  # moves the tail past the flushed mark
-        seen.extend(walker)
-        assert sorted(seen) == sorted(_digests(100))
-        store.close()
-
-    def test_appends_during_iteration_do_not_corrupt_the_walk(
-            self, tmp_path):
-        """New digests added mid-iteration may or may not appear (the
-        walk pins each shard as it reaches it), but the pinned records
-        must come back exactly once even though appends move the shared
-        file handle."""
-        store = ShardedStore(shards=1, directory=str(tmp_path / "s"))
-        store.add_batch(_digests(80))
-        store.flush()
-        walker = store.digests()
-        seen = [next(walker) for _ in range(5)]
-        store.add_batch([_hex(i) for i in range(80, 90)])
-        store.flush()
-        seen.extend(walker)
-        assert sorted(seen) == sorted(_digests(80))
-        store.close()
 
 
 # ----------------------------------------------------------------------

@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tempfile
 
 import pytest
 
 import reference_forms as ref
+from checkpoint_helpers import stored_digests
 from reference_engine import reference_factory
 from repro import scenarios
 from repro.config import NiceConfig
@@ -144,7 +146,8 @@ def _exhaust(scenario, monkeypatch):
                            stop_at_first_violation=False).make_searcher()
     stats = searcher.run()
     (store,) = stores
-    digests = "".join(sorted(store.digests())).encode()
+    with tempfile.TemporaryDirectory() as scratch:
+        digests = "".join(sorted(stored_digests(store, scratch))).encode()
     return (stats, hashlib.blake2b(digests, digest_size=16).hexdigest(),
             searcher._initial._hash_stats)
 

@@ -11,11 +11,12 @@ fork-only suite (``tests/test_parallel_search.py``) opened.
 
 from __future__ import annotations
 
-import hashlib
+import itertools
 import pickle
 import socket as socket_mod
 import threading
 import time
+import warnings
 from collections import OrderedDict, deque
 
 import pytest
@@ -28,7 +29,6 @@ from repro.mc import scheduler as scheduler_mod
 from repro.mc import store as store_mod
 from repro.mc import wire
 from repro.mc.scheduler import ParallelSearcher, _Scheduler
-from repro.mc.store import digest_encoding, pack_digest
 from repro.mc.transport import Transport, create_transport
 from repro.mc.transport.socket import (
     SocketTransport,
@@ -160,6 +160,66 @@ class TestFallbackWarnings:
         assert not [w for w in recwarn if issubclass(w.category,
                                                      RuntimeWarning)]
 
+    #: ``(transport, start_method, platform forks, portable spec) ->
+    #: (engine | None, warned)``: what the six hand-written fallback
+    #: branches decided, recorded cell by cell before they became one
+    #: rule — fork before spawn, the request if it can be met, one
+    #: warning whenever it is not.
+    DECISIONS = {
+        ("local", None, True, True): ("local-fork", False),
+        ("local", None, True, False): ("local-fork", False),
+        ("local", None, False, True): ("local-spawn", False),
+        ("local", None, False, False): (None, True),
+        ("local", "fork", True, True): ("local-fork", False),
+        ("local", "fork", True, False): ("local-fork", False),
+        ("local", "fork", False, True): ("local-spawn", True),
+        ("local", "fork", False, False): (None, True),
+        ("local", "spawn", True, True): ("local-spawn", False),
+        ("local", "spawn", True, False): ("local-fork", True),
+        ("local", "spawn", False, True): ("local-spawn", False),
+        ("local", "spawn", False, False): (None, True),
+        ("socket", None, True, True): ("socket", False),
+        ("socket", None, True, False): ("local-fork", True),
+        ("socket", None, False, True): ("socket", False),
+        ("socket", None, False, False): (None, True),
+        ("socket", "fork", True, True): ("socket", False),
+        ("socket", "fork", True, False): ("local-fork", True),
+        ("socket", "fork", False, True): ("socket", False),
+        ("socket", "fork", False, False): (None, True),
+        ("socket", "spawn", True, True): ("socket", False),
+        ("socket", "spawn", True, False): ("local-fork", True),
+        ("socket", "spawn", False, True): ("socket", False),
+        ("socket", "spawn", False, False): (None, True),
+    }
+
+    def test_every_cell_decides_as_it_always_did(self, monkeypatch):
+        spec = scenarios.ping_experiment(pings=1).spec
+        assert set(self.DECISIONS) == set(itertools.product(
+            ("local", "socket"), (None, "fork", "spawn"),
+            (True, False), (True, False)))
+        for cell, (engine, warned) in self.DECISIONS.items():
+            transport, method, fork_ok, portable = cell
+            monkeypatch.setattr(
+                "repro.mc.transport.multiprocessing.get_all_start_methods",
+                lambda: ["fork", "spawn"] if fork_ok else ["spawn"])
+            config = NiceConfig(workers=2, transport=transport,
+                                start_method=method)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                built = create_transport(config, spec if portable else None)
+            assert (built and built.name, bool(caught)) \
+                == (engine, warned), cell
+            assert len(caught) <= 1, cell  # the one warning
+            for warning in caught:
+                # It names what was asked for and what runs instead.
+                message = str(warning.message)
+                assert "cannot be honored" in message, cell
+                assert (f"transport={transport!r}" in message) \
+                    == (transport == "socket"), cell
+                runs = (f"{engine.split('-')[1]!r} workers" if engine
+                        else "serial engine")
+                assert runs in message, cell
+
 
 # ----------------------------------------------------------------------
 # Restoration: counters, eviction correctness, affinity payoff
@@ -180,8 +240,8 @@ class InlineTransport(Transport):
 
     def submit(self, worker_id: int, message) -> None:
         inbox = iter((message, wire.Shutdown()))
-        _serve(self._runtimes[worker_id], worker_id, lambda: next(inbox),
-               self._results.append)
+        _serve(lambda: self._runtimes[worker_id], worker_id,
+               lambda: next(inbox), self._results.append)
 
     def recv(self, timeout=None):
         return self._results.popleft() if self._results else None
@@ -499,9 +559,11 @@ class TestScenarioRegistry:
 
 class TestWorkerServeLoop:
     @staticmethod
-    def _runtime(**overrides) -> WorkerRuntime:
-        return WorkerRuntime(wire.searcher_from_spec(with_config(
+    def _runtime(**overrides):
+        """``make_runtime`` for ``_serve``: one prebuilt runtime."""
+        runtime = WorkerRuntime(wire.searcher_from_spec(with_config(
             scenarios.ping_experiment(pings=1), **overrides).spec))
+        return lambda: runtime
 
     def test_expands_and_stops(self):
         inbox = iter([wire.ExpandTask(3, [((), None)]), wire.Shutdown(),
@@ -512,6 +574,23 @@ class TestWorkerServeLoop:
         result, = sent  # nothing after the Shutdown
         assert isinstance(result, wire.TaskResult)
         assert (result.task_id, result.worker_id) == (3, 5)
+
+    def test_a_runtime_that_cannot_be_built_is_reported_not_raised(self):
+        """The one start-up failure report of every transport: a
+        ``WorkerError`` with no task id, then a clean return — the
+        message loop never starts."""
+        def cannot_build():
+            raise KeyError("scenario 'nope' is not in the registry")
+
+        def never_read():
+            raise AssertionError("recv called without a runtime")
+
+        sent = []
+        _serve(cannot_build, 4, never_read, sent.append)
+        error, = sent
+        assert isinstance(error, wire.WorkerError)
+        assert (error.task_id, error.worker_id) == (None, 4)
+        assert "KeyError" in error.error and "nope" in error.error
 
     def test_unexpected_message_is_rejected_on_every_transport(self):
         with pytest.raises(ConnectionError, match="unexpected message"):
@@ -546,74 +625,6 @@ class TestWorkerServeLoop:
         settled = len(sent)
         time.sleep(0.05)
         assert len(sent) <= settled + 1  # the beat thread was stopped
-
-
-# ----------------------------------------------------------------------
-# The one result layout (compact on the worker, inflate on the master)
-# ----------------------------------------------------------------------
-
-def _hex(i: int) -> str:
-    return hashlib.md5(str(i).encode()).hexdigest()
-
-
-def _out(children):
-    return {"children": [(gi, si, list(kids))
-                         for gi, si, kids in children]}
-
-
-def _compact(out) -> None:
-    """Compact ``out`` with its kid digests packed as
-    ``WorkerRuntime.expand`` packs them: once each, all under the first
-    one's encoding."""
-    digests = [digest for _, _, kids in out["children"]
-               for _, digest in kids]
-    encoding = digest_encoding(digests[0])
-    WorkerRuntime._compact_digests(
-        out, encoding, [pack_digest(digest, encoding) for digest in digests])
-
-
-class TestCompactInflate:
-    def test_round_trip_restores_every_kid(self):
-        kids_a = [("t1", _hex(1)), (None, _hex(2)), ("t2", _hex(3))]
-        kids_b = [(None, _hex(2)), ("t3", _hex(4))]
-        out = _out([(0, None, kids_a), (1, 2, kids_b)])
-        _compact(out)
-        packed = out["kid_digests"]
-        assert packed[0] == "hex" and packed[1] == 16
-        assert len(packed[2]) == 5 * 16
-        # Every slot keeps its transition; the digests live in the blob.
-        assert out["children"][0][2][:2] == [("t1", None), (None, None)]
-        _Scheduler._inflate_digests(out)
-        assert out["children"] == [(0, None, kids_a), (1, 2, kids_b)]
-        assert "kid_digests" not in out
-
-    def test_ascii_digests_round_trip(self):
-        kids = [("t", "state-one"), (None, "state-two")]
-        out = _out([(0, 0, kids)])
-        _compact(out)
-        assert out["kid_digests"][0] == "ascii"
-        _Scheduler._inflate_digests(out)
-        assert out["children"] == [(0, 0, kids)]
-
-    def test_mixed_widths_fall_back_to_inline(self):
-        kids = [("t", "ab"), (None, "abcd")]
-        out = _out([(0, 0, kids)])
-        _compact(out)
-        assert "kid_digests" not in out
-        assert out["children"] == [(0, 0, kids)]  # untouched
-
-    def test_unencodable_digest_falls_back_to_inline(self):
-        kids = [("t", "ok-digest"), (None, "bad☃digest")]
-        out = _out([(0, 0, kids)])
-        _compact(out)
-        assert "kid_digests" not in out
-        assert out["children"] == [(0, 0, kids)]
-
-    def test_inflate_without_blob_is_a_no_op(self):
-        kids = [("t", _hex(1)), (None, _hex(2))]
-        out = _out([(0, 0, kids)])
-        _Scheduler._inflate_digests(out)
-        assert out["children"] == [(0, 0, kids)]
 
 
 # ----------------------------------------------------------------------
@@ -658,10 +669,9 @@ class TestWireFraming:
     @pytest.mark.parametrize("protocol", [wire.PROTOCOL_VERSION - 1,
                                           wire.PROTOCOL_VERSION + 1])
     def test_hello_with_another_protocol_is_dropped(self, protocol, capsys):
-        """A v5 worker would wait for summaries that never come and stub
-        children the v6 master no longer fetches; a v7 one knows things
-        this master does not: mismatched peers are dropped at the
-        handshake."""
+        """A v6 worker ships ``kid_digests`` where the v7 master reads
+        ``digests``; a v8 one knows things this master does not:
+        mismatched peers are dropped at the handshake."""
         transport = SocketTransport(1, "127.0.0.1:0", spec=None,
                                     spawn_workers=False)
         master, worker = socket_mod.socketpair()
@@ -674,7 +684,7 @@ class TestWireFraming:
             in capsys.readouterr().err
 
     def test_hello_with_this_protocol_is_admitted(self):
-        assert wire.PROTOCOL_VERSION == 6
+        assert wire.PROTOCOL_VERSION == 7
         transport = SocketTransport(1, "127.0.0.1:0", spec=None,
                                     spawn_workers=False)
         master, worker = socket_mod.socketpair()
