@@ -14,7 +14,8 @@ matters — the other two are tiny-state), for two engines:
 
 Per engine it records end-to-end search wall time, a clone-cost
 microbenchmark, bytes actually hashed, and the digest/CoW counters, and
-writes everything to ``BENCH_hotpath.json`` at the repository root.  The
+writes everything to ``BENCH_hotpath.json`` (at the repository root under
+``NICE_BENCH_RECORD=1``, see ``conftest.py``).  The
 headline assertion: the product beats the reference by >= 5x end-to-end on
 pyswitch-direct-path (measured ~15x; override the floor with
 ``NICE_HOTPATH_SPEEDUP_FLOOR``).
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-import pathlib
 import time
 
 import pytest
@@ -35,9 +35,6 @@ from repro.config import NiceConfig
 from repro.scenarios import with_config
 
 from .conftest import print_table
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-OUTPUT = REPO_ROOT / "BENCH_hotpath.json"
 
 #: Engines under measurement: ``name -> (run a scenario, build its
 #: initial system)``.
@@ -84,7 +81,7 @@ def _clone_cost(scenario, engine, clones: int = 2000) -> float:
 
 
 @pytest.fixture(scope="module")
-def hotpath_results():
+def hotpath_results(bench_output):
     results: dict[str, dict] = {}
     for workload, (build, engines, repeats) in _workloads().items():
         # Interleave the engines round-robin across the repeats so ambient
@@ -120,11 +117,11 @@ def hotpath_results():
                     "reference": "tests/reference_engine.py reference_run"},
         "workloads": results,
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    bench_output("hotpath").write_text(json.dumps(payload, indent=2) + "\n")
     return results
 
 
-def test_hotpath_report(hotpath_results):
+def test_hotpath_report(hotpath_results, bench_output):
     for workload, per_engine in hotpath_results.items():
         baseline = per_engine.get("reference")
         rows = []
@@ -145,7 +142,7 @@ def test_hotpath_report(hotpath_results):
              "clone", "hashed", "digest hit/miss"],
             rows,
         )
-    print(f"\nwrote {OUTPUT}")
+    print(f"\nwrote {bench_output('hotpath')}")
 
 
 def _measured_on_both(hotpath_results):
@@ -208,7 +205,7 @@ def test_cow_clone_is_cheaper(hotpath_results):
             f" least {_floor():.1f}x cheaper than a deep copy ({deep:.2e}s)")
 
 
-def test_bench_file_written(hotpath_results):
-    data = json.loads(OUTPUT.read_text())
+def test_bench_file_written(hotpath_results, bench_output):
+    data = json.loads(bench_output("hotpath").read_text())
     assert data["benchmark"] == "hotpath"
     assert set(data["workloads"]) == set(_workloads())

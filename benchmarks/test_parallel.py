@@ -32,17 +32,11 @@ from reference_engine import reference_run
 from repro import nice, scenarios
 from repro.scenarios import with_config
 
-from .conftest import large_runs_enabled, print_table
+from .conftest import available_cores, large_runs_enabled, print_table
 
 #: Ping count for the measured workload: row 1 of Table 1 by default, row 2
 #: when NICE_BENCH_LARGE=1.
 PINGS = 3 if large_runs_enabled() else 2
-
-
-def available_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 #: Timing repetitions per engine.  Wall-clock assertions compare the
@@ -115,7 +109,7 @@ def test_parallel_explores_identical_space(engine_results):
 def test_parallel_speedup_with_real_cores(engine_results):
     """Gated off on 1-core runners; the nightly multicore-parallel CI job
     makes it a hard >=2x assertion (see module docstring)."""
-    cores = available_cores()
+    cores = len(available_cores())
     required = os.environ.get("NICE_REQUIRE_MULTICORE", "") == "1"
     if cores < 4:
         if required:

@@ -19,7 +19,8 @@ snapshot writes the new records plus ``meta.pkl`` and nothing else —
 O(new states), not O(all states) — and a checkpointed run of the
 spilling search holds the checkpointer to the same sum end to end.
 
-Everything lands in ``BENCH_store.json`` at the repository root; the
+Everything lands in ``BENCH_store.json`` (at the repository root under
+``NICE_BENCH_RECORD=1``, see ``conftest.py``); the
 nightly ``hotpath`` CI job runs this file and uploads the artifact.
 """
 
@@ -48,9 +49,6 @@ from repro.mc.store import (
 from repro.scenarios import with_config
 
 from .conftest import print_table
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-OUTPUT = REPO_ROOT / "BENCH_store.json"
 
 #: Store configurations under measurement.
 CONFIGS = {
@@ -154,7 +152,7 @@ def _checkpointed_search(interval: int = 200) -> dict:
 
 
 @pytest.fixture(scope="module")
-def store_results():
+def store_results(bench_output):
     best: dict[str, tuple[float, object]] = {
         name: (float("inf"), None) for name in CONFIGS
     }
@@ -196,11 +194,11 @@ def store_results():
         "checkpoint": _checkpoint_bench(),
         "checkpointed_search": _checkpointed_search(),
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    bench_output("store").write_text(json.dumps(payload, indent=2) + "\n")
     return payload
 
 
-def test_store_report(store_results):
+def test_store_report(store_results, bench_output):
     baseline = store_results["searches"]["memory"]["wall_time"]
     rows = []
     for name, r in store_results["searches"].items():
@@ -229,7 +227,7 @@ def test_store_report(store_results):
           f"{search['checkpoint_bytes_written']} B written = "
           f"{search['record_bytes']} B of records + "
           f"{search['meta_bytes']} B of meta.pkl")
-    print(f"wrote {OUTPUT}")
+    print(f"wrote {bench_output('store')}")
 
 
 def test_state_space_identical_across_stores(store_results):
@@ -314,8 +312,8 @@ def test_spill_path_exercised(store_results):
         "the default budget should keep every digest resident here"
 
 
-def test_bench_file_written(store_results):
-    data = json.loads(OUTPUT.read_text())
+def test_bench_file_written(store_results, bench_output):
+    data = json.loads(bench_output("store").read_text())
     assert data["benchmark"] == "store"
     assert set(data["searches"]) == set(CONFIGS)
     assert "delta_bytes_written" in data["checkpoint"]

@@ -126,9 +126,9 @@ class LocalTransport(Transport):
         while True:
             wait_for = 1.0
             if deadline is not None:
-                wait_for = min(wait_for, deadline - time.monotonic())
-                if wait_for <= 0:
-                    return None
+                # Never below zero: an expired (or zero) timeout still
+                # polls the pipes once, so what is already there is seen.
+                wait_for = min(wait_for, max(0.0, deadline - time.monotonic()))
             ready = mp_connection.wait(
                 list(self._result_conns.values()), timeout=wait_for)
             if not ready:
@@ -139,6 +139,8 @@ class LocalTransport(Transport):
                     if not process.is_alive():
                         return self._reap(
                             worker_id, _describe_exit(process.exitcode))
+                if deadline is not None and time.monotonic() >= deadline:
+                    return None
                 continue
             conn = ready[0]
             worker_id = next(w for w, c in self._result_conns.items()

@@ -33,6 +33,10 @@ every child it builds.  What it decides locally is only which of them to
 *keep* — ``WorkerRuntime.seen`` remembers the digests this worker has
 hashed, and a child whose digest it has hashed before is shipped but not
 retained: the master will find it a revisit, so no handle will name it.
+
+While it serves (:func:`_serve`, the loop of every transport and the sandbox)
+a worker's cyclic collector has a task-sized young generation
+(:data:`GC_YOUNG_THRESHOLD`).
 """
 
 from __future__ import annotations
@@ -65,6 +69,20 @@ from repro.mc.wire import (
 #: inherits the live searcher (closures included) by copy-on-write.
 #: Spawned and socket workers rebuild theirs from a ScenarioSpec instead.
 _INHERITED_SEARCHER = None
+
+#: Young-generation threshold of the cyclic collector while a worker
+#: serves (:func:`_serve`): about one task's worth of built containers,
+#: where CPython's 700 is seven Systems' (~100 containers each).  The
+#: ~1 000 Systems a worker keeps are live and its garbage is not cyclic
+#: (~700 objects collected in a whole ``lb3`` run), so a collection walks
+#: what it cannot free.  Collector seconds per worker on ``lb3``, 2
+#: workers (BENCH_scaling.json; DESIGN.md "Measured: where the saving
+#: shows, and what is left"): 700 -> 0.51-0.64 (580-640 young, 52-58
+#: middle, 5-6 full collections), 5 000 -> 0.25, 20 000 -> 0.12-0.18
+#: (7-11 young), 100 000 -> 0.07-0.13 — which eight alternating runs
+#: could not tell from 20 000 end to end, so the smaller bound on
+#: uncollected garbage stands.
+GC_YOUNG_THRESHOLD = 20_000
 
 
 class BloomFilter:
@@ -477,7 +495,13 @@ def _serve(make_runtime, worker_id: int, recv, send) -> None:
     and ``send(reply)`` ships one back, serialized here against the
     heartbeat thread; both raise ``OSError`` once the channel is gone.
     Returns when told to stop, when the master hangs up, or when the
-    memory watchdog asks for this process to be recycled."""
+    memory watchdog asks for this process to be recycled.
+
+    The loop runs under the worker's collector policy: what start-up
+    left is collected once, then the young generation is
+    :data:`GC_YOUNG_THRESHOLD` allocations wide until the loop exits —
+    by any path — and the caller's thresholds are back (an in-process
+    caller, a test or a simulation transport, never inherits them)."""
     lock = threading.Lock()
 
     def locked_send(message) -> None:
@@ -489,6 +513,9 @@ def _serve(make_runtime, worker_id: int, recv, send) -> None:
     except Exception:  # noqa: BLE001 - report startup failure to the master
         send(WorkerError(None, worker_id, traceback.format_exc()))
         return
+    thresholds = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(GC_YOUNG_THRESHOLD, *thresholds[1:])
     beat = _start_heartbeat(locked_send, worker_id,
                             runtime.config.heartbeat_interval)
     try:
@@ -522,6 +549,7 @@ def _serve(make_runtime, worker_id: int, recv, send) -> None:
                 # fresh-memory sibling.
                 return
     finally:
+        gc.set_threshold(*thresholds)
         if beat is not None:
             beat.stop()
 

@@ -11,6 +11,7 @@ serial baseline.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -25,6 +26,7 @@ from contract import counters, requires_fork, violated_properties
 from repro import cli, nice, scenarios
 from repro.config import NiceConfig
 from repro.mc.scheduler import _Scheduler
+from repro.mc import wire
 from repro.mc import worker as worker_mod
 from repro.mc.transport import TransportError
 from repro.mc.worker import WorkerRuntime
@@ -170,7 +172,8 @@ def probe(out) -> None:
     out["probe"] = (os.environ["NICE_QUARANTINE"], os.getppid(),
                     *map(resource.getrlimit, (resource.RLIMIT_CPU,
                                               resource.RLIMIT_AS,
-                                              resource.RLIMIT_CORE)))
+                                              resource.RLIMIT_CORE)),
+                    gc.get_threshold()[0])
 
 
 class TestQuarantine:
@@ -184,7 +187,8 @@ class TestQuarantine:
         sandbox answers in the one result layout, digests packed — and
         is a fork of the master under every transport, socket included
         (the probe rides a patch only a fork inherits), advertised to
-        the model and held by its rlimits."""
+        the model, held by its rlimits and — one ``_serve`` for every way
+        in — collecting garbage under the pool worker's policy."""
         sandboxed = []
         sandbox_expand = _Scheduler._sandbox_expand
 
@@ -210,7 +214,8 @@ class TestQuarantine:
         if "fork" in multiprocessing.get_all_start_methods():
             cpu = int(CONTAIN["task_deadline"]) + 1
             assert {seen for _, seen in sandboxed} == {
-                ("1", os.getpid(), (cpu, cpu), (limit, limit), (0, 0))}
+                ("1", os.getpid(), (cpu, cpu), (limit, limit), (0, 0),
+                 worker_mod.GC_YOUNG_THRESHOLD)}
 
     @requires_fork
     @pytest.mark.parametrize("behave,reason", [
@@ -282,6 +287,38 @@ class TestMemoryWatchdog:
         assert stats.terminated == "exhausted"
         assert stats.worker_failures >= 1
         assert stats.tasks_quarantined == 0
+
+    def test_shedding_frees_cyclic_state_under_the_serving_policy(self):
+        """The watchdog's other outcome, run through ``_serve`` so the
+        task-sized young generation is on: what a worker sheds is held
+        in reference cycles the raised threshold would leave lying for a
+        long while, and ``should_recycle``'s explicit collection still
+        returns it — rss back under the limit, the process kept."""
+        class Cyclic:
+            def __init__(self, megabytes):
+                self.me = self
+                self.ballast = bytearray(megabytes << 20)
+
+        limit = worker_mod._rss_bytes() + (48 << 20)
+        runtime = WorkerRuntime(wire.searcher_from_spec(
+            build(worker_memory_limit=limit).spec))
+        seen = []
+
+        def recv():
+            seen.append((gc.get_threshold()[0], worker_mod._rss_bytes(),
+                         len(runtime.cache)))
+            if len(seen) == 1:
+                runtime.cache["ballast"] = Cyclic(128)
+                return wire.ExpandTask(1, [((), None)])
+            return wire.Shutdown()
+
+        worker_mod._serve(lambda: runtime, 0, recv, lambda reply: None)
+        # Not recycled: the loop came back for a second message, with the
+        # cache shed and the ballast's pages returned.
+        (policy, before, _), (_, after, cached) = seen
+        assert policy == worker_mod.GC_YOUNG_THRESHOLD
+        assert before <= limit < before + (128 << 20)
+        assert after <= limit and cached == 0
 
 
 @pytest.mark.parametrize("platform,unit", [("linux", 1024), ("darwin", 1)])

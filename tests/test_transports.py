@@ -11,6 +11,7 @@ fork-only suite (``tests/test_parallel_search.py``) opened.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import pickle
 import socket as socket_mod
@@ -21,6 +22,7 @@ from collections import OrderedDict, deque
 
 import pytest
 
+import gc_probe
 from contract import counters, exhaustive, requires_fork, violated_properties
 from fault_helpers import small_tasks
 from repro import nice, scenarios
@@ -35,7 +37,7 @@ from repro.mc.transport.socket import (
     parse_address,
     run_worker,
 )
-from repro.mc.worker import WorkerRuntime, _serve
+from repro.mc.worker import GC_YOUNG_THRESHOLD, WorkerRuntime, _serve
 from repro.nice import Scenario
 from repro.properties.base import Property
 from repro.scenarios import with_config
@@ -625,6 +627,130 @@ class TestWorkerServeLoop:
         settled = len(sent)
         time.sleep(0.05)
         assert len(sent) <= settled + 1  # the beat thread was stopped
+
+    @pytest.fixture
+    def odd_thresholds(self):
+        """Collector thresholds no code sets, so "the caller's are back"
+        cannot be mistaken for "the defaults are back"."""
+        before = gc.get_threshold()
+        gc.set_threshold(1234, 7, 9)
+        yield (1234, 7, 9)
+        gc.set_threshold(*before)
+
+    @staticmethod
+    def _exits(seen):
+        """Every way out of ``_serve`` once the runtime is built, as
+        ``name -> (recv, send)``; ``seen`` collects the thresholds in
+        force when the loop asks for a message."""
+        def hung_up():
+            seen.append(gc.get_threshold())
+            raise ConnectionResetError
+
+        def broken_pipe(reply):
+            raise BrokenPipeError
+
+        def scripted(*messages):
+            inbox = iter(messages)
+
+            def recv():
+                seen.append(gc.get_threshold())
+                return next(inbox)
+            return recv
+
+        task = wire.ExpandTask(1, [((), None)])
+        return {
+            "shutdown": (scripted(task, wire.Shutdown()), lambda reply: None),
+            "eof": (scripted(None), lambda reply: None),
+            "recv OSError": (hung_up, lambda reply: None),
+            "send OSError": (scripted(task), broken_pipe),
+            "unexpected message": (scripted(wire.Hello()),
+                                   lambda reply: None),
+        }
+
+    @pytest.mark.parametrize("exit_by", [
+        "shutdown", "eof", "recv OSError", "send OSError",
+        "unexpected message"])
+    def test_collector_policy_holds_while_serving_and_not_after(
+            self, exit_by, odd_thresholds):
+        """The young generation is task-sized from the first message to
+        the last, and the caller — this process — has its own thresholds
+        back whichever way the loop ends."""
+        seen = []
+        recv, send = self._exits(seen)[exit_by]
+        try:
+            _serve(self._runtime(heartbeat_interval=0), 0, recv, send)
+        except ConnectionError:
+            assert exit_by == "unexpected message"
+        assert seen and set(seen) == {
+            (GC_YOUNG_THRESHOLD,) + odd_thresholds[1:]}
+        assert gc.get_threshold() == odd_thresholds
+
+    def test_start_up_failure_leaves_the_collector_alone(
+            self, odd_thresholds):
+        def cannot_build():
+            raise KeyError("nope")
+
+        _serve(cannot_build, 0, None, lambda reply: None)
+        assert gc.get_threshold() == odd_thresholds
+
+
+POOL_ENGINES = [
+    pytest.param(dict(start_method="fork"), marks=requires_fork, id="fork"),
+    pytest.param(dict(start_method="spawn"), id="spawn"),
+    pytest.param(dict(transport="socket"), id="socket"),
+]
+
+
+@pytest.mark.parametrize("engine", POOL_ENGINES)
+def test_collector_policy_is_in_force_in_every_pool_worker(
+        engine, tmp_path, monkeypatch):
+    """``_serve`` is where the policy is set, and every transport's
+    worker runs ``_serve``: inside ``WorkerRuntime.expand`` a fork child,
+    a spawned child and a ``nice worker`` subprocess all read the
+    task-sized young generation (the quarantine sandbox, the fourth way
+    in, is probed by ``tests/test_hostile.py::TestQuarantine``)."""
+    gc_probe.install(monkeypatch, tmp_path)
+    before = gc.get_threshold()
+    stats = exhaustive(scenarios.ping_experiment(pings=2), workers=2,
+                       **engine)
+    assert stats.terminated == "exhausted"
+    assert gc.get_threshold() == before  # the master is not a worker
+    records = gc_probe.read(tmp_path)
+    assert [record["worker_id"] for record in records] == [0, 1]
+    for record in records:
+        assert record["threshold_in_expand"] == \
+            [GC_YOUNG_THRESHOLD, *before[1:]], record
+        assert not record["quarantine"]
+
+
+@pytest.mark.parametrize("engine", [
+    pytest.param(dict(start_method="fork"), marks=requires_fork, id="local"),
+    pytest.param(dict(transport="socket"), id="socket"),
+])
+def test_recv_with_a_zero_timeout_polls_once_and_never_blocks(engine):
+    """``Transport.recv(timeout=t)`` is "None after t seconds of
+    silence", and 0 is a valid t: a message already delivered comes back,
+    an empty channel answers None at once.  (The local transport used to
+    return None before looking at its pipes, so a zero-timeout caller
+    never saw a result at all.)"""
+    scenario = with_config(scenarios.ping_experiment(pings=1), workers=1,
+                           heartbeat_interval=0, **engine)
+    transport = create_transport(scenario.config, scenario.spec)
+    transport.start(wire.searcher_from_spec(scenario.spec))
+    try:
+        began = time.monotonic()
+        assert transport.recv(timeout=0) is None
+        assert time.monotonic() - began < 0.5
+        transport.submit(0, wire.ExpandTask(1, [((), None)]))
+        deadline = time.monotonic() + 10.0
+        result = None
+        while result is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+            result = transport.recv(timeout=0)
+        assert isinstance(result, wire.TaskResult) and result.task_id == 1
+        assert transport.recv(timeout=0) is None
+    finally:
+        transport.stop()
 
 
 # ----------------------------------------------------------------------
