@@ -8,13 +8,14 @@ peak RSS are the row's alone, and every worker leaves the collector
 seconds and collections per generation that ``tests/gc_probe.py`` reads
 from outside the product.  A parallel row is measured twice: *before* —
 CPython's default young generation of 700 pinned over
-``repro.mc.worker.GC_YOUNG_THRESHOLD`` — and *after*, the constant as
-committed.
+``repro.mc.worker.GC_YOUNG_THRESHOLD``, so ``_serve`` changes nothing —
+and *after*, the constant as committed.
 
 The record is honest about the box: it carries
 ``os.sched_getaffinity(0)``, the state-space counts must equal the serial
 row's in every row, and parallel *efficiency* (serial wall / row wall /
-workers) is asserted only where ``workers <= cores`` — more processes
+workers) is printed for every row but asserted only where
+``workers < cores`` — the master is a process too, and more processes
 than cores measures time slicing.  N is 2 unless ``NICE_SCALING_WORKERS``
 says otherwise (the nightly ``multicore-parallel`` job asks for
 ``2,4,8``); the 4- and 8-worker rows stay ``null`` in a record taken
@@ -48,6 +49,12 @@ ENGINES = {"fork": dict(start_method="fork"),
            "socket": dict(transport="socket")}
 #: Young-generation threshold per policy: CPython's default, the product's.
 POLICIES = {"before": 700, "after": GC_YOUNG_THRESHOLD}
+#: Least serial wall / row wall / workers of a row whose master has a core
+#: to itself.  Loose on purpose: 2 workers sharing 2 cores with the master
+#: measured 0.46-0.72 over nine records (DESIGN.md "Measured: where the
+#: saving shows, and what is left"); a row with the cores to spare must
+#: at least clear the bottom of that.
+EFFICIENCY_FLOOR = 0.4
 COUNTS = ("terminated", "transitions", "unique", "revisited", "quiescent")
 ROW_TIMEOUT_S = 300
 
@@ -106,7 +113,7 @@ def test_scaling_report(scaling):
     serial = scaling["rows"]["serial"]
     table = [["serial", "-", f"{serial['wall_s']:.2f}",
               f"{serial['cpu_s']:.2f}", f"{serial['peak_rss_mb']:.1f}",
-              "1.00", f"{serial['self']['gc_s']:.2f}",
+              "1.00", "1.00", f"{serial['self']['gc_s']:.2f}",
               str(serial["self"]["collections"])]]
     for name, policy, row in _parallel_rows(scaling):
         workers = row["per_worker"]
@@ -114,12 +121,13 @@ def test_scaling_report(scaling):
             name, policy, f"{row['wall_s']:.2f}", f"{row['cpu_s']:.2f}",
             f"{row['peak_rss_mb']:.1f}",
             f"{serial['wall_s'] / row['wall_s']:.2f}",
+            f"{serial['wall_s'] / row['wall_s'] / row['workers']:.2f}",
             " ".join(f"{worker['gc_s']:.2f}" for worker in workers),
             " ".join(str(worker["collections"]) for worker in workers)])
     print_table(
         f"lb3 scaling on cores {scaling['affinity']}",
         ["engine", "gc policy", "wall s", "cpu s", "rss MB", "speedup",
-         "gc s / worker", "collections / generation"], table)
+         "efficiency", "gc s / worker", "collections / generation"], table)
 
 
 def test_state_space_identical_in_every_row(scaling):
@@ -137,7 +145,8 @@ def test_every_worker_reported(scaling):
 
 def test_task_sized_young_generation_cuts_worker_gc(scaling):
     """Where the saving is: each worker's collector seconds, at least
-    halved (measured 0.55-0.7 s -> 0.15-0.2 s per worker at 2 workers)."""
+    halved (measured 0.5-0.9 s -> 0.10-0.23 s per worker at 2 workers, nine
+    records on a box whose speed drifted by a third)."""
     for name, pair in scaling["rows"].items():
         if name == "serial" or pair is None:
             continue
@@ -148,20 +157,18 @@ def test_task_sized_young_generation_cuts_worker_gc(scaling):
 
 
 def test_efficiency_where_the_cores_exist(scaling):
-    """Serial wall / row wall / workers, asserted only for rows the box
-    has a core per worker for.  The floor is loose on purpose — the
-    master is a third process on a 2-core box, and shared runners jitter
-    — and ``NICE_SCALING_EFFICIENCY_FLOOR`` raises it where timing is
-    trustworthy."""
-    floor = float(os.environ.get("NICE_SCALING_EFFICIENCY_FLOOR", "0.4"))
+    """Serial wall / row wall / workers, asserted only for rows that
+    leave the master a core of its own (``workers < cores``): with a
+    core per worker and none for the master the row measures time
+    slicing, and the report above only prints it."""
     serial = scaling["rows"]["serial"]
     for name, policy, row in _parallel_rows(scaling):
-        if policy != "after" or row["workers"] > scaling["cores"]:
+        if policy != "after" or row["workers"] >= scaling["cores"]:
             continue
         efficiency = serial["wall_s"] / row["wall_s"] / row["workers"]
-        assert efficiency >= floor, (
+        assert efficiency >= EFFICIENCY_FLOOR, (
             f"{name}: {efficiency:.2f} of linear on {scaling['cores']}"
-            f" cores (floor {floor:.2f})")
+            f" cores (floor {EFFICIENCY_FLOOR:.2f})")
 
 
 def test_bench_file_written(scaling, bench_output):

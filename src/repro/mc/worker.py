@@ -77,9 +77,9 @@ _INHERITED_SEARCHER = None
 #: (~700 objects collected in a whole ``lb3`` run), so a collection walks
 #: what it cannot free.  Collector seconds per worker on ``lb3``, 2
 #: workers (BENCH_scaling.json; DESIGN.md "Measured: where the saving
-#: shows, and what is left"): 700 -> 0.51-0.64 (580-640 young, 52-58
-#: middle, 5-6 full collections), 5 000 -> 0.25, 20 000 -> 0.12-0.18
-#: (7-11 young), 100 000 -> 0.07-0.13 — which eight alternating runs
+#: shows, and what is left"): 700 -> 0.50-0.63 (550-645 young, 50-59
+#: middle, 4-5 full collections), 5 000 -> 0.25, 20 000 -> 0.12-0.17
+#: (6-8 young, 1 middle), 100 000 -> 0.07-0.13 — which eight alternating runs
 #: could not tell from 20 000 end to end, so the smaller bound on
 #: uncollected garbage stands.
 GC_YOUNG_THRESHOLD = 20_000
@@ -497,11 +497,11 @@ def _serve(make_runtime, worker_id: int, recv, send) -> None:
     Returns when told to stop, when the master hangs up, or when the
     memory watchdog asks for this process to be recycled.
 
-    The loop runs under the worker's collector policy: what start-up
-    left is collected once, then the young generation is
-    :data:`GC_YOUNG_THRESHOLD` allocations wide until the loop exits —
-    by any path — and the caller's thresholds are back (an in-process
-    caller, a test or a simulation transport, never inherits them)."""
+    The loop runs under the worker's collector policy: the young
+    generation is :data:`GC_YOUNG_THRESHOLD` allocations wide until the
+    loop exits — by any path — and the caller's thresholds are back (an
+    in-process caller, a test or a simulation transport, never inherits
+    them)."""
     lock = threading.Lock()
 
     def locked_send(message) -> None:
@@ -513,12 +513,11 @@ def _serve(make_runtime, worker_id: int, recv, send) -> None:
     except Exception:  # noqa: BLE001 - report startup failure to the master
         send(WorkerError(None, worker_id, traceback.format_exc()))
         return
-    thresholds = gc.get_threshold()
-    gc.collect()
-    gc.set_threshold(GC_YOUNG_THRESHOLD, *thresholds[1:])
     beat = _start_heartbeat(locked_send, worker_id,
                             runtime.config.heartbeat_interval)
+    thresholds = gc.get_threshold()
     try:
+        gc.set_threshold(GC_YOUNG_THRESHOLD, *thresholds[1:])
         while True:
             try:
                 message = recv()

@@ -693,6 +693,18 @@ class TestWorkerServeLoop:
         _serve(cannot_build, 0, None, lambda reply: None)
         assert gc.get_threshold() == odd_thresholds
 
+    def test_heartbeat_that_cannot_start_leaves_the_collector_alone(
+            self, odd_thresholds, monkeypatch):
+        def no_more_threads(*args):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr("repro.mc.worker._start_heartbeat",
+                            no_more_threads)
+        with pytest.raises(RuntimeError):
+            _serve(self._runtime(heartbeat_interval=0), 0, None,
+                   lambda reply: None)
+        assert gc.get_threshold() == odd_thresholds
+
 
 POOL_ENGINES = [
     pytest.param(dict(start_method="fork"), marks=requires_fork, id="fork"),
