@@ -12,49 +12,66 @@ boundary — routes them to workers, and decodes each result off the wire
 into one :meth:`Searcher.absorb <repro.mc.search.Searcher.absorb>` call,
 which deduplicates the children against the global explored set *before*
 the fresh ones are queued here again, so every reachable state is
-expanded exactly once.  Workers (:mod:`repro.mc.worker`) pick up the siblings they
-retained — or restore the group's parent by trace replay and rebuild
-them — and expand every sibling with the loop's own per-node body;
-results are merged as they arrive — no wave barrier; completed tasks
-immediately refill the workers.
+expanded exactly once.  Workers (:mod:`repro.mc.worker`) pick up the
+siblings they retained — or restore the group's parent by trace replay
+and rebuild them — and expand every sibling with the loop's own per-node
+body; results are merged as they arrive — no wave barrier; completed
+tasks immediately refill the workers.
+
+**Two records.**  What the scheduler knows by id is a row in one of two
+tables: ``_workers`` (:class:`_Worker` — a retired worker's row stays,
+``alive`` False: ids are never reused, and the row is what makes a
+second death notice a no-op) and ``_tasks`` (:class:`_Task` — present
+while in flight, absent once merged or requeued).  Groups no live worker
+owns wait in the one ``_unowned`` deque.  Each lifecycle edge is written
+in one method, which asserts the edge it takes:
+
+=========================  ================================  =============
+edge                       on                                written by
+=========================  ================================  =============
+worker (new) -> enrolled   ``start``, a synchronous          ``_enroll``
+                           respawn, ``WorkerJoined``
+worker enrolled -> retired ``WorkerGone``, a submit's        ``_retire``
+                           ``WorkerLost``, a missed deadline
+task queued -> dispatched  a live worker has capacity        ``_dispatch``
+task dispatched -> merged  its ``TaskResult``                ``_merge``
+task dispatched -> queued  its worker retires (a group past  ``_retire``
+                           ``max_task_retries`` deaths is
+                           quarantined: merged or abandoned)
+=========================  ================================  =============
+
+A result whose task has no row — it outraced its worker's death notice,
+organic or a deadline kill — is stale and dropped, so every group is
+merged **exactly once**: the state space stays bit-identical to serial
+under churn.  The run only aborts — with a clean
+:class:`~repro.mc.transport.TransportError` — when the live pool shrinks
+below ``min_workers`` or more than ``max_worker_failures`` deaths
+accumulate.  ``tests/test_scheduler_lifecycle.py`` drives the edges over
+generated failure schedules in process; ``tests/test_search_structure.py``
+holds the one-writer rule by AST.
 
 **Affinity routing**: every group discovered by worker *w* has its
-siblings retained in *w*'s memory, so the scheduler keeps a per-worker
-frontier queue, prefers handing a worker its own groups, and attaches
-the *handle* that names the retained siblings there — no restore at
-all.  A group that reaches any other worker (or outlives its owner, or a
-checkpoint) goes without one and is restored by trace replay.  An idle
-worker with an empty queue *steals* from the longest other queue, so
-affinity never serializes the search.
-``affinity_hits`` / ``affinity_misses`` in :class:`SearchStats` count
-groups that ran on their owner vs. stolen/rerouted ones.  Affinity is
-how the ``dfs`` order routes: ``bfs`` and ``random`` frontiers pop from
-one global queue in frontier order (the policy the in-process expander
-applies to nodes, here over groups), route round-robin, and count every
-group as a miss.
-
-**Worker churn**: the pool membership is dynamic.  A worker death
-(process exit, socket EOF — delivered by the transport as a
-:class:`~repro.mc.wire.WorkerGone` event, or discovered at submit time as
-a :class:`~repro.mc.transport.WorkerLost`) requeues the dead worker's
-in-flight sibling groups onto the global queue and folds its affinity
-queue back in; because a group is merged at most once (stale results of
-requeued tasks are dropped by task id), the explored state space stays
-bit-identical to serial under any failure schedule.  The run only aborts
-— with a clean :class:`~repro.mc.transport.TransportError` — when the
-live pool shrinks below ``min_workers`` or more than
-``max_worker_failures`` deaths accumulate.  Symmetrically, an elastic
-socket worker connecting mid-search (:class:`~repro.mc.wire.WorkerJoined`)
-enters the routing tables and receives work on the next dispatch.
+siblings retained in *w*'s memory, so each worker's row carries a
+frontier queue; the scheduler prefers handing a worker its own groups,
+and attaches the *handle* that names the retained siblings there — no
+restore at all.  A group that reaches any other worker (or outlives its
+owner, or a checkpoint) goes without one and is restored by trace replay.
+An idle worker with an empty queue *steals* from the longest other
+queue, so affinity never serializes the search
+(``affinity_hits`` / ``affinity_misses`` count owner runs vs. the rest).
+Affinity is how the ``dfs`` order routes: ``bfs`` and ``random``
+frontiers pop from the unowned queue in frontier order (the policy the
+in-process expander applies to nodes, here over groups), route
+round-robin, and count every group as a miss.
 
 **Adaptive batch sizing**: a task's node budget starts at
 ``BATCH_NODES`` (its group budget keeps the ``BATCH_GROUPS`` :
 ``BATCH_NODES`` ratio) and adapts per worker from observed task
-round-trip times — fast round trips grow the batch geometrically
-(amortizing per-task overhead, the regime high-RTT socket workers live
-in), slow ones shrink it back toward fine-grained load balancing (which
-also caps how much work a dying worker can strand).  Batch sizing never
-affects *what* is explored, only how it is packed.
+round-trip times — fast ones grow the batch geometrically (amortizing
+per-task overhead, the regime high-RTT socket workers live in), slow
+ones shrink it back toward fine-grained load balancing (which also caps
+how much work a dying worker can strand).  It never affects *what* is
+explored, only how it is packed.
 
 **Checkpointing**: the driver cuts a snapshot only when :meth:`drain
 <_Scheduler.drain>` has merged every in-flight task, so no unit of work
@@ -118,11 +135,44 @@ class ParallelSearcher(Searcher):
         return _Scheduler(self, transport)
 
 
+@dataclasses.dataclass(slots=True)
+class _Worker:
+    """One pool member's row in ``_Scheduler._workers``, born live."""
+
+    #: Adaptive node budget (float so growth compounds).
+    batch: float
+    alive: bool = True
+    #: Tasks in flight on it.
+    load: int = 0
+    #: EWMA of its per-task service time (feeds the deadline derivation)
+    #: and the monotonic time of its last heartbeat; None until the first.
+    rtt: float | None = None
+    last_beat: float | None = None
+    #: The ``(group, handle)`` entries it owns: a ``(trace, steps)``
+    #: sibling group and where it retained the siblings (see ``_push``).
+    #: Only DFS fills it.
+    queue: deque = dataclasses.field(default_factory=deque)
+
+
+@dataclasses.dataclass(slots=True)
+class _Task:
+    """One in-flight task's row in ``_Scheduler._tasks``."""
+
+    worker: int
+    groups: list
+    #: Submit time and the worker's pipelining depth then: the RTT sample
+    #: is normalized to per-task service time — counting the wait behind
+    #: another task would stop batch growth at half the intended threshold.
+    sent_at: float
+    depth: int
+    #: Absolute monotonic deadline; None with hang detection off.
+    deadline: float | None
+
+
 class _Scheduler:
     """The pool expander of one search run: a frontier of sibling groups
-    routed to workers.  ``Searcher.run`` drives it; the explored set,
-    the statistics and the commit (``Searcher.absorb``) are the
-    searcher's."""
+    routed to workers.  ``Searcher.run`` drives it; the explored set, the
+    statistics and the commit (``Searcher.absorb``) are the searcher's."""
 
     #: Tasks kept in flight per worker (>1 hides result latency).
     PER_WORKER_INFLIGHT = 2
@@ -156,8 +206,7 @@ class _Scheduler:
     #: no explicit ``task_deadline`` is configured.
     QUARANTINE_DEADLINE = 30.0
     #: Seconds an asynchronously respawned worker (socket transport) gets
-    #: to complete its elastic join before it stops counting toward the
-    #: ``min_workers`` floor.
+    #: to join before its seat stops counting toward ``min_workers``.
     RESPAWN_GRACE = 60.0
 
     def __init__(self, searcher: ParallelSearcher, transport):
@@ -167,47 +216,24 @@ class _Scheduler:
         self.transport = transport
         self.name, self.workers = transport.name, transport.workers
         #: Affinity routing only composes with DFS pops: BFS and random
-        #: orders need one global queue popped in frontier order.
+        #: orders need one queue popped in frontier order (only ``_push``
+        #: asks: off DFS no worker's queue is ever filled).
         self._affine = self.config.search_order == ORDER_DFS
-        #: owner worker id (or None) -> queue of ``(group, handle)``
-        #: entries: the ``(trace, steps)`` sibling group and, when a live
-        #: worker produced its siblings, ``(that worker, task id, node
-        #: position, kid indices)`` — where the worker retained them (see
-        #: ``_push``).  Off DFS everything lives under None.
-        #: Deques: BFS pops the head and defers oversized groups back to
-        #: it, both O(1).
-        self._queues: dict[int | None, deque] = {None: deque()}
+        #: worker id -> its row, live or retired; task id -> its row
+        #: while in flight (module docstring, "Two records").
+        self._workers: dict[int, _Worker] = {}
+        self._tasks: dict[int, _Task] = {}
+        #: ``(group, handle)`` entries no live worker owns; off DFS, the
+        #: whole frontier.
+        self._unowned: deque = deque()
         self._pending_groups = 0
-        self._in_flight: dict[int, tuple[int, list]] = {}  # task_id -> (wid, groups)
-        #: Live pool membership; filled from ``transport.worker_ids()``
-        #: once the transport is up — deaths remove ids, elastic joins add
-        #: them.
-        self._live: set[int] = set()
-        #: Deaths already processed, for deduplication: a submit-time
-        #: WorkerLost and the transport's own WorkerGone can both report
-        #: the same worker.
-        self._dead: set[int] = set()
-        self._load: dict[int, int] = {}
-        #: Per-worker adaptive node budget (float so growth compounds).
-        self._batch: dict[int, float] = {}
-        #: task id -> (submit timestamp, pipelining depth at submit).
-        self._submit_times: dict[int, tuple[float, int]] = {}
-        #: Per-worker EWMA of per-task service time, feeding the deadline
-        #: derivation.
-        self._rtt: dict[int, float] = {}
-        #: task id -> absolute monotonic deadline (only tasks with hang
-        #: detection enabled appear here).
-        self._deadlines: dict[int, float] = {}
-        #: worker id -> monotonic timestamp of its last heartbeat.
-        self._last_beat: dict[int, float] = {}
         #: Poison attribution: content key of a sibling group -> number of
         #: worker deaths that group was in flight for.
         self._poison: dict[bytes, int] = {}
-        #: Replacements requested from an *asynchronous* spawn_worker (the
-        #: socket transport): they count toward the ``min_workers`` floor
-        #: until they join or ``_respawn_deadline`` expires.
-        self._pending_respawns = 0
-        self._respawn_deadline: float | None = None
+        #: One deadline per replacement an *asynchronous* spawn_worker
+        #: (the socket transport) was asked for, oldest first: a seat in
+        #: the ``min_workers`` accounting until a worker joins or it expires.
+        self._respawn_seats: deque[float] = deque()
         self._next_task_id = 0
         self._next_round_robin = 0
 
@@ -227,50 +253,51 @@ class _Scheduler:
         self.transport.stop()
 
     def pending(self) -> bool:
-        return bool(self._pending_groups or self._in_flight)
+        return bool(self._pending_groups or self._tasks)
 
     def pump(self) -> None:
         """Refill every worker with spare capacity, then take one message
         (or a deadline wakeup) off the transport."""
         self._dispatch()
-        message = self.transport.recv(timeout=self._recv_timeout())
-        if message is not None:
-            self._handle(message)
-        self._check_deadlines()
+        self._receive()
 
     def drain(self) -> None:
         """Absorb every in-flight result (worker churn included) so the
         master state is a consistent cut of the search.  Deadlines keep
         ticking here too — a worker that hangs while a checkpoint drains
         would otherwise stall the snapshot forever."""
-        while self._in_flight:
-            message = self.transport.recv(timeout=self._recv_timeout())
-            if message is not None:
-                self._handle(message)
-            self._check_deadlines()
+        while self._tasks:
+            self._receive()
 
     def groups(self) -> list:
-        """Every queued sibling group, global queue first then per-owner
+        """Every queued sibling group, unowned queue first then per-owner
         queues in worker-id order — the checkpoint's frontier."""
-        owners = sorted(w for w in self._queues if w is not None)
-        return [group for owner in (None, *owners)
-                for group, _ in self._queues.get(owner, ())]
+        queues = [self._unowned,
+                  *(self._workers[w].queue for w in sorted(self._workers))]
+        return [group for queue in queues for group, _ in queue]
+
+    def _receive(self) -> None:
+        message = self.transport.recv(timeout=self._recv_timeout())
+        if message is not None:
+            self._handle(message)
+        self._check_deadlines()
 
     def _handle(self, message) -> None:
         if isinstance(message, TaskResult):
             self._merge(message)
         elif isinstance(message, Heartbeat):
-            self._last_beat[message.worker_id] = time.monotonic()
+            worker = self._workers.get(message.worker_id)
+            if worker is not None and worker.alive:
+                worker.last_beat = time.monotonic()
         elif isinstance(message, WorkerGone):
             self._on_worker_gone(message.worker_id, message.reason)
         elif isinstance(message, WorkerJoined):
             self._on_worker_joined(message.worker_id)
         elif isinstance(message, WorkerError):
             # A task that *raised* inside the worker is a deterministic
-            # bug, not churn: retrying it elsewhere would raise the same
-            # way, so surface the traceback instead of looping forever.
-            # Model-handler exceptions never arrive here unless fail_fast
-            # asked for exactly this abort — workers contain them as
+            # bug, not churn: a retry would raise the same way, so surface
+            # the traceback.  Model-handler exceptions only arrive here when
+            # fail_fast asked for this abort — workers contain them as
             # ModelError counterexamples (see Searcher.expand_node).
             raise TransportError(
                 f"worker {message.worker_id} failed on task"
@@ -282,47 +309,42 @@ class _Scheduler:
     # Worker churn
     # ------------------------------------------------------------------
 
-    def _on_worker_gone(self, worker_id: int, reason: str) -> None:
-        """Requeue a dead worker's work, repair affinity state, and apply
-        the ``min_workers`` / ``max_worker_failures`` policy."""
-        if worker_id in self._dead:
-            return  # duplicate notice (submit failure + transport event)
-        # Deliberately NOT gated on _live membership: a worker that died
-        # in the window between the transport's start() and the
-        # enrollment snapshot was never enrolled, but its death still
-        # shrank the pool and must hit the policy below — otherwise a
-        # 1-worker run whose worker dies in that window would hang in
-        # recv() forever instead of failing cleanly.
-        self._dead.add(worker_id)
-        self._live.discard(worker_id)
-        self._load.pop(worker_id, None)
-        self._batch.pop(worker_id, None)
-        self._rtt.pop(worker_id, None)
-        self._last_beat.pop(worker_id, None)
+    def _alive(self) -> list[int]:
+        """Ids of the live pool, ascending."""
+        return sorted(w for w, worker in self._workers.items()
+                      if worker.alive)
+
+    def _enroll(self, worker_id: int) -> None:
+        """The edge into the live pool: a fresh id gets its row."""
+        assert worker_id not in self._workers, (
+            f"worker {worker_id} enrolled twice (ids are never reused)")
+        self._workers[worker_id] = _Worker(float(self.BATCH_NODES))
+        self.stats.worker_tasks.setdefault(worker_id, 0)
+
+    def _retire(self, worker_id: int) -> list[tuple[tuple, int]]:
+        """The edge out of the live pool: the worker's in-flight tasks
+        lose their rows and its queue its owner.  Returns the ``(group,
+        deaths)`` pairs that go to quarantine instead of to the fleet."""
+        worker = self._workers.get(worker_id)
+        if worker is None:
+            # Never enrolled: it died between the transport's start() and
+            # the enrollment snapshot.  That still shrank the pool and
+            # must reach the policy — a 1-worker run would otherwise hang
+            # in recv() forever — so it gets its row here, retired.
+            worker = self._workers[worker_id] = _Worker(0.0)
+        assert worker.alive, f"worker {worker_id} retired twice"
+        worker.alive = False
+        worker.load = 0
         stats = self.stats
-        stats.worker_failures += 1
-        # A tolerated death must still be *visible*: the reason can carry a
-        # startup traceback or a connection error an operator needs even
-        # when the policy lets the search continue.
-        print(f"search worker {worker_id} died"
-              f" ({len(self._live)} worker(s) left); requeueing its work:"
-              f" {reason}", file=sys.stderr, flush=True)
-        # Requeue in-flight sibling groups.  The old task ids are simply
-        # forgotten: a stale result still in the pipe when the death was
-        # detected no longer matches ``_in_flight`` and is dropped —
-        # whether the death was organic or a deadline kill — so every
-        # group is merged exactly once: the bit-identical-state-space
-        # guarantee under churn.  Each group is charged one death toward
-        # poison attribution; past ``max_task_retries`` it goes to
-        # quarantine instead of back to the fleet.
+        # Requeue in-flight sibling groups; with its row gone, a result
+        # still in the pipe is stale.  Each group is charged one death
+        # toward poison attribution; past ``max_task_retries`` it goes to
+        # quarantine.
         poisoned: list[tuple[tuple, int]] = []
-        for task_id in [t for t, (w, _) in self._in_flight.items()
-                        if w == worker_id]:
-            _, groups = self._in_flight.pop(task_id)
-            self._submit_times.pop(task_id, None)
-            self._deadlines.pop(task_id, None)
+        for task_id in [t for t, task in self._tasks.items()
+                        if task.worker == worker_id]:
             stats.tasks_retried += 1
-            for group in groups:
+            for group in self._tasks.pop(task_id).groups:
                 stats.groups_reassigned += 1
                 key = self._group_key(group)
                 attempts = self._poison[key] = self._poison.get(key, 0) + 1
@@ -330,23 +352,35 @@ class _Scheduler:
                     poisoned.append((group, attempts))
                 else:
                     self._push(None, group)
-        # Affinity repair: the dead worker's replay cache and retained
-        # children are gone, so its queued groups lose their owner and
-        # rejoin the global queue (the next dispatch re-counts them as
-        # affinity misses).  Handles naming the dead worker that sit in
-        # other queues need no sweep: worker ids are never reused, so
-        # ``_pack`` can never match them to a live worker.
-        orphaned = self._queues.pop(worker_id, None)
-        if orphaned:
-            stats.groups_reassigned += len(orphaned)
-            self._queues[None].extend(
-                (group, None) for group, _ in orphaned)
+        # Affinity repair: its replay cache and retained children are
+        # gone, so its queued groups rejoin the unowned queue (dispatched
+        # as affinity misses).  Handles naming it in other queues need no
+        # sweep: ids are never reused, so ``_pack`` never matches them.
+        stats.groups_reassigned += len(worker.queue)
+        self._unowned.extend((group, None) for group, _ in worker.queue)
+        worker.queue.clear()
+        return poisoned
+
+    def _on_worker_gone(self, worker_id: int, reason: str) -> None:
+        """Retire a dead worker, replace it if asked to, and apply the
+        ``min_workers`` / ``max_worker_failures`` policy."""
+        known = self._workers.get(worker_id)
+        if known is not None and not known.alive:
+            return  # duplicate notice (submit failure + transport event)
+        poisoned = self._retire(worker_id)
+        stats = self.stats
+        stats.worker_failures += 1
+        # A tolerated death must still be *visible*: the reason can carry
+        # a startup traceback or a connection error an operator needs.
+        print(f"search worker {worker_id} died"
+              f" ({len(self._alive())} worker(s) left); requeueing its work:"
+              f" {reason}", file=sys.stderr, flush=True)
         if self.config.respawn_workers:
-            # Autoscaler: replace the dead worker *before* the policy
-            # check, so a synchronously respawned local worker keeps the
-            # pool at its ``min_workers`` floor.  Deaths still count
-            # toward ``max_worker_failures``.
+            # Autoscaler: replace it *before* the policy check, so a
+            # synchronously respawned local worker keeps the pool at its
+            # floor.  Deaths still count toward ``max_worker_failures``.
             self._respawn(worker_id)
+        live = len(self._alive())
         failures_allowed = self.config.max_worker_failures
         if failures_allowed is not None \
                 and stats.worker_failures > failures_allowed:
@@ -354,16 +388,15 @@ class _Scheduler:
                 f"giving up after {stats.worker_failures} worker"
                 f" failures (max_worker_failures={failures_allowed});"
                 f" last failure: worker {worker_id}: {reason}")
-        if (len(self._live) + self._pending_respawns
-                < self.config.min_workers):
+        if live + len(self._respawn_seats) < self.config.min_workers:
             raise TransportError(
-                f"worker pool shrank to {len(self._live)} live worker(s),"
+                f"worker pool shrank to {live} live worker(s),"
                 f" below min_workers={self.config.min_workers}"
                 f" ({stats.worker_failures} failure(s) total);"
                 f" last failure: worker {worker_id}: {reason}")
-        # Quarantine last, after the pool is repaired and the policy has
-        # passed: the sandbox can merge results (possibly stopping the
-        # search) and must not run if the fleet is aborting anyway.
+        # Quarantine last, pool repaired and policy passed: the sandbox can
+        # merge results (possibly stopping the search) and must not run if
+        # the fleet is aborting anyway.
         for group, attempts in poisoned:
             self._quarantine(group, attempts)
 
@@ -447,14 +480,11 @@ class _Scheduler:
 
     def _respawn(self, dead_worker_id: int) -> None:
         """Ask the transport for a replacement worker (``respawn_workers``).
-
-        Local pools return the fresh worker id synchronously and it is
-        enrolled immediately; the socket transport spawns a subprocess
-        that joins through the elastic accept path and surfaces later as
-        a :class:`~repro.mc.wire.WorkerJoined` event.  A transport that
+        Local pools return the fresh id, enrolled at once; the socket
+        transport spawns a subprocess that joins elastically and surfaces
+        later as a :class:`~repro.mc.wire.WorkerJoined`.  A transport that
         cannot spawn (or a spawn that fails) logs and moves on — the
-        ordinary failure policy then decides whether the shrunken pool
-        survives."""
+        failure policy then decides whether the shrunken pool survives."""
         try:
             new_id = self.transport.spawn_worker()
         except Exception as exc:  # noqa: BLE001 - any failure, policy decides
@@ -462,37 +492,27 @@ class _Scheduler:
                   f" {dead_worker_id}: {exc}", file=sys.stderr, flush=True)
             return
         self.stats.workers_respawned += 1
-        if new_id is not None and new_id not in self._live:
+        if new_id is None:
+            # Asynchronous join (socket): a seat toward min_workers until
+            # a worker joins — or its own grace deadline declares it lost.
+            self._respawn_seats.append(time.monotonic() + self.RESPAWN_GRACE)
+            print(f"respawning a replacement for dead worker"
+                  f" {dead_worker_id} (joins asynchronously)",
+                  file=sys.stderr, flush=True)
+        else:
             self._enroll(new_id)
             self.stats.workers += 1
             print(f"respawned worker {new_id} to replace dead worker"
                   f" {dead_worker_id}", file=sys.stderr, flush=True)
-        elif new_id is None:
-            # Asynchronous join (socket): the replacement holds a seat in
-            # the min_workers accounting until it arrives — or until the
-            # grace deadline declares it lost.
-            self._pending_respawns += 1
-            self._respawn_deadline = time.monotonic() + self.RESPAWN_GRACE
-            print(f"respawning a replacement for dead worker"
-                  f" {dead_worker_id} (joins asynchronously)",
-                  file=sys.stderr, flush=True)
-
-    def _enroll(self, worker_id: int) -> None:
-        """Enter a worker into the routing tables."""
-        self._live.add(worker_id)
-        self._load[worker_id] = 0
-        self._batch[worker_id] = float(self.BATCH_NODES)
-        self.stats.worker_tasks.setdefault(worker_id, 0)
 
     def _on_worker_joined(self, worker_id: int) -> None:
-        """Enter an elastic joiner into the routing tables; the next
-        ``_dispatch`` feeds it (an idle joiner steals immediately)."""
-        if worker_id in self._live or worker_id in self._dead:
+        """Enroll an elastic joiner; the next ``_dispatch`` feeds it (an
+        idle joiner steals immediately).  It takes the oldest respawn
+        seat, if any is waiting."""
+        if worker_id in self._workers:
             return
-        if self._pending_respawns:
-            self._pending_respawns -= 1
-            if not self._pending_respawns:
-                self._respawn_deadline = None
+        if self._respawn_seats:
+            self._respawn_seats.popleft()
         self._enroll(worker_id)
         self.stats.elastic_joins += 1
         self.stats.workers += 1
@@ -513,13 +533,13 @@ class _Scheduler:
         siblings while expanding that task (``WorkerRuntime.expand``); it
         is only ever sent back to ``owner`` itself, and only while
         ``owner`` lives — a routing hint, never persisted."""
-        if owner is None or owner not in self._live:
-            owner = handle = None
+        worker = self._workers.get(owner)
+        if worker is None or not worker.alive:
+            worker = handle = None
         if handle is not None:
             handle = (owner, *handle)
-        if not self._affine:
-            owner = None
-        self._queues.setdefault(owner, deque()).append((group, handle))
+        queue = worker.queue if worker and self._affine else self._unowned
+        queue.append((group, handle))
         self._pending_groups += 1
 
     def _pop_group(self, queue: deque) -> tuple:
@@ -543,67 +563,57 @@ class _Scheduler:
             worker_id = self._pick_worker()
             if worker_id is None:
                 return
+            worker = self._workers[worker_id]
+            assert worker.alive, f"dispatch to retired worker {worker_id}"
             groups, handles = self._pack(worker_id)
             task_id = self._next_task_id
             self._next_task_id += 1
-            self._in_flight[task_id] = (worker_id, groups)
-            self._load[worker_id] += 1
-            # The pipelining depth at submit time rides along so the RTT
-            # sample can be normalized to per-task service time: a task
-            # submitted behind another in-flight task waits its turn, and
-            # counting that queueing as service time would stop batch
-            # growth at half the intended threshold.
+            worker.load += 1
             now = time.monotonic()
-            self._submit_times[task_id] = (now, self._load[worker_id])
-            allowance = self._task_deadline(worker_id)
-            if allowance:
-                self._deadlines[task_id] = now + allowance
+            allowance = self._task_deadline(worker)
+            self._tasks[task_id] = _Task(
+                worker_id, groups, now, worker.load,
+                now + allowance if allowance else None)
             try:
                 self.transport.submit(
                     worker_id, ExpandTask(task_id, groups, handles))
             except WorkerLost as lost:
-                # The task is registered in-flight, so the death handler
-                # requeues it along with anything else the worker held.
+                # The task has its row, so retiring the worker requeues
+                # it along with anything else the worker held.
                 self._on_worker_gone(worker_id, lost.reason)
 
     def _pick_worker(self) -> int | None:
         """Next worker to feed: affine work first, then the least loaded
         (round-robin tie-break keeps spawn-order bias out)."""
-        spare = [w for w in sorted(self._live)
-                 if self._load[w] < self.PER_WORKER_INFLIGHT]
+        workers = self._workers
+        pool = self._alive()
+        spare = [w for w in pool
+                 if workers[w].load < self.PER_WORKER_INFLIGHT]
         if not spare:
             return None
-        if self._affine:
-            affine = [w for w in spare if self._queues.get(w)]
-            if affine:
-                return min(affine, key=lambda w: self._load[w])
-        modulus = max(self._live) + 1
-        choice = min(
-            spare,
-            key=lambda w: (self._load[w],
-                           (w - self._next_round_robin) % modulus),
-        )
+        affine = [w for w in spare if workers[w].queue]
+        if affine:
+            return min(affine, key=lambda w: workers[w].load)
+        modulus = pool[-1] + 1
+        choice = min(spare, key=lambda w: (
+            workers[w].load, (w - self._next_round_robin) % modulus))
         self._next_round_robin = (choice + 1) % modulus
         return choice
 
     def _node_budget(self, worker_id: int) -> int:
-        """Nodes to pack into one task for this worker.
-
-        While the explored set is small a task carries a single node, so
-        the search fans out across the pool instead of running serially
-        inside one worker.  After that the worker's RTT-adapted budget
-        applies.
-        """
-        if len(self.searcher._explored) < 4 * max(len(self._live), 1):
+        """Nodes to pack into one task for this worker: one while the
+        explored set is small, so the search fans out across the pool
+        instead of running serially inside one worker; after that the
+        worker's RTT-adapted budget."""
+        live = max(len(self._alive()), 1)
+        if len(self.searcher._explored) < 4 * live:
             return 1
-        adapted = max(1, int(self._batch[worker_id]))
+        adapted = max(1, int(self._workers[worker_id].batch))
         # Fair-share guard: an RTT-*grown* batch must never swallow so
         # much of the frontier that the rest of the pool idles — cap each
-        # task at this worker's share of the pending work (group count as
-        # a proxy for nodes).  The cap never bites below the BATCH_NODES
-        # seed: throttling that would just add per-task overhead.
-        fair = self._pending_groups // (max(len(self._live), 1)
-                                        * self.PER_WORKER_INFLIGHT)
+        # task at this worker's share of the pending groups (a proxy for
+        # nodes), never below the BATCH_NODES seed: that only adds overhead.
+        fair = self._pending_groups // (live * self.PER_WORKER_INFLIGHT)
         return max(1, min(adapted, max(self.BATCH_NODES, fair)))
 
     def _group_budget(self, node_budget: int) -> int:
@@ -613,27 +623,23 @@ class _Scheduler:
                             / self.BATCH_NODES))
 
     def _observe_rtt(self, worker_id: int, rtt: float) -> None:
-        previous = self._rtt.get(worker_id)
-        self._rtt[worker_id] = (rtt if previous is None else
-                                (1 - self.RTT_EWMA) * previous
-                                + self.RTT_EWMA * rtt)
-        if worker_id not in self._batch:
-            return
-        budget = self._batch[worker_id]
+        worker = self._workers[worker_id]
+        worker.rtt = (rtt if worker.rtt is None else
+                      (1 - self.RTT_EWMA) * worker.rtt + self.RTT_EWMA * rtt)
+        budget = worker.batch
         if rtt < self.RTT_LOW:
             budget = min(budget * self.BATCH_GROW,
                          float(self.MAX_BATCH_NODES))
         elif rtt > self.RTT_HIGH:
             budget = max(budget * self.BATCH_SHRINK, 1.0)
-        self._batch[worker_id] = budget
+        worker.batch = budget
 
     def _pack(self, worker_id: int) -> list:
         """Pop up to the worker's group budget (node-budget bounded) for
-        one task.  Groups owned by ``worker_id`` are taken first (affinity
-        hits); an empty own queue steals from the longest other queue
-        (affinity misses).  Returns the groups and their parallel wire
-        handles (None when no group has one): a group's handle rides
-        along only when ``worker_id`` is the worker that retained its
+        one task: its own groups first (affinity hits), then steals from
+        the longest other queue (misses).  Returns the groups and their
+        parallel wire handles (None when no group has one): a handle rides
+        along only when ``worker_id`` is the worker that retained the
         siblings — on any route, stolen and round-robin ones included."""
         budget = self._node_budget(worker_id)
         group_budget = self._group_budget(budget)
@@ -656,7 +662,7 @@ class _Scheduler:
                     queue.append(entry)
                 break
             self._pending_groups -= 1
-            if owned and self._affine:
+            if owned:
                 self.stats.affinity_hits += 1
             else:
                 self.stats.affinity_misses += 1
@@ -667,75 +673,71 @@ class _Scheduler:
         return groups, (handles if any(handles) else None)
 
     def _source_queue(self, worker_id: int) -> tuple[list, bool]:
-        own = self._queues.get(worker_id)
+        """``worker_id``'s own queue while it has entries, else the
+        longest other one (unowned first, then enrollment order, on a
+        tie) — and whether the pop is an affinity hit."""
+        own = self._workers[worker_id].queue
         if own:
             return own, True
-        longest = max((q for q in self._queues.values() if q), key=len)
-        return longest, False
+        queues = (self._unowned,
+                  *(worker.queue for worker in self._workers.values()))
+        return max((queue for queue in queues if queue), key=len), False
 
     # ------------------------------------------------------------------
     # Hang detection
     # ------------------------------------------------------------------
 
-    def _task_deadline(self, worker_id: int) -> float:
+    def _task_deadline(self, worker: _Worker) -> float:
         """Seconds a freshly submitted task gets before its worker is
         declared hung; 0 disables (see the class constants)."""
         if self.config.task_deadline is not None:
             return self.config.task_deadline
-        rtt = self._rtt.get(worker_id)
-        if rtt is None:
+        if worker.rtt is None:
             return self.DEADLINE_FLOOR
-        return max(self.DEADLINE_FLOOR,
-                   self.DEADLINE_RTT_FACTOR * rtt * self.PER_WORKER_INFLIGHT)
+        return max(self.DEADLINE_FLOOR, self.DEADLINE_RTT_FACTOR
+                   * worker.rtt * self.PER_WORKER_INFLIGHT)
 
     def _recv_timeout(self) -> float | None:
         """How long ``recv`` may block: until the nearest task deadline or
-        the respawn-grace deadline, or forever when neither is armed."""
-        armed = list(self._deadlines.values())
-        if self._respawn_deadline is not None:
-            armed.append(self._respawn_deadline)
-        if not armed:
-            return None
-        return max(0.05, min(armed) - time.monotonic())
+        the oldest respawn seat's, or forever when neither is armed."""
+        armed = [task.deadline for task in self._tasks.values()
+                 if task.deadline is not None]
+        if self._respawn_seats:
+            armed.append(self._respawn_seats[0])
+        return max(0.05, min(armed) - time.monotonic()) if armed else None
 
     def _check_deadlines(self) -> None:
-        """Declare workers with expired tasks hung: kill and requeue.
-
-        Runs after every ``recv`` wakeup (results, heartbeats, and
-        timeouts alike).  The kill routes the worker through the ordinary
-        death path — requeue, poison attribution, respawn, policy — and
-        the transport's own later WorkerGone for the killed process is
-        deduplicated by ``_dead``.  Results already in the pipe from the
-        killed worker no longer match ``_in_flight`` and are dropped, the
-        same stale-result rule any death relies on."""
+        """Forfeit respawn seats whose grace ran out, and declare workers
+        with expired tasks hung: kill and retire.  Runs after every
+        ``recv`` wakeup (results, heartbeats, and timeouts alike).  The
+        kill routes the worker through the ordinary death path — requeue,
+        poison attribution, respawn, policy; the transport's own later
+        WorkerGone finds its row retired and its buffered results find no
+        row in ``_tasks``, the stale-result rule any death relies on."""
         now = time.monotonic()
-        if (self._respawn_deadline is not None
-                and now >= self._respawn_deadline):
-            # Replacement worker(s) never joined: their seats in the
-            # min_workers accounting are forfeit.  Re-apply the floor so
-            # a fleet waiting on ghosts aborts instead of hanging.
-            lost = self._pending_respawns
-            self._pending_respawns = 0
-            self._respawn_deadline = None
-            if len(self._live) < self.config.min_workers:
+        seats = self._respawn_seats
+        lost = 0
+        while seats and seats[0] <= now:
+            seats.popleft()
+            lost += 1
+        if lost:
+            # Replacement(s) that never joined forfeit their seats: re-apply
+            # the floor, so a fleet waiting on ghosts aborts, not hangs.
+            live = len(self._alive())
+            if live + len(seats) < self.config.min_workers:
                 raise TransportError(
                     f"{lost} respawned replacement worker(s) never joined"
                     f" within {self.RESPAWN_GRACE:.0f}s and the pool"
-                    f" ({len(self._live)} live) is below"
+                    f" ({live} live) is below"
                     f" min_workers={self.config.min_workers}")
-        if not self._deadlines:
-            return
-        expired = [task_id for task_id, deadline in self._deadlines.items()
-                   if deadline <= now]
-        for task_id in expired:
-            held = self._in_flight.get(task_id)
-            if held is None:
-                self._deadlines.pop(task_id, None)
-                continue
-            worker_id = held[0]
-            if worker_id in self._dead:
-                continue  # its death is already being processed
-            beat = self._last_beat.get(worker_id)
+        # The first expired task of each worker, in task order: retiring
+        # the worker takes every row it holds.
+        hung: dict[int, int] = {}
+        for task_id, task in self._tasks.items():
+            if task.deadline is not None and task.deadline <= now:
+                hung.setdefault(task.worker, task_id)
+        for worker_id, task_id in hung.items():
+            beat = self._workers[worker_id].last_beat
             liveness = ("no heartbeat received" if beat is None
                         else f"last heartbeat {now - beat:.1f}s ago")
             self.stats.workers_hung += 1
@@ -757,25 +759,22 @@ class _Scheduler:
     # ------------------------------------------------------------------
 
     def _merge(self, result: TaskResult) -> None:
-        """Retire one completed task's bookkeeping and fold its output
-        into the search state."""
+        """Take one completed task's row out and fold its output into the
+        search state."""
         task_id = result.task_id
-        if task_id not in self._in_flight:
+        task = self._tasks.pop(task_id, None)
+        if task is None:
             # A result that outraced its worker's death notice — organic
             # or a deadline kill: the task was already requeued, and
             # merging both copies would double-count — drop the stale one.
             return
-        worker_id, groups = self._in_flight.pop(task_id)
-        self._deadlines.pop(task_id, None)
-        self._load[worker_id] -= 1
-        submitted = self._submit_times.pop(task_id, None)
-        if submitted is not None:
-            sent_at, depth = submitted
-            self._observe_rtt(
-                worker_id, (time.monotonic() - sent_at) / max(depth, 1))
-        self.stats.worker_tasks[worker_id] = \
-            self.stats.worker_tasks.get(worker_id, 0) + 1
-        self._absorb(result.out, groups, worker_id, task_id)
+        worker = self._workers[task.worker]
+        assert worker.alive, f"task {task_id} merged from retired worker"
+        worker.load -= 1
+        self._observe_rtt(
+            task.worker, (time.monotonic() - task.sent_at) / task.depth)
+        self.stats.worker_tasks[task.worker] += 1
+        self._absorb(result.out, task.groups, task.worker, task_id)
 
     def _absorb(self, out: dict, groups, worker_id: int | None,
                 task_id: int | None = None) -> None:

@@ -108,7 +108,7 @@ def unpack_digests(blob: bytes, count: int) -> list:
     if not blob:
         return [None] * count
     hexed = blob.hex()
-    width, odd = divmod(len(hexed), count)
+    width, odd = divmod(len(hexed), count) if count else (0, True)
     if odd:
         raise ValueError(
             f"{len(blob)} record bytes do not hold {count} digests of one "

@@ -19,8 +19,10 @@ master, blocking until the elastic accept loop admits it — making
 "a worker joins mid-search" deterministic instead of a sleep-and-hope
 race.
 
-Both install via :func:`install`, which monkeypatches the scheduler's
-``create_transport`` seam.
+All install via :func:`install`, which monkeypatches the scheduler's
+``create_transport`` seam — as does the in-process
+:class:`scripted_transport.ScriptedTransport`, which replaces the pool
+instead of wrapping it.
 
 :func:`small_tasks` is the suites' static-batch baseline: batching is the
 master's policy and has no knob, so a suite that wants every task the

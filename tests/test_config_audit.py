@@ -26,7 +26,6 @@ import pathlib
 import pickle
 import random
 import re
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,6 +36,7 @@ from repro.config import NiceConfig
 from repro.mc import store as store_mod
 from repro.mc.scheduler import _Scheduler
 from repro.mc.strategies import make_strategy
+from scripted_transport import enrolled_scheduler
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 FIELDS = [field.name for field in dataclasses.fields(NiceConfig)]
@@ -179,11 +179,8 @@ def test_reader_pin(field):
 def _scheduler(batch: float, pending: int) -> _Scheduler:
     """Worker 0 of two live ones, past the fan-out phase, its RTT-adapted
     batch at ``batch`` nodes with ``pending`` groups queued."""
-    sched = _Scheduler.__new__(_Scheduler)
-    sched.searcher = SimpleNamespace(_explored=range(1000))
-    sched._live = {0, 1}
-    sched._batch = {0: batch}
-    sched._rtt = {}
+    sched = enrolled_scheduler(scenarios.ping_experiment(pings=1))
+    sched._workers[0].batch = batch
     sched._pending_groups = pending
     return sched
 

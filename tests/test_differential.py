@@ -18,7 +18,14 @@ printed in the assertion message for replay
 (``random_scenario(seed)`` rebuilds it exactly).
 
 A small seed range runs in the fast tier; the wide sweep is ``slow``
-and rides the nightly matrix.
+and rides the nightly matrix.  Twenty seeds in all, each under
+``TRANSITION_CAP`` serial transitions: the reference engine is ~15x
+slower than the product, so the generator's two largest spaces (seeds 6
+and 17: 27 746 and 12 048 transitions, 89 s of the sweep's 124 s) were
+re-picked — the next seeds under the cap, 20 and 21, stand in for them —
+rather than truncated, because a ``max_transitions`` stop is approximate
+on a pool and would weaken the equality below.  ``check_seed`` fails a
+seed that outgrows the cap (a generator change), naming the remedy.
 """
 
 from __future__ import annotations
@@ -42,8 +49,11 @@ VARIANTS = {
                           store_memory_budget=16),
 }
 
+#: Serial ``transitions_executed`` a generated scenario may take.
+TRANSITION_CAP = 10_000
+
 FAST_SEEDS = range(4)
-SLOW_SEEDS = range(4, 20)
+SLOW_SEEDS = [seed for seed in range(4, 22) if seed not in (6, 17)]
 
 
 def variant_runs(scenario):
@@ -63,6 +73,10 @@ def check_seed(seed: int, tmp_path, monkeypatch) -> None:
     scenario = random_scenario(seed)
     baseline = nice.run(scenario)
     replay = f"replay with scenario_gen.random_scenario({seed})"
+    assert baseline.transitions_executed <= TRANSITION_CAP, (
+        f"seed {seed} takes {baseline.transitions_executed} serial"
+        f" transitions, over the {TRANSITION_CAP} cap: pick the next seed"
+        f" under it")
     for variant, result in variant_runs(scenario):
         assert counters(result) == counters(baseline), (
             f"seed {seed}: {variant} explored a different state space"

@@ -16,7 +16,6 @@ fallback on the fork, spawn and socket transports.
 from __future__ import annotations
 
 from collections import deque
-from types import SimpleNamespace
 
 import pytest
 
@@ -25,13 +24,13 @@ from contract import counters, requires_fork, violated_properties
 from fault_helpers import ChaosTransport, install, saturated_hint
 from repro import nice, scenarios
 from repro.mc.scheduler import _Scheduler
-from repro.mc.search import SearchStats
 from repro.mc.store import pack_digest, unpack_digests
 from repro.mc.transitions import Transition
 from repro.mc.transport import create_transport
 from repro.mc.wire import searcher_from_spec
 from repro.mc.worker import WorkerRuntime
 from repro.scenarios import with_config
+from scripted_transport import enrolled_scheduler
 
 ENGINES = [
     pytest.param(dict(start_method="fork"), marks=requires_fork, id="fork"),
@@ -142,6 +141,8 @@ class TestOneResultLayout:
         assert unpack_digests(b"", 3) == [None, None, None]
         with pytest.raises(ValueError, match="of one width"):
             unpack_digests(blob[:-1], 4)
+        with pytest.raises(ValueError, match="do not hold 0 digests"):
+            unpack_digests(blob, 0)  # digests for children nobody shipped
         with pytest.raises(ValueError):
             pack_digest("state-one")  # hex or nothing
 
@@ -346,17 +347,8 @@ class TestSharedBound:
 class TestHandleRouting:
     @staticmethod
     def _scheduler(affine=True, live=(0, 1)):
-        sched = _Scheduler.__new__(_Scheduler)
-        sched.config = _ping().config
-        sched._affine = affine
-        sched._queues = {None: deque()}
-        sched._pending_groups = 0
-        sched._live = set(live)
-        # past the fan-out phase
-        sched.searcher = SimpleNamespace(_explored=range(1000))
-        sched._batch = dict.fromkeys(live, 16.0)
-        sched.stats = SearchStats()
-        return sched
+        return enrolled_scheduler(
+            _ping(search_order="dfs" if affine else "bfs"), live)
 
     def test_handle_goes_to_its_owner_only(self):
         sched = self._scheduler()
@@ -370,14 +362,14 @@ class TestHandleRouting:
         sched = self._scheduler(affine=False)
         group = (("a",), ["b"])
         sched._push(1, group, (4, 0, (1,)))
-        assert list(sched._queues) == [None]  # no per-owner queues
+        assert not sched._workers[1].queue  # no per-owner queues
         assert sched._pack(1) == ([group], [(4, 0, (1,))])
 
     def test_dead_owner_means_no_handle(self):
         sched = self._scheduler(live=(1,))
         group = (("a",), ["b"])
         sched._push(0, group, (4, 0, (1,)))  # worker 0 is gone
-        assert sched._queues[None] == deque([(group, None)])
+        assert sched._unowned == deque([(group, None)])
 
     def test_frontier_persists_plain_groups(self):
         """Checkpoints keep the ``(trace, steps)`` format: handles name

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import re
 
 import repro
 
@@ -114,6 +115,43 @@ def test_the_scheduler_is_an_expander_not_a_second_loop():
     assert [child.name for child in parallel.body
             if isinstance(child, ast.FunctionDef)] == ["_expander"]
     assert parallel.end_lineno - parallel.lineno + 1 <= 20
+
+
+#: What ``_Scheduler`` kept by worker or task id before its two tables.
+RETIRED_SCHEDULER_FIELDS = {
+    "_live", "_dead", "_load", "_batch", "_rtt", "_last_beat", "_queues",
+    "_in_flight", "_submit_times", "_deadlines", "_pending_respawns",
+    "_respawn_deadline"}
+
+
+def test_the_scheduler_keeps_two_tables_with_one_writer_per_edge():
+    """Everything the scheduler knows by id is a row of ``_workers`` or
+    ``_tasks`` (``mc/scheduler.py``, "Two records"): no parallel
+    container comes back, a worker's row is made where it is enrolled or
+    found dead and its liveness cleared where it is retired, and a task
+    gets its row where it is dispatched."""
+    scheduler = "scheduler"
+    assigned = {
+        node.attr for node in ast.walk(
+            FUNCTIONS[scheduler, "_Scheduler.__init__"])
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    assert {"_workers", "_tasks"} <= assigned
+    assert not assigned & RETIRED_SCHEDULER_FIELDS
+    retired = re.compile(
+        rf"\b({'|'.join(sorted(RETIRED_SCHEDULER_FIELDS))})\b")
+    for path in sorted(MC.parent.rglob("*.py")):
+        assert not retired.search(path.read_text()), path
+    assert _assigners("alive") == {(scheduler, "_Scheduler._retire")}
+    assert _callers("_Worker") == {(scheduler, "_Scheduler._enroll"),
+                                   (scheduler, "_Scheduler._retire")}
+    assert _callers("_Task") == {(scheduler, "_Scheduler._dispatch")}
+    inserters = {
+        key for key, function in FUNCTIONS.items()
+        for node in ast.walk(function)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, ast.Store)
+        and getattr(node.value, "attr", None) == "_tasks"}
+    assert inserters == {(scheduler, "_Scheduler._dispatch")}
 
 
 # ----------------------------------------------------------------------

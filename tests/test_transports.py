@@ -18,7 +18,7 @@ import socket as socket_mod
 import threading
 import time
 import warnings
-from collections import OrderedDict, deque
+from collections import OrderedDict
 
 import pytest
 
@@ -31,7 +31,7 @@ from repro.mc import scheduler as scheduler_mod
 from repro.mc import store as store_mod
 from repro.mc import wire
 from repro.mc.scheduler import ParallelSearcher, _Scheduler
-from repro.mc.transport import Transport, create_transport
+from repro.mc.transport import create_transport
 from repro.mc.transport.socket import (
     SocketTransport,
     parse_address,
@@ -41,6 +41,7 @@ from repro.mc.worker import GC_YOUNG_THRESHOLD, WorkerRuntime, _serve
 from repro.nice import Scenario
 from repro.properties.base import Property
 from repro.scenarios import with_config
+from scripted_transport import InlineTransport
 
 
 @pytest.fixture(scope="module")
@@ -226,31 +227,6 @@ class TestFallbackWarnings:
 # ----------------------------------------------------------------------
 # Restoration: counters, eviction correctness, affinity payoff
 # ----------------------------------------------------------------------
-
-class InlineTransport(Transport):
-    """Workers that live in this process and answer a message the moment
-    it is submitted.  No process, pipe or clock takes part, so a run is
-    the scheduler's own decisions — routing, packing, stealing — and
-    nothing else: the same counters every time."""
-
-    name = "inline"
-
-    def start(self, searcher) -> None:
-        self._runtimes = [WorkerRuntime(searcher)
-                          for _ in range(self.workers)]
-        self._results: deque = deque()
-
-    def submit(self, worker_id: int, message) -> None:
-        inbox = iter((message, wire.Shutdown()))
-        _serve(lambda: self._runtimes[worker_id], worker_id,
-               lambda: next(inbox), self._results.append)
-
-    def recv(self, timeout=None):
-        return self._results.popleft() if self._results else None
-
-    def stop(self) -> None:
-        pass
-
 
 class TestReplayCache:
     """Restoration-work measurements hold the batch at its seed
