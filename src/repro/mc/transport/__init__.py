@@ -9,6 +9,9 @@ A transport owns the worker lifecycle and message movement; the scheduler
 * :class:`~repro.mc.transport.socket.SocketTransport` — TCP workers
   started with ``nice worker`` (on this or other machines).
 
+Both are launchers over one channel and one loop,
+:class:`~repro.mc.transport.stream.StreamTransport`.
+
 :func:`create_transport` picks one from the config and *warns* — never
 silently falls back — when a ``workers>0`` request cannot be honored as
 asked: an unavailable start method, or a scenario that is not
@@ -70,11 +73,8 @@ class Transport:
         raise NotImplementedError
 
     def worker_ids(self):
-        """The ids of the workers actually serving once ``start()``
-        returned — what the scheduler enrolls as its initial live pool.
-        The socket transport overrides this: a worker that handshakes and
-        dies *during* the accept barrier burns its id, so the admitted ids
-        need not be ``0..workers-1``."""
+        """The ids of the workers serving once ``start()`` returned —
+        what the scheduler enrolls as its initial live pool."""
         return range(self.workers)
 
     def submit(self, worker_id: int, task) -> None:
@@ -97,10 +97,10 @@ class Transport:
         """Start one extra worker, if the transport can.
 
         Returns the new worker id when the spawn is synchronous (local
-        pools) or None when the worker joins asynchronously (the socket
-        transport's elastic accept loop).  This is the autoscaler hook
-        behind ``NiceConfig.respawn_workers``; transports that cannot
-        grow raise :class:`NotImplementedError`.
+        pools) or None when the worker joins asynchronously (a socket
+        worker connects like any elastic joiner).  This is the autoscaler
+        hook behind ``NiceConfig.respawn_workers``; transports that
+        cannot grow raise :class:`NotImplementedError`.
         """
         raise NotImplementedError
 

@@ -21,12 +21,13 @@ protocol:
   The scheduler reacts by requeueing the dead worker's in-flight sibling
   groups (or feeding the joiner) — see DESIGN.md, "Fault tolerance and
   elasticity";
-* length-prefixed pickle framing (:func:`send_msg` / :func:`recv_msg`) for
-  the socket transport.  Pickle is the serializer because tasks and results
-  are trees of pure-data model objects (:class:`~repro.mc.transitions.Transition`,
-  packets, stats dicts) already required to be picklable by the spawn pool;
-  the trust model is the same as ``multiprocessing``'s — workers are
-  processes *you* started on hosts you control, not an open service.
+* length-prefixed pickle framing (:func:`send_msg` / :func:`recv_msg`),
+  the one way bytes cross a worker boundary: every transport's channel is
+  a stream socket carrying these frames.  Pickle is the serializer because
+  tasks and results are trees of pure-data model objects
+  (:class:`~repro.mc.transitions.Transition`, packets, stats dicts); the
+  trust model is ``multiprocessing``'s — workers are processes *you*
+  started on hosts you control, not an open service.
 """
 
 from __future__ import annotations
@@ -34,26 +35,26 @@ from __future__ import annotations
 import pickle
 import struct
 from dataclasses import dataclass, field
+from time import monotonic as _monotonic
 
 from repro.config import NiceConfig
 
 #: Bump when the task/result layout changes; Hello carries it so a stale
-#: remote worker fails fast instead of mis-decoding tasks.
-#: v2: Hello carries host/pid (elastic joins + fault-injection hooks).
-#: v3: workers emit :class:`Heartbeat` liveness beats on the result channel.
-#: v4: results pack their kid digests into one ``kid_digests`` blob.
-#: v5: :class:`ExpandTask` carries per-group retention handles — a worker
-#:     keeps the children it ships and picks them up again by
-#:     ``(task id, node position, kid index)`` instead of rebuilding them.
-#: v6: the v4 worker-side dedup pre-filter is gone (summary broadcasts,
-#:     digest-only stubs, the mid-task fetch round-trip): every result
-#:     ships every child, in the packed layout.
-#: v7: the packed layout is the only one and is built directly:
-#:     ``children`` hold bare transitions, ``digests`` the kids' records
-#:     (v4's ``kid_digests`` tuple and its inline fallback are gone).
+#: remote worker fails fast instead of mis-decoding tasks.  v7: a result
+#: is ``children`` (bare transitions) plus one packed ``digests`` blob,
+#: an :class:`ExpandTask` carries retention handles, workers beat
+#: :class:`Heartbeat` on the result channel.  (History: CHANGES.md.)
 PROTOCOL_VERSION = 7
 
 _HEADER = struct.Struct("!I")
+
+#: The longest frame :func:`recv_msg` will read; a header announcing more
+#: is refused before a byte of body is buffered.  The largest frame of an
+#: ``lb3`` search is 23 KB (median 6 KB; bench/README.md).
+MAX_FRAME = 16 << 20
+#: The same for a connection's first frame, which anything that reaches
+#: ``--listen`` can send: a :class:`Hello` is under 100 bytes.
+MAX_GREETING = 1 << 10
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +144,7 @@ class ExpandTask:
     ``groups`` is a list of ``(parent trace, [transition, ...] | None)``
     pairs — ``None`` marks the initial-state group.
 
-    ``handles`` (protocol v5) runs parallel to ``groups``, or is None
+    ``handles`` runs parallel to ``groups``, or is None
     when no group has one: entry *i* is ``(task id, node position, kid
     indices)`` naming where the receiving worker *itself* produced group
     *i*'s siblings — the task whose result shipped them, the position of
@@ -191,7 +192,7 @@ class Shutdown:
 
 @dataclass
 class Heartbeat:
-    """Worker -> master: periodic liveness beat (protocol v3).
+    """Worker -> master: periodic liveness beat.
 
     Sent by a daemon thread every ``heartbeat_interval`` seconds on the
     same channel as results.  A beat proves the worker *process* is alive
@@ -228,27 +229,54 @@ class WorkerJoined:
 # Framing
 # ----------------------------------------------------------------------
 
-def send_msg(sock, message) -> None:
-    """Write one length-prefixed pickled message to a socket."""
+def send_msg(sock, message, timeout: float | None = None) -> None:
+    """Write one length-prefixed pickled message to a stream socket.
+    ``timeout`` bounds the whole frame, as in :func:`recv_msg`; without
+    one the socket's mode is not touched (a worker's heartbeat thread
+    sends while its main thread sits in a blocking read)."""
     payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_HEADER.pack(len(payload)) + payload)
+    if timeout is not None:
+        sock.settimeout(timeout)
+    try:
+        sock.sendall(_HEADER.pack(len(payload)) + payload)
+    finally:
+        if timeout is not None:
+            sock.settimeout(None)
 
 
-def recv_msg(sock):
+def recv_msg(sock, timeout: float | None = None, limit: int = MAX_FRAME):
     """Read one framed message; returns None on clean EOF at a frame
-    boundary."""
-    header = _recv_exact(sock, _HEADER.size, allow_eof=True)
-    if header is None:
-        return None
-    (length,) = _HEADER.unpack(header)
-    return pickle.loads(_recv_exact(sock, length))
+    boundary.  The one timeout rule of every channel: ``timeout`` seconds
+    from the call for the *whole* frame (``TimeoutError``), however the
+    peer paces its bytes — callers that must not wait for a first byte
+    call once the socket is readable.  A frame announced longer than
+    ``limit`` is a ``ConnectionError`` and none of it is read."""
+    deadline = None if timeout is None else _monotonic() + timeout
+    try:
+        header = _recv_exact(sock, _HEADER.size, deadline, allow_eof=True)
+        if header is None:
+            return None
+        (length,) = _HEADER.unpack(header)
+        if length > limit:
+            raise ConnectionError(f"peer announced a {length}-byte frame;"
+                                  f" at most {limit} are accepted here")
+        return pickle.loads(_recv_exact(sock, length, deadline))
+    finally:
+        if deadline is not None:
+            sock.settimeout(None)
 
 
-def _recv_exact(sock, count: int, allow_eof: bool = False):
+def _recv_exact(sock, count: int, deadline, allow_eof: bool = False):
     chunks = []
     remaining = count
     while remaining:
-        chunk = sock.recv(remaining)
+        if deadline is not None:
+            sock.settimeout(max(deadline - _monotonic(), 0.001))
+        try:
+            chunk = sock.recv(remaining)
+        except TimeoutError:
+            raise TimeoutError(f"peer stalled mid-frame ({count - remaining}"
+                               f"/{count} bytes)") from None
         if not chunk:
             if allow_eof and remaining == count:
                 return None

@@ -553,16 +553,21 @@ def _serve(make_runtime, worker_id: int, recv, send) -> None:
             beat.stop()
 
 
-def local_worker_main(worker_id: int, task_queue, result_conn, spec,
-                      limits: dict | None = None) -> None:
-    """Entry point of a local-transport worker process.
+def _serve_channel(sock, worker_id: int, spec) -> None:
+    """:func:`_serve` over a worker's channel — one stream socket of
+    ``wire`` frames, whoever launched the process.  ``spec`` None means a
+    fork child: the searcher is :data:`_INHERITED_SEARCHER`."""
+    _serve(lambda: WorkerRuntime(_INHERITED_SEARCHER if spec is None
+                                 else searcher_from_spec(spec)),
+           worker_id, lambda: recv_msg(sock),
+           lambda message: send_msg(sock, message))
 
-    ``spec`` is None under ``fork`` (the searcher is inherited via
-    :data:`_INHERITED_SEARCHER`); under ``spawn`` it is the pickled
-    :class:`~repro.mc.wire.ScenarioSpec` to rebuild from.  ``result_conn``
-    is this worker's private result pipe — per-worker channels are what
-    lets the master survive a worker killed mid-write (see
-    ``repro/mc/transport/local.py``).
+
+def local_worker_main(worker_id: int, sock, spec,
+                      limits: dict | None = None) -> None:
+    """Entry point of a local-transport worker process; ``sock`` is its
+    end of the ``socketpair`` the master made for it, ``spec`` the
+    :class:`~repro.mc.wire.ScenarioSpec` to rebuild from under ``spawn``.
 
     ``limits`` makes this process the quarantine sandbox (DESIGN.md,
     "Failure containment"): rlimits applied before anything is built —
@@ -574,9 +579,7 @@ def local_worker_main(worker_id: int, task_queue, result_conn, spec,
     if limits is not None:
         os.environ["NICE_QUARANTINE"] = "1"
         _apply_rlimits(limits)
-    _serve(lambda: WorkerRuntime(_INHERITED_SEARCHER if spec is None
-                                 else searcher_from_spec(spec)),
-           worker_id, task_queue.get, result_conn.send)
+    _serve_channel(sock, worker_id, spec)
 
 
 #: Seconds a connecting worker waits for the master's InitWorker reply —
@@ -589,15 +592,12 @@ def socket_worker_loop(sock) -> None:
     """Serve one master over a connected socket until Shutdown/EOF."""
     import socket as socket_mod
 
-    sock.settimeout(INIT_TIMEOUT)
-    send_msg(sock, Hello(host=socket_mod.gethostname(), pid=os.getpid()))
-    init = recv_msg(sock)
+    send_msg(sock, Hello(host=socket_mod.gethostname(), pid=os.getpid()),
+             INIT_TIMEOUT)
+    init = recv_msg(sock, INIT_TIMEOUT)
     if not isinstance(init, InitWorker):
         raise ConnectionError(f"expected InitWorker, got {init!r}")
-    sock.settimeout(None)
-    _serve(lambda: WorkerRuntime(searcher_from_spec(init.spec)),
-           init.worker_id, lambda: recv_msg(sock),
-           lambda message: send_msg(sock, message))
+    _serve_channel(sock, init.worker_id, init.spec)
 
 
 def _apply_rlimits(limits: dict) -> None:

@@ -4,20 +4,21 @@
 worker after the Nth task submission, through the transport's own
 ``kill_worker`` hook (SIGKILL for local pools and co-located socket
 workers, connection teardown for remote ones).  The death then travels
-the production path — pipe EOF / socket reset -> ``WorkerGone`` ->
+the production path — channel EOF or reset -> ``WorkerGone`` ->
 scheduler requeue — which is exactly what the chaos suite wants to
 exercise; nothing here touches scheduler internals.
 
 :class:`StallTransport` SIGSTOPs (wedges, not kills) a scheduled worker
-instead: the pipes stay open, no EOF fires, and only the scheduler's
+instead: the channel stays open, no EOF fires, and only the scheduler's
 task-deadline machinery can notice — the hang-detection counterpart of
 :class:`ChaosTransport`.
 
 :class:`ElasticJoiner` wraps a :class:`SocketTransport` and, after the
 Nth submission, launches one extra ``nice worker`` aimed at the live
-master, blocking until the elastic accept loop admits it — making
-"a worker joins mid-search" deterministic instead of a sleep-and-hope
-race.
+master; the wrapper's ``recv`` then holds every other message back until
+the master's loop has admitted the joiner and its ``WorkerJoined`` has
+been returned — making "a worker joins mid-search" deterministic instead
+of a sleep-and-hope race, through the transport's public surface only.
 
 All install via :func:`install`, which monkeypatches the scheduler's
 ``create_transport`` seam — as does the in-process
@@ -33,10 +34,12 @@ the workers' retention hint the same way.
 from __future__ import annotations
 
 import time
+from collections import deque
 
 from repro.mc import scheduler as scheduler_mod
 from repro.mc.scheduler import _Scheduler
 from repro.mc.transport import create_transport
+from repro.mc.wire import WorkerJoined
 from repro.mc.worker import WorkerRuntime
 
 
@@ -67,25 +70,16 @@ def saturated_hint(setattr=setattr) -> None:
     setattr(WorkerRuntime, "SEEN_BITS", 8)
 
 
-def spawn_and_await_join(transport) -> set[int]:
-    """Launch one more socket worker and block until the master's elastic
-    accept loop has admitted it; returns the worker ids present before."""
-    before = set(transport._connections)
-    transport.spawn_worker()
-    deadline = time.monotonic() + JOIN_TIMEOUT
-    while time.monotonic() < deadline:
-        if set(transport._connections) - before:
-            return before
-        time.sleep(0.01)
-    raise AssertionError(
-        f"elastic worker did not join within {JOIN_TIMEOUT:.0f}s")
-
-
 class _TransportWrapper:
-    """Delegate everything to the wrapped transport except ``submit``."""
+    """Delegate everything to the wrapped transport, with a hook after
+    each ``submit`` — and, once :meth:`_spawn_and_await_join` has asked
+    for a socket worker, a ``recv`` that returns nothing else until that
+    worker's ``WorkerJoined``."""
 
     def __init__(self, inner):
         self._inner = inner
+        self._joins_awaited = 0
+        self._held: deque = deque()
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -96,6 +90,27 @@ class _TransportWrapper:
 
     def _after_submit(self):
         raise NotImplementedError
+
+    def _spawn_and_await_join(self) -> None:
+        self._inner.spawn_worker()
+        self._joins_awaited += 1
+
+    def recv(self, timeout=None):
+        if not self._joins_awaited:
+            if self._held:
+                return self._held.popleft()
+            return self._inner.recv(timeout)
+        deadline = time.monotonic() + JOIN_TIMEOUT
+        while True:
+            message = self._inner.recv(
+                timeout=max(0.0, deadline - time.monotonic()))
+            if message is None:
+                raise AssertionError(
+                    f"elastic worker did not join within {JOIN_TIMEOUT:.0f}s")
+            if isinstance(message, WorkerJoined):
+                self._joins_awaited -= 1
+                return message
+            self._held.append(message)
 
 
 class ChaosTransport(_TransportWrapper):
@@ -126,17 +141,16 @@ class ChaosTransport(_TransportWrapper):
         socket replacement joins in its own time, and a search as small
         as the chaos suite's can end first — so wait for it here, and
         "the replacement joined" is not a race against the search."""
-        inner = self._inner
-        if not hasattr(inner, "_connections"):
-            return inner.spawn_worker()
-        spawn_and_await_join(inner)
+        if self._inner.name != "socket":
+            return self._inner.spawn_worker()
+        self._spawn_and_await_join()
         return None
 
 
 class StallTransport(_TransportWrapper):
     """SIGSTOP (wedge, don't kill) worker K after the Nth submission.
 
-    A stopped process is the purest "hung worker": the OS keeps the pipes
+    A stopped process is the purest "hung worker": the OS keeps its channel
     open, so no EOF ever fires and only the task-deadline machinery can
     notice.  The victim is the exact failure shape heartbeats + deadlines
     exist for, without involving any hostile model code.
@@ -165,8 +179,8 @@ class StallTransport(_TransportWrapper):
 
 
 class ElasticJoiner(_TransportWrapper):
-    """Launch one extra socket worker after the Nth submission and wait
-    until the master's elastic accept loop has admitted it."""
+    """Launch one extra socket worker after the Nth submission; nothing
+    else is received until the master's loop has admitted it."""
 
     def __init__(self, inner, after: int):
         super().__init__(inner)
@@ -179,7 +193,8 @@ class ElasticJoiner(_TransportWrapper):
         self._submitted += 1
         if self._submitted != self._after:
             return
-        self.initial_workers = spawn_and_await_join(self._inner)
+        self.initial_workers = set(self._inner.worker_ids())
+        self._spawn_and_await_join()
 
 
 def install(monkeypatch, wrap):

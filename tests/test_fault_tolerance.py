@@ -10,7 +10,7 @@ a hang or a half-merged result.
 
 Deaths are injected through :class:`fault_helpers.ChaosTransport`
 (SIGKILL / connection teardown via the transport's own ``kill_worker``
-hook), so every test drives the production detection path: pipe EOF or
+hook), so every test drives the production detection path: channel EOF or
 socket reset -> ``WorkerGone`` -> scheduler requeue.  The fast tier uses
 the small ``ping`` scenario; the registry-wide chaos matrix is ``slow``
 (nightly).
@@ -134,7 +134,7 @@ class TestHungWorker:
     @pytest.mark.parametrize("overrides,engine", ENGINES)
     def test_stalled_worker_is_deadline_killed(self, overrides, engine,
                                                serial_ping, monkeypatch):
-        """SIGSTOP — not SIGKILL — a worker mid-search: its pipes stay
+        """SIGSTOP — not SIGKILL — a worker mid-search: its channel stays
         open, so only the task-deadline machinery can notice.  The master
         must declare it hung, kill it, requeue its work, and finish
         bit-identical to serial."""

@@ -10,8 +10,10 @@ suite to catch the two drifting apart.
 
 The process boundary around that loop has one of each too: one place a
 worker process is launched (the quarantine sandbox is a one-worker local
-transport, not a second launcher), and one pair of functions that turn a
-digest into its stored-or-shipped record and back.
+transport, not a second launcher), one channel to a worker however it
+was launched — a stream socket read in one function, waited on in one
+other, with no thread on the master's side — and one pair of functions
+that turn a digest into its stored-or-shipped record and back.
 """
 
 from __future__ import annotations
@@ -25,13 +27,16 @@ import repro
 MC = pathlib.Path(repro.__file__).resolve().parent / "mc"
 
 
-def _functions() -> dict:
+SOURCES = {path.relative_to(MC).with_suffix("").as_posix(): path.read_text()
+           for path in sorted(MC.rglob("*.py"))}
+
+
+def _functions(sources: dict = SOURCES) -> dict:
     """``(module, qualified name) -> FunctionDef`` for every module-level
     function and every method of ``src/repro/mc``."""
     found = {}
-    for path in sorted(MC.rglob("*.py")):
-        module = path.relative_to(MC).with_suffix("").as_posix()
-        for node in ast.parse(path.read_text()).body:
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
             if isinstance(node, ast.FunctionDef):
                 found[module, node.name] = node
             elif isinstance(node, ast.ClassDef):
@@ -177,6 +182,86 @@ def test_one_launch_path():
     assert _callers(".Process") | _callers("Process") == launch
     assert _assigners("_INHERITED_SEARCHER") == launch
     assert not [name for _, name in FUNCTIONS if "quarantine_worker" in name]
+
+
+#: A call that blocks on descriptors, as written at the call site.
+WAITS = re.compile(r"(select|selectors)\.\w+|(\w+\.)?connection\.wait"
+                   r"|select|wait")
+
+
+def _one_channel_breaches(sources: dict = SOURCES) -> set[str]:
+    """Everything in ``sources`` (``src/repro/mc``, by module) that opens
+    a second way to a worker."""
+    functions = _functions(sources)
+    master = {module for module in sources if module.startswith("transport/")}
+    breaches = set()
+    for module in master:
+        for node in ast.walk(ast.parse(sources[module])):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+                names.append(getattr(node, "module", None) or "")
+                breaches |= {f"{module} imports {name}" for name in names
+                             if name.split(".")[0] in ("threading", "queue")}
+    for (module, name), function in functions.items():
+        calls = _calls(function)
+        where = f"{module}:{name}"
+        if module in master:
+            # One place waits: multiprocessing's ``connection.wait``.
+            waits = {ast.unparse(node.func) for node in ast.walk(function)
+                     if isinstance(node, ast.Call)
+                     and WAITS.fullmatch(ast.unparse(node.func))}
+            if waits and where != "transport/stream:StreamTransport._poll":
+                breaches.add(f"{where} waits on descriptors")
+            for call in calls & {"Thread", ".Thread", ".Pipe", "Pipe",
+                                 ".SimpleQueue", ".Queue", "Queue"}:
+                breaches.add(f"{where} calls {call}")
+        # A socket's bytes are read and written in ``mc/wire.py`` alone.
+        if module in master | {"worker"}:
+            for call in calls & {".recv", ".recv_into", ".send", ".sendall"}:
+                breaches.add(f"{where} calls {call}")
+        if module == "wire" and calls & {".recv", ".sendall"} and name \
+                not in ("send_msg", "_recv_exact"):
+            breaches.add(f"{where} is a second framing function")
+    return breaches
+
+
+def test_one_channel():
+    """No master-side thread, queue or pipe; one function that waits
+    (``StreamTransport._poll``), one that reads a socket
+    (``wire._recv_exact``), one that writes one (``wire.send_msg``); and
+    the only thread ``src/repro`` starts is the worker's heartbeat."""
+    assert _one_channel_breaches() == set()
+    assert _callers("._poll") == {("transport/stream", "StreamTransport.recv"),
+                                  ("transport/socket", "SocketTransport.start")}
+    starts = [(path.name, line.strip())
+              for path in sorted(MC.parent.rglob("*.py"))
+              for line in path.read_text().splitlines()
+              if re.search(r"\bThread\(", line)]
+    assert starts == [("worker.py", "self._thread = threading.Thread(")]
+
+
+def test_a_reader_thread_planted_back_is_caught():
+    """The guard's own mutation demo: the parent design's reader thread,
+    put back into ``SocketTransport``."""
+    planted = dict(SOURCES)
+    planted["transport/socket"] += '''
+import threading
+
+def _reader(worker_id, connection, results):
+    while True:
+        results.put(recv_msg(connection))
+
+def _admit(connection):
+    threading.Thread(target=_reader, args=(0, connection, None)).start()
+    connection.recv(4)
+'''
+    assert _one_channel_breaches(planted) == {
+        "transport/socket imports threading",
+        "transport/socket:_admit calls .Thread",
+        "transport/socket:_admit calls .recv"}
+    assert "transport/local:LocalTransport._put_away waits on descriptors" \
+        in _one_channel_breaches({**SOURCES, "transport/local": SOURCES[
+            "transport/local"].replace("process.join(", "connection.wait(")})
 
 
 def test_one_record_codec():

@@ -32,11 +32,7 @@ from repro.mc import store as store_mod
 from repro.mc import wire
 from repro.mc.scheduler import ParallelSearcher, _Scheduler
 from repro.mc.transport import create_transport
-from repro.mc.transport.socket import (
-    SocketTransport,
-    parse_address,
-    run_worker,
-)
+from repro.mc.transport.socket import parse_address, run_worker
 from repro.mc.worker import GC_YOUNG_THRESHOLD, WorkerRuntime, _serve
 from repro.nice import Scenario
 from repro.properties.base import Property
@@ -711,36 +707,6 @@ def test_collector_policy_is_in_force_in_every_pool_worker(
         assert not record["quarantine"]
 
 
-@pytest.mark.parametrize("engine", [
-    pytest.param(dict(start_method="fork"), marks=requires_fork, id="local"),
-    pytest.param(dict(transport="socket"), id="socket"),
-])
-def test_recv_with_a_zero_timeout_polls_once_and_never_blocks(engine):
-    """``Transport.recv(timeout=t)`` is "None after t seconds of
-    silence", and 0 is a valid t: a message already delivered comes back,
-    an empty channel answers None at once.  (The local transport used to
-    return None before looking at its pipes, so a zero-timeout caller
-    never saw a result at all.)"""
-    scenario = with_config(scenarios.ping_experiment(pings=1), workers=1,
-                           heartbeat_interval=0, **engine)
-    transport = create_transport(scenario.config, scenario.spec)
-    transport.start(wire.searcher_from_spec(scenario.spec))
-    try:
-        began = time.monotonic()
-        assert transport.recv(timeout=0) is None
-        assert time.monotonic() - began < 0.5
-        transport.submit(0, wire.ExpandTask(1, [((), None)]))
-        deadline = time.monotonic() + 10.0
-        result = None
-        while result is None and time.monotonic() < deadline:
-            time.sleep(0.01)
-            result = transport.recv(timeout=0)
-        assert isinstance(result, wire.TaskResult) and result.task_id == 1
-        assert transport.recv(timeout=0) is None
-    finally:
-        transport.stop()
-
-
 # ----------------------------------------------------------------------
 # Wire framing
 # ----------------------------------------------------------------------
@@ -767,46 +733,17 @@ class TestWireFraming:
             received = wire.recv_msg(right)
             assert received.handles == [(7, 2, (0, 3)), None]
 
-    def test_worst_case_handles_leave_the_pipe_buffer_to_the_groups(self):
-        """A local-pipe submit must never block (a worker SIGKILLed
-        between the liveness check and the write would hang the master),
-        so what a task frame carries besides its groups stays small: the
-        largest task ``_pack`` can emit names MAX_BATCH_NODES siblings —
-        worst case one group each, late in a long run (big task ids and
-        node positions)."""
+    def test_worst_case_handles_leave_the_socket_buffer_to_the_groups(self):
+        """A submit that outlasts ``FRAME_TIMEOUT`` costs a worker, so
+        what a task frame carries besides its groups stays small beside a
+        socket buffer: the largest task ``_pack`` can emit names
+        MAX_BATCH_NODES siblings — worst case one group each, late in a
+        long run (big task ids and node positions)."""
         handles = [(10 ** 9 + node, 60_000 + node, (250,))
                    for node in range(_Scheduler.MAX_BATCH_NODES)]
         frame = len(pickle.dumps(wire.ExpandTask(10 ** 9, [], handles),
                                  protocol=pickle.HIGHEST_PROTOCOL))
         assert frame <= (8 << 10) + 512  # a few ints per group
-
-    @pytest.mark.parametrize("protocol", [wire.PROTOCOL_VERSION - 1,
-                                          wire.PROTOCOL_VERSION + 1])
-    def test_hello_with_another_protocol_is_dropped(self, protocol, capsys):
-        """A v6 worker ships ``kid_digests`` where the v7 master reads
-        ``digests``; a v8 one knows things this master does not:
-        mismatched peers are dropped at the handshake."""
-        transport = SocketTransport(1, "127.0.0.1:0", spec=None,
-                                    spawn_workers=False)
-        master, worker = socket_mod.socketpair()
-        with worker:
-            wire.send_msg(worker, wire.Hello(protocol=protocol))
-            assert transport._handshake(master, 0) is None
-            assert master.fileno() == -1  # closed
-            assert wire.recv_msg(worker) is None  # no InitWorker, just EOF
-        assert f"master speaks protocol {wire.PROTOCOL_VERSION}" \
-            in capsys.readouterr().err
-
-    def test_hello_with_this_protocol_is_admitted(self):
-        assert wire.PROTOCOL_VERSION == 7
-        transport = SocketTransport(1, "127.0.0.1:0", spec=None,
-                                    spawn_workers=False)
-        master, worker = socket_mod.socketpair()
-        with master, worker:
-            wire.send_msg(worker, wire.Hello(host="h", pid=42))
-            assert transport._handshake(master, 3) == ("h", 42)
-            init = wire.recv_msg(worker)
-            assert isinstance(init, wire.InitWorker) and init.worker_id == 3
 
     def test_eof_at_frame_boundary_is_none(self):
         left, right = socket_mod.socketpair()
