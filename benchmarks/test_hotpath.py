@@ -19,6 +19,12 @@ writes everything to ``BENCH_hotpath.json`` (at the repository root under
 headline assertion: the product beats the reference by >= 5x end-to-end on
 pyswitch-direct-path (measured ~15x; override the floor with
 ``NICE_HOTPATH_SPEEDUP_FLOOR``).
+
+It also records **per-call rows** for the methods a transition pays for
+what it writes through (DESIGN.md, "Sub-forms and sealed packets": the
+ownership rule) — calls and µs per call on one instrumented serial pass
+over ``loadbalancer max_pkt_sequence=3`` — next to the same rows read off
+the commit before part-level copy-on-write (``PER_CALL_BEFORE``).
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ import pytest
 from reference_engine import reference_factory, reference_run
 from repro import nice, scenarios
 from repro.config import NiceConfig
+from repro.hosts.base import Host
+from repro.mc.system import PacketLedger, System
+from repro.openflow.switch import SwitchModel
 from repro.scenarios import with_config
 
 from .conftest import print_table
@@ -80,6 +89,62 @@ def _clone_cost(scenario, engine, clones: int = 2000) -> float:
     return (time.perf_counter() - start) / clones
 
 
+#: The methods timed per call: what a checkpoint copies and what a miss
+#: assembles, per component, and the ledger's one writer.
+PER_CALL_METHODS = [
+    (System, "clone"), (SwitchModel, "clone"), (SwitchModel, "canonical"),
+    (Host, "clone"), (Host, "canonical"), (PacketLedger, "clone"),
+    (PacketLedger, "_record"),
+]
+
+#: The same rows at the parent commit (de0a6ba: a materialized switch
+#: copied all five channels, a host five containers, the ledger six
+#: lists), read with this instrument in the session that recorded the
+#: committed ``BENCH_hotpath.json``.  ``PacketLedger._record`` had 69 625
+#: calls there because ``log`` and ``history`` were appended to beside it.
+PER_CALL_BEFORE = {
+    "System.clone": {"calls": 133888, "us_per_call": 1.94},
+    "SwitchModel.clone": {"calls": 78990, "us_per_call": 4.79},
+    "SwitchModel.canonical": {"calls": 78991, "us_per_call": 8.83},
+    "Host.clone": {"calls": 82146, "us_per_call": 1.86},
+    "Host.canonical": {"calls": 82149, "us_per_call": 2.56},
+    "PacketLedger.clone": {"calls": 69625, "us_per_call": 1.12},
+    "PacketLedger._record": {"calls": 69625, "us_per_call": 3.67},
+}
+
+
+def _per_call_rows() -> dict:
+    """``{"Class.method": {"calls", "us_per_call"}}`` over one serial
+    ``lb3`` pass with a ``perf_counter_ns`` wrapper on each of
+    :data:`PER_CALL_METHODS` (each read includes ~0.1 µs of wrapper)."""
+    rows = {}
+    clock = time.perf_counter_ns
+
+    def timed(inner, row):
+        def wrapper(*args, **kwargs):
+            start = clock()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                row[1] += clock() - start
+                row[0] += 1
+        return wrapper
+
+    scenario = with_config(
+        scenarios.loadbalancer_scenario(
+            config=NiceConfig(max_pkt_sequence=3)),
+        stop_at_first_violation=False)
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in PER_CALL_METHODS:
+            row = rows[f"{owner.__name__}.{name}"] = [0, 0]
+            patch.setattr(owner, name, timed(getattr(owner, name), row))
+        stats = nice.run(scenario)
+    assert (stats.transitions_executed, stats.unique_states) == (133888, 43186)
+    return {name: {"calls": calls,
+                   "us_per_call": round(ns / calls / 1e3, 2)}
+            for name, (calls, ns) in rows.items()}
+
+
 @pytest.fixture(scope="module")
 def hotpath_results(bench_output):
     results: dict[str, dict] = {}
@@ -116,6 +181,12 @@ def hotpath_results(bench_output):
         "engines": {"product": "repro.nice.run",
                     "reference": "tests/reference_engine.py reference_run"},
         "workloads": results,
+        "per_call": {
+            "workload": "loadbalancer max_pkt_sequence=3, serial, one"
+                        " instrumented pass",
+            "before": PER_CALL_BEFORE,
+            "after": _per_call_rows(),
+        },
     }
     bench_output("hotpath").write_text(json.dumps(payload, indent=2) + "\n")
     return results
@@ -209,3 +280,23 @@ def test_bench_file_written(hotpath_results, bench_output):
     data = json.loads(bench_output("hotpath").read_text())
     assert data["benchmark"] == "hotpath"
     assert set(data["workloads"]) == set(_workloads())
+
+
+def test_a_checkpoint_copy_owns_no_part(hotpath_results, bench_output):
+    """The per-call rows: the same components are copied and assembled as
+    often as before (``cow_copied`` counts components, not parts), and a
+    switch copy — five channel copies before, none now — costs under
+    half of what it did (measured: a fifth)."""
+    rows = json.loads(bench_output("hotpath").read_text())["per_call"]
+    before, after = rows["before"], rows["after"]
+    print_table(
+        "Per call on lb3 (calls, us per call)",
+        ["method", "before", "after"],
+        [[name, f"{before[name]['calls']} x {before[name]['us_per_call']}",
+          f"{after[name]['calls']} x {after[name]['us_per_call']}"]
+         for name in before])
+    for name in before:
+        if name != "PacketLedger._record":
+            assert after[name]["calls"] == before[name]["calls"], name
+    assert (after["SwitchModel.clone"]["us_per_call"]
+            < 0.5 * before["SwitchModel.clone"]["us_per_call"])

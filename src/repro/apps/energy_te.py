@@ -159,7 +159,7 @@ class EnergyTrafficEngineering(App):
         """Fast checkpoint copy: scalars plus the flow->table map; the
         routing tables themselves are static configuration, shared."""
         new = type(self).__new__(type(self))
-        new.__dict__.update(self.__dict__)
+        new.__dict__ = self.__dict__.copy()
         new.flow_tables = dict(self.flow_tables)
         return new
 

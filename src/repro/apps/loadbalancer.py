@@ -156,7 +156,7 @@ class LoadBalancer(App):
         """Fast checkpoint copy: scalars plus the flow-assignment map; the
         replica specs are static configuration and stay shared."""
         new = type(self).__new__(type(self))
-        new.__dict__.update(self.__dict__)
+        new.__dict__ = self.__dict__.copy()
         new.flow_assignments = dict(self.flow_assignments)
         return new
 

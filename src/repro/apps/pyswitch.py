@@ -40,7 +40,7 @@ class PySwitch(App):
     def clone(self):
         """Fast checkpoint copy: the state is one dict of MAC tables."""
         new = type(self).__new__(type(self))
-        new.__dict__.update(self.__dict__)
+        new.__dict__ = self.__dict__.copy()
         new.ctrl_state = {sw: dict(table)
                           for sw, table in self.ctrl_state.items()}
         return new

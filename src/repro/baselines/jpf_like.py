@@ -64,11 +64,10 @@ class JpfSystem(System):
             getattr(self.api(), name)(*args, **kwargs)
             return
         if transition.kind == tk.CTRL_HANDLE:
-            # The buffering API bypasses the stamping wrapper, so invalidate
-            # the handled switch and controller state explicitly — and fetch
-            # the switch only afterwards (copy-on-write may replace it).
-            self._dirty(("sw", transition.actor), "app")
-            switch = self._switch(transition.actor)
+            # The buffering API bypasses the stamping wrapper, so declare
+            # the handled switch and the controller state written here.
+            switch = self._write_switch(transition.actor)
+            self._write_app()
             ops: list = []
             self.runtime.handle_message(_BufferingAPI(ops), switch)
             self.pending_ops.extend(ops)
@@ -84,7 +83,6 @@ class JpfSystem(System):
 
     def clone(self):
         new = super().clone()
-        new.__class__ = JpfSystem
         new.pending_ops = list(self.pending_ops)
         return new
 

@@ -115,33 +115,30 @@ class LiveControllerAPI(ControllerAPI):
     def __init__(self, system):
         self._system = system
 
-    def _channel(self, sw_id: str):
+    def _send(self, sw_id: str, message) -> None:
         switch = self._system.switches.get(sw_id)
         if switch is None:
             raise ControllerError(f"unknown switch {sw_id!r}")
-        return switch.ofp_in
+        switch.enqueue_of(message)
 
     def install_rule(self, sw_id, match, actions, soft_timer=PERMANENT,
                      hard_timer=PERMANENT, priority=DEFAULT_PRIORITY,
                      cookie=0):
-        self._channel(sw_id).enqueue(
-            FlowMod(
-                OFPFC_ADD,
-                normalize_match(match),
-                normalize_actions(actions),
-                priority=priority,
-                idle_timeout=soft_timer,
-                hard_timeout=hard_timer,
-                cookie=cookie,
-            )
-        )
+        self._send(sw_id, FlowMod(
+            OFPFC_ADD,
+            normalize_match(match),
+            normalize_actions(actions),
+            priority=priority,
+            idle_timeout=soft_timer,
+            hard_timeout=hard_timer,
+            cookie=cookie,
+        ))
 
     def delete_rules(self, sw_id, match, priority=None, strict=False):
         command = OFPFC_DELETE_STRICT if strict else OFPFC_DELETE
-        self._channel(sw_id).enqueue(
-            FlowMod(command, normalize_match(match),
-                    priority=priority if priority is not None else DEFAULT_PRIORITY)
-        )
+        self._send(sw_id, FlowMod(
+            command, normalize_match(match),
+            priority=priority if priority is not None else DEFAULT_PRIORITY))
 
     def send_packet_out(self, sw_id, pkt=None, bufid=None, actions=None):
         """Release a buffered packet (or inject a raw one).
@@ -151,20 +148,20 @@ class LiveControllerAPI(ControllerAPI):
         it just installed.
         """
         acts = [ActionTable()] if actions is None else normalize_actions(actions)
-        self._channel(sw_id).enqueue(PacketOut(bufid, pkt, acts))
+        self._send(sw_id, PacketOut(bufid, pkt, acts))
 
     def flood_packet(self, sw_id, pkt, bufid):
-        self._channel(sw_id).enqueue(PacketOut(bufid, pkt, [ActionFlood()]))
+        self._send(sw_id, PacketOut(bufid, pkt, [ActionFlood()]))
 
     def drop_buffer(self, sw_id, bufid):
         """Consume a buffered packet without forwarding it anywhere."""
-        self._channel(sw_id).enqueue(PacketOut(bufid, None, []))
+        self._send(sw_id, PacketOut(bufid, None, []))
 
     def query_port_stats(self, sw_id, xid=0):
-        self._channel(sw_id).enqueue(StatsRequest(OFPST_PORT, xid=xid))
+        self._send(sw_id, StatsRequest(OFPST_PORT, xid=xid))
 
     def send_barrier(self, sw_id, xid=0):
-        self._channel(sw_id).enqueue(BarrierRequest(xid=xid))
+        self._send(sw_id, BarrierRequest(xid=xid))
 
 
 class RecordingControllerAPI(ControllerAPI):

@@ -60,7 +60,7 @@ class ControllerRuntime:
             raise ControllerError(
                 f"no pending message from switch {switch.switch_id}"
             )
-        message = switch.ofp_out.dequeue()
+        message = switch.dequeue_ctrl()
         self.dispatch(api, message)
 
     def dispatch(self, api, message) -> None:

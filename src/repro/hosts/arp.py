@@ -35,23 +35,18 @@ class ArpClient(Host):
         self.data_script: list[Packet] = list(script or [])
         self.script = [arp_request(mac, ip, target_ip)]
 
-    def clone(self) -> "ArpClient":
-        """Unlike the base host, this client *appends* to ``script`` when
-        resolution completes (``on_receive``), so the list cannot stay
-        shared between checkpoint copies as the base clone leaves it."""
-        new = super().clone()
-        new.script = list(self.script)
-        return new
-
     def on_receive(self, packet: Packet) -> list[Packet]:
         if (packet.eth_type == ETH_TYPE_ARP and packet.arp_op == ARP_REPLY
                 and packet.ip_src == self.target_ip
                 and self.resolved_mac is None):
             self.resolved_mac = packet.eth_src
+            released = []
             for data in self.data_script:
                 ready = data.copy()
                 ready.eth_dst = self.resolved_mac
-                self.script.append(ready)
+                released.append(ready)
+            # Rebound, not appended to: checkpoint copies share ``script``.
+            self.script = self.script + released
         return []
 
     def canonical(self) -> tuple:

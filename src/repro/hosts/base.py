@@ -23,15 +23,31 @@ from __future__ import annotations
 from repro.mc.canonical import insort_canonical
 from repro.openflow.packet import MacAddress, Packet
 
+#: Ownership bits of the five containers a host writes (``Host._owned``).
+_INBOX, _PENDING, _RECEIVED, _SCRIPT_DONE, _SEND_SIG_COUNTS = 1, 2, 4, 8, 16
+_ALL_PARTS = 31
+
 
 class Host:
-    """A generic end host."""
+    """A generic end host.
+
+    Ownership (DESIGN.md, "Sub-forms and sealed packets"): the five
+    containers below — ``inbox``, ``pending``, ``received``,
+    ``script_done``, ``send_sig_counts`` — are *parts*.  A checkpoint
+    copy (:meth:`clone`) shares every part with the original and owns
+    none; a part is copied on its first write, by its ``_write_*``
+    accessor, which is the only way the methods of this class reach a
+    part to change it and which also resets the form the part renders
+    to, so :meth:`canonical` re-assembles only what was written.
+    """
 
     def __init__(self, name: str, mac: MacAddress, ip: int,
                  script: list[Packet] | None = None):
         self.name = name
         self.mac = mac
         self.ip = ip
+        #: Replace-on-write: a subclass that extends its script rebinds it
+        #: (``ArpClient.on_receive``); checkpoint copies share the list.
         self.script: list[Packet] = list(script or [])
         #: When True (default) scripted packets go out in order; when False
         #: every unsent scripted packet is a concurrently-enabled ``send``
@@ -40,16 +56,18 @@ class Host:
         self.inbox: list[Packet] = []
         #: Packets consumed so far, in arrival order (properties read it);
         #: appended to only by :meth:`_pop_inbox`, which keeps
-        #: ``_received_canon`` — its canonical form, a sorted multiset —
-        #: in step.
+        #: ``_received_canon`` — its canonical form, a sorted multiset,
+        #: with the sort keys beside it — in step.
         self.received: list[Packet] = []
+        self._received_keys: tuple = ()
         self._received_canon: tuple = ()
         self.pending: list[Packet] = []
         self.script_done: set[int] = set()
         self.reply_sent = 0
         self.sym_sent = 0
-        #: Per-header-signature send counts; the system derives packet uids
-        #: from these so identity is independent of global event order.
+        #: Per-header-signature send counts; packet uids derive from these
+        #: (:meth:`count_send`) so identity is independent of global event
+        #: order.
         self.send_sig_counts: dict[str, int] = {}
         #: When True and symbolic execution is enabled, the search gives this
         #: host ``discover_packets``-derived send transitions (Figure 4/5).
@@ -57,32 +75,78 @@ class Host:
         #: PKT-SEQ burst counter; the system sets the initial value from
         #: ``NiceConfig.max_outstanding``.
         self.counter_c = 1
+        #: Which parts this object may write in place (bits above).
+        self._owned = _ALL_PARTS
+        #: The forms of ``inbox`` / ``pending`` / ``script_done`` /
+        #: ``send_sig_counts`` as :meth:`canonical` last assembled them;
+        #: reset by the part's write accessor.
+        self._inbox_canon: tuple | None = None
+        self._pending_canon: tuple | None = None
+        self._script_done_canon: tuple | None = None
+        self._send_sig_counts_canon: tuple | None = None
 
     def clone(self) -> "Host":
-        """Checkpoint copy (``System.clone``).
+        """Checkpoint copy (``System.clone``): the fields, and no part.
 
-        Copies the instance field by field — subclasses that only add
-        scalar state (all the bundled ones) inherit this — then replaces
-        the mutable containers with shallow copies.  The packets in them
-        are shared with the original: everything a host stores is sealed
-        (the seal rule in :mod:`repro.openflow.packet`; :meth:`take_send`
-        hands out a copy of a queued reply, never the reply).  ``script``
-        stays shared too (templates are copied at send time; a subclass
-        that mutates its script must copy it, see ``ArpClient.clone``).
-
-        Under copy-on-write checkpointing the whole host stays shared
-        between parent and child until ``System._dirty`` materializes a
-        copy for whichever side mutates first — receive/send/move must
-        always go through the owning System's transitions.
+        Copies the instance field by field — subclasses inherit this,
+        scalar state and all — and owns none of the containers: each is
+        shared with the original until this copy first writes it.  The
+        original is never written again: under copy-on-write
+        checkpointing a host stays shared between parent and child until
+        ``System._write_host`` hands whichever side writes first a copy
+        of its own, so receive/send/move must always go through the
+        owning System's transitions.  The packets in the containers are
+        shared for good: everything a host stores is sealed (the seal
+        rule in :mod:`repro.openflow.packet`; :meth:`take_send` hands out
+        a copy of a queued reply, never the reply).
         """
         new = type(self).__new__(type(self))
-        new.__dict__.update(self.__dict__)
-        new.inbox = list(self.inbox)
-        new.pending = list(self.pending)
-        new.received = list(self.received)
-        new.script_done = set(self.script_done)
-        new.send_sig_counts = dict(self.send_sig_counts)
+        new.__dict__ = self.__dict__.copy()
+        new._owned = 0
         return new
+
+    # ------------------------------------------------------------------
+    # Write accessors: the part, owned by this object, its form reset
+    # ------------------------------------------------------------------
+
+    def _write_inbox(self) -> list:
+        if not self._owned & _INBOX:
+            self.inbox = list(self.inbox)
+            self._owned |= _INBOX
+        self._inbox_canon = None
+        return self.inbox
+
+    def _write_pending(self) -> list:
+        if not self._owned & _PENDING:
+            self.pending = list(self.pending)
+            self._owned |= _PENDING
+        self._pending_canon = None
+        return self.pending
+
+    def _write_received(self, packet: Packet) -> None:
+        """Append to the received record and to its form — a multiset kept
+        sorted, so it is extended in place of being reset."""
+        if not self._owned & _RECEIVED:
+            self.received = list(self.received)
+            self._owned |= _RECEIVED
+        self.received.append(packet)
+        self._received_keys, self._received_canon = insort_canonical(
+            self._received_keys, self._received_canon, packet.canonical(),
+            packet.canonical_key())
+
+    def _write_script_done(self) -> set:
+        if not self._owned & _SCRIPT_DONE:
+            self.script_done = set(self.script_done)
+            self._owned |= _SCRIPT_DONE
+        self._script_done_canon = None
+        return self.script_done
+
+    def _write_send_sig_counts(self) -> dict:
+        if not self._owned & _SEND_SIG_COUNTS:
+            self.send_sig_counts = dict(self.send_sig_counts)
+            self._owned |= _SEND_SIG_COUNTS
+        self._send_sig_counts_canon = None
+        return self.send_sig_counts
 
     @property
     def script_sent(self) -> int:
@@ -102,7 +166,7 @@ class Host:
 
     def deliver(self, packet: Packet) -> None:
         """Called by the system when the switch emits toward this host."""
-        self.inbox.append(packet)
+        self._write_inbox().append(packet)
 
     def receive(self) -> Packet:
         """Pop one packet: record it, replenish the burst counter, queue replies."""
@@ -113,16 +177,17 @@ class Host:
 
     def _pop_inbox(self) -> Packet:
         """Move the head of the inbox into the received record."""
-        packet = self.inbox.pop(0)
-        self.received.append(packet)
-        self._received_canon = insort_canonical(self._received_canon,
-                                                packet.canonical())
+        packet = self._write_inbox().pop(0)
+        self._write_received(packet)
         return packet
 
     def _queue_replies(self, packet: Packet) -> None:
         """Run :meth:`on_receive` and store its replies, sealed."""
-        for reply in self.on_receive(packet) or ():
-            self.pending.append(reply.seal())
+        replies = self.on_receive(packet)
+        if replies:
+            pending = self._write_pending()
+            for reply in replies:
+                pending.append(reply.seal())
 
     def on_receive(self, packet: Packet) -> list[Packet]:
         """Hook: return reply packets to queue.  Default: none."""
@@ -165,12 +230,12 @@ class Host:
             if index in self.script_done:
                 raise ValueError(f"script packet {index} already sent")
             packet = self.script[index].copy()
-            self.script_done.add(index)
+            self._write_script_done().add(index)
         elif kind == "pending":
             # A copy, like the script branch: the queued reply is sealed
             # (clones of this host share it) and the send resets the
             # identity of what it is handed.
-            packet = self.pending.pop(index).copy()
+            packet = self._write_pending().pop(index).copy()
             self.reply_sent += 1
         else:
             raise ValueError(f"unknown send descriptor {descriptor!r}")
@@ -182,6 +247,14 @@ class Host:
         self.sym_sent += 1
         self.counter_c -= 1
         return packet.copy()
+
+    def count_send(self, signature: str) -> int:
+        """Count one more send of header ``signature``; returns how many
+        this host had sent before it."""
+        counts = self._write_send_sig_counts()
+        occurrence = counts.get(signature, 0)
+        counts[signature] = occurrence + 1
+        return occurrence
 
     # ------------------------------------------------------------------
     # Mobility / serialization
@@ -195,6 +268,24 @@ class Host:
         raise NotImplementedError("base hosts do not move")
 
     def canonical(self) -> tuple:
+        """Assembled from the parts' forms; a part not written since the
+        last call is neither re-tupled nor re-sorted."""
+        inbox = self._inbox_canon
+        if inbox is None:
+            inbox = self._inbox_canon = tuple(
+                [p.canonical() for p in self.inbox])
+        pending = self._pending_canon
+        if pending is None:
+            pending = self._pending_canon = tuple(
+                [p.canonical() for p in self.pending])
+        script_done = self._script_done_canon
+        if script_done is None:
+            script_done = self._script_done_canon = tuple(
+                sorted(self.script_done))
+        send_sig_counts = self._send_sig_counts_canon
+        if send_sig_counts is None:
+            send_sig_counts = self._send_sig_counts_canon = tuple(
+                sorted(self.send_sig_counts.items()))
         return (
             self.name,
             self.mac.canonical(),
@@ -204,14 +295,14 @@ class Host:
             # arrived matters (properties read it), the order they arrived
             # in does not, so it is serialized as a sorted multiset to let
             # equivalent interleavings hash together.
-            tuple(p.canonical() for p in self.inbox),
+            inbox,
             self._received_canon,
-            tuple(p.canonical() for p in self.pending),
-            tuple(sorted(self.script_done)),
+            pending,
+            script_done,
             self.reply_sent,
             self.sym_sent,
             self.counter_c,
-            tuple(sorted(self.send_sig_counts.items())),
+            send_sig_counts,
         )
 
     def __repr__(self):

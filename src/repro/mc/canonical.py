@@ -83,15 +83,19 @@ def _safe_string_key(key) -> bool:
     return type(key) is str and _safe_text(key)
 
 
-def insort_canonical(forms: tuple, form) -> tuple:
-    """``forms`` with ``form`` added, where ``forms`` is a multiset kept as
-    ``tuple(sorted(items, key=repr))`` — the canonical form of an unordered
-    record.  One bisect (a handful of ``repr`` calls, none retained) per
-    insertion instead of a full re-sort per hash; equal reprs mean equal
-    forms, so the result is exactly what the re-sort would build.
+def insort_canonical(keys: tuple, forms: tuple, form,
+                     key: str) -> tuple[tuple, tuple]:
+    """``(keys, forms)`` with ``form`` added, where ``forms`` is a multiset
+    kept as ``tuple(sorted(items, key=repr))`` — the canonical form of an
+    unordered record — ``keys`` its ``repr`` strings, kept beside it by
+    whoever owns the record, and ``key`` is ``repr(form)``.  One ``repr``
+    (none, where the caller remembers it) and one C bisect per insertion
+    instead of a full re-sort per hash; equal reprs mean equal forms, so
+    the result is exactly what the re-sort would build.
     """
-    at = bisect_right(forms, repr(form), key=repr)
-    return forms[:at] + (form,) + forms[at:]
+    at = bisect_right(keys, key)
+    return (keys[:at] + (key,) + keys[at:],
+            forms[:at] + (form,) + forms[at:])
 
 
 def canonicalize(obj):

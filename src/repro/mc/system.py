@@ -18,7 +18,7 @@ import hashlib
 from repro.config import NiceConfig
 from repro.controller.api import LiveControllerAPI
 from repro.controller.runtime import ControllerRuntime
-from repro.errors import TransitionError
+from repro.errors import ControllerError, TransitionError
 from repro.mc import transitions as tk
 from repro.mc.canonical import (
     DIGEST_SIZE,
@@ -72,7 +72,17 @@ class HashStats(DigestMemo):
 
 
 class PacketLedger:
-    """System-wide accounting of packet fates."""
+    """System-wide accounting of packet fates.
+
+    Ownership: every list below is a *part*.  A checkpoint copy
+    (:meth:`clone`) shares all of them with the original and owns none;
+    :meth:`_record` — their only writer — copies a list the first time
+    this ledger appends to it.
+    """
+
+    #: The four hashed records, in the order of the canonical form, then
+    #: the two unhashed histories: a part's ownership bit is ``1 << i``.
+    _PARTS = ("injected", "delivered", "lost", "faults", "log", "history")
 
     def __init__(self):
         #: (uid, host) per injection.
@@ -85,9 +95,9 @@ class PacketLedger:
         self.faults: list[tuple] = []
         #: The canonical form: the four records above, in that order, each
         #: as a sorted multiset (which events happened matters, not in what
-        #: order).  Kept in step by the ``record_*`` methods — the only
-        #: writers of the lists.
+        #: order), and beside it the sort keys ``insort_canonical`` keeps.
         self._canon: tuple = ((), (), (), ())
+        self._keys: tuple = ((), (), (), ())
         #: Ordered history of all of the above, for properties that need
         #: happened-before information ("wait until a safe time", §5.2).
         #: Deliberately *excluded* from canonical() — two interleavings that
@@ -97,46 +107,52 @@ class PacketLedger:
         #: Header copies of every injected packet (for FLOW-IR's
         #: established-flow test).  Derivable from ``injected``; not hashed.
         self.history: list[Packet] = []
+        #: Which parts this object may append to in place.
+        self._owned = (1 << len(self._PARTS)) - 1
 
-    def _record(self, records: list, index: int, entry: tuple) -> None:
-        records.append(entry)
-        forms = self._canon
-        self._canon = (forms[:index]
-                       + (insort_canonical(forms[index], entry),)
-                       + forms[index + 1:])
+    def _record(self, index: int, entry) -> None:
+        """Append ``entry`` to part ``index`` — copied first unless this
+        ledger already owns it — and, for a hashed record, insert it into
+        the canonical form."""
+        name = self._PARTS[index]
+        if self._owned >> index & 1:
+            getattr(self, name).append(entry)
+        else:
+            setattr(self, name, getattr(self, name) + [entry])
+            self._owned |= 1 << index
+        if index < 4:
+            keys, forms = self._keys, self._canon
+            key_row, form_row = insort_canonical(keys[index], forms[index],
+                                                 entry, repr(entry))
+            self._keys = keys[:index] + (key_row,) + keys[index + 1:]
+            self._canon = forms[:index] + (form_row,) + forms[index + 1:]
 
     def record_injected(self, packet: Packet, host: str) -> None:
-        self._record(self.injected, 0, (packet.uid, host))
-        self.log.append(("inj", packet.uid, host, packet.flow_key()))
+        self._record(0, (packet.uid, host))
+        self._record(4, ("inj", packet.uid, host, packet.flow_key()))
         header_copy = packet.copy()
         header_copy.hops = []
-        self.history.append(header_copy)
+        self._record(5, header_copy)
 
     def record_delivered(self, packet: Packet, host: str) -> None:
-        self._record(self.delivered, 1, (packet.uid, packet.copy_id, host))
-        self.log.append(("del", packet.uid, host, packet.flow_key()))
+        self._record(1, (packet.uid, packet.copy_id, host))
+        self._record(4, ("del", packet.uid, host, packet.flow_key()))
 
     def record_lost(self, packet: Packet, switch: str, port: int) -> None:
-        self._record(self.lost, 2,
-                     (packet.uid, packet.copy_id, switch, port))
-        self.log.append(("lost", packet.uid, switch, port))
+        self._record(2, (packet.uid, packet.copy_id, switch, port))
+        self._record(4, ("lost", packet.uid, switch, port))
 
     def record_fault(self, op: tuple, switch: str, port: int) -> None:
-        self._record(self.faults, 3, (op, switch, port))
-        self.log.append(("fault", op, switch, port))
+        self._record(3, (op, switch, port))
+        self._record(4, ("fault", op, switch, port))
 
     def clone(self) -> "PacketLedger":
-        """Checkpoint copy: every record is an immutable tuple (and the
-        ``history`` packets are private header copies, never mutated), so
-        shallow list copies suffice."""
+        """Checkpoint copy: the fields, and no part.  Every record is an
+        immutable tuple (and the ``history`` packets are private header
+        copies, never mutated), so a list, once copied, is enough."""
         new = PacketLedger.__new__(PacketLedger)
-        new.injected = list(self.injected)
-        new.delivered = list(self.delivered)
-        new.lost = list(self.lost)
-        new.faults = list(self.faults)
-        new._canon = self._canon
-        new.log = list(self.log)
-        new.history = list(self.history)
+        new.__dict__ = self.__dict__.copy()
+        new._owned = 0
         return new
 
     def canonical(self) -> tuple:
@@ -187,33 +203,36 @@ class System:
         #: Ephemeral (derived from the last transition) — not hashed.
         self.last_handler: dict | None = None
         self._api_calls: list[tuple] = []
-        #: Per-component blake2b digests (DESIGN.md, "Per-state hot
-        #: path").  Keys: ``("sw", id)``, ``("host", name)``, ``"app"``,
-        #: ``"ledger"``, plus the rendered ``"meta"`` tail.  Every mutation
-        #: path pops the affected keys via :meth:`_dirty`; a state hash
-        #: combines what is left instead of re-rendering the whole tree.
-        self._digest_cache: dict = {}
         #: Hot-path counters, shared by reference with every clone.
         self._hash_stats = HashStats()
-        #: Copy-on-write bookkeeping: component keys whose objects may also
-        #: be referenced by another System (a parent or a child), and must
-        #: therefore be copied before their first mutation.  Every mutation
-        #: path goes through :meth:`_dirty`, which materializes shared
-        #: components before dropping their cached forms.
-        self._shared: set = set()
         #: Component and event orderings are fixed for the lifetime of the
         #: system (and every clone); precomputing them keeps sorts out of
         #: the per-state hot path.
         self._sw_order = tuple(sorted(self.switches))
         self._host_order = tuple(sorted(self.hosts))
         self._event_order = tuple(sorted(self.events_fired))
-        #: The component keys in the order ``state_hash`` combines them.
-        self._hash_order = (
-            tuple(("sw", sw_id) for sw_id in self._sw_order)
-            + tuple(("host", name) for name in self._host_order)
-            + ("app", "ledger")
-        )
-        self._component_keys = frozenset(self._hash_order)
+        #: Every component has a fixed *slot* — switches in name order,
+        #: then hosts in name order, then the app, then the ledger — which
+        #: is its position in ``_digests``, its bit in ``_shared``, and the
+        #: order ``state_hash`` combines the digests in.
+        self._sw_slot = {sw_id: slot
+                         for slot, sw_id in enumerate(self._sw_order)}
+        self._host_slot = {name: len(self._sw_order) + index
+                           for index, name in enumerate(self._host_order)}
+        self._app_slot = len(self._sw_order) + len(self._host_order)
+        self._ledger_slot = self._app_slot + 1
+        #: Per-slot blake2b digests (DESIGN.md, "Per-state hot path"), then
+        #: the rendered meta tail (attachments, fired events) as the last
+        #: element; ``None`` where a write dropped one.  A state hash joins
+        #: what is there instead of re-rendering the whole tree.
+        self._digests: list = [None] * (self._ledger_slot + 2)
+        #: Copy-on-write bookkeeping: bit ``slot`` is set while that
+        #: component may also be referenced by another System (a parent or
+        #: a child) and must therefore be copied before this one writes
+        #: it.  Every write goes through the ``_write_*`` accessors below,
+        #: which do that copy and drop the digest.
+        self._shared = 0
+        self._every_slot = (1 << (self._ledger_slot + 1)) - 1
 
     # ------------------------------------------------------------------
     # Setup
@@ -234,8 +253,8 @@ class System:
         search starts from the configured network, not from an exploration
         of setup orderings.
         """
+        self._write_app()
         self.runtime.boot(self.api(), self.topo, sorted(self.switches))
-        self._dirty("app")
         self.drain_control_plane()
 
     # ------------------------------------------------------------------
@@ -285,58 +304,47 @@ class System:
     def execute(self, transition: Transition) -> None:
         """Apply one transition; raises TransitionError if not executable.
 
-        Mutate-through-owner discipline: a component reference is fetched
-        *after* the ``_dirty`` call that covers it, never before — under
-        copy-on-write cloning ``_dirty`` may replace the shared component
-        with this system's own copy, and a stale reference would mutate
-        the parent's state.
+        Mutate-through-owner discipline: a component is written through
+        the reference its ``_write_*`` accessor returns, never one fetched
+        before — under copy-on-write cloning the accessor may replace the
+        shared component with this system's own copy, and a stale
+        reference would mutate the parent's state.
         """
         kind = transition.kind
+        actor = transition.actor
         if kind == tk.PROCESS_PKT:
-            self._dirty(("sw", transition.actor))
-            switch = self._switch(transition.actor)
-            self.route(transition.actor, switch.process_pkt())
+            self.route(actor, self._write_switch(actor).process_pkt())
         elif kind == tk.PROCESS_OF:
-            self._dirty(("sw", transition.actor))
-            switch = self._switch(transition.actor)
-            self.route(transition.actor, switch.process_of())
+            self.route(actor, self._write_switch(actor).process_of())
         elif kind == tk.CTRL_HANDLE:
-            switch = self._switch(transition.actor)
+            switch = self._switch(actor)
             pending = switch.ofp_out.peek() if switch.ofp_out else None
-            self._begin_handler("ctrl_handle", transition.actor, pending)
+            self._begin_handler("ctrl_handle", actor, pending)
             self.handle_ctrl_message(switch)
             self._end_handler()
         elif kind == tk.CTRL_STATS:
-            self._begin_handler("ctrl_stats", transition.actor, None)
-            self._dirty(("sw", transition.actor), "app")
             self._execute_ctrl_stats(transition)
-            self._end_handler()
         elif kind == tk.CTRL_EVENT:
-            if self.events_fired.get(transition.actor, True):
-                raise TransitionError(f"event {transition.actor!r} already fired")
-            self.events_fired[transition.actor] = True
-            self._begin_handler("ctrl_event", transition.actor, None)
-            self._dirty("app", "meta")
-            self.app.handle_event(self.api(), transition.actor)
+            if self.events_fired.get(actor, True):
+                raise TransitionError(f"event {actor!r} already fired")
+            self._write_meta()
+            self.events_fired[actor] = True
+            self._begin_handler("ctrl_event", actor, None)
+            self._write_app().handle_event(self.api(), actor)
             self._end_handler()
         elif kind == tk.HOST_SEND:
             self._execute_host_send(transition)
         elif kind == tk.HOST_RECV:
-            self._dirty(("host", transition.actor), "ledger")
-            host = self._host(transition.actor)
-            packet = host.receive()
-            self.ledger.record_delivered(packet, transition.actor)
+            packet = self._write_host(actor).receive()
+            self._write_ledger().record_delivered(packet, actor)
         elif kind == tk.HOST_MOVE:
             self._execute_host_move(transition)
         elif kind == tk.EXPIRE_RULE:
-            self._dirty(("sw", transition.actor))
-            self._switch(transition.actor).expire_rule(transition.arg)
+            self._write_switch(actor).expire_rule(transition.arg)
         elif kind == tk.CHANNEL_FAULT:
             port, op = transition.arg
-            self._dirty(("sw", transition.actor), "ledger")
-            switch = self._switch(transition.actor)
-            switch.port_in[port].apply_fault(tuple(op))
-            self.ledger.record_fault(tuple(op), transition.actor, port)
+            self._write_switch(actor).apply_fault(port, tuple(op))
+            self._write_ledger().record_fault(tuple(op), actor, port)
         else:
             raise TransitionError(f"unknown transition kind {kind!r}")
 
@@ -353,13 +361,15 @@ class System:
             raise TransitionError(
                 f"no pending stats reply from {transition.actor}"
             )
-        reply = switch.ofp_out.dequeue()
+        self._begin_handler("ctrl_stats", transition.actor, None)
+        reply = self._write_switch(transition.actor).dequeue_ctrl()
         stats = transition.payload if transition.payload is not None else reply.stats
-        self.app.port_stats_in(self.api(), transition.actor, stats, xid=reply.xid)
+        self._write_app().port_stats_in(self.api(), transition.actor, stats,
+                                        xid=reply.xid)
+        self._end_handler()
 
     def _execute_host_send(self, transition: Transition) -> None:
-        self._dirty(("host", transition.actor), "ledger")
-        host = self._host(transition.actor)
+        host = self._write_host(transition.actor)
         descriptor = transition.arg
         # Either way the host hands out a private, unsealed copy (the seal
         # rule, ``repro.openflow.packet``), so the identity reset below
@@ -375,30 +385,26 @@ class System:
         # equivalent event orders still reach identical states.  (The
         # header tuple is already canonical.)
         signature = self._hash_stats.digest(packet.header_tuple()).hex()[:8]
-        occurrence = host.send_sig_counts.get(signature, 0)
-        host.send_sig_counts[signature] = occurrence + 1
-        packet.uid = (host.name, signature, occurrence)
+        packet.uid = (host.name, signature, host.count_send(signature))
         packet.copy_id = ()
         packet.hops = []
         switch_id, port = self.host_locations[host.name]
-        self._dirty(("sw", switch_id))
-        self._switch(switch_id).port_in[port].enqueue(packet.seal())
-        self.ledger.record_injected(packet, host.name)
+        self._write_switch(switch_id).enqueue_packet(port, packet.seal())
+        self._write_ledger().record_injected(packet, host.name)
 
     def _execute_host_move(self, transition: Transition) -> None:
-        # "meta" covers the attachment map in the digest-combine tail.
-        self._dirty(("host", transition.actor), "meta")
-        host = self._host(transition.actor)
+        name = transition.actor
         target = tuple(transition.arg)
         if target[0] not in self.switches or target[1] not in self.switches[target[0]].ports:
             raise TransitionError(f"move target {target} is not a switch port")
-        if self.attachments.get(target) not in (None, host.name):
+        if self.attachments.get(target) not in (None, name):
             raise TransitionError(f"move target {target} is occupied")
-        old = self.host_locations[host.name]
-        host.take_move()
-        self.attachments.pop(old, None)
-        self.attachments[target] = host.name
-        self.host_locations[host.name] = target
+        self._write_host(name).take_move()
+        # The attachment map rides in the digest-combine tail.
+        self._write_meta()
+        self.attachments.pop(self.host_locations[name], None)
+        self.attachments[target] = name
+        self.host_locations[name] = target
 
     def _begin_handler(self, kind: str, actor: str, pending_message) -> None:
         self._api_calls = []
@@ -429,18 +435,16 @@ class System:
             packet.seal()
             host_name = self.attachments.get((sw_id, port))
             if host_name is not None:
-                self._dirty(("host", host_name))
-                self.hosts[host_name].deliver(packet)
+                self._write_host(host_name).deliver(packet)
                 continue
             endpoint = self.topo.endpoint(sw_id, port)
             if endpoint is not None and endpoint.kind == Endpoint.KIND_SWITCH:
-                self._dirty(("sw", endpoint.node))
-                self.switches[endpoint.node].port_in[endpoint.port].enqueue(packet)
+                self._write_switch(endpoint.node).enqueue_packet(
+                    endpoint.port, packet)
                 continue
             # Nothing attached (loose port, or the host moved away): the
             # packet leaves the network without reaching any destination.
-            self._dirty("ledger")
-            self.ledger.record_lost(packet, sw_id, port)
+            self._write_ledger().record_lost(packet, sw_id, port)
 
     def drain_control_plane(self) -> None:
         """Run all pending control-plane work to completion, atomically.
@@ -454,8 +458,8 @@ class System:
             progress = False
             for sw_id in self._sw_order:
                 # Re-index every iteration: pumping or handling may replace
-                # the switch object (copy-on-write materialization), and a
-                # stale reference would read the pre-copy queues forever.
+                # the switch object (copy-on-write), and a stale reference
+                # would read the pre-copy queues forever.
                 while self.switches[sw_id].can_process_of():
                     self.pump_process_of(sw_id)
                     progress = True
@@ -466,54 +470,80 @@ class System:
     def handle_ctrl_message(self, switch) -> None:
         """Run the controller handler for ``switch``'s next pending message.
 
-        The invalidation-safe entry point: dequeuing from ``ofp_out`` and the
-        handler's controller-state mutation both invalidate cached canonical
-        forms; API calls to other switches invalidate theirs via the stamping
-        wrapper.  Strategies that pump the control plane outside ``execute``
+        The ownership-safe entry point: dequeuing from ``ofp_out`` and the
+        handler's controller-state mutation both write components; API
+        calls to other switches write theirs via the stamping wrapper.
+        Strategies that pump the control plane outside ``execute``
         (NO-DELAY) must go through here.
         """
-        self._dirty(("sw", switch.switch_id), "app")
-        # _dirty may have copied the switch (copy-on-write); dequeue from
-        # this system's own object, not the caller's possibly-stale one.
-        self.runtime.handle_message(self.api(), self.switches[switch.switch_id])
+        # Dequeue from this system's own switch, which copy-on-write may
+        # just have made — not the caller's possibly-stale one.
+        switch = self._write_switch(switch.switch_id)
+        self._write_app()
+        self.runtime.handle_message(self.api(), switch)
 
     def pump_process_of(self, sw_id: str) -> None:
         """Apply one pending controller message at ``sw_id`` and route the
-        resulting emissions (invalidation-safe; used by boot and NO-DELAY)."""
-        self._dirty(("sw", sw_id))
-        self.route(sw_id, self.switches[sw_id].process_of())
+        resulting emissions (ownership-safe; used by boot and NO-DELAY)."""
+        self.route(sw_id, self._write_switch(sw_id).process_of())
 
     # ------------------------------------------------------------------
     # State identity / checkpointing
     # ------------------------------------------------------------------
 
-    def _dirty(self, *keys) -> None:
-        """Declare components about to be mutated.
+    # The write accessors.  Each declares one component about to be
+    # written and does two jobs off the component's slot: hands this
+    # system its own copy if the component is still shared with a
+    # parent/child clone (copy-on-write), and drops its cached digest.
+    # Every mutation path calls one *before* touching the component and
+    # writes through what it returns.  (Four bodies alike but for what
+    # they copy: this runs twice per transition, a shared helper would be
+    # a third of its cost.)
 
-        Two jobs, driven by the same keys: materialize any component still
-        shared with a parent/child clone (copy-on-write), and drop its
-        cached digest.  Every mutation path calls this *before* touching
-        the component and fetches its reference *after*.
-        """
-        for key in keys:
-            if key in self._shared:
-                self._materialize(key)
-            self._digest_cache.pop(key, None)
+    def _write_switch(self, sw_id: str) -> SwitchModel:
+        slot = self._sw_slot.get(sw_id)
+        if slot is None:
+            raise TransitionError(f"unknown switch {sw_id!r}")
+        self._digests[slot] = None
+        if self._shared >> slot & 1:
+            self._shared ^= 1 << slot
+            self._hash_stats.cow_copied += 1
+            self.switches[sw_id] = self.switches[sw_id].clone()
+        return self.switches[sw_id]
 
-    def _materialize(self, key) -> None:
-        """Replace a shared component with this system's own copy."""
-        self._shared.discard(key)
-        self._hash_stats.cow_copied += 1
-        if key == "app":
+    def _write_host(self, name: str):
+        slot = self._host_slot.get(name)
+        if slot is None:
+            raise TransitionError(f"unknown host {name!r}")
+        self._digests[slot] = None
+        if self._shared >> slot & 1:
+            self._shared ^= 1 << slot
+            self._hash_stats.cow_copied += 1
+            self.hosts[name] = self.hosts[name].clone()
+        return self.hosts[name]
+
+    def _write_app(self):
+        slot = self._app_slot
+        self._digests[slot] = None
+        if self._shared >> slot & 1:
+            self._shared ^= 1 << slot
+            self._hash_stats.cow_copied += 1
             self.runtime = ControllerRuntime(self.runtime.app.clone())
-        elif key == "ledger":
+        return self.runtime.app
+
+    def _write_ledger(self) -> PacketLedger:
+        slot = self._ledger_slot
+        self._digests[slot] = None
+        if self._shared >> slot & 1:
+            self._shared ^= 1 << slot
+            self._hash_stats.cow_copied += 1
             self.ledger = self.ledger.clone()
-        else:
-            kind, name = key
-            if kind == "sw":
-                self.switches[name] = self.switches[name].clone()
-            else:
-                self.hosts[name] = self.hosts[name].clone()
+        return self.ledger
+
+    def _write_meta(self) -> None:
+        """The small always-owned fields (attachments, fired events) are
+        about to change: drop their rendered tail."""
+        self._digests[-1] = None
 
     def canonical_state(self) -> tuple:
         """Fully canonical state tuple — the SPIN-like baseline's state
@@ -540,28 +570,29 @@ class System:
     def controller_state_hash(self) -> str:
         """Hash of the controller state only — the discovery-cache key of
         Figure 5 (``client.packets[state(ctrl)]``)."""
-        digest = self._digest_cache.get("app")
+        digest = self._digests[self._app_slot]
         if digest is None:
             self._hash_stats.misses += 1
-            digest = self._digest_miss("app")
+            digest = self._digest_miss(self._app_slot)
         else:
             self._hash_stats.hits += 1
         return digest.hex()
 
-    def _digest_miss(self, key) -> bytes:
-        """Digest the component under ``key`` anew and cache the digest
+    def _digest_miss(self, slot: int) -> bytes:
+        """Digest the component in ``slot`` anew and cache the digest
         (the caller counts the miss).  Its form has to be assembled — it
         is what the memo is asked by — but is rendered only if
         :class:`HashStats` has not seen it lately."""
-        if type(key) is tuple:
-            kind, name = key
-            form = (self.switches if kind == "sw"
-                    else self.hosts)[name].canonical()
-        elif key == "app":
+        if slot < len(self._sw_order):
+            form = self.switches[self._sw_order[slot]].canonical()
+        elif slot < self._app_slot:
+            form = self.hosts[
+                self._host_order[slot - len(self._sw_order)]].canonical()
+        elif slot == self._app_slot:
             form = self.app.canonical_state()
         else:
             form = self.ledger.canonical()
-        digest = self._digest_cache[key] = self._hash_stats.digest(form)
+        digest = self._digests[slot] = self._hash_stats.digest(form)
         return digest
 
     def state_hash(self) -> str:
@@ -572,68 +603,64 @@ class System:
         the whole tree.  Two states combine to the same digest exactly
         when their canonical forms are equal.
         """
-        cache = self._digest_cache
+        digests = self._digests
         stats = self._hash_stats
-        parts = []
-        missing = 0
-        for key in self._hash_order:
-            digest = cache.get(key)
-            if digest is None:
-                missing += 1
-                digest = self._digest_miss(key)
-            parts.append(digest)
-        stats.misses += missing
-        stats.hits += len(parts) - missing
-        # The small always-owned fields (attachments, fired events) ride
-        # along as a cached rendered tail under the "meta" dirty key; the
-        # component digest count is fixed per topology, so the
-        # concatenation is unambiguous.
-        tail = cache.get("meta")
-        if tail is None:
-            tail = cache["meta"] = render_canonical((
-                tuple(sorted(self.attachments.items())),
-                tuple((e, self.events_fired[e]) for e in self._event_order),
-            ))
-            stats.bytes_hashed += len(tail)
-        parts.append(tail)
+        missing = digests.count(None)
+        if missing:
+            # The small always-owned fields (attachments, fired events)
+            # ride along as a rendered tail in the last position; the
+            # component digest count is fixed per topology, so the
+            # concatenation is unambiguous.
+            if digests[-1] is None:
+                missing -= 1
+                tail = digests[-1] = render_canonical((
+                    tuple(sorted(self.attachments.items())),
+                    tuple((e, self.events_fired[e])
+                          for e in self._event_order),
+                ))
+                stats.bytes_hashed += len(tail)
+            slot = -1
+            for _ in range(missing):
+                slot = digests.index(None, slot + 1)
+                self._digest_miss(slot)
+            stats.misses += missing
+        stats.hits += len(digests) - 1 - missing
+        data = b"".join(digests)
         # Subclass extras (the JPF baseline's pending operations) may be
         # mutated directly from outside ``execute``, so they are rendered
         # per call, never cached — they are empty for plain systems.
         extra = self.canonical_extra()
         if extra:
-            data = render_canonical(extra)
-            stats.bytes_hashed += len(data)
-            parts.append(data)
-        return hashlib.blake2b(b"".join(parts),
-                               digest_size=DIGEST_SIZE).hexdigest()
+            rendered = render_canonical(extra)
+            stats.bytes_hashed += len(rendered)
+            data += rendered
+        return hashlib.blake2b(data, digest_size=DIGEST_SIZE).hexdigest()
 
     def clone(self) -> "System":
         """Checkpoint: share everything, copy on write.
 
         The clone *shares* every switch, host, app, and ledger component
         with this system, and a component is copied lazily on its first
-        mutation — by :meth:`_dirty`, the same invalidation that already
-        knows exactly which components a transition touches.  Cloning is
-        O(#components) dict copies and executing a child costs one
-        component copy per touched component (the ``clone`` methods on
-        :class:`SwitchModel`, :class:`FlowTable`,
-        :class:`~repro.hosts.base.Host`, :class:`PacketLedger` and the
-        apps: field-wise shallow copies sharing messages, sealed packets
-        and cached canonical sub-forms), not one full state copy per
-        child (DESIGN.md, "Per-state hot path").
+        write — by its ``_write_*`` accessor, which every mutation path
+        already calls to drop the component's digest.  A component's own
+        ``clone`` copies no part either (the ``clone`` methods on
+        :class:`SwitchModel`, :class:`~repro.hosts.base.Host`,
+        :class:`PacketLedger`: a field-wise copy owning nothing; the
+        apps': field-wise shallow copies), so a transition pays for the
+        parts it writes, not for the components it touches, let alone a
+        full state copy per child (DESIGN.md, "Per-state hot path").
         """
-        new = object.__new__(System)
+        new = object.__new__(type(self))
         new.topo = self.topo
         new.config = self.config
         new.switches = dict(self.switches)
         new.hosts = dict(self.hosts)
         new.runtime = self.runtime
         new.ledger = self.ledger
-        new._shared = set(self._component_keys)
         # The parent keeps referencing the same objects, so it gives up
-        # exclusive ownership too: whichever side mutates a component
-        # first materializes its own copy (isolation in both directions).
-        self._shared.update(self._component_keys)
+        # exclusive ownership too: whichever side writes a component
+        # first copies it (isolation in both directions).
+        new._shared = self._shared = self._every_slot
         new.attachments = dict(self.attachments)
         new.host_locations = dict(self.host_locations)
         new.events_fired = dict(self.events_fired)
@@ -642,13 +669,16 @@ class System:
         new._api_calls = []
         # Digests are immutable; a shallow copy lets the child reuse
         # everything its transition does not invalidate.
-        new._digest_cache = dict(self._digest_cache)
+        new._digests = self._digests[:]
         new._hash_stats = self._hash_stats
-        new._component_keys = self._component_keys
-        new._hash_order = self._hash_order
         new._sw_order = self._sw_order
         new._host_order = self._host_order
         new._event_order = self._event_order
+        new._sw_slot = self._sw_slot
+        new._host_slot = self._host_slot
+        new._app_slot = self._app_slot
+        new._ledger_slot = self._ledger_slot
+        new._every_slot = self._every_slot
         return new
 
     # ------------------------------------------------------------------
@@ -660,12 +690,6 @@ class System:
         if switch is None:
             raise TransitionError(f"unknown switch {sw_id!r}")
         return switch
-
-    def _host(self, name: str):
-        host = self.hosts.get(name)
-        if host is None:
-            raise TransitionError(f"unknown host {name!r}")
-        return host
 
     def __repr__(self):
         return (f"System({len(self.switches)} switches, {len(self.hosts)} hosts,"
@@ -682,20 +706,23 @@ class _StampingAPI:
 
     def __getattr__(self, name):
         method = getattr(self._api, name)
+        system = self._system
 
         def wrapper(sw_id, *args, **kwargs):
-            # Invalidate (and, under copy-on-write, materialize) before
-            # fetching the switch: the API call must enqueue onto this
-            # system's own copy, and the stamping below must read it.
-            self._system._dirty(("sw", sw_id), "app")
-            switch = self._system.switches.get(sw_id)
-            before = len(switch.ofp_in) if switch else 0
+            if sw_id not in system.switches:
+                raise ControllerError(f"unknown switch {sw_id!r}")
+            # Own the switch before the call: it must enqueue onto this
+            # system's copy, and the stamping below must read that copy.
+            switch = system._write_switch(sw_id)
+            system._write_app()
+            before = len(switch.ofp_in)
             result = method(sw_id, *args, **kwargs)
-            if switch is not None:
-                for message in switch.ofp_in.items()[before:]:
-                    self._system.of_seq += 1
-                    message.seq = self._system.of_seq
-            self._system._api_calls.append((name, sw_id, args, kwargs))
+            for message in switch.ofp_in.since(before):
+                system.of_seq += 1
+                message.seq = system.of_seq
+            system._api_calls.append((name, sw_id, args, kwargs))
             return result
 
+        # One closure per handler and method, not per call.
+        self.__dict__[name] = wrapper
         return wrapper

@@ -34,7 +34,9 @@ class Channel:
         #: A failed link silently discards enqueues and never dequeues.
         self.failed = False
         self._items: list = []
-        #: Cached :meth:`canonical` form; every mutator below resets it.
+        #: Cached :meth:`canonical` form: ``enqueue`` / ``dequeue`` extend
+        #: and shorten it by the one item they move, the other mutators
+        #: reset it.
         self._canon: tuple | None = None
 
     def __len__(self) -> int:
@@ -47,7 +49,10 @@ class Channel:
         if self.failed:
             return
         self._items.append(item)
-        self._canon = None
+        canon = self._canon
+        if canon is not None:
+            self._canon = (canon[0], canon[1],
+                           canon[2] + (_item_canonical(item),))
 
     def extend(self, items: Iterable) -> None:
         for item in items:
@@ -61,23 +66,28 @@ class Channel:
     def dequeue(self):
         if not self._items:
             raise ChannelError(f"dequeue on empty channel {self.name}")
-        self._canon = None
+        canon = self._canon
+        if canon is not None:
+            self._canon = (canon[0], canon[1], canon[2][1:])
         return self._items.pop(0)
 
     def items(self) -> list:
         """A snapshot copy of the queued items (head first)."""
         return list(self._items)
 
-    def clone(self) -> "Channel":
-        """Checkpoint copy (``System.clone``): a new queue over the *same*
-        items and the same cached form.  OpenFlow messages are immutable
-        once enqueued and queued packets are sealed (the seal rule in
-        :mod:`repro.openflow.packet` — whoever dequeues one to change it
-        copies it first), so neither is ever copied here.
+    def since(self, position: int) -> list:
+        """The items queued at ``position`` and after it."""
+        return self._items[position:]
 
-        Under copy-on-write checkpointing the channel is shared (inside
-        its switch) until the owning System materializes its copy via
-        ``_dirty`` — enqueue/dequeue must never run on a shared channel.
+    def clone(self) -> "Channel":
+        """A new queue over the *same* items and the same cached form —
+        what a switch makes of a channel it shares with a checkpoint copy
+        before first writing it (``SwitchModel._write_port`` and its
+        siblings); enqueue/dequeue must never run on a shared channel.
+        OpenFlow messages are immutable once enqueued and queued packets
+        are sealed (the seal rule in :mod:`repro.openflow.packet` —
+        whoever dequeues one to change it copies it first), so neither is
+        ever copied here.
         """
         new = Channel.__new__(Channel)
         new.name = self.name
@@ -152,8 +162,9 @@ class Channel:
         raise ChannelError(f"unknown fault op {op!r}")
 
     def canonical(self) -> tuple:
-        """Stable serialization for state hashing, cached until the next
-        mutation (the queued items never change, see :meth:`clone`)."""
+        """Stable serialization for state hashing, kept in step with the
+        queue from the first call on (the queued items never change, see
+        :meth:`clone`)."""
         canon = self._canon
         if canon is None:
             canon = self._canon = (

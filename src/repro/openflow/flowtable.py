@@ -48,12 +48,12 @@ class FlowTable:
         return [rule for _, rule in self._entries]
 
     def clone(self) -> "FlowTable":
-        """Checkpoint copy: a new table over the same entries and cached
-        forms (see ``_entries``); insertion order is preserved.  Under
-        copy-on-write checkpointing this runs only when the owning switch
-        materializes (``System._dirty``)."""
+        """A new table over the same entries and cached forms (see
+        ``_entries``); insertion order is preserved.  Runs when a switch
+        first writes a table it shares with a checkpoint copy
+        (``SwitchModel._write_table``)."""
         new = FlowTable.__new__(FlowTable)
-        new.__dict__.update(self.__dict__)
+        new.__dict__ = self.__dict__.copy()
         return new
 
     def _replace(self, entries) -> None:

@@ -173,6 +173,7 @@ class Packet:
         "hops",
         "_header",
         "_canon",
+        "_key",
     )
 
     def __init__(
@@ -218,6 +219,8 @@ class Packet:
         #: The canonical form, kept from :meth:`seal` on; ``None`` while the
         #: packet is still private to whoever is building it.
         self._canon: tuple | None = None
+        #: ``repr`` of the sealed form (:meth:`canonical_key`).
+        self._key: str | None = None
 
     # Aliases matching the names controller programs use (Figure 3 uses
     # pkt.src / pkt.dst / pkt.type for the Ethernet header).
@@ -302,9 +305,21 @@ class Packet:
             return canon
         return self.header_tuple() + (self.uid, self.copy_id, tuple(self.hops))
 
+    def canonical_key(self) -> str:
+        """``repr(self.canonical())``: what orders this packet inside the
+        multisets it is kept in (a host's received record, a switch's
+        buffers) — rendered once for a sealed packet, which many states
+        share, and per call for an unsealed one."""
+        key = self._key
+        if key is None:
+            key = repr(self.canonical())
+            if self._canon is not None:
+                self._key = key
+        return key
+
     def __getstate__(self):
-        """Every slot but the sealed form, in the slots-state shape pickle
-        derives by itself — symbolic ``HOST_SEND`` payloads travel the
+        """Every slot but the sealed form and its key, in the slots-state
+        shape pickle derives by itself — symbolic ``HOST_SEND`` payloads travel the
         worker wire and sit in checkpoints, and both must stay readable
         by, and byte-identical to, the format without the ``_canon``
         slot."""
@@ -313,7 +328,7 @@ class Packet:
     def __setstate__(self, state) -> None:
         for name, value in state[1].items():
             setattr(self, name, value)
-        self._canon = None
+        self._canon = self._key = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Packet):
@@ -336,7 +351,7 @@ class Packet:
 
 #: The slots :meth:`Packet.__getstate__` pickles — the same ``str`` objects
 #: as ``__slots__``, which is what pickle's own slot walk would emit.
-_PICKLED_SLOTS = Packet.__slots__[:-1]
+_PICKLED_SLOTS = Packet.__slots__[:-2]
 
 
 def l2_ping(src: MacAddress, dst: MacAddress, payload: str = "ping") -> Packet:

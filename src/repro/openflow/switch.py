@@ -61,14 +61,30 @@ def _new_port_stats() -> dict:
     return {"rx_packets": 0, "tx_packets": 0, "rx_bytes": 0, "tx_bytes": 0}
 
 
-#: The buffer-id renumbering of a switch with nothing to renumber.  One
-#: shared object, because cached forms are reused while the remap they were
-#: built under is the *same object* (``SwitchModel._of_canonical``).
+#: The buffer-id renumbering of a switch with nothing to renumber.
 _NO_REMAP: dict = {}
+
+#: Ownership bits of a switch's parts (``SwitchModel._owned``): the flow
+#: table, the two OpenFlow channels, three dicts, the ``port_in`` dict
+#: itself and, from ``_PORT_CHANNEL`` up, one bit per port channel.
+_TABLE, _OFP_IN, _OFP_OUT, _BUFFERS, _PORT_STATS, _PORT_UP, _PORT_IN = (
+    1, 2, 4, 8, 16, 32, 64)
+_PORT_CHANNEL = 128
 
 
 class SwitchModel:
-    """One OpenFlow switch in the model."""
+    """One OpenFlow switch in the model.
+
+    Ownership (DESIGN.md, "Sub-forms and sealed packets"): the flow
+    table, each port channel, ``ofp_in``, ``ofp_out``, ``buffers``,
+    ``port_stats`` and ``port_up`` are *parts*.  A checkpoint copy
+    (:meth:`clone`) shares every part with the original and owns none; a
+    part is copied on its first write, by its ``_write_*`` accessor —
+    the only way a part is reached to be changed, here or from outside
+    (:meth:`enqueue_packet`, :meth:`enqueue_of`, :meth:`dequeue_ctrl`,
+    :meth:`apply_fault`) — which also resets the form the part renders
+    to, so :meth:`canonical` re-assembles only what was written.
+    """
 
     def __init__(self, switch_id: str, ports: list[int],
                  canonical_flow_tables: bool = True,
@@ -88,12 +104,10 @@ class SwitchModel:
         self.ofp_in = Channel(f"ctrl->{switch_id}")
         self.ofp_out = Channel(f"{switch_id}->ctrl")
         #: Packets awaiting a controller decision: buffer_id -> (packet, in_port).
-        #: Changed only by :meth:`_buffer_and_notify` and
-        #: :meth:`_apply_packet_out`, which reset ``_buffers_canon``.
         self.buffers: dict[int, tuple[Packet, int]] = {}
         self._next_buffer_id = 1
         #: Per-port counters.  The inner dicts are replace-on-write values
-        #: (:meth:`_count`), so checkpoint clones share them.
+        #: (:meth:`_count`): a copied ``port_stats`` shares them.
         self.port_stats: dict[int, dict] = {
             port: _new_port_stats() for port in self.ports
         }
@@ -113,46 +127,124 @@ class SwitchModel:
         #: History, not state: excluded from canonical().  Replace-on-write
         #: like ``dropped``.
         self.packet_in_log: list[tuple[Packet, str]] = []
-        #: Cached pieces of :meth:`canonical`, each reset by the mutators
-        #: of what it renders (DESIGN.md, "Sub-forms and sealed packets"):
-        #: ``(remap, buffers part)``; per OpenFlow channel ``(channel form,
-        #: remap, rewritten form)``; the port-stats and dropped parts.
-        self._buffers_canon: tuple | None = None
+        #: Which parts this object may write in place (bits above).
+        self._port_bits = {port: _PORT_CHANNEL << index
+                           for index, port in enumerate(self.ports)}
+        self._owned = (_PORT_CHANNEL << len(self.ports)) - 1
+        #: The pieces of :meth:`canonical` as last assembled, each reset
+        #: by the write accessor of the part it renders (``_drop`` for
+        #: the replace-on-write ``dropped``): the port channels' forms;
+        #: the OpenFlow channels' forms with buffer ids rewritten (so the
+        #: buffers' accessor resets them too); ``(remap, buffers part)``;
+        #: the port-stats, port-up and dropped parts.
+        self._ports_canon: tuple | None = None
         self._ofp_in_canon: tuple | None = None
         self._ofp_out_canon: tuple | None = None
+        self._buffers_canon: tuple | None = None
         self._stats_canon: tuple | None = None
+        self._port_up_canon: tuple | None = None
         self._dropped_canon: tuple | None = None
 
     def clone(self) -> "SwitchModel":
-        """Checkpoint copy (``System.clone``): field-wise and shallow.
+        """Checkpoint copy (``System.clone``): the fields, and no part.
 
-        The channels and the flow table are cloned (new queues and a new
-        table over the same items, entries and cached forms) and the
-        dicts this switch writes into are copied one level deep.
-        Everything they hold is shared with the original and never changed
-        in place: queued messages, sealed packets (the seal rule in
+        The copy shares the flow table, every channel and every dict with
+        the original and owns none of them: each is copied when this copy
+        first writes it (the ``_write_*`` accessors below).  The original
+        is never written again — the whole switch stays shared between
+        parent and child until ``System._write_switch`` hands whichever
+        side writes first a copy of its own, so all mutation must go
+        through the owning System (DESIGN.md, "Per-state hot path").
+        What the parts hold is shared for good and never changed in
+        place: queued messages, sealed packets (the seal rule in
         :mod:`repro.openflow.packet`), flow-table rules, the per-port
-        counter dicts, and the ``dropped`` / ``packet_in_log`` lists
+        counter dicts, the ``dropped`` / ``packet_in_log`` lists
         (replace-on-write) — as are the cached pieces of
         :meth:`canonical`.
-
-        This runs *lazily* (copy-on-write checkpointing): the whole
-        switch stays shared between parent and child until
-        ``System._dirty`` materializes the mutating side's own copy, so
-        all mutation must go through the owning System (DESIGN.md,
-        "Per-state hot path").
         """
         new = SwitchModel.__new__(SwitchModel)
-        new.__dict__.update(self.__dict__)
-        new.table = self.table.clone()
-        new.port_in = {port: channel.clone()
-                       for port, channel in self.port_in.items()}
-        new.ofp_in = self.ofp_in.clone()
-        new.ofp_out = self.ofp_out.clone()
-        new.buffers = dict(self.buffers)
-        new.port_stats = dict(self.port_stats)
-        new.port_up = dict(self.port_up)
+        new.__dict__ = self.__dict__.copy()
+        new._owned = 0
         return new
+
+    # ------------------------------------------------------------------
+    # Write accessors: the part, owned by this object, its form reset
+    # ------------------------------------------------------------------
+
+    def _write_table(self) -> FlowTable:
+        """The flow table keeps its own forms, reset by its mutators."""
+        if not self._owned & _TABLE:
+            self.table = self.table.clone()
+            self._owned |= _TABLE
+        return self.table
+
+    def _write_port(self, port: int) -> Channel:
+        owned = self._owned
+        bit = self._port_bits[port]
+        if not owned & bit:
+            if not owned & _PORT_IN:
+                self.port_in = dict(self.port_in)
+            self.port_in[port] = self.port_in[port].clone()
+            self._owned = owned | bit | _PORT_IN
+        self._ports_canon = None
+        return self.port_in[port]
+
+    def _write_ofp_in(self) -> Channel:
+        if not self._owned & _OFP_IN:
+            self.ofp_in = self.ofp_in.clone()
+            self._owned |= _OFP_IN
+        self._ofp_in_canon = None
+        return self.ofp_in
+
+    def _write_ofp_out(self) -> Channel:
+        if not self._owned & _OFP_OUT:
+            self.ofp_out = self.ofp_out.clone()
+            self._owned |= _OFP_OUT
+        self._ofp_out_canon = None
+        return self.ofp_out
+
+    def _write_buffers(self) -> dict:
+        """Also resets the OpenFlow channels' forms: pending messages
+        name buffers by their renumbered ids."""
+        if not self._owned & _BUFFERS:
+            self.buffers = dict(self.buffers)
+            self._owned |= _BUFFERS
+        self._buffers_canon = self._ofp_in_canon = self._ofp_out_canon = None
+        return self.buffers
+
+    def _write_port_stats(self) -> dict:
+        if not self._owned & _PORT_STATS:
+            self.port_stats = dict(self.port_stats)
+            self._owned |= _PORT_STATS
+        self._stats_canon = None
+        return self.port_stats
+
+    def _write_port_up(self) -> dict:
+        if not self._owned & _PORT_UP:
+            self.port_up = dict(self.port_up)
+            self._owned |= _PORT_UP
+        self._port_up_canon = None
+        return self.port_up
+
+    # ------------------------------------------------------------------
+    # Channel ends the rest of the model writes
+    # ------------------------------------------------------------------
+
+    def enqueue_packet(self, port: int, packet: Packet) -> None:
+        """A packet arrives on ``port`` (from a link or a host)."""
+        self._write_port(port).enqueue(packet)
+
+    def apply_fault(self, port: int, op: tuple):
+        """Apply a fault descriptor to ``port``'s packet channel."""
+        return self._write_port(port).apply_fault(op)
+
+    def enqueue_of(self, message) -> None:
+        """The controller sends ``message`` to this switch."""
+        self._write_ofp_in().enqueue(message)
+
+    def dequeue_ctrl(self):
+        """The controller takes this switch's next pending message."""
+        return self._write_ofp_out().dequeue()
 
     # ------------------------------------------------------------------
     # Transition guards
@@ -177,12 +269,11 @@ class SwitchModel:
             raise SwitchError(f"process_pkt on {self.switch_id} with empty channels")
         emissions: list[tuple[int, Packet]] = []
         for port in self.ports:
-            channel = self.port_in[port]
-            if len(channel) == 0:
+            if len(self.port_in[port]) == 0:
                 continue
             # The queued packet is sealed — clones of this switch share
             # it — so the hop is recorded on a copy taken out here.
-            packet = channel.dequeue().copy()
+            packet = self._write_port(port).dequeue().copy()
             emissions.extend(self._handle_packet(packet, port))
         return emissions
 
@@ -196,18 +287,18 @@ class SwitchModel:
         if rule is None:
             self._buffer_and_notify(packet, in_port, OFPR_NO_MATCH)
             return []
-        self.table.record_hit(rule, packet.size)
+        self._write_table().record_hit(rule, packet.size)
         return self._apply_actions(rule.actions, packet, in_port)
 
     def _count(self, port: int, packets_key: str, bytes_key: str,
                size: int) -> None:
         """Bump one direction of a port's counters, replacing the port's
         dict (clones of this switch share the old one)."""
-        stats = self.port_stats[port]
-        self.port_stats[port] = {**stats,
-                                 packets_key: stats[packets_key] + 1,
-                                 bytes_key: stats[bytes_key] + size}
-        self._stats_canon = None
+        port_stats = self._write_port_stats()
+        stats = port_stats[port]
+        port_stats[port] = {**stats,
+                            packets_key: stats[packets_key] + 1,
+                            bytes_key: stats[bytes_key] + size}
 
     def _drop(self, entry: tuple) -> None:
         self.dropped = self.dropped + [entry]
@@ -216,10 +307,9 @@ class SwitchModel:
     def _buffer_and_notify(self, packet: Packet, in_port: int, reason: str) -> None:
         buffer_id = self._next_buffer_id
         self._next_buffer_id += 1
-        self.buffers[buffer_id] = (packet.seal(), in_port)
-        self._buffers_canon = None
+        self._write_buffers()[buffer_id] = (packet.seal(), in_port)
         self.packet_in_log = self.packet_in_log + [(packet.copy(), reason)]
-        self.ofp_out.enqueue(
+        self._write_ofp_out().enqueue(
             PacketIn(self.switch_id, in_port, packet.copy(), buffer_id, reason)
         )
 
@@ -290,8 +380,7 @@ class SwitchModel:
         """
         if not self.can_process_of():
             raise SwitchError(f"process_of on {self.switch_id} with empty channel")
-        message = self.ofp_in.dequeue()
-        return self.apply_of_message(message)
+        return self.apply_of_message(self._write_ofp_in().dequeue())
 
     def apply_of_message(self, message) -> list[tuple[int, Packet]]:
         if isinstance(message, FlowMod):
@@ -304,19 +393,20 @@ class SwitchModel:
                 payload = self.flow_stats_snapshot()
             else:
                 payload = self.stats_snapshot()
-            self.ofp_out.enqueue(
+            self._write_ofp_out().enqueue(
                 StatsReply(self.switch_id, message.kind, payload,
                            xid=message.xid)
             )
             return []
         if isinstance(message, BarrierRequest):
-            self.ofp_out.enqueue(BarrierReply(self.switch_id, xid=message.xid))
+            self._write_ofp_out().enqueue(
+                BarrierReply(self.switch_id, xid=message.xid))
             return []
         raise SwitchError(f"switch {self.switch_id} cannot handle {message!r}")
 
     def _apply_flow_mod(self, mod: FlowMod) -> None:
         if mod.command == OFPFC_ADD:
-            self.table.install(
+            self._write_table().install(
                 Rule(
                     match=mod.match,
                     actions=mod.actions,
@@ -327,20 +417,19 @@ class SwitchModel:
                 )
             )
         elif mod.command == OFPFC_DELETE:
-            self.table.remove(mod.match, strict=False)
+            self._write_table().remove(mod.match, strict=False)
         elif mod.command == OFPFC_DELETE_STRICT:
-            self.table.remove(mod.match, priority=mod.priority, strict=True)
+            self._write_table().remove(mod.match, priority=mod.priority,
+                                       strict=True)
 
     def _apply_packet_out(self, out: PacketOut) -> list[tuple[int, Packet]]:
         if out.buffer_id is not None:
-            entry = self.buffers.pop(out.buffer_id, None)
-            if entry is None:
+            if out.buffer_id not in self.buffers:
                 # Unknown / already-released buffer: real switches return an
                 # error message; the model records it and moves on.
                 self._drop(("bad_buffer", out.buffer_id, None))
                 return []
-            self._buffers_canon = None
-            packet, in_port = entry
+            packet, in_port = self._write_buffers().pop(out.buffer_id)
         else:
             packet, in_port = out.packet.copy(), -1
         if not out.actions:
@@ -364,8 +453,8 @@ class SwitchModel:
         if not 0 <= rule_index < len(expirable):
             raise SwitchError(f"no expirable rule {rule_index} on {self.switch_id}")
         rule = expirable[rule_index]
-        self.table.remove_rule(rule)
-        self.ofp_out.enqueue(
+        self._write_table().remove_rule(rule)
+        self._write_ofp_out().enqueue(
             FlowRemoved(self.switch_id, rule.match, rule.priority,
                         rule.packet_count, rule.byte_count)
         )
@@ -374,8 +463,9 @@ class SwitchModel:
         if port not in self.port_up:
             raise SwitchError(f"unknown port {port} on {self.switch_id}")
         if self.port_up[port] != is_up:
-            self.port_up[port] = is_up
-            self.ofp_out.enqueue(PortStatus(self.switch_id, port, is_up))
+            self._write_port_up()[port] = is_up
+            self._write_ofp_out().enqueue(
+                PortStatus(self.switch_id, port, is_up))
 
     def stats_snapshot(self) -> dict:
         """Deep copy of the per-port counters (for stats replies)."""
@@ -408,13 +498,27 @@ class SwitchModel:
         packet-in / packet-out messages are rewritten consistently.  The
         NO-SWITCH-REDUCTION baseline keeps raw ids (and unsorted tables).
 
-        This method only *assembles*: every part is cached where its data
-        lives — the flow table and each channel keep their own form, the
-        parts built here (``_buffers_canon`` and friends) are reset by the
-        few methods that change what they render — so a re-hash after a
-        transition re-renders what the transition touched.
+        This method only *assembles*: the flow table and each channel
+        keep their own form, the pieces built here are kept until the
+        write accessor of the part they render resets them — so a re-hash
+        after a transition re-renders what the transition wrote.
         """
-        remap, buffers_part = self._buffers_canonical()
+        remap, buffers_part = (self._buffers_canon
+                               or self._buffers_canonical())
+        ports_part = self._ports_canon
+        if ports_part is None:
+            # port_in and port_up were filled in the order of self.ports,
+            # which is sorted, and a copy keeps that order.
+            ports_part = self._ports_canon = tuple(
+                [channel.canonical() for channel in self.port_in.values()])
+        ofp_in_part = self._ofp_in_canon
+        if ofp_in_part is None:
+            ofp_in_part = self._ofp_in_canon = self._of_canonical(
+                self.ofp_in, remap)
+        ofp_out_part = self._ofp_out_canon
+        if ofp_out_part is None:
+            ofp_out_part = self._ofp_out_canon = self._of_canonical(
+                self.ofp_out, remap)
         stats_part = ()
         if self.hash_counters:
             stats_part = self._stats_canon
@@ -423,6 +527,9 @@ class SwitchModel:
                     (port, tuple(sorted(stats.items())))
                     for port, stats in self.port_stats.items()
                 ))
+        port_up_part = self._port_up_canon
+        if port_up_part is None:
+            port_up_part = self._port_up_canon = tuple(self.port_up.items())
         dropped_part = self._dropped_canon
         if dropped_part is None:
             dropped_part = self._dropped_canon = tuple(
@@ -430,62 +537,54 @@ class SwitchModel:
         return (
             self.switch_id,
             self.table.canonical(include_counters=self.hash_counters),
-            # port_in and port_up were filled in the order of self.ports,
-            # which is sorted, and a clone copies them in that order.
-            tuple([channel.canonical() for channel in self.port_in.values()]),
-            self._of_canonical(self.ofp_in, remap, "_ofp_in_canon"),
-            self._of_canonical(self.ofp_out, remap, "_ofp_out_canon"),
+            ports_part,
+            ofp_in_part,
+            ofp_out_part,
             buffers_part,
             stats_part,
-            tuple(self.port_up.items()),
+            port_up_part,
             dropped_part,
         )
 
     def _buffers_canonical(self) -> tuple[dict, tuple]:
-        """``(remap, buffers part)``: the content-derived renumbering of
-        the buffer ids and the buffers rendered under it."""
-        cached = self._buffers_canon
-        if cached is None:
-            buffers = self.buffers
-            if self.table.canonical_mode and buffers:
-                order = sorted(
-                    buffers,
-                    key=lambda bid: (repr(buffers[bid][0].canonical()),
-                                     buffers[bid][1]),
-                )
-                remap = {bid: index for index, bid in enumerate(order)}
-            else:
-                order, remap = sorted(buffers), _NO_REMAP
-            part = tuple(
-                (remap.get(bid, bid), buffers[bid][0].canonical(),
-                 buffers[bid][1])
-                for bid in order
+        """Build and keep ``(remap, buffers part)``: the content-derived
+        renumbering of the buffer ids and the buffers rendered under it."""
+        buffers = self.buffers
+        if self.table.canonical_mode and buffers:
+            order = sorted(
+                buffers,
+                key=lambda bid: (buffers[bid][0].canonical_key(),
+                                 buffers[bid][1]),
             )
-            cached = self._buffers_canon = (remap, part)
+            remap = {bid: index for index, bid in enumerate(order)}
+        else:
+            order, remap = sorted(buffers), _NO_REMAP
+        part = tuple(
+            (remap.get(bid, bid), buffers[bid][0].canonical(),
+             buffers[bid][1])
+            for bid in order
+        )
+        cached = self._buffers_canon = (remap, part)
         return cached
 
-    def _of_canonical(self, channel: Channel, remap: dict, slot: str) -> tuple:
+    @staticmethod
+    def _of_canonical(channel: Channel, remap: dict) -> tuple:
         """One OpenFlow channel's form with buffer ids rewritten through
-        ``remap``.  The rewritten form is kept in the attribute ``slot``
-        and reused while the channel's own form and the remap are the
-        same objects it was built from."""
+        ``remap`` — the channel's own form when there is nothing to
+        renumber or nothing queued."""
         form = channel.canonical()
         if not remap or not form[2]:
             return form
-        cached = getattr(self, slot)
-        if cached is None or cached[0] is not form or cached[1] is not remap:
-            messages = []
-            for message, base in zip(channel.items(), form[2]):
-                if isinstance(message, PacketIn) \
-                        and message.buffer_id in remap:
-                    base = base[:4] + (remap[message.buffer_id],) + base[5:]
-                elif isinstance(message, PacketOut) \
-                        and message.buffer_id in remap:
-                    base = base[:1] + (remap[message.buffer_id],) + base[2:]
-                messages.append(base)
-            cached = (form, remap, (form[0], form[1], tuple(messages)))
-            setattr(self, slot, cached)
-        return cached[2]
+        messages = []
+        for message, base in zip(channel.items(), form[2]):
+            if isinstance(message, PacketIn) \
+                    and message.buffer_id in remap:
+                base = base[:4] + (remap[message.buffer_id],) + base[5:]
+            elif isinstance(message, PacketOut) \
+                    and message.buffer_id in remap:
+                base = base[:1] + (remap[message.buffer_id],) + base[2:]
+            messages.append(base)
+        return (form[0], form[1], tuple(messages))
 
     def __repr__(self) -> str:
         return (f"SwitchModel({self.switch_id}, rules={len(self.table)},"

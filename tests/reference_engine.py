@@ -6,7 +6,7 @@ neither of the product's shortcuts: a checkpoint deep-copies every mutable
 part (nothing is shared with the parent, so no write can leak either way,
 and no cache is carried over), and a state hash is built from scratch by
 :mod:`reference_forms` (every component re-read, re-sorted and re-rendered,
-no ``_canon``/``_digest_cache`` slot consulted).  Transitions execute
+no ``_canon``/``_digests`` slot consulted).  Transitions execute
 through the product's own ``execute`` — the reference checks *how states
 are copied and hashed*, not what a transition does — so its digests are
 byte-identical to the product's and the two can be compared state by
@@ -32,18 +32,11 @@ class ReferenceSystem(System):
 
     def clone(self) -> "ReferenceSystem":
         new = object.__new__(type(self))
-        # Static for the lifetime of a search: never written after boot.
-        new.topo = self.topo
-        new.config = self.config
-        new._component_keys = self._component_keys
-        new._hash_order = self._hash_order
-        new._sw_order = self._sw_order
-        new._host_order = self._host_order
-        new._event_order = self._event_order
-        # Counters, and the digest memo ``execute`` signs sent headers
-        # through (``state_hash`` below never asks it); shared so a run
-        # accumulates in one place.
-        new._hash_stats = self._hash_stats
+        # Static for the lifetime of a search (topology, configuration,
+        # component orders and slots), and the counters — with the digest
+        # memo ``execute`` signs sent headers through, which ``state_hash``
+        # below never asks — shared so a run accumulates in one place.
+        new.__dict__.update(self.__dict__)
         new.switches = copy.deepcopy(self.switches)
         new.hosts = copy.deepcopy(self.hosts)
         new.runtime = ControllerRuntime(copy.deepcopy(self.runtime.app))
@@ -51,13 +44,14 @@ class ReferenceSystem(System):
         new.attachments = dict(self.attachments)
         new.host_locations = dict(self.host_locations)
         new.events_fired = dict(self.events_fired)
-        new.of_seq = self.of_seq
         new.last_handler = None
         new._api_calls = []
-        # What ``execute`` expects to find, and finds empty: nothing is
-        # shared, no digest is cached.
-        new._shared = set()
-        new._digest_cache = {}
+        # What ``execute`` expects to find, and finds empty: no component
+        # is shared, no digest is cached.  (A deep copy keeps each
+        # component's own part-ownership bits; they are all set, since
+        # nothing on this engine ever calls a component's ``clone``.)
+        new._shared = 0
+        new._digests = [None] * len(self._digests)
         return new
 
     def state_hash(self) -> str:

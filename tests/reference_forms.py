@@ -221,7 +221,8 @@ def canonicalize(obj):
 
 
 def component_forms(system) -> dict:
-    """Every hashed component of ``system``, from scratch, by dirty key."""
+    """Every hashed component of ``system``, from scratch, keyed
+    ``("sw", id)`` / ``("host", name)`` / ``"app"`` / ``"ledger"``."""
     forms = {("sw", sw_id): switch_form(switch)
              for sw_id, switch in system.switches.items()}
     forms.update({("host", name): host_form(host)

@@ -11,17 +11,30 @@ under a second, so the differential suite can sweep many seeds.
 The generated scenarios are *hand-built* (no registry spec): the
 differential engines that need to cross a process boundary do so through
 the ``fork`` transport, which inherits the closures.
+
+:func:`arp_client_scenario` and :func:`tcp_client_scenario` are the two
+bundled host models no registered scenario uses, each dropped into one
+that exists, for the oracle walks.
 """
 
 from __future__ import annotations
 
 import random
 
+from repro import scenarios
 from repro.config import NiceConfig
+from repro.hosts.arp import ArpClient
 from repro.hosts.client import Client
 from repro.hosts.ping import PingResponder
+from repro.hosts.tcp import TcpLikeClient
 from repro.nice import Scenario
-from repro.openflow.packet import MacAddress, ip_from_string, l2_ping
+from repro.openflow.packet import (
+    TCP_SYN,
+    MacAddress,
+    ip_from_string,
+    l2_ping,
+    tcp_packet,
+)
 from repro.properties import NoBlackHoles, NoForwardingLoops
 from repro.topo.topology import Topology
 
@@ -107,3 +120,39 @@ def random_scenario(seed: int) -> Scenario:
     return Scenario(topo, PySwitch, hosts_factory,
                     [NoForwardingLoops(), NoBlackHoles()], config,
                     name=f"random-{seed}")
+
+
+def arp_client_scenario() -> Scenario:
+    """The scripted load balancer with an :class:`ArpClient` for a
+    client: it resolves the VIP through the controller's proxy ARP, then
+    releases its SYN — the one host that extends its own ``script``."""
+    base = scenarios.loadbalancer_scenario(symbolic=False)
+
+    def hosts_factory():
+        hosts = base.hosts_factory()
+        syn = tcp_packet(scenarios.MAC_A, MacAddress.broadcast(),
+                         scenarios.IP_A, scenarios.VIP, 1000, 80,
+                         flags=TCP_SYN)
+        hosts[0] = ArpClient("C", scenarios.MAC_A, scenarios.IP_A,
+                             target_ip=scenarios.VIP, script=[syn])
+        return hosts
+
+    return Scenario(base.topo, base.app_factory, hosts_factory,
+                    base.properties, base.config, name="arp-client")
+
+
+def tcp_client_scenario() -> Scenario:
+    """Two concurrent pings from a :class:`TcpLikeClient`: a pong is an
+    ACK that grows the window the next send is budgeted by.  (Two, so
+    that a 200-step random walk gets deep enough to see one.)"""
+    base = scenarios.ping_experiment(pings=2)
+
+    def hosts_factory():
+        client, responder = base.hosts_factory()
+        windowed = TcpLikeClient("A", client.mac, client.ip,
+                                 script=client.script, max_window=3)
+        windowed.ordered_script = False
+        return [windowed, responder]
+
+    return Scenario(base.topo, base.app_factory, hosts_factory,
+                    base.properties, base.config, name="tcp-client")

@@ -147,6 +147,31 @@ class TestDifferentialRandomScenarios:
         check_seed(seed, tmp_path, monkeypatch)
 
 
+class TestUnusualStamps:
+    """UNUSUAL keeps the oldest- and the newest-issued pending
+    installation, read off the ``seq`` the stamping API wrapper gives
+    every controller->switch message (``mc/system.py::_StampingAPI``) —
+    so the space it explores moves with those stamps.  Seed 20 is one
+    the strategy actually prunes (917 transitions without it); the
+    literals were measured before the wrapper stopped copying the queue
+    it stamps."""
+
+    @requires_fork
+    def test_a_seq_sensitive_seed_is_pinned_on_every_engine(self):
+        scenario = with_config(random_scenario(20), strategy="UNUSUAL")
+        baseline = nice.run(scenario)
+        assert (baseline.transitions_executed, baseline.unique_states,
+                baseline.bytes_hashed, baseline.hash_hits,
+                baseline.hash_misses, baseline.cow_copied) == (
+            913, 406, 101196, 4764, 1634, 1627)
+        assert nice.run(with_config(random_scenario(20))) \
+            .transitions_executed == 917
+        for variant, result in variant_runs(scenario):
+            assert counters(result) == counters(baseline), variant
+            assert violated_properties(result) \
+                == violated_properties(baseline), variant
+
+
 class TestGeneratorDeterminism:
     def test_same_seed_same_scenario(self):
         a, b = random_scenario(7), random_scenario(7)

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_forms
 from repro import scenarios
 from repro.config import NiceConfig
-from repro.errors import ReplayError, TransitionError
+from repro.errors import ControllerError, ReplayError, TransitionError
 from repro.mc import transitions as tk
 from repro.mc.canonical import canonicalize, state_string
 from repro.mc.replay import format_trace, replay_steps, replay_trace
@@ -260,6 +261,55 @@ class TestSystemModel:
         assert system.host_locations["B"] == ("s1", 3)
         assert system.attachments[("s1", 3)] == "B"
         assert ("s1", 2) not in system.attachments
+
+
+def _execute(kind, actor, arg=None):
+    return lambda system: system.execute(Transition(kind, actor, arg))
+
+
+#: What a system refuses, on ``pyswitch-mobile`` (two switches, a mobile
+#: host B on ``("s2", 2)``, host A on ``("s1", 1)``): every transition kind
+#: on an actor that does not exist, a controller call to a switch that does
+#: not, and the two transitions that can fail on an actor that does.
+REFUSALS = [
+    pytest.param(_execute(kind, "nope", arg), TransitionError,
+                 id=f"unknown-actor-{kind}")
+    for kind, arg in [
+        (tk.PROCESS_PKT, None), (tk.PROCESS_OF, None),
+        (tk.CTRL_HANDLE, None), (tk.CTRL_STATS, None),
+        (tk.CTRL_EVENT, None), (tk.HOST_SEND, ("script", 0)),
+        (tk.HOST_RECV, None), (tk.HOST_MOVE, ("s1", 3)),
+        (tk.EXPIRE_RULE, 0), (tk.CHANNEL_FAULT, (1, ("fail",))),
+    ]
+] + [
+    pytest.param(
+        lambda system: system.api().install_rule("nope", {}, ["flood"]),
+        ControllerError, id="api-call-unknown-switch"),
+    pytest.param(_execute(tk.HOST_MOVE, "B", ("s9", 1)), TransitionError,
+                 id="move-to-no-port"),
+    pytest.param(_execute(tk.HOST_MOVE, "B", ("s1", 1)), TransitionError,
+                 id="move-to-occupied-port"),
+    pytest.param(_execute(tk.CTRL_STATS, "s1"), TransitionError,
+                 id="stats-without-a-reply"),
+]
+
+
+@pytest.mark.parametrize("refused,error", REFUSALS)
+def test_a_refusal_is_typed_and_leaves_digests_and_ownership_consistent(
+        refused, error):
+    """The error is the model's own (never a ``KeyError`` out of a slot
+    table), and afterwards parent and child still hash to what the
+    from-scratch oracle builds — right away, and after each has gone on
+    to execute a real transition (whoever writes still copies first)."""
+    parent = scenarios.pyswitch_mobile().system_factory()
+    parent.state_hash()
+    child = parent.clone()
+    with pytest.raises(error):
+        refused(child)
+    for system in (child, parent, child):
+        assert system.state_hash() == reference_forms.state_hash(system)
+        system.execute(system.enabled_transitions()[0])
+        assert system.state_hash() == reference_forms.state_hash(system)
 
 
 class TestReplay:

@@ -12,10 +12,13 @@ path"; :mod:`reference_engine`).
 * it trusts nothing the product caches or shares: it never calls a
   component's ``clone()``, and it *disagrees* with the product as soon as a
   cache reset or the ``process_pkt`` take-out copy is removed — the two
-  mutations that ``System.state_hash`` alone cannot see — or as soon as a
+  mutations that ``System.state_hash`` alone cannot see — as soon as a
   handler of one of the three paper apps writes an attribute its
   ``canonical_state()`` renders once as configuration (the
-  ``_static_canon`` slot of ``App._assemble_state``).
+  ``_static_canon`` slot of ``App._assemble_state``), or as soon as any
+  one write accessor — of a System's slot, of a component's part — skips
+  its reset or its first-write copy (``TestOwnershipMutantsAreCaught``:
+  DESIGN.md, "Sub-forms and sealed packets").
 
 The digest memo under ``state_hash`` (``repro.mc.canonical.DigestMemo``)
 has no demo here because it has no way to go stale: its key is the
@@ -30,6 +33,7 @@ import random
 
 import pytest
 
+import reference_forms
 from contract import counters, violation_messages
 from reference_engine import ReferenceSystem, reference_factory, reference_run
 from repro import nice, scenarios
@@ -41,7 +45,7 @@ from repro.controller.app import App
 from repro.hosts.base import Host
 from repro.mc.canonical import canonicalize
 from repro.mc.strategies import make_strategy
-from repro.mc.system import PacketLedger
+from repro.mc.system import PacketLedger, System
 from repro.openflow.channels import Channel
 from repro.openflow.flowtable import FlowTable
 from repro.openflow.switch import SwitchModel
@@ -53,8 +57,10 @@ POOL = 8
 
 def first_disagreement(scenario, steps: int = STEPS):
     """Walk the product and the reference in lockstep; the first step after
-    which their digests differ — on the child or on the parent it was
-    cloned from — or None."""
+    which their digests differ — on the child, or on the parent it was
+    cloned from: as the product answers (a digest it may have cached) and
+    as its live parts hash from scratch (what a write leaked into them
+    shows there first) — or None."""
     rng = random.Random(13)
     roots = (scenario.system_factory, reference_factory(scenario))
 
@@ -79,8 +85,10 @@ def first_disagreement(scenario, steps: int = STEPS):
         for child in children:
             child.execute(transition)
             strategy.post_execute(child, transition)
+        parent_digest = reference.state_hash()
         if (children[0].state_hash() != children[1].state_hash()
-                or product.state_hash() != reference.state_hash()):
+                or product.state_hash() != parent_digest
+                or reference_forms.state_hash(product) != parent_digest):
             return step, transition
         if len(pool) < POOL:
             pool.append(children)
@@ -156,24 +164,31 @@ def test_reference_clones_through_no_component_clone(monkeypatch):
     assert type(child) is ReferenceSystem
     child.execute(child.enabled_transitions()[0])
     assert child.state_hash() != before and parent.state_hash() == before
-    assert not child._shared and not child._digest_cache
+    assert not child._shared and not any(child._digests)
 
 
 class TestMutantsAreCaught:
     """Break the product the ways a cached, shared hot path can break; the
     reference must notice each."""
 
-    def test_a_missing_cache_reset(self, monkeypatch):
-        apply_fault = Channel.apply_fault
+    @pytest.mark.parametrize("mutator,build", [
+        ("apply_fault", faulty_ping),
+        ("enqueue", scenarios.pyswitch_direct_path),
+        ("dequeue", scenarios.pyswitch_direct_path),
+    ])
+    def test_a_channel_form_left_behind(self, monkeypatch, mutator, build):
+        """A fault resets the channel's form, ``enqueue`` / ``dequeue``
+        extend and shorten it: each of them skipped."""
+        mutate = getattr(Channel, mutator)
 
-        def without_the_reset(self, op):
+        def leaving_the_form(self, *args):
             stale = self._canon
-            affected = apply_fault(self, op)
+            result = mutate(self, *args)
             self._canon = stale
-            return affected
+            return result
 
-        monkeypatch.setattr(Channel, "apply_fault", without_the_reset)
-        assert first_disagreement(faulty_ping()) is not None
+        monkeypatch.setattr(Channel, mutator, leaving_the_form)
+        assert first_disagreement(build()) is not None
 
     def test_a_missing_take_out_copy(self, monkeypatch):
         def without_the_copy(self):
@@ -181,7 +196,7 @@ class TestMutantsAreCaught:
             for port in self.ports:
                 if len(self.port_in[port]):
                     emissions.extend(self._handle_packet(
-                        self.port_in[port].dequeue(), port))
+                        self._write_port(port).dequeue(), port))
             return emissions
 
         monkeypatch.setattr(SwitchModel, "process_pkt", without_the_copy)
@@ -207,3 +222,154 @@ class TestMutantsAreCaught:
 
         monkeypatch.setattr(app, "packet_in", reconfiguring)
         assert first_disagreement(build()) is not None
+
+
+# ----------------------------------------------------------------------
+# One planted bug per write accessor (DESIGN.md, "Sub-forms and sealed
+# packets": the ownership rule)
+# ----------------------------------------------------------------------
+
+def counted_energy_te():
+    return with_config(scenarios.energy_te_scenario(), hash_counters=True)
+
+
+#: Every write accessor of a part: ``(class, accessor, what it resets or
+#: keeps in step, a scenario whose walk writes through it)``.
+#: ``SwitchModel._write_port_up`` is reached by no transition
+#: (``set_port_state`` has no caller in the model yet) and has its demo
+#: below the walks.
+PART_ACCESSORS = [
+    (SwitchModel, "_write_port", ("_ports_canon",),
+     scenarios.pyswitch_direct_path),
+    (SwitchModel, "_write_ofp_in", ("_ofp_in_canon",),
+     scenarios.pyswitch_direct_path),
+    (SwitchModel, "_write_ofp_out", ("_ofp_out_canon",),
+     scenarios.pyswitch_direct_path),
+    (SwitchModel, "_write_buffers", ("_buffers_canon",),
+     scenarios.pyswitch_direct_path),
+    (SwitchModel, "_write_port_stats", ("_stats_canon",), counted_energy_te),
+    (SwitchModel, "_write_table", (), scenarios.pyswitch_direct_path),
+    (Host, "_write_inbox", ("_inbox_canon",), scenarios.ping_experiment),
+    (Host, "_write_pending", ("_pending_canon",), scenarios.ping_experiment),
+    (Host, "_write_received", ("_received_keys", "_received_canon"),
+     scenarios.ping_experiment),
+    (Host, "_write_script_done", ("_script_done_canon",),
+     scenarios.ping_experiment),
+    (Host, "_write_send_sig_counts", ("_send_sig_counts_canon",),
+     scenarios.ping_experiment),
+    (PacketLedger, "_record", ("_keys", "_canon"),
+     scenarios.ping_experiment),
+]
+
+#: The System's own: ``(accessor, a scenario whose walk goes through it)``.
+COMPONENT_ACCESSORS = [
+    ("_write_switch", scenarios.pyswitch_direct_path),
+    ("_write_host", scenarios.ping_experiment),
+    ("_write_app", scenarios.pyswitch_direct_path),
+    ("_write_ledger", scenarios.ping_experiment),
+    ("_write_meta", scenarios.pyswitch_mobile),
+]
+
+
+def _params(cases):
+    """``cases`` as pytest params named ``Class.accessor``."""
+    return [pytest.param(*case, id=".".join(
+                [case[0].__name__, case[1]] if isinstance(case[0], type)
+                else ["System", case[0]]))
+            for case in cases]
+
+
+class TestOwnershipMutantsAreCaught:
+    """The ownership rule broken at each depth, one accessor at a time:
+    a write that leaves the form it renders in place (stale cache), and a
+    write that skips the first-write copy (CoW leak: the state it was
+    cloned from changes under it)."""
+
+    @pytest.mark.parametrize(
+        "component,accessor,forms,build",
+        _params(case for case in PART_ACCESSORS if case[2]))
+    def test_a_part_written_without_its_form_reset(
+            self, monkeypatch, component, accessor, forms, build):
+        write = getattr(component, accessor)
+
+        def without_the_reset(self, *args):
+            stale = [getattr(self, form) for form in forms]
+            part = write(self, *args)
+            for form, value in zip(forms, stale):
+                setattr(self, form, value)
+            return part
+
+        monkeypatch.setattr(component, accessor, without_the_reset)
+        assert first_disagreement(build()) is not None
+
+    @pytest.mark.parametrize("component,accessor,forms,build",
+                             _params(PART_ACCESSORS))
+    def test_a_part_written_without_its_first_write_copy(
+            self, monkeypatch, component, accessor, forms, build):
+        write = getattr(component, accessor)
+
+        def without_the_copy(self, *args):
+            self._owned = -1        # every bit: "all of it is mine"
+            return write(self, *args)
+
+        monkeypatch.setattr(component, accessor, without_the_copy)
+        assert first_disagreement(build()) is not None
+
+    @pytest.mark.parametrize("accessor,build",
+                             _params(COMPONENT_ACCESSORS))
+    def test_a_component_written_without_its_digest_dropped(
+            self, monkeypatch, accessor, build):
+        write = getattr(System, accessor)
+
+        def without_the_drop(self, *args):
+            stale = self._digests[:]
+            component = write(self, *args)
+            self._digests[:] = stale
+            return component
+
+        monkeypatch.setattr(System, accessor, without_the_drop)
+        assert first_disagreement(build()) is not None
+
+    @pytest.mark.parametrize(
+        "accessor,build",
+        _params(case for case in COMPONENT_ACCESSORS
+                if case[0] != "_write_meta"))
+    def test_a_component_written_without_its_copy(
+            self, monkeypatch, accessor, build):
+        write = getattr(System, accessor)
+
+        def without_the_copy(self, *args):
+            self._shared = 0
+            return write(self, *args)
+
+        monkeypatch.setattr(System, accessor, without_the_copy)
+        assert first_disagreement(build()) is not None
+
+    @pytest.mark.parametrize("mutant", ["no reset", "no copy"])
+    def test_port_up_written_around_the_rule(self, monkeypatch, mutant):
+        """The one part no transition writes, held to the from-scratch
+        form directly: a copy's ``set_port_state`` must show in the
+        copy's form and not in the original's."""
+        write = SwitchModel._write_port_up
+
+        def broken(self):
+            if mutant == "no copy":
+                self._owned = -1
+                return write(self)
+            stale = self._port_up_canon
+            part = write(self)
+            self._port_up_canon = stale
+            return part
+
+        def leaks_or_goes_stale():
+            original = SwitchModel("s1", [1, 2])
+            original.canonical()
+            before = reference_forms.switch_form(original)
+            copy = original.clone()
+            copy.set_port_state(2, False)
+            return (copy.canonical() != reference_forms.switch_form(copy)
+                    or reference_forms.switch_form(original) != before)
+
+        assert not leaks_or_goes_stale()
+        monkeypatch.setattr(SwitchModel, "_write_port_up", broken)
+        assert leaks_or_goes_stale()

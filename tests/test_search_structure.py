@@ -14,6 +14,12 @@ transport, not a second launcher), one channel to a worker however it
 was launched — a stream socket read in one function, waited on in one
 other, with no thread on the master's side — and one pair of functions
 that turn a digest into its stored-or-shipped record and back.
+
+And under the loop, every part of a component has one owner of its
+writes: the module whose write accessors copy it before the first write
+and reset the form it renders (DESIGN.md, "Sub-forms and sealed
+packets") — so a write from anywhere else, which would skip both, fails
+here rather than as a digest mismatch three PRs later.
 """
 
 from __future__ import annotations
@@ -275,3 +281,97 @@ def test_one_record_codec():
         assert not attributes & {"fromhex", "hex"}, module
     assert not {"_compact_digests", "_inflate_digests"} & {
         name.rpartition(".")[2] for _, name in FUNCTIONS}
+
+
+# ----------------------------------------------------------------------
+# One writer per part
+# ----------------------------------------------------------------------
+
+SRC = MC.parent
+
+ALL_SOURCES = {path.relative_to(SRC).with_suffix("").as_posix():
+               path.read_text() for path in sorted(SRC.rglob("*.py"))}
+
+#: The parts, by the only place allowed to write them: a module, or one
+#: class of a module and the methods of it named.
+PART_WRITERS = {
+    ("openflow/switch", None): {
+        "port_in", "ofp_in", "ofp_out", "buffers", "port_stats", "port_up"},
+    ("hosts/base", None): {
+        "inbox", "pending", "received", "script_done", "send_sig_counts"},
+    ("mc/system", ("PacketLedger.__init__", "PacketLedger._record")): {
+        "injected", "delivered", "lost", "faults", "log", "history"},
+}
+
+#: Same attribute name, another object: the expander's ``pending()``.
+NOT_A_PART = {"mc/search:_InlineExpander.__init__ writes .pending"}
+
+MUTATORS = {
+    "enqueue", "dequeue", "extend", "clear", "apply_fault", "append",
+    "pop", "popitem", "add", "remove", "discard", "insert", "update",
+    "setdefault", "sort", "reverse", "__setitem__", "__delitem__"}
+
+
+def _written_part(node):
+    """The part name ``node`` writes, if it writes one: a mutator called
+    on ``x.part`` / ``x.part[k]``, a store or ``del`` of ``x.part[k]``,
+    or ``x.part`` rebound."""
+    def part_of(target):
+        if isinstance(target, ast.Subscript):
+            target = target.value
+        return target.attr if isinstance(target, ast.Attribute) else None
+
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in MUTATORS:
+        return part_of(node.func.value)
+    if isinstance(node, (ast.Subscript, ast.Attribute)) \
+            and isinstance(node.ctx, (ast.Store, ast.Del)):
+        return part_of(node.value) if isinstance(node, ast.Subscript) \
+            else node.attr
+    return None
+
+
+def _part_write_breaches(sources: dict = ALL_SOURCES) -> set[str]:
+    breaches = set()
+    for (module, name), function in _functions(sources).items():
+        for node in ast.walk(function):
+            part = _written_part(node)
+            for (owner, methods), parts in PART_WRITERS.items():
+                if part in parts and not (
+                        module == owner
+                        and (methods is None or name in methods)):
+                    breaches.add(f"{module}:{name} writes .{part}")
+    return breaches - NOT_A_PART
+
+
+def test_one_writer_per_part():
+    """Outside ``openflow/switch.py`` nothing writes a switch's channels
+    or dicts, outside ``hosts/base.py`` nothing writes a host's five
+    containers, and the ledger's records are appended to by
+    ``PacketLedger._record`` alone."""
+    assert _part_write_breaches() == set()
+
+
+def test_a_write_around_the_accessors_planted_back_is_caught():
+    """The guard's own mutation demo: the parent design's direct writes,
+    put back where they were."""
+    planted = dict(ALL_SOURCES)
+    planted["controller/runtime"] += '''
+def handle_message(api, switch):
+    return switch.ofp_out.dequeue()
+'''
+    planted["mc/system"] += '''
+def route(system, endpoint, packet, host, signature):
+    system.switches[endpoint.node].port_in[endpoint.port].enqueue(packet)
+    system.switches[endpoint.node].buffers[7] = (packet, 1)
+    host.send_sig_counts[signature] = 1
+    host.inbox = []
+    system.ledger.delivered.append((packet.uid, (), host.name))
+'''
+    assert _part_write_breaches(planted) == {
+        "controller/runtime:handle_message writes .ofp_out",
+        "mc/system:route writes .port_in",
+        "mc/system:route writes .buffers",
+        "mc/system:route writes .send_sig_counts",
+        "mc/system:route writes .inbox",
+        "mc/system:route writes .delivered"}

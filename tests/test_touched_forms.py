@@ -40,7 +40,11 @@ from repro.mc import store as store_mod
 from repro.mc.canonical import digest_bytes, render_canonical
 from repro.mc.strategies import make_strategy
 from repro.scenarios import REGISTRY, with_config
-from scenario_gen import random_scenario
+from scenario_gen import (
+    arp_client_scenario,
+    random_scenario,
+    tcp_client_scenario,
+)
 
 #: Steps per walk (the issue's floor) and states kept to branch from.
 STEPS = 200
@@ -49,13 +53,16 @@ POOL = 8
 
 def _walks():
     """Every registered scenario — the looping one included: a walk is
-    bounded by its step count, not by the state space — four generated
-    ones, the fault model and counter hashing."""
+    bounded by its step count, not by the state space; it has the mobile
+    host — four generated ones, the two host models no registered
+    scenario uses, the fault model and counter hashing."""
     cases = [pytest.param(builder, {}, id=name)
              for name, builder in sorted(REGISTRY.items())]
     cases += [pytest.param(lambda seed=seed: random_scenario(seed), {},
                            id=f"random-{seed}")
               for seed in (1, 2, 3, 4)]
+    cases.append(pytest.param(arp_client_scenario, {}, id="arp-client"))
+    cases.append(pytest.param(tcp_client_scenario, {}, id="tcp-client"))
     cases.append(pytest.param(lambda: scenarios.ping_experiment(pings=2),
                               dict(channel_faults=True), id="channel-faults"))
     cases.append(pytest.param(REGISTRY["energy-te"],
