@@ -102,12 +102,12 @@ def _checkpoint_bench(base_states: int = 50_000,
         store = ShardedStore(shards=8, directory=str(root / "store"))
         config = NiceConfig(checkpoint_dir=str(root / "c"))
         store.add_batch(digests[:base_states])
-        first = write_checkpoint(root / "c", spec=None, config=config,
+        first, _ = write_checkpoint(root / "c", spec=None, config=config,
                                  stats=SearchStats(), frontier=[],
                                  rng_state=None, store=store)
         full = validate_checkpoint(first)
         store.add_batch(digests[base_states:])
-        second = write_checkpoint(root / "c", spec=None, config=config,
+        second, _ = write_checkpoint(root / "c", spec=None, config=config,
                                   stats=SearchStats(), frontier=[],
                                   rng_state=None, store=store,
                                   previous=first)

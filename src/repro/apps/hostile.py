@@ -12,10 +12,10 @@ Misbehavior modes:
   deterministic *model bug*: the engine must contain it as a replayable
   :class:`~repro.mc.search.ModelError` counterexample, identically in the
   serial and parallel engines.
-* ``hang`` — a pure-Python infinite loop.  Pure Python on purpose: the
-  GIL keeps preempting it, so the worker's heartbeat thread stays alive
-  and the master sees a *responsive process making no progress* — exactly
-  the failure the task deadline (not the heartbeat) exists to catch.
+* ``hang`` — a pure-Python infinite loop: the worker process stays alive
+  and its channel open, so no death notice ever comes — a *live process
+  making no progress*, exactly the failure the task deadline exists to
+  catch.
 * ``crash`` — ``SIGKILL`` to the worker's own process mid-handler.
 * ``oom`` — grow a module-global ballast list until the worker's memory
   watchdog sheds its cache and recycles the process.

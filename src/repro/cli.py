@@ -52,8 +52,7 @@ SCENARIOS = scenarios.REGISTRY
 POOL_FIELDS = frozenset({
     "transport", "start_method", "worker_address", "spawn_socket_workers",
     "min_workers", "max_worker_failures", "respawn_workers",
-    "heartbeat_interval", "task_deadline", "max_task_retries",
-    "worker_memory_limit",
+    "task_deadline", "max_task_retries", "worker_memory_limit",
 })
 
 
@@ -121,9 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
            help="replace each dead worker with a fresh process "
                 "(the autoscaler hook; keeps the pool at size "
                 "through crash storms)")
-    option("--heartbeat-interval", type=float, metavar="SEC",
-           help="worker liveness beat period (0 sends no beats; "
-                "hang detection is --task-deadline's)")
     option("--task-deadline", type=float, metavar="SEC",
            help="hard per-task deadline after which a silent "
                 "worker is declared hung and killed (default: "

@@ -144,11 +144,9 @@ class NiceConfig:
       tolerates before giving up; ``None`` (the default) tolerates any
       number while ``min_workers`` workers survive, ``0`` aborts on the
       first death.
-    * ``heartbeat_interval`` — seconds between worker liveness beats on
-      the result channel (DESIGN.md, "Failure containment").  ``0``
-      disables heartbeats (not hang detection: see ``task_deadline``).
     * ``task_deadline`` — hard per-task deadline in seconds after which a
-      silent worker is declared *hung*, killed, and its groups requeued.
+      silent worker is declared *hung*, killed, and its groups requeued
+      (DESIGN.md, "Failure containment": the one hang signal).
       ``None`` (the default) derives the deadline from the adaptive-RTT
       estimator; ``0`` disables hang detection entirely.
     * ``max_task_retries`` — how many times a sibling group implicated in
@@ -198,7 +196,6 @@ class NiceConfig:
     worker_cache_size: int = 2048
     min_workers: int = 1
     max_worker_failures: int | None = None
-    heartbeat_interval: float = 0.5
     task_deadline: float | None = None
     max_task_retries: int = 2
     worker_memory_limit: int | None = None
@@ -251,8 +248,6 @@ class NiceConfig:
         if self.max_worker_failures is not None \
                 and self.max_worker_failures < 0:
             raise ConfigError("max_worker_failures must be >= 0 or None")
-        if self.heartbeat_interval < 0:
-            raise ConfigError("heartbeat_interval must be >= 0")
         if self.task_deadline is not None and self.task_deadline < 0:
             raise ConfigError("task_deadline must be >= 0 or None")
         if self.max_task_retries < 0:

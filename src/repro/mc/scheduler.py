@@ -110,7 +110,6 @@ from repro.mc.store import unpack_digests
 from repro.mc.transport import TransportError, WorkerLost, create_transport
 from repro.mc.wire import (
     ExpandTask,
-    Heartbeat,
     TaskResult,
     WorkerError,
     WorkerGone,
@@ -144,10 +143,9 @@ class _Worker:
     alive: bool = True
     #: Tasks in flight on it.
     load: int = 0
-    #: EWMA of its per-task service time (feeds the deadline derivation)
-    #: and the monotonic time of its last heartbeat; None until the first.
+    #: EWMA of its per-task service time (feeds the deadline derivation);
+    #: None until the first.
     rtt: float | None = None
-    last_beat: float | None = None
     #: The ``(group, handle)`` entries it owns: a ``(trace, steps)``
     #: sibling group and where it retained the siblings (see ``_push``).
     #: Only DFS fills it.
@@ -208,6 +206,9 @@ class _Scheduler:
     #: Seconds an asynchronously respawned worker (socket transport) gets
     #: to join before its seat stops counting toward ``min_workers``.
     RESPAWN_GRACE = 60.0
+    #: The one clock that deadlines, respawn seats and RTT samples read;
+    #: a test swaps it to play a failure schedule in virtual time.
+    clock = staticmethod(time.monotonic)
 
     def __init__(self, searcher: ParallelSearcher, transport):
         self.searcher = searcher
@@ -285,10 +286,6 @@ class _Scheduler:
     def _handle(self, message) -> None:
         if isinstance(message, TaskResult):
             self._merge(message)
-        elif isinstance(message, Heartbeat):
-            worker = self._workers.get(message.worker_id)
-            if worker is not None and worker.alive:
-                worker.last_beat = time.monotonic()
         elif isinstance(message, WorkerGone):
             self._on_worker_gone(message.worker_id, message.reason)
         elif isinstance(message, WorkerJoined):
@@ -458,12 +455,7 @@ class _Scheduler:
         try:
             sandbox.start(self.searcher)
             sandbox.submit(0, ExpandTask(0, [group]))
-            deadline = time.monotonic() + allowance + 5.0
-            while True:
-                reply = sandbox.recv(
-                    timeout=max(0.0, deadline - time.monotonic()))
-                if not isinstance(reply, Heartbeat):
-                    break
+            reply = sandbox.recv(timeout=allowance + 5.0)
             if reply is None:
                 sandbox.kill_worker(0)
                 return None, (f"sandbox run exceeded its"
@@ -495,7 +487,7 @@ class _Scheduler:
         if new_id is None:
             # Asynchronous join (socket): a seat toward min_workers until
             # a worker joins — or its own grace deadline declares it lost.
-            self._respawn_seats.append(time.monotonic() + self.RESPAWN_GRACE)
+            self._respawn_seats.append(self.clock() + self.RESPAWN_GRACE)
             print(f"respawning a replacement for dead worker"
                   f" {dead_worker_id} (joins asynchronously)",
                   file=sys.stderr, flush=True)
@@ -569,7 +561,7 @@ class _Scheduler:
             task_id = self._next_task_id
             self._next_task_id += 1
             worker.load += 1
-            now = time.monotonic()
+            now = self.clock()
             allowance = self._task_deadline(worker)
             self._tasks[task_id] = _Task(
                 worker_id, groups, now, worker.load,
@@ -704,17 +696,17 @@ class _Scheduler:
                  if task.deadline is not None]
         if self._respawn_seats:
             armed.append(self._respawn_seats[0])
-        return max(0.05, min(armed) - time.monotonic()) if armed else None
+        return max(0.05, min(armed) - self.clock()) if armed else None
 
     def _check_deadlines(self) -> None:
         """Forfeit respawn seats whose grace ran out, and declare workers
         with expired tasks hung: kill and retire.  Runs after every
-        ``recv`` wakeup (results, heartbeats, and timeouts alike).  The
+        ``recv`` wakeup (messages and timeouts alike).  The
         kill routes the worker through the ordinary death path — requeue,
         poison attribution, respawn, policy; the transport's own later
         WorkerGone finds its row retired and its buffered results find no
         row in ``_tasks``, the stale-result rule any death relies on."""
-        now = time.monotonic()
+        now = self.clock()
         seats = self._respawn_seats
         lost = 0
         while seats and seats[0] <= now:
@@ -732,17 +724,18 @@ class _Scheduler:
                     f" min_workers={self.config.min_workers}")
         # The first expired task of each worker, in task order: retiring
         # the worker takes every row it holds.
-        hung: dict[int, int] = {}
+        hung: dict[int, tuple[int, _Task]] = {}
         for task_id, task in self._tasks.items():
             if task.deadline is not None and task.deadline <= now:
-                hung.setdefault(task.worker, task_id)
-        for worker_id, task_id in hung.items():
-            beat = self._workers[worker_id].last_beat
-            liveness = ("no heartbeat received" if beat is None
-                        else f"last heartbeat {now - beat:.1f}s ago")
+                hung.setdefault(task.worker, (task_id, task))
+        for worker_id, (task_id, task) in hung.items():
+            rtt = self._workers[worker_id].rtt
+            average = "none yet" if rtt is None else f"{rtt:.3f}s"
+            why = (f"task {task_id} ran {now - task.sent_at:.1f}s against"
+                   f" its {task.deadline - task.sent_at:.1f}s deadline"
+                   f" (worker rtt average {average})")
             self.stats.workers_hung += 1
-            print(f"search worker {worker_id} declared hung: task"
-                  f" {task_id} missed its deadline ({liveness});"
+            print(f"search worker {worker_id} declared hung: {why};"
                   f" killing it", file=sys.stderr, flush=True)
             try:
                 self.transport.kill_worker(worker_id)
@@ -750,9 +743,7 @@ class _Scheduler:
             except Exception as exc:  # noqa: BLE001 - still requeue its work
                 print(f"could not kill hung worker {worker_id}: {exc}",
                       file=sys.stderr, flush=True)
-            self._on_worker_gone(
-                worker_id,
-                f"hung: task {task_id} exceeded its deadline ({liveness})")
+            self._on_worker_gone(worker_id, f"hung: {why}")
 
     # ------------------------------------------------------------------
     # Merging
@@ -772,7 +763,7 @@ class _Scheduler:
         assert worker.alive, f"task {task_id} merged from retired worker"
         worker.load -= 1
         self._observe_rtt(
-            task.worker, (time.monotonic() - task.sent_at) / task.depth)
+            task.worker, (self.clock() - task.sent_at) / task.depth)
         self.stats.worker_tasks[task.worker] += 1
         self._absorb(result.out, task.groups, task.worker, task_id)
 

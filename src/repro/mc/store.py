@@ -55,7 +55,6 @@ import pickle
 import shutil
 import signal
 import tempfile
-import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -701,9 +700,11 @@ def _next_sequence(directory: Path) -> int:
 
 def write_checkpoint(directory: str | Path, *, spec, config, stats,
                      frontier, rng_state, store: StateStore,
-                     previous: str | Path | None = None) -> Path:
+                     previous: str | Path | None = None
+                     ) -> tuple[Path, int]:
     """Atomically snapshot one consistent master state; returns the new
-    checkpoint's path.  ``previous`` is the last committed checkpoint of
+    checkpoint's path and the bytes written for it (its manifest's
+    ``bytes_written``).  ``previous`` is the last committed checkpoint of
     this same store, if any — unchanged record segments are hard-linked
     from it instead of rewritten, which is what makes snapshot cost
     O(new states).  See the module docstring for the
@@ -763,7 +764,7 @@ def write_checkpoint(directory: str | Path, *, spec, config, stats,
     _fsync_dir(root)
     store.note_snapshot(files)
     _prune(root)
-    return root / name
+    return root / name, bytes_written
 
 
 def _prune(root: Path) -> None:
@@ -950,12 +951,15 @@ class Checkpointer:
                 "nice.resume()", RuntimeWarning, stacklevel=3)
 
     def install(self) -> None:
-        """Take over SIGTERM for the duration of the run (main thread
-        only — worker threads cannot install signal handlers)."""
-        if self.enabled and \
-                threading.current_thread() is threading.main_thread():
-            self._previous_handler = signal.signal(
-                signal.SIGTERM, self._on_sigterm)
+        """Take over SIGTERM for the duration of the run — from the main
+        thread only: anywhere else ``signal.signal`` refuses (ValueError)
+        and the run checkpoints on its interval alone."""
+        if self.enabled:
+            try:
+                self._previous_handler = signal.signal(
+                    signal.SIGTERM, self._on_sigterm)
+            except ValueError:
+                pass
 
     def restore(self) -> None:
         if self._previous_handler is not None:
@@ -1000,7 +1004,7 @@ class Checkpointer:
         # resumed run then reports every checkpoint its lineage wrote.
         self.stats.checkpoints_written += 1
         try:
-            path = write_checkpoint(
+            path, written = write_checkpoint(
                 self.config.checkpoint_dir, spec=self.spec,
                 config=self.config, stats=self.stats,
                 frontier=frontier_groups, rng_state=rng_state,
@@ -1012,12 +1016,7 @@ class Checkpointer:
             self.stats.checkpoints_written -= 1
             raise
         self._previous = path
-        try:
-            manifest = json.loads((path / _MANIFEST).read_text())
-            self.stats.checkpoint_bytes_written += \
-                int(manifest.get("bytes_written") or 0)
-        except (OSError, ValueError):
-            pass
+        self.stats.checkpoint_bytes_written += written
         self.stats.checkpoint_seconds += time.perf_counter() - start
         self._last_progress = self._progress()
         return path

@@ -84,7 +84,7 @@ class Transport:
 
     def recv(self, timeout: float | None = None):
         """Block until any worker yields a TaskResult, WorkerError,
-        Heartbeat, WorkerGone, or WorkerJoined.  With ``timeout`` set,
+        WorkerGone, or WorkerJoined.  With ``timeout`` set,
         return None after that many seconds of silence — the scheduler's
         deadline checker runs on these timed wakeups."""
         raise NotImplementedError

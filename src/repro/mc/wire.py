@@ -12,7 +12,7 @@ protocol:
   closures from a forked parent;
 * task/result messages — :class:`Hello`, :class:`InitWorker`,
   :class:`ExpandTask`, :class:`TaskResult`, :class:`WorkerError`,
-  :class:`Shutdown`, :class:`Heartbeat`;
+  :class:`Shutdown`;
 * pool-membership events — :class:`WorkerGone` and :class:`WorkerJoined`.
   Transports translate their own failure signals (a dead child process,
   a socket EOF, a connection reset) into :class:`WorkerGone` so the
@@ -40,11 +40,11 @@ from time import monotonic as _monotonic
 from repro.config import NiceConfig
 
 #: Bump when the task/result layout changes; Hello carries it so a stale
-#: remote worker fails fast instead of mis-decoding tasks.  v7: a result
+#: remote worker fails fast instead of mis-decoding tasks.  v8: a result
 #: is ``children`` (bare transitions) plus one packed ``digests`` blob,
-#: an :class:`ExpandTask` carries retention handles, workers beat
-#: :class:`Heartbeat` on the result channel.  (History: CHANGES.md.)
-PROTOCOL_VERSION = 7
+#: an :class:`ExpandTask` carries retention handles, and a worker sends
+#: nothing but the reply to a task.  (History: CHANGES.md.)
+PROTOCOL_VERSION = 8
 
 _HEADER = struct.Struct("!I")
 
@@ -191,20 +191,6 @@ class Shutdown:
 
 
 @dataclass
-class Heartbeat:
-    """Worker -> master: periodic liveness beat.
-
-    Sent by a daemon thread every ``heartbeat_interval`` seconds on the
-    same channel as results.  A beat proves the worker *process* is alive
-    and its channel healthy — it does not prove the current task is making
-    progress (a handler spinning in a pure-Python loop still lets the beat
-    thread run), which is why hang detection keys off the per-task
-    deadline, with beat staleness reported as corroborating evidence."""
-
-    worker_id: int
-
-
-@dataclass
 class WorkerGone:
     """Transport -> scheduler: a worker died (process exit, socket EOF,
     reset, or startup failure).  Not fatal by itself — the scheduler
@@ -232,8 +218,8 @@ class WorkerJoined:
 def send_msg(sock, message, timeout: float | None = None) -> None:
     """Write one length-prefixed pickled message to a stream socket.
     ``timeout`` bounds the whole frame, as in :func:`recv_msg`; without
-    one the socket's mode is not touched (a worker's heartbeat thread
-    sends while its main thread sits in a blocking read)."""
+    one the socket's mode is not touched (a worker's reply blocks until
+    the master reads it: the master's frame deadline bounds that read)."""
     payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
     if timeout is not None:
         sock.settimeout(timeout)

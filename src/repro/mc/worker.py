@@ -45,7 +45,6 @@ import gc
 import os
 import pickle
 import sys
-import threading
 import traceback
 from collections import OrderedDict
 
@@ -54,7 +53,6 @@ from repro.mc.store import pack_digest
 from repro.mc.strategies import make_strategy
 from repro.mc.wire import (
     ExpandTask,
-    Heartbeat,
     Hello,
     InitWorker,
     Shutdown,
@@ -444,45 +442,6 @@ def _rss_bytes() -> int | None:
 
 
 # ----------------------------------------------------------------------
-# Heartbeats
-# ----------------------------------------------------------------------
-
-class _HeartbeatThread:
-    """Daemon thread beating :class:`~repro.mc.wire.Heartbeat` every
-    ``interval`` seconds through ``send`` (which must serialize against the
-    main loop's result sends).  Because the beat runs on its own thread, a
-    handler spinning in a pure-Python loop still beats (the GIL preempts) —
-    the beat proves the *process* and its channel are alive, while the
-    task deadline catches the stuck task.  It also keeps the master's
-    timed ``recv`` loop fed, so deadline checks fire on schedule."""
-
-    def __init__(self, send, worker_id: int, interval: float):
-        self._send = send
-        self._worker_id = worker_id
-        self._interval = interval
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name=f"heartbeat-{worker_id}", daemon=True)
-        self._thread.start()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval):
-            try:
-                self._send(Heartbeat(self._worker_id))
-            except Exception:  # noqa: BLE001 - channel gone: search is over
-                return
-
-    def stop(self) -> None:
-        self._stop.set()
-
-
-def _start_heartbeat(send, worker_id: int, interval: float):
-    if not interval or interval <= 0:
-        return None
-    return _HeartbeatThread(send, worker_id, interval)
-
-
-# ----------------------------------------------------------------------
 # Process entry points
 # ----------------------------------------------------------------------
 
@@ -492,8 +451,8 @@ def _serve(make_runtime, worker_id: int, recv, send) -> None:
     failure is reported as a :class:`~repro.mc.wire.WorkerError` with no
     task id, which the transports read as "failed to start" — then loop:
     ``recv()`` returns the master's next message (None on a clean EOF)
-    and ``send(reply)`` ships one back, serialized here against the
-    heartbeat thread; both raise ``OSError`` once the channel is gone.
+    and ``send(reply)`` ships one back; both raise ``OSError`` once the
+    channel is gone.  A worker speaks only to answer: one reply per task.
     Returns when told to stop, when the master hangs up, or when the
     memory watchdog asks for this process to be recycled.
 
@@ -502,19 +461,11 @@ def _serve(make_runtime, worker_id: int, recv, send) -> None:
     loop exits — by any path — and the caller's thresholds are back (an
     in-process caller, a test or a simulation transport, never inherits
     them)."""
-    lock = threading.Lock()
-
-    def locked_send(message) -> None:
-        with lock:
-            send(message)
-
     try:
         runtime = make_runtime()
     except Exception:  # noqa: BLE001 - report startup failure to the master
         send(WorkerError(None, worker_id, traceback.format_exc()))
         return
-    beat = _start_heartbeat(locked_send, worker_id,
-                            runtime.config.heartbeat_interval)
     thresholds = gc.get_threshold()
     try:
         gc.set_threshold(GC_YOUNG_THRESHOLD, *thresholds[1:])
@@ -536,7 +487,7 @@ def _serve(make_runtime, worker_id: int, recv, send) -> None:
                 reply = WorkerError(message.task_id, worker_id,
                                     traceback.format_exc())
             try:
-                locked_send(reply)
+                send(reply)
             except OSError:
                 # The master stopped reading mid-task (first violation
                 # found, transition cap hit, or it gave up on the pool):
@@ -549,8 +500,6 @@ def _serve(make_runtime, worker_id: int, recv, send) -> None:
                 return
     finally:
         gc.set_threshold(*thresholds)
-        if beat is not None:
-            beat.stop()
 
 
 def _serve_channel(sock, worker_id: int, spec) -> None:

@@ -152,8 +152,8 @@ class StallTransport(_TransportWrapper):
 
     A stopped process is the purest "hung worker": the OS keeps its channel
     open, so no EOF ever fires and only the task-deadline machinery can
-    notice.  The victim is the exact failure shape heartbeats + deadlines
-    exist for, without involving any hostile model code.
+    notice.  The victim is the exact failure shape the task deadline
+    exists for, without involving any hostile model code.
     """
 
     def __init__(self, inner, schedule: dict[int, int]):

@@ -6,10 +6,14 @@ run is the scheduler's own decisions and nothing else.
 :class:`ScriptedTransport` adds an event tape keyed by submit count: the
 failure schedules real processes only hit by luck — a result that
 outraces, trails or never follows its worker's death notice, a death
-reported twice, a death of a worker nobody enrolled, a heartbeat from a
-retired worker, a submit that finds its worker dead, a join mid-run — each
-happen exactly where the tape says.  :func:`enrolled_scheduler` builds a
-scheduler over an inline pool for tests that call its methods directly.
+reported twice, a death of a worker nobody enrolled, a submit that finds
+its worker dead, a join mid-run, a worker that stops answering — each
+happen exactly where the tape says.  Its time is virtual
+(:meth:`ScriptedTransport.clock`, installed as the scheduler's clock): a
+``recv`` with nothing to deliver moves it on by the timeout asked for, so
+a task deadline expires without anyone sleeping.  :func:`enrolled_scheduler`
+builds a scheduler over an inline pool for tests that call its methods
+directly.
 """
 
 from __future__ import annotations
@@ -54,19 +58,35 @@ class InlineTransport(Transport):
 WITHHELD, LATE, FIRST = "withheld", "late", "first"
 
 
+class Blocked(AssertionError):
+    """The scheduler waits on a pool that will never say anything again:
+    a real transport's ``recv`` would block for ever (no timeout) or time
+    out for ever (:data:`ScriptedTransport.IDLE_LIMIT` in a row)."""
+
+
 @dataclass(frozen=True)
 class Kill:
     """After the ``after``-th submit the ``victim``-th live worker
     (modulo the pool) dies.  Its unreceived results are dropped
-    (``WITHHELD``), delivered after the death notice (``LATE`` — stale)
-    or before it (``FIRST``).  ``notices`` is how many ``WorkerGone`` the
-    master gets; ``beat`` adds a ``Heartbeat`` from the dead worker."""
+    (``WITHHELD``), delivered after the death notice (``LATE`` — stale
+    messages from a retired worker) or before it (``FIRST``).
+    ``notices`` is how many ``WorkerGone`` the master gets."""
 
     after: int
     victim: int
     results: str = WITHHELD
     notices: int = 1
-    beat: bool = False
+
+
+@dataclass(frozen=True)
+class Stall:
+    """After the ``after``-th submit the ``victim``-th live worker
+    (modulo the pool) stops answering, process and channel alive: the
+    tasks it holds get no result and it gets no death notice until the
+    scheduler kills it (``kill_worker``) — a hang only a deadline finds."""
+
+    after: int
+    victim: int
 
 
 @dataclass(frozen=True)
@@ -93,13 +113,16 @@ class Join:
 
 
 class ScriptedTransport(InlineTransport):
-    """An inline pool that plays ``tape`` (events above).  A death that
-    would leave the scheduler no worker is skipped unless ``respawn``
-    says it will ask for a replacement: the tape scripts churn the
-    policy survives, not the abort.  ``spawn_worker`` answers with the new id, or with None and a
-    ``WorkerJoined`` when ``async_respawn``."""
+    """An inline pool that plays ``tape`` (events above).  A death or
+    stall that would leave the scheduler no answering worker is skipped
+    unless ``respawn`` says it will ask for a replacement: the tape
+    scripts churn the policy survives, not the abort.  ``spawn_worker``
+    answers with the new id, or with None and a ``WorkerJoined`` when
+    ``async_respawn``."""
 
     name = "scripted"
+    #: Timeouts in a row, nothing delivered, before :class:`Blocked`.
+    IDLE_LIMIT = 100
 
     def __init__(self, workers: int, tape, respawn: bool = False,
                  async_respawn: bool = False):
@@ -111,9 +134,39 @@ class ScriptedTransport(InlineTransport):
         self._async_respawn = async_respawn
         self._next_id = workers
         self._ghosts = 0
+        self._stalled: set[int] = set()
+        self._idle = 0
+        #: Virtual seconds since the pool started.
+        self.now = 0.0
         self.submits = 0
-        #: Events that actually fired, for test-side assertions.
+        #: Events that actually fired, and ``(worker id, virtual time)``
+        #: of every ``kill_worker``, for test-side assertions.
         self.played: list = []
+        self.killed: list = []
+        #: Results delivered after their worker's death notice.
+        self.late = 0
+
+    def clock(self) -> float:
+        return self.now
+
+    def recv(self, timeout=None):
+        if self._results:
+            self._idle = 0
+            return self._results.popleft()
+        if timeout is None:
+            raise Blocked("recv with no timeout and nothing to deliver:"
+                          " a real master would block for ever")
+        self._idle += 1
+        if self._idle > self.IDLE_LIMIT:
+            raise Blocked(f"{self.IDLE_LIMIT} timeouts in a row with"
+                          f" nothing delivered at t={self.now:.2f}s")
+        self.now += timeout
+        return None
+
+    def kill_worker(self, worker_id: int) -> None:
+        self.killed.append((worker_id, self.now))
+        if worker_id in self._runtimes:
+            self._kill(worker_id, LATE)
 
     def submit(self, worker_id: int, message) -> None:
         self.submits += 1
@@ -123,10 +176,11 @@ class ScriptedTransport(InlineTransport):
         if lost:
             self._kill(worker_id, WITHHELD)
             self.played.append(SubmitLost(self.submits))
-        elif worker_id in self._runtimes:
+        elif worker_id in self._runtimes and worker_id not in self._stalled:
             super().submit(worker_id, message)
-        # else: written to a worker whose death notice is still queued —
-        # nobody answers, and the notice requeues the task.
+        # else: written to a stalled worker, or to one whose death notice
+        # is still queued — nobody answers; a deadline kill or the notice
+        # requeues the task.
         for event in events:
             if not isinstance(event, SubmitLost):
                 self._play(event)
@@ -149,14 +203,18 @@ class ScriptedTransport(InlineTransport):
         """Whether the pool the scheduler knows survives one more death.
         A queued notice is handled after every join queued before it; a
         ``WorkerLost`` is handled ``now``, before any of them."""
-        known = len(self._runtimes)
+        known = len(self._answering())
         if now:
             known -= sum(isinstance(message, wire.WorkerJoined)
                          for message in self._results)
         return known > (0 if self._respawn else 1)
 
+    def _answering(self) -> list[int]:
+        return sorted(self._runtimes.keys() - self._stalled)
+
     def _kill(self, victim: int, results: str, notices: int = 1) -> None:
         del self._runtimes[victim]
+        self._stalled.discard(victim)
 
         def unreceived(message) -> bool:
             return (isinstance(message, wire.TaskResult)
@@ -172,16 +230,18 @@ class ScriptedTransport(InlineTransport):
             wire.WorkerGone(victim, "scripted") for _ in range(notices))
         if results == LATE:
             self._results.extend(stale)
+            self.late += len(stale)
 
     def _play(self, event) -> None:
-        if isinstance(event, Kill):
+        if isinstance(event, (Kill, Stall)):
             if not self._may_lose_one():
                 return
-            live = sorted(self._runtimes)
+            live = self._answering()
             victim = live[event.victim % len(live)]
-            self._kill(victim, event.results, event.notices)
-            if event.beat:
-                self._results.append(wire.Heartbeat(victim))
+            if isinstance(event, Stall):
+                self._stalled.add(victim)
+            else:
+                self._kill(victim, event.results, event.notices)
         elif isinstance(event, UnknownGone):
             self._ghosts += 1
             self._results.append(

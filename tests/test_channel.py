@@ -36,6 +36,8 @@ from repro.mc.transport.socket import SocketTransport, run_worker
 from repro.mc.transport.stream import StreamTransport
 
 TASK = wire.ExpandTask(1, [((), None)])
+#: A worker -> master frame: worker 1's result for task 5.
+REPLY = wire.TaskResult(5, 1, {})
 #: A frame announced as 40 000 bytes of which half arrive.
 HALF_FRAME = struct.pack("!I", 40_000) + b"x" * 20_000
 
@@ -142,9 +144,8 @@ def test_recv_with_a_zero_timeout_polls_once_and_never_blocks(fake):
     began = time.monotonic()
     assert within(5, fake.recv, timeout=0) is None
     assert time.monotonic() - began < 0.5
-    wire.send_msg(fake.far[1], wire.Heartbeat(1))
-    beat = within(5, fake.recv, timeout=0)
-    assert isinstance(beat, wire.Heartbeat) and beat.worker_id == 1
+    wire.send_msg(fake.far[1], REPLY)
+    assert within(5, fake.recv, timeout=0) == REPLY
     assert within(5, fake.recv, timeout=0) is None
     began = time.monotonic()
     assert within(5, fake.recv, timeout=0.2) is None
@@ -185,8 +186,8 @@ def test_a_death_is_reported_exactly_once(fake, seen_by):
         fake.submit(0, TASK)
     assert fake.put_away == [(0, True)]
     # The other worker never noticed.
-    wire.send_msg(fake.far[1], wire.Heartbeat(1))
-    assert isinstance(within(5, fake.recv, timeout=5), wire.Heartbeat)
+    wire.send_msg(fake.far[1], REPLY)
+    assert within(5, fake.recv, timeout=5) == REPLY
 
 
 def test_what_a_worker_wrote_before_exiting_is_read_before_its_death(fake):
@@ -248,10 +249,10 @@ def test_worker_joined_precedes_the_worker_gone_of_a_joiner_that_dies_at_once(
 @pytest.mark.parametrize("protocol", [wire.PROTOCOL_VERSION - 1,
                                       wire.PROTOCOL_VERSION + 1])
 def test_hello_with_another_protocol_is_dropped(fake, protocol, capsys):
-    """A v6 worker ships ``kid_digests`` where the v7 master reads
-    ``digests``; a v8 one knows things this master does not: mismatched
-    peers are dropped at the handshake, with a one-line notice."""
-    assert wire.PROTOCOL_VERSION == 7
+    """A v7 worker sends heartbeats this v8 master has no message for;
+    a v9 one knows things this master does not: mismatched peers are
+    dropped at the handshake, with a one-line notice."""
+    assert wire.PROTOCOL_VERSION == 8
     peer = fake.accepted()
     with peer:
         hello(peer, protocol=protocol)
@@ -355,8 +356,8 @@ def test_a_half_written_frame_is_a_dead_worker(fake, monkeypatch):
     assert isinstance(gone, wire.WorkerGone) and gone.worker_id == 0
     assert "stalled mid-frame" in gone.reason
     assert fake.put_away == [(0, False)]
-    wire.send_msg(fake.far[1], wire.Heartbeat(1))
-    assert isinstance(within(5, fake.recv, timeout=5), wire.Heartbeat)
+    wire.send_msg(fake.far[1], REPLY)
+    assert within(5, fake.recv, timeout=5) == REPLY
 
 
 def _wedged_mid_frame(*args) -> None:
@@ -489,8 +490,7 @@ def test_a_silent_connection_delays_no_joiner(monkeypatch, capfd):
                 conn.recv(1)
         deadline = time.monotonic() + 6.0
         while transport._greeting and time.monotonic() < deadline:
-            message = transport.recv(timeout=0.2)
-            assert message is None or isinstance(message, wire.Heartbeat)
+            assert transport.recv(timeout=0.2) is None
         for conn in silent:
             conn.settimeout(5)
             assert conn.recv(1) == b""

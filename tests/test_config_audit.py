@@ -64,8 +64,8 @@ def _engine_sources() -> str:
                      if path.name not in ("config.py", "cli.py"))
 
 
-def test_the_config_has_35_fields():
-    assert len(FIELDS) == 35
+def test_the_config_has_34_fields():
+    assert len(FIELDS) == 34
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -117,13 +117,13 @@ def test_every_run_option_sets_the_field_it_is_named_for():
     assert POOL_FIELDS <= set(run_flags)
 
 
-def test_run_help_lists_30_options(capsys):
+def test_run_help_lists_29_options(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--help"])
     listed = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out,
                             re.MULTILINE))
     assert listed == set(build_parser().run_flags.values())
-    assert len(listed) == 30
+    assert len(listed) == 29
 
 
 # ----------------------------------------------------------------------

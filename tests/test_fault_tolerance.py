@@ -120,10 +120,9 @@ def run_with_stall(monkeypatch, scenario, schedule):
     return stats, wrappers[0]
 
 
-#: Containment knobs for the hang legs: tight deadline, fast beats, and
-#: the autoscaler keeping the pool at strength after the kill.
-HANG_KNOBS = dict(respawn_workers=True, task_deadline=2.0,
-                  heartbeat_interval=0.2)
+#: Containment knobs for the hang legs: a tight deadline, and the
+#: autoscaler keeping the pool at strength after the kill.
+HANG_KNOBS = dict(respawn_workers=True, task_deadline=2.0)
 
 
 # ----------------------------------------------------------------------

@@ -43,10 +43,9 @@ ENGINES = [
     pytest.param(dict(transport="socket"), id="socket"),
 ]
 
-#: Containment knobs sized for the test suite: beats every 0.2s, hung
-#: tasks declared dead after 2s, fleet kept at strength by the autoscaler.
-CONTAIN = dict(workers=2, respawn_workers=True, task_deadline=2.0,
-               heartbeat_interval=0.2)
+#: Containment knobs sized for the test suite: hung tasks declared dead
+#: after 2s, fleet kept at strength by the autoscaler.
+CONTAIN = dict(workers=2, respawn_workers=True, task_deadline=2.0)
 
 
 def build(mode="benign", arm_file=None, pings=0, spare_quarantine=True,
@@ -115,7 +114,7 @@ class TestModelErrorContainment:
 
 
 # ----------------------------------------------------------------------
-# Hang detection: heartbeats prove liveness, deadlines prove progress
+# Hang detection: the task deadline is the one hang signal
 # ----------------------------------------------------------------------
 
 class TestHangDetection:
@@ -123,10 +122,12 @@ class TestHangDetection:
     def test_forever_looping_handler_is_killed_and_absorbed(
             self, overrides, benign_serial, tmp_path):
         """The tentpole scenario: a handler loops forever exactly once;
-        the worker keeps heartbeating (pure-Python loop, the GIL preempts)
-        but its task misses the deadline, so the master kills it, the
-        autoscaler replaces it, and the retried task completes — with
-        bit-identity to the benign serial baseline."""
+        the worker process lives and its channel stays open, but its task
+        misses the deadline, so the master kills it, the autoscaler
+        replaces it, and the retried task completes — with bit-identity
+        to the benign serial baseline.  (With the deadline off nothing
+        kills it: ``tests/test_scheduler_lifecycle.py``
+        ``::test_task_deadline_zero_never_kills_a_stalled_worker``.)"""
         stats = nice.run(build(mode="hang", arm_file=arm(tmp_path, 1),
                                **CONTAIN, **overrides))
         assert counters(stats) == counters(benign_serial)
@@ -136,14 +137,6 @@ class TestHangDetection:
         assert stats.deadline_kills >= 1
         assert stats.worker_failures >= 1
         assert stats.tasks_quarantined == 0
-
-    def test_task_deadline_zero_disables_hang_detection(self, tmp_path):
-        """Opt-out: with deadlines off, nothing hunts hung workers — the
-        knob exists for models with legitimately unbounded handlers.
-        (Not run to completion: a disabled detector would hang the test.)
-        Validated at the config layer plus the scheduler's accessor."""
-        config = NiceConfig(task_deadline=0.0, workers=2)
-        assert config.task_deadline == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +338,6 @@ def test_rss_fallback_reads_ru_maxrss_in_the_platforms_unit(
 
 class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
-        ("heartbeat_interval", -0.1),
         ("task_deadline", -1.0),
         ("max_task_retries", -1),
         ("worker_memory_limit", 0),
@@ -357,11 +349,10 @@ class TestConfigValidation:
     def test_cli_flags_reach_the_config(self):
         args = cli.build_parser().parse_args(
             ["run", "hostile", "--workers", "2",
-             "--heartbeat-interval", "0.25", "--task-deadline", "3",
+             "--task-deadline", "3",
              "--max-task-retries", "5",
              "--worker-memory-limit", "1000000", "--fail-fast"])
         config = cli.make_config(args)
-        assert config.heartbeat_interval == 0.25
         assert config.task_deadline == 3.0
         assert config.max_task_retries == 5
         assert config.worker_memory_limit == 1000000

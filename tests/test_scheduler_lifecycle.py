@@ -3,22 +3,26 @@ hit on purpose (``mc/scheduler.py``, "Two records"; DESIGN.md, "Fault
 tolerance and elasticity").
 
 The real ``_Scheduler`` runs ``ping_experiment(pings=2)`` to exhaustion
-over :class:`scripted_transport.ScriptedTransport`: in-process workers
-and a ``hypothesis``-generated tape of deaths (result withheld, stale or
-delivered first; noticed once or twice; a heartbeat after), deaths of
-workers never enrolled, submits that find their worker dead, and joins.
-Oracle: the state space and verdicts equal serial, the frontier drains,
-no lifecycle assertion fires, and after every message the two tables
-agree — every task row names a live worker and the loads add up to the
-rows.  The mutation demo runs the same property with the requeue in
-``_retire`` patched out and must fail.
+over :class:`scripted_transport.ScriptedTransport`: in-process workers,
+virtual time, and a ``hypothesis``-generated tape of deaths (result
+withheld, stale or delivered first; noticed once or twice), deaths of
+workers never enrolled, submits that find their worker dead, stalls only
+a task deadline ends, and joins.  Oracle: the state space and verdicts
+equal serial, the frontier drains, no lifecycle assertion fires, and
+after every message the two tables agree — every task row names a live
+worker and the loads add up to the rows.  The mutation demo runs the
+same property with the requeue in ``_retire`` patched out and must fail.
 
-Two regressions are pinned at the bottom: a respawn seat is forfeit on
-its own deadline, and a retired worker's heartbeat leaves no state behind.
+Hang detection is the task deadline alone; it is pinned in virtual time
+— no test here sleeps — with a mutation demo per way a deadline kill can
+go wrong.  A respawn seat forfeit on its own deadline is pinned at the
+bottom.
 """
 
 from __future__ import annotations
 
+import inspect
+import textwrap
 from types import SimpleNamespace
 
 import pytest
@@ -30,22 +34,24 @@ from repro import nice, scenarios
 from repro.mc import scheduler as scheduler_mod
 from repro.mc.scheduler import _Scheduler, _Task
 from repro.mc.transport import TransportError
-from repro.mc.wire import Heartbeat, TaskResult, WorkerGone
+from repro.mc.wire import TaskResult, WorkerGone
 from repro.scenarios import with_config
 from scripted_transport import (
     FIRST,
     LATE,
     WITHHELD,
+    Blocked,
     Join,
     Kill,
     ScriptedTransport,
+    Stall,
     SubmitLost,
     UnknownGone,
     enrolled_scheduler,
 )
 
 SCENARIO = with_config(scenarios.ping_experiment(pings=2),
-                       stop_at_first_violation=False, heartbeat_interval=0)
+                       stop_at_first_violation=False)
 
 
 @pytest.fixture(scope="module")
@@ -65,16 +71,18 @@ def assert_tables_agree(scheduler: _Scheduler) -> None:
 
 
 def run_scripted(tape, workers=2, respawn=False, async_respawn=False,
-                 one_node_tasks=False, **knobs):
-    """One search over a scripted pool, the tables checked after every
-    message; returns ``(stats, transport, scheduler)``."""
-    seen = {}
+                 one_node_tasks=False, seen=None, **knobs):
+    """One search over a scripted pool in its virtual time, the tables
+    checked after every message; returns ``(stats, transport,
+    scheduler)``, which ``seen`` also holds should the run raise."""
+    seen = {} if seen is None else seen
     handle = _Scheduler._handle
 
     def wrap(real):
-        seen["transport"] = ScriptedTransport(
+        transport = seen["transport"] = ScriptedTransport(
             real.workers, tape, respawn, async_respawn)
-        return seen["transport"]
+        patch.setattr(_Scheduler, "clock", staticmethod(transport.clock))
+        return transport
 
     def checked_handle(scheduler, message):
         seen["scheduler"] = scheduler
@@ -108,7 +116,8 @@ AFTER = st.integers(min_value=1, max_value=80)
 EVENTS = st.one_of(
     st.builds(Kill, after=AFTER, victim=st.integers(0, 3),
               results=st.sampled_from([WITHHELD, LATE, FIRST]),
-              notices=st.integers(1, 2), beat=st.booleans()),
+              notices=st.integers(1, 2)),
+    st.builds(Stall, after=AFTER, victim=st.integers(0, 3)),
     st.builds(SubmitLost, after=AFTER),
     st.builds(UnknownGone, after=AFTER),
     st.builds(Join, after=AFTER),
@@ -166,13 +175,14 @@ def test_a_retire_that_skips_the_requeue_is_caught(serial, monkeypatch):
 @pytest.mark.parametrize("results", [WITHHELD, LATE, FIRST])
 def test_a_death_with_results_in_the_pipe(results, serial):
     stats, transport, scheduler = run_scripted(
-        [Kill(5, 0, results, notices=2, beat=True)], one_node_tasks=True)
+        [Kill(5, 0, results, notices=2)], one_node_tasks=True)
     assert transport.played
     assert_matches(stats, serial, scheduler)
     assert stats.worker_failures == 1  # the second notice is a no-op
     assert not scheduler._workers[0].alive
-    # The retired worker's heartbeat, delivered after its death notice,
-    # touched only its own row.
+    # LATE: the retired worker's results, delivered after its death
+    # notice, are stale — dropped, and no row is made for them.
+    assert bool(transport.late) == (results == LATE)
     assert set(scheduler._workers) == {0, 1}
 
 
@@ -218,6 +228,70 @@ def test_a_poisoned_group_is_merged_from_the_sandbox(serial, capfd):
     assert "merging its result" in capfd.readouterr().err
 
 
+# ----------------------------------------------------------------------
+# Hang detection: the task deadline, in virtual time
+# ----------------------------------------------------------------------
+
+def test_a_stalled_worker_is_killed_at_the_pinned_deadline(serial):
+    """Worker 0 stops answering after the 5th submit, its channel open:
+    only a task deadline can find it.  When ``task_deadline`` virtual
+    seconds have passed it is declared hung, killed once and retired
+    once — the death notice that follows the kill is a no-op — and the
+    search ends as serial does."""
+    stats, transport, scheduler = run_scripted(
+        [Stall(5, 0)], one_node_tasks=True, task_deadline=5.0)
+    assert transport.played == [Stall(5, 0)]
+    assert transport.killed == [(0, 5.0)]
+    assert stats.workers_hung == stats.deadline_kills == 1
+    assert stats.worker_failures == 1
+    assert not scheduler._workers[0].alive
+    assert_matches(stats, serial, scheduler)
+
+
+def test_task_deadline_zero_never_kills_a_stalled_worker():
+    """``task_deadline=0`` arms no deadline: the master waits on the
+    stalled worker for ever — a ``recv`` with no timeout, which the
+    scripted pool reports instead of blocking — and kills nobody."""
+    seen = {}
+    with pytest.raises(Blocked, match="for ever"):
+        run_scripted([Stall(5, 0)], one_node_tasks=True, task_deadline=0,
+                     seen=seen)
+    transport, scheduler = seen["transport"], seen["scheduler"]
+    assert transport.played == [Stall(5, 0)] and transport.killed == []
+    assert scheduler.stats.workers_hung == 0
+    assert scheduler._workers[0].alive and scheduler._workers[0].load
+    assert scheduler._recv_timeout() is None
+
+
+def mutant(method, old: str, new: str):
+    """``method`` of ``_Scheduler`` recompiled with ``old`` (found once in
+    its source) replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(method))
+    assert source.count(old) == 1, old
+    compiled = {}
+    exec(source.replace(old, new), vars(scheduler_mod), compiled)
+    return compiled[method.__name__]
+
+
+@pytest.mark.parametrize("method,old,new", [
+    # The death notice that follows a deadline kill retires the worker a
+    # second time.
+    pytest.param("_on_worker_gone", "not known.alive", "False",
+                 id="retired-twice"),
+    # A missed deadline never condemns the worker: it is neither killed
+    # nor retired, and the master waits on it for ever.
+    pytest.param("_check_deadlines",
+                 "hung.setdefault(task.worker, (task_id, task))", "pass",
+                 id="never-retired"),
+])
+def test_a_deadline_bug_is_caught(method, old, new, serial, monkeypatch):
+    """The mutation demo of the two tests above, with no sleep."""
+    monkeypatch.setattr(_Scheduler, method,
+                        mutant(getattr(_Scheduler, method), old, new))
+    with pytest.raises(AssertionError):
+        test_a_stalled_worker_is_killed_at_the_pinned_deadline(serial)
+
+
 def test_lifecycle_assertions_name_the_illegal_edge():
     scheduler = enrolled_scheduler(SCENARIO)
     with pytest.raises(AssertionError, match="enrolled twice"):
@@ -240,16 +314,15 @@ def test_lifecycle_assertions_name_the_illegal_edge():
 # Pinned bugs
 # ----------------------------------------------------------------------
 
-def test_a_respawn_seat_is_forfeit_on_its_own_deadline(monkeypatch):
+def test_a_respawn_seat_is_forfeit_on_its_own_deadline():
     """Deaths at t=0 and t=50, replacements that never join: the first
     seat stops counting toward ``min_workers`` at t=60 — not 60 s after
     the *latest* death — and the floor is re-applied then."""
     clock = SimpleNamespace(now=0.0)
-    monkeypatch.setattr(scheduler_mod, "time",
-                        SimpleNamespace(monotonic=lambda: clock.now))
     scheduler = enrolled_scheduler(
         with_config(SCENARIO, workers=3, min_workers=3,
                     respawn_workers=True), live=(0, 1, 2))
+    scheduler.clock = lambda: clock.now
     scheduler.transport.spawn_worker = lambda: None  # joins "later"
     scheduler._handle(WorkerGone(0, "test"))
     clock.now = 50.0
@@ -260,12 +333,3 @@ def test_a_respawn_seat_is_forfeit_on_its_own_deadline(monkeypatch):
     clock.now = 60.0
     with pytest.raises(TransportError, match="1 respawned replacement"):
         scheduler._check_deadlines()
-
-
-def test_a_retired_workers_heartbeat_leaves_no_state_behind():
-    scheduler = enrolled_scheduler(SCENARIO)
-    scheduler._handle(WorkerGone(1, "test"))
-    scheduler._handle(Heartbeat(1))
-    scheduler._handle(Heartbeat(77))  # nobody we know
-    assert set(scheduler._workers) == {0, 1}
-    assert scheduler._workers[1].last_beat is None

@@ -12,8 +12,8 @@ The process boundary around that loop has one of each too: one place a
 worker process is launched (the quarantine sandbox is a one-worker local
 transport, not a second launcher), one channel to a worker however it
 was launched — a stream socket read in one function, waited on in one
-other, with no thread on the master's side — and one pair of functions
-that turn a digest into its stored-or-shipped record and back.
+other, with no thread on either side — and one pair of functions that
+turn a digest into its stored-or-shipped record and back.
 
 And under the loop, every part of a component has one owner of its
 writes: the module whose write accessors copy it before the first write
@@ -200,8 +200,10 @@ def _one_channel_breaches(sources: dict = SOURCES) -> set[str]:
     a second way to a worker."""
     functions = _functions(sources)
     master = {module for module in sources if module.startswith("transport/")}
+    # Either end of the channel: the master's loop and the worker's.
+    threadless = master | {"worker"}
     breaches = set()
-    for module in master:
+    for module in threadless:
         for node in ast.walk(ast.parse(sources[module])):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [alias.name for alias in node.names]
@@ -218,11 +220,11 @@ def _one_channel_breaches(sources: dict = SOURCES) -> set[str]:
                      and WAITS.fullmatch(ast.unparse(node.func))}
             if waits and where != "transport/stream:StreamTransport._poll":
                 breaches.add(f"{where} waits on descriptors")
+        if module in threadless:
             for call in calls & {"Thread", ".Thread", ".Pipe", "Pipe",
                                  ".SimpleQueue", ".Queue", "Queue"}:
                 breaches.add(f"{where} calls {call}")
-        # A socket's bytes are read and written in ``mc/wire.py`` alone.
-        if module in master | {"worker"}:
+            # A socket's bytes are read and written in ``mc/wire.py`` alone.
             for call in calls & {".recv", ".recv_into", ".send", ".sendall"}:
                 breaches.add(f"{where} calls {call}")
         if module == "wire" and calls & {".recv", ".sendall"} and name \
@@ -232,10 +234,11 @@ def _one_channel_breaches(sources: dict = SOURCES) -> set[str]:
 
 
 def test_one_channel():
-    """No master-side thread, queue or pipe; one function that waits
+    """No thread, queue or pipe at either end; one function that waits
     (``StreamTransport._poll``), one that reads a socket
     (``wire._recv_exact``), one that writes one (``wire.send_msg``); and
-    the only thread ``src/repro`` starts is the worker's heartbeat."""
+    nothing under ``src/repro`` starts a thread: a hung worker is the task
+    deadline's to find, not a liveness beat's."""
     assert _one_channel_breaches() == set()
     assert _callers("._poll") == {("transport/stream", "StreamTransport.recv"),
                                   ("transport/socket", "SocketTransport.start")}
@@ -243,7 +246,7 @@ def test_one_channel():
               for path in sorted(MC.parent.rglob("*.py"))
               for line in path.read_text().splitlines()
               if re.search(r"\bThread\(", line)]
-    assert starts == [("worker.py", "self._thread = threading.Thread(")]
+    assert starts == []
 
 
 def test_a_reader_thread_planted_back_is_caught():
@@ -268,6 +271,24 @@ def _admit(connection):
     assert "transport/local:LocalTransport._put_away waits on descriptors" \
         in _one_channel_breaches({**SOURCES, "transport/local": SOURCES[
             "transport/local"].replace("process.join(", "connection.wait(")})
+
+
+def test_a_heartbeat_thread_planted_back_is_caught():
+    """The same, at the worker's end: the parent design's liveness beat,
+    put back into ``mc/worker.py``."""
+    planted = dict(SOURCES)
+    planted["worker"] += '''
+import threading
+
+class _HeartbeatThread:
+    def __init__(self, send, worker_id, interval):
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+'''
+    assert _one_channel_breaches(planted) == {
+        "worker imports threading",
+        "worker:_HeartbeatThread.__init__ calls .Thread"}
 
 
 def test_one_record_codec():

@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -203,7 +204,7 @@ class TestMixedWidthGuard:
             store = kind() if kind is MemoryStore else ShardedStore(
                 shards=4, directory=str(root / "s"))
             store.add_batch(_digests(40))
-            snapshot = write_checkpoint(
+            snapshot, _ = write_checkpoint(
                 root / "c", spec=None, config=NiceConfig(),
                 stats=SearchStats(), frontier=[], rng_state=None,
                 store=store)
@@ -225,10 +226,11 @@ class TestMixedWidthGuard:
 
 class TestCompaction:
     def _write(self, root, store, previous=None):
-        return write_checkpoint(
+        path, _ = write_checkpoint(
             root, spec=None, config=NiceConfig(checkpoint_dir=str(root)),
             stats=SearchStats(), frontier=[], rng_state=None,
             store=store, previous=previous)
+        return path
 
     def test_unchanged_shards_are_linked_grown_shards_append(self, tmp_path):
         store = ShardedStore(shards=4, memory_budget=16,
@@ -403,6 +405,23 @@ class TestResumeAcrossDeletedKnobs:
         assert_matches_serial(stats, serial_ping)
         assert not hasattr(scenario.config, knob)
 
+    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "workers2"])
+    def test_heartbeat_carrying_checkpoint_validates_and_resumes(
+            self, interrupted, serial_ping, workers, capsys):
+        """Snapshots written while workers still beat carry
+        ``heartbeat_interval`` in their pickled config: the inspector
+        passes them, and a resume continues them with the field dropped."""
+        for snapshot in interrupted.glob("ckpt-*"):
+            _plant_in_pickled_config(snapshot, heartbeat_interval=0.5)
+        assert load_latest_checkpoint(
+            interrupted).config.heartbeat_interval == 0.5
+        assert cli.main(["checkpoints", str(interrupted)]) == 0
+        assert "INVALID" not in capsys.readouterr().out
+        scenario, stats = nice.resume(interrupted, workers=workers)
+        assert stats.workers == workers
+        assert_matches_serial(stats, serial_ping)
+        assert not hasattr(scenario.config, "heartbeat_interval")
+
     def test_checkpoints_hold_segments_meta_and_manifest_only(
             self, interrupted):
         names = {path.name for snapshot in interrupted.glob("ckpt-*")
@@ -497,6 +516,28 @@ class TestWriteRollback:
         checkpointer.write([], None)
         assert stats.checkpoints_written == 1
         assert stats.checkpoint_bytes_written > 0
+
+    def test_bytes_written_come_from_the_write_not_a_read_back(
+            self, tmp_path, monkeypatch):
+        """The count is what ``write_checkpoint`` wrote: a manifest that
+        cannot be parsed back no longer counts as 0 B, silently."""
+        store = MemoryStore()
+        store.preload(_digests(5))
+        stats = SearchStats()
+        with pytest.warns(RuntimeWarning):
+            checkpointer = Checkpointer(
+                NiceConfig(checkpoint_dir=str(tmp_path)), None, store, stats)
+
+        def unparsable(text):
+            raise ValueError("manifest unreadable")
+
+        monkeypatch.setattr(store_mod, "json", SimpleNamespace(
+            dumps=json.dumps, loads=unparsable))
+        path = checkpointer.write([], None)
+        monkeypatch.undo()
+        manifest = json.loads((path / "MANIFEST.json").read_text())
+        assert stats.checkpoint_bytes_written \
+            == manifest["bytes_written"] > 0
 
 
 # ----------------------------------------------------------------------

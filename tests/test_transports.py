@@ -16,7 +16,6 @@ import itertools
 import pickle
 import socket as socket_mod
 import threading
-import time
 import warnings
 from collections import OrderedDict
 
@@ -328,7 +327,7 @@ class TestStopRule:
         is executed and counted, never committed."""
         scenario = with_config(
             scenarios.ping_experiment(pings=2), max_transitions=limit,
-            stop_at_first_violation=False, heartbeat_interval=0)
+            stop_at_first_violation=False)
         serial = nice.run(scenario)
         assert serial.terminated == "max_transitions"
         assert serial.transitions_executed == limit
@@ -533,19 +532,20 @@ class TestScenarioRegistry:
 
 class TestWorkerServeLoop:
     @staticmethod
-    def _runtime(**overrides):
+    def _runtime():
         """``make_runtime`` for ``_serve``: one prebuilt runtime."""
-        runtime = WorkerRuntime(wire.searcher_from_spec(with_config(
-            scenarios.ping_experiment(pings=1), **overrides).spec))
+        runtime = WorkerRuntime(wire.searcher_from_spec(
+            scenarios.ping_experiment(pings=1).spec))
         return lambda: runtime
 
     def test_expands_and_stops(self):
+        """A worker speaks only to answer: one reply for the one task,
+        nothing unasked and nothing after the Shutdown."""
         inbox = iter([wire.ExpandTask(3, [((), None)]), wire.Shutdown(),
                       wire.ExpandTask(4, [((), None)])])
         sent = []
-        _serve(self._runtime(heartbeat_interval=0), 5,
-               lambda: next(inbox), sent.append)
-        result, = sent  # nothing after the Shutdown
+        _serve(self._runtime(), 5, lambda: next(inbox), sent.append)
+        result, = sent
         assert isinstance(result, wire.TaskResult)
         assert (result.task_id, result.worker_id) == (3, 5)
 
@@ -568,7 +568,7 @@ class TestWorkerServeLoop:
 
     def test_unexpected_message_is_rejected_on_every_transport(self):
         with pytest.raises(ConnectionError, match="unexpected message"):
-            _serve(self._runtime(heartbeat_interval=0), 0,
+            _serve(self._runtime(), 0,
                    lambda: wire.Hello(), lambda reply: None)
 
     def test_send_failure_and_hangup_are_clean_exits(self):
@@ -578,27 +578,10 @@ class TestWorkerServeLoop:
         def hung_up():
             raise ConnectionResetError
 
-        runtime = self._runtime(heartbeat_interval=0)
+        runtime = self._runtime()
         _serve(runtime, 0, lambda: wire.ExpandTask(1, [((), None)]),
                broken_pipe)
         _serve(runtime, 0, hung_up, broken_pipe)
-
-    @pytest.mark.parametrize("interval,beats", [(0.01, True), (0, False)])
-    def test_heartbeats_follow_the_configured_interval(self, interval,
-                                                       beats):
-        sent = []
-
-        def quiet_master():
-            time.sleep(0.2)
-
-        _serve(self._runtime(heartbeat_interval=interval), 9, quiet_master,
-               sent.append)
-        assert all(isinstance(beat, wire.Heartbeat) and beat.worker_id == 9
-                   for beat in sent)
-        assert bool(sent) == beats
-        settled = len(sent)
-        time.sleep(0.05)
-        assert len(sent) <= settled + 1  # the beat thread was stopped
 
     @pytest.fixture
     def odd_thresholds(self):
@@ -650,7 +633,7 @@ class TestWorkerServeLoop:
         seen = []
         recv, send = self._exits(seen)[exit_by]
         try:
-            _serve(self._runtime(heartbeat_interval=0), 0, recv, send)
+            _serve(self._runtime(), 0, recv, send)
         except ConnectionError:
             assert exit_by == "unexpected message"
         assert seen and set(seen) == {
@@ -663,18 +646,6 @@ class TestWorkerServeLoop:
             raise KeyError("nope")
 
         _serve(cannot_build, 0, None, lambda reply: None)
-        assert gc.get_threshold() == odd_thresholds
-
-    def test_heartbeat_that_cannot_start_leaves_the_collector_alone(
-            self, odd_thresholds, monkeypatch):
-        def no_more_threads(*args):
-            raise RuntimeError("can't start new thread")
-
-        monkeypatch.setattr("repro.mc.worker._start_heartbeat",
-                            no_more_threads)
-        with pytest.raises(RuntimeError):
-            _serve(self._runtime(heartbeat_interval=0), 0, None,
-                   lambda reply: None)
         assert gc.get_threshold() == odd_thresholds
 
 
