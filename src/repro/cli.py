@@ -41,6 +41,7 @@ from repro.config import (
 )
 from repro.apps.hostile import MODES as HOSTILE_MODES
 from repro.mc.replay import format_trace
+from repro.mc.search import ModelError
 from repro.mc.store import CheckpointError
 
 #: Scenario name -> builder: the registry the spawn/socket workers resolve
@@ -132,10 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
            help="worker rss watchdog: above this, a worker "
                 "sheds its replay cache and, if still over, "
                 "recycles itself")
-    option("--fail-fast", action="store_true",
-           help="abort on exceptions raised by the model under "
-                "test instead of recording them as replayable "
-                "ModelError counterexamples")
     option("--store", choices=ALL_STORES,
            help="explored-set storage: in-memory hash table, or "
                 "digest-prefix shards spilling to disk under an "
@@ -314,6 +311,9 @@ def _report(result, args, scenario_name: str, strategy: str) -> int:
                 print(f"\n--- trace of violation {index} "
                       f"({violation.property_name}) ---")
                 print(format_trace(violation.trace))
+                if isinstance(violation, ModelError):
+                    # Where the handler raised, wherever it ran.
+                    print(violation.details, end="")
     return 1 if result.found_violation else 0
 
 

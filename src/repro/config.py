@@ -161,10 +161,6 @@ class NiceConfig:
       recycles itself through the respawn path.  Also used as the
       address-space rlimit of the quarantine sandbox.  ``None`` disables
       the watchdog.
-    * ``fail_fast`` — restore the pre-containment behavior for model
-      exceptions: an exception escaping a controller/host handler aborts
-      the search instead of being recorded as a replayable ``ModelError``
-      counterexample.
     * ``seed`` — seed for the random-walk frontier.
     """
 
@@ -199,7 +195,6 @@ class NiceConfig:
     task_deadline: float | None = None
     max_task_retries: int = 2
     worker_memory_limit: int | None = None
-    fail_fast: bool = False
     store: str = STORE_MEMORY
     store_shards: int = 16
     store_memory_budget: int = 1_000_000

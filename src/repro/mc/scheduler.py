@@ -64,13 +64,12 @@ frontiers pop from the unowned queue in frontier order (the policy the
 in-process expander applies to nodes, here over groups), route
 round-robin, and count every group as a miss.
 
-**Adaptive batch sizing**: a task's node budget starts at
-``BATCH_NODES`` (its group budget keeps the ``BATCH_GROUPS`` :
-``BATCH_NODES`` ratio) and adapts per worker from observed task
-round-trip times — fast ones grow the batch geometrically (amortizing
-per-task overhead, the regime high-RTT socket workers live in), slow
-ones shrink it back toward fine-grained load balancing (which also caps
-how much work a dying worker can strand).  It never affects *what* is
+**Batch sizing**: a task's node budget is one node while the search
+fans out, ``BATCH_NODES`` until its worker has returned a task, and
+after that the worker's fair share of the pending frontier — pending
+groups over ``PER_WORKER_INFLIGHT`` x the live pool — clamped to
+``[BATCH_NODES, MAX_BATCH_NODES]``; its group budget keeps the
+``BATCH_GROUPS`` : ``BATCH_NODES`` ratio.  It never affects *what* is
 explored, only how it is packed.
 
 **Checkpointing**: the driver cuts a snapshot only when :meth:`drain
@@ -138,13 +137,11 @@ class ParallelSearcher(Searcher):
 class _Worker:
     """One pool member's row in ``_Scheduler._workers``, born live."""
 
-    #: Adaptive node budget (float so growth compounds).
-    batch: float
     alive: bool = True
     #: Tasks in flight on it.
     load: int = 0
     #: EWMA of its per-task service time (feeds the deadline derivation);
-    #: None until the first.
+    #: None until the first, and until then its tasks carry BATCH_NODES.
     rtt: float | None = None
     #: The ``(group, handle)`` entries it owns: a ``(trace, steps)``
     #: sibling group and where it retained the siblings (see ``_push``).
@@ -159,8 +156,9 @@ class _Task:
     worker: int
     groups: list
     #: Submit time and the worker's pipelining depth then: the RTT sample
-    #: is normalized to per-task service time — counting the wait behind
-    #: another task would stop batch growth at half the intended threshold.
+    #: is normalized to per-task service time — the deadline multiplies
+    #: it by PER_WORKER_INFLIGHT for the wait behind the worker's other
+    #: tasks, which a raw sample would count twice.
     sent_at: float
     depth: int
     #: Absolute monotonic deadline; None with hang detection off.
@@ -175,18 +173,9 @@ class _Scheduler:
     #: Tasks kept in flight per worker (>1 hides result latency).
     PER_WORKER_INFLIGHT = 2
 
-    #: Adaptive batching: a worker's task starts at BATCH_NODES nodes in
-    #: at most BATCH_GROUPS sibling groups; the node budget grows while
-    #: its task round trips finish under RTT_LOW seconds and shrinks
-    #: while they exceed RTT_HIGH, between 1 and MAX_BATCH_NODES.  The
-    #: asymmetric step (gentle growth, halving shrink) converges without
-    #: oscillating.
+    #: Batch sizing: see ``_node_budget`` and ``_group_budget``.
     BATCH_NODES = 16
     BATCH_GROUPS = 8
-    RTT_LOW = 0.010
-    RTT_HIGH = 0.100
-    BATCH_GROW = 1.5
-    BATCH_SHRINK = 0.5
     MAX_BATCH_NODES = 512
 
     #: Hang detection (DESIGN.md, "Failure containment").  A task's hard
@@ -291,11 +280,11 @@ class _Scheduler:
         elif isinstance(message, WorkerJoined):
             self._on_worker_joined(message.worker_id)
         elif isinstance(message, WorkerError):
-            # A task that *raised* inside the worker is a deterministic
-            # bug, not churn: a retry would raise the same way, so surface
-            # the traceback.  Model-handler exceptions only arrive here when
-            # fail_fast asked for this abort — workers contain them as
-            # ModelError counterexamples (see Searcher.expand_node).
+            # A task that *raised* inside the worker is an engine bug, not
+            # churn: model-handler exceptions never arrive here — workers
+            # contain them as ModelError counterexamples (see
+            # Searcher.expand_node) — and a retry would raise the same way,
+            # so surface the traceback.
             raise TransportError(
                 f"worker {message.worker_id} failed on task"
                 f" {message.task_id}:\n{message.error}")
@@ -315,7 +304,7 @@ class _Scheduler:
         """The edge into the live pool: a fresh id gets its row."""
         assert worker_id not in self._workers, (
             f"worker {worker_id} enrolled twice (ids are never reused)")
-        self._workers[worker_id] = _Worker(float(self.BATCH_NODES))
+        self._workers[worker_id] = _Worker()
         self.stats.worker_tasks.setdefault(worker_id, 0)
 
     def _retire(self, worker_id: int) -> list[tuple[tuple, int]]:
@@ -328,7 +317,7 @@ class _Scheduler:
             # the enrollment snapshot.  That still shrank the pool and
             # must reach the policy — a 1-worker run would otherwise hang
             # in recv() forever — so it gets its row here, retired.
-            worker = self._workers[worker_id] = _Worker(0.0)
+            worker = self._workers[worker_id] = _Worker()
         assert worker.alive, f"worker {worker_id} retired twice"
         worker.alive = False
         worker.load = 0
@@ -595,22 +584,23 @@ class _Scheduler:
     def _node_budget(self, worker_id: int) -> int:
         """Nodes to pack into one task for this worker: one while the
         explored set is small, so the search fans out across the pool
-        instead of running serially inside one worker; after that the
-        worker's RTT-adapted budget."""
+        instead of running serially inside one worker; BATCH_NODES while
+        the worker has no RTT sample, because its task then runs under
+        the bare DEADLINE_FLOOR; after that its share of the pending
+        groups (a proxy for nodes), so no task swallows the frontier
+        while the rest of the pool idles — never below BATCH_NODES (a
+        smaller task only adds overhead) nor above MAX_BATCH_NODES."""
         live = max(len(self._alive()), 1)
         if len(self.searcher._explored) < 4 * live:
             return 1
-        adapted = max(1, int(self._workers[worker_id].batch))
-        # Fair-share guard: an RTT-*grown* batch must never swallow so
-        # much of the frontier that the rest of the pool idles — cap each
-        # task at this worker's share of the pending groups (a proxy for
-        # nodes), never below the BATCH_NODES seed: that only adds overhead.
+        if self._workers[worker_id].rtt is None:
+            return self.BATCH_NODES
         fair = self._pending_groups // (live * self.PER_WORKER_INFLIGHT)
-        return max(1, min(adapted, max(self.BATCH_NODES, fair)))
+        return min(max(fair, self.BATCH_NODES), self.MAX_BATCH_NODES)
 
     def _group_budget(self, node_budget: int) -> int:
-        """Groups per task: the seed's groups:nodes ratio applied to the
-        adapted node budget."""
+        """Groups per task: the BATCH_GROUPS : BATCH_NODES ratio applied
+        to the node budget."""
         return max(1, round(node_budget * self.BATCH_GROUPS
                             / self.BATCH_NODES))
 
@@ -618,13 +608,6 @@ class _Scheduler:
         worker = self._workers[worker_id]
         worker.rtt = (rtt if worker.rtt is None else
                       (1 - self.RTT_EWMA) * worker.rtt + self.RTT_EWMA * rtt)
-        budget = worker.batch
-        if rtt < self.RTT_LOW:
-            budget = min(budget * self.BATCH_GROW,
-                         float(self.MAX_BATCH_NODES))
-        elif rtt > self.RTT_HIGH:
-            budget = max(budget * self.BATCH_SHRINK, 1.0)
-        worker.batch = budget
 
     def _pack(self, worker_id: int) -> list:
         """Pop up to the worker's group budget (node-budget bounded) for

@@ -87,8 +87,7 @@ class ModelError(Violation):
     crash deterministically (``nice.replay`` re-raises the original
     exception at the final transition); ``details`` carries the formatted
     traceback from wherever the transition actually executed.  Engine
-    errors (:class:`~repro.errors.NiceError`) are never contained, and
-    ``fail_fast=True`` restores abort-on-exception for model code too."""
+    errors (:class:`~repro.errors.NiceError`) are never contained."""
 
     def __init__(self, property_name, message, trace, state_hash,
                  details: str = ""):
@@ -481,11 +480,10 @@ class Searcher:
             except Exception as exc:
                 # Engine errors always propagate; an exception out of a
                 # model handler becomes a counterexample (the crashed
-                # child is discarded — it is not a state of the model)
-                # unless fail_fast restores abort-on-exception.  The
-                # message is ``type: str(exc)``, identical wherever the
+                # child is discarded — it is not a state of the model).
+                # The message is ``type: str(exc)``, identical wherever the
                 # transition ran; the local traceback is the details.
-                if isinstance(exc, NiceError) or config.fail_fast:
+                if isinstance(exc, NiceError):
                     raise
                 violations.append(
                     (MODEL_ERROR_PROPERTY, f"{type(exc).__name__}: {exc}",

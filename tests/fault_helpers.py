@@ -48,13 +48,14 @@ JOIN_TIMEOUT = 30.0
 
 
 def small_tasks(setattr=setattr, nodes: int = 1) -> None:
-    """Pin every worker task to ``nodes`` nodes, no adaptive growth.  One
-    node (the default) sends each sibling group alone: a kill schedule
-    keyed on submission counts has many deterministic kill points, a
-    death always strands requeueable work, and poison attribution acts
-    on exactly the poisoned group.  Pass ``monkeypatch.setattr`` (the
-    ``small_tasks`` fixture does); a process of its own
-    (``_crash_main.py``) needs no undo."""
+    """Pin every worker task to ``nodes`` nodes: with BATCH_NODES and
+    MAX_BATCH_NODES both ``nodes``, neither the first task nor the fair
+    share can move the budget.  One node (the default) sends each
+    sibling group alone: a kill schedule keyed on submission counts has
+    many deterministic kill points, a death always strands requeueable
+    work, and poison attribution acts on exactly the poisoned group.
+    Pass ``monkeypatch.setattr`` (the ``small_tasks`` fixture does); a
+    process of its own (``_crash_main.py``) needs no undo."""
     setattr(_Scheduler, "BATCH_NODES", nodes)
     setattr(_Scheduler, "MAX_BATCH_NODES", nodes)
 

@@ -162,6 +162,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "host_send" in out
 
+    def test_run_trace_shows_where_a_handler_raised(self, capsys):
+        main(["run", "hostile", "--mode", "raise", "--trace"])
+        out = capsys.readouterr().out
+        trace = out[out.index("--- trace of violation 0 (ModelError)"):]
+        assert "Traceback" in trace
+        assert "hostile handler refused" in trace
+
     def test_run_clean_scenario_exit_zero(self, capsys):
         code = main(["run", "ping", "--pings", "1"])
         assert code == 0

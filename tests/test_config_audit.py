@@ -14,8 +14,9 @@ whole instead of flag by flag.
 Fields whose only readers copy a value into the object that acts on it
 (a bound handed to a constructor) have no behavioural test that would
 notice the copy going missing; the reader pins hold those copies
-directly.  What has no knob — the scheduler's one batching policy — is
-pinned by its decisions at the bottom.
+directly.  What has no knob — the scheduler's one batching policy, a
+task sized by its worker's share of the pending frontier — is pinned by
+its decisions at the bottom.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def _engine_sources() -> str:
                      if path.name not in ("config.py", "cli.py"))
 
 
-def test_the_config_has_34_fields():
-    assert len(FIELDS) == 34
+def test_the_config_has_33_fields():
+    assert len(FIELDS) == 33
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -117,13 +118,13 @@ def test_every_run_option_sets_the_field_it_is_named_for():
     assert POOL_FIELDS <= set(run_flags)
 
 
-def test_run_help_lists_29_options(capsys):
+def test_run_help_lists_28_options(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--help"])
     listed = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out,
                             re.MULTILINE))
     assert listed == set(build_parser().run_flags.values())
-    assert len(listed) == 29
+    assert len(listed) == 28
 
 
 # ----------------------------------------------------------------------
@@ -173,14 +174,14 @@ def test_reader_pin(field):
 
 
 # ----------------------------------------------------------------------
-# The one batching policy (DESIGN.md, "Adaptive batch sizing")
+# The one batching policy (DESIGN.md, "Batch sizing")
 # ----------------------------------------------------------------------
 
-def _scheduler(batch: float, pending: int) -> _Scheduler:
-    """Worker 0 of two live ones, past the fan-out phase, its RTT-adapted
-    batch at ``batch`` nodes with ``pending`` groups queued."""
+def _scheduler(pending: int, rtt: float | None = 0.005) -> _Scheduler:
+    """Worker 0 of two live ones, past the fan-out phase, with ``pending``
+    groups queued and ``rtt`` its RTT average (None: no task back yet)."""
     sched = enrolled_scheduler(scenarios.ping_experiment(pings=1))
-    sched._workers[0].batch = batch
+    sched._workers[0].rtt = rtt
     sched._pending_groups = pending
     return sched
 
@@ -191,28 +192,42 @@ def _task_budgets(sched: _Scheduler) -> tuple[int, int]:
     return nodes, sched._group_budget(nodes)
 
 
-@pytest.mark.parametrize("batch,pending,nodes,groups", [
-    (40, 1000, 40, 20),     # an RTT-grown batch, half as many groups
-    (16, 3, 16, 8),         # the seed is never throttled by fair share
-    (512, 1000, 250, 125),  # fair share: 1000 groups / (2 workers x 2)
-    (512, 10000, 512, 256),
-    (1, 1000, 1, 1),
-    (3.4, 50, 3, 2),
+@pytest.mark.parametrize("pending,nodes,groups", [
+    (3, 16, 8),           # never below BATCH_NODES
+    (50, 16, 8),
+    (100, 25, 12),        # fair share: 100 groups / (2 workers x 2)
+    (1000, 250, 125),
+    (10000, 512, 256),    # never above MAX_BATCH_NODES
 ])
-def test_task_budgets_at_the_defaults(batch, pending, nodes, groups):
-    """Literal packing decisions (they held before the batch knobs were
-    deleted): a drift in the policy or its constants fails here."""
-    assert _task_budgets(_scheduler(float(batch), pending)) \
-        == (nodes, groups)
+def test_task_budgets_at_the_defaults(pending, nodes, groups):
+    """Literal packing decisions: a drift in the policy or its constants
+    fails here."""
+    assert _task_budgets(_scheduler(pending)) == (nodes, groups)
 
 
-@given(rtts=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=60),
+def test_a_worker_without_an_rtt_sample_gets_batch_nodes():
+    assert _task_budgets(_scheduler(1000, rtt=None)) == (16, 8)
+
+
+def test_fan_out_sends_one_node_per_task():
+    sched = _scheduler(1000)
+    sched.searcher._explored = range(7)  # fewer than 4 per live worker
+    assert _task_budgets(sched) == (1, 1)
+
+
+@given(rtts=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
+                     max_size=60),
        pending=st.integers(min_value=0, max_value=100_000))
-def test_adapted_budgets_stay_in_bounds(rtts, pending):
-    sched = _scheduler(float(_Scheduler.BATCH_NODES), pending)
-    for rtt in rtts:
+def test_budgets_stay_in_bounds_and_ignore_rtt_samples(rtts, pending):
+    """A round-trip time moves the deadline, never the batch: from the
+    first sample on, a task's size is a function of the frontier."""
+    sched = _scheduler(pending, rtt=None)
+    sched._observe_rtt(0, rtts[0])
+    budgets = _task_budgets(sched)
+    for rtt in rtts[1:]:
         sched._observe_rtt(0, rtt)
-        nodes, groups = _task_budgets(sched)
-        assert 1 <= nodes <= _Scheduler.MAX_BATCH_NODES
-        assert 1 <= groups <= nodes
-        assert nodes <= max(_Scheduler.BATCH_NODES, pending // 4)
+        assert _task_budgets(sched) == budgets
+    nodes, groups = budgets
+    assert _Scheduler.BATCH_NODES <= nodes <= _Scheduler.MAX_BATCH_NODES
+    assert 1 <= groups <= nodes
+    assert nodes <= max(_Scheduler.BATCH_NODES, pending // 4)

@@ -28,9 +28,9 @@ from repro.config import ConfigError
 from repro.mc.transport import TransportError
 from repro.scenarios import with_config
 
-#: Small static tasks (one node each, no adaptive growth) so a chaos
-#: schedule keyed on submission counts has many deterministic kill points
-#: and a death always strands requeueable work.
+#: Small static tasks (one node each) so a chaos schedule keyed on
+#: submission counts has many deterministic kill points and a death
+#: always strands requeueable work.
 pytestmark = pytest.mark.usefixtures("small_tasks")
 
 CHAOS_KNOBS = dict(stop_at_first_violation=False)

@@ -24,7 +24,9 @@ import pytest
 
 from contract import counters, requires_fork, violated_properties
 from repro import cli, nice, scenarios
+from repro.apps.hostile import HostileApp
 from repro.config import NiceConfig
+from repro.errors import TransitionError
 from repro.mc.scheduler import _Scheduler
 from repro.mc import wire
 from repro.mc import worker as worker_mod
@@ -32,9 +34,9 @@ from repro.mc.transport import TransportError
 from repro.mc.worker import WorkerRuntime
 from repro.scenarios import with_config
 
-#: One node per task, no adaptive growth: every sibling group travels
-#: alone, so death attribution and quarantine act on exactly the poisoned
-#: group and bit-identity comparisons stay meaningful.
+#: One node per task: every sibling group travels alone, so death
+#: attribution and quarantine act on exactly the poisoned group and
+#: bit-identity comparisons stay meaningful.
 pytestmark = pytest.mark.usefixtures("small_tasks")
 
 ENGINES = [
@@ -102,15 +104,21 @@ class TestModelErrorContainment:
         # through worker churn.
         assert parallel.worker_failures == 0
 
-    def test_fail_fast_restores_the_old_serial_behavior(self):
-        with pytest.raises(RuntimeError, match="poison"):
-            nice.run(build(mode="raise", fail_fast=True))
-
     @requires_fork
-    def test_fail_fast_aborts_the_parallel_search(self):
-        with pytest.raises(TransportError, match="RuntimeError"):
-            nice.run(build(mode="raise", fail_fast=True, workers=2,
-                           start_method="fork"))
+    def test_an_engine_error_is_never_contained(self, monkeypatch):
+        """Only model exceptions become counterexamples: an engine error
+        (a ``NiceError``) out of a transition aborts the search —
+        serially as itself, on a pool as its worker's ``WorkerError``,
+        raised with the worker-side traceback."""
+        def engine_bug(self):
+            raise TransitionError("engine bug under test")
+
+        monkeypatch.setattr(HostileApp, "_misbehave", engine_bug)
+        with pytest.raises(TransitionError, match="engine bug"):
+            nice.run(build(mode="raise"))
+        with pytest.raises(TransportError,
+                           match="Traceback(.|\n)*TransitionError: engine"):
+            nice.run(build(mode="raise", workers=2, start_method="fork"))
 
 
 # ----------------------------------------------------------------------
@@ -351,12 +359,11 @@ class TestConfigValidation:
             ["run", "hostile", "--workers", "2",
              "--task-deadline", "3",
              "--max-task-retries", "5",
-             "--worker-memory-limit", "1000000", "--fail-fast"])
+             "--worker-memory-limit", "1000000"])
         config = cli.make_config(args)
         assert config.task_deadline == 3.0
         assert config.max_task_retries == 5
         assert config.worker_memory_limit == 1000000
-        assert config.fail_fast is True
 
     def test_worker_retry_flags_parse(self):
         args = cli.build_parser().parse_args(

@@ -38,8 +38,8 @@ ENGINES = [
     pytest.param(dict(transport="socket"), id="socket"),
 ]
 
-#: One node per task, no adaptive growth (as in the chaos suite): many
-#: tasks, so many handles cross the wire and a kill strands real work.
+#: One node per task (as in the chaos suite): many tasks, so many
+#: handles cross the wire and a kill strands real work.
 small_tasks = pytest.mark.usefixtures("small_tasks")
 
 

@@ -391,17 +391,22 @@ class TestResumeAcrossDeletedKnobs:
         pytest.param("store_bloom_broadcast", True, id="True"),
         pytest.param("store_bloom_broadcast", False, id="False"),
         ("affinity", False), ("adaptive_batching", False),
-        ("batch_groups", 1), ("batch_nodes", 1), ("quarantine", False)])
-    def test_stale_prefilter_knob_is_ignored(self, interrupted,
-                                             serial_ping, knob, value):
+        ("batch_groups", 1), ("batch_nodes", 1), ("quarantine", False),
+        ("fail_fast", True)])
+    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "workers2"])
+    def test_stale_pool_or_fail_fast_knob_is_ignored(
+            self, interrupted, serial_ping, knob, value, workers, capsys):
         """``store_bloom_broadcast`` chose how children crossed the wire,
         the five scheduler switches how tasks were packed, routed and
-        given up on — never what a digest was: any value resumes, on
-        workers too."""
+        given up on, ``fail_fast`` whether a handler exception aborted
+        the search — never what a digest was: the inspector passes any
+        value, and it resumes, serially and on workers."""
         for snapshot in interrupted.glob("ckpt-*"):
             _plant_in_pickled_config(snapshot, **{knob: value})
-        scenario, stats = nice.resume(interrupted, workers=2)
-        assert stats.workers == 2
+        assert cli.main(["checkpoints", str(interrupted)]) == 0
+        assert "INVALID" not in capsys.readouterr().out
+        scenario, stats = nice.resume(interrupted, workers=workers)
+        assert stats.workers == workers
         assert_matches_serial(stats, serial_ping)
         assert not hasattr(scenario.config, knob)
 

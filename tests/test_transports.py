@@ -224,9 +224,10 @@ class TestFallbackWarnings:
 # ----------------------------------------------------------------------
 
 class TestReplayCache:
-    """Restoration-work measurements hold the batch at its seed
-    (``static_batches``): adaptive batching grows batches until replay
-    all but disappears, which is its point but not these tests'.
+    """Restoration-work measurements hold every task at BATCH_NODES
+    (``static_batches``): the fair share grows tasks with the frontier
+    until replay all but disappears, which is its point but not these
+    tests'.
 
     Counter contract (DESIGN.md, "Restoration counters"): ``cache_hits``
     counts retained children picked up by handle plus ``base_for``
@@ -278,8 +279,8 @@ class TestReplayCache:
 
     def test_adaptive_batching_matches_static_results(
             self, serial_direct_path):
-        """Adaptive batch sizing repacks tasks, never changes what is
-        explored: results equal the static baseline (and serial)."""
+        """Batch sizing repacks tasks, never changes what is explored:
+        results equal the static baseline (and serial)."""
         adaptive = exhaustive(scenarios.pyswitch_direct_path(), workers=2)
         assert counters(adaptive) == counters(serial_direct_path)
         assert violated_properties(adaptive) == \
