@@ -52,8 +52,7 @@ SCENARIOS = scenarios.REGISTRY
 #: without ``--workers N`` (N > 1).
 POOL_FIELDS = frozenset({
     "transport", "start_method", "worker_address", "spawn_socket_workers",
-    "min_workers", "max_worker_failures", "respawn_workers",
-    "task_deadline", "max_task_retries", "worker_memory_limit",
+    "max_worker_failures", "task_deadline", "worker_memory_limit",
 })
 
 
@@ -109,26 +108,15 @@ def build_parser() -> argparse.ArgumentParser:
            action="store_false",
            help="socket transport: wait for externally started "
                 "`nice worker`s instead of spawning local ones")
-    option("--min-workers", type=int, metavar="N",
-           help="abort (cleanly) if worker deaths shrink the "
-                "live pool below N workers (default 1: keep "
-                "searching on the last survivor)")
     option("--max-worker-failures", type=int, metavar="N",
            help="tolerate at most N worker deaths before giving "
-                "up (default: unlimited while min-workers "
-                "survive; 0 = abort on the first death)")
-    option("--respawn-workers", action="store_true",
-           help="replace each dead worker with a fresh process "
-                "(the autoscaler hook; keeps the pool at size "
-                "through crash storms)")
+                "up (each dead worker is replaced; default: "
+                "unlimited; 0 = abort on the first death)")
     option("--task-deadline", type=float, metavar="SEC",
            help="hard per-task deadline after which a silent "
                 "worker is declared hung and killed (default: "
                 "derived from observed task round-trip times; "
                 "0 disables deadlines)")
-    option("--max-task-retries", type=int, metavar="N",
-           help="worker deaths one sibling group may survive "
-                "before it is quarantined as a poison task")
     option("--worker-memory-limit", type=int, metavar="BYTES",
            help="worker rss watchdog: above this, a worker "
                 "sheds its replay cache and, if still over, "

@@ -131,36 +131,22 @@ class NiceConfig:
       mid-flight on any transport, bit-identical to an uninterrupted
       run.  ``checkpoint_dir=None`` (the default) disables
       checkpointing.
-    * ``respawn_workers`` — autoscaler hook: when a worker dies, ask the
-      transport to spawn a replacement (a fresh local-pool process, or
-      an elastic socket joiner) before applying the failure policy, so
-      the pool holds its size under churn.  Deaths still count toward
-      ``max_worker_failures``.
-    * ``min_workers`` — fault-tolerance floor: a clean error is raised if
-      worker deaths shrink the live pool below this many workers (the
-      default ``1`` keeps searching on the last surviving worker).  A
-      floor above a pool's ``workers`` is rejected here.
     * ``max_worker_failures`` — how many worker deaths the scheduler
       tolerates before giving up; ``None`` (the default) tolerates any
-      number while ``min_workers`` workers survive, ``0`` aborts on the
-      first death.
+      number, ``0`` aborts on the first death.  Every dead worker is
+      replaced (a fresh local-pool process, or a self-spawned socket
+      worker that joins elastically) save one that could not build its
+      runtime; the run also ends when no worker is left and none is on
+      its way.
     * ``task_deadline`` — hard per-task deadline in seconds after which a
       silent worker is declared *hung*, killed, and its groups requeued
       (DESIGN.md, "Failure containment": the one hang signal).
       ``None`` (the default) derives the deadline from the adaptive-RTT
       estimator; ``0`` disables hang detection entirely.
-    * ``max_task_retries`` — how many times a sibling group implicated in
-      a worker death is re-dispatched to the fleet before it is treated
-      as *poison* and quarantined: executed once in a sandboxed one-shot
-      subprocess with rlimits.  On success the result is merged
-      (bit-identity preserved); on a death there too the search degrades
-      gracefully and records a :class:`~repro.mc.search.QuarantinedTask`
-      diagnostic instead of aborting.
     * ``worker_memory_limit`` — soft RSS bound in bytes per worker; an
       over-limit worker sheds its replay cache and, if still over,
-      recycles itself through the respawn path.  Also used as the
-      address-space rlimit of the quarantine sandbox.  ``None`` disables
-      the watchdog.
+      exits, and the pool replaces it.  Also used as the address-space
+      rlimit of the quarantine sandbox.  ``None`` disables the watchdog.
     * ``seed`` — seed for the random-walk frontier.
     """
 
@@ -190,17 +176,14 @@ class NiceConfig:
     worker_address: str = "127.0.0.1:0"
     spawn_socket_workers: bool = True
     worker_cache_size: int = 2048
-    min_workers: int = 1
     max_worker_failures: int | None = None
     task_deadline: float | None = None
-    max_task_retries: int = 2
     worker_memory_limit: int | None = None
     store: str = STORE_MEMORY
     store_shards: int = 16
     store_memory_budget: int = 1_000_000
     checkpoint_interval: int = 1000
     checkpoint_dir: str | None = None
-    respawn_workers: bool = False
     seed: int = 0
     extra: dict = field(default_factory=dict)
 
@@ -232,21 +215,11 @@ class NiceConfig:
             )
         if self.worker_cache_size < 1:
             raise ConfigError("worker_cache_size must be >= 1")
-        if self.min_workers < 1:
-            raise ConfigError("min_workers must be >= 1")
-        if self.workers > 1 and self.min_workers > self.workers:
-            # A floor the pool can never meet would be silently violated
-            # for the whole run and only noticed if a worker died.
-            raise ConfigError(
-                f"min_workers={self.min_workers} exceeds the configured"
-                f" pool of {self.workers} worker(s)")
         if self.max_worker_failures is not None \
                 and self.max_worker_failures < 0:
             raise ConfigError("max_worker_failures must be >= 0 or None")
         if self.task_deadline is not None and self.task_deadline < 0:
             raise ConfigError("task_deadline must be >= 0 or None")
-        if self.max_task_retries < 0:
-            raise ConfigError("max_task_retries must be >= 0")
         if self.worker_memory_limit is not None \
                 and self.worker_memory_limit < 1:
             raise ConfigError("worker_memory_limit must be >= 1 or None")

@@ -36,19 +36,20 @@ worker enrolled -> retired ``WorkerGone``, a submit's        ``_retire``
 task queued -> dispatched  a live worker has capacity        ``_dispatch``
 task dispatched -> merged  its ``TaskResult``                ``_merge``
 task dispatched -> queued  its worker retires (a group past  ``_retire``
-                           ``max_task_retries`` deaths is
+                           ``MAX_TASK_RETRIES`` deaths is
                            quarantined: merged or abandoned)
 =========================  ================================  =============
 
 A result whose task has no row — it outraced its worker's death notice,
 organic or a deadline kill — is stale and dropped, so every group is
 merged **exactly once**: the state space stays bit-identical to serial
-under churn.  The run only aborts — with a clean
-:class:`~repro.mc.transport.TransportError` — when the live pool shrinks
-below ``min_workers`` or more than ``max_worker_failures`` deaths
-accumulate.  ``tests/test_scheduler_lifecycle.py`` drives the edges over
-generated failure schedules in process; ``tests/test_search_structure.py``
-holds the one-writer rule by AST.
+under churn.  Every dead worker is replaced, save one that could not
+build its runtime; the run only aborts — with a clean
+:class:`~repro.mc.transport.TransportError` — when no worker is live and
+no replacement is on its way, or more than ``max_worker_failures``
+deaths accumulate.  ``tests/test_scheduler_lifecycle.py`` drives the
+edges over generated failure schedules in process;
+``tests/test_search_structure.py`` holds the one-writer rule by AST.
 
 **Affinity routing**: every group discovered by worker *w* has its
 siblings retained in *w*'s memory, so each worker's row carries a
@@ -189,11 +190,14 @@ class _Scheduler:
     DEADLINE_RTT_FACTOR = 50.0
     #: EWMA weight of a new RTT sample in the deadline estimator.
     RTT_EWMA = 0.3
+    #: Poison attribution: worker deaths a sibling group may be in flight
+    #: for before its next death quarantines it instead of requeueing it.
+    MAX_TASK_RETRIES = 2
     #: Fallback wall-clock allowance for one quarantine sandbox run when
     #: no explicit ``task_deadline`` is configured.
     QUARANTINE_DEADLINE = 30.0
     #: Seconds an asynchronously respawned worker (socket transport) gets
-    #: to join before its seat stops counting toward ``min_workers``.
+    #: to join before its seat stops keeping an empty pool alive.
     RESPAWN_GRACE = 60.0
     #: The one clock that deadlines, respawn seats and RTT samples read;
     #: a test swaps it to play a failure schedule in virtual time.
@@ -221,8 +225,8 @@ class _Scheduler:
         #: worker deaths that group was in flight for.
         self._poison: dict[bytes, int] = {}
         #: One deadline per replacement an *asynchronous* spawn_worker
-        #: (the socket transport) was asked for, oldest first: a seat in
-        #: the ``min_workers`` accounting until a worker joins or it expires.
+        #: (the socket transport) was asked for, oldest first: a seat that
+        #: counts as a worker on its way until one joins or it expires.
         self._respawn_seats: deque[float] = deque()
         self._next_task_id = 0
         self._next_round_robin = 0
@@ -276,7 +280,8 @@ class _Scheduler:
         if isinstance(message, TaskResult):
             self._merge(message)
         elif isinstance(message, WorkerGone):
-            self._on_worker_gone(message.worker_id, message.reason)
+            self._on_worker_gone(message.worker_id, message.reason,
+                                 message.started)
         elif isinstance(message, WorkerJoined):
             self._on_worker_joined(message.worker_id)
         elif isinstance(message, WorkerError):
@@ -307,10 +312,13 @@ class _Scheduler:
         self._workers[worker_id] = _Worker()
         self.stats.worker_tasks.setdefault(worker_id, 0)
 
-    def _retire(self, worker_id: int) -> list[tuple[tuple, int]]:
+    def _retire(self, worker_id: int,
+                charge: bool = True) -> list[tuple[tuple, int]]:
         """The edge out of the live pool: the worker's in-flight tasks
         lose their rows and its queue its owner.  Returns the ``(group,
-        deaths)`` pairs that go to quarantine instead of to the fleet."""
+        deaths)`` pairs that go to quarantine instead of to the fleet;
+        with ``charge`` False the death is not the groups' doing and
+        every one is requeued."""
         worker = self._workers.get(worker_id)
         if worker is None:
             # Never enrolled: it died between the transport's start() and
@@ -324,7 +332,7 @@ class _Scheduler:
         stats = self.stats
         # Requeue in-flight sibling groups; with its row gone, a result
         # still in the pipe is stale.  Each group is charged one death
-        # toward poison attribution; past ``max_task_retries`` it goes to
+        # toward poison attribution; past ``MAX_TASK_RETRIES`` it goes to
         # quarantine.
         poisoned: list[tuple[tuple, int]] = []
         for task_id in [t for t, task in self._tasks.items()
@@ -332,12 +340,14 @@ class _Scheduler:
             stats.tasks_retried += 1
             for group in self._tasks.pop(task_id).groups:
                 stats.groups_reassigned += 1
-                key = self._group_key(group)
-                attempts = self._poison[key] = self._poison.get(key, 0) + 1
-                if attempts > self.config.max_task_retries:
-                    poisoned.append((group, attempts))
-                else:
-                    self._push(None, group)
+                if charge:
+                    key = self._group_key(group)
+                    attempts = self._poison[key] = \
+                        self._poison.get(key, 0) + 1
+                    if attempts > self.MAX_TASK_RETRIES:
+                        poisoned.append((group, attempts))
+                        continue
+                self._push(None, group)
         # Affinity repair: its replay cache and retained children are
         # gone, so its queued groups rejoin the unowned queue (dispatched
         # as affinity misses).  Handles naming it in other queues need no
@@ -347,13 +357,18 @@ class _Scheduler:
         worker.queue.clear()
         return poisoned
 
-    def _on_worker_gone(self, worker_id: int, reason: str) -> None:
-        """Retire a dead worker, replace it if asked to, and apply the
-        ``min_workers`` / ``max_worker_failures`` policy."""
+    def _on_worker_gone(self, worker_id: int, reason: str,
+                        started: bool = True) -> None:
+        """Retire a dead worker and replace it, then apply the failure
+        policy: more than ``max_worker_failures`` deaths, or no worker
+        live and none on its way, ends the run.  A worker that could not
+        build its runtime (``started`` False) is not replaced — its
+        replacement would fail the same way — and its groups are not
+        charged for its death."""
         known = self._workers.get(worker_id)
         if known is not None and not known.alive:
             return  # duplicate notice (submit failure + transport event)
-        poisoned = self._retire(worker_id)
+        poisoned = self._retire(worker_id, charge=started)
         stats = self.stats
         stats.worker_failures += 1
         # A tolerated death must still be *visible*: the reason can carry
@@ -361,12 +376,11 @@ class _Scheduler:
         print(f"search worker {worker_id} died"
               f" ({len(self._alive())} worker(s) left); requeueing its work:"
               f" {reason}", file=sys.stderr, flush=True)
-        if self.config.respawn_workers:
-            # Autoscaler: replace it *before* the policy check, so a
-            # synchronously respawned local worker keeps the pool at its
-            # floor.  Deaths still count toward ``max_worker_failures``.
+        if started:
+            # Replace it *before* the policy check, so a synchronously
+            # respawned local worker keeps the pool from emptying.  Deaths
+            # still count toward ``max_worker_failures``.
             self._respawn(worker_id)
-        live = len(self._alive())
         failures_allowed = self.config.max_worker_failures
         if failures_allowed is not None \
                 and stats.worker_failures > failures_allowed:
@@ -374,10 +388,9 @@ class _Scheduler:
                 f"giving up after {stats.worker_failures} worker"
                 f" failures (max_worker_failures={failures_allowed});"
                 f" last failure: worker {worker_id}: {reason}")
-        if live + len(self._respawn_seats) < self.config.min_workers:
+        if not self._alive() and not self._respawn_seats:
             raise TransportError(
-                f"worker pool shrank to {live} live worker(s),"
-                f" below min_workers={self.config.min_workers}"
+                f"no search worker is left and none is on its way"
                 f" ({stats.worker_failures} failure(s) total);"
                 f" last failure: worker {worker_id}: {reason}")
         # Quarantine last, pool repaired and policy passed: the sandbox can
@@ -460,22 +473,25 @@ class _Scheduler:
             sandbox.stop()
 
     def _respawn(self, dead_worker_id: int) -> None:
-        """Ask the transport for a replacement worker (``respawn_workers``).
-        Local pools return the fresh id, enrolled at once; the socket
-        transport spawns a subprocess that joins elastically and surfaces
-        later as a :class:`~repro.mc.wire.WorkerJoined`.  A transport that
-        cannot spawn (or a spawn that fails) logs and moves on — the
-        failure policy then decides whether the shrunken pool survives."""
+        """Ask the transport for a replacement worker.  Local pools
+        return the fresh id, enrolled at once; the socket transport
+        spawns a subprocess that joins elastically and surfaces later as
+        a :class:`~repro.mc.wire.WorkerJoined`.  A pool that cannot grow
+        (external socket workers: elastic joins replace them) is left as
+        it is, and a spawn that fails logs and moves on — the failure
+        policy then decides whether the shrunken pool survives."""
         try:
             new_id = self.transport.spawn_worker()
+        except NotImplementedError:
+            return
         except Exception as exc:  # noqa: BLE001 - any failure, policy decides
             print(f"could not respawn a replacement for dead worker"
                   f" {dead_worker_id}: {exc}", file=sys.stderr, flush=True)
             return
         self.stats.workers_respawned += 1
         if new_id is None:
-            # Asynchronous join (socket): a seat toward min_workers until
-            # a worker joins — or its own grace deadline declares it lost.
+            # Asynchronous join (socket): a seat until a worker joins —
+            # or its own grace deadline declares it lost.
             self._respawn_seats.append(self.clock() + self.RESPAWN_GRACE)
             print(f"respawning a replacement for dead worker"
                   f" {dead_worker_id} (joins asynchronously)",
@@ -695,16 +711,13 @@ class _Scheduler:
         while seats and seats[0] <= now:
             seats.popleft()
             lost += 1
-        if lost:
-            # Replacement(s) that never joined forfeit their seats: re-apply
-            # the floor, so a fleet waiting on ghosts aborts, not hangs.
-            live = len(self._alive())
-            if live + len(seats) < self.config.min_workers:
-                raise TransportError(
-                    f"{lost} respawned replacement worker(s) never joined"
-                    f" within {self.RESPAWN_GRACE:.0f}s and the pool"
-                    f" ({live} live) is below"
-                    f" min_workers={self.config.min_workers}")
+        if lost and not seats and not self._alive():
+            # Replacement(s) that never joined forfeit their seats: a
+            # fleet waiting on ghosts aborts, not hangs.
+            raise TransportError(
+                f"{lost} respawned replacement worker(s) never joined"
+                f" within {self.RESPAWN_GRACE:.0f}s and no search worker"
+                f" is left")
         # The first expired task of each worker, in task order: retiring
         # the worker takes every row it holds.
         hung: dict[int, tuple[int, _Task]] = {}

@@ -103,13 +103,14 @@ class QuarantinedTask:
     """Structured diagnostic for a poison sibling group the search gave up
     executing (DESIGN.md, "Failure containment").
 
-    Recorded when a group implicated in ``max_task_retries`` worker deaths
-    *also* fails in the quarantine sandbox: the search degrades
-    gracefully — every other branch of the state space is still
-    explored — and this object preserves what was abandoned: the parent
-    ``trace``, the sibling transitions (``siblings`` is None for an
-    initial-state group), how many ``attempts`` were made, and the
-    ``reason`` the last one failed (signal name, exit code, or timeout)."""
+    Recorded when a group implicated in more worker deaths than
+    ``_Scheduler.MAX_TASK_RETRIES`` *also* fails in the quarantine
+    sandbox: the search degrades gracefully — every other branch of the
+    state space is still explored — and this object preserves what was
+    abandoned: the parent ``trace``, the sibling transitions
+    (``siblings`` is None for an initial-state group), how many
+    ``attempts`` were made, and the ``reason`` the last one failed
+    (signal name, exit code, or timeout)."""
 
     def __init__(self, trace, siblings, attempts: int, reason: str):
         self.trace = trace
@@ -218,8 +219,7 @@ class SearchStats:
         self.checkpoint_seconds = 0.0
         self.checkpoint_bytes_written = 0
         self.resumed_from: str | None = None
-        #: Autoscaler (``respawn_workers``): replacements requested for
-        #: dead workers.
+        #: Replacements requested for dead workers.
         self.workers_respawned = 0
         #: Failure containment (DESIGN.md, "Failure containment").
         #: ``workers_hung`` counts workers declared hung via the per-task

@@ -33,8 +33,9 @@ from repro.mc.wire import spec_is_portable
 
 
 class TransportError(RuntimeError):
-    """A transport could not start, or the scheduler's fault-tolerance
-    policy (``min_workers`` / ``max_worker_failures``) gave up the run."""
+    """A transport could not start, or the scheduler's failure policy
+    gave up the run: no worker is left and no replacement is on its way,
+    or ``max_worker_failures`` was exceeded."""
 
 
 class WorkerLost(Exception):
@@ -98,9 +99,10 @@ class Transport:
 
         Returns the new worker id when the spawn is synchronous (local
         pools) or None when the worker joins asynchronously (a socket
-        worker connects like any elastic joiner).  This is the autoscaler
-        hook behind ``NiceConfig.respawn_workers``; transports that
-        cannot grow raise :class:`NotImplementedError`.
+        worker connects like any elastic joiner).  The scheduler calls it
+        for every dead worker; a transport that cannot grow (a pool of
+        externally started socket workers) raises
+        :class:`NotImplementedError` and is left as it is.
         """
         raise NotImplementedError
 

@@ -117,9 +117,14 @@ class SocketTransport(StreamTransport):
     def spawn_worker(self) -> None:
         """Launch one `nice worker` subprocess aimed at this master.
 
-        Used for the initial pool and available afterwards to grow it
-        mid-search (the subprocess joins like any elastic worker).
+        Used for the initial pool and afterwards to replace a dead worker
+        (the subprocess joins like any elastic worker).  A pool of
+        external workers is never grown from here: elastic joins replace
+        them.
         """
+        if not self.spawn_workers:
+            raise NotImplementedError(
+                "external socket workers are replaced by elastic joins")
         host, port = self.bound
         env = dict(os.environ)
         # Make `repro` importable in the child even when running from a

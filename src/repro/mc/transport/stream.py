@@ -146,7 +146,8 @@ class StreamTransport(Transport):
             # decides whether the search is: the traceback rides on the
             # one event it sees for this worker.
             return self._reap(worker_id,
-                              f"failed to start:\n{message.error}")
+                              f"failed to start:\n{message.error}",
+                              started=False)
         return message
 
     def _greet(self, conn) -> WorkerJoined | None:
@@ -181,15 +182,16 @@ class StreamTransport(Transport):
         del self._greeting[conn]
         conn.close()
 
-    def _reap(self, worker_id: int, reason: str,
-              exited: bool = False) -> WorkerGone:
+    def _reap(self, worker_id: int, reason: str, exited: bool = False,
+              started: bool = True) -> WorkerGone:
         """Drop a dead worker's channel and word its death.  ``exited``:
         the peer closed the channel itself, so how its process ended is
         the better reason; otherwise the master is dropping a worker that
-        may still run, and its launcher must not leak it."""
+        may still run, and its launcher must not leak it.  ``started``
+        False: it could not build its runtime (:class:`WorkerGone`)."""
         self._channels.pop(worker_id).close()
         return WorkerGone(worker_id,
-                          self._put_away(worker_id, reason, exited))
+                          self._put_away(worker_id, reason, exited), started)
 
     def _put_away(self, worker_id: int, reason: str, exited: bool) -> str:
         """The launcher's part of :meth:`_reap`: the final reason."""

@@ -194,11 +194,14 @@ class Shutdown:
 class WorkerGone:
     """Transport -> scheduler: a worker died (process exit, socket EOF,
     reset, or startup failure).  Not fatal by itself — the scheduler
-    requeues the worker's in-flight groups and applies the
-    ``min_workers``/``max_worker_failures`` policy."""
+    requeues the worker's in-flight groups, asks for a replacement and
+    applies its failure policy.  ``started`` is False for a worker that
+    reported it could not build its runtime: a replacement would fail
+    the same way, and the groups it held are not to blame."""
 
     worker_id: int
     reason: str
+    started: bool = True
 
 
 @dataclass

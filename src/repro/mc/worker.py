@@ -465,6 +465,14 @@ def _serve(make_runtime, worker_id: int, recv, send) -> None:
         runtime = make_runtime()
     except Exception:  # noqa: BLE001 - report startup failure to the master
         send(WorkerError(None, worker_id, traceback.format_exc()))
+        # Linger until the master hangs up: a task it submits meanwhile
+        # must find the channel open, or that failed submit — not this
+        # report — is the death it hears of, and it replaces us.
+        try:
+            while not isinstance(recv(), (Shutdown, type(None))):
+                pass
+        except OSError:
+            pass
         return
     thresholds = gc.get_threshold()
     try:

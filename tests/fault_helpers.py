@@ -137,8 +137,8 @@ class ChaosTransport(_TransportWrapper):
             self.killed.append(victim)
 
     def spawn_worker(self):
-        """The replacement the scheduler asks for after a kill
-        (``respawn_workers``).  A local pool answers with the new id; a
+        """The replacement the scheduler asks for after a kill.  A local
+        pool answers with the new id; a
         socket replacement joins in its own time, and a search as small
         as the chaos suite's can end first — so wait for it here, and
         "the replacement joined" is not a race against the search."""

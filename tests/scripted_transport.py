@@ -7,7 +7,8 @@ run is the scheduler's own decisions and nothing else.
 failure schedules real processes only hit by luck — a result that
 outraces, trails or never follows its worker's death notice, a death
 reported twice, a death of a worker nobody enrolled, a submit that finds
-its worker dead, a join mid-run, a worker that stops answering — each
+its worker dead, a join mid-run, a worker that stops answering, one that
+could not build its runtime, a replacement that never joins — each
 happen exactly where the tape says.  Its time is virtual
 (:meth:`ScriptedTransport.clock`, installed as the scheduler's clock): a
 ``recv`` with nothing to deliver moves it on by the timeout asked for, so
@@ -112,13 +113,39 @@ class Join:
     after: int
 
 
+@dataclass(frozen=True)
+class FailsToStart:
+    """After the ``after``-th submit the ``victim``-th live worker (modulo
+    the pool) reports it could not build its runtime: its one
+    ``WorkerGone`` has ``started`` False and carries the traceback, and
+    its unreceived results are dropped."""
+
+    after: int
+    victim: int
+
+
+@dataclass(frozen=True)
+class NeverJoins:
+    """From the ``after``-th submit on, the next replacement the
+    scheduler asks for joins asynchronously — and never arrives."""
+
+    after: int
+
+
+#: The reason a :class:`FailsToStart` worker gives.
+START_FAILURE = ("failed to start:\nTraceback (most recent call last):\n"
+                 "RuntimeError: scripted start-up failure")
+
+
 class ScriptedTransport(InlineTransport):
-    """An inline pool that plays ``tape`` (events above).  A death or
-    stall that would leave the scheduler no answering worker is skipped
-    unless ``respawn`` says it will ask for a replacement: the tape
-    scripts churn the policy survives, not the abort.  ``spawn_worker``
-    answers with the new id, or with None and a ``WorkerJoined`` when
-    ``async_respawn``."""
+    """An inline pool that plays ``tape`` (events above).  ``respawn``
+    says whether it can grow: ``spawn_worker`` answers with the new id,
+    or with None and a ``WorkerJoined`` when ``async_respawn`` — or,
+    when it cannot, raises ``NotImplementedError``.  A death or stall
+    that would leave the scheduler no answering worker and no
+    replacement is skipped: the tape scripts churn the policy survives.
+    Only a start-up failure (never replaced) and a replacement that
+    never joins can empty the pool."""
 
     name = "scripted"
     #: Timeouts in a row, nothing delivered, before :class:`Blocked`.
@@ -134,6 +161,8 @@ class ScriptedTransport(InlineTransport):
         self._async_respawn = async_respawn
         self._next_id = workers
         self._ghosts = 0
+        #: Replacements still to be lost (:class:`NeverJoins`).
+        self._lost_spawns = 0
         self._stalled: set[int] = set()
         self._idle = 0
         #: Virtual seconds since the pool started.
@@ -188,6 +217,11 @@ class ScriptedTransport(InlineTransport):
             raise WorkerLost(worker_id, "scripted: found dead at submit")
 
     def spawn_worker(self) -> int | None:
+        if not self._respawn:
+            raise NotImplementedError("scripted: this pool cannot grow")
+        if self._lost_spawns:
+            self._lost_spawns -= 1
+            return None
         worker_id = self._add_worker()
         if not self._async_respawn:
             return worker_id
@@ -212,7 +246,8 @@ class ScriptedTransport(InlineTransport):
     def _answering(self) -> list[int]:
         return sorted(self._runtimes.keys() - self._stalled)
 
-    def _kill(self, victim: int, results: str, notices: int = 1) -> None:
+    def _kill(self, victim: int, results: str, notices: int = 1,
+              started: bool = True) -> None:
         del self._runtimes[victim]
         self._stalled.discard(victim)
 
@@ -226,22 +261,29 @@ class ScriptedTransport(InlineTransport):
                      if unreceived(message)]
             self._results = deque(message for message in self._results
                                   if not unreceived(message))
-        self._results.extend(
-            wire.WorkerGone(victim, "scripted") for _ in range(notices))
+        reason = "scripted" if started else START_FAILURE
+        self._results.extend(wire.WorkerGone(victim, reason, started)
+                             for _ in range(notices))
         if results == LATE:
             self._results.extend(stale)
             self.late += len(stale)
 
     def _play(self, event) -> None:
-        if isinstance(event, (Kill, Stall)):
-            if not self._may_lose_one():
-                return
+        if isinstance(event, (Kill, Stall, FailsToStart)):
+            # A start-up failure is never replaced: it may empty the pool.
             live = self._answering()
+            if not live or (not isinstance(event, FailsToStart)
+                            and not self._may_lose_one()):
+                return
             victim = live[event.victim % len(live)]
             if isinstance(event, Stall):
                 self._stalled.add(victim)
+            elif isinstance(event, FailsToStart):
+                self._kill(victim, WITHHELD, started=False)
             else:
                 self._kill(victim, event.results, event.notices)
+        elif isinstance(event, NeverJoins):
+            self._lost_spawns += 1
         elif isinstance(event, UnknownGone):
             self._ghosts += 1
             self._results.append(

@@ -199,6 +199,7 @@ def test_what_a_worker_wrote_before_exiting_is_read_before_its_death(fake):
     first, second = (within(5, fake.recv, timeout=5) for _ in range(2))
     assert isinstance(first, wire.TaskResult) and first.task_id == 7
     assert isinstance(second, wire.WorkerGone) and second.worker_id == 0
+    assert second.started  # it served a task: the pool replaces it
 
 
 def test_a_start_up_failure_is_its_workers_death_notice(fake):
@@ -206,6 +207,7 @@ def test_a_start_up_failure_is_its_workers_death_notice(fake):
     gone = within(5, fake.recv, timeout=5)
     assert isinstance(gone, wire.WorkerGone) and gone.worker_id == 1
     assert gone.reason == "failed to start:\nKeyError: 'nope'"
+    assert not gone.started  # a replacement would fail the same way
     # Dropped by the master, not closed by the peer: the launcher is told
     # to put the process away.
     assert fake.put_away == [(1, False)]

@@ -48,19 +48,18 @@ class TestParser:
 
     def test_fault_tolerance_flags(self):
         args = build_parser().parse_args(
-            ["run", "pyswitch-loop", "--workers", "4", "--min-workers", "2",
+            ["run", "pyswitch-loop", "--workers", "4",
              "--max-worker-failures", "3"])
-        assert args.min_workers == 2
         assert args.max_worker_failures == 3
 
     def test_fault_tolerance_defaults(self):
         args = build_parser().parse_args(["run", "pyswitch-loop"])
-        assert args.min_workers == 1
         assert args.max_worker_failures is None
 
     @pytest.mark.parametrize("flag", [
         "--no-affinity", "--no-adaptive-batching", "--batch-groups=4",
-        "--batch-nodes=32", "--no-quarantine", "--store-bloom-bits=0"])
+        "--batch-nodes=32", "--no-quarantine", "--store-bloom-bits=0",
+        "--respawn-workers", "--min-workers=1", "--max-task-retries=2"])
     def test_deleted_ablation_flags_are_unrecognized(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(["run", "pyswitch-loop", flag])
@@ -240,8 +239,6 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv,message", [
         (["run", "ping", "--workers", "-1"], "workers must be >= 0"),
-        (["run", "ping", "--workers", "2", "--min-workers", "3"],
-         "min_workers=3 exceeds"),
         (["run", "ping", "--store-shards", "0"],
          "store_shards must be >= 1"),
         (["run", "ping", "--workers", "2", "--transport", "socket",

@@ -65,8 +65,8 @@ def _engine_sources() -> str:
                      if path.name not in ("config.py", "cli.py"))
 
 
-def test_the_config_has_33_fields():
-    assert len(FIELDS) == 33
+def test_the_config_has_30_fields():
+    assert len(FIELDS) == 30
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -118,13 +118,13 @@ def test_every_run_option_sets_the_field_it_is_named_for():
     assert POOL_FIELDS <= set(run_flags)
 
 
-def test_run_help_lists_28_options(capsys):
+def test_run_help_lists_25_options(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--help"])
     listed = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out,
                             re.MULTILINE))
     assert listed == set(build_parser().run_flags.values())
-    assert len(listed) == 28
+    assert len(listed) == 25
 
 
 # ----------------------------------------------------------------------

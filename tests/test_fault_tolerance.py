@@ -3,10 +3,12 @@
 Acceptance contract: killing any single worker mid-search — on the fork,
 spawn, and socket transports — yields a bit-identical explored state
 space and identical property verdicts vs. the serial engine; two-death
-schedules and elastic mid-search joins preserve the same equality; and
-the ``min_workers`` / ``max_worker_failures`` policy turns unsurvivable
-churn into a clean :class:`~repro.mc.transport.TransportError` instead of
-a hang or a half-merged result.
+schedules and elastic mid-search joins preserve the same equality; every
+dead worker is replaced; and the failure policy — an empty pool with no
+replacement on its way, or more than ``max_worker_failures`` deaths —
+turns unsurvivable churn into a clean
+:class:`~repro.mc.transport.TransportError` instead of a hang or a
+half-merged result.
 
 Deaths are injected through :class:`fault_helpers.ChaosTransport`
 (SIGKILL / connection teardown via the transport's own ``kill_worker``
@@ -18,14 +20,19 @@ the small ``ping`` scenario; the registry-wide chaos matrix is ``slow``
 
 from __future__ import annotations
 
+import socket
+import threading
+
 import pytest
 
 from contract import counters, requires_fork, violated_properties
 from fault_helpers import (ChaosTransport, ElasticJoiner, StallTransport,
-                           install)
+                           install, small_tasks)
 from repro import nice, scenarios
-from repro.config import ConfigError
 from repro.mc.transport import TransportError
+from repro.mc.transport import socket as socket_transport
+from repro.mc.transport.socket import SocketTransport, run_worker
+from repro.mc.worker import WorkerRuntime
 from repro.scenarios import with_config
 
 #: Small static tasks (one node each) so a chaos schedule keyed on
@@ -86,8 +93,9 @@ class TestSingleDeath:
         assert stats.tasks_retried >= 1
         assert stats.groups_reassigned >= stats.tasks_retried
         # The dead worker merged nothing after the kill; the survivor
-        # carried the rest of the run.
+        # and the replacement carried the rest of the run.
         assert stats.worker_tasks[1] > stats.worker_tasks[0]
+        assert stats.workers_respawned == 1
 
 
 class TestTwoDeaths:
@@ -120,9 +128,8 @@ def run_with_stall(monkeypatch, scenario, schedule):
     return stats, wrappers[0]
 
 
-#: Containment knobs for the hang legs: a tight deadline, and the
-#: autoscaler keeping the pool at strength after the kill.
-HANG_KNOBS = dict(respawn_workers=True, task_deadline=2.0)
+#: Containment knob for the hang legs: a tight deadline.
+HANG_KNOBS = dict(task_deadline=2.0)
 
 
 # ----------------------------------------------------------------------
@@ -135,8 +142,8 @@ class TestHungWorker:
                                                serial_ping, monkeypatch):
         """SIGSTOP — not SIGKILL — a worker mid-search: its channel stays
         open, so only the task-deadline machinery can notice.  The master
-        must declare it hung, kill it, requeue its work, and finish
-        bit-identical to serial."""
+        must declare it hung, kill it, replace it, requeue its work, and
+        finish bit-identical to serial."""
         stats, stall = run_with_stall(
             monkeypatch,
             exhaustive_ping(workers=2, **HANG_KNOBS, **overrides), {5: 0})
@@ -176,7 +183,7 @@ class TestElasticJoin:
         assert all(stats.worker_tasks[w] > 0 for w in joined)
 
     def test_join_then_death_still_exact(self, serial_ping, monkeypatch):
-        """A joiner replacing a killed worker: churn in both directions."""
+        """A joiner and a replacement: churn in both directions."""
         wrappers = []
 
         def wrap(transport):
@@ -190,25 +197,57 @@ class TestElasticJoin:
         install(monkeypatch, wrap)
         stats = nice.run(exhaustive_ping(workers=2, transport="socket"))
         assert counters(stats) == counters(serial_ping)
-        assert stats.elastic_joins == 1
-        assert stats.worker_failures == 1
+        # The joiner, and the killed worker's replacement.
+        assert stats.elastic_joins == 2
+        assert stats.worker_failures == stats.workers_respawned == 1
+
+    def test_a_dead_external_worker_launches_no_local_one(
+            self, serial_ping, monkeypatch):
+        """``spawn_socket_workers=False``: the pool is whoever started
+        ``nice worker``s, and elastic joins replace its dead — a death
+        launches no subprocess on the master's host, and the search
+        finishes on the survivor."""
+        launched = []
+        monkeypatch.setattr(socket_transport.subprocess, "Popen",
+                            lambda *args, **kwargs: launched.append(args))
+        # These workers are threads of this process: the kill severs the
+        # connection, as for a remote worker, instead of signalling a pid.
+        monkeypatch.setattr(SocketTransport, "worker_pid",
+                            lambda self, worker_id: None)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            address = "127.0.0.1:%d" % probe.getsockname()[1]
+        fleet = [threading.Thread(target=run_worker, args=(address,),
+                                  kwargs=dict(retries=8), daemon=True)
+                 for _ in range(2)]
+        for worker in fleet:
+            worker.start()
+        stats, chaos = run_with_chaos(
+            monkeypatch,
+            exhaustive_ping(workers=2, transport="socket",
+                            worker_address=address,
+                            spawn_socket_workers=False), {5: 0})
+        for worker in fleet:
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        assert chaos.killed == [0] and launched == []
+        assert counters(stats) == counters(serial_ping)
+        assert stats.worker_failures == 1 and stats.workers_respawned == 0
 
 
 # ----------------------------------------------------------------------
-# Autoscaler: a dead worker is replaced (``respawn_workers``)
+# The pool holds its size: every dead worker is replaced
 # ----------------------------------------------------------------------
 
 class TestWorkerRespawn:
     @pytest.mark.parametrize("overrides,engine", ENGINES)
     def test_kill_then_respawn_preserves_results(self, overrides, engine,
                                                  serial_ping, monkeypatch):
-        """Kill a worker mid-search with respawn on: the pool recovers,
-        the replacement measurably works, and the explored state space
-        stays bit-identical to serial."""
+        """Kill a worker mid-search: the pool recovers, the replacement
+        measurably works, and the explored state space stays
+        bit-identical to serial."""
         stats, chaos = run_with_chaos(
-            monkeypatch,
-            exhaustive_ping(workers=2, respawn_workers=True, **overrides),
-            {5: 0})
+            monkeypatch, exhaustive_ping(workers=2, **overrides), {5: 0})
         assert chaos.killed == [0]
         assert counters(stats) == counters(serial_ping)
         assert violated_properties(stats) == violated_properties(serial_ping)
@@ -222,29 +261,44 @@ class TestWorkerRespawn:
             assert stats.elastic_joins >= 1
 
     @requires_fork
-    def test_respawn_satisfies_min_workers_floor(self, serial_ping,
-                                                 monkeypatch):
-        """With respawn on, a death no longer violates min_workers=2 —
-        the same schedule that cleanly aborts without respawn (see
-        TestFailurePolicy) now completes exactly."""
-        stats, _ = run_with_chaos(
-            monkeypatch,
-            exhaustive_ping(workers=2, min_workers=2, respawn_workers=True),
-            {5: 0})
+    def test_the_memory_watchdog_alone_recycles_through_respawn(
+            self, serial_ping, monkeypatch):
+        """``worker_memory_limit`` and nothing else: every worker is over
+        a 1-byte limit after each task, so it exits cleanly and the pool
+        replaces it — the search reaches serial's counts instead of
+        running out of workers.  (Tasks of 16 nodes, the first task's
+        usual size, keep the one-task incarnations few.)"""
+        small_tasks(monkeypatch.setattr, nodes=16)
+        stats = nice.run(exhaustive_ping(workers=2, start_method="fork",
+                                         worker_memory_limit=1))
         assert counters(stats) == counters(serial_ping)
-        assert stats.workers_respawned == 1
+        assert stats.terminated == "exhausted"
+        assert stats.worker_failures > 2
+        assert stats.workers_respawned == stats.worker_failures
 
 
 # ----------------------------------------------------------------------
 # Policy: when churn is unsurvivable, fail clean
 # ----------------------------------------------------------------------
 
+def _cannot_build(runtime, searcher):
+    raise RuntimeError("no runtime under test")
+
+
 class TestFailurePolicy:
     @requires_fork
-    def test_all_workers_dead_raises_cleanly(self, monkeypatch):
-        with pytest.raises(TransportError, match="below min_workers"):
-            run_with_chaos(monkeypatch, exhaustive_ping(workers=2),
-                           {5: 0, 8: 1})
+    def test_workers_that_fail_to_start_end_the_run_cleanly(
+            self, monkeypatch, capfd):
+        """Every worker fails to build its runtime: none is replaced (a
+        replacement would fail the same way), and the empty pool ends the
+        run with the workers' traceback."""
+        monkeypatch.setattr(WorkerRuntime, "__init__", _cannot_build)
+        with pytest.raises(TransportError, match=(
+                "no search worker is left(.|\n)*failed to start:\n"
+                "Traceback(.|\n)*no runtime under test")):
+            nice.run(exhaustive_ping(workers=2, start_method="fork"))
+        err = capfd.readouterr().err
+        assert "respawn" not in err and "quarantin" not in err
 
     @requires_fork
     def test_max_worker_failures_zero_aborts_on_first_death(
@@ -253,19 +307,6 @@ class TestFailurePolicy:
             run_with_chaos(
                 monkeypatch,
                 exhaustive_ping(workers=2, max_worker_failures=0), {5: 0})
-
-    @requires_fork
-    def test_min_workers_floor_is_enforced(self, monkeypatch):
-        with pytest.raises(TransportError, match="below min_workers=2"):
-            run_with_chaos(
-                monkeypatch,
-                exhaustive_ping(workers=2, min_workers=2), {5: 0})
-
-    def test_min_workers_above_pool_rejected_up_front(self):
-        """A floor the pool can never satisfy is a bad config, not
-        something only noticed when a worker happens to die."""
-        with pytest.raises(ConfigError, match="exceeds the configured"):
-            exhaustive_ping(workers=2, min_workers=3)
 
     @requires_fork
     def test_survivable_death_does_not_raise(self, serial_ping,

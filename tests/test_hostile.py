@@ -46,8 +46,8 @@ ENGINES = [
 ]
 
 #: Containment knobs sized for the test suite: hung tasks declared dead
-#: after 2s, fleet kept at strength by the autoscaler.
-CONTAIN = dict(workers=2, respawn_workers=True, task_deadline=2.0)
+#: after 2s.
+CONTAIN = dict(workers=2, task_deadline=2.0)
 
 
 def build(mode="benign", arm_file=None, pings=0, spare_quarantine=True,
@@ -131,8 +131,8 @@ class TestHangDetection:
             self, overrides, benign_serial, tmp_path):
         """The tentpole scenario: a handler loops forever exactly once;
         the worker process lives and its channel stays open, but its task
-        misses the deadline, so the master kills it, the autoscaler
-        replaces it, and the retried task completes — with bit-identity
+        misses the deadline, so the master kills it, the pool replaces
+        it, and the retried task completes — with bit-identity
         to the benign serial baseline.  (With the deadline off nothing
         kills it: ``tests/test_scheduler_lifecycle.py``
         ``::test_task_deadline_zero_never_kills_a_stalled_worker``.)"""
@@ -182,7 +182,7 @@ class TestQuarantine:
     def test_poison_group_is_quarantined_with_bit_identity(
             self, overrides, benign_serial, tmp_path, monkeypatch):
         """A crash-on-sight model kills every fleet worker that touches a
-        poison group; after max_task_retries deaths the group runs in the
+        poison group; after ``MAX_TASK_RETRIES`` deaths it runs in the
         sandbox (where this model behaves — a fleet-poisonous but
         salvageable task) and the search finishes bit-identical.  The
         sandbox answers in the one result layout, digests packed — and
@@ -203,7 +203,7 @@ class TestQuarantine:
         in_the_sandbox(monkeypatch, probe)
         limit = 8 << 30
         stats = nice.run(build(mode="crash", arm_file=arm(tmp_path, -1),
-                               max_task_retries=2, worker_memory_limit=limit,
+                               worker_memory_limit=limit,
                                **CONTAIN, **overrides))
         assert counters(stats) == counters(benign_serial)
         assert violated_properties(stats) == violated_properties(benign_serial)
@@ -228,15 +228,16 @@ class TestQuarantine:
     ])
     def test_sandbox_failures_are_worded_for_the_operator(
             self, behave, reason, tmp_path, monkeypatch):
-        """One poison execution (``max_task_retries=0``: its first fleet
+        """One poison execution (``MAX_TASK_RETRIES`` 0: its first fleet
         death quarantines the group), then the sandboxed retry itself
         blocks without burning CPU — so the wall-clock allowance, not
         ``RLIMIT_CPU``, ends it — or raises.  An exception *inside the
         task* must read as one: "failed to start" is the wording for a
         worker that never came up."""
         in_the_sandbox(monkeypatch, behave)
+        monkeypatch.setattr(_Scheduler, "MAX_TASK_RETRIES", 0)
         stats = nice.run(build(mode="crash", arm_file=arm(tmp_path, 1),
-                               max_task_retries=0, start_method="fork",
+                               start_method="fork",
                                **{**CONTAIN, "task_deadline": 1.0}))
         assert stats.terminated == "exhausted"
         assert stats.quarantined_tasks
@@ -247,14 +248,14 @@ class TestQuarantine:
     @requires_fork
     @pytest.mark.parametrize("retries", [1, 2])
     def test_unsalvageable_task_degrades_to_a_diagnostic(
-            self, retries, benign_serial, tmp_path):
+            self, retries, benign_serial, tmp_path, monkeypatch):
         """SIGKILL-everything, sandbox included: the group dies in
         quarantine too, and the search records a structured diagnostic
-        and finishes instead of aborting.  ``max_task_retries`` is how
+        and finishes instead of aborting.  ``MAX_TASK_RETRIES`` is how
         many fleet deaths come first."""
+        monkeypatch.setattr(_Scheduler, "MAX_TASK_RETRIES", retries)
         stats = nice.run(build(mode="crash", arm_file=arm(tmp_path, -1),
                                spare_quarantine=False,
-                               max_task_retries=retries,
                                start_method="fork", **CONTAIN))
         assert stats.terminated == "exhausted"
         assert stats.tasks_quarantined >= 1
@@ -347,7 +348,6 @@ def test_rss_fallback_reads_ru_maxrss_in_the_platforms_unit(
 class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
         ("task_deadline", -1.0),
-        ("max_task_retries", -1),
         ("worker_memory_limit", 0),
     ])
     def test_bad_values_rejected(self, field, value):
@@ -358,11 +358,9 @@ class TestConfigValidation:
         args = cli.build_parser().parse_args(
             ["run", "hostile", "--workers", "2",
              "--task-deadline", "3",
-             "--max-task-retries", "5",
              "--worker-memory-limit", "1000000"])
         config = cli.make_config(args)
         assert config.task_deadline == 3.0
-        assert config.max_task_retries == 5
         assert config.worker_memory_limit == 1000000
 
     def test_worker_retry_flags_parse(self):

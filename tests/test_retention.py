@@ -441,8 +441,7 @@ class TestEndToEnd:
             return wrappers[0]
 
         install(monkeypatch, wrap)
-        stats = nice.run(_ping(workers=2, respawn_workers=True,
-                               **overrides))
+        stats = nice.run(_ping(workers=2, **overrides))
         assert wrappers and wrappers[0].killed == [0]
         assert_matches_serial(stats, serial_ping)
         assert stats.worker_failures == 1 and stats.workers_respawned == 1

@@ -7,16 +7,19 @@ over :class:`scripted_transport.ScriptedTransport`: in-process workers,
 virtual time, and a ``hypothesis``-generated tape of deaths (result
 withheld, stale or delivered first; noticed once or twice), deaths of
 workers never enrolled, submits that find their worker dead, stalls only
-a task deadline ends, and joins.  Oracle: the state space and verdicts
-equal serial, the frontier drains, no lifecycle assertion fires, and
-after every message the two tables agree — every task row names a live
-worker and the loads add up to the rows.  The mutation demo runs the
+a task deadline ends, joins, workers that could not build their runtime
+and replacements that never join.  Oracle: the state space and verdicts
+equal serial and the frontier drains — or, once the pool is empty with
+no replacement on its way, a clean ``TransportError`` — never a master
+blocked for ever; no lifecycle assertion fires, and after every message
+the two tables agree — every task row names a live worker and the loads
+add up to the rows.  The mutation demo runs the
 same property with the requeue in ``_retire`` patched out and must fail.
 
 Hang detection is the task deadline alone; it is pinned in virtual time
 — no test here sleeps — with a mutation demo per way a deadline kill can
-go wrong.  A respawn seat forfeit on its own deadline is pinned at the
-bottom.
+go wrong.  A worker that fails to start, and a respawn seat forfeit on
+its own deadline, are pinned at the bottom.
 """
 
 from __future__ import annotations
@@ -41,8 +44,10 @@ from scripted_transport import (
     LATE,
     WITHHELD,
     Blocked,
+    FailsToStart,
     Join,
     Kill,
+    NeverJoins,
     ScriptedTransport,
     Stall,
     SubmitLost,
@@ -71,10 +76,11 @@ def assert_tables_agree(scheduler: _Scheduler) -> None:
 
 
 def run_scripted(tape, workers=2, respawn=False, async_respawn=False,
-                 one_node_tasks=False, seen=None, **knobs):
+                 one_node_tasks=False, seen=None, retries=None, **knobs):
     """One search over a scripted pool in its virtual time, the tables
     checked after every message; returns ``(stats, transport,
-    scheduler)``, which ``seen`` also holds should the run raise."""
+    scheduler)``, which ``seen`` also holds should the run raise.
+    ``retries`` pins ``_Scheduler.MAX_TASK_RETRIES``."""
     seen = {} if seen is None else seen
     handle = _Scheduler._handle
 
@@ -94,8 +100,9 @@ def run_scripted(tape, workers=2, respawn=False, async_respawn=False,
         patch.setattr(_Scheduler, "_handle", checked_handle)
         if one_node_tasks:
             small_tasks(patch.setattr)
-        stats = nice.run(with_config(SCENARIO, workers=workers,
-                                     respawn_workers=respawn, **knobs))
+        if retries is not None:
+            patch.setattr(_Scheduler, "MAX_TASK_RETRIES", retries)
+        stats = nice.run(with_config(SCENARIO, workers=workers, **knobs))
     return stats, seen["transport"], seen["scheduler"]
 
 
@@ -121,6 +128,8 @@ EVENTS = st.one_of(
     st.builds(SubmitLost, after=AFTER),
     st.builds(UnknownGone, after=AFTER),
     st.builds(Join, after=AFTER),
+    st.builds(FailsToStart, after=AFTER, victim=st.integers(0, 3)),
+    st.builds(NeverJoins, after=AFTER),
 )
 
 
@@ -136,11 +145,21 @@ def generated_schedules(serial, examples: int, phases=tuple(Phase)):
            # bfs restores nearly every node by replay: twice the time.
            order=st.sampled_from(["dfs", "dfs", "dfs", "bfs"]))
     def run(tape, workers, respawn, async_respawn, one_node_tasks, order):
-        # Far above any tape's death count: the quarantine sandbox is a
-        # real process (its one scripted case is below).
-        stats, _, scheduler = run_scripted(
-            tape, workers, respawn, async_respawn, one_node_tasks,
-            search_order=order, max_task_retries=100)
+        seen = {}
+        try:
+            # Far above any tape's death count: the quarantine sandbox is
+            # a real process (its one scripted case is below).
+            stats, _, scheduler = run_scripted(
+                tape, workers, respawn, async_respawn, one_node_tasks,
+                seen, retries=100, search_order=order)
+        except TransportError:
+            # Only a pool emptied for good may end the run, and only a
+            # start-up failure or a lost replacement can empty it.
+            scheduler = seen["scheduler"]
+            assert not scheduler._alive() and not scheduler._respawn_seats
+            assert any(isinstance(event, (FailsToStart, NeverJoins))
+                       for event in seen["transport"].played)
+            return
         assert_matches(stats, serial, scheduler)
 
     return run
@@ -156,10 +175,10 @@ def test_a_retire_that_skips_the_requeue_is_caught(serial, monkeypatch):
     not shrunk: a minimal tape costs a minute of reruns)."""
     retire = _Scheduler._retire
 
-    def retire_without_requeue(scheduler, worker_id):
+    def retire_without_requeue(scheduler, worker_id, charge=True):
         scheduler._push = lambda owner, group, handle=None: None
         try:
-            return retire(scheduler, worker_id)
+            return retire(scheduler, worker_id, charge)
         finally:
             del scheduler._push
 
@@ -219,10 +238,10 @@ def test_joins_and_respawns_are_enrolled_once(async_respawn, serial):
 
 @requires_fork
 def test_a_poisoned_group_is_merged_from_the_sandbox(serial, capfd):
-    """``max_task_retries=0``: the first death a group is in flight for
+    """``MAX_TASK_RETRIES`` 0: the first death a group is in flight for
     sends it to the (real, forked) sandbox, whose result merges."""
     stats, _, scheduler = run_scripted(
-        [Kill(5, 0)], one_node_tasks=True, max_task_retries=0)
+        [Kill(5, 0)], one_node_tasks=True, retries=0)
     assert_matches(stats, serial, scheduler)
     assert stats.tasks_quarantined >= 1 and not stats.quarantined_tasks
     assert "merging its result" in capfd.readouterr().err
@@ -314,22 +333,44 @@ def test_lifecycle_assertions_name_the_illegal_edge():
 # Pinned bugs
 # ----------------------------------------------------------------------
 
+def test_a_worker_that_fails_to_start_is_not_replaced():
+    """Both workers report they could not build their runtime.  Neither
+    is replaced — a replacement would fail the same way — and the groups
+    they held are requeued uncharged: with ``MAX_TASK_RETRIES`` 0 a
+    charged group would be quarantined at once.  The empty pool ends
+    the run with the workers' traceback, not with an exhausted search
+    that explored nothing."""
+    seen = {}
+    with pytest.raises(TransportError,
+                       match="failed to start:\nTraceback(.|\n)*scripted"):
+        run_scripted([FailsToStart(3, 0), FailsToStart(3, 1)],
+                     respawn=True, retries=0, seen=seen)
+    transport, scheduler = seen["transport"], seen["scheduler"]
+    assert transport.played == [FailsToStart(3, 0), FailsToStart(3, 1)]
+    stats = scheduler.stats
+    assert stats.worker_failures == 2 and stats.workers_respawned == 0
+    assert not scheduler._poison and stats.tasks_quarantined == 0
+    assert not scheduler._alive() and not scheduler._respawn_seats
+
+
 def test_a_respawn_seat_is_forfeit_on_its_own_deadline():
     """Deaths at t=0 and t=50, replacements that never join: the first
-    seat stops counting toward ``min_workers`` at t=60 — not 60 s after
-    the *latest* death — and the floor is re-applied then."""
+    seat is forfeit at t=60 — not 60 s after the *latest* death — and
+    the empty pool, its last seat forfeit at t=110, ends the run then."""
     clock = SimpleNamespace(now=0.0)
-    scheduler = enrolled_scheduler(
-        with_config(SCENARIO, workers=3, min_workers=3,
-                    respawn_workers=True), live=(0, 1, 2))
+    scheduler = enrolled_scheduler(with_config(SCENARIO, workers=2))
     scheduler.clock = lambda: clock.now
     scheduler.transport.spawn_worker = lambda: None  # joins "later"
     scheduler._handle(WorkerGone(0, "test"))
     clock.now = 50.0
     scheduler._handle(WorkerGone(1, "test"))
     clock.now = 59.0
-    scheduler._check_deadlines()  # both seats still hold the floor
+    scheduler._check_deadlines()  # both seats still hold
     assert scheduler._recv_timeout() == pytest.approx(1.0)
     clock.now = 60.0
+    scheduler._check_deadlines()
+    assert len(scheduler._respawn_seats) == 1
+    assert scheduler._recv_timeout() == pytest.approx(50.0)
+    clock.now = 110.0
     with pytest.raises(TransportError, match="1 respawned replacement"):
         scheduler._check_deadlines()

@@ -392,15 +392,17 @@ class TestResumeAcrossDeletedKnobs:
         pytest.param("store_bloom_broadcast", False, id="False"),
         ("affinity", False), ("adaptive_batching", False),
         ("batch_groups", 1), ("batch_nodes", 1), ("quarantine", False),
-        ("fail_fast", True)])
+        ("fail_fast", True), ("respawn_workers", True), ("min_workers", 2),
+        ("max_task_retries", 0)])
     @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "workers2"])
     def test_stale_pool_or_fail_fast_knob_is_ignored(
             self, interrupted, serial_ping, knob, value, workers, capsys):
         """``store_bloom_broadcast`` chose how children crossed the wire,
         the five scheduler switches how tasks were packed, routed and
         given up on, ``fail_fast`` whether a handler exception aborted
-        the search — never what a digest was: the inspector passes any
-        value, and it resumes, serially and on workers."""
+        the search, the three pool knobs what a worker death did — never
+        what a digest was: the inspector passes any value, and it
+        resumes, serially and on workers."""
         for snapshot in interrupted.glob("ckpt-*"):
             _plant_in_pickled_config(snapshot, **{knob: value})
         assert cli.main(["checkpoints", str(interrupted)]) == 0

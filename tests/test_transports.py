@@ -552,20 +552,22 @@ class TestWorkerServeLoop:
 
     def test_a_runtime_that_cannot_be_built_is_reported_not_raised(self):
         """The one start-up failure report of every transport: a
-        ``WorkerError`` with no task id, then a clean return — the
-        message loop never starts."""
+        ``WorkerError`` with no task id — then nothing more.  The worker
+        answers no task but reads until the master hangs up, so a task
+        submitted before the master read the report finds the channel
+        open, and the report, not a failed submit, is the death the
+        master hears of."""
         def cannot_build():
             raise KeyError("scenario 'nope' is not in the registry")
 
-        def never_read():
-            raise AssertionError("recv called without a runtime")
-
+        inbox = iter([wire.ExpandTask(3, [((), None)]), None])
         sent = []
-        _serve(cannot_build, 4, never_read, sent.append)
+        _serve(cannot_build, 4, lambda: next(inbox), sent.append)
         error, = sent
         assert isinstance(error, wire.WorkerError)
         assert (error.task_id, error.worker_id) == (None, 4)
         assert "KeyError" in error.error and "nope" in error.error
+        assert next(inbox, "drained") == "drained"
 
     def test_unexpected_message_is_rejected_on_every_transport(self):
         with pytest.raises(ConnectionError, match="unexpected message"):
@@ -646,7 +648,7 @@ class TestWorkerServeLoop:
         def cannot_build():
             raise KeyError("nope")
 
-        _serve(cannot_build, 0, None, lambda reply: None)
+        _serve(cannot_build, 0, lambda: None, lambda reply: None)
         assert gc.get_threshold() == odd_thresholds
 
 
