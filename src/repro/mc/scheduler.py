@@ -761,6 +761,7 @@ class _Scheduler:
         self._observe_rtt(
             task.worker, (self.clock() - task.sent_at) / task.depth)
         self.stats.worker_tasks[task.worker] += 1
+        self.stats.result_payload_bytes += result.frame_bytes
         self._absorb(result.out, task.groups, task.worker, task_id)
 
     def _absorb(self, out: dict, groups, worker_id: int | None,
@@ -777,7 +778,6 @@ class _Scheduler:
         stats.rebuilt_transitions += out["rebuilt"]
         stats.cache_hits += out["cache_hits"]
         stats.cache_misses += out["cache_misses"]
-        stats.result_payload_bytes += out["result_bytes"]
         stats.add_hash_stats(out["hash_stats"])
 
         def node_trace(gi, si) -> tuple:

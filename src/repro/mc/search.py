@@ -50,6 +50,7 @@ from repro.config import NiceConfig, ORDER_DFS, ORDER_RANDOM
 from repro.errors import NiceError, PropertyViolation
 from repro.mc import store as store_mod
 from repro.mc import transitions as tk
+from repro.mc.canonical import canonicalize
 from repro.mc.replay import replay_from
 from repro.mc.strategies import Strategy, make_strategy
 from repro.mc.system import System
@@ -208,8 +209,9 @@ class SearchStats:
         self.store_hits = 0
         self.store_spill_reads = 0
         self.store_evictions = 0
-        #: Pickled size of every merged task result's children payload —
-        #: the per-child part of results (parallel runs only).
+        #: Bytes of every merged pool result as it crossed its channel:
+        #: the frame lengths, stats envelope included (parallel runs
+        #: only).
         self.result_payload_bytes = 0
         #: Master checkpointing: snapshots written (and the wall time they
         #: took), bytes actually written (hard-linked segments excluded —
@@ -618,16 +620,21 @@ class Searcher:
                 variants = self.discoverer.discover_stats(
                     system.app, transition.actor, reply.stats
                 )
-                self._stats_cache[key] = variants
+                # Each payload's canonical form is part of its descriptor:
+                # variant ``index`` under another controller state is
+                # another payload, and must not compare equal.
+                self._stats_cache[key] = [
+                    (stats, ("stats", index, canonicalize(stats)))
+                    for index, stats in enumerate(variants)]
                 self.stats.discover_stats_runs += 1
             variants = self._stats_cache[key]
             if not variants:
                 out.append(transition)
                 continue
-            for index, stats in enumerate(variants):
+            for stats, arg in variants:
                 out.append(
-                    Transition(tk.CTRL_STATS, transition.actor,
-                               ("stats", index), payload=stats)
+                    Transition(tk.CTRL_STATS, transition.actor, arg,
+                               payload=stats)
                 )
         return out
 

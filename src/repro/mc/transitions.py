@@ -50,6 +50,9 @@ class Transition:
     :class:`~repro.openflow.packet.Packet` of a symbolic send or a discovered
     stats dict); equality and hashing use only the canonical key, with the
     payload's canonical form folded into ``arg`` by the constructor caller.
+    A worker channel keys its descriptor tables on that equality
+    (:class:`~repro.mc.wire.Codec`): descriptors that compare equal must
+    execute alike.
     """
 
     #: ``_key``/``_hash`` memoise :meth:`key` and its hash: descriptors are

@@ -96,7 +96,7 @@ class LocalTransport(StreamTransport):
             # The child holds the only other end now: the channel EOFs
             # the instant it dies.
             theirs.close()
-        self._channels[worker_id] = ours
+        self._open(worker_id, ours)
         self._sentinels[process.sentinel] = worker_id
         self._processes.append(process)
         return worker_id

@@ -4,7 +4,9 @@
 However a worker was started, the master reaches it over one stream
 socket — its end of a ``socket.socketpair()`` for a fork or spawn child,
 the accepted TCP connection for a ``nice worker`` — carrying
-:func:`~repro.mc.wire.send_msg` / :func:`~repro.mc.wire.recv_msg` frames.
+:func:`~repro.mc.wire.send_msg` / :func:`~repro.mc.wire.recv_frame`
+frames, with the channel's descriptor tables (:class:`~repro.mc.wire.Codec`)
+turning tasks and results into their wire form and back.
 ``submit`` writes a frame; ``recv`` is one ``select`` over everything the
 master waits on: the worker sockets, the local children's process
 sentinels, the listener, and the connections yet to say Hello.  The
@@ -29,12 +31,14 @@ from repro.mc.transport import Transport, WorkerLost
 from repro.mc.wire import (
     MAX_GREETING,
     PROTOCOL_VERSION,
+    Codec,
     Hello,
     InitWorker,
     Shutdown,
     WorkerError,
     WorkerGone,
     WorkerJoined,
+    recv_frame,
     recv_msg,
     send_msg,
 )
@@ -44,7 +48,8 @@ class StreamTransport(Transport):
     """Master side of the channel; subclasses launch the workers."""
 
     #: Seconds a frame gets, whole, from its first byte (the largest of
-    #: an ``lb3`` search is 23 KB): a worker wedged mid-frame is reaped.
+    #: an ``lb3`` search is ~10 KB, definitions included): a worker
+    #: wedged mid-frame is reaped.
     FRAME_TIMEOUT = 10.0
     #: Seconds an accepted connection gets to say Hello; absolute, and
     #: waited out inside the select, so a silent peer delays nobody.
@@ -53,9 +58,14 @@ class StreamTransport(Transport):
     def __init__(self, workers: int, spec):
         super().__init__(workers)
         self.spec = spec
-        #: worker id -> the master's end of its channel, from launch or
-        #: admission until :meth:`_reap`.
+        #: worker id -> the master's end of its channel, and the
+        #: channel's descriptor tables, from :meth:`_open` until
+        #: :meth:`_reap`.
         self._channels: dict = {}
+        self._codecs: dict[int, Codec] = {}
+        #: The one object each descriptor received on any channel is
+        #: resolved to (:class:`~repro.mc.wire.Codec`).
+        self._intern: dict = {}
         #: process sentinel -> worker id, for workers that are children.
         self._sentinels: dict[int, int] = {}
         #: The listening socket if there is one, and accepted connection
@@ -69,12 +79,20 @@ class StreamTransport(Transport):
         self._vacant: list[int] = []
         self._next_worker_id = 0
 
+    def _open(self, worker_id: int, sock) -> None:
+        """Enroll ``sock`` as ``worker_id``'s channel, with empty
+        descriptor tables: a worker serving under a reused id is a new
+        peer."""
+        self._channels[worker_id] = sock
+        self._codecs[worker_id] = Codec(self._intern)
+
     def submit(self, worker_id: int, message) -> None:
         sock = self._channels.get(worker_id)
         if sock is None:
             raise WorkerLost(worker_id, "already reported dead")
         try:
-            send_msg(sock, message, self.FRAME_TIMEOUT)
+            send_msg(sock, self._codecs[worker_id].encode(message),
+                     self.FRAME_TIMEOUT)
         except OSError as exc:
             # Failing the submit *is* the death notice: the scheduler
             # requeues this task with the rest of the worker's.
@@ -134,7 +152,8 @@ class StreamTransport(Transport):
     def _read(self, worker_id: int, sock):
         """The next frame of a readable channel, or the death it shows."""
         try:
-            message = recv_msg(sock, self.FRAME_TIMEOUT)
+            message = self._codecs[worker_id].decode(
+                recv_frame(sock, self.FRAME_TIMEOUT))
         except Exception as exc:  # noqa: BLE001 - reset, stall, bad pickle
             return self._reap(worker_id, f"connection lost: {exc!r}",
                               exited=isinstance(exc, ConnectionError))
@@ -171,7 +190,7 @@ class StreamTransport(Transport):
             self._drop(conn, exc)
             return None
         self._vacant.pop()
-        self._channels[worker_id] = conn
+        self._open(worker_id, conn)
         del self._greeting[conn]
         self._peers[worker_id] = (hello.host, hello.pid)
         return WorkerJoined(worker_id, hello.host, hello.pid)
@@ -190,6 +209,7 @@ class StreamTransport(Transport):
         may still run, and its launcher must not leak it.  ``started``
         False: it could not build its runtime (:class:`WorkerGone`)."""
         self._channels.pop(worker_id).close()
+        del self._codecs[worker_id]
         return WorkerGone(worker_id,
                           self._put_away(worker_id, reason, exited), started)
 
@@ -210,8 +230,8 @@ class StreamTransport(Transport):
         for sock in (*self._channels.values(), *self._greeting,
                      *self._listening):
             sock.close()
-        for table in (self._channels, self._greeting, self._listening,
-                      self._sentinels):
+        for table in (self._channels, self._codecs, self._greeting,
+                      self._listening, self._sentinels):
             table.clear()
         self._reap_stragglers()
 

@@ -21,13 +21,20 @@ protocol:
   The scheduler reacts by requeueing the dead worker's in-flight sibling
   groups (or feeding the joiner) — see DESIGN.md, "Fault tolerance and
   elasticity";
-* length-prefixed pickle framing (:func:`send_msg` / :func:`recv_msg`),
-  the one way bytes cross a worker boundary: every transport's channel is
-  a stream socket carrying these frames.  Pickle is the serializer because
-  tasks and results are trees of pure-data model objects
-  (:class:`~repro.mc.transitions.Transition`, packets, stats dicts); the
-  trust model is ``multiprocessing``'s — workers are processes *you*
-  started on hosts you control, not an open service.
+* length-prefixed pickle framing (:func:`send_msg` / :func:`recv_frame`
+  / :func:`recv_msg`), the one way bytes cross a worker boundary: every
+  transport's channel is a stream socket carrying these frames;
+* the :class:`Codec` at each end of a channel, which sends a
+  :class:`~repro.mc.transitions.Transition` in full the first time it
+  crosses the channel in a direction and as a small integer after that.
+  A search's traces and children are drawn from a handful of distinct
+  descriptors, so the traces of an :class:`ExpandTask` and the children
+  of a :class:`TaskResult` travel as integer sequences, and pickle is
+  left with the new definitions, violations, stats and the handshake.
+  Pickle is the serializer because what is left is trees of pure-data
+  model objects (transitions, packets, stats dicts); the trust model is
+  ``multiprocessing``'s — workers are processes *you* started on hosts
+  you control, not an open service.
 """
 
 from __future__ import annotations
@@ -40,17 +47,20 @@ from time import monotonic as _monotonic
 from repro.config import NiceConfig
 
 #: Bump when the task/result layout changes; Hello carries it so a stale
-#: remote worker fails fast instead of mis-decoding tasks.  v8: a result
-#: is ``children`` (bare transitions) plus one packed ``digests`` blob,
-#: an :class:`ExpandTask` carries retention handles, and a worker sends
-#: nothing but the reply to a task.  (History: CHANGES.md.)
-PROTOCOL_VERSION = 8
+#: remote worker fails fast instead of mis-decoding tasks.  v9: a task's
+#: traces and steps and a result's ``children`` are references into the
+#: channel's descriptor tables, and each message carries the
+#: ``definitions`` new on its channel (:class:`Codec`).  (History:
+#: CHANGES.md.)
+PROTOCOL_VERSION = 9
 
 _HEADER = struct.Struct("!I")
 
-#: The longest frame :func:`recv_msg` will read; a header announcing more
-#: is refused before a byte of body is buffered.  The largest frame of an
-#: ``lb3`` search is 23 KB (median 6 KB; bench/README.md).
+#: The longest frame :func:`recv_frame` will read; a header announcing
+#: more is refused before a byte of body is buffered.  The largest frame
+#: of an exhaustive ``lb3`` search on 2 fork workers is a ~10 KB result
+#: (medians: 0.7 KB a task, 1.9 KB a result; 22 KB / ~4.6 KB before
+#: traces and children became references).
 MAX_FRAME = 16 << 20
 #: The same for a connection's first frame, which anything that reaches
 #: ``--listen`` can send: a :class:`Hello` is under 100 bytes.
@@ -154,11 +164,15 @@ class ExpandTask:
     (``WorkerRuntime.retained``), never state: a worker that no longer
     holds a named child rebuilds it from ``groups`` as if no handle had
     been sent.
+
+    ``definitions`` is empty but on a channel, where the groups hold
+    references instead of transitions (:class:`Codec`).
     """
 
     task_id: int
     groups: list
     handles: list | None = None
+    definitions: list = field(default_factory=list)
 
 
 @dataclass
@@ -169,11 +183,18 @@ class TaskResult:
     transition, ``out["digests"]`` their packed digest records in the
     same order (``WorkerRuntime.expand``); the master alone decides
     which are fresh.
+
+    On a channel the children are references and ``definitions`` the
+    transitions new on it (:class:`Codec`); ``frame_bytes`` is set by the
+    receiving end to the length of the frame the result arrived in (0
+    for one that crossed no channel).
     """
 
     task_id: int
     worker_id: int
     out: dict
+    definitions: list = field(default_factory=list)
+    frame_bytes: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -215,6 +236,123 @@ class WorkerJoined:
 
 
 # ----------------------------------------------------------------------
+# Descriptor tables
+# ----------------------------------------------------------------------
+
+class Codec:
+    """One channel end's descriptor tables (module docstring).
+
+    :meth:`encode` turns an outgoing :class:`ExpandTask` or
+    :class:`TaskResult` into its wire form: each transition becomes its
+    reference — how many distinct descriptors this end had sent before
+    it — and the ones sent for the first time ride along as the
+    message's ``definitions``, in reference order.  :meth:`decode`
+    appends a frame's definitions to those received so far and resolves
+    the references against them.  The two directions number
+    independently.  Both ends start empty and live as long as their
+    channel, so a frame that fails mid-send, which retires the worker,
+    takes the tables with it.  Descriptors are keyed by equality, which
+    covers what one executes (:class:`~repro.mc.transitions.Transition`).
+
+    ``intern`` (the master's, one per transport) maps each definition
+    received to the one object every channel resolves it to, so equal
+    descriptors from different workers are the same object.
+    """
+
+    def __init__(self, intern: dict | None = None):
+        #: descriptor -> reference, for what this end has sent; and the
+        #: same by ``(kind, actor, arg)``, the fast way in (:meth:`_ref`).
+        self._sent: dict = {}
+        self._fields: dict = {}
+        #: reference -> descriptor, for what this end has received.
+        self._received: list = []
+        self._intern = intern
+
+    def encode(self, message):
+        """``message`` as it crosses the channel; anything but a task or
+        a result crosses as it is."""
+        definitions: list = []
+        if isinstance(message, ExpandTask):
+            groups = [(self._refs(trace, definitions),
+                       None if steps is None
+                       else self._refs(steps, definitions))
+                      for trace, steps in message.groups]
+            return ExpandTask(message.task_id, groups, message.handles,
+                              definitions)
+        if isinstance(message, TaskResult):
+            out = dict(message.out)
+            out["children"] = [(gi, si, self._refs(kids, definitions))
+                               for gi, si, kids in out["children"]]
+            return TaskResult(message.task_id, message.worker_id, out,
+                              definitions)
+        return message
+
+    def decode(self, frame: bytes | None):
+        """The message one frame carries, references resolved (None for
+        the clean EOF :func:`recv_frame` returns as None)."""
+        if frame is None:
+            return None
+        message = pickle.loads(frame)
+        if isinstance(message, ExpandTask):
+            resolve = self._define(message)
+            message.groups = [
+                (tuple(map(resolve, trace)),
+                 None if steps is None else list(map(resolve, steps)))
+                for trace, steps in message.groups]
+        elif isinstance(message, TaskResult):
+            resolve = self._define(message)
+            message.out["children"] = [
+                (gi, si, list(map(resolve, kids)))
+                for gi, si, kids in message.out["children"]]
+            message.frame_bytes = len(frame)
+        return message
+
+    def _refs(self, transitions, definitions: list) -> list:
+        # A list, not a tuple: each one lives for one pickling, and a
+        # tuple of every trace length would fill CPython's per-length
+        # tuple free lists, which keep their memory for good.
+        fields = self._fields
+        try:
+            return [fields[t.kind, t.actor, t.arg] for t in transitions]
+        except (KeyError, TypeError):
+            return [self._ref(t, definitions) for t in transitions]
+
+    def _ref(self, transition, definitions: list) -> int:
+        """``transition``'s reference, defining it if it is new here.
+
+        Looked up by its raw fields first: equal fields make an equal
+        descriptor, and hashing them is the interpreter's, while a
+        descriptor's canonical key is computed in Python once per object
+        — and a worker builds its children as new objects at every node.
+        Only fields never seen (or an unhashable ``arg``) reach the
+        canonical key."""
+        fields = (transition.kind, transition.actor, transition.arg)
+        try:
+            return self._fields[fields]
+        except KeyError:
+            pass
+        except TypeError:
+            fields = None
+        ref = self._sent.get(transition)
+        if ref is None:
+            ref = self._sent[transition] = len(self._sent)
+            definitions.append(transition)
+        if fields is not None:
+            self._fields[fields] = ref
+        return ref
+
+    def _define(self, message):
+        """Take ``message``'s definitions into the received table; the
+        lookup its references resolve through."""
+        definitions, message.definitions = message.definitions, []
+        if self._intern is not None:
+            definitions = [self._intern.setdefault(transition, transition)
+                           for transition in definitions]
+        self._received += definitions
+        return self._received.__getitem__
+
+
+# ----------------------------------------------------------------------
 # Framing
 # ----------------------------------------------------------------------
 
@@ -233,8 +371,9 @@ def send_msg(sock, message, timeout: float | None = None) -> None:
             sock.settimeout(None)
 
 
-def recv_msg(sock, timeout: float | None = None, limit: int = MAX_FRAME):
-    """Read one framed message; returns None on clean EOF at a frame
+def recv_frame(sock, timeout: float | None = None,
+               limit: int = MAX_FRAME) -> bytes | None:
+    """Read one frame's body; returns None on clean EOF at a frame
     boundary.  The one timeout rule of every channel: ``timeout`` seconds
     from the call for the *whole* frame (``TimeoutError``), however the
     peer paces its bytes — callers that must not wait for a first byte
@@ -249,10 +388,17 @@ def recv_msg(sock, timeout: float | None = None, limit: int = MAX_FRAME):
         if length > limit:
             raise ConnectionError(f"peer announced a {length}-byte frame;"
                                   f" at most {limit} are accepted here")
-        return pickle.loads(_recv_exact(sock, length, deadline))
+        return _recv_exact(sock, length, deadline)
     finally:
         if deadline is not None:
             sock.settimeout(None)
+
+
+def recv_msg(sock, timeout: float | None = None, limit: int = MAX_FRAME):
+    """The message of one :func:`recv_frame` frame, unpickled as it is
+    (None on clean EOF)."""
+    frame = recv_frame(sock, timeout, limit)
+    return None if frame is None else pickle.loads(frame)
 
 
 def _recv_exact(sock, count: int, deadline, allow_eof: bool = False):

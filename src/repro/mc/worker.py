@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import gc
 import os
-import pickle
 import sys
 import traceback
 from collections import OrderedDict
@@ -52,12 +51,14 @@ from repro.mc.replay import replay_with_spine
 from repro.mc.store import pack_digest
 from repro.mc.strategies import make_strategy
 from repro.mc.wire import (
+    Codec,
     ExpandTask,
     Hello,
     InitWorker,
     Shutdown,
     TaskResult,
     WorkerError,
+    recv_frame,
     recv_msg,
     searcher_from_spec,
     send_msg,
@@ -372,19 +373,13 @@ class WorkerRuntime:
                 # The master stops at the first violation it absorbs; the
                 # kids hashed so far still ship, and are committed.
                 break
-        blob = out["digests"] = b"".join(records)
+        out["digests"] = b"".join(records)
         out["discover_packet_runs"] = \
             stats.discover_packet_runs - discovered[0]
         out["discover_stats_runs"] = stats.discover_stats_runs - discovered[1]
         out["hash_stats"] = tuple(
             now - before for now, before
             in zip(self.initial._hash_stats.snapshot(), hashed))
-        # Measured (not estimated) children payload — the per-child part
-        # of the result (the rest of ``out`` is a fixed-size stats
-        # envelope independent of how many children shipped), packed
-        # digest blob included.  SearchStats.result_payload_bytes sums it.
-        out["result_bytes"] = len(pickle.dumps(
-            (children, blob), protocol=pickle.HIGHEST_PROTOCOL))
         return out
 
     # ------------------------------------------------------------------
@@ -512,12 +507,14 @@ def _serve(make_runtime, worker_id: int, recv, send) -> None:
 
 def _serve_channel(sock, worker_id: int, spec) -> None:
     """:func:`_serve` over a worker's channel — one stream socket of
-    ``wire`` frames, whoever launched the process.  ``spec`` None means a
+    ``wire`` frames, whoever launched the process, and this end's
+    descriptor tables, as new as the channel.  ``spec`` None means a
     fork child: the searcher is :data:`_INHERITED_SEARCHER`."""
+    codec = Codec()
     _serve(lambda: WorkerRuntime(_INHERITED_SEARCHER if spec is None
                                  else searcher_from_spec(spec)),
-           worker_id, lambda: recv_msg(sock),
-           lambda message: send_msg(sock, message))
+           worker_id, lambda: codec.decode(recv_frame(sock)),
+           lambda message: send_msg(sock, codec.encode(message)))
 
 
 def local_worker_main(worker_id: int, sock, spec,

@@ -20,6 +20,7 @@ timeout (:func:`within`).
 from __future__ import annotations
 
 import os
+import pickle
 import socket
 import struct
 import threading
@@ -27,17 +28,21 @@ import time
 
 import pytest
 
-from contract import requires_fork
+from contract import counters, exhaustive, requires_fork, violated_properties
+from fault_helpers import saturated_hint
 from repro import scenarios
+from repro.mc import transitions as tk
 from repro.mc import wire
+from repro.mc.transitions import Transition
 from repro.mc.transport import TransportError, WorkerLost
 from repro.mc.transport.local import LocalTransport
 from repro.mc.transport.socket import SocketTransport, run_worker
 from repro.mc.transport.stream import StreamTransport
 
 TASK = wire.ExpandTask(1, [((), None)])
-#: A worker -> master frame: worker 1's result for task 5.
-REPLY = wire.TaskResult(5, 1, {})
+#: A worker -> master frame: worker 1's result for task 5, which
+#: expanded nothing.
+REPLY = wire.TaskResult(5, 1, {"children": []})
 #: A frame announced as 40 000 bytes of which half arrive.
 HALF_FRAME = struct.pack("!I", 40_000) + b"x" * 20_000
 
@@ -94,7 +99,8 @@ class FakeTransport(StreamTransport):
     def spawn_worker(self) -> int:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
-        self._channels[worker_id], self.far[worker_id] = socket.socketpair()
+        ours, self.far[worker_id] = socket.socketpair()
+        self._open(worker_id, ours)
         self._pipes[worker_id] = list(os.pipe())
         self._sentinels[self._pipes[worker_id][0]] = worker_id
         return worker_id
@@ -193,7 +199,7 @@ def test_a_death_is_reported_exactly_once(fake, seen_by):
 def test_what_a_worker_wrote_before_exiting_is_read_before_its_death(fake):
     """A recycled worker sends its result and exits: result, sentinel and
     EOF are all there at the next ``recv``, and the result comes first."""
-    wire.send_msg(fake.far[0], wire.TaskResult(7, 0, {}))
+    wire.send_msg(fake.far[0], wire.TaskResult(7, 0, {"children": []}))
     fake.far[0].close()
     fake.exit_process(0)
     first, second = (within(5, fake.recv, timeout=5) for _ in range(2))
@@ -251,10 +257,11 @@ def test_worker_joined_precedes_the_worker_gone_of_a_joiner_that_dies_at_once(
 @pytest.mark.parametrize("protocol", [wire.PROTOCOL_VERSION - 1,
                                       wire.PROTOCOL_VERSION + 1])
 def test_hello_with_another_protocol_is_dropped(fake, protocol, capsys):
-    """A v7 worker sends heartbeats this v8 master has no message for;
-    a v9 one knows things this master does not: mismatched peers are
-    dropped at the handshake, with a one-line notice."""
-    assert wire.PROTOCOL_VERSION == 8
+    """A v8 worker ships whole transitions where this v9 master reads
+    references into the channel's tables; a v10 one knows things this
+    master does not: mismatched peers are dropped at the handshake, with
+    a one-line notice."""
+    assert wire.PROTOCOL_VERSION == 9
     peer = fake.accepted()
     with peer:
         hello(peer, protocol=protocol)
@@ -574,3 +581,149 @@ def test_a_spawned_worker_that_exits_before_connecting_is_an_error(
         transport.stop()
     assert "exited with code 3 before connecting" in str(error.value)
     assert "no such interpreter" in str(error.value)
+
+
+# ----------------------------------------------------------------------
+# Descriptor tables: a transition crosses a channel in full once
+# ----------------------------------------------------------------------
+
+A, B, C, D = (Transition(tk.HOST_SEND, host, ("script", 0))
+              for host in "abcd")
+
+
+def _task_frame(fake, worker_id: int, task) -> bytes:
+    """Submit ``task``; the frame its worker reads."""
+    fake.submit(worker_id, task)
+    return wire.recv_frame(fake.far[worker_id], timeout=5)
+
+
+def _result(task_id: int, worker_id: int, kids: list) -> wire.TaskResult:
+    """A result whose one expanded node, group 0's parent, had ``kids``."""
+    return wire.TaskResult(task_id, worker_id,
+                           {"children": [(0, None, kids)]})
+
+
+def test_a_task_repeating_known_descriptors_carries_no_definitions(fake):
+    worker = wire.Codec()
+    first = _task_frame(fake, 1, wire.ExpandTask(1, [((A, B), [C, D])]))
+    again = _task_frame(fake, 1, wire.ExpandTask(
+        2, [((A, B, C), [D]), ((A,), None)]))
+    assert pickle.loads(first).definitions == [A, B, C, D]
+    as_sent = pickle.loads(again)
+    assert as_sent.definitions == []
+    assert as_sent.groups == [([0, 1, 2], [3]), ([0], None)]
+    assert len(again) < len(first)
+    assert worker.decode(first).groups == [((A, B), [C, D])]
+    assert worker.decode(again).groups == [((A, B, C), [D]), ((A,), None)]
+
+
+def test_a_fresh_channel_under_a_reused_id_starts_from_empty_tables(fake):
+    """The accept barrier hands a dead worker's id to the next joiner: a
+    new peer, which knows no definitions and numbers its own from 0."""
+    worker = wire.Codec()
+    worker.decode(_task_frame(fake, 0, wire.ExpandTask(1, [((A,), [B])])))
+    wire.send_msg(fake.far[0], worker.encode(_result(1, 0, [C])))
+    assert within(5, fake.recv, timeout=5).out["children"] \
+        == [(0, None, [C])]
+    fake.far[0].close()
+    fake.exit_process(0)
+    assert isinstance(within(5, fake.recv, timeout=5), wire.WorkerGone)
+    fake._vacant.append(0)
+    peer = fake.accepted()
+    with peer:
+        hello(peer)
+        assert within(5, fake.recv, timeout=5) == wire.WorkerJoined(0, "h", 42)
+        assert isinstance(wire.recv_msg(peer, timeout=5), wire.InitWorker)
+        fresh = wire.Codec()
+        fake.submit(0, wire.ExpandTask(2, [((A,), [B])]))
+        frame = wire.recv_frame(peer, timeout=5)
+        assert pickle.loads(frame).definitions == [A, B]
+        assert fresh.decode(frame).groups == [((A,), [B])]
+        wire.send_msg(peer, fresh.encode(_result(2, 0, [D])))
+        assert within(5, fake.recv, timeout=5).out["children"] \
+            == [(0, None, [D])]
+
+
+def test_definitions_are_per_direction(fake):
+    """What the master defined on a channel is not defined for the
+    worker's replies on it: each direction numbers its own."""
+    worker = wire.Codec()
+    worker.decode(_task_frame(fake, 1, wire.ExpandTask(1, [((A,), [B])])))
+    reply = worker.encode(_result(1, 1, [B, C]))
+    assert reply.definitions == [B, C]
+    assert reply.out["children"] == [(0, None, [0, 1])]
+    wire.send_msg(fake.far[1], reply)
+    received = within(5, fake.recv, timeout=5)
+    assert received.out["children"] == [(0, None, [B, C])]
+    assert received.definitions == []
+    assert received.frame_bytes == len(
+        pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+    as_sent = pickle.loads(
+        _task_frame(fake, 1, wire.ExpandTask(2, [((A, B), [C])])))
+    assert as_sent.definitions == [C]
+    assert as_sent.groups == [([0, 1], [2])]
+
+
+def test_equal_descriptors_from_two_workers_are_one_object(fake):
+    for worker_id in (0, 1):
+        copy = Transition(tk.HOST_SEND, "a", ("script", 0))
+        wire.send_msg(fake.far[worker_id],
+                      wire.Codec().encode(_result(1, worker_id, [copy])))
+    kids = [within(5, fake.recv, timeout=5).out["children"][0][2][0]
+            for _ in range(2)]
+    assert kids[0] == A and kids[0] is kids[1]
+
+
+@pytest.fixture(scope="module")
+def serial_energy_te():
+    return exhaustive(scenarios.energy_te_scenario(polls=2))
+
+
+def test_payload_descriptors_cross_socket_workers(serial_energy_te):
+    """Symbolic sends carry a packet, stats variants a discovered stats
+    dict: the first crossing of each defines it, payload included."""
+    parallel = exhaustive(scenarios.energy_te_scenario(polls=2), workers=2,
+                          transport="socket")
+    assert parallel.engine == "socket"
+    assert counters(parallel) == counters(serial_energy_te)
+    assert violated_properties(parallel) \
+        == violated_properties(serial_energy_te)
+
+
+@requires_fork
+def test_payload_descriptors_rebuilt_from_shipped_traces(
+        serial_energy_te, monkeypatch):
+    """With the retention hint saturated no worker keeps the children it
+    ships, so nearly every node is rebuilt from the trace the master sent
+    back: each payload executed is the one its references resolve to."""
+    saturated_hint(monkeypatch.setattr)
+    parallel = exhaustive(scenarios.energy_te_scenario(polls=2), workers=2,
+                          transport="local", start_method="fork")
+    assert counters(parallel) == counters(serial_energy_te)
+    assert violated_properties(parallel) \
+        == violated_properties(serial_energy_te)
+    assert parallel.rebuilt_transitions >= parallel.unique_states - 1 - 16
+
+
+@requires_fork
+def test_the_master_pickles_each_descriptor_at_most_once_per_channel(
+        monkeypatch):
+    """Traces and children cross as references: the master pickles a
+    descriptor only to define it on a channel, so no later change can
+    put whole transitions back on the wire unnoticed.  (Counted in the
+    master alone: a fork worker's increments stay in its own memory.)"""
+    pickled = []
+    getstate = Transition.__getstate__
+
+    def counting(transition):
+        pickled.append(transition)
+        return getstate(transition)
+
+    monkeypatch.setattr(Transition, "__getstate__", counting)
+    result = exhaustive(scenarios.ping_experiment(pings=2), workers=2,
+                        transport="local", start_method="fork")
+    assert result.engine == "local-fork" and result.tasks_retried == 0
+    channels = result.workers  # the pool as started, replacements too
+    distinct = len(set(pickled))
+    assert distinct and len(pickled) <= distinct * channels, \
+        f"{len(pickled)} pickles of {distinct} descriptors on {channels} channels"

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import contract
 import reference_forms
 from repro import scenarios
 from repro.config import NiceConfig
@@ -170,6 +171,31 @@ class TestTransitionDescriptors:
         assert old.seal().canonical() == new.canonical()
         assert state_string(old) == state_string(new)
         assert old.copy().hops == [("s1", 1)]
+
+    def test_equal_stats_descriptors_carry_equal_payloads(self, monkeypatch):
+        """Equality is what a worker channel keys its descriptor tables
+        on, so it must cover what a descriptor executes.  A stats
+        variant's payload is discovered per controller state: variant 0
+        under one state is not variant 0 under another, and the two
+        descriptors must not compare equal."""
+        from repro.mc.system import System
+
+        executed = []
+        execute = System._execute_ctrl_stats
+
+        def record(system, transition):
+            executed.append(transition)
+            return execute(system, transition)
+
+        monkeypatch.setattr(System, "_execute_ctrl_stats", record)
+        contract.exhaustive(scenarios.energy_te_scenario(polls=2))
+        payloads: dict = {}
+        for transition in executed:
+            payloads.setdefault(transition, set()).add(
+                canonicalize(transition.payload))
+        assert len(payloads) >= 4
+        assert {t: forms for t, forms in payloads.items()
+                if len(forms) > 1} == {}
 
     def test_repr(self):
         assert repr(Transition(tk.HOST_RECV, "A")) == "host_recv(A)"

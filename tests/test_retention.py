@@ -83,7 +83,7 @@ def _shipped(out) -> list:
 RESULT_KEYS = {"children", "digests", "quiescent", "violations",
                "transitions", "replayed", "rebuilt", "cache_hits",
                "cache_misses", "discover_packet_runs",
-               "discover_stats_runs", "hash_stats", "result_bytes"}
+               "discover_stats_runs", "hash_stats"}
 
 
 def assert_the_one_layout(out, matching) -> int:
