@@ -17,8 +17,8 @@ microbenchmark, bytes actually hashed, and the digest/CoW counters, and
 writes everything to ``BENCH_hotpath.json`` (at the repository root under
 ``NICE_BENCH_RECORD=1``, see ``conftest.py``).  The
 headline assertion: the product beats the reference by >= 5x end-to-end on
-pyswitch-direct-path (measured ~15x; override the floor with
-``NICE_HOTPATH_SPEEDUP_FLOOR``).
+pyswitch-direct-path, in process CPU seconds (measured ~15x; override the
+floor with ``NICE_HOTPATH_SPEEDUP_FLOOR``).
 
 It also records **per-call rows** for the methods a transition pays for
 what it writes through (DESIGN.md, "Sub-forms and sealed packets": the
@@ -155,9 +155,16 @@ def hotpath_results(bench_output):
         best: dict[str, tuple[float, object]] = {
             engine: (float("inf"), None) for engine in engines
         }
+        # The searches run in this process: its CPU seconds are a run's
+        # whole cost, and a neighbour on the core does not inflate them.
+        cpu_time = dict.fromkeys(engines, float("inf"))
         for _ in range(repeats):
             for engine in engines:
-                result = _one_run(build(), engine)
+                scenario = build()
+                start = time.process_time()
+                result = _one_run(scenario, engine)
+                cpu_time[engine] = min(cpu_time[engine],
+                                       time.process_time() - start)
                 if result.wall_time < best[engine][0]:
                     best[engine] = (result.wall_time, result)
         per_engine = {}
@@ -165,6 +172,7 @@ def hotpath_results(bench_output):
             wall, stats = best[engine]
             per_engine[engine] = {
                 "wall_time": wall,
+                "cpu_time": cpu_time[engine],
                 "clone_seconds": _clone_cost(build(), engine),
                 "transitions": stats.transitions_executed,
                 "unique_states": stats.unique_states,
@@ -237,11 +245,12 @@ def _floor() -> float:
 
 def test_cow_digest_beats_pre_cow_baseline(hotpath_results):
     """The acceptance gate: >= 5x end-to-end on pyswitch-direct-path over
-    the engine without copy-on-write or digests — the reference."""
+    the engine without copy-on-write or digests — the reference — in
+    the process CPU seconds of the two in-process searches."""
     floor = _floor()
     per_engine = hotpath_results["pyswitch-direct-path"]
-    speedup = (per_engine["reference"]["wall_time"]
-               / per_engine["product"]["wall_time"])
+    speedup = (per_engine["reference"]["cpu_time"]
+               / per_engine["product"]["cpu_time"])
     assert speedup >= floor, (
         f"the product is only {speedup:.2f}x over the from-scratch"
         f" reference on pyswitch-direct-path (floor {floor:.1f}x)")

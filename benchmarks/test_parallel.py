@@ -5,12 +5,13 @@ and re-canonicalized the full state on every hash.  This suite measures the
 engine (copy-on-write clones + cached digests, DESIGN.md "Per-state hot
 path") against the reference engine that still works that way
 (``tests/reference_engine.py``) on the layer-2 ping workload
-of Table 1, asserting the >= 2x wall-clock speedup the optimization is
-meant to deliver (hard floor on the nightly multi-core runner via
+of Table 1, asserting the >= 2x speedup the optimization is meant to
+deliver (hard floor on the nightly multi-core runner via
 ``NICE_FAST_ENGINE_SPEEDUP_FLOOR=2.0``; a jitter-tolerant 1.5x floor
 elsewhere — shared containers measure ~1.8-2.3x run to run), and reports
 the parallel engine's numbers alongside.  Timing rows are best-of-3
-(``REPEATS``).
+(``REPEATS``); the speedup divides the two serial searches' process CPU
+seconds, which a neighbour on the core does not inflate.
 
 On single-core runners (CI containers) ``workers=4`` cannot beat serial —
 restoration work is extra CPU with no extra CPU to run it on — so by
@@ -25,6 +26,7 @@ turning the gate into a real >=2x wall-clock assertion.
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -49,13 +51,22 @@ REPEATS = 3
 
 
 def best_of(config_kwargs: dict, scenario_factory, run=nice.run):
-    runs = [run(with_config(scenario_factory(), **config_kwargs))
-            for _ in range(REPEATS)]
-    return min(runs, key=lambda r: r.wall_time)
+    """``(stats, cpu_s)`` over REPEATS runs: the stats of the run with the
+    least wall time, and the least process CPU seconds any run took — a
+    serial search's whole cost, since it runs in this process; a pool's
+    master share only."""
+    runs = []
+    for _ in range(REPEATS):
+        scenario = with_config(scenario_factory(), **config_kwargs)
+        start = time.process_time()
+        stats = run(scenario)
+        runs.append((stats, time.process_time() - start))
+    return (min(runs, key=lambda r: r[0].wall_time)[0],
+            min(cpu_s for _, cpu_s in runs))
 
 
 @pytest.fixture(scope="module")
-def engine_results():
+def measured():
     def scenario():
         return scenarios.ping_experiment(pings=PINGS)
     seed = best_of({}, scenario, run=reference_run)
@@ -64,6 +75,11 @@ def engine_results():
     # available, spawn otherwise (DESIGN.md, "Scheduler and transports").
     workers = best_of(dict(workers=4), scenario)
     return {"seed": seed, "fast": fast, "workers4": workers}
+
+
+@pytest.fixture(scope="module")
+def engine_results(measured):
+    return {label: stats for label, (stats, _) in measured.items()}
 
 
 def test_checkpointing_report(engine_results):
@@ -84,17 +100,19 @@ def test_checkpointing_report(engine_results):
     )
 
 
-def test_fast_engine_at_least_2x_over_seed(engine_results):
+def test_fast_engine_at_least_2x_over_seed(measured):
     """The full 2x contract is enforced where timing is trustworthy: the
     nightly ``multicore-parallel`` job pins NICE_FAST_ENGINE_SPEEDUP_FLOOR
     to 2.0 on a real multi-core runner.  The default floor tolerates the
     scheduler jitter of shared/1-core containers, where the sub-second
-    serial runs measure ~1.8-2.3x run to run."""
+    serial runs measure ~1.8-2.3x run to run.  Both searches run in this
+    process: their CPU seconds are divided, not their wall times."""
     floor = float(os.environ.get("NICE_FAST_ENGINE_SPEEDUP_FLOOR", "1.5"))
-    seed, fast = engine_results["seed"], engine_results["fast"]
+    (seed, seed_cpu_s), (fast, fast_cpu_s) = \
+        measured["seed"], measured["fast"]
     assert fast.unique_states == seed.unique_states
     assert fast.transitions_executed == seed.transitions_executed
-    speedup = seed.wall_time / fast.wall_time
+    speedup = seed_cpu_s / fast_cpu_s
     assert speedup >= floor, (
         f"only {speedup:.2f}x over the seed searcher (floor {floor:.1f}x)")
 

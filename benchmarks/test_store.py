@@ -18,6 +18,9 @@ checkpoint section snapshots a grown store twice and asserts the second
 snapshot writes the new records plus ``meta.pkl`` and nothing else —
 O(new states), not O(all states) — and a checkpointed run of the
 spilling search holds the checkpointer to the same sum end to end.
+Each configuration's store also reports its resident bytes per state:
+what ``tracemalloc`` sees it keep after taking ``RESIDENT_DIGESTS``
+digests (tail buffers flushed).
 
 Everything lands in ``BENCH_store.json`` (at the repository root under
 ``NICE_BENCH_RECORD=1``, see ``conftest.py``); the
@@ -32,6 +35,7 @@ import os
 import pathlib
 import tempfile
 import time
+import tracemalloc
 
 import pytest
 
@@ -62,6 +66,8 @@ CONFIGS = {
 
 REPEATS = 5
 MICRO_OPS = 20_000
+#: Digests each configuration's store takes for the resident-bytes row.
+RESIDENT_DIGESTS = 50_000
 
 
 def _one_run(overrides):
@@ -88,6 +94,26 @@ def _micro(make_store, n: int) -> dict:
         best_lookup = max(best_lookup, n / (time.perf_counter() - start))
         store.close()
     return {"inserts_per_s": best_insert, "lookups_per_s": best_lookup}
+
+
+def _resident_bytes_per_state(overrides) -> float:
+    """Bytes the store a configuration creates keeps per digest, after
+    taking RESIDENT_DIGESTS of them: live allocations made meanwhile,
+    the digest strings it holds on to included."""
+    digests = (hashlib.md5(str(i).encode()).hexdigest()
+               for i in range(RESIDENT_DIGESTS))
+    store = store_mod.create_store(NiceConfig(**overrides))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store.add_batch(digests)
+        if isinstance(store, ShardedStore):
+            store.flush()
+        return (tracemalloc.get_traced_memory()[0] - before) \
+            / RESIDENT_DIGESTS
+    finally:
+        tracemalloc.stop()
+        store.close()
 
 
 def _checkpoint_bench(base_states: int = 50_000,
@@ -191,6 +217,10 @@ def store_results(bench_output):
                     for name, overrides in CONFIGS.items()},
         "searches": searches,
         "micro": micro,
+        "resident_digests": RESIDENT_DIGESTS,
+        "resident_bytes_per_state": {
+            name: _resident_bytes_per_state(overrides)
+            for name, overrides in CONFIGS.items()},
         "checkpoint": _checkpoint_bench(),
         "checkpointed_search": _checkpointed_search(),
     }
@@ -210,11 +240,12 @@ def test_store_report(store_results, bench_output):
             f"{r['wall_time'] / baseline:.2f}x",
             f"{r['store_spill_reads']}/{r['store_evictions']}",
             f"{micro['inserts_per_s'] / 1e3:.0f}k/{micro['lookups_per_s'] / 1e3:.0f}k",
+            f"{store_results['resident_bytes_per_state'][name]:.1f}",
         ])
     print_table(
         "Explored-set store on pyswitch-direct-path",
         ["store", "transitions / unique", "time", "vs memory",
-         "spill reads/evictions", "micro ins/lkp per s"],
+         "spill reads/evictions", "micro ins/lkp per s", "B/state"],
         rows,
     )
     ckpt = store_results["checkpoint"]

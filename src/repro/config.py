@@ -47,10 +47,10 @@ START_METHOD_SPAWN = "spawn"
 ALL_START_METHODS = (START_METHOD_FORK, START_METHOD_SPAWN)
 
 #: Explored-set state stores (DESIGN.md, "State store and
-#: restartability").  ``memory`` is the plain in-process hash table the
-#: engines always used; ``sharded`` shards digests by prefix into
-#: append-only record files with an LRU-bounded resident set, so the
-#: explored set can spill to disk and outgrow RAM.
+#: restartability").  ``memory`` keeps packed digest records in one
+#: in-process log under a flat hash table; ``sharded`` shards them by
+#: prefix into append-only record files with an LRU-bounded resident set,
+#: so the explored set can spill to disk and outgrow RAM.
 STORE_MEMORY = "memory"
 STORE_SHARDED = "sharded"
 
@@ -116,12 +116,12 @@ class NiceConfig:
       children retained for pick-up by handle and the LRU used for
       prefix-replay restoration, together.
     * ``store`` — explored-set storage: :data:`STORE_MEMORY` (the
-      default in-process hash table — zero regression) or
-      :data:`STORE_SHARDED` (``store_shards`` digest-prefix shards, each
-      an append-only file of fixed-width packed hash records with an
-      in-memory index; at most ``store_memory_budget`` digests stay
-      resident, the rest spill to disk — the explored set can outgrow
-      RAM).
+      default: packed hash records in one in-process log under a flat
+      hash table) or :data:`STORE_SHARDED` (``store_shards``
+      digest-prefix shards, each an append-only file of fixed-width
+      packed hash records; at most ``store_memory_budget`` digests stay
+      resident, the rest spill to disk under an in-memory index — the
+      explored set can outgrow RAM).
     * ``checkpoint_interval`` / ``checkpoint_dir`` — master
       checkpointing: with ``checkpoint_dir`` set, the search atomically
       snapshots the explored-set store, the frontier, the statistics and

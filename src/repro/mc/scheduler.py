@@ -281,7 +281,7 @@ class _Scheduler:
             self._merge(message)
         elif isinstance(message, WorkerGone):
             self._on_worker_gone(message.worker_id, message.reason,
-                                 message.started)
+                                 message.started, message.recycled)
         elif isinstance(message, WorkerJoined):
             self._on_worker_joined(message.worker_id)
         elif isinstance(message, WorkerError):
@@ -358,22 +358,27 @@ class _Scheduler:
         return poisoned
 
     def _on_worker_gone(self, worker_id: int, reason: str,
-                        started: bool = True) -> None:
+                        started: bool = True, recycled: bool = False
+                        ) -> None:
         """Retire a dead worker and replace it, then apply the failure
         policy: more than ``max_worker_failures`` deaths, or no worker
         live and none on its way, ends the run.  A worker that could not
         build its runtime (``started`` False) is not replaced — its
         replacement would fail the same way — and its groups are not
-        charged for its death."""
+        charged for its death.  A worker its memory watchdog recycled
+        (``recycled``) did not die: it is replaced, its groups are not
+        charged, and it is no failure."""
         known = self._workers.get(worker_id)
         if known is not None and not known.alive:
             return  # duplicate notice (submit failure + transport event)
-        poisoned = self._retire(worker_id, charge=started)
+        poisoned = self._retire(worker_id, charge=started and not recycled)
         stats = self.stats
-        stats.worker_failures += 1
+        if not recycled:
+            stats.worker_failures += 1
         # A tolerated death must still be *visible*: the reason can carry
         # a startup traceback or a connection error an operator needs.
-        print(f"search worker {worker_id} died"
+        print(f"search worker {worker_id}"
+              f" {'was recycled' if recycled else 'died'}"
               f" ({len(self._alive())} worker(s) left); requeueing its work:"
               f" {reason}", file=sys.stderr, flush=True)
         if started:
@@ -485,7 +490,7 @@ class _Scheduler:
         except NotImplementedError:
             return
         except Exception as exc:  # noqa: BLE001 - any failure, policy decides
-            print(f"could not respawn a replacement for dead worker"
+            print(f"could not respawn a replacement for worker"
                   f" {dead_worker_id}: {exc}", file=sys.stderr, flush=True)
             return
         self.stats.workers_respawned += 1
@@ -493,13 +498,13 @@ class _Scheduler:
             # Asynchronous join (socket): a seat until a worker joins —
             # or its own grace deadline declares it lost.
             self._respawn_seats.append(self.clock() + self.RESPAWN_GRACE)
-            print(f"respawning a replacement for dead worker"
+            print(f"respawning a replacement for worker"
                   f" {dead_worker_id} (joins asynchronously)",
                   file=sys.stderr, flush=True)
         else:
             self._enroll(new_id)
             self.stats.workers += 1
-            print(f"respawned worker {new_id} to replace dead worker"
+            print(f"respawned worker {new_id} to replace worker"
                   f" {dead_worker_id}", file=sys.stderr, flush=True)
 
     def _on_worker_joined(self, worker_id: int) -> None:

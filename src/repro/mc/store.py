@@ -3,24 +3,31 @@ store and restartability").
 
 Two concerns the search engines delegate here:
 
-* **Membership storage** for the explored state set.  :class:`MemoryStore`
-  is the plain in-memory set the engines always had (default — zero
-  regression).  :class:`ShardedStore` shards digests by prefix into
-  append-only files of fixed-width packed records, keeps a compact
-  in-memory index (one small int per digest, ever) plus an LRU-bounded
-  *resident* set, and spills cold digests to disk — the explored set of a
-  NICE-style exhaustive search then scales past one process's RAM while
-  the hot working set stays dictionary-fast.  Both expose one API:
-  ``add(digest) -> bool`` (False = already present), ``add_batch``,
-  ``in``, ``len``.
+* **Membership storage** for the explored state set.  A digest is kept
+  as its packed record (``bytes.fromhex``: 16 B for the engines'
+  32-character hashes), never as the string itself, and every store
+  finds a record through the one :class:`DigestTable`: a flat
+  open-addressing table of entry numbers in an ``array``, keyed by the
+  record's first six bytes, the full record compared on a key match.
+  :class:`MemoryStore` (the default) keeps its records in one
+  insertion-ordered ``bytearray`` — byte for byte the record file it
+  snapshots — so an explored state costs its 16 B record plus 8-16 B of
+  table, about 25 B in all, behind a fixed-size dict of the digests
+  seen last.  :class:`ShardedStore` appends its records to per-shard
+  files instead and keeps an LRU-bounded *resident* dict of digests; a
+  digest that spills out of it enters the table, its prefix and slot in
+  two more flat arrays (20-28 B per spilled digest, kept for good) —
+  the explored set of a NICE-style exhaustive search then scales past
+  one process's RAM while the hot working set stays dictionary-fast.
+  Both expose one API: ``add(digest) -> bool`` (False = already
+  present), ``add_batch``, ``in``, ``len``; both refuse a digest of a
+  second width or encoding on arrival.
 
-  The sharded fast path (record format v2): hex digests are packed to
-  raw bytes (16 B for the engines' 32-char hashes — half the ASCII
-  footprint) and appends land in a per-shard tail buffer flushed in
-  64 KiB runs instead of one ``write()`` per state.  The index is exact
-  — a digest prefix it does not hold is a definitive, I/O-free "new" —
-  so no approximate filter sits in front of the disk probe (DESIGN.md
-  says what one cost and what it answered).
+  The table is exact — a prefix it does not hold is a definitive,
+  I/O-free "new" — so no approximate filter sits in front of the
+  sharded store's disk probe (DESIGN.md says what one cost and what it
+  answered).  Appends land in a per-shard tail buffer flushed in 64 KiB
+  runs instead of one ``write()`` per state.
 
 * **Checkpointing** the master's irreplaceable state.  A checkpoint is a
   directory ``ckpt-NNNNNNNN/`` holding the store's record files, a pickled
@@ -54,9 +61,11 @@ import os
 import pickle
 import shutil
 import signal
+import struct
 import tempfile
 import time
 import warnings
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,9 +90,19 @@ RECORD_HEX = "hex"
 #: this many bytes (and always at flush/snapshot time).
 _FLUSH_BYTES = 1 << 16
 
+#: Cells of an empty :class:`DigestTable` (a power of two).
+_FIRST_CELLS = 8
+
+#: Digests per generation of the memory store's recent set.
+_RECENT = 1024
+
 #: Pre-bound for the insert/lookup hot paths — skips the global + attr
 #: lookup per call.
 _from_bytes = int.from_bytes
+_fromhex = bytes.fromhex
+
+#: A record's key: its first six bytes, little-endian.
+_KEY_MASK = (1 << 48) - 1
 
 _CKPT_PREFIX = "ckpt-"
 _TMP_PREFIX = "tmp-ckpt-"
@@ -139,6 +158,13 @@ class StateStore:
     #: Engine-facing name ("memory" / "sharded"), surfaced in SearchStats.
     kind = "store"
 
+    #: Bytes per record and hex characters per digest, both set by the
+    #: first digest.  ``_hexlen`` is -1 until then: ``len(digest)`` can
+    #: never be negative, so the packing fast path's single comparison
+    #: stays false before the width is known.
+    _width = 0
+    _hexlen = -1
+
     def add(self, digest: str) -> bool:
         """Record ``digest``; False means it was already present."""
         raise NotImplementedError
@@ -151,8 +177,7 @@ class StateStore:
         crash-recovery harness plants kill points by monkeypatching
         ``add`` on the store *instance*, and batching must not tunnel
         past that seam.  Stores that buffer writes (ShardedStore)
-        amortise the I/O inside ``add`` itself, so this loop stays one
-        dict probe per digest.
+        amortise the I/O inside ``add`` itself.
         """
         add = self.add
         return [add(digest) for digest in digests]
@@ -203,38 +228,163 @@ class StateStore:
 
     def record_width(self) -> int:
         """Bytes per record (0 while empty)."""
-        raise NotImplementedError
+        return self._width
 
     def close(self) -> None:
         pass
 
+    def _pack(self, digest: str) -> bytes:
+        """``digest`` as this store's packed record — the first one sets
+        the width; raises the mixed-width ValueError on any mismatch,
+        from lookups as well as inserts (a silent False here would let
+        one run mix digest schemes and corrupt dedup).  Records
+        canonicalize to lowercase (``bytes.fromhex`` is case-blind)."""
+        if len(digest) == self._hexlen:
+            try:
+                return _fromhex(digest)
+            except ValueError:
+                pass
+        width = self._width or len(digest) // 2
+        record = _packed(digest, width)
+        if not self._width:
+            self._width, self._hexlen = width, len(digest)
+        return record
+
+
+class DigestTable:
+    """The explored set's one index: an open-addressing table of entry
+    numbers in one flat ``array('I')``.
+
+    Entry ``n`` is the ``n``-th record its store entered, wherever the
+    store keeps it.  A cell holds ``n + 1`` (0 is empty).  A record's
+    *key* is its first six bytes, little-endian; its probe starts at the
+    cell ``key & mask`` and walks forward to the first empty cell,
+    comparing on the way (the store compares: this class only places).
+    Nothing is ever removed, so the entries of one key lie along their
+    probe in insertion order, regrowth included — it re-places entries
+    in entry order.  At most half the cells are used: a lookup reads
+    ~1.5 cells, and a cell costs 8-16 bytes per entry.
+    """
+
+    __slots__ = ("cells", "mask", "entries")
+
+    def __init__(self):
+        self.cells = array("I", bytes(4 * _FIRST_CELLS))
+        self.mask = _FIRST_CELLS - 1
+        self.entries = 0
+
+    def claim(self, cell: int) -> bool:
+        """Enter the next entry at ``cell``, the empty cell where its
+        probe ended.  True when that leaves the table half full: the
+        caller then calls :meth:`grow`."""
+        entries = self.cells[cell] = self.entries = self.entries + 1
+        return 2 * entries > self.mask
+
+    def place(self, key: int) -> bool:
+        """Enter the next entry, keyed ``key``, at the first empty cell
+        of its probe — after every entry of that key, so they stay in
+        entry order; :meth:`claim`'s result."""
+        cells, mask = self.cells, self.mask
+        cell = key & mask
+        while cells[cell]:
+            cell = (cell + 1) & mask
+        return self.claim(cell)
+
+    def grow(self, keys) -> None:
+        """Double the table, re-placing every entry from ``keys``, each
+        entry's key in entry order."""
+        size = 2 * len(self.cells)
+        mask = size - 1
+        cells = array("I", bytes(4 * size))
+        for entry, key in enumerate(keys, 1):
+            cell = key & mask
+            while cells[cell]:
+                cell = (cell + 1) & mask
+            cells[cell] = entry
+        self.cells, self.mask = cells, mask
+
 
 class MemoryStore(StateStore):
-    """The engines' original explored set: one in-memory hash table."""
+    """The default explored set: an insertion-ordered log of records in
+    one ``bytearray`` under a :class:`DigestTable`.
+
+    Insertion order is the order :meth:`snapshot_into` writes and resume
+    replays, so a resumed serial DFS walks the identical frontier order.
+    In front of the table sit the digests added or found over the last
+    one to two ``_RECENT`` adds, as two dict generations: most revisits
+    are of a state seen that recently (87 % of ``lb3``'s), and a dict
+    answers them without packing or probing.
+    """
 
     kind = STORE_MEMORY
 
     def __init__(self):
-        # A dict, not a set: insertion order survives snapshot/reload, so
-        # a resumed serial DFS walks the identical frontier order.
-        self._digests: dict[str, None] = {}
+        self._log = bytearray()
+        self._table = DigestTable()
+        self._recent: dict[str, None] = {}
+        self._older: dict[str, None] = {}
         self._hits = 0
 
+    def _keys(self):
+        """Every record's key, in log order."""
+        if self._width >= 8:  # unpacked in C: most of a regrowth's cost
+            skip = self._width - 8
+            return (key & _KEY_MASK for key, in struct.iter_unpack(
+                f"<Q{skip}x", self._log))
+        log, width = self._log, self._width
+        return (_from_bytes(log[start:start + 6], "little")
+                for start in range(0, len(log), width))
+
+    def _cell(self, record: bytes) -> int:
+        """-1 if the log holds ``record``, else the empty cell that ends
+        its probe."""
+        table = self._table
+        cells, mask = table.cells, table.mask
+        cell = _from_bytes(record[:6], "little") & mask
+        entry = cells[cell]
+        log, width = self._log, self._width
+        while entry:
+            if log.startswith(record, (entry - 1) * width):
+                return -1
+            cell = (cell + 1) & mask
+            entry = cells[cell]
+        return cell
+
     def add(self, digest: str) -> bool:
-        if digest in self._digests:
+        recent = self._recent
+        if digest in recent or digest in self._older:
             self._hits += 1
             return False
-        self._digests[digest] = None
+        # _pack's fast path, inlined: this is *the* hot loop of an
+        # exhaustive search.
+        if len(digest) == self._hexlen:
+            try:
+                record = _fromhex(digest)
+            except ValueError:
+                record = self._pack(digest)
+        else:
+            record = self._pack(digest)
+        cell = self._cell(record)
+        recent[digest] = None
+        if len(recent) >= _RECENT:
+            self._older, self._recent = recent, {}
+        if cell < 0:
+            self._hits += 1
+            return False
+        self._log += record
+        if self._table.claim(cell):
+            self._table.grow(self._keys())
         return True
 
     def __contains__(self, digest: str) -> bool:
-        if digest in self._digests:
+        if digest in self._recent or digest in self._older or (
+                self._width and self._cell(self._pack(digest)) < 0):
             self._hits += 1
             return True
         return False
 
     def __len__(self) -> int:
-        return len(self._digests)
+        return self._table.entries
 
     def counters(self) -> dict:
         return {"hits": self._hits, "spill_reads": 0, "evictions": 0}
@@ -242,24 +392,10 @@ class MemoryStore(StateStore):
     def reset_counters(self) -> None:
         self._hits = 0
 
-    def record_width(self) -> int:
-        for digest in self._digests:
-            return len(digest) // 2
-        return 0
-
     def snapshot_into(self, directory: Path, previous: Path | None = None):
         name = "states-0000.bin"
-        width = self.record_width()
-        buffer = bytearray()
         with open(directory / name, "wb") as handle:
-            for digest in self._digests:
-                # Mis-sliced records would corrupt every digest after the
-                # first odd one out on resume — _packed refuses now.
-                buffer += _packed(digest, width)
-                if len(buffer) >= (1 << 20):
-                    handle.write(buffer)
-                    buffer.clear()
-            handle.write(buffer)
+            handle.write(self._log)
         return [name], {}
 
 
@@ -268,15 +404,22 @@ class ShardedStore(StateStore):
 
     Layout per shard ``i``: an append-only file of fixed-width packed
     records (record ``n`` lives at byte ``n * width``) behind an
-    in-memory tail buffer, plus an in-memory index mapping a 48-bit
-    digest prefix to the slot(s) holding it.  Membership: the LRU
-    *resident* dict answers hot lookups from memory; a prefix absent
-    from the (exact) index is a definitive memory-only miss; otherwise
-    the candidate slots are compared against the tail buffer or the
-    shard file.  Inserts append one record to the tail buffer (flushed
-    to the file in 64 KiB runs) and one index entry; when the resident
-    set exceeds ``memory_budget`` digests the oldest entries spill (the
-    index entry — one small int — is all that remains in memory).
+    in-memory tail buffer.  Every digest is in the LRU *resident* dict,
+    in one :class:`DigestTable` over all shards, or in both: a digest
+    enters the table when it first spills out of the resident set, and
+    stays.  A table entry's prefix and in-shard slot live in two flat
+    arrays beside the table, 12 bytes per spilled digest plus the
+    table's 8-16 (the prefix names the shard: ``prefix % shards``).
+
+    Membership: the resident dict answers hot lookups from memory; a
+    prefix absent from the (exact) table is a definitive memory-only
+    miss; otherwise each spilled record of that prefix is compared
+    against the tail buffer or the shard file, one spill read per
+    candidate.  Inserts append one record to the tail buffer (flushed to
+    the file in 64 KiB runs) and enter the resident set with their slot;
+    when it exceeds ``memory_budget`` digests the least recently touched
+    spills.  The budget bounds the resident set; the table grows with
+    what has spilled — nothing while a search fits its budget.
     """
 
     kind = STORE_SHARDED
@@ -297,23 +440,23 @@ class ShardedStore(StateStore):
             open(self.directory / self._shard_name(i), "w+b")
             for i in range(shards)
         ]
-        #: Per shard: 48-bit digest prefix -> slot int (or tuple of slots
-        #: on the rare prefix collision).
-        self._index: list[dict[int, int | tuple]] = [{} for _ in range(shards)]
-        self._slots = [0] * shards
+        #: Per table entry, in spill order: its record's 48-bit prefix
+        #: and its slot in shard ``prefix % shards``.
+        self._prefixes = array("Q")
+        self._slots = array("I")
+        self._table = DigestTable()
+        #: Records held by each shard.
+        self._records = [0] * shards
+        self._count = 0
         #: Bytes flushed to each shard file (always a record multiple).
         self._flushed = [0] * shards
         #: Records appended but not yet written to the shard file.
         self._tails = [bytearray() for _ in range(shards)]
         #: LRU resident set: a plain (insertion-ordered) dict — cheaper
         #: per insert than OrderedDict on the hot path; touches re-insert.
-        self._resident: dict[str, None] = {}
-        self._count = 0
-        self._width = 0
-        # -1 until the first digest sets the width: ``len(digest)`` can
-        # never be negative, so add()'s single-comparison fast-path
-        # check stays false before then.
-        self._hexlen = -1
+        #: A digest maps to its slot until it first spills, then to None
+        #: (the table has it).
+        self._resident: dict[str, int | None] = {}
         self._hits = 0
         self._spill_reads = 0
         self._evictions = 0
@@ -326,67 +469,75 @@ class ShardedStore(StateStore):
     def _shard_name(index: int) -> str:
         return f"states-{index:04d}.bin"
 
-    def _pack(self, digest: str) -> bytes:
-        """``digest`` as this store's packed record — the first one sets
-        the width; raises the mixed-width ValueError on any mismatch,
-        from lookups as well as inserts (a silent False here would let
-        one run mix digest schemes and corrupt dedup).  Records
-        canonicalize to lowercase (``bytes.fromhex`` is case-blind)."""
-        width = self._width or len(digest) // 2
-        record = _packed(digest, width)
-        if not self._width:
-            self._width, self._hexlen = width, len(digest)
-        return record
-
-    def _probe_records(self, shard: int, slots, record: bytes) -> bool:
-        """Compare ``record`` against the candidate slots — in the tail
-        buffer when the slot hasn't been flushed yet, else on disk."""
+    def _holds(self, shard: int, slot: int, record: bytes) -> bool:
+        """Whether ``slot`` of ``shard`` holds ``record`` — read from the
+        tail buffer when the slot hasn't been flushed yet, else from
+        disk."""
         width = self._width
+        offset = slot * width
         flushed = self._flushed[shard]
-        tail = self._tails[shard]
+        self._spill_reads += 1
+        if offset >= flushed:
+            start = offset - flushed
+            return self._tails[shard].startswith(record, start)
         handle = self._files[shard]
-        for slot in slots if isinstance(slots, tuple) else (slots,):
-            offset = slot * width
-            self._spill_reads += 1
-            if offset >= flushed:
-                start = offset - flushed
-                if bytes(tail[start:start + width]) == record:
+        handle.seek(offset)
+        return handle.read(width) == record
+
+    def _spilled(self, record: bytes, prefix: int) -> bool:
+        """Whether ``record`` (whose key is ``prefix``) has spilled: each
+        table entry of that key is a candidate slot, read until one
+        holds it."""
+        table = self._table
+        cells, mask = table.cells, table.mask
+        cell = prefix & mask
+        entry = cells[cell]
+        if entry:
+            prefixes, slots = self._prefixes, self._slots
+            shard = prefix % self.shards
+            while entry:
+                entry -= 1
+                if prefixes[entry] == prefix and \
+                        self._holds(shard, slots[entry], record):
                     return True
-            else:
-                handle.seek(offset)
-                if handle.read(width) == record:
-                    return True
+                cell = (cell + 1) & mask
+                entry = cells[cell]
         return False
 
-    def _touch(self, digest: str) -> None:
-        """Enter ``digest`` into the resident LRU, spilling the coldest.
-        Re-inserting moves an existing key to the back of the (insertion-
-        ordered) dict, so eviction order is least-recently-touched."""
+    def _spill(self) -> None:
+        """Evict the least recently touched resident digest, entering it
+        in the table if this is its first spill."""
         resident = self._resident
-        resident.pop(digest, None)
+        digest = next(iter(resident))
+        slot = resident.pop(digest)
+        self._evictions += 1
+        if slot is None:
+            return
+        prefix = _from_bytes(_fromhex(digest)[:6], "little")
+        self._prefixes.append(prefix)
+        self._slots.append(slot)
+        if self._table.place(prefix):
+            self._table.grow(self._prefixes)
+
+    def _touch(self, digest: str) -> None:
+        """Enter a spilled ``digest`` into the resident LRU again,
+        spilling the coldest."""
+        resident = self._resident
         resident[digest] = None
         while len(resident) > self.memory_budget:
-            del resident[next(iter(resident))]
-            self._evictions += 1
+            self._spill()
 
     def __contains__(self, digest: str) -> bool:
         resident = self._resident
         if digest in resident:
             self._hits += 1
-            del resident[digest]
-            resident[digest] = None
+            resident[digest] = resident.pop(digest)
             return True
         if not self._count:
             return False
         record = self._pack(digest)
-        # Small-int prefix (first six record bytes) — bigint arithmetic
-        # on the full record is 2-3x the cost per operation.
-        prefix = _from_bytes(record[:6], "little")
-        shard = prefix % self.shards
-        slots = self._index[shard].get(prefix)
-        if slots is None:
-            return False
-        if self._probe_records(shard, slots, record):
+        if self._table.entries and \
+                self._spilled(record, _from_bytes(record[:6], "little")):
             self._touch(digest)
             return True
         return False
@@ -395,41 +546,30 @@ class ShardedStore(StateStore):
         resident = self._resident
         if digest in resident:
             self._hits += 1
-            del resident[digest]
-            resident[digest] = None
+            resident[digest] = resident.pop(digest)
             return False
-        # Inlined fast path of _pack (this is *the* hot loop of an
-        # exhaustive search); everything else falls into _pack, which
-        # also performs first-digest width setup and error reporting.
+        # _pack's fast path, inlined: this is *the* hot loop of an
+        # exhaustive search.
         if len(digest) == self._hexlen:
             try:
-                record = bytes.fromhex(digest)
+                record = _fromhex(digest)
             except ValueError:
                 record = self._pack(digest)
         else:
             record = self._pack(digest)
         prefix = _from_bytes(record[:6], "little")
+        if self._table.entries and self._spilled(record, prefix):
+            self._touch(digest)
+            return False
         shard = prefix % self.shards
-        slot = self._slots[shard]
-        # setdefault folds the common miss-then-insert pair into one
-        # dict op.  Identity is sound: it returns the exact object we
-        # passed iff it inserted, and any pre-existing entry holds a
-        # strictly smaller slot (or a tuple), never this one.
-        held = self._index[shard].setdefault(prefix, slot)
-        if held is not slot:
-            if self._probe_records(shard, held, record):
-                self._touch(digest)
-                return False
-            self._index[shard][prefix] = held + (slot,) \
-                if isinstance(held, tuple) else (held, slot)
+        records = self._records
+        resident[digest] = records[shard]
+        records[shard] += 1
+        self._count += 1
         tail = self._tails[shard]
         tail += record
-        self._slots[shard] = slot + 1
-        self._count += 1
-        resident[digest] = None
         if len(resident) > self.memory_budget:
-            del resident[next(iter(resident))]
-            self._evictions += 1
+            self._spill()
         if len(tail) >= _FLUSH_BYTES:
             self._flush_shard(shard)
         return True
@@ -459,9 +599,6 @@ class ShardedStore(StateStore):
 
     def reset_counters(self) -> None:
         self._hits = self._spill_reads = self._evictions = 0
-
-    def record_width(self) -> int:
-        return self._width
 
     # -- snapshots ------------------------------------------------------
 
@@ -554,7 +691,7 @@ class ShardedStore(StateStore):
         return shard, segment
 
     def adopt_baseline(self, checkpoint: "Checkpoint") -> bool:
-        if not self._count or checkpoint.record_width != self._width:
+        if not len(self) or checkpoint.record_width != self._width:
             return False
         self.flush()
         grouped: dict[int, list] = {}
@@ -650,11 +787,17 @@ class Checkpoint:
                     yield from unpack_digests(data, len(data) // width)
 
     def restore_stats(self, stats) -> None:
-        """Seed a fresh SearchStats with the checkpointed counters."""
+        """Seed a fresh SearchStats with the checkpointed counters.  The
+        snapshot's meta was pickled before the bytes of the snapshot
+        itself were counted, so they are added here from its manifest
+        (``checkpoints_written`` was counted before the write and needs
+        nothing; the write's seconds are not recorded anywhere, and stay
+        lost)."""
         for key, value in self.stats.items():
             if key in _NON_RESUMABLE or not hasattr(stats, key):
                 continue
             setattr(stats, key, value)
+        stats.checkpoint_bytes_written += self.bytes_written
         stats.resumed_from = str(self.path)
 
 

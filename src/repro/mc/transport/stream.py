@@ -157,9 +157,18 @@ class StreamTransport(Transport):
         except Exception as exc:  # noqa: BLE001 - reset, stall, bad pickle
             return self._reap(worker_id, f"connection lost: {exc!r}",
                               exited=isinstance(exc, ConnectionError))
-        if message is None or isinstance(message, Shutdown):
+        if message is None:
             return self._reap(worker_id, "worker closed the connection",
                               exited=True)
+        if isinstance(message, Shutdown):
+            # The recycling worker waits for this answer to exit: a fork
+            # child holds a copy of this end, so closing it is no EOF.
+            try:
+                send_msg(sock, Shutdown(), self.FRAME_TIMEOUT)
+            except OSError:
+                pass
+            return self._reap(worker_id, "recycled by its memory watchdog",
+                              exited=True, recycled=True)
         if isinstance(message, WorkerError) and message.task_id is None:
             # The process is done for, but only the scheduler's policy
             # decides whether the search is: the traceback rides on the
@@ -202,16 +211,19 @@ class StreamTransport(Transport):
         conn.close()
 
     def _reap(self, worker_id: int, reason: str, exited: bool = False,
-              started: bool = True) -> WorkerGone:
+              started: bool = True, recycled: bool = False) -> WorkerGone:
         """Drop a dead worker's channel and word its death.  ``exited``:
-        the peer closed the channel itself, so how its process ended is
-        the better reason; otherwise the master is dropping a worker that
-        may still run, and its launcher must not leak it.  ``started``
-        False: it could not build its runtime (:class:`WorkerGone`)."""
+        the peer closed the channel itself, or is about to, so how its
+        process ended is the better reason; otherwise the master is
+        dropping a worker that may still run, and its launcher must not
+        leak it.  ``started`` False: it could not build its runtime;
+        ``recycled``: it left on its memory watchdog's word
+        (:class:`WorkerGone`)."""
         self._channels.pop(worker_id).close()
         del self._codecs[worker_id]
         return WorkerGone(worker_id,
-                          self._put_away(worker_id, reason, exited), started)
+                          self._put_away(worker_id, reason, exited), started,
+                          recycled)
 
     def _put_away(self, worker_id: int, reason: str, exited: bool) -> str:
         """The launcher's part of :meth:`_reap`: the final reason."""

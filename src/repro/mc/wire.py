@@ -47,12 +47,13 @@ from time import monotonic as _monotonic
 from repro.config import NiceConfig
 
 #: Bump when the task/result layout changes; Hello carries it so a stale
-#: remote worker fails fast instead of mis-decoding tasks.  v9: a task's
-#: traces and steps and a result's ``children`` are references into the
-#: channel's descriptor tables, and each message carries the
-#: ``definitions`` new on its channel (:class:`Codec`).  (History:
-#: CHANGES.md.)
-PROTOCOL_VERSION = 9
+#: remote worker fails fast instead of mis-decoding tasks.  v10: a worker
+#: that its memory watchdog recycles says so with a :class:`Shutdown`
+#: before it leaves.  v9: a task's traces and steps and a result's
+#: ``children`` are references into the channel's descriptor tables, and
+#: each message carries the ``definitions`` new on its channel
+#: (:class:`Codec`).  (History: CHANGES.md.)
+PROTOCOL_VERSION = 10
 
 _HEADER = struct.Struct("!I")
 
@@ -208,7 +209,11 @@ class WorkerError:
 
 @dataclass
 class Shutdown:
-    """Master -> worker: exit cleanly."""
+    """Master -> worker: exit cleanly.  Worker -> master: my memory
+    watchdog is recycling me — not a death (:class:`WorkerGone`
+    ``recycled``); the worker then waits for the master's Shutdown or
+    hang-up, so a task submitted meanwhile still finds its channel
+    open."""
 
 
 @dataclass
@@ -218,11 +223,15 @@ class WorkerGone:
     requeues the worker's in-flight groups, asks for a replacement and
     applies its failure policy.  ``started`` is False for a worker that
     reported it could not build its runtime: a replacement would fail
-    the same way, and the groups it held are not to blame."""
+    the same way, and the groups it held are not to blame.  ``recycled``
+    is True for a worker that left on its memory watchdog's word (it
+    sent :class:`Shutdown`): it is replaced, its groups are not to
+    blame, and its exit is no failure."""
 
     worker_id: int
     reason: str
     started: bool = True
+    recycled: bool = False
 
 
 @dataclass

@@ -392,8 +392,9 @@ class WorkerRuntime:
         Over the limit, shed the replay cache and the retained children
         first — they are the unbounded-value structures a worker owns,
         and losing them only costs restoration replays.  Still over after
-        a collection, ask to be recycled: the caller returns, the channel
-        EOFs, and the master's respawn path replaces the process.  Checked
+        a collection, ask to be recycled: the caller tells the master
+        (``Shutdown``), which replaces the process — no failure, and no
+        group charged — and leaves once the master hangs up.  Checked
         *after* a result is sent, so even a worker whose base RSS exceeds
         the limit makes forward progress (one task per incarnation)."""
         limit = self.config.worker_memory_limit
@@ -460,14 +461,7 @@ def _serve(make_runtime, worker_id: int, recv, send) -> None:
         runtime = make_runtime()
     except Exception:  # noqa: BLE001 - report startup failure to the master
         send(WorkerError(None, worker_id, traceback.format_exc()))
-        # Linger until the master hangs up: a task it submits meanwhile
-        # must find the channel open, or that failed submit — not this
-        # report — is the death it hears of, and it replaces us.
-        try:
-            while not isinstance(recv(), (Shutdown, type(None))):
-                pass
-        except OSError:
-            pass
+        _linger(recv)
         return
     thresholds = gc.get_threshold()
     try:
@@ -497,12 +491,29 @@ def _serve(make_runtime, worker_id: int, recv, send) -> None:
                 # its search is over, so are we.
                 return
             if runtime.should_recycle(worker_id):
-                # Exit cleanly; the master sees EOF -> WorkerGone and the
-                # respawn path (or an elastic joiner) replaces us with a
-                # fresh-memory sibling.
+                # Say so, then leave once the master hangs up: it requeues
+                # the task we were sent meanwhile uncharged, counts no
+                # failure, and replaces us with a fresh-memory sibling.
+                try:
+                    send(Shutdown())
+                except OSError:
+                    return
+                _linger(recv)
                 return
     finally:
         gc.set_threshold(*thresholds)
+
+
+def _linger(recv) -> None:
+    """Wait, reading and ignoring tasks, until the master hangs up on a
+    worker that has said it is leaving.  A task the master submits
+    meanwhile must find the channel open, or that failed submit — not
+    what the worker said — is the death the master hears of."""
+    try:
+        while not isinstance(recv(), (Shutdown, type(None))):
+            pass
+    except OSError:
+        pass
 
 
 def _serve_channel(sock, worker_id: int, spec) -> None:

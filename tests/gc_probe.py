@@ -46,7 +46,10 @@ THRESHOLD_ENV = "NICE_GC_PROBE_THRESHOLD"
 
 class GcMeter:
     """Seconds spent in, and number of, collections per generation
-    between :meth:`start` and :meth:`stop`."""
+    between :meth:`start` and :meth:`stop`.  The seconds are the
+    collecting thread's CPU time: a collection runs on the thread that
+    triggered it, start to finish, and a wall clock would also count
+    the time another process held the core."""
 
     def __init__(self):
         self.seconds = [0.0, 0.0, 0.0]
@@ -55,10 +58,10 @@ class GcMeter:
 
     def _callback(self, phase, info) -> None:
         if phase == "start":
-            self._began = time.perf_counter()
+            self._began = time.thread_time()
         else:
             generation = info["generation"]
-            self.seconds[generation] += time.perf_counter() - self._began
+            self.seconds[generation] += time.thread_time() - self._began
             self.collections[generation] += 1
 
     def start(self) -> None:

@@ -8,8 +8,8 @@ failure schedules real processes only hit by luck — a result that
 outraces, trails or never follows its worker's death notice, a death
 reported twice, a death of a worker nobody enrolled, a submit that finds
 its worker dead, a join mid-run, a worker that stops answering, one that
-could not build its runtime, a replacement that never joins — each
-happen exactly where the tape says.  Its time is virtual
+could not build its runtime, one its memory watchdog recycles, a
+replacement that never joins — each happen exactly where the tape says.  Its time is virtual
 (:meth:`ScriptedTransport.clock`, installed as the scheduler's clock): a
 ``recv`` with nothing to deliver moves it on by the timeout asked for, so
 a task deadline expires without anyone sleeping.  :func:`enrolled_scheduler`
@@ -125,6 +125,19 @@ class FailsToStart:
 
 
 @dataclass(frozen=True)
+class Recycles:
+    """After the ``after``-th submit the ``victim``-th live worker (modulo
+    the pool) is recycled by its memory watchdog: the results it sent
+    come first, then its one ``WorkerGone``, ``recycled`` True.  A task
+    submitted to it before the master reads that notice is never
+    answered — the pipelined task a real recycling worker leaves
+    unread."""
+
+    after: int
+    victim: int
+
+
+@dataclass(frozen=True)
 class NeverJoins:
     """From the ``after``-th submit on, the next replacement the
     scheduler asks for joins asynchronously — and never arrives."""
@@ -135,6 +148,8 @@ class NeverJoins:
 #: The reason a :class:`FailsToStart` worker gives.
 START_FAILURE = ("failed to start:\nTraceback (most recent call last):\n"
                  "RuntimeError: scripted start-up failure")
+#: The reason a :class:`Recycles` worker's notice gives.
+RECYCLED = "recycled by its memory watchdog"
 
 
 class ScriptedTransport(InlineTransport):
@@ -247,7 +262,7 @@ class ScriptedTransport(InlineTransport):
         return sorted(self._runtimes.keys() - self._stalled)
 
     def _kill(self, victim: int, results: str, notices: int = 1,
-              started: bool = True) -> None:
+              started: bool = True, recycled: bool = False) -> None:
         del self._runtimes[victim]
         self._stalled.discard(victim)
 
@@ -261,15 +276,17 @@ class ScriptedTransport(InlineTransport):
                      if unreceived(message)]
             self._results = deque(message for message in self._results
                                   if not unreceived(message))
-        reason = "scripted" if started else START_FAILURE
-        self._results.extend(wire.WorkerGone(victim, reason, started)
-                             for _ in range(notices))
+        reason = RECYCLED if recycled else \
+            "scripted" if started else START_FAILURE
+        self._results.extend(
+            wire.WorkerGone(victim, reason, started, recycled)
+            for _ in range(notices))
         if results == LATE:
             self._results.extend(stale)
             self.late += len(stale)
 
     def _play(self, event) -> None:
-        if isinstance(event, (Kill, Stall, FailsToStart)):
+        if isinstance(event, (Kill, Stall, FailsToStart, Recycles)):
             # A start-up failure is never replaced: it may empty the pool.
             live = self._answering()
             if not live or (not isinstance(event, FailsToStart)
@@ -280,6 +297,8 @@ class ScriptedTransport(InlineTransport):
                 self._stalled.add(victim)
             elif isinstance(event, FailsToStart):
                 self._kill(victim, WITHHELD, started=False)
+            elif isinstance(event, Recycles):
+                self._kill(victim, FIRST, recycled=True)
             else:
                 self._kill(victim, event.results, event.notices)
         elif isinstance(event, NeverJoins):

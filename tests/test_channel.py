@@ -197,8 +197,8 @@ def test_a_death_is_reported_exactly_once(fake, seen_by):
 
 
 def test_what_a_worker_wrote_before_exiting_is_read_before_its_death(fake):
-    """A recycled worker sends its result and exits: result, sentinel and
-    EOF are all there at the next ``recv``, and the result comes first."""
+    """A worker sends its result and exits: result, sentinel and EOF are
+    all there at the next ``recv``, and the result comes first."""
     wire.send_msg(fake.far[0], wire.TaskResult(7, 0, {"children": []}))
     fake.far[0].close()
     fake.exit_process(0)
@@ -206,6 +206,25 @@ def test_what_a_worker_wrote_before_exiting_is_read_before_its_death(fake):
     assert isinstance(first, wire.TaskResult) and first.task_id == 7
     assert isinstance(second, wire.WorkerGone) and second.worker_id == 0
     assert second.started  # it served a task: the pool replaces it
+
+
+def test_a_recycling_worker_says_so_and_is_answered(fake):
+    """A worker its memory watchdog recycles sends its result, then a
+    ``Shutdown``, and waits: the master reads the result, then words
+    the exit as a recycle — replaced, no failure — and answers with a
+    ``Shutdown`` of its own, which is what lets a fork child (holding a
+    copy of the master's end, so no EOF comes) leave at once."""
+    wire.send_msg(fake.far[0], wire.TaskResult(7, 0, {"children": []}))
+    wire.send_msg(fake.far[0], wire.Shutdown())
+    first, gone = (within(5, fake.recv, timeout=5) for _ in range(2))
+    assert isinstance(first, wire.TaskResult) and first.task_id == 7
+    assert isinstance(gone, wire.WorkerGone) and gone.worker_id == 0
+    assert gone.recycled and gone.started
+    assert gone.reason == "recycled by its memory watchdog"
+    assert isinstance(wire.recv_msg(fake.far[0], timeout=5), wire.Shutdown)
+    assert fake.put_away == [(0, True)]
+    with pytest.raises(WorkerLost, match="already reported dead"):
+        fake.submit(0, TASK)
 
 
 def test_a_start_up_failure_is_its_workers_death_notice(fake):
@@ -257,11 +276,11 @@ def test_worker_joined_precedes_the_worker_gone_of_a_joiner_that_dies_at_once(
 @pytest.mark.parametrize("protocol", [wire.PROTOCOL_VERSION - 1,
                                       wire.PROTOCOL_VERSION + 1])
 def test_hello_with_another_protocol_is_dropped(fake, protocol, capsys):
-    """A v8 worker ships whole transitions where this v9 master reads
-    references into the channel's tables; a v10 one knows things this
-    master does not: mismatched peers are dropped at the handshake, with
-    a one-line notice."""
-    assert wire.PROTOCOL_VERSION == 9
+    """A v9 worker leaves without saying it is recycling, which this v10
+    master would count as a death; a v11 one knows things this master
+    does not: mismatched peers are dropped at the handshake, with a
+    one-line notice."""
+    assert wire.PROTOCOL_VERSION == 10
     peer = fake.accepted()
     with peer:
         hello(peer, protocol=protocol)

@@ -264,17 +264,20 @@ class TestWorkerRespawn:
     def test_the_memory_watchdog_alone_recycles_through_respawn(
             self, serial_ping, monkeypatch):
         """``worker_memory_limit`` and nothing else: every worker is over
-        a 1-byte limit after each task, so it exits cleanly and the pool
-        replaces it — the search reaches serial's counts instead of
-        running out of workers.  (Tasks of 16 nodes, the first task's
-        usual size, keep the one-task incarnations few.)"""
+        a 1-byte limit after each task, so it says it is recycling and
+        the pool replaces it — the search reaches serial's counts.  A
+        recycle is no failure: dozens of them pass under
+        ``max_worker_failures=5``, where counting each as a death gave
+        up at the sixth.  (Tasks of 16 nodes, the first task's usual
+        size, keep the one-task incarnations few.)"""
         small_tasks(monkeypatch.setattr, nodes=16)
         stats = nice.run(exhaustive_ping(workers=2, start_method="fork",
-                                         worker_memory_limit=1))
+                                         worker_memory_limit=1,
+                                         max_worker_failures=5))
         assert counters(stats) == counters(serial_ping)
         assert stats.terminated == "exhausted"
-        assert stats.worker_failures > 2
-        assert stats.workers_respawned == stats.worker_failures
+        assert stats.worker_failures == 0
+        assert stats.workers_respawned > 5
 
 
 # ----------------------------------------------------------------------

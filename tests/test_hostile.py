@@ -287,7 +287,8 @@ class TestMemoryWatchdog:
                                **CONTAIN, start_method="fork"))
         assert counters(stats) == counters(benign_serial)
         assert stats.terminated == "exhausted"
-        assert stats.worker_failures >= 1
+        # Recycled, not dead: replaced, and counted as no failure.
+        assert stats.workers_respawned >= 1 and stats.worker_failures == 0
         assert stats.tasks_quarantined == 0
 
     def test_shedding_frees_cyclic_state_under_the_serving_policy(self):

@@ -7,8 +7,9 @@ over :class:`scripted_transport.ScriptedTransport`: in-process workers,
 virtual time, and a ``hypothesis``-generated tape of deaths (result
 withheld, stale or delivered first; noticed once or twice), deaths of
 workers never enrolled, submits that find their worker dead, stalls only
-a task deadline ends, joins, workers that could not build their runtime
-and replacements that never join.  Oracle: the state space and verdicts
+a task deadline ends, joins, workers that could not build their runtime,
+workers their memory watchdog recycles and replacements that never
+join.  Oracle: the state space and verdicts
 equal serial and the frontier drains — or, once the pool is empty with
 no replacement on its way, a clean ``TransportError`` — never a master
 blocked for ever; no lifecycle assertion fires, and after every message
@@ -18,8 +19,8 @@ same property with the requeue in ``_retire`` patched out and must fail.
 
 Hang detection is the task deadline alone; it is pinned in virtual time
 — no test here sleeps — with a mutation demo per way a deadline kill can
-go wrong.  A worker that fails to start, and a respawn seat forfeit on
-its own deadline, are pinned at the bottom.
+go wrong.  A worker that fails to start, a respawn seat forfeit on its
+own deadline, and a recycle that is no death are pinned at the bottom.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from scripted_transport import (
     Join,
     Kill,
     NeverJoins,
+    Recycles,
     ScriptedTransport,
     Stall,
     SubmitLost,
@@ -130,6 +132,7 @@ EVENTS = st.one_of(
     st.builds(Join, after=AFTER),
     st.builds(FailsToStart, after=AFTER, victim=st.integers(0, 3)),
     st.builds(NeverJoins, after=AFTER),
+    st.builds(Recycles, after=AFTER, victim=st.integers(0, 3)),
 )
 
 
@@ -374,3 +377,20 @@ def test_a_respawn_seat_is_forfeit_on_its_own_deadline():
     clock.now = 110.0
     with pytest.raises(TransportError, match="1 respawned replacement"):
         scheduler._check_deadlines()
+
+
+def test_a_recycled_worker_is_no_failure_and_charges_nothing(serial):
+    """Four watchdog recycles under ``max_worker_failures=0`` and
+    ``MAX_TASK_RETRIES`` 0: a recycle counted as a death would end the
+    run at the first, and a group it charged would go to quarantine.
+    Each recycled worker is replaced, the task it was sent after its
+    last result is requeued, and the search ends as serial does."""
+    tape = [Recycles(3, 0), Recycles(6, 1), Recycles(9, 0), Recycles(12, 1)]
+    stats, transport, scheduler = run_scripted(
+        tape, respawn=True, retries=0, one_node_tasks=True,
+        max_worker_failures=0)
+    assert transport.played == tape
+    assert_matches(stats, serial, scheduler)
+    assert stats.worker_failures == 0 and stats.workers_respawned == 4
+    assert stats.tasks_retried >= 1
+    assert not scheduler._poison and stats.tasks_quarantined == 0

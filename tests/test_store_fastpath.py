@@ -123,6 +123,20 @@ class TestAddBatch:
 # The index is exact: a shared 48-bit prefix goes to the records
 # ----------------------------------------------------------------------
 
+def _entries_of_key(store, digest) -> list:
+    """The entries the sharded store's table holds under ``digest``'s
+    48-bit key (spilled digests), in probe order."""
+    key = int.from_bytes(bytes.fromhex(digest)[:6], "little")
+    table = store._table
+    cell, found = key & table.mask, []
+    while table.cells[cell]:
+        entry = table.cells[cell] - 1
+        if store._prefixes[entry] == key:
+            found.append(entry)
+        cell = (cell + 1) & table.mask
+    return found
+
+
 class TestSamePrefix:
     def test_membership_is_exact_under_prefix_collisions(self, tmp_path):
         store = ShardedStore(shards=2, memory_budget=5,
@@ -139,13 +153,14 @@ class TestSamePrefix:
         # ... a present prefix over an absent record costs exactly one.
         assert held[:12] + "f" * 20 not in store
         assert store.counters()["spill_reads"] == reads + 1
-        # Two *stored* digests sharing a prefix: a tuple of slots.
+        # Two *stored* digests sharing a prefix: once both have spilled,
+        # two entries of one key along its probe, in spill order.
         twin = held[:12] + "e" * 20
         assert store.add(twin)
-        assert any(isinstance(slots, tuple)
-                   for index in store._index for slots in index.values())
         store.add_batch(_hex(i) for i in range(100, 110))  # evicts both
         store.flush()
+        entries = _entries_of_key(store, held)
+        assert len(entries) == 2 and entries[0] < entries[1]
         assert held in store and twin in store
         assert not store.add(held) and not store.add(twin)
         assert held[:12] + "f" * 20 not in store
@@ -178,12 +193,19 @@ class TestMixedWidthGuard:
         assert len(store) == 1 and store.record_width() == 16
         store.close()
 
-    def test_memory_store_snapshot_rejects_mixed_widths(self, tmp_path):
+    def test_memory_store_rejects_mixed_widths_on_add(self, tmp_path):
+        """The memory store's log is fixed-width too: a second width is
+        refused on arrival, as the sharded store refuses it, and the
+        snapshot holds the one scheme's records."""
         store = MemoryStore()
         store.add("a" * 32)
-        store.add("b" * 64)  # the plain set cannot police this on add
-        with pytest.raises(ValueError, match="digest width"):
-            store.snapshot_into(tmp_path)
+        with pytest.raises(ValueError, match="two digest schemes"):
+            store.add("b" * 64)
+        with pytest.raises(ValueError, match="two digest schemes"):
+            "b" * 64 in store
+        assert len(store) == 1 and store.record_width() == 16
+        store.snapshot_into(tmp_path)
+        assert (tmp_path / "states-0000.bin").read_bytes() == b"\xaa" * 16
 
     def test_the_record_bytes_are_the_ones_every_build_wrote(self, tmp_path):
         """Literals recorded at the commit before the second record
@@ -545,6 +567,33 @@ class TestWriteRollback:
         manifest = json.loads((path / "MANIFEST.json").read_text())
         assert stats.checkpoint_bytes_written \
             == manifest["bytes_written"] > 0
+
+
+    @pytest.mark.parametrize("store", ["memory", "sharded"])
+    def test_a_resumed_lineage_counts_every_snapshots_bytes(
+            self, store, tmp_path, monkeypatch):
+        """A snapshot's meta is pickled before its own bytes are added to
+        the counters it holds, so resume adds them back: a resumed run's
+        ``checkpoint_bytes_written`` is the sum of what every snapshot of
+        its lineage wrote, the one it resumed from included."""
+        written = []
+        real = store_mod.write_checkpoint
+
+        def counting(*args, **kwargs):
+            path, nbytes = real(*args, **kwargs)
+            written.append(nbytes)
+            return path, nbytes
+
+        monkeypatch.setattr(store_mod, "write_checkpoint", counting)
+        directory = tmp_path / "c"
+        first = nice.run(_ping(store=store, checkpoint_dir=str(directory),
+                               checkpoint_interval=100,
+                               max_transitions=400))
+        assert first.terminated == "max_transitions" and len(written) > 1
+        _, stats = nice.resume(str(directory), max_transitions=None)
+        assert stats.terminated == "exhausted"
+        assert stats.checkpoints_written == len(written)
+        assert stats.checkpoint_bytes_written == sum(written)
 
 
 # ----------------------------------------------------------------------
