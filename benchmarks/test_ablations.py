@@ -90,9 +90,9 @@ def test_outstanding_bound_limits_concurrency():
 
 @pytest.mark.parametrize("max_paths", [8, 64])
 def test_symbolic_path_budget_finds_bug(max_paths):
-    config = NiceConfig(max_paths=max_paths)
-    scenario = scenarios.pyswitch_direct_path(config=config)
-    result = nice.run(scenario)
+    searcher = scenarios.pyswitch_direct_path().make_searcher()
+    searcher.discoverer = ConcolicEngine(max_paths=max_paths)
+    result = searcher.run()
     print(f"max_paths={max_paths}: violation={result.found_violation}, "
           f"transitions={result.transitions_executed}")
     assert result.found_violation

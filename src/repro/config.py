@@ -10,7 +10,7 @@ NO-SWITCH-REDUCTION baseline of Table 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Search strategy names accepted by :class:`NiceConfig`.
 STRATEGY_PKT_SEQ = "PKT-SEQ"
@@ -83,7 +83,6 @@ class NiceConfig:
     * ``canonical_flow_tables`` — canonical switch-state representation
       (Section 2.2.2).  False reproduces NO-SWITCH-REDUCTION.
     * ``state_matching`` — store hashes of visited states and prune repeats.
-    * ``max_paths`` — budget for concolic path exploration per handler call.
     * ``search_order`` — dfs (paper default), bfs, or random walk.
     * ``max_transitions`` / ``max_depth`` — hard safety bounds for bounded
       searches; ``None`` means unbounded.
@@ -112,9 +111,6 @@ class NiceConfig:
       pointed at its own listening address, so ``transport="socket"``
       works out of the box; set False when workers are started externally
       (e.g. on other machines) and the master should only wait for them.
-    * ``worker_cache_size`` — per-worker bound on kept node systems: the
-      children retained for pick-up by handle and the LRU used for
-      prefix-replay restoration, together.
     * ``store`` — explored-set storage: :data:`STORE_MEMORY` (the
       default: packed hash records in one in-process log under a flat
       hash table) or :data:`STORE_SHARDED` (``store_shards``
@@ -148,6 +144,12 @@ class NiceConfig:
       exits, and the pool replaces it.  Also used as the address-space
       rlimit of the quarantine sandbox.  ``None`` disables the watchdog.
     * ``seed`` — seed for the random-walk frontier.
+
+    What the app or scenario decides is no field: FLOW-IR's grouping
+    (``Scenario.is_same_flow``) and counter hashing
+    (:func:`repro.controller.app.observes_counters`).  Two bounds that
+    never bind are constants: ``ConcolicEngine``'s 64 paths and
+    ``WorkerRuntime.MAX_CACHE``.
     """
 
     strategy: str = STRATEGY_PKT_SEQ
@@ -156,26 +158,17 @@ class NiceConfig:
     use_symbolic_execution: bool = True
     canonical_flow_tables: bool = True
     state_matching: bool = True
-    max_paths: int = 64
     search_order: str = ORDER_DFS
     max_transitions: int | None = None
     max_depth: int | None = None
     stop_at_first_violation: bool = True
     enable_rule_timeouts: bool = False
     channel_faults: bool = False
-    #: Include rule hit counters and port statistics in the state hash.
-    #: The paper's simplified switch model does not carry counters, so two
-    #: states differing only in counter values are the same state.  Enable
-    #: for applications whose behavior depends on statistics (the energy-
-    #: aware traffic-engineering app), where merging across counter values
-    #: would be unsound.
-    hash_counters: bool = False
     workers: int = 0
     transport: str = TRANSPORT_LOCAL
     start_method: str | None = None
     worker_address: str = "127.0.0.1:0"
     spawn_socket_workers: bool = True
-    worker_cache_size: int = 2048
     max_worker_failures: int | None = None
     task_deadline: float | None = None
     worker_memory_limit: int | None = None
@@ -185,7 +178,6 @@ class NiceConfig:
     checkpoint_interval: int = 1000
     checkpoint_dir: str | None = None
     seed: int = 0
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.strategy not in ALL_STRATEGIES:
@@ -198,8 +190,6 @@ class NiceConfig:
             raise ConfigError("max_pkt_sequence must be >= 0")
         if self.max_outstanding < 1:
             raise ConfigError("max_outstanding must be >= 1")
-        if self.max_paths < 1:
-            raise ConfigError("max_paths must be >= 1")
         if self.workers < 0:
             raise ConfigError("workers must be >= 0")
         if self.transport not in ALL_TRANSPORTS:
@@ -213,8 +203,6 @@ class NiceConfig:
                 f"unknown start method {self.start_method!r};"
                 f" expected one of {ALL_START_METHODS} or None"
             )
-        if self.worker_cache_size < 1:
-            raise ConfigError("worker_cache_size must be >= 1")
         if self.max_worker_failures is not None \
                 and self.max_worker_failures < 0:
             raise ConfigError("max_worker_failures must be >= 0 or None")

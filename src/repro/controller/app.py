@@ -112,3 +112,11 @@ class App:
         for at, name in slots:
             items[at] = (name, canonicalize(getattr(self, name)))
         return tuple(items)
+
+
+def observes_counters(app) -> bool:
+    """Whether ``app`` can see switch counters, so a switch must hash
+    them: it overrides :meth:`App.port_stats_in`, the one handler they
+    reach (``switch_join`` is always handed ``{}``)."""
+    return getattr(type(app), "port_stats_in",
+                   App.port_stats_in) is not App.port_stats_in

@@ -66,6 +66,7 @@ import tempfile
 import time
 import warnings
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -452,11 +453,11 @@ class ShardedStore(StateStore):
         self._flushed = [0] * shards
         #: Records appended but not yet written to the shard file.
         self._tails = [bytearray() for _ in range(shards)]
-        #: LRU resident set: a plain (insertion-ordered) dict — cheaper
-        #: per insert than OrderedDict on the hot path; touches re-insert.
+        #: LRU resident set, coldest first.  Not a plain dict: popping
+        #: its front leaves deleted slots the next pop walks, O(resident).
         #: A digest maps to its slot until it first spills, then to None
         #: (the table has it).
-        self._resident: dict[str, int | None] = {}
+        self._resident: OrderedDict[str, int | None] = OrderedDict()
         self._hits = 0
         self._spill_reads = 0
         self._evictions = 0
@@ -507,9 +508,7 @@ class ShardedStore(StateStore):
     def _spill(self) -> None:
         """Evict the least recently touched resident digest, entering it
         in the table if this is its first spill."""
-        resident = self._resident
-        digest = next(iter(resident))
-        slot = resident.pop(digest)
+        digest, slot = self._resident.popitem(last=False)
         self._evictions += 1
         if slot is None:
             return
@@ -531,7 +530,7 @@ class ShardedStore(StateStore):
         resident = self._resident
         if digest in resident:
             self._hits += 1
-            resident[digest] = resident.pop(digest)
+            resident.move_to_end(digest)
             return True
         if not self._count:
             return False
@@ -546,7 +545,7 @@ class ShardedStore(StateStore):
         resident = self._resident
         if digest in resident:
             self._hits += 1
-            resident[digest] = resident.pop(digest)
+            resident.move_to_end(digest)
             return False
         # _pack's fast path, inlined: this is *the* hot loop of an
         # exhaustive search.
@@ -769,6 +768,7 @@ class Checkpoint:
     file_info: dict
     format: int
     bytes_written: int
+    seconds: float
 
     def iter_digests(self):
         width = self.record_width
@@ -788,16 +788,17 @@ class Checkpoint:
 
     def restore_stats(self, stats) -> None:
         """Seed a fresh SearchStats with the checkpointed counters.  The
-        snapshot's meta was pickled before the bytes of the snapshot
-        itself were counted, so they are added here from its manifest
-        (``checkpoints_written`` was counted before the write and needs
-        nothing; the write's seconds are not recorded anywhere, and stay
-        lost)."""
+        snapshot's meta was pickled before the bytes and seconds of the
+        snapshot itself were counted, so they are added here from its
+        manifest (``checkpoints_written`` was counted before the write
+        and needs nothing).  A manifest written before it recorded
+        ``seconds`` contributes 0 of them."""
         for key, value in self.stats.items():
             if key in _NON_RESUMABLE or not hasattr(stats, key):
                 continue
             setattr(stats, key, value)
         stats.checkpoint_bytes_written += self.bytes_written
+        stats.checkpoint_seconds += self.seconds
         stats.resumed_from = str(self.path)
 
 
@@ -850,8 +851,9 @@ def write_checkpoint(directory: str | Path, *, spec, config, stats,
     ``bytes_written``).  ``previous`` is the last committed checkpoint of
     this same store, if any — unchanged record segments are hard-linked
     from it instead of rewritten, which is what makes snapshot cost
-    O(new states).  See the module docstring for the
-    atomicity protocol."""
+    O(new states).  The manifest records the write's ``seconds``, up to
+    its own write.  See the module docstring for the atomicity protocol."""
+    started = time.perf_counter()
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     sequence = _next_sequence(root)
@@ -889,6 +891,7 @@ def write_checkpoint(directory: str | Path, *, spec, config, stats,
             "record_encoding": RECORD_HEX,
             "record_files": record_files,
             "bytes_written": bytes_written,
+            "seconds": time.perf_counter() - started,
             "store": store.kind,
             "files": files,
         }
@@ -922,7 +925,8 @@ def _prune(root: Path) -> None:
 #: width guard cannot tell the two apart: the config is the only evidence.
 #: (The other fields deleted with them — how states were cloned and how
 #: the serial frontier kept them — never changed a digest; a stale value
-#: of theirs is ignored.)
+#: of theirs is ignored.  Which ``hash_counters`` is foreign only the
+#: rebuilt scenario's app can say: ``nice.resume`` checks that one.)
 _FOREIGN_DIGEST_KNOBS = {"hash_mode": "full", "hash_memoization": False}
 
 
@@ -996,6 +1000,7 @@ def _validate(path: Path) -> Checkpoint:
         file_info=files,
         format=manifest["format"],
         bytes_written=manifest["bytes_written"],
+        seconds=manifest.get("seconds", 0.0),
     )
 
 

@@ -284,11 +284,13 @@ class FlowIRStrategy(Strategy):
         return []
 
 
-def make_strategy(config: NiceConfig, app=None) -> Strategy:
+def make_strategy(config: NiceConfig, app=None,
+                  is_same_flow=None) -> Strategy:
     """Build the strategy object selected by ``config.strategy``.
 
     FLOW-IR picks up the application's ``is_same_flow`` hook when present
-    (Section 4: "the programmer provides isSameFlow").
+    (Section 4: "the programmer provides isSameFlow"), else the scenario's
+    ``is_same_flow``, else the default microflow grouping.
     """
     if config.strategy == STRATEGY_PKT_SEQ:
         return Strategy()
@@ -297,12 +299,7 @@ def make_strategy(config: NiceConfig, app=None) -> Strategy:
     if config.strategy == STRATEGY_UNUSUAL:
         return UnusualStrategy()
     if config.strategy == STRATEGY_FLOW_IR:
-        hook = getattr(app, "is_same_flow", None) if app is not None else None
-        is_same_flow = None
-        if hook is not None:
-            # Allow both bound methods and plain two-argument functions.
-            is_same_flow = hook
-        if is_same_flow is None:
-            is_same_flow = config.extra.get("is_same_flow")
-        return FlowIRStrategy(is_same_flow)
+        # Bound methods and plain two-argument functions alike.
+        hook = getattr(app, "is_same_flow", None)
+        return FlowIRStrategy(hook if hook is not None else is_same_flow)
     raise ValueError(f"unknown strategy {config.strategy!r}")

@@ -17,6 +17,7 @@ import hashlib
 
 from repro.config import NiceConfig
 from repro.controller.api import LiveControllerAPI
+from repro.controller.app import observes_counters
 from repro.controller.runtime import ControllerRuntime
 from repro.errors import ControllerError, TransitionError
 from repro.mc import transitions as tk
@@ -167,6 +168,7 @@ class System:
         self.topo = topo
         self.config = config
         self.switches: dict[str, SwitchModel] = {}
+        hash_counters = observes_counters(app)
         for name, ports in topo.switches.items():
             switch = SwitchModel(
                 name,
@@ -174,7 +176,7 @@ class System:
                 canonical_flow_tables=config.canonical_flow_tables,
                 reliable_packet_channels=not config.channel_faults,
             )
-            switch.hash_counters = config.hash_counters
+            switch.hash_counters = hash_counters
             self.switches[name] = switch
         self.hosts: dict[str, object] = {}
         for host in hosts:

@@ -28,7 +28,7 @@ import signal
 import socket
 
 from repro.mc import worker as worker_mod
-from repro.mc.transport.stream import StreamTransport
+from repro.mc.transport.stream import MASTER_ENDS, StreamTransport
 from repro.mc.worker import local_worker_main
 
 
@@ -70,11 +70,16 @@ class LocalTransport(StreamTransport):
         the live searcher (fork) or rebuilding from the spec (spawn)."""
         worker_id = len(self._processes)
         ours, theirs = socket.socketpair()
-        process = self._context.Process(
-            target=local_worker_main,
-            args=(worker_id, theirs, self.spec, self.limits),
-            daemon=True,
-        )
+        args = (worker_id, theirs, self.spec, self.limits)
+        if self.spec is None:
+            # A fork child inherits this end and every other master-side
+            # end: it closes them, or a hang-up is no EOF to a worker.
+            MASTER_ENDS.add(ours)
+            target, args = _forked_worker_main, (MASTER_ENDS, *args)
+        else:
+            target = local_worker_main
+        process = self._context.Process(target=target, args=args,
+                                        daemon=True)
         # Fork children inherit the master's signal handlers — including
         # the checkpointer's flag-setting SIGTERM handler, which a worker
         # never reads and which would swallow stop()'s terminate()
@@ -140,6 +145,14 @@ class LocalTransport(StreamTransport):
                 process.kill()
                 process.join(timeout=self.JOIN_TIMEOUT)
         self._processes.clear()
+
+
+def _forked_worker_main(master_ends, *args) -> None:
+    """:func:`~repro.mc.worker.local_worker_main` in a fork child, once it
+    has closed its inherited copies of every master-side channel end."""
+    for sock in list(master_ends):
+        sock.close()
+    local_worker_main(*args)
 
 
 def _describe_exit(exitcode: int) -> str:

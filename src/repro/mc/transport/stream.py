@@ -24,6 +24,7 @@ cleared away at ``stop()``.
 from __future__ import annotations
 
 import sys
+import weakref
 from multiprocessing import connection
 from time import monotonic as _monotonic
 
@@ -42,6 +43,12 @@ from repro.mc.wire import (
     recv_msg,
     send_msg,
 )
+
+
+#: Every master-side channel end in this process, whichever transport
+#: holds it: a fork child closes its copies before it serves
+#: (``repro.mc.transport.local``), so a hang-up is an EOF.
+MASTER_ENDS = weakref.WeakSet()
 
 
 class StreamTransport(Transport):
@@ -83,6 +90,7 @@ class StreamTransport(Transport):
         """Enroll ``sock`` as ``worker_id``'s channel, with empty
         descriptor tables: a worker serving under a reused id is a new
         peer."""
+        MASTER_ENDS.add(sock)
         self._channels[worker_id] = sock
         self._codecs[worker_id] = Codec(self._intern)
 
@@ -145,6 +153,7 @@ class StreamTransport(Transport):
                     conn, _ = listener.accept()
                 except OSError:
                     continue  # the peer was gone again before we looked
+                MASTER_ENDS.add(conn)
                 self._greeting[conn] = _monotonic() + self.HANDSHAKE_TIMEOUT
             if deadline is not None and _monotonic() >= deadline:
                 return None
@@ -161,12 +170,7 @@ class StreamTransport(Transport):
             return self._reap(worker_id, "worker closed the connection",
                               exited=True)
         if isinstance(message, Shutdown):
-            # The recycling worker waits for this answer to exit: a fork
-            # child holds a copy of this end, so closing it is no EOF.
-            try:
-                send_msg(sock, Shutdown(), self.FRAME_TIMEOUT)
-            except OSError:
-                pass
+            # The recycling worker leaves when the reap hangs up on it.
             return self._reap(worker_id, "recycled by its memory watchdog",
                               exited=True, recycled=True)
         if isinstance(message, WorkerError) and message.task_id is None:

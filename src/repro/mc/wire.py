@@ -116,7 +116,8 @@ def spec_is_portable(spec: ScenarioSpec | None) -> bool:
 
 def searcher_from_spec(spec: ScenarioSpec):
     """The :class:`~repro.mc.search.Searcher` a worker expands with: the
-    scenario's own, with no pool behind it — workers never recurse into
+    scenario's own — its FLOW-IR grouping rebuilt by the registry builder,
+    never pickled — with no pool behind it: workers never recurse into
     the scheduler."""
     return spec.build().with_config(workers=0).make_searcher()
 
@@ -211,9 +212,8 @@ class WorkerError:
 class Shutdown:
     """Master -> worker: exit cleanly.  Worker -> master: my memory
     watchdog is recycling me — not a death (:class:`WorkerGone`
-    ``recycled``); the worker then waits for the master's Shutdown or
-    hang-up, so a task submitted meanwhile still finds its channel
-    open."""
+    ``recycled``); the worker then waits for the master to hang up, so
+    a task submitted meanwhile still finds its channel open."""
 
 
 @dataclass

@@ -22,7 +22,7 @@ parent and replay only the missing suffix — long replays snapshot a spine
 of intermediates back into the cache
 (:func:`~repro.mc.replay.replay_with_spine`) — and the sibling's step is
 re-executed.  Both stores are charged against
-``NiceConfig.worker_cache_size`` together.  ``cache_hits`` /
+:attr:`WorkerRuntime.MAX_CACHE` together.  ``cache_hits`` /
 ``cache_misses`` count restorations that started from something kept (a
 retained child, a cached ancestor) vs. full replays from the initial
 state — every restoration increments exactly one of the two — and are
@@ -124,7 +124,7 @@ class _Retained:
     """The children a worker shipped and kept, under the node
     they hang off: ``(task id, node position) -> {kid index: System}``,
     oldest node first.  ``systems`` counts the kept Systems — the unit
-    ``worker_cache_size`` bounds."""
+    ``WorkerRuntime.MAX_CACHE`` bounds."""
 
     def __init__(self):
         self.nodes: OrderedDict[tuple, dict] = OrderedDict()
@@ -154,11 +154,13 @@ class WorkerRuntime:
     SPINE = 8
     #: Bits of the retention hint (:attr:`seen`): 128 KiB per worker.
     SEEN_BITS = 1 << 20
+    #: Bound on the node Systems a worker keeps: the children retained
+    #: for pick-up by handle and the replay-restoration LRU, together.
+    MAX_CACHE = 2048
 
     def __init__(self, searcher):
         self.searcher = searcher
         self.config = searcher.config
-        self.max_cache = self.config.worker_cache_size
         self.initial = searcher.system_factory()
         self.strategy = (searcher._strategy
                          or make_strategy(self.config, self.initial.app))
@@ -174,8 +176,8 @@ class WorkerRuntime:
         #: checked and hashed, exactly what the in-process expander puts
         #: on its frontier.  Taken out when the scheduler routes the
         #: children back (their handle rides the ExpandTask), shed oldest
-        #: node first otherwise; charged against ``max_cache`` together
-        #: with ``cache`` (see :meth:`_trim`).
+        #: node first otherwise; charged against :attr:`MAX_CACHE`
+        #: together with ``cache`` (see :meth:`_trim`).
         self.retained = _Retained()
         #: Retention hint: the digests this worker has hashed.  A child
         #: whose digest is (probably) among them is a revisit the master
@@ -234,7 +236,7 @@ class WorkerRuntime:
         self._trim()
 
     def _trim(self) -> None:
-        """Hold ``cache`` and ``retained`` to ``max_cache`` systems
+        """Hold ``cache`` and ``retained`` to :attr:`MAX_CACHE` systems
         *together*.  Retained children get what the replay cache leaves,
         up to half the bound, and shed oldest-first.  The split follows
         what the worker observes: the replay cache only grows by
@@ -243,10 +245,10 @@ class WorkerRuntime:
         while one fed other workers' groups (BFS, round-robin, steals)
         fills it and squeezes out retained children that were not coming
         back here anyway."""
-        cache, retained = self.cache, self.retained
-        while len(cache) > self.max_cache:
+        cache, retained, bound = self.cache, self.retained, self.MAX_CACHE
+        while len(cache) > bound:
             cache.popitem(last=False)
-        room = min(self.max_cache // 2, self.max_cache - len(cache))
+        room = min(bound // 2, bound - len(cache))
         while retained.systems > room:
             retained.shed_oldest()
 

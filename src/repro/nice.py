@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.config import NiceConfig
+from repro.controller.app import observes_counters
 from repro.mc.scheduler import ParallelSearcher
 from repro.mc.search import Searcher, SearchStats
 from repro.mc.strategies import make_strategy
@@ -29,6 +30,9 @@ class Scenario:
     *fresh* instances, so searches and replays always start from identical
     initial states.
 
+    ``is_same_flow`` is FLOW-IR's grouping (Section 4) for an app that
+    has no ``is_same_flow`` of its own (``ping``: a ping with its pong).
+
     ``spec`` (set by the ``@registered`` builders in ``repro/scenarios.py``)
     is the scenario's portable identity — a
     :class:`~repro.mc.wire.ScenarioSpec` that spawn/socket workers use to
@@ -39,7 +43,7 @@ class Scenario:
 
     def __init__(self, topo, app_factory, hosts_factory, properties,
                  config: NiceConfig | None = None, name: str = "scenario",
-                 spec=None):
+                 spec=None, is_same_flow=None):
         self.topo = topo
         self.app_factory = app_factory
         self.hosts_factory = hosts_factory
@@ -47,6 +51,7 @@ class Scenario:
         self.config = config or NiceConfig()
         self.name = name
         self.spec = spec
+        self.is_same_flow = is_same_flow
 
     def system_factory(self) -> System:
         system = System(self.topo, self.app_factory(),
@@ -62,7 +67,8 @@ class Scenario:
         stays shippable to spawn/socket workers and resumable by name."""
         config = dataclasses.replace(config or self.config, **overrides)
         derived = Scenario(self.topo, self.app_factory, self.hosts_factory,
-                           self.properties, config, name=self.name)
+                           self.properties, config, name=self.name,
+                           is_same_flow=self.is_same_flow)
         if self.spec is not None:
             derived.spec = dataclasses.replace(self.spec, config=config)
         return derived
@@ -72,10 +78,11 @@ class Scenario:
         worker pool behind it when ``workers > 1``."""
         discoverer = None
         if self.config.use_symbolic_execution:
-            discoverer = ConcolicEngine(max_paths=self.config.max_paths)
+            discoverer = ConcolicEngine()
         return (ParallelSearcher if self.config.workers > 1 else Searcher)(
             self.system_factory, self.properties, self.config,
-            strategy=make_strategy(self.config, self.app_factory()),
+            strategy=make_strategy(self.config, self.app_factory(),
+                                   self.is_same_flow),
             discoverer=discoverer, scenario_spec=self.spec,
         )
 
@@ -102,9 +109,13 @@ def resume(checkpoint_path, scenario: Scenario | None = None,
     uninterrupted run, on any transport.
 
     ``config_overrides`` replace fields of the checkpointed config —
-    engine knobs only (``workers``, ``transport``, ``checkpoint_*``,
-    ``store*``…); overriding model or hashing knobs would change what
-    the stored digests *mean* and is not supported.
+    engine knobs and budgets only (``workers``, ``transport``,
+    ``checkpoint_*``, ``store*``, ``max_transitions``…); a model or
+    hashing knob (``strategy``, the PKT-SEQ bounds, ``state_matching``,
+    ``search_order``, ``seed``…) would change what the stored digests
+    *mean* and must not be overridden.  A stale ``hash_counters`` in the
+    pickled config that the rebuilt scenario's app does not derive is
+    refused: those digests hashed other switch state.
 
     Returns ``(scenario, stats)``.
     """
@@ -118,6 +129,11 @@ def resume(checkpoint_path, scenario: Scenario | None = None,
                 f"scenario spec (hand-built scenario); pass the scenario "
                 f"to nice.resume() explicitly")
         scenario = checkpoint.spec.build()
+    stale = vars(checkpoint.config).get("hash_counters")
+    if stale not in (None, observes_counters(scenario.app_factory())):
+        raise store_mod.CheckpointError(
+            f"{checkpoint.path.name}: written with hash_counters={stale!r},"
+            f" which this scenario's app does not derive; not resumable")
     scenario = scenario.with_config(checkpoint.config, **config_overrides)
     searcher = scenario.make_searcher()
     searcher._resume = checkpoint
@@ -130,7 +146,8 @@ def replay(scenario: Scenario, trace, expected_hash: str | None = None):
 
     return replay_trace(
         scenario.system_factory, trace,
-        strategy=make_strategy(scenario.config, scenario.app_factory()),
+        strategy=make_strategy(scenario.config, scenario.app_factory(),
+                               scenario.is_same_flow),
         expected_hash=expected_hash,
     )
 

@@ -116,9 +116,10 @@ class SwitchModel:
         #: buffer-discarding packet-out; the packet ledger reads these.
         #: Replace-on-write (:meth:`_drop`), shared by checkpoint clones.
         self.dropped: list[tuple] = []
-        #: Whether rule/port counters participate in the state hash (see
-        #: NiceConfig.hash_counters).  Counters always *function*; this only
-        #: controls state-matching granularity.
+        #: Whether rule/port counters participate in the state hash: set
+        #: by ``System`` when its app can observe them (see
+        #: ``repro.controller.app.observes_counters``).  Counters always
+        #: *function*; this only controls state-matching granularity.
         self.hash_counters = False
         #: History of every packet handed to the controller: (packet copy,
         #: reason) in occurrence order.  Properties read it (a pending

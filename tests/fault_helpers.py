@@ -71,6 +71,14 @@ def saturated_hint(setattr=setattr) -> None:
     setattr(WorkerRuntime, "SEEN_BITS", 8)
 
 
+def tiny_worker_cache(setattr=setattr, size: int = 1) -> None:
+    """Bound every worker built from here on to ``size`` kept Systems
+    (``WorkerRuntime.MAX_CACHE``); at 1 it retains no child and evicts
+    its replay cache near constantly.  Like :func:`saturated_hint`, the
+    pin reaches runtimes built in this process and fork workers only."""
+    setattr(WorkerRuntime, "MAX_CACHE", size)
+
+
 class _TransportWrapper:
     """Delegate everything to the wrapped transport, with a hook after
     each ``submit`` — and, once :meth:`_spawn_and_await_join` has asked

@@ -208,12 +208,12 @@ def test_what_a_worker_wrote_before_exiting_is_read_before_its_death(fake):
     assert second.started  # it served a task: the pool replaces it
 
 
-def test_a_recycling_worker_says_so_and_is_answered(fake):
+def test_a_recycling_worker_says_so_and_is_hung_up_on(fake):
     """A worker its memory watchdog recycles sends its result, then a
     ``Shutdown``, and waits: the master reads the result, then words
-    the exit as a recycle — replaced, no failure — and answers with a
-    ``Shutdown`` of its own, which is what lets a fork child (holding a
-    copy of the master's end, so no EOF comes) leave at once."""
+    the exit as a recycle — replaced, no failure — and closes the
+    channel, whose EOF is what the worker leaves on (a fork child holds
+    no copy of the master's end)."""
     wire.send_msg(fake.far[0], wire.TaskResult(7, 0, {"children": []}))
     wire.send_msg(fake.far[0], wire.Shutdown())
     first, gone = (within(5, fake.recv, timeout=5) for _ in range(2))
@@ -221,7 +221,7 @@ def test_a_recycling_worker_says_so_and_is_answered(fake):
     assert isinstance(gone, wire.WorkerGone) and gone.worker_id == 0
     assert gone.recycled and gone.started
     assert gone.reason == "recycled by its memory watchdog"
-    assert isinstance(wire.recv_msg(fake.far[0], timeout=5), wire.Shutdown)
+    assert wire.recv_msg(fake.far[0], timeout=5) is None
     assert fake.put_away == [(0, True)]
     with pytest.raises(WorkerLost, match="already reported dead"):
         fake.submit(0, TASK)
@@ -419,6 +419,25 @@ def test_a_local_child_wedged_mid_frame_is_reaped_and_killed(monkeypatch):
         within(10, transport.stop)
     with pytest.raises(ProcessLookupError):
         os.kill(pid, 0)
+
+
+@requires_fork
+def test_a_fork_worker_reads_eof_when_the_master_hangs_up():
+    """A fork child inherited the master's end of its own channel and of
+    every earlier worker's, so a master that closed a channel without a
+    Shutdown left that worker blocked in its read until it was killed.
+    Each child now closes its copies of every master-side end."""
+    transport = LocalTransport(2, "fork", spec=None)
+    transport.start(scenarios.ping_experiment(pings=1).make_searcher())
+    try:
+        transport._channels[0].close()
+        first = transport._processes[0]
+        first.join(timeout=5)
+        assert not first.is_alive()
+        assert first.exitcode == 0
+        assert transport._processes[1].is_alive()
+    finally:
+        within(20, transport.stop)
 
 
 def _listening(workers: int = 1) -> SocketTransport:

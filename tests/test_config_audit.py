@@ -36,7 +36,6 @@ from repro.cli import POOL_FIELDS, build_parser, main, make_config
 from repro.config import NiceConfig
 from repro.mc import store as store_mod
 from repro.mc.scheduler import _Scheduler
-from repro.mc.strategies import make_strategy
 from scripted_transport import enrolled_scheduler
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -65,8 +64,8 @@ def _engine_sources() -> str:
                      if path.name not in ("config.py", "cli.py"))
 
 
-def test_the_config_has_30_fields():
-    assert len(FIELDS) == 30
+def test_the_config_has_26_fields():
+    assert len(FIELDS) == 26
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -142,26 +141,12 @@ def _sharded_store(**knobs):
     return store
 
 
-def _same_flow(packet_a, packet_b) -> bool:
-    return True
-
-
 READER_PINS = {
     "max_outstanding": lambda:
         _ping_system(max_outstanding=3).hosts["A"].counter_c == 3,
-    "hash_counters": lambda:
-        _ping_system(hash_counters=True).switches["s1"].hash_counters
-        and not _ping_system().switches["s1"].hash_counters,
-    "max_paths": lambda:
-        scenarios.pyswitch_direct_path().with_config(max_paths=3)
-        .make_searcher().discoverer.max_paths == 3,
     "seed": lambda:
         scenarios.ping_experiment().with_config(seed=7).make_searcher()
         ._rng.getstate() == random.Random(7).getstate(),
-    "extra": lambda:
-        make_strategy(NiceConfig(strategy="FLOW-IR",
-                                 extra={"is_same_flow": _same_flow}))
-        .is_same_flow is _same_flow,
     "store_shards": lambda: _sharded_store(store_shards=4).shards == 4,
     "store_memory_budget": lambda:
         _sharded_store(store_memory_budget=7).memory_budget == 7,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import tempfile
+import time
 import weakref
 import tracemalloc
 from pathlib import Path
@@ -196,3 +197,28 @@ def test_a_store_is_freed_by_its_last_reference(kind, tmp_path):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_sharded_insert_costs_the_same_past_the_budget(tmp_path):
+    """Evicting the coldest resident digest is O(1): past the budget an
+    insert also spills one digest into the table, a few µs, never a walk
+    of the resident set.  (A plain dict's front fills with the deleted
+    slots its evictions leave, and each eviction walked them: 52x the
+    in-budget cost at this size.)"""
+    budget, total = 50_000, 300_000
+    digests = [_hex(i) for i in range(total)]
+    store = _store("sharded", tmp_path, shards=16, budget=budget)
+    began = time.process_time()
+    for digest in digests[:budget]:
+        store.add(digest)
+    filled = time.process_time()
+    for digest in digests[budget:]:
+        store.add(digest)
+    done = time.process_time()
+    store.close()
+    assert store.counters()["evictions"] == total - budget
+    before = (filled - began) / budget
+    after = (done - filled) / (total - budget)
+    assert after <= 5 * before, (
+        f"{after * 1e6:.1f} µs an insert past the budget,"
+        f" {before * 1e6:.1f} µs within it")

@@ -95,5 +95,3 @@ class TestConfigValidation:
             NiceConfig(max_pkt_sequence=-1)
         with pytest.raises(ValueError):
             NiceConfig(max_outstanding=0)
-        with pytest.raises(ValueError):
-            NiceConfig(max_paths=0)

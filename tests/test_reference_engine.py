@@ -229,10 +229,6 @@ class TestMutantsAreCaught:
 # packets": the ownership rule)
 # ----------------------------------------------------------------------
 
-def counted_energy_te():
-    return with_config(scenarios.energy_te_scenario(), hash_counters=True)
-
-
 #: Every write accessor of a part: ``(class, accessor, what it resets or
 #: keeps in step, a scenario whose walk writes through it)``.
 #: ``SwitchModel._write_port_up`` is reached by no transition
@@ -247,7 +243,8 @@ PART_ACCESSORS = [
      scenarios.pyswitch_direct_path),
     (SwitchModel, "_write_buffers", ("_buffers_canon",),
      scenarios.pyswitch_direct_path),
-    (SwitchModel, "_write_port_stats", ("_stats_canon",), counted_energy_te),
+    (SwitchModel, "_write_port_stats", ("_stats_canon",),
+     scenarios.energy_te_scenario),
     (SwitchModel, "_write_table", (), scenarios.pyswitch_direct_path),
     (Host, "_write_inbox", ("_inbox_canon",), scenarios.ping_experiment),
     (Host, "_write_pending", ("_pending_canon",), scenarios.ping_experiment),

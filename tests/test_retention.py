@@ -21,8 +21,14 @@ import pytest
 
 from checkpoint_helpers import Interrupted, interrupt_after
 from contract import counters, requires_fork, violated_properties
-from fault_helpers import ChaosTransport, install, saturated_hint
+from fault_helpers import (
+    ChaosTransport,
+    install,
+    saturated_hint,
+    tiny_worker_cache,
+)
 from repro import nice, scenarios
+from repro.mc import scheduler as scheduler_mod
 from repro.mc.scheduler import _Scheduler
 from repro.mc.store import pack_digest, unpack_digests
 from repro.mc.transitions import Transition
@@ -30,7 +36,7 @@ from repro.mc.transport import create_transport
 from repro.mc.wire import searcher_from_spec
 from repro.mc.worker import WorkerRuntime
 from repro.scenarios import with_config
-from scripted_transport import enrolled_scheduler
+from scripted_transport import InlineTransport, enrolled_scheduler
 
 ENGINES = [
     pytest.param(dict(start_method="fork"), marks=requires_fork, id="fork"),
@@ -308,8 +314,9 @@ class TestHandlePickup:
 
 
 class TestSharedBound:
-    def test_both_stores_stay_inside_worker_cache_size(self):
-        runtime = _runtime(worker_cache_size=6)
+    def test_both_stores_stay_inside_the_cache_bound(self, monkeypatch):
+        tiny_worker_cache(monkeypatch.setattr, 6)
+        runtime = _runtime()
         _, group, handle = _root_group(runtime, task_id=0)
         frontier = [(group, None)]  # no handles: fill the replay cache too
         for task_id in range(1, 12):
@@ -324,8 +331,9 @@ class TestSharedBound:
             for _, si, kids in out["children"]:
                 frontier.append(((trace + (steps[si],), kids), None))
 
-    def test_cache_size_one_retains_nothing(self):
-        runtime = _runtime(worker_cache_size=1)
+    def test_cache_size_one_retains_nothing(self, monkeypatch):
+        tiny_worker_cache(monkeypatch.setattr)
+        runtime = _runtime()
         _, group, handle = _root_group(runtime, task_id=0)
         assert runtime.retained.systems == 0
         out = runtime.expand([group], task_id=1, handles=[handle])
@@ -395,20 +403,36 @@ class TestEndToEnd:
         assert stats.cache_hits > stats.unique_states // 2
         assert stats.rebuilt_transitions < stats.unique_states // 4
 
-    @pytest.mark.parametrize("overrides", ENGINES)
-    @pytest.mark.parametrize("fallback", [
-        pytest.param(dict(worker_cache_size=1), id="evicted"),
-        pytest.param(dict(search_order="bfs"), id="bfs"),
+    @pytest.mark.parametrize("fallback,overrides", [
+        pytest.param("evicted", dict(start_method="fork"),
+                     marks=requires_fork, id="evicted-fork"),
+        pytest.param("evicted", None, id="evicted-inline"),
+        *[pytest.param("bfs", *engine.values, marks=engine.marks,
+                       id=f"bfs-{engine.id}") for engine in ENGINES],
     ])
     @small_tasks
     def test_forced_fallbacks_are_bit_identical(self, fallback, overrides,
-                                                serial_ping):
-        serial = serial_ping
-        if "search_order" in fallback:
-            serial = nice.run(_ping(**fallback))
-        stats = nice.run(_ping(workers=2, **fallback, **overrides))
+                                                serial_ping, monkeypatch):
+        """``evicted`` pins a one-System worker cache, a class constant
+        that fork workers and in-process ones (``None``: an
+        :class:`InlineTransport` pool) inherit as patched and spawned or
+        socket workers, importing it afresh, never see; there the
+        no-handle rebuild is the ``bfs`` leg's."""
+        serial, knobs = serial_ping, {}
+        if fallback == "bfs":
+            knobs = dict(search_order="bfs")
+            serial = nice.run(_ping(**knobs))
+        else:
+            tiny_worker_cache(monkeypatch.setattr)
+        if overrides is None:
+            monkeypatch.setattr(
+                scheduler_mod, "create_transport",
+                lambda config, spec, **sandbox: InlineTransport(
+                    config.workers))
+            overrides = {}
+        stats = nice.run(_ping(workers=2, **knobs, **overrides))
         assert_matches_serial(stats, serial)
-        if "worker_cache_size" in fallback:
+        if fallback == "evicted":
             # Nothing can be retained: every non-root node is rebuilt.
             assert stats.rebuilt_transitions == stats.unique_states - 1
 
@@ -417,8 +441,8 @@ class TestEndToEnd:
     def test_saturated_hint_is_bit_identical(self, serial_ping,
                                              monkeypatch):
         """Fork only: the pin is a class attribute, which spawned and
-        socket workers import afresh — there the every-handle-misses
-        path is the ``evicted`` leg above."""
+        socket workers import afresh — there the rebuild path is the
+        ``bfs`` leg above."""
         saturated_hint(monkeypatch.setattr)
         stats = nice.run(_ping(workers=2, start_method="fork"))
         assert_matches_serial(stats, serial_ping)

@@ -46,10 +46,22 @@ class TestPingExperiment:
         sources = {p.eth_src.canonical() for p in hosts[0].script}
         assert len(sources) == 2
 
-    def test_flow_ir_gets_ping_grouping(self):
+    @pytest.mark.parametrize("strategy", ["PKT-SEQ", "FLOW-IR"])
+    def test_ping_grouping_whatever_the_strategy(self, strategy):
+        """The grouping is the scenario's, not the config's: a scenario
+        built under any strategy and switched to FLOW-IR later keeps it,
+        and so does the copy a worker rebuilds from the spec."""
+        from repro.mc.wire import searcher_from_spec
+        from repro.scenarios import _ping_is_same_flow
+
         scenario = scenarios.ping_experiment(
-            pings=2, config=NiceConfig(strategy="FLOW-IR"))
-        assert "is_same_flow" in scenario.config.extra
+            pings=2, config=NiceConfig(strategy=strategy))
+        assert scenario.is_same_flow is _ping_is_same_flow
+        flow_ir = scenario.with_config(strategy="FLOW-IR")
+        assert flow_ir.make_searcher()._strategy.is_same_flow \
+            is _ping_is_same_flow
+        assert searcher_from_spec(flow_ir.spec)._strategy.is_same_flow \
+            is _ping_is_same_flow
 
     def test_ping_grouping_tags(self):
         from repro.scenarios import _ping_is_same_flow
@@ -75,13 +87,6 @@ class TestBugScenarios:
         graph = scenario.topo.switch_graph()
         assert all(len(neighbors) == 2 for neighbors in graph.values())
 
-    def test_lb_scenario_counters_stay_unhashed(self):
-        assert not scenarios.loadbalancer_scenario().config.hash_counters
-
-    def test_te_scenario_hashes_counters(self):
-        # The stats handler branches on counters: merging across their
-        # values would be unsound (see NiceConfig.hash_counters).
-        assert scenarios.energy_te_scenario().config.hash_counters
 
     def test_te_paths_share_egress(self):
         from repro.scenarios import _te_tables
@@ -105,3 +110,41 @@ class TestBugScenarios:
         r1 = [h for h in hosts if h.name == "R1"][0]
         assert len(r1.script) == 1
         assert r1.script[0].arp_op == 1
+
+
+def _hashes_counters(scenario) -> set:
+    """Whether each switch of ``scenario``'s initial state hashes its
+    counters."""
+    return {switch.hash_counters
+            for switch in scenario.system_factory().switches.values()}
+
+
+class TestCounterHashingIsDerived:
+    """A switch hashes its counters exactly when the app overrides
+    ``App.port_stats_in``, the one handler counters reach."""
+
+    def test_te_scenario_hashes_counters(self):
+        # The stats handler branches on counters: merging across their
+        # values would be unsound.
+        assert _hashes_counters(scenarios.energy_te_scenario()) == {True}
+
+    @pytest.mark.parametrize("builder", [
+        scenarios.ping_experiment, scenarios.loadbalancer_scenario,
+        scenarios.pyswitch_direct_path])
+    def test_apps_without_a_stats_handler_do_not(self, builder):
+        assert _hashes_counters(builder()) == {False}
+
+    def test_an_app_overriding_port_stats_in_does(self):
+        from repro.apps.pyswitch import PySwitch
+        from repro.controller.app import App, observes_counters
+
+        class StatsReader(PySwitch):
+            def port_stats_in(self, api, sw_id, stats, xid=0):
+                pass
+
+        assert observes_counters(StatsReader())
+        assert not observes_counters(PySwitch()) \
+            and not observes_counters(App())
+        scenario = scenarios.ping_experiment(pings=1,
+                                             app_factory=StatsReader)
+        assert _hashes_counters(scenario) == {True}

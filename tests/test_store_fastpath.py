@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import pickle
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -38,7 +39,7 @@ from repro.mc.store import (
     validate_checkpoint,
     write_checkpoint,
 )
-from repro.scenarios import with_config
+from repro.scenarios import _ping_is_same_flow, with_config
 
 #: One-node tasks for the parallel legs, as in the chaos suite.
 pytestmark = pytest.mark.usefixtures("small_tasks")
@@ -415,16 +416,22 @@ class TestResumeAcrossDeletedKnobs:
         ("affinity", False), ("adaptive_batching", False),
         ("batch_groups", 1), ("batch_nodes", 1), ("quarantine", False),
         ("fail_fast", True), ("respawn_workers", True), ("min_workers", 2),
-        ("max_task_retries", 0)])
+        ("max_task_retries", 0), ("worker_cache_size", 1), ("max_paths", 1),
+        pytest.param("extra", {"is_same_flow": _ping_is_same_flow},
+                     id="extra"),
+        ("hash_counters", False)])
     @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "workers2"])
     def test_stale_pool_or_fail_fast_knob_is_ignored(
             self, interrupted, serial_ping, knob, value, workers, capsys):
         """``store_bloom_broadcast`` chose how children crossed the wire,
         the five scheduler switches how tasks were packed, routed and
         given up on, ``fail_fast`` whether a handler exception aborted
-        the search, the three pool knobs what a worker death did — never
-        what a digest was: the inspector passes any value, and it
-        resumes, serially and on workers."""
+        the search, the three pool knobs what a worker death did,
+        ``worker_cache_size`` and ``max_paths`` bounds that never bound,
+        ``extra`` FLOW-IR's grouping (this search is PKT-SEQ; the
+        scenario brings its own) — never what a digest was; and a
+        ``hash_counters`` the ping app derives too: the inspector passes
+        any value, and it resumes, serially and on workers."""
         for snapshot in interrupted.glob("ckpt-*"):
             _plant_in_pickled_config(snapshot, **{knob: value})
         assert cli.main(["checkpoints", str(interrupted)]) == 0
@@ -433,6 +440,21 @@ class TestResumeAcrossDeletedKnobs:
         assert stats.workers == workers
         assert_matches_serial(stats, serial_ping)
         assert not hasattr(scenario.config, knob)
+
+    def test_counter_hashing_the_app_does_not_derive_is_refused(
+            self, interrupted, capsys):
+        """``ping``'s app reads no statistics, so its switches hash no
+        counters: a snapshot that says they did holds digests of other
+        switch state.  Only the rebuilt scenario can say so — the
+        inspector, which builds none, passes it; ``nice resume`` does
+        not."""
+        for snapshot in interrupted.glob("ckpt-*"):
+            _plant_in_pickled_config(snapshot, hash_counters=True)
+        with pytest.raises(CheckpointError, match="hash_counters"):
+            nice.resume(interrupted)
+        capsys.readouterr()
+        assert cli.main(["resume", str(interrupted)]) == 2
+        assert "hash_counters" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "workers2"])
     def test_heartbeat_carrying_checkpoint_validates_and_resumes(
@@ -594,6 +616,32 @@ class TestWriteRollback:
         assert stats.terminated == "exhausted"
         assert stats.checkpoints_written == len(written)
         assert stats.checkpoint_bytes_written == sum(written)
+
+    def test_a_resumed_lineage_counts_every_snapshots_seconds(
+            self, tmp_path, monkeypatch):
+        """Likewise the seconds: the manifest records the write's, up to
+        its own write, and resume adds them.  A resumed run that writes
+        nothing more reports its lineage's seconds, short only of what
+        followed the last manifest write — not of a whole snapshot."""
+        pause = 0.2
+        real = MemoryStore.snapshot_into
+
+        def slow(store, *args, **kwargs):
+            time.sleep(pause)
+            return real(store, *args, **kwargs)
+
+        monkeypatch.setattr(MemoryStore, "snapshot_into", slow)
+        directory = tmp_path / "c"
+        first = nice.run(_ping(checkpoint_dir=str(directory),
+                               checkpoint_interval=100,
+                               max_transitions=400))
+        monkeypatch.undo()
+        assert first.checkpoints_written > 1
+        _, stats = nice.resume(str(directory), checkpoint_dir=None,
+                               max_transitions=None)
+        assert stats.terminated == "exhausted"
+        assert stats.checkpoints_written == first.checkpoints_written
+        assert stats.checkpoint_seconds > first.checkpoint_seconds - pause / 2
 
 
 # ----------------------------------------------------------------------

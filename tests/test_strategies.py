@@ -1,6 +1,9 @@
 """Unit tests for the search strategies (Section 4)."""
 
-from repro import scenarios
+import pytest
+
+from contract import requires_fork
+from repro import nice, scenarios
 from repro.config import NiceConfig
 from repro.mc import transitions as tk
 from repro.mc.strategies import (
@@ -41,10 +44,47 @@ class TestFactory:
         strategy = make_strategy(NiceConfig(strategy="FLOW-IR"),
                                  AppWithHook())
         assert strategy.is_same_flow is AppWithHook.is_same_flow
+        # The app's own hook wins over the scenario's.
+        strategy = make_strategy(NiceConfig(strategy="FLOW-IR"),
+                                 AppWithHook(), default_is_same_flow)
+        assert strategy.is_same_flow is AppWithHook.is_same_flow
+
+    def test_flow_ir_takes_the_scenarios_hook_for_a_hookless_app(self):
+        def grouping(a, b):
+            return True
+
+        strategy = make_strategy(NiceConfig(strategy="FLOW-IR"), object(),
+                                 grouping)
+        assert strategy.is_same_flow is grouping
 
     def test_flow_ir_falls_back_to_default(self):
         strategy = make_strategy(NiceConfig(strategy="FLOW-IR"))
         assert strategy.is_same_flow is default_is_same_flow
+
+
+class TestPingGroupingUnderFlowIr:
+    """FLOW-IR on ``ping`` groups each ping with its pong however the
+    strategy was chosen — at build time, or on the built scenario —
+    serially and on workers, which rebuild the grouping from the spec."""
+
+    ROUTES = {
+        "at-build": lambda: scenarios.ping_experiment(
+            pings=2, config=NiceConfig(strategy="FLOW-IR")),
+        "with-config": lambda: scenarios.ping_experiment(
+            pings=2).with_config(strategy="FLOW-IR"),
+    }
+
+    @pytest.mark.parametrize("engine", [
+        pytest.param({}, id="serial"),
+        pytest.param(dict(workers=2, start_method="fork"),
+                     marks=requires_fork, id="fork2"),
+        pytest.param(dict(workers=2, start_method="spawn"), id="spawn2"),
+    ])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_both_routes_explore_the_grouped_space(self, route, engine):
+        stats = nice.run(self.ROUTES[route]().with_config(**engine))
+        assert (stats.transitions_executed, stats.unique_states) \
+            == (570, 394)
 
 
 class TestDefaultGrouping:

@@ -23,7 +23,7 @@ import pytest
 
 import gc_probe
 from contract import counters, exhaustive, requires_fork, violated_properties
-from fault_helpers import small_tasks
+from fault_helpers import small_tasks, tiny_worker_cache
 from repro import nice, scenarios
 from repro.config import NiceConfig
 from repro.mc import scheduler as scheduler_mod
@@ -253,13 +253,16 @@ class TestReplayCache:
         assert result.result_payload_bytes > 0
         assert "result payload" in result.summary()
 
+    @requires_fork
     def test_correct_after_heavy_eviction(self, serial_direct_path,
-                                          static_batches):
-        """worker_cache_size=1 leaves no room to retain a child and
+                                          static_batches, monkeypatch):
+        """A one-System worker cache leaves no room to retain a child and
         forces near-constant replay-cache eviction; the search must still
-        be exact, just slower (every node rebuilt, mostly full replays)."""
+        be exact, just slower (every node rebuilt, mostly full replays).
+        Fork workers: they inherit the pinned ``MAX_CACHE``."""
+        tiny_worker_cache(monkeypatch.setattr)
         result = exhaustive(scenarios.pyswitch_direct_path(), workers=2,
-                            worker_cache_size=1)
+                            start_method="fork")
         assert counters(result) == counters(serial_direct_path)
         assert violated_properties(result) == \
             violated_properties(serial_direct_path)
@@ -730,5 +733,3 @@ class TestWireFraming:
             NiceConfig(transport="carrier-pigeon")
         with pytest.raises(ValueError):
             NiceConfig(start_method="forkserver")
-        with pytest.raises(ValueError):
-            NiceConfig(worker_cache_size=0)
