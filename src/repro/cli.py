@@ -350,6 +350,9 @@ def cmd_checkpoints(args) -> int:
     for path in entries:
         try:
             checkpoint = validate_checkpoint(path)
+            # Without a spec only the caller's scenario can say.
+            if checkpoint.spec is not None:
+                nice.resumable(checkpoint)
         except CheckpointError as exc:
             report.append({"name": path.name, "valid": False,
                            "error": str(exc)})

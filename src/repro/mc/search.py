@@ -381,16 +381,16 @@ class Searcher:
                     ((), found) for found in self._check(initial, None, [])],
                     ())
             explored = self._explored = store_mod.create_store(self.config)
-            baseline = None
+            chain = None
             if resume is None:
                 explored.add(initial.state_hash())
                 expander.push(((), None), [initial])
             else:
                 resume.restore_stats(stats)
-                # Preload the explored set; when the checkpoint's record
-                # layout matches the store's, its path becomes the baseline
-                # the next snapshot hard-links unchanged segments from.
-                baseline = store_mod.restore_store(explored, resume)
+                # Preload the explored set; when the checkpoint's records
+                # are the store's, byte for byte, the next snapshot
+                # hard-links their segments.
+                chain = store_mod.restore_store(explored, resume)
                 if resume.rng_state is not None:
                     self._rng.setstate(resume.rng_state)
                 # Whatever held these nodes died with the previous run:
@@ -399,7 +399,7 @@ class Searcher:
                     expander.push(group)
             checkpointer = store_mod.Checkpointer(
                 self.config, self.scenario_spec, explored, stats,
-                previous=baseline)
+                chain=chain)
             checkpointer.install()
             # start() is inside the try: a transport that fails to come up
             # (accept deadline, dead spawn) must still have stop() run so

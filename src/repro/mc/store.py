@@ -44,12 +44,15 @@ Two concerns the search engines delegate here:
   format of :class:`~repro.mc.wire.ExpandTask` — which is why a search
   checkpointed serially can resume on any transport and vice versa.
 
-  Shard files are append-only, so snapshots are **incremental**: record
-  files in a checkpoint are immutable *segments*; a shard unchanged since
-  the previous snapshot is hard-linked (same inode, zero bytes copied)
-  and a grown shard links its old segments and writes only the byte
-  range appended since — snapshot cost is O(new states), not O(all
-  states).
+  One writer lays out every snapshot (:func:`write_checkpoint`); a store
+  only says how many record bytes each of its shards holds and copies a
+  byte range of one (the memory store's log is shard 0).  Those bytes
+  are append-only, so snapshots are **incremental**: record files in a
+  checkpoint are immutable *segments*, ``states-SSSS-NNNN.bin``.  A
+  snapshot hard-links the previous one's segments (same inode, zero
+  bytes copied) and writes each shard's bytes appended since as one new
+  segment — snapshot cost is O(new states), not O(all states), for
+  either store.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ import io
 import json
 import os
 import pickle
+import re
 import shutil
 import signal
 import struct
@@ -204,28 +208,19 @@ class StateStore:
     def reset_counters(self) -> None:
         pass
 
-    def snapshot_into(self, directory: Path, previous: Path | None = None):
-        """Write the store's contents as fixed-width record files into
-        ``directory``; returns ``(record_names, carried)`` where
-        ``carried`` maps file names that were hard-linked from the
-        ``previous`` checkpoint directory to their known manifest info
-        (``{"bytes": ..., "blake2b": ...}``) so the writer can skip
-        re-hashing them."""
+    def record_bytes(self) -> list[int]:
+        """How many record bytes each shard holds — every record added so
+        far, buffered ones included.  A store's shards are append-only
+        logs of fixed-width records in insertion order: the checkpoint
+        writer snapshots byte ranges of them and knows nothing else."""
         raise NotImplementedError
 
-    def note_snapshot(self, files_info: dict) -> None:
-        """Called after a snapshot *committed* (renamed into place);
-        ``files_info`` is the manifest's per-file info.  Stores that
-        track segments promote the pending snapshot layout to the
-        committed baseline here."""
-
-    def adopt_baseline(self, checkpoint: "Checkpoint") -> bool:
-        """Adopt ``checkpoint``'s record files as this store's committed
-        segment baseline (so the next snapshot links instead of
-        rewriting).  Returns False when the layouts are incompatible —
-        the next snapshot is then a full rewrite, which is always
-        correct."""
-        return False
+    def copy_records(self, shard: int, start: int, end: int,
+                     dest: Path) -> None:
+        """Write bytes ``start:end`` of ``shard``'s records to the new
+        file ``dest`` — never into an existing one, which may be a
+        segment hard-linked from the previous snapshot."""
+        raise NotImplementedError
 
     def record_width(self) -> int:
         """Bytes per record (0 while empty)."""
@@ -309,7 +304,7 @@ class MemoryStore(StateStore):
     """The default explored set: an insertion-ordered log of records in
     one ``bytearray`` under a :class:`DigestTable`.
 
-    Insertion order is the order :meth:`snapshot_into` writes and resume
+    Insertion order is the order a snapshot writes and resume
     replays, so a resumed serial DFS walks the identical frontier order.
     In front of the table sit the digests added or found over the last
     one to two ``_RECENT`` adds, as two dict generations: most revisits
@@ -393,11 +388,16 @@ class MemoryStore(StateStore):
     def reset_counters(self) -> None:
         self._hits = 0
 
-    def snapshot_into(self, directory: Path, previous: Path | None = None):
-        name = "states-0000.bin"
-        with open(directory / name, "wb") as handle:
-            handle.write(self._log)
-        return [name], {}
+    def record_bytes(self) -> list[int]:
+        return [len(self._log)]
+
+    def copy_records(self, shard: int, start: int, end: int,
+                     dest: Path) -> None:
+        # The log is shard 0.  The view is released before the next add:
+        # a bytearray with a live view cannot grow (BufferError).
+        with open(dest, "xb") as out, \
+                memoryview(self._log)[start:end] as records:
+            out.write(records)
 
 
 class ShardedStore(StateStore):
@@ -438,7 +438,7 @@ class ShardedStore(StateStore):
             prefix="nice-store-"))
         self.directory.mkdir(parents=True, exist_ok=True)
         self._files = [
-            open(self.directory / self._shard_name(i), "w+b")
+            open(self.directory / f"shard-{i:04d}.bin", "w+b")
             for i in range(shards)
         ]
         #: Per table entry, in spill order: its record's 48-bit prefix
@@ -461,14 +461,6 @@ class ShardedStore(StateStore):
         self._hits = 0
         self._spill_reads = 0
         self._evictions = 0
-        #: Committed snapshot baseline, per shard: [(name, bytes, info)]
-        #: segment lists matching the previous successful checkpoint.
-        self._segments: list[list] = [[] for _ in range(shards)]
-        self._pending_segments: list[list] | None = None
-
-    @staticmethod
-    def _shard_name(index: int) -> str:
-        return f"states-{index:04d}.bin"
 
     def _holds(self, shard: int, slot: int, record: bytes) -> bool:
         """Whether ``slot`` of ``shard`` holds ``record`` — read from the
@@ -599,18 +591,16 @@ class ShardedStore(StateStore):
     def reset_counters(self) -> None:
         self._hits = self._spill_reads = self._evictions = 0
 
-    # -- snapshots ------------------------------------------------------
+    def record_bytes(self) -> list[int]:
+        self.flush()
+        return list(self._flushed)
 
-    @staticmethod
-    def _segment_name(shard: int, segment: int) -> str:
-        return f"states-{shard:04d}-{segment:04d}.bin"
-
-    def _copy_range(self, shard: int, start: int, end: int,
-                    dest: Path) -> None:
+    def copy_records(self, shard: int, start: int, end: int,
+                     dest: Path) -> None:
         handle = self._files[shard]
         handle.seek(start)
         remaining = end - start
-        with open(dest, "wb") as out:
+        with open(dest, "xb") as out:
             while remaining:
                 data = handle.read(min(1 << 20, remaining))
                 if not data:
@@ -618,103 +608,6 @@ class ShardedStore(StateStore):
                         f"shard {shard} truncated during snapshot")
                 out.write(data)
                 remaining -= len(data)
-
-    def snapshot_into(self, directory: Path, previous: Path | None = None):
-        self.flush()
-        directory = Path(directory)
-        record_names: list[str] = []
-        carried: dict[str, dict] = {}
-        pending: list[list] = [[] for _ in range(self.shards)]
-        for shard in range(self.shards):
-            size = self._flushed[shard]
-            if not size:
-                continue
-            committed = self._segments[shard]
-            base = sum(nbytes for _, nbytes, _ in committed)
-            reused: list = []
-            if previous is not None and committed and base <= size and \
-                    all(info is not None for _, _, info in committed):
-                try:
-                    for name, nbytes, info in committed:
-                        os.link(previous / name, directory / name)
-                        reused.append((name, nbytes, info))
-                except OSError:
-                    # Cross-device / platform without links / pruned
-                    # source: fall back to a full rewrite of this shard.
-                    for name, _, _ in reused:
-                        try:
-                            (directory / name).unlink()
-                        except OSError:
-                            pass
-                    reused = []
-            if not reused:
-                base = 0
-            segments = list(reused)
-            if size > base:
-                seg_name = self._segment_name(shard, len(segments))
-                self._copy_range(shard, base, size, directory / seg_name)
-                segments.append((seg_name, size - base, None))
-            pending[shard] = segments
-            for name, _, info in segments:
-                record_names.append(name)
-                if info is not None:
-                    carried[name] = info
-        self._pending_segments = pending
-        return record_names, carried
-
-    def note_snapshot(self, files_info: dict) -> None:
-        pending = self._pending_segments
-        if pending is None:
-            return
-        self._segments = [
-            [(name, nbytes, info if info is not None
-              else files_info.get(name))
-             for name, nbytes, info in segments]
-            for segments in pending
-        ]
-        self._pending_segments = None
-
-    @staticmethod
-    def _parse_record_name(name: str):
-        """``states-SSSS[-NNNN].bin`` -> (shard, segment) or None."""
-        if not name.startswith("states-") or not name.endswith(".bin"):
-            return None
-        parts = name[len("states-"):-len(".bin")].split("-")
-        if len(parts) not in (1, 2):
-            return None
-        try:
-            shard = int(parts[0])
-            segment = int(parts[1]) if len(parts) == 2 else 0
-        except ValueError:
-            return None
-        return shard, segment
-
-    def adopt_baseline(self, checkpoint: "Checkpoint") -> bool:
-        if not len(self) or checkpoint.record_width != self._width:
-            return False
-        self.flush()
-        grouped: dict[int, list] = {}
-        for path in checkpoint.record_files:
-            parsed = self._parse_record_name(path.name)
-            info = checkpoint.file_info.get(path.name)
-            if parsed is None or info is None or parsed[0] >= self.shards:
-                return False
-            grouped.setdefault(parsed[0], []).append(
-                (parsed[1], path.name, info))
-        segments: list[list] = [[] for _ in range(self.shards)]
-        sizes = [0] * self.shards
-        for shard, entries in grouped.items():
-            entries.sort()
-            for _, name, info in entries:
-                segments[shard].append((name, info["bytes"], info))
-                sizes[shard] += info["bytes"]
-        # The preloaded store must hold byte-for-byte what the segments
-        # hold (same shard assignment, same per-shard order) for linking
-        # to be sound; the cheap proxy is an exact per-shard byte match.
-        if sizes != self._flushed:
-            return False
-        self._segments = segments
-        return True
 
     def close(self) -> None:
         try:
@@ -802,15 +695,90 @@ class Checkpoint:
         stats.resumed_from = str(self.path)
 
 
-def restore_store(store: StateStore, checkpoint: Checkpoint):
-    """Rebuild ``store`` from ``checkpoint``: preload every digest and
-    adopt the checkpoint's record files as the compaction baseline.
-    Returns the baseline path for the next snapshot to hard-link from,
-    or None when the layouts are incompatible (full rewrite instead)."""
+def _record_name(shard: int, segment: int) -> str:
+    """The file name of ``shard``'s ``segment``-th record segment."""
+    return f"states-{shard:04d}-{segment:04d}.bin"
+
+
+def _parse_record_name(name: str):
+    """``states-SSSS-NNNN.bin`` -> ``(shard, segment)``, or None for a
+    name that is no record file's.  The memory store's ``states-0000.bin``
+    of builds before it wrote segments is segment 0 of shard 0."""
+    match = re.fullmatch(r"states-(\d+)(?:-(\d+))?\.bin", name)
+    return (int(match[1]), int(match[2] or 0)) if match else None
+
+
+class SegmentChain:
+    """The record segments of the last committed snapshot: what the next
+    one hard-links instead of rewriting.
+
+    ``path`` is that snapshot's directory (None: nothing to link), and
+    ``shards[i]`` shard ``i``'s ``[(name, info), ...]`` in segment order,
+    ``info`` the manifest's ``{"bytes", "blake2b"}`` — a linked file is
+    never hashed again.  A run starts with an empty chain or the one
+    :func:`restore_store` adopts from the checkpoint it resumed, and
+    :func:`write_checkpoint` advances it to each snapshot it commits
+    from what it wrote, never from a manifest read back.
+    """
+
+    def __init__(self):
+        self.path: Path | None = None
+        self.shards: dict[int, list] = {}
+
+    def advance(self, path: Path, files: dict) -> None:
+        """Make the snapshot at ``path`` the chain's head; ``files`` maps
+        each of its record files to its manifest info."""
+        self.path, self.shards = path, {}
+        for name in sorted(files, key=_parse_record_name):
+            self.shards.setdefault(_parse_record_name(name)[0], []).append(
+                (name, files[name]))
+
+
+def restore_store(store: StateStore, checkpoint: Checkpoint) -> SegmentChain:
+    """Rebuild ``store`` from ``checkpoint``: preload every digest, then
+    adopt the checkpoint's record files as the chain the next snapshot
+    links from — iff each shard's segments hold exactly the bytes the
+    preloaded shard does (same shard assignment and order, so the same
+    records).  Otherwise the chain is empty and the next snapshot writes
+    every record, which is always correct."""
     store.preload(checkpoint.iter_digests())
-    if store.adopt_baseline(checkpoint):
-        return checkpoint.path
-    return None
+    chain = SegmentChain()
+    chain.advance(checkpoint.path, {path.name: checkpoint.file_info[path.name]
+                                    for path in checkpoint.record_files})
+    held = {shard: size
+            for shard, size in enumerate(store.record_bytes()) if size}
+    if held == {shard: sum(info["bytes"] for _, info in segments)
+                for shard, segments in chain.shards.items()}:
+        return chain
+    return SegmentChain()
+
+
+def _write_segments(store: StateStore, staging: Path,
+                    chain: SegmentChain) -> dict:
+    """Lay ``store``'s records into ``staging`` as segments.  Per shard,
+    the chain's segments are hard-linked (same inode, no byte copied)
+    while their byte total fits in the shard's — its records are
+    append-only, so those bytes are unchanged — and the rest is written
+    as one new segment.  Returns ``{name: info}`` in record order, None
+    for a segment written here."""
+    files: dict[str, dict | None] = {}
+    for shard, size in enumerate(store.record_bytes()):
+        linked = segment = 0
+        for name, info in chain.shards.get(shard, ()):
+            if linked + info["bytes"] > size:
+                break
+            try:
+                os.link(chain.path / name, staging / name)
+            except OSError:
+                break  # cross-device, no links, pruned: write the rest
+            files[name] = info
+            linked += info["bytes"]
+            segment = _parse_record_name(name)[1] + 1
+        if size > linked:
+            name = _record_name(shard, segment)
+            store.copy_records(shard, linked, size, staging / name)
+            files[name] = None
+    return files
 
 
 def _file_digest(path: Path) -> str:
@@ -844,15 +812,16 @@ def _next_sequence(directory: Path) -> int:
 
 def write_checkpoint(directory: str | Path, *, spec, config, stats,
                      frontier, rng_state, store: StateStore,
-                     previous: str | Path | None = None
+                     chain: SegmentChain | None = None
                      ) -> tuple[Path, int]:
     """Atomically snapshot one consistent master state; returns the new
     checkpoint's path and the bytes written for it (its manifest's
-    ``bytes_written``).  ``previous`` is the last committed checkpoint of
-    this same store, if any — unchanged record segments are hard-linked
-    from it instead of rewritten, which is what makes snapshot cost
-    O(new states).  The manifest records the write's ``seconds``, up to
-    its own write.  See the module docstring for the atomicity protocol."""
+    ``bytes_written``).  ``chain`` holds the last committed snapshot of
+    this same store, if any: its segments are hard-linked instead of
+    rewritten, which is what makes snapshot cost O(new states), and it
+    advances to this snapshot once it is committed.  The manifest
+    records the write's ``seconds``, up to its own write.  See the module
+    docstring for the atomicity protocol."""
     started = time.perf_counter()
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
@@ -862,9 +831,10 @@ def write_checkpoint(directory: str | Path, *, spec, config, stats,
     if staging.exists():
         shutil.rmtree(staging)
     staging.mkdir()
+    chain = chain if chain is not None else SegmentChain()
     try:
-        record_files, carried = store.snapshot_into(
-            staging, previous=Path(previous) if previous else None)
+        files = _write_segments(store, staging, chain)
+        record_files = list(files)
         meta = {
             "spec": spec,
             "config": config,
@@ -874,16 +844,15 @@ def write_checkpoint(directory: str | Path, *, spec, config, stats,
         }
         with open(staging / _META, "wb") as handle:
             pickle.dump(meta, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        files = {}
+        files[_META] = None
+        written = [file_name for file_name, info in files.items()
+                   if info is None]
         bytes_written = 0
-        for file_name in [*record_files, _META]:
-            info = carried.get(file_name)
-            if info is None:
-                path = staging / file_name
-                info = {"bytes": path.stat().st_size,
-                        "blake2b": _file_digest(path)}
-                bytes_written += info["bytes"]
-            files[file_name] = info
+        for file_name in written:
+            path = staging / file_name
+            files[file_name] = {"bytes": path.stat().st_size,
+                                "blake2b": _file_digest(path)}
+            bytes_written += files[file_name]["bytes"]
         manifest = {
             "format": CHECKPOINT_FORMAT,
             "states": len(store),
@@ -897,10 +866,9 @@ def write_checkpoint(directory: str | Path, *, spec, config, stats,
         }
         # The manifest is written (and fsynced) last: a crash before this
         # point leaves a manifest-less temp directory resume ignores.
+        # A hard-linked segment is durable already.
         (staging / _MANIFEST).write_text(json.dumps(manifest, indent=1))
-        for file_name in [*files, _MANIFEST]:
-            if file_name in carried:
-                continue  # hard-linked: already durable in the previous
+        for file_name in [*written, _MANIFEST]:
             with open(staging / file_name, "rb") as handle:
                 os.fsync(handle.fileno())
     except BaseException:
@@ -908,7 +876,8 @@ def write_checkpoint(directory: str | Path, *, spec, config, stats,
         raise
     os.rename(staging, root / name)
     _fsync_dir(root)
-    store.note_snapshot(files)
+    chain.advance(root / name, {file_name: files[file_name]
+                                for file_name in record_files})
     _prune(root)
     return root / name, bytes_written
 
@@ -926,7 +895,7 @@ def _prune(root: Path) -> None:
 #: (The other fields deleted with them — how states were cloned and how
 #: the serial frontier kept them — never changed a digest; a stale value
 #: of theirs is ignored.  Which ``hash_counters`` is foreign only the
-#: rebuilt scenario's app can say: ``nice.resume`` checks that one.)
+#: rebuilt scenario's app can say: ``nice.resumable`` checks that one.)
 _FOREIGN_DIGEST_KNOBS = {"hash_mode": "full", "hash_memoization": False}
 
 
@@ -962,10 +931,10 @@ def _validate(path: Path) -> Checkpoint:
     width = manifest["record_width"]
     record_bytes = 0
     for name in manifest["record_files"]:
-        if name not in files or Path(name).name != name:
+        if name not in files or _parse_record_name(name) is None:
             raise CheckpointError(
-                f"{path.name}: record file {name!r} is not a file name "
-                f"the manifest lists")
+                f"{path.name}: record file {name!r} is not a record file "
+                f"name the manifest lists")
         nbytes = files[name]["bytes"]
         if nbytes and (width < 1 or nbytes % width):
             raise CheckpointError(
@@ -1027,13 +996,16 @@ def validate_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"{path.name}: {exc}") from exc
 
 
-def load_latest_checkpoint(directory: str | Path) -> Checkpoint:
-    """The newest checkpoint under ``directory`` that validates.
+def load_latest_checkpoint(directory: str | Path,
+                           accept=None) -> Checkpoint:
+    """The newest checkpoint under ``directory`` that validates and that
+    ``accept(checkpoint)``, if given, does not refuse with a
+    :class:`CheckpointError`.
 
-    Invalid snapshots (torn writes, truncations, bad checksums, a
-    manifest that contradicts itself) are reported to stderr and skipped
-    — resume falls back to the previous good one.  Raises
-    :class:`CheckpointError` when none validates.
+    Invalid or refused snapshots (torn writes, truncations, bad
+    checksums, a manifest that contradicts itself) are reported to stderr
+    and skipped — resume falls back to the previous good one.  Raises
+    :class:`CheckpointError` when none is left.
     """
     import sys
 
@@ -1042,7 +1014,10 @@ def load_latest_checkpoint(directory: str | Path) -> Checkpoint:
     failures = []
     for candidate in candidates:
         try:
-            return validate_checkpoint(candidate)
+            checkpoint = validate_checkpoint(candidate)
+            if accept is not None:
+                accept(checkpoint)
+            return checkpoint
         except CheckpointError as exc:
             failures.append(str(exc))
             print(f"checkpoint {candidate} is unusable ({exc}); "
@@ -1068,13 +1043,13 @@ class Checkpointer:
     ``install()``/``restore()`` bracket the run so the previous SIGTERM
     handler (coverage.py installs one, for instance) is always put back.
 
-    ``previous`` seeds the incremental-snapshot chain: the checkpoint a
-    resumed run loaded from (when its layout was adopted), then always
-    the last snapshot this run wrote.
+    ``chain`` is where the incremental snapshots start: the one
+    :func:`restore_store` adopted for a resumed run, else empty; each
+    snapshot this run writes then advances it.
     """
 
     def __init__(self, config, spec, store: StateStore, stats,
-                 previous: str | Path | None = None):
+                 chain: SegmentChain | None = None):
         self.config = config
         self.spec = spec
         self.store = store
@@ -1083,7 +1058,7 @@ class Checkpointer:
         self.sigterm = False
         self._last_progress = self._progress()
         self._previous_handler = None
-        self._previous = Path(previous) if previous else None
+        self._chain = chain if chain is not None else SegmentChain()
         # Store counters are deltas since this run's store came up; a
         # resumed SearchStats already carries the previous legs' totals,
         # so sync() adds the live deltas onto that base (absolute set —
@@ -1156,14 +1131,13 @@ class Checkpointer:
                 self.config.checkpoint_dir, spec=self.spec,
                 config=self.config, stats=self.stats,
                 frontier=frontier_groups, rng_state=rng_state,
-                store=self.store, previous=self._previous)
+                store=self.store, chain=self._chain)
         except BaseException:
             # A failed snapshot must not inflate the counter: the next
             # successful snapshot would bake the phantom write into its
             # meta and every resumed descendant would inherit it.
             self.stats.checkpoints_written -= 1
             raise
-        self._previous = path
         self.stats.checkpoint_bytes_written += written
         self.stats.checkpoint_seconds += time.perf_counter() - start
         self._last_progress = self._progress()

@@ -99,45 +99,61 @@ def resume(checkpoint_path, scenario: Scenario | None = None,
            **config_overrides):
     """Reconstruct a checkpointed search mid-flight and continue it.
 
-    Loads the newest *valid* checkpoint under ``checkpoint_path`` (torn
-    snapshots fall back to the previous good one), rebuilds the scenario
-    from its stored :class:`~repro.mc.wire.ScenarioSpec` — or reuses a
-    caller-provided ``scenario`` for hand-built scenarios that have no
-    registry spec — and runs the search to completion from the
-    checkpointed explored set, frontier, and statistics.  The explored
-    state space of checkpoint + resumed leg is bit-identical to an
-    uninterrupted run, on any transport.
+    Loads the newest checkpoint under ``checkpoint_path`` that is valid
+    and :func:`resumable` (others fall back to the previous good one)
+    and runs the search to completion, under the scenario that call
+    returns, from the checkpointed explored set, frontier, and
+    statistics.  The explored state space of checkpoint + resumed leg is
+    bit-identical to an uninterrupted run, on any transport.
 
     ``config_overrides`` replace fields of the checkpointed config —
     engine knobs and budgets only (``workers``, ``transport``,
     ``checkpoint_*``, ``store*``, ``max_transitions``…); a model or
     hashing knob (``strategy``, the PKT-SEQ bounds, ``state_matching``,
     ``search_order``, ``seed``…) would change what the stored digests
-    *mean* and must not be overridden.  A stale ``hash_counters`` in the
-    pickled config that the rebuilt scenario's app does not derive is
-    refused: those digests hashed other switch state.
+    *mean* and must not be overridden.
 
     Returns ``(scenario, stats)``.
     """
     from repro.mc import store as store_mod
 
-    checkpoint = store_mod.load_latest_checkpoint(checkpoint_path)
-    if scenario is None:
-        if checkpoint.spec is None:
-            raise store_mod.CheckpointError(
-                f"the checkpoint under {checkpoint_path} carries no "
-                f"scenario spec (hand-built scenario); pass the scenario "
-                f"to nice.resume() explicitly")
-        scenario = checkpoint.spec.build()
-    stale = vars(checkpoint.config).get("hash_counters")
-    if stale not in (None, observes_counters(scenario.app_factory())):
-        raise store_mod.CheckpointError(
-            f"{checkpoint.path.name}: written with hash_counters={stale!r},"
-            f" which this scenario's app does not derive; not resumable")
-    scenario = scenario.with_config(checkpoint.config, **config_overrides)
+    rebuilt = {}
+
+    def accept(checkpoint):
+        rebuilt[checkpoint.path] = resumable(checkpoint, scenario)
+
+    checkpoint = store_mod.load_latest_checkpoint(checkpoint_path, accept)
+    scenario = rebuilt[checkpoint.path].with_config(
+        checkpoint.config, **config_overrides)
     searcher = scenario.make_searcher()
     searcher._resume = checkpoint
     return scenario, searcher.run()
+
+
+def resumable(checkpoint, scenario: Scenario | None = None) -> Scenario:
+    """The scenario a validated ``checkpoint`` resumes under: ``scenario``
+    if given (a hand-built scenario has no registry spec), else the one
+    its :class:`~repro.mc.wire.ScenarioSpec` rebuilds.  Raises
+    :class:`~repro.mc.store.CheckpointError` when there is none (a
+    hand-built scenario's checkpoint) or when its digests are foreign to
+    it: a pickled ``hash_counters`` that the app does not derive means
+    they hashed other switch state.  ``nice resume`` and the ``nice
+    checkpoints`` inspector both ask this."""
+    from repro.mc.store import CheckpointError
+
+    if scenario is None:
+        if checkpoint.spec is None:
+            raise CheckpointError(
+                f"{checkpoint.path.name}: carries no scenario spec "
+                f"(hand-built scenario); pass the scenario to "
+                f"nice.resume() explicitly")
+        scenario = checkpoint.spec.build()
+    stale = vars(checkpoint.config).get("hash_counters")
+    if stale not in (None, observes_counters(scenario.app_factory())):
+        raise CheckpointError(
+            f"{checkpoint.path.name}: written with hash_counters={stale!r},"
+            f" which this scenario's app does not derive; not resumable")
+    return scenario
 
 
 def replay(scenario: Scenario, trace, expected_hash: str | None = None):

@@ -13,7 +13,9 @@ worker process is launched (the quarantine sandbox is a one-worker local
 transport, not a second launcher), one channel to a worker however it
 was launched — a stream socket read in one function, waited on in one
 other, with no thread on either side — and one pair of functions that
-turn a digest into its stored-or-shipped record and back.
+turn a digest into its stored-or-shipped record and back.  A snapshot
+has one writer: a store hands it record bytes and nothing more, and a
+record file's name is formatted and parsed in one function each.
 
 And under the loop, every part of a component has one owner of its
 writes: the module whose write accessors copy it before the first write
@@ -302,6 +304,90 @@ def test_one_record_codec():
         assert not attributes & {"fromhex", "hex"}, module
     assert not {"_compact_digests", "_inflate_digests"} & {
         name.rpartition(".")[2] for _, name in FUNCTIONS}
+
+
+def _snapshot_methods(sources: dict = SOURCES) -> set[str]:
+    """``Class.method`` for every method of a ``StateStore`` (or of a
+    subclass, at any depth) whose name says it lays out a snapshot."""
+    classes = [node for text in sources.values()
+               for node in ast.walk(ast.parse(text))
+               if isinstance(node, ast.ClassDef)]
+    stores, grown = {"StateStore"}, True
+    while grown:
+        before = len(stores)
+        stores |= {node.name for node in classes if {
+            getattr(base, "id", getattr(base, "attr", None))
+            for base in node.bases} & stores}
+        grown = len(stores) > before
+    return {f"{node.name}.{child.name}" for node in classes
+            if node.name in stores for child in node.body
+            if isinstance(child, ast.FunctionDef) and any(
+                word in child.name
+                for word in ("snapshot", "segment", "baseline"))}
+
+
+def _record_name_spellings(sources: dict = SOURCES) -> dict:
+    """Where ``src/repro/mc`` spells a record file's name: the function
+    around every string literal holding ``states-`` (docstrings aside),
+    under ``"format"`` inside an f-string, else ``"parse"``."""
+    found = {"format": set(), "parse": set()}
+
+    def visit(node, module, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        if isinstance(node, ast.JoinedStr):
+            if any(isinstance(part, ast.Constant) and "states-" in part.value
+                   for part in node.values):
+                found["format"].add((module, scope))
+            return
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and "states-" in node.value:
+            found["parse"].add((module, scope))
+        children = list(ast.iter_child_nodes(node))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) \
+                and ast.get_docstring(node) is not None:
+            children.remove(node.body[0])
+        for child in children:
+            visit(child, module, scope)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module, None)
+    return found
+
+
+def test_one_snapshot_writer():
+    """A store hands the checkpoint writer its record bytes and nothing
+    more: no store has a snapshot, segment or baseline method of its
+    own, and a record file's name is formatted in one function and
+    parsed in one, both the writer's."""
+    assert _snapshot_methods() == set()
+    assert _record_name_spellings() == {
+        "format": {("store", "_record_name")},
+        "parse": {("store", "_parse_record_name")}}
+
+
+def test_a_store_side_snapshot_planted_back_is_caught():
+    """The guard's own mutation demo: the sharded store's segment
+    bookkeeping and the memory store's whole-log writer, put back."""
+    planted = dict(SOURCES)
+    planted["store"] += '''
+class Spilling(ShardedStore):
+    def _segment_name(self, shard, segment):
+        return f"states-{shard:04d}-{segment:04d}.bin"
+
+    def adopt_baseline(self, checkpoint):
+        return checkpoint.path.name.startswith("states-")
+
+
+def snapshot_into(store, directory):
+    (directory / "states-0000.bin").write_bytes(store._log)
+'''
+    assert _snapshot_methods(planted) == {
+        "Spilling._segment_name", "Spilling.adopt_baseline"}
+    assert _record_name_spellings(planted) == {
+        "format": {("store", "_record_name"), ("store", "_segment_name")},
+        "parse": {("store", "_parse_record_name"),
+                  ("store", "adopt_baseline"), ("store", "snapshot_into")}}
 
 
 # ----------------------------------------------------------------------

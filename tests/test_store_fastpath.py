@@ -33,6 +33,7 @@ from repro.mc.store import (
     CheckpointError,
     Checkpointer,
     MemoryStore,
+    SegmentChain,
     ShardedStore,
     load_latest_checkpoint,
     restore_store,
@@ -205,17 +206,22 @@ class TestMixedWidthGuard:
         with pytest.raises(ValueError, match="two digest schemes"):
             "b" * 64 in store
         assert len(store) == 1 and store.record_width() == 16
-        store.snapshot_into(tmp_path)
-        assert (tmp_path / "states-0000.bin").read_bytes() == b"\xaa" * 16
+        snapshot, _ = write_checkpoint(
+            tmp_path, spec=None, config=NiceConfig(), stats=SearchStats(),
+            frontier=[], rng_state=None, store=store)
+        assert (snapshot / "states-0000-0000.bin").read_bytes() == \
+            b"\xaa" * 16
 
     def test_the_record_bytes_are_the_ones_every_build_wrote(self, tmp_path):
         """Literals recorded at the commit before the second record
         encoding was deleted: for a fixed digest list, each store's
         record files (blake2b-16 of their bytes) and what the manifest
-        says of them — checkpoints of either build are the other's."""
+        says of them — checkpoints of either build are the other's.  The
+        memory store's one file was ``states-0000.bin`` until it wrote
+        segments; its bytes are the same."""
         recorded = {
             MemoryStore: {
-                "states-0000.bin": "b3251294848cd1eb37129648c13939dc"},
+                "states-0000-0000.bin": "b3251294848cd1eb37129648c13939dc"},
             ShardedStore: {
                 "states-0000-0000.bin": "b2b0c54339a71cee51a1ecb2605ef44a",
                 "states-0001-0000.bin": "ba22e96ead09b56e3d4c7e811d22b288",
@@ -247,24 +253,46 @@ class TestMixedWidthGuard:
 # Hard-link compaction
 # ----------------------------------------------------------------------
 
+def _as_parent_memory_snapshot(snapshot) -> None:
+    """Rewrite ``snapshot`` as the build before the memory store wrote
+    segments left it: the whole log in one ``states-0000.bin``, written
+    (and counted in ``bytes_written``) at every snapshot."""
+    manifest = json.loads((snapshot / "MANIFEST.json").read_text())
+    log = b"".join((snapshot / name).read_bytes()
+                   for name in manifest["record_files"])
+    for name in manifest["record_files"]:
+        (snapshot / name).unlink()
+        del manifest["files"][name]
+    (snapshot / "states-0000.bin").write_bytes(log)
+    manifest["record_files"] = ["states-0000.bin"]
+    manifest["files"] = {"states-0000.bin": {
+        "bytes": len(log),
+        "blake2b": store_mod._file_digest(snapshot / "states-0000.bin")},
+        **manifest["files"]}
+    manifest["bytes_written"] = \
+        len(log) + manifest["files"]["meta.pkl"]["bytes"]
+    (snapshot / "MANIFEST.json").write_text(json.dumps(manifest))
+
+
 class TestCompaction:
-    def _write(self, root, store, previous=None):
+    def _write(self, root, store, chain):
         path, _ = write_checkpoint(
             root, spec=None, config=NiceConfig(checkpoint_dir=str(root)),
             stats=SearchStats(), frontier=[], rng_state=None,
-            store=store, previous=previous)
+            store=store, chain=chain)
         return path
 
     def test_unchanged_shards_are_linked_grown_shards_append(self, tmp_path):
         store = ShardedStore(shards=4, memory_budget=16,
                              directory=str(tmp_path / "s"))
+        chain = SegmentChain()
         store.add_batch(_digests(200))
-        first = self._write(tmp_path / "c", store)
+        first = self._write(tmp_path / "c", store, chain)
         full_bytes = validate_checkpoint(first).bytes_written
         # Grow shard 0 only; shards 1-3 must ride along untouched.
         extra = [_shard0_digest(i) for i in range(10)]
         store.add_batch(extra)
-        second = self._write(tmp_path / "c", store, previous=first)
+        second = self._write(tmp_path / "c", store, chain)
         for name in os.listdir(first):
             if name.startswith("states-") and not name.startswith(
                     "states-0000"):
@@ -286,16 +314,47 @@ class TestCompaction:
         assert sorted(loaded.iter_digests()) == sorted(_digests(200) + extra)
         store.close()
 
+    def test_a_memory_lineage_writes_only_its_new_records(self, tmp_path):
+        """The memory store's log is one append-only shard: its second
+        snapshot links the first one's segment and writes the records
+        added since plus ``meta.pkl``, a third with nothing new writes
+        ``meta.pkl`` alone, and the log still grows after each (no view
+        of it outlives a snapshot)."""
+        store = MemoryStore()
+        chain = SegmentChain()
+        store.add_batch(_digests(200))
+        first = self._write(tmp_path / "c", store, chain)
+        assert validate_checkpoint(first).bytes_written == \
+            200 * WIDTH + (first / "meta.pkl").stat().st_size
+        store.add_batch(_digests(250))
+        second = self._write(tmp_path / "c", store, chain)
+        assert (second / "states-0000-0000.bin").stat().st_ino == \
+            (first / "states-0000-0000.bin").stat().st_ino
+        loaded = validate_checkpoint(second)
+        assert [path.name for path in loaded.record_files] == [
+            "states-0000-0000.bin", "states-0000-0001.bin"]
+        assert loaded.file_info["states-0000-0001.bin"]["bytes"] == \
+            50 * WIDTH
+        assert loaded.bytes_written == \
+            50 * WIDTH + loaded.file_info["meta.pkl"]["bytes"]
+        assert list(loaded.iter_digests()) == _digests(250)
+        third = self._write(tmp_path / "c", store, chain)
+        loaded = validate_checkpoint(third)
+        assert loaded.bytes_written == loaded.file_info["meta.pkl"]["bytes"]
+        assert list(loaded.iter_digests()) == _digests(250)
+        assert store.add(_hex(250)) and len(store) == 251
+
     def test_links_survive_retention_pruning(self, tmp_path):
         """CHECKPOINT_KEEP drops the snapshot a segment was first
         written into; the hard link keeps the inode alive and the
         newest snapshot keeps validating (checksums included)."""
         store = ShardedStore(shards=2, directory=str(tmp_path / "s"))
+        chain = SegmentChain()
         store.add_batch(_digests(100))
-        previous = self._write(tmp_path / "c", store)
+        self._write(tmp_path / "c", store, chain)
         for start in (100, 110, 120):  # two prunes of the chain's head
             store.add_batch([_hex(i) for i in range(start, start + 10)])
-            previous = self._write(tmp_path / "c", store, previous=previous)
+            self._write(tmp_path / "c", store, chain)
         snapshots = sorted((tmp_path / "c").glob("ckpt-*"))
         assert len(snapshots) == store_mod.CHECKPOINT_KEEP
         loaded = validate_checkpoint(snapshots[-1])  # checksums intact
@@ -307,22 +366,114 @@ class TestCompaction:
         store = ShardedStore(shards=4, memory_budget=16,
                              directory=str(tmp_path / "a"))
         store.add_batch(_digests(300))
-        first = self._write(tmp_path / "c", store)
+        first = self._write(tmp_path / "c", store, SegmentChain())
         store.close()
 
         fresh = ShardedStore(shards=4, memory_budget=16,
                              directory=str(tmp_path / "b"))
         ckpt = load_latest_checkpoint(tmp_path / "c")
-        baseline = restore_store(fresh, ckpt)
-        assert baseline == ckpt.path
+        chain = restore_store(fresh, ckpt)
+        assert chain.path == ckpt.path
         assert len(fresh) == 300
         assert all(digest in fresh for digest in _digests(300))
-        second = self._write(tmp_path / "c", fresh, previous=baseline)
+        second = self._write(tmp_path / "c", fresh, chain)
         for name in os.listdir(first):
             if name.endswith(".bin"):
                 assert (second / name).stat().st_ino == \
                     (first / name).stat().st_ino
         fresh.close()
+
+    def test_a_foreign_layout_is_not_adopted(self, tmp_path):
+        """A checkpoint whose shards hold other bytes than the preloaded
+        store's (another shard count) is no baseline: the chain is empty
+        and the next snapshot writes every record."""
+        store = ShardedStore(shards=4, directory=str(tmp_path / "a"))
+        store.add_batch(_digests(300))
+        self._write(tmp_path / "c", store, SegmentChain())
+        store.close()
+        for fresh in (MemoryStore(), ShardedStore(
+                shards=2, directory=str(tmp_path / "b"))):
+            chain = restore_store(fresh, load_latest_checkpoint(
+                tmp_path / "c"))
+            assert chain.path is None and chain.shards == {}
+            assert len(fresh) == 300
+            fresh.close()
+
+    # -- a memory-store search, resumed ---------------------------------
+
+    @pytest.fixture
+    def memory_lineage(self, tmp_path, monkeypatch):
+        """A memory-store search's checkpoints, a snapshot every 60
+        states, cut at 150."""
+        interrupt_after(monkeypatch, 150)
+        with pytest.raises(Interrupted):
+            nice.run(_ping(checkpoint_dir=str(tmp_path / "c"),
+                           checkpoint_interval=60))
+        monkeypatch.undo()
+        return tmp_path / "c"
+
+    @staticmethod
+    def _first_resumed_snapshot(directory, monkeypatch):
+        """Resume ``directory`` and cut it again once it wrote one more
+        snapshot: ``(the snapshot it resumed, that one)``."""
+        adopted = sorted(directory.glob("ckpt-*"))[-1]
+        interrupt_after(monkeypatch, validate_checkpoint(adopted).states + 90)
+        with pytest.raises(Interrupted):
+            nice.resume(directory)
+        monkeypatch.undo()
+        kept, first_resumed = sorted(directory.glob("ckpt-*"))
+        assert kept == adopted
+        return adopted, first_resumed
+
+    @staticmethod
+    def _assert_links_and_one_new_segment(adopted, first_resumed):
+        """``first_resumed`` hard-links every record file of ``adopted``
+        and writes one segment more, and that and ``meta.pkl`` are all it
+        wrote."""
+        names = [path.name for path in
+                 validate_checkpoint(adopted).record_files]
+        assert names
+        for name in names:
+            assert (first_resumed / name).stat().st_ino == \
+                (adopted / name).stat().st_ino
+        loaded = validate_checkpoint(first_resumed)
+        new = [path.name for path in loaded.record_files
+               if path.name not in names]
+        assert new == [f"states-0000-{len(names):04d}.bin"]
+        assert loaded.bytes_written == loaded.file_info[new[0]]["bytes"] \
+            + loaded.file_info["meta.pkl"]["bytes"]
+
+    def test_a_resumed_memory_run_links_the_adopted_segments(
+            self, memory_lineage, serial_ping, monkeypatch):
+        adopted, first_resumed = self._first_resumed_snapshot(
+            memory_lineage, monkeypatch)
+        self._assert_links_and_one_new_segment(adopted, first_resumed)
+        _, stats = nice.resume(memory_lineage)
+        assert_matches_serial(stats, serial_ping)
+
+    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "workers2"])
+    def test_a_parent_written_memory_checkpoint_resumes(
+            self, memory_lineage, serial_ping, workers):
+        for snapshot in memory_lineage.glob("ckpt-*"):
+            _as_parent_memory_snapshot(snapshot)
+        _, stats = nice.resume(memory_lineage, workers=workers)
+        assert stats.workers == workers
+        assert_matches_serial(stats, serial_ping)
+
+    def test_a_parent_written_memory_checkpoint_is_the_link_baseline(
+            self, memory_lineage, serial_ping, monkeypatch):
+        """Its ``states-0000.bin`` is segment 0 of shard 0: linked under
+        its own name, the records added since written after it."""
+        for snapshot in memory_lineage.glob("ckpt-*"):
+            _as_parent_memory_snapshot(snapshot)
+        adopted, first_resumed = self._first_resumed_snapshot(
+            memory_lineage, monkeypatch)
+        assert [path.name for path in validate_checkpoint(
+            first_resumed).record_files] == [
+            "states-0000.bin", "states-0000-0001.bin"]
+        self._assert_links_and_one_new_segment(adopted, first_resumed)
+        _, stats = nice.resume(memory_lineage)
+        assert_matches_serial(stats, serial_ping)
 
 
 # ----------------------------------------------------------------------
@@ -442,19 +593,52 @@ class TestResumeAcrossDeletedKnobs:
         assert not hasattr(scenario.config, knob)
 
     def test_counter_hashing_the_app_does_not_derive_is_refused(
-            self, interrupted, capsys):
+            self, tmp_path, monkeypatch, capsys):
         """``ping``'s app reads no statistics, so its switches hash no
         counters: a snapshot that says they did holds digests of other
-        switch state.  Only the rebuilt scenario can say so — the
-        inspector, which builds none, passes it; ``nice resume`` does
-        not."""
-        for snapshot in interrupted.glob("ckpt-*"):
+        switch state.  The rebuilt scenario says so, for ``nice resume``
+        and the inspector alike: neither reports or loads any snapshot,
+        and both give the one reason.  (A FLOW-IR search: its grouping
+        comes from the scenario, rebuilt here too.)"""
+        directory = tmp_path / "c"
+        interrupt_after(monkeypatch, 150)
+        with pytest.raises(Interrupted):
+            nice.run(_ping(strategy="FLOW-IR", checkpoint_dir=str(directory),
+                           checkpoint_interval=60))
+        monkeypatch.undo()
+        snapshots = sorted(directory.glob("ckpt-*"))
+        for snapshot in snapshots:
             _plant_in_pickled_config(snapshot, hash_counters=True)
-        with pytest.raises(CheckpointError, match="hash_counters"):
-            nice.resume(interrupted)
+        reasons = [f"{snapshot.name}: written with hash_counters=True, which "
+                   f"this scenario's app does not derive; not resumable"
+                   for snapshot in snapshots]
+        with pytest.raises(CheckpointError, match="hash_counters") as refused:
+            nice.resume(directory)
+        assert all(reason in str(refused.value) for reason in reasons)
         capsys.readouterr()
-        assert cli.main(["resume", str(interrupted)]) == 2
-        assert "hash_counters" in capsys.readouterr().err
+        assert cli.main(["resume", str(directory)]) == 2
+        err = capsys.readouterr().err
+        assert all(reason in err for reason in reasons)
+        assert cli.main(["checkpoints", str(directory)]) == 2
+        report = capsys.readouterr().out
+        assert " ok " not in report and "resume would load" not in report
+        assert all(f"{snapshot.name}: INVALID ({reason})" in report
+                   for snapshot, reason in zip(snapshots, reasons))
+
+    def test_a_refused_snapshot_falls_back_like_a_torn_one(
+            self, interrupted, serial_ping, capsys):
+        """Resume and the inspector agree on what resume loads: past a
+        newest snapshot the app's counter hashing refuses, the one
+        before it."""
+        older, newest = sorted(interrupted.glob("ckpt-*"))
+        _plant_in_pickled_config(newest, hash_counters=True)
+        assert cli.main(["checkpoints", str(interrupted)]) == 0
+        report = capsys.readouterr().out
+        assert f"{newest.name}: INVALID" in report
+        assert f"resume would load: {older.name}" in report
+        _, stats = nice.resume(interrupted)
+        assert stats.resumed_from == str(older)
+        assert_matches_serial(stats, serial_ping)
 
     @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "workers2"])
     def test_heartbeat_carrying_checkpoint_validates_and_resumes(
@@ -479,7 +663,7 @@ class TestResumeAcrossDeletedKnobs:
                  for path in snapshot.iterdir()}
         assert names >= {"meta.pkl", "MANIFEST.json"}
         assert all(
-            ShardedStore._parse_record_name(name) is not None
+            store_mod._parse_record_name(name) is not None
             for name in names - {"meta.pkl", "MANIFEST.json"}), names
 
     @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "workers2"])
@@ -554,16 +738,16 @@ class TestWriteRollback:
         with pytest.warns(RuntimeWarning):
             checkpointer = Checkpointer(config, None, store, stats)
 
-        def failing_snapshot_into(directory, previous=None):
+        def failing_copy_records(shard, start, end, dest):
             raise OSError("disk full")
 
-        real = store.snapshot_into
-        store.snapshot_into = failing_snapshot_into
+        real = store.copy_records
+        store.copy_records = failing_copy_records
         with pytest.raises(OSError, match="disk full"):
             checkpointer.write([], None)
         assert stats.checkpoints_written == 0
         assert stats.checkpoint_bytes_written == 0
-        store.snapshot_into = real
+        store.copy_records = real
         checkpointer.write([], None)
         assert stats.checkpoints_written == 1
         assert stats.checkpoint_bytes_written > 0
@@ -624,13 +808,13 @@ class TestWriteRollback:
         nothing more reports its lineage's seconds, short only of what
         followed the last manifest write — not of a whole snapshot."""
         pause = 0.2
-        real = MemoryStore.snapshot_into
+        real = MemoryStore.copy_records
 
         def slow(store, *args, **kwargs):
             time.sleep(pause)
             return real(store, *args, **kwargs)
 
-        monkeypatch.setattr(MemoryStore, "snapshot_into", slow)
+        monkeypatch.setattr(MemoryStore, "copy_records", slow)
         directory = tmp_path / "c"
         first = nice.run(_ping(checkpoint_dir=str(directory),
                                checkpoint_interval=100,
