@@ -1,7 +1,7 @@
 """Section 7, "Comparison to other model checkers".
 
 Paper's findings, reproduced in shape with the offline stand-ins from
-:mod:`repro.baselines` (see DESIGN.md substitutions):
+``tests/baselines`` (see DESIGN.md substitutions):
 
 * SPIN explores an abstract model efficiently, but stores full states and
   runs out of memory (at 7 pings on their testbed).  Our SPIN-like checker
@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro import nice, scenarios
-from repro.baselines import JpfLikeSearcher, JpfSystem, SpinLikeSearcher
+from baselines import JpfLikeSearcher, JpfSystem, SpinLikeSearcher
 
 from .conftest import print_table
 

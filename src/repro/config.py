@@ -147,9 +147,9 @@ class NiceConfig:
 
     What the app or scenario decides is no field: FLOW-IR's grouping
     (``Scenario.is_same_flow``) and counter hashing
-    (:func:`repro.controller.app.observes_counters`).  Two bounds that
-    never bind are constants: ``ConcolicEngine``'s 64 paths and
-    ``WorkerRuntime.MAX_CACHE``.
+    (:func:`repro.controller.app.observes_counters`).  Two bounds are
+    constants: ``ConcolicEngine``'s 64 paths and the kept Systems of an
+    engine, ``Retention.MAX_CACHE``.
     """
 
     strategy: str = STRATEGY_PKT_SEQ

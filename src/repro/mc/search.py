@@ -25,15 +25,15 @@ engine is that loop over :class:`_InlineExpander`; the parallel engine
 the same loop over the pool scheduler (:mod:`repro.mc.scheduler`), whose
 workers call the same ``expand_node``.
 
-The frontier holds the children themselves: each is a copy-on-write clone
-of its parent (:meth:`System.clone <repro.mc.system.System.clone>`),
-executed, checked and hashed once, and expanded as is.  Where no System
-is at hand — a frontier resumed from a checkpoint here, a sibling group a
-pool worker did not retain — the node is restored by deterministically
-replaying its transition path from the initial state, the same mechanism
-the paper uses to reproduce violations (Section 6).  State hashing
-combines cached per-component digests, so expanding a state only
-re-renders the switches/hosts the transition actually touched
+The frontier holds traces; the children themselves — copy-on-write
+clones of their parent (:meth:`System.clone
+<repro.mc.system.System.clone>`), executed, checked and hashed once —
+are kept, within one bound, by the same
+:class:`~repro.mc.replay.Retention` a pool worker uses, and a node it
+no longer keeps is restored by deterministically replaying its
+transition path (Section 6).  State hashing combines cached
+per-component digests, so expanding a state only re-renders the
+switches/hosts the transition actually touched
 (DESIGN.md, "Per-state hot path").
 """
 
@@ -44,14 +44,14 @@ import random
 import time
 import traceback
 from collections import deque
-from itertools import compress
+from itertools import compress, count
 
-from repro.config import NiceConfig, ORDER_DFS, ORDER_RANDOM
+from repro.config import NiceConfig, ORDER_BFS, ORDER_DFS, ORDER_RANDOM
 from repro.errors import NiceError, PropertyViolation
 from repro.mc import store as store_mod
 from repro.mc import transitions as tk
 from repro.mc.canonical import canonicalize
-from repro.mc.replay import replay_from
+from repro.mc.replay import Retention
 from repro.mc.strategies import Strategy, make_strategy
 from repro.mc.system import System
 from repro.mc.transitions import Transition
@@ -134,10 +134,9 @@ class SearchStats:
     scheduler — so a caller (and ``nice run``) can see whether a
     ``workers=N`` request was honored.  The restoration counters
     (``cache_hits`` / ``cache_misses`` / ``replayed_transitions`` /
-    ``rebuilt_transitions``) and the routing counters (``affinity_hits`` /
-    ``affinity_misses``) are zero for serial runs; they measure work the
-    serial engine does not do and are never counted in
-    ``transitions_executed``.
+    ``rebuilt_transitions``: zero for a serial run that sheds nothing)
+    and the routing counters (``affinity_hits`` / ``affinity_misses``,
+    zero for serial runs) are never counted in ``transitions_executed``.
 
     The churn counters (DESIGN.md, "Fault tolerance and elasticity")
     are likewise parallel-only: ``worker_failures`` counts
@@ -646,13 +645,15 @@ class _InlineExpander:
     (``WorkerRuntime.expand``).
 
     The frontier is a sequence of sibling groups ``[parent trace, steps,
-    Systems | None]`` (no Systems: resumed from a checkpoint, restored by
-    replay).  Flattened, it is Figure 5's node stack/queue: DFS takes the
-    last step of the last group, BFS the first of the first, and the
-    random order keeps groups of one, so its seeded draw over
-    ``len(frontier)`` picks a node.  ``steps`` None is the single node
-    *at* ``trace``: the initial state, or any node of an older serial
-    checkpoint."""
+    node | None]``, no System: the children are the retention's, under
+    ``node``, in a list parallel to ``steps``, and one it shed (or a
+    resumed group, which has no node) is rebuilt from the nearest cached
+    ancestor.  Retention sheds what the order reaches last.  Flattened,
+    the frontier is Figure 5's node stack/queue: DFS takes the last step
+    of the last group, BFS the first of the first, and the random order
+    keeps groups of one, so its seeded draw over ``len(frontier)`` picks
+    a node.  ``steps`` None is the single node *at* ``trace``: the
+    initial state, or any node of an older serial checkpoint."""
 
     name = "serial"
     workers = 0
@@ -666,41 +667,56 @@ class _InlineExpander:
         # random order needs positional pops, so it keeps a plain list.
         frontier = self._frontier = [] if self._random else deque()
         self._at = -1 if order == ORDER_DFS else 0
+        self._retention = Retention(searcher._initial, strategy,
+                                    shed_newest=order == ORDER_BFS)
+        self._nodes = count()
+        #: Restoration counters, the retention's ``out``.
+        self._out = dict.fromkeys(
+            ("cache_hits", "cache_misses", "replayed", "rebuilt"), 0)
         #: Truthy while a node is left (bound: asked once per node).
         self.pending = frontier.__len__
 
     def start(self) -> None:
-        """Nothing to bring up, to wait for, or to tear down."""
+        """Nothing to bring up or to wait for."""
 
-    drain = stop = start
+    drain = start
+
+    def stop(self) -> None:
+        stats, out = self.searcher.stats, self._out
+        stats.cache_hits += out["cache_hits"]
+        stats.cache_misses += out["cache_misses"]
+        stats.replayed_transitions += out["replayed"]
+        stats.rebuilt_transitions += out["rebuilt"]
 
     def groups(self) -> list:
         return [(trace, steps) for trace, steps, _ in self._frontier]
 
     def push(self, group, systems=None) -> None:
         trace, steps = group
-        if steps is None or not self._random:
-            self._frontier.append([trace, steps, systems])
-        else:
+        if self._random and steps is not None and len(steps) > 1:
             for index, step in enumerate(steps):
-                self._frontier.append(
-                    [trace, [step], systems and [systems[index]]])
+                self.push((trace, [step]), systems and [systems[index]])
+            return
+        node = next(self._nodes) if systems else None
+        self._retention.keep(node, systems)
+        self._frontier.append([trace, steps, node])
 
     def pump(self) -> None:
         searcher, frontier, at = self.searcher, self._frontier, self._at
+        retention, out = self._retention, self._out
         index = (searcher._rng.randrange(len(frontier)) if self._random
                  else at)
-        trace, steps, systems = frontier[index]
+        trace, steps, node = frontier[index]
         if steps is None or len(steps) == 1:
             del frontier[index]
-        system = systems.pop(at) if systems else None
+        system = retention.pick(node, at)
         if steps is not None:
-            trace += (steps.pop(at),)
-        if system is None:
-            # Trace-replay restoration (Section 6): clone the initial
-            # state and deterministically re-execute the node's path.
-            system = replay_from(searcher._initial.clone(), trace,
-                                 self.strategy)
+            step = steps.pop(at)
+            if system is None:
+                system, = retention.restore(trace, (step,), (), out)
+            trace += (step,)
+        elif system is None:
+            system = retention.base_for(trace, out)
         limit = searcher.config.max_transitions
         kids, digests, built, violations, transitions, quiescent = \
             searcher.expand_node(

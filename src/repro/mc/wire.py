@@ -162,8 +162,8 @@ class ExpandTask:
     *i*'s siblings — the task whose result shipped them, the position of
     their parent node in that result's ``children`` list, and each
     sibling's index among the node's kids — or None.  A handle is a
-    routing hint into the worker's retained-children store
-    (``WorkerRuntime.retained``), never state: a worker that no longer
+    routing hint into the worker's retained children
+    (``WorkerRuntime.retention``), never state: a worker that no longer
     holds a named child rebuilds it from ``groups`` as if no handle had
     been sent.
 

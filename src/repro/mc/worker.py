@@ -10,23 +10,12 @@ of the nodes to expand (parent replay, sibling rebuild — none of it
 counted in the transition totals), *retention* of the children built,
 and *packing* of the result for the wire.
 
-Restoration is retain-then-fallback (DESIGN.md, "Retained children and
-handles").  A worker keeps the children it ships
-(``WorkerRuntime.retained``) and the scheduler sends the child's address
-back with the sibling group — a *handle* — so the worker expands the very
-System it built: executed, checked, hashed, exactly the in-process
-frontier's entry.  A sibling the worker cannot pick up (no handle, not its
-own, evicted) is restored by trace instead: an LRU cache of node systems
-keyed by trace lets it clone the longest cached ancestor of the group's
-parent and replay only the missing suffix — long replays snapshot a spine
-of intermediates back into the cache
-(:func:`~repro.mc.replay.replay_with_spine`) — and the sibling's step is
-re-executed.  Both stores are charged against
-:attr:`WorkerRuntime.MAX_CACHE` together.  ``cache_hits`` /
-``cache_misses`` count restorations that started from something kept (a
-retained child, a cached ancestor) vs. full replays from the initial
-state — every restoration increments exactly one of the two — and are
-reported to the master with every result.
+Restoration and retention are the one :class:`~repro.mc.replay.Retention`
+the serial engine also holds (DESIGN.md, "Retained children and
+handles"): a worker keeps the children it ships, the scheduler sends a
+child's address back with its sibling group — a *handle* — and the
+worker expands the very System it built; any sibling it cannot pick up
+is rebuilt from the nearest cached ancestor.
 
 Deduplication is the master's alone (DESIGN.md, "Dedup"): a worker ships
 every child it builds.  What it decides locally is only which of them to
@@ -45,11 +34,11 @@ import gc
 import os
 import sys
 import traceback
-from collections import OrderedDict
 
-from repro.mc.replay import replay_with_spine
+from repro.mc.replay import Retention
 from repro.mc.store import pack_digest
 from repro.mc.strategies import make_strategy
+from repro.mc.system import System
 from repro.mc.wire import (
     Codec,
     ExpandTask,
@@ -120,65 +109,27 @@ class BloomFilter:
         return changed
 
 
-class _Retained:
-    """The children a worker shipped and kept, under the node
-    they hang off: ``(task id, node position) -> {kid index: System}``,
-    oldest node first.  ``systems`` counts the kept Systems — the unit
-    ``WorkerRuntime.MAX_CACHE`` bounds."""
-
-    def __init__(self):
-        self.nodes: OrderedDict[tuple, dict] = OrderedDict()
-        self.systems = 0
-
-    def put(self, node: tuple, kids: dict) -> None:
-        if kids:
-            self.nodes[node] = kids
-            self.systems += len(kids)
-
-    def take(self, node: tuple) -> dict:
-        """Remove and return ``node``'s kept children ({} when none are
-        left).  Taking the whole node is what sheds the siblings the
-        master found to be revisits: no handle will ever name them."""
-        kids = self.nodes.pop(node, None) or {}
-        self.systems -= len(kids)
-        return kids
-
-    def shed_oldest(self) -> None:
-        self.take(next(iter(self.nodes)))
-
-
 class WorkerRuntime:
     """Everything one worker process needs, built once per process."""
 
-    #: Snapshot stride while replaying long suffixes.
-    SPINE = 8
     #: Bits of the retention hint (:attr:`seen`): 128 KiB per worker.
     SEEN_BITS = 1 << 20
-    #: Bound on the node Systems a worker keeps: the children retained
-    #: for pick-up by handle and the replay-restoration LRU, together.
-    MAX_CACHE = 2048
 
     def __init__(self, searcher):
         self.searcher = searcher
         self.config = searcher.config
-        self.initial = searcher.system_factory()
+        initial = searcher.system_factory()
         self.strategy = (searcher._strategy
-                         or make_strategy(self.config, self.initial.app))
+                         or make_strategy(self.config, initial.app))
         for prop in searcher.properties:
-            prop.reset(self.initial)
-        #: trace -> System at that trace.  Entries are never mutated (they
-        #: only serve as clone sources), so cache hits are safe to reuse.
-        #: The initial state lives in ``self.initial``, not here, so
-        #: eviction never has to special-case it.
-        self.cache: OrderedDict[tuple, object] = OrderedDict()
-        #: The child Systems this worker shipped and kept, addressed by
-        #: ``(task id, node position)`` + kid index: executed, property-
-        #: checked and hashed, exactly what the in-process expander puts
-        #: on its frontier.  Taken out when the scheduler routes the
-        #: children back (their handle rides the ExpandTask), shed oldest
-        #: node first otherwise; charged against :attr:`MAX_CACHE`
-        #: together with ``cache`` (see :meth:`_trim`).
-        self.retained = _Retained()
+            prop.reset(initial)
+        #: Every System this worker keeps: children under ``(task id,
+        #: node position)`` and kid index, and the replay LRU.  A rebuilt
+        #: node is hashed once, so the clones taken from it inherit warm
+        #: digests (pointless when no child is hashed).
+        self.retention = Retention(
+            initial, self.strategy,
+            warm=System.state_hash if self.config.state_matching else None)
         #: Retention hint: the digests this worker has hashed.  A child
         #: whose digest is (probably) among them is a revisit the master
         #: will drop, so it is shipped but not retained.  Nothing checks
@@ -188,103 +139,17 @@ class WorkerRuntime:
         self.seen = (BloomFilter(self.SEEN_BITS)
                      if self.config.state_matching else None)
 
-    # ------------------------------------------------------------------
-    # Restoration
-    # ------------------------------------------------------------------
-
-    def base_for(self, trace, out):
-        """System at ``trace``: clone the longest cached ancestor and replay
-        the missing suffix (full replay from the initial state at worst).
-
-        Counter contract (module docstring / DESIGN.md): every restoration
-        increments exactly one of ``cache_hits`` / ``cache_misses`` — a
-        hit whenever *any* cached entry (exact, proper ancestor, or the
-        root entry ``()``) provided the starting point, a miss only for
-        the fall-through full replay from ``self.initial``.  Root-trace
-        restorations count like any other, so hits + misses always equals
-        the number of restorations performed.
-        """
-        for k in range(len(trace), -1, -1):
-            system = self.cache.get(trace[:k])
-            if system is None:
-                continue
-            self.cache.move_to_end(trace[:k])
-            out["cache_hits"] += 1
-            if k == len(trace):
-                return system
-            out["replayed"] += len(trace) - k
-            return self._replay(system.clone(), trace, k)
-        out["cache_misses"] += 1
-        out["replayed"] += len(trace)
-        return self._replay(self.initial.clone(), trace, 0)
-
-    def _replay(self, system, trace, k):
-        return replay_with_spine(system, trace, k, self.strategy,
-                                 snapshot=self.remember, stride=self.SPINE)
-
-    def _warm(self, system):
-        """Hash a just re-executed system once, so the clones taken from
-        it inherit warm component digests instead of each re-digesting
-        what the re-execution dirtied.  Pointless when children are not
-        hashed (no state matching)."""
-        if self.config.state_matching:
-            system.state_hash()
-        return system
-
-    def remember(self, trace, system) -> None:
-        self.cache[trace] = system
-        self._trim()
-
-    def _trim(self) -> None:
-        """Hold ``cache`` and ``retained`` to :attr:`MAX_CACHE` systems
-        *together*.  Retained children get what the replay cache leaves,
-        up to half the bound, and shed oldest-first.  The split follows
-        what the worker observes: the replay cache only grows by
-        fallback restorations, so a worker that keeps receiving its own
-        children back leaves it near empty and retention has its half,
-        while one fed other workers' groups (BFS, round-robin, steals)
-        fills it and squeezes out retained children that were not coming
-        back here anyway."""
-        cache, retained, bound = self.cache, self.retained, self.MAX_CACHE
-        while len(cache) > bound:
-            cache.popitem(last=False)
-        room = min(bound // 2, bound - len(cache))
-        while retained.systems > room:
-            retained.shed_oldest()
-
     def restore(self, trace, steps, handle, out) -> list:
-        """The Systems of one sibling group, in ``steps`` order.
-
-        A sibling this worker retained under ``handle`` is picked up as
-        is — no clone, no re-execution, digest cache warm.  Any other —
-        no handle (a steal, a requeue, a resumed frontier), an evicted
-        entry, a child :attr:`seen` declined to keep — is rebuilt from
-        the parent, which is restored (at most once per group) by
-        :meth:`base_for`; a rebuilt node also enters the replay cache,
-        where its own children find an ancestor should they come back
-        without handles.
-        """
-        base = None
-        nodes = []
-        kept, kids = {}, ()
+        """One sibling group's Systems: those retained under ``handle``
+        picked up, any other (no handle, evicted, declined by
+        :attr:`seen`) rebuilt."""
+        picked = ()
         if handle is not None:
             task_id, position, kids = handle
-            kept = self.retained.take((task_id, position))
-        for si, step in enumerate(steps):
-            system = kept.get(kids[si]) if kept else None
-            if system is not None:
-                out["cache_hits"] += 1
-                nodes.append(system)
-                continue
-            if base is None:
-                base = self.base_for(trace, out)
-            system = base.clone()
-            system.execute(step)
-            self.strategy.post_execute(system, step)
-            out["rebuilt"] += 1
-            self.remember(trace + (step,), self._warm(system))
-            nodes.append(system)
-        return nodes
+            kept = self.retention.take((task_id, position))
+            if kept:
+                picked = [kept.get(kid) for kid in kids]
+        return self.retention.restore(trace, steps, picked, out)
 
     # ------------------------------------------------------------------
     # Expansion
@@ -295,8 +160,8 @@ class WorkerRuntime:
         ``(group index, sibling index | None, depth, System)``."""
         for gi, (trace, steps) in enumerate(groups):
             if steps is None:       # the initial-state group
-                root = self.base_for(trace, out)
-                self.remember(trace, root)
+                root = self.retention.base_for(trace, out)
+                self.retention.remember(trace, root)
                 yield gi, None, len(trace), root
             else:
                 handle = handles[gi] if handles else None
@@ -329,11 +194,12 @@ class WorkerRuntime:
         """
         searcher, seen = self.searcher, self.seen
         stats = searcher.stats
-        # Every system this worker touches descends from self.initial by
+        hash_stats = self.retention.initial._hash_stats
+        # Every system this worker touches descends from one initial by
         # clone, so one shared HashStats accumulates the hot-path counters
         # (as the searcher's stats do its discovery runs); each result
         # carries this task's delta back to the master.
-        hashed = self.initial._hash_stats.snapshot()
+        hashed = hash_stats.snapshot()
         discovered = (stats.discover_packet_runs, stats.discover_stats_runs)
         children, violations = [], []
         # Every kid's record: the retention hint's key here, its slice
@@ -368,8 +234,7 @@ class WorkerRuntime:
                         if seen.add(record):
                             keep[index] = built[index]
                 if task_id is not None:
-                    self.retained.put((task_id, len(children)), keep)
-                    self._trim()
+                    self.retention.keep((task_id, len(children)), keep)
                 children.append((gi, si, steps))
             if found and self.config.stop_at_first_violation:
                 # The master stops at the first violation it absorbs; the
@@ -381,7 +246,7 @@ class WorkerRuntime:
         out["discover_stats_runs"] = stats.discover_stats_runs - discovered[1]
         out["hash_stats"] = tuple(
             now - before for now, before
-            in zip(self.initial._hash_stats.snapshot(), hashed))
+            in zip(hash_stats.snapshot(), hashed))
         return out
 
     # ------------------------------------------------------------------
@@ -405,12 +270,13 @@ class WorkerRuntime:
         rss = _rss_bytes()
         if rss is None or rss <= limit:
             return False
+        old = self.retention
         print(f"search worker {worker_id}: rss {rss} B over"
               f" worker_memory_limit {limit} B; shedding replay cache"
-              f" ({len(self.cache)} entries) and {self.retained.systems}"
+              f" ({len(old.cache)} entries) and {old.systems}"
               f" retained children", file=sys.stderr, flush=True)
-        self.cache.clear()
-        self.retained = _Retained()
+        self.retention = Retention(old.initial, self.strategy, old.warm)
+        del old
         gc.collect()
         rss = _rss_bytes()
         if rss is None or rss <= limit:

@@ -111,7 +111,10 @@ def resume(checkpoint_path, scenario: Scenario | None = None,
     ``checkpoint_*``, ``store*``, ``max_transitions``…); a model or
     hashing knob (``strategy``, the PKT-SEQ bounds, ``state_matching``,
     ``search_order``, ``seed``…) would change what the stored digests
-    *mean* and must not be overridden.
+    *mean* and must not be overridden.  The resumed run checkpoints
+    into ``checkpoint_path`` — never into the directory the original run
+    named — unless ``checkpoint_dir`` is overridden (None: no further
+    checkpoints).
 
     Returns ``(scenario, stats)``.
     """
@@ -124,7 +127,8 @@ def resume(checkpoint_path, scenario: Scenario | None = None,
 
     checkpoint = store_mod.load_latest_checkpoint(checkpoint_path, accept)
     scenario = rebuilt[checkpoint.path].with_config(
-        checkpoint.config, **config_overrides)
+        checkpoint.config,
+        **{"checkpoint_dir": str(checkpoint_path), **config_overrides})
     searcher = scenario.make_searcher()
     searcher._resume = checkpoint
     return scenario, searcher.run()

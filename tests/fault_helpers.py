@@ -28,7 +28,8 @@ instead of wrapping it.
 :func:`small_tasks` is the suites' static-batch baseline: batching is the
 master's policy and has no knob, so a suite that wants every task the
 same size pins the scheduler's constants.  :func:`saturated_hint` pins
-the workers' retention hint the same way.
+the workers' retention hint the same way, :func:`tiny_retention` the
+one bound on kept Systems.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import time
 from collections import deque
 
 from repro.mc import scheduler as scheduler_mod
+from repro.mc.replay import Retention
 from repro.mc.scheduler import _Scheduler
 from repro.mc.transport import create_transport
 from repro.mc.wire import WorkerJoined
@@ -71,12 +73,13 @@ def saturated_hint(setattr=setattr) -> None:
     setattr(WorkerRuntime, "SEEN_BITS", 8)
 
 
-def tiny_worker_cache(setattr=setattr, size: int = 1) -> None:
-    """Bound every worker built from here on to ``size`` kept Systems
-    (``WorkerRuntime.MAX_CACHE``); at 1 it retains no child and evicts
-    its replay cache near constantly.  Like :func:`saturated_hint`, the
-    pin reaches runtimes built in this process and fork workers only."""
-    setattr(WorkerRuntime, "MAX_CACHE", size)
+def tiny_retention(setattr=setattr, size: int = 1) -> None:
+    """Bound every retention built from here on — a serial search's and
+    a worker's — to ``size`` kept Systems (``Retention.MAX_CACHE``); at 1
+    it retains no child and evicts its replay cache near constantly.
+    Like :func:`saturated_hint`, the pin reaches what is built in this
+    process and fork workers, not spawned or socket workers."""
+    setattr(Retention, "MAX_CACHE", size)
 
 
 class _TransportWrapper:

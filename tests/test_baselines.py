@@ -3,7 +3,7 @@
 import pytest
 
 from repro import scenarios
-from repro.baselines import JpfLikeSearcher, JpfSystem, SpinLikeSearcher
+from baselines import JpfLikeSearcher, JpfSystem, SpinLikeSearcher
 from repro.config import NiceConfig
 from repro.mc import transitions as tk
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 import signal
 
 import pytest
@@ -75,6 +76,12 @@ def serial_ping():
 def assert_matches_serial(stats, serial_ping):
     assert counters(stats) == counters(serial_ping)
     assert violated_properties(stats) == violated_properties(serial_ping)
+
+
+def _tree_bytes(root) -> dict:
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 # ----------------------------------------------------------------------
@@ -306,6 +313,26 @@ class TestInProcessInterrupt:
         monkeypatch.undo()
         _, stats = nice.resume(tmp_path / "c")
         assert_matches_serial(stats, serial_ping)
+
+    def test_resuming_a_copy_leaves_the_original_untouched(
+            self, serial_ping, tmp_path, monkeypatch):
+        """A checkpoint directory can be copied and the copy resumed: the
+        resumed run writes and prunes its snapshots in the copy, not in
+        the directory the original run named (pickled in its config)."""
+        interrupt_after(monkeypatch, 150)
+        with pytest.raises(Interrupted):
+            nice.run(exhaustive_ping(checkpoint_dir=str(tmp_path / "cpa"),
+                                     checkpoint_interval=60))
+        monkeypatch.undo()
+        shutil.copytree(tmp_path / "cpa", tmp_path / "cpb")
+        before = _tree_bytes(tmp_path / "cpa")
+        copied = sorted(path.name for path in (tmp_path / "cpb").iterdir())
+        _, stats = nice.resume(tmp_path / "cpb")
+        assert_matches_serial(stats, serial_ping)
+        assert stats.checkpoints_written > 0
+        assert _tree_bytes(tmp_path / "cpa") == before
+        assert sorted(path.name for path in (tmp_path / "cpb").iterdir()) \
+            != copied
 
     def test_sharded_store_resumes_too(self, serial_ping, tmp_path,
                                        monkeypatch):

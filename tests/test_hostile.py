@@ -309,9 +309,9 @@ class TestMemoryWatchdog:
 
         def recv():
             seen.append((gc.get_threshold()[0], worker_mod._rss_bytes(),
-                         len(runtime.cache)))
+                         len(runtime.retention.cache)))
             if len(seen) == 1:
-                runtime.cache["ballast"] = Cyclic(128)
+                runtime.retention.cache["ballast"] = Cyclic(128)
                 return wire.ExpandTask(1, [((), None)])
             return wire.Shutdown()
 

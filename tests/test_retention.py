@@ -1,4 +1,5 @@
-"""Retained children and their handles (ISSUE 12, protocol v5).
+"""Retained children and their handles (wire protocol v5), and the
+serial frontier's share of the same bound.
 
 A worker keeps the children it ships and the scheduler sends the
 address back with the sibling group — ``(task id, node position, kid
@@ -10,7 +11,10 @@ steal, a dead or respawned owner, a resumed frontier, a child the guess
 declined, a sandbox) must fall back to trace restoration and land on
 the serial state space.  Unit tests pin the worker-side store and the
 counter contract; the end-to-end half runs the hot path and every forced
-fallback on the fork, spawn and socket transports.
+fallback on the fork, spawn and socket transports.  The serial engine
+keeps its frontier's Systems in the same ``Retention`` under the same
+bound: pinned small, every order sheds and restores, and lands on the
+unbounded search's counts and verdicts.
 """
 
 from __future__ import annotations
@@ -19,24 +23,34 @@ from collections import deque
 
 import pytest
 
+from benchmarks.test_table2 import bug_scenario
 from checkpoint_helpers import Interrupted, interrupt_after
-from contract import counters, requires_fork, violated_properties
+from contract import (
+    counters,
+    requires_fork,
+    violated_properties,
+    violation_states,
+)
 from fault_helpers import (
     ChaosTransport,
     install,
     saturated_hint,
-    tiny_worker_cache,
+    tiny_retention,
 )
 from repro import nice, scenarios
 from repro.mc import scheduler as scheduler_mod
+from repro.mc.replay import Retention
 from repro.mc.scheduler import _Scheduler
+from repro.mc.search import _InlineExpander
 from repro.mc.store import pack_digest, unpack_digests
+from repro.mc.system import System
 from repro.mc.transitions import Transition
 from repro.mc.transport import create_transport
 from repro.mc.wire import searcher_from_spec
 from repro.mc.worker import WorkerRuntime
 from repro.scenarios import with_config
 from scripted_transport import InlineTransport, enrolled_scheduler
+from test_search_order import FIRST_VIOLATION, _direct_path
 
 ENGINES = [
     pytest.param(dict(start_method="fork"), marks=requires_fork, id="fork"),
@@ -161,11 +175,11 @@ class TestRetainedChild:
     def test_is_what_the_serial_loop_would_have_enqueued(self):
         runtime = _runtime()
         out, (_, steps), _ = _root_group(runtime, task_id=3)
-        kept = runtime.retained.nodes[3, 0]
+        kept = runtime.retention.nodes[3, 0]
         assert sorted(kept) == list(range(len(steps)))  # all first seen
-        hash_stats = runtime.initial._hash_stats
+        hash_stats = runtime.retention.initial._hash_stats
         for index, step in enumerate(steps):
-            serial = runtime.initial.clone()
+            serial = runtime.retention.initial.clone()
             serial.execute(step)
             runtime.strategy.post_execute(serial, step)
             digest = _shipped(out)[index]
@@ -178,19 +192,19 @@ class TestRetainedChild:
     def test_copy_on_write_isolation_from_its_siblings(self):
         runtime = _runtime()
         _, (_, steps), _ = _root_group(runtime, task_id=0)
-        kept = runtime.retained.nodes[0, 0]
+        kept = runtime.retention.nodes[0, 0]
         assert len(kept) >= 2
         first, second = kept[0], kept[1]
         before = (first.state_hash(), second.state_hash(),
-                  runtime.initial.state_hash())
+                  runtime.retention.initial.state_hash())
         first.execute(first.enabled_transitions()[0])
         assert first.state_hash() != before[0]
-        assert (second.state_hash(), runtime.initial.state_hash()) \
+        assert (second.state_hash(), runtime.retention.initial.state_hash()) \
             == before[1:]
         moved = first.state_hash()
         second.execute(second.enabled_transitions()[0])
         assert second.state_hash() != before[1]
-        assert (first.state_hash(), runtime.initial.state_hash()) \
+        assert (first.state_hash(), runtime.retention.initial.state_hash()) \
             == (moved, before[2])
 
 
@@ -205,9 +219,9 @@ class TestHandlePickup:
         out = runtime.expand([group], task_id=1, handles=[handle])
         assert out["rebuilt"] == out["replayed"] == out["cache_misses"] == 0
         assert out["cache_hits"] == len(group[1])
-        assert (0, 0) not in runtime.retained.nodes  # popped on use
+        assert (0, 0) not in runtime.retention.nodes  # popped on use
         # Picked-up nodes never enter the trace-keyed replay cache.
-        assert all(len(trace) != 1 for trace in runtime.cache)
+        assert all(len(trace) != 1 for trace in runtime.retention.cache)
 
     def test_fallbacks_expand_to_the_same_children(self):
         """No handle, a stale handle, a handle naming a task this worker
@@ -237,8 +251,8 @@ class TestHandlePickup:
             reference.expand([group], task_id=1, handles=[handle]))
         runtime = _runtime()
         _root_group(runtime, task_id=0)
-        del runtime.retained.nodes[0, 0][1]
-        runtime.retained.systems -= 1
+        del runtime.retention.nodes[0, 0][1]
+        runtime.retention.systems -= 1
         out = runtime.expand([group], task_id=1, handles=[handle])
         assert _shipped(out) == expected
         assert out["rebuilt"] == 1
@@ -250,22 +264,22 @@ class TestHandlePickup:
         runtime = _runtime()
         _, (trace, steps), (task_id, position, kids) = \
             _root_group(runtime, task_id=0)
-        before = runtime.retained.systems
+        before = runtime.retention.systems
         out = runtime.expand([(trace, steps[:1])], task_id=1,
                              handles=[(task_id, position, kids[:1])])
         assert out["rebuilt"] == 0
-        assert (0, 0) not in runtime.retained.nodes
+        assert (0, 0) not in runtime.retention.nodes
         retained_by_task_1 = sum(
-            len(kept) for node, kept in runtime.retained.nodes.items()
+            len(kept) for node, kept in runtime.retention.nodes.items()
             if node[0] == 1)
-        assert runtime.retained.systems == retained_by_task_1
+        assert runtime.retention.systems == retained_by_task_1
         assert before == len(steps)
 
     def test_sandbox_expansion_retains_nothing(self):
         runtime = _runtime()
         out = runtime.expand([((), None)])  # quarantine: task_id=None
         assert out["children"]
-        assert runtime.retained.systems == 0 and not runtime.retained.nodes
+        assert runtime.retention.systems == 0 and not runtime.retention.nodes
 
     def test_revisits_are_shipped_but_not_retained(self):
         """The hint: a digest this worker has hashed before is a revisit
@@ -273,10 +287,10 @@ class TestHandlePickup:
         digests — because only the master's store decides."""
         runtime = _runtime()
         first = runtime.expand([((), None)], task_id=0)
-        assert sorted(runtime.retained.nodes[0, 0]) == \
+        assert sorted(runtime.retention.nodes[0, 0]) == \
             list(range(len(first["children"][0][2])))
         again = runtime.expand([((), None)], task_id=1)
-        assert not any(node[0] == 1 for node in runtime.retained.nodes)
+        assert not any(node[0] == 1 for node in runtime.retention.nodes)
         for out in (first, again):
             assert all(transition is not None
                        for _, _, kids in out["children"]
@@ -292,7 +306,7 @@ class TestHandlePickup:
         assert runtime.seen is None
         for task_id in (0, 1):
             out = runtime.expand([((), None)], task_id=task_id)
-            assert len(runtime.retained.nodes[task_id, 0]) == \
+            assert len(runtime.retention.nodes[task_id, 0]) == \
                 len(out["children"][0][2])
 
     def test_saturated_hint_keeps_a_handful_then_nothing(self, monkeypatch):
@@ -310,12 +324,12 @@ class TestHandlePickup:
                 parent = trace if si is None else trace + (steps[si],)
                 frontier.append((parent, kids))
         assert shipped > 16
-        assert 0 < runtime.retained.systems <= 8
+        assert 0 < runtime.retention.systems <= 8
 
 
 class TestSharedBound:
     def test_both_stores_stay_inside_the_cache_bound(self, monkeypatch):
-        tiny_worker_cache(monkeypatch.setattr, 6)
+        tiny_retention(monkeypatch.setattr, 6)
         runtime = _runtime()
         _, group, handle = _root_group(runtime, task_id=0)
         frontier = [(group, None)]  # no handles: fill the replay cache too
@@ -324,27 +338,27 @@ class TestSharedBound:
                 break
             (trace, steps), _ = frontier.pop()
             out = runtime.expand([(trace, steps)], task_id=task_id)
-            assert len(runtime.cache) + runtime.retained.systems <= 6
-            assert runtime.retained.systems <= 3
-            assert runtime.retained.systems == sum(
-                len(kept) for kept in runtime.retained.nodes.values())
+            assert len(runtime.retention.cache) + runtime.retention.systems <= 6
+            assert runtime.retention.systems <= 3
+            assert runtime.retention.systems == sum(
+                len(kept) for kept in runtime.retention.nodes.values())
             for _, si, kids in out["children"]:
                 frontier.append(((trace + (steps[si],), kids), None))
 
     def test_cache_size_one_retains_nothing(self, monkeypatch):
-        tiny_worker_cache(monkeypatch.setattr)
+        tiny_retention(monkeypatch.setattr)
         runtime = _runtime()
         _, group, handle = _root_group(runtime, task_id=0)
-        assert runtime.retained.systems == 0
+        assert runtime.retention.systems == 0
         out = runtime.expand([group], task_id=1, handles=[handle])
         assert out["rebuilt"] == len(group[1])  # every handle evicted
 
     def test_memory_watchdog_sheds_retained_children_too(self, capsys):
         runtime = _runtime(worker_memory_limit=1)  # always over the limit
         _root_group(runtime, task_id=0)
-        assert runtime.retained.systems and runtime.cache
+        assert runtime.retention.systems and runtime.retention.cache
         assert runtime.should_recycle(0) is True
-        assert runtime.retained.systems == 0 and not runtime.cache
+        assert runtime.retention.systems == 0 and not runtime.retention.cache
         assert "retained children" in capsys.readouterr().err
 
 
@@ -423,7 +437,7 @@ class TestEndToEnd:
             knobs = dict(search_order="bfs")
             serial = nice.run(_ping(**knobs))
         else:
-            tiny_worker_cache(monkeypatch.setattr)
+            tiny_retention(monkeypatch.setattr)
         if overrides is None:
             monkeypatch.setattr(
                 scheduler_mod, "create_transport",
@@ -484,3 +498,92 @@ class TestEndToEnd:
         assert_matches_serial(stats, serial_ping)
         assert stats.rebuilt_transitions > 0  # the checkpointed groups
         assert stats.cache_hits > 0           # ... then retention again
+
+
+# ----------------------------------------------------------------------
+# The serial frontier: traces only, its Systems inside the one bound
+# ----------------------------------------------------------------------
+
+#: The pinned bound: four retained children at most, so every order
+#: below sheds and restores from the first few expansions on.
+SERIAL_BOUND = 8
+
+SERIAL_SEARCHES = {
+    "ping2": lambda **knobs: _ping(**knobs),
+    "ping3": lambda **knobs: with_config(
+        scenarios.ping_experiment(pings=3), stop_at_first_violation=False,
+        max_transitions=3000, **knobs),
+    "table2-IV-NO-DELAY": lambda **knobs: with_config(
+        bug_scenario("IV", "NO-DELAY"), **knobs),
+}
+
+ORDERS = [dict(search_order="dfs"), dict(search_order="bfs"),
+          dict(search_order="random", seed=7)]
+
+
+def _bounded(monkeypatch) -> list:
+    """Pin :data:`SERIAL_BOUND` and check the serial frontier after every
+    node: no System in a frontier entry, and the retention — retained
+    children plus replay LRU — inside the bound.  Returns the peaks."""
+    tiny_retention(monkeypatch.setattr, SERIAL_BOUND)
+    peaks = []
+    pump = _InlineExpander.pump
+
+    def checked(expander):
+        pump(expander)
+        retention = expander._retention
+        assert retention.systems == sum(
+            len(kept) for kept in retention.nodes.values())
+        live = retention.systems + len(retention.cache)
+        assert live <= SERIAL_BOUND
+        assert not any(isinstance(item, System)
+                       for entry in expander._frontier for item in entry)
+        peaks.append(live)
+
+    monkeypatch.setattr(_InlineExpander, "pump", checked)
+    return peaks
+
+
+def _verdicts(stats):
+    return (counters(stats), violation_states(stats),
+            sorted(len(violation.trace) for violation in stats.violations))
+
+
+class TestSerialBound:
+    @pytest.mark.parametrize("order", ORDERS,
+                             ids=["dfs", "bfs", "random-7"])
+    @pytest.mark.parametrize("search", sorted(SERIAL_SEARCHES))
+    def test_frontier_systems_stay_inside_the_bound(self, search, order,
+                                                    monkeypatch):
+        build = SERIAL_SEARCHES[search]
+        unbounded = nice.run(build(**order))
+        assert unbounded.rebuilt_transitions == 0  # nothing was shed
+        peaks = _bounded(monkeypatch)
+        stats = nice.run(build(**order))
+        assert _verdicts(stats) == _verdicts(unbounded)
+        assert max(peaks) == SERIAL_BOUND
+        # Shed nodes came back by restoration, each counted once; a
+        # node picked up as kept is no restoration.
+        assert stats.rebuilt_transitions > 0
+        assert stats.cache_hits + stats.cache_misses == \
+            stats.rebuilt_transitions
+
+    @pytest.mark.parametrize("order,seed", sorted(FIRST_VIOLATION))
+    def test_first_violation_pins_hold_under_the_bound(self, order, seed,
+                                                       monkeypatch):
+        _bounded(monkeypatch)
+        stats = nice.run(_direct_path(order, seed))
+        assert stats.terminated == "first_violation"
+        assert (stats.transitions_executed, stats.unique_states,
+                stats.revisited_states, stats.quiescent_states) \
+            == FIRST_VIOLATION[order, seed]
+        assert stats.rebuilt_transitions > 0
+
+    def test_shedding_drops_what_the_order_reaches_last(self):
+        """DFS reaches its oldest groups last, BFS its newest."""
+        for shed_newest, kept in ((False, {2, 3}), (True, {0, 1})):
+            retention = Retention(None, None, shed_newest=shed_newest)
+            retention.MAX_CACHE = 4
+            for node in range(4):
+                retention.keep(node, [object()])
+            assert set(retention.nodes) == kept

@@ -78,12 +78,12 @@ def _callers(*wanted: str, outside: str | None = None) -> set[tuple]:
 
 
 def test_one_clone_execute_check_hash_body():
-    """Besides ``WorkerRuntime.restore``'s rebuild of a sibling it did
-    not retain (restoration: never counted, never property-checked), the
+    """Besides ``Retention.restore``'s rebuild of a sibling that was not
+    kept (restoration: never counted, never property-checked), the
     only function that clones a System and executes a transition on the
     clone is ``expand_node`` — and it alone goes on to hash the child."""
     assert _callers(".clone", ".execute") == {
-        ("search", "Searcher.expand_node"), ("worker", "WorkerRuntime.restore")}
+        ("search", "Searcher.expand_node"), ("replay", "Retention.restore")}
     assert _callers(".clone", ".execute", ".state_hash") == {
         ("search", "Searcher.expand_node")}
 
@@ -482,3 +482,142 @@ def route(system, endpoint, packet, host, signature):
         "mc/system:route writes .send_sig_counts",
         "mc/system:route writes .inbox",
         "mc/system:route writes .delivered"}
+
+
+# ----------------------------------------------------------------------
+# One retention
+# ----------------------------------------------------------------------
+
+#: Calls that hand back a System — a build, a restoration, a pick-up,
+#: an expansion's children — besides the ``.clone()`` of one.
+SYSTEM_SOURCES = {
+    ".system_factory", "replay_from", "replay_with_spine", ".base_for",
+    ".restore", ".pick", ".take", ".expand_node"}
+#: Parameters that carry Systems, by name.
+SYSTEM_PARAMETERS = {"system", "systems"}
+#: The replay functions a restoration goes through.
+REPLAYS = {"replay_from", "replay_with_spine"}
+#: Calls that put an argument into the container they are called on.
+PUTS = MUTATORS | {"appendleft", "put"}
+
+
+def _holds_systems(function) -> bool:
+    """Whether ``function`` puts a System into a container of ``self``:
+    a subscript store, a put-call or a container display whose value
+    names a System — a name bound (directly or through other names)
+    from a :data:`SYSTEM_SOURCES` call or a System's clone, or a
+    :data:`SYSTEM_PARAMETERS` parameter, used as a value (not as ``system.attr`` or as an argument
+    of another call).  A local bound to ``self.<attr>`` is that
+    container."""
+    def names(node, skip=()):
+        if isinstance(node, ast.Name):
+            return {node.id}
+        if isinstance(node, ast.Attribute) and "attributes" in skip:
+            return set()
+        children = ast.iter_child_nodes(node)
+        if isinstance(node, ast.Call) and "arguments" in skip:
+            children = [node.func]
+        if isinstance(node, ast.IfExp) and "arguments" in skip:
+            children = [node.body, node.orelse]
+        return set().union(*(names(child, skip) for child in children))
+
+    def used(node):
+        return names(node, skip=("attributes", "arguments"))
+
+    def sourced(node):
+        return bool(_calls(ast.Expression(node)) & SYSTEM_SOURCES) or any(
+            isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "clone" and used(call.func.value) & systems
+            for call in ast.walk(node))
+
+    bound = [(target, node.value) for node in ast.walk(function)
+             if isinstance(node, ast.Assign) for target in node.targets]
+    bound += [(node.target, node.iter) for node in ast.walk(function)
+              if isinstance(node, (ast.For, ast.comprehension))]
+    systems = {arg.arg for arg in function.args.args} & SYSTEM_PARAMETERS
+    containers = {"self"}
+    grown = True
+    while grown:
+        before = len(systems) + len(containers)
+        for target, value in bound:
+            if sourced(value) or used(value) & systems:
+                systems |= names(target)
+            if isinstance(value, ast.Attribute) and names(value) & containers:
+                containers |= names(target)
+        grown = len(systems) + len(containers) > before
+
+    def holds(node):
+        return sourced(node) or bool(used(node) & systems)
+
+    def of_self(node):
+        while isinstance(node, (ast.Attribute, ast.Subscript)):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id in containers
+
+    displays = (ast.List, ast.Tuple, ast.Dict, ast.Set, ast.ListComp,
+                ast.DictComp)
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign) and holds(node.value):
+            for target in node.targets:
+                if isinstance(target, ast.Subscript) and of_self(target):
+                    return True
+                if isinstance(target, ast.Attribute) and of_self(target) \
+                        and isinstance(node.value, displays):
+                    return True
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in PUTS and of_self(node.func.value) \
+                and any(holds(arg) for arg in node.args):
+            return True
+    return False
+
+
+def _retentions(sources: dict = ALL_SOURCES) -> dict:
+    """``(module, class) -> methods`` putting Systems into its own
+    containers, for every class of ``src/repro``."""
+    found = {}
+    for (module, name), function in _functions(sources).items():
+        owner, _, method = name.rpartition(".")
+        if owner and _holds_systems(function):
+            found.setdefault((module, owner), set()).add(method)
+    return found
+
+
+def _replay_callers(sources: dict = ALL_SOURCES) -> set[tuple]:
+    return {key for key, function in _functions(sources).items()
+            if _calls(function) & REPLAYS}
+
+
+def test_one_retention():
+    """Every System kept for restoration — a worker's retained children
+    and replay LRU, the serial frontier's Systems — is kept by
+    ``mc/replay.py``'s ``Retention``, and nothing else restores a node by
+    replay: the replay functions are called from that class, from each
+    other, and from ``replay_trace`` (``nice.replay``'s) alone.  The
+    serial frontier holds traces, steps and a retention address."""
+    assert _retentions() == {
+        ("mc/replay", "Retention"): {"keep", "remember"}}
+    assert _replay_callers() == {
+        ("mc/replay", "Retention._replay"),
+        ("mc/replay", "replay_with_spine"),
+        ("mc/replay", "replay_trace")}
+
+
+def test_a_system_list_planted_back_into_the_serial_frontier_is_caught():
+    """The guard's own mutation demo: the parent design's serial
+    frontier — ``[trace, steps, Systems]`` groups, a node without
+    Systems replayed from the initial state — put back."""
+    planted = dict(ALL_SOURCES)
+    search = planted["mc/search"]
+    for old, new in (
+            ("self._frontier.append([trace, steps, node])",
+             "self._frontier.append([trace, steps, systems])"),
+            ("            system, = retention.restore(",
+             "            system = replay_from(searcher._initial.clone(),"
+             " trace + (step,), self.strategy) or retention.restore(")):
+        assert old in search
+        search = search.replace(old, new)
+    planted["mc/search"] = search
+    assert set(_retentions(planted)) == {
+        ("mc/replay", "Retention"), ("mc/search", "_InlineExpander")}
+    assert _replay_callers(planted) - _replay_callers() == {
+        ("mc/search", "_InlineExpander.pump")}

@@ -17,18 +17,18 @@ import pickle
 import socket as socket_mod
 import threading
 import warnings
-from collections import OrderedDict
 
 import pytest
 
 import gc_probe
 from contract import counters, exhaustive, requires_fork, violated_properties
-from fault_helpers import small_tasks, tiny_worker_cache
+from fault_helpers import small_tasks, tiny_retention
 from repro import nice, scenarios
 from repro.config import NiceConfig
 from repro.mc import scheduler as scheduler_mod
 from repro.mc import store as store_mod
 from repro.mc import wire
+from repro.mc.replay import Retention
 from repro.mc.scheduler import ParallelSearcher, _Scheduler
 from repro.mc.transport import create_transport
 from repro.mc.transport.socket import parse_address, run_worker
@@ -259,8 +259,8 @@ class TestReplayCache:
         """A one-System worker cache leaves no room to retain a child and
         forces near-constant replay-cache eviction; the search must still
         be exact, just slower (every node rebuilt, mostly full replays).
-        Fork workers: they inherit the pinned ``MAX_CACHE``."""
-        tiny_worker_cache(monkeypatch.setattr)
+        Fork workers: they inherit the pinned ``Retention.MAX_CACHE``."""
+        tiny_retention(monkeypatch.setattr)
         result = exhaustive(scenarios.pyswitch_direct_path(), workers=2,
                             start_method="fork")
         assert counters(result) == counters(serial_direct_path)
@@ -392,58 +392,57 @@ class TestBaseForAccounting:
         def clone(self):
             return self
 
-    def _runtime(self, cached=()):
-        runtime = WorkerRuntime.__new__(WorkerRuntime)
-        runtime.cache = OrderedDict(
+    def _retention(self, cached=()):
+        retention = Retention(self._FakeSystem(), strategy=None)
+        retention.cache.update(
             (trace, self._FakeSystem()) for trace in cached)
-        runtime.initial = self._FakeSystem()
-        runtime._replay = lambda system, trace, k: system
-        return runtime
+        retention._replay = lambda system, trace, k: system
+        return retention
 
     @staticmethod
     def _counters():
         return {"cache_hits": 0, "cache_misses": 0, "replayed": 0}
 
     def test_exact_hit_replays_nothing(self):
-        runtime = self._runtime(cached=[("a", "b")])
+        retention = self._retention(cached=[("a", "b")])
         out = self._counters()
-        runtime.base_for(("a", "b"), out)
+        retention.base_for(("a", "b"), out)
         assert (out["cache_hits"], out["cache_misses"]) == (1, 0)
         assert out["replayed"] == 0
 
     def test_ancestor_hit_replays_the_suffix(self):
-        runtime = self._runtime(cached=[("a",)])
+        retention = self._retention(cached=[("a",)])
         out = self._counters()
-        runtime.base_for(("a", "b", "c"), out)
+        retention.base_for(("a", "b", "c"), out)
         assert (out["cache_hits"], out["cache_misses"]) == (1, 0)
         assert out["replayed"] == 2
 
     def test_root_entry_restore_of_a_deep_trace_is_a_hit(self):
-        runtime = self._runtime(cached=[()])
+        retention = self._retention(cached=[()])
         out = self._counters()
-        runtime.base_for(("a", "b", "c"), out)
+        retention.base_for(("a", "b", "c"), out)
         assert (out["cache_hits"], out["cache_misses"]) == (1, 0)
         assert out["replayed"] == 3
 
     def test_root_trace_restore_with_cached_root_is_a_hit(self):
-        runtime = self._runtime(cached=[()])
+        retention = self._retention(cached=[()])
         out = self._counters()
-        runtime.base_for((), out)
+        retention.base_for((), out)
         assert (out["cache_hits"], out["cache_misses"]) == (1, 0)
         assert out["replayed"] == 0
 
     def test_cold_cache_is_a_miss_with_full_replay(self):
-        runtime = self._runtime(cached=[])
+        retention = self._retention(cached=[])
         out = self._counters()
-        runtime.base_for(("a", "b"), out)
+        retention.base_for(("a", "b"), out)
         assert (out["cache_hits"], out["cache_misses"]) == (0, 1)
         assert out["replayed"] == 2
 
     def test_hits_plus_misses_equals_restorations(self):
-        runtime = self._runtime(cached=[(), ("a",)])
+        retention = self._retention(cached=[(), ("a",)])
         out = self._counters()
         for trace in [(), ("a",), ("a", "b"), ("x", "y"), ("a", "b")]:
-            runtime.base_for(trace, out)
+            retention.base_for(trace, out)
         assert out["cache_hits"] + out["cache_misses"] == 5
 
 
