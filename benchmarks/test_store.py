@@ -19,6 +19,9 @@ asserts the second snapshot writes the new records plus ``meta.pkl``
 and nothing else — O(new states), not O(all states) — and a
 checkpointed run of the
 spilling search holds the checkpointer to the same sum end to end.
+A ``ping`` pings=3 search checkpointed every 100 states records, per
+store, its snapshots, the files of one, its manifest's bytes and the
+seconds they took of the wall (a snapshot is two files at any size).
 Each configuration's store also reports its resident bytes per state:
 what ``tracemalloc`` sees it keep after taking ``RESIDENT_DIGESTS``
 digests (tail buffers flushed).
@@ -45,8 +48,8 @@ from repro.config import NiceConfig
 from repro.mc import store as store_mod
 from repro.mc.search import SearchStats
 from repro.mc.store import (
+    Lineage,
     MemoryStore,
-    SegmentChain,
     ShardedStore,
     list_checkpoints,
     validate_checkpoint,
@@ -121,31 +124,31 @@ def _resident_bytes_per_state(overrides) -> float:
 def _checkpoint_bench(make_store, base_states: int = 50_000,
                       new_states: int = 2_000) -> dict:
     """Snapshot a populated store (``make_store(directory)``), grow it,
-    snapshot again along the same segment chain; report both snapshots'
-    written bytes."""
+    snapshot again into the same lineage; report both snapshots' written
+    bytes."""
     digests = [hashlib.md5(str(i).encode()).hexdigest()
                for i in range(base_states + new_states)]
     with tempfile.TemporaryDirectory(prefix="nice-bench-ckpt-") as tmp:
         root = pathlib.Path(tmp)
         store = make_store(str(root / "store"))
         config = NiceConfig(checkpoint_dir=str(root / "c"))
-        chain = SegmentChain()
+        lineage = Lineage()
         store.add_batch(digests[:base_states])
         first, _ = write_checkpoint(root / "c", spec=None, config=config,
                                     stats=SearchStats(), frontier=[],
                                     rng_state=None, store=store,
-                                    chain=chain)
+                                    lineage=lineage)
         full = validate_checkpoint(first)
         store.add_batch(digests[base_states:])
         second, _ = write_checkpoint(root / "c", spec=None, config=config,
                                      stats=SearchStats(), frontier=[],
                                      rng_state=None, store=store,
-                                     chain=chain)
+                                     lineage=lineage)
         delta = validate_checkpoint(second)
-        new_segment_bytes = sum(
-            info["bytes"] for name, info in delta.file_info.items()
-            if name.startswith("states-")
-            and not (first / name).exists())
+        new_record_bytes = sum(
+            delta.file_info[path.name]["bytes"]
+            - full.file_info.get(path.name, {"bytes": 0})["bytes"]
+            for path in delta.record_files)
         store.close()
     return {
         "base_states": base_states,
@@ -153,7 +156,7 @@ def _checkpoint_bench(make_store, base_states: int = 50_000,
         "record_width": full.record_width,
         "full_bytes_written": full.bytes_written,
         "delta_bytes_written": delta.bytes_written,
-        "delta_new_record_bytes": new_segment_bytes,
+        "delta_new_record_bytes": new_record_bytes,
         "delta_meta_bytes": delta.file_info["meta.pkl"]["bytes"],
     }
 
@@ -179,6 +182,27 @@ def _checkpointed_search(interval: int = 200) -> dict:
         "meta_bytes": sum(snapshot.file_info["meta.pkl"]["bytes"]
                           for snapshot in snapshots),
     }
+
+
+def _checkpointed_ping(store: str, interval: int = 100) -> dict:
+    """``ping`` pings=3 exhausted with a snapshot every ``interval``
+    states: how many snapshots, the files of the last one, its manifest's
+    bytes, and the seconds they took of the search's wall."""
+    with tempfile.TemporaryDirectory(prefix="nice-bench-ckpt-") as tmp:
+        stats = nice.run(with_config(
+            scenarios.ping_experiment(pings=3), stop_at_first_violation=False,
+            store=store, checkpoint_dir=tmp, checkpoint_interval=interval))
+        last = list_checkpoints(tmp)[-1]
+        return {
+            "checkpoint_interval": interval,
+            "transitions": stats.transitions_executed,
+            "unique_states": stats.unique_states,
+            "snapshots": stats.checkpoints_written,
+            "files_per_snapshot": len(os.listdir(last)),
+            "manifest_bytes": (last / "MANIFEST.json").stat().st_size,
+            "checkpoint_seconds": stats.checkpoint_seconds,
+            "wall_time": stats.wall_time,
+        }
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +255,8 @@ def store_results(bench_output):
                 lambda directory: ShardedStore(shards=8,
                                                directory=directory))},
         "checkpointed_search": _checkpointed_search(),
+        "checkpointed_ping3": {store: _checkpointed_ping(store)
+                               for store in ("memory", "sharded")},
     }
     bench_output("store").write_text(json.dumps(payload, indent=2) + "\n")
     return payload
@@ -268,6 +294,12 @@ def test_store_report(store_results, bench_output):
           f"{search['checkpoint_bytes_written']} B written = "
           f"{search['record_bytes']} B of records + "
           f"{search['meta_bytes']} B of meta.pkl")
+    for name, ping in store_results["checkpointed_ping3"].items():
+        print(f"{name} ping pings=3, a snapshot every "
+              f"{ping['checkpoint_interval']} states: {ping['snapshots']} "
+              f"snapshots of {ping['files_per_snapshot']} files, manifest "
+              f"{ping['manifest_bytes']} B, {ping['checkpoint_seconds']:.2f}"
+              f" s of {ping['wall_time']:.2f} s wall")
     print(f"wrote {bench_output('store')}")
 
 
@@ -327,7 +359,7 @@ def test_checkpoint_delta_is_o_new_states(store_results):
     """Snapshot cost scales with states added since the previous
     snapshot, whichever store runs: the delta snapshot's newly written
     record bytes are exactly the new records, and they and ``meta.pkl``
-    are all it writes (the remainder is hard links)."""
+    are all it writes (the rest is the logs' committed prefixes)."""
     assert set(store_results["checkpoint"]) == {"memory", "sharded"}
     for store, ckpt in store_results["checkpoint"].items():
         assert ckpt["delta_new_record_bytes"] == \
@@ -344,6 +376,20 @@ def test_checkpointed_search_writes_records_and_meta_only(store_results):
     assert search["record_bytes"] > 0
     assert search["checkpoint_bytes_written"] <= \
         search["record_bytes"] + search["meta_bytes"]
+
+
+def test_checkpointed_ping_snapshots_are_two_files(store_results):
+    """A snapshot is ``meta.pkl`` and a manifest naming a prefix of one
+    log per shard, whatever its number, on a search as large as the
+    ones snapshots are for — and the search is the unchecked one."""
+    for store, ping in store_results["checkpointed_ping3"].items():
+        assert (ping["transitions"], ping["unique_states"]) == \
+            (33402, 13876), store
+        assert ping["snapshots"] > 100, store
+        assert ping["files_per_snapshot"] == 2, store
+    shards = NiceConfig().store_shards
+    assert store_results["checkpointed_ping3"]["sharded"][
+        "manifest_bytes"] < 1024 + 200 * shards
 
 
 def test_spill_path_exercised(store_results):
@@ -364,3 +410,4 @@ def test_bench_file_written(store_results, bench_output):
     assert all("delta_bytes_written" in data["checkpoint"][store]
                for store in ("memory", "sharded"))
     assert "checkpoint_bytes_written" in data["checkpointed_search"]
+    assert set(data["checkpointed_ping3"]) == {"memory", "sharded"}

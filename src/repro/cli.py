@@ -367,9 +367,9 @@ def cmd_checkpoints(args) -> int:
             "transitions": checkpoint.stats.get("transitions_executed"),
             "violations": len(checkpoint.stats.get("violations", [])),
             "format": checkpoint.format,
-            # Bytes this snapshot actually wrote (hard-linked segments
-            # excluded) — "delta" snapshots show a small number here even
-            # for a large explored set.
+            # Bytes this snapshot actually wrote: the records appended
+            # since the last one and its meta — a small number even for
+            # a large explored set.
             "bytes_written": checkpoint.bytes_written,
         })
         newest_valid = path.name

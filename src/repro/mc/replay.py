@@ -66,19 +66,19 @@ class Retention:
     spines.  Whatever is not kept is restored by trace (Section 6) from
     the longest cached ancestor.  A restoration counts one of
     ``out["cache_hits"]`` (it started from something kept) and
-    ``out["cache_misses"]`` (a full replay from :attr:`initial`).
+    ``out["cache_misses"]`` (a full replay from :attr:`initial`).  A
+    node :meth:`restore` rebuilds is hashed once when the search matches
+    states, so the clones taken from it inherit warm digests.
     """
 
     #: Bound on the Systems kept, retained children and LRU together.
     MAX_CACHE = 2048
 
     def __init__(self, initial: System, strategy: Strategy,
-                 warm=None, shed_newest: bool = False):
+                 shed_newest: bool = False):
         #: The replay of last resort, never in ``cache``.
         self.initial = initial
         self.strategy = strategy
-        #: Called with every node :meth:`restore` rebuilds, or None.
-        self.warm = warm
         self.shed_newest = shed_newest
         self.cache: OrderedDict[tuple, System] = OrderedDict()
         self.nodes: OrderedDict = OrderedDict()
@@ -163,8 +163,8 @@ class Retention:
             system.execute(step)
             self.strategy.post_execute(system, step)
             out["rebuilt"] += 1
-            if self.warm is not None:
-                self.warm(system)
+            if self.initial.config.state_matching:
+                system.state_hash()
             self.remember(trace + (step,), system)
             nodes.append(system)
         return nodes

@@ -213,8 +213,8 @@ class SearchStats:
         #: only).
         self.result_payload_bytes = 0
         #: Master checkpointing: snapshots written (and the wall time they
-        #: took), bytes actually written (hard-linked segments excluded —
-        #: the incremental-snapshot savings), and — on a resumed run — the
+        #: took), bytes actually written (records appended since the last
+        #: snapshot, and ``meta.pkl``), and — on a resumed run — the
         #: checkpoint the run started from.
         self.checkpoints_written = 0
         self.checkpoint_seconds = 0.0
@@ -380,16 +380,16 @@ class Searcher:
                     ((), found) for found in self._check(initial, None, [])],
                     ())
             explored = self._explored = store_mod.create_store(self.config)
-            chain = None
+            lineage = None
             if resume is None:
                 explored.add(initial.state_hash())
                 expander.push(((), None), [initial])
             else:
                 resume.restore_stats(stats)
-                # Preload the explored set; when the checkpoint's records
-                # are the store's, byte for byte, the next snapshot
-                # hard-links their segments.
-                chain = store_mod.restore_store(explored, resume)
+                # Preload the explored set; when the checkpoint's logs
+                # hold the store's records, byte for byte, the next
+                # snapshot appends to them.
+                lineage = store_mod.restore_store(explored, resume)
                 if resume.rng_state is not None:
                     self._rng.setstate(resume.rng_state)
                 # Whatever held these nodes died with the previous run:
@@ -398,7 +398,7 @@ class Searcher:
                     expander.push(group)
             checkpointer = store_mod.Checkpointer(
                 self.config, self.scenario_spec, explored, stats,
-                chain=chain)
+                lineage=lineage)
             checkpointer.install()
             # start() is inside the try: a transport that fails to come up
             # (accept deadline, dead spawn) must still have stop() run so

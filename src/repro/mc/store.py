@@ -29,30 +29,27 @@ Two concerns the search engines delegate here:
   answered).  Appends land in a per-shard tail buffer flushed in 64 KiB
   runs instead of one ``write()`` per state.
 
-* **Checkpointing** the master's irreplaceable state.  A checkpoint is a
-  directory ``ckpt-NNNNNNNN/`` holding the store's record files, a pickled
-  ``meta`` blob (scenario spec, config, stats counters, frontier sibling
-  groups, RNG state) and a ``MANIFEST.json`` with the byte size and
-  blake2b checksum of every file.  Snapshots are **atomic**: everything is
-  written and fsynced into a temp directory first, which is then renamed
-  into place — a crash mid-write leaves only a temp directory that resume
-  ignores.  :func:`load_latest_checkpoint` walks checkpoints newest-first
-  and returns the first one that *validates* (manifest present, sizes and
-  checksums match), so a torn or truncated snapshot silently falls back to
-  the previous good one.  The frontier is stored as transport-agnostic
-  ``(parent trace, [transition, ...] | None)`` sibling groups — the wire
-  format of :class:`~repro.mc.wire.ExpandTask` — which is why a search
-  checkpointed serially can resume on any transport and vice versa.
-
-  One writer lays out every snapshot (:func:`write_checkpoint`); a store
-  only says how many record bytes each of its shards holds and copies a
-  byte range of one (the memory store's log is shard 0).  Those bytes
-  are append-only, so snapshots are **incremental**: record files in a
-  checkpoint are immutable *segments*, ``states-SSSS-NNNN.bin``.  A
-  snapshot hard-links the previous one's segments (same inode, zero
-  bytes copied) and writes each shard's bytes appended since as one new
-  segment — snapshot cost is O(new states), not O(all states), for
-  either store.
+* **Checkpointing** the master's irreplaceable state.  A checkpoint
+  directory is a *lineage*: one append-only record log per shard,
+  ``states-SSSS-GGGG.bin`` (shard, generation), and snapshots
+  ``ckpt-NNNNNNNN/``, each a pickled ``meta`` blob (scenario spec,
+  config, stats counters, frontier sibling groups, RNG state) and a
+  ``MANIFEST.json`` naming a byte prefix of each log with its blake2b.
+  A store only says how many record bytes each shard holds and copies
+  a byte range of one (the memory store's log is shard 0); its records
+  are append-only, so a snapshot appends what was added since the one
+  it continues — O(new states) — and never touches that one's prefix.
+  Snapshots are **atomic**: the logs are appended and fsynced, then
+  ``meta`` and the manifest go into a temp directory renamed into
+  place; a crash mid-write leaves a temp directory resume ignores and a
+  log tail the next append cuts off.  :func:`load_latest_checkpoint`
+  returns the newest snapshot that *validates* (every prefix and file
+  present, sizes and checksums match), so a torn one falls back to the
+  previous.  Nothing in a snapshot names a path: a lineage can move.
+  The frontier is stored as transport-agnostic ``(parent trace,
+  [transition, ...] | None)`` sibling groups — the wire format of
+  :class:`~repro.mc.wire.ExpandTask` — so a search checkpointed
+  serially can resume on any transport and vice versa.
 """
 
 from __future__ import annotations
@@ -71,15 +68,16 @@ import time
 import warnings
 from array import array
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.config import STORE_MEMORY, STORE_SHARDED
 
-#: Bump when the checkpoint layout changes.  Format 2 packs hex digests
-#: to raw bytes and names record files as per-shard segments.  It is the
-#: only format the loader reads.
-CHECKPOINT_FORMAT = 2
+#: Bump when the checkpoint layout changes.  Format 3 names a prefix of
+#: one record log per shard at the lineage root.  The loader also reads
+#: format 2, whose snapshots held their own record files: each is read as
+#: its own whole prefix.  Both pack hex digests to raw bytes.
+CHECKPOINT_FORMAT = 3
 
 #: Complete checkpoints kept per directory.  Two, not one: torn-write
 #: recovery needs the previous snapshot to still exist when the newest
@@ -215,11 +213,9 @@ class StateStore:
         writer snapshots byte ranges of them and knows nothing else."""
         raise NotImplementedError
 
-    def copy_records(self, shard: int, start: int, end: int,
-                     dest: Path) -> None:
-        """Write bytes ``start:end`` of ``shard``'s records to the new
-        file ``dest`` — never into an existing one, which may be a
-        segment hard-linked from the previous snapshot."""
+    def copy_records(self, shard: int, start: int, end: int, dest) -> None:
+        """Write bytes ``start:end`` of ``shard``'s records to the binary
+        file ``dest``."""
         raise NotImplementedError
 
     def record_width(self) -> int:
@@ -391,13 +387,11 @@ class MemoryStore(StateStore):
     def record_bytes(self) -> list[int]:
         return [len(self._log)]
 
-    def copy_records(self, shard: int, start: int, end: int,
-                     dest: Path) -> None:
+    def copy_records(self, shard: int, start: int, end: int, dest) -> None:
         # The log is shard 0.  The view is released before the next add:
         # a bytearray with a live view cannot grow (BufferError).
-        with open(dest, "xb") as out, \
-                memoryview(self._log)[start:end] as records:
-            out.write(records)
+        with memoryview(self._log)[start:end] as records:
+            dest.write(records)
 
 
 class ShardedStore(StateStore):
@@ -595,19 +589,17 @@ class ShardedStore(StateStore):
         self.flush()
         return list(self._flushed)
 
-    def copy_records(self, shard: int, start: int, end: int,
-                     dest: Path) -> None:
+    def copy_records(self, shard: int, start: int, end: int, dest) -> None:
         handle = self._files[shard]
         handle.seek(start)
         remaining = end - start
-        with open(dest, "xb") as out:
-            while remaining:
-                data = handle.read(min(1 << 20, remaining))
-                if not data:
-                    raise CheckpointError(
-                        f"shard {shard} truncated during snapshot")
-                out.write(data)
-                remaining -= len(data)
+        while remaining:
+            data = handle.read(min(1 << 20, remaining))
+            if not data:
+                raise CheckpointError(
+                    f"shard {shard} truncated during snapshot")
+            dest.write(data)
+            remaining -= len(data)
 
     def close(self) -> None:
         try:
@@ -641,8 +633,7 @@ def create_store(config) -> StateStore:
 
 #: SearchStats fields that describe *this* run, not accumulated results —
 #: never restored from a checkpoint.
-_NON_RESUMABLE = ("wall_time", "engine", "workers", "terminated",
-                  "resumed_from")
+_NON_RESUMABLE = ("wall_time", "engine", "workers", "terminated")
 
 
 @dataclass
@@ -659,6 +650,7 @@ class Checkpoint:
     record_width: int
     record_files: list[Path]
     file_info: dict
+    hashes: dict            # file name -> blake2b of its prefix, validated
     format: int
     bytes_written: int
     seconds: float
@@ -672,11 +664,13 @@ class Checkpoint:
         # for, that file can approach the RAM the store is avoiding.
         chunk_size = max(1, (1 << 20) // width) * width
         for path in self.record_files:
+            left = self.file_info[path.name]["bytes"]
             with open(path, "rb") as handle:
-                while True:
-                    data = handle.read(chunk_size)
+                while left:
+                    data = handle.read(min(chunk_size, left))
                     if not data:
-                        break
+                        raise CheckpointError(f"{path.name} is torn")
+                    left -= len(data)
                     yield from unpack_digests(data, len(data) // width)
 
     def restore_stats(self, stats) -> None:
@@ -695,105 +689,75 @@ class Checkpoint:
         stats.resumed_from = str(self.path)
 
 
-def _record_name(shard: int, segment: int) -> str:
-    """The file name of ``shard``'s ``segment``-th record segment."""
-    return f"states-{shard:04d}-{segment:04d}.bin"
+def _log_name(shard: int, generation: int) -> str:
+    """The file name of ``shard``'s record log of ``generation``."""
+    return f"states-{shard:04d}-{generation:04d}.bin"
 
 
-def _parse_record_name(name: str):
-    """``states-SSSS-NNNN.bin`` -> ``(shard, segment)``, or None for a
-    name that is no record file's.  The memory store's ``states-0000.bin``
-    of builds before it wrote segments is segment 0 of shard 0."""
+def _parse_log_name(name: str):
+    """``states-SSSS-GGGG.bin`` -> ``(shard, generation)``, or None.  A
+    format-2 snapshot's record files share the format (the second number
+    was a segment's); its memory store's ``states-0000.bin`` is shard 0."""
     match = re.fullmatch(r"states-(\d+)(?:-(\d+))?\.bin", name)
     return (int(match[1]), int(match[2] or 0)) if match else None
 
 
-class SegmentChain:
-    """The record segments of the last committed snapshot: what the next
-    one hard-links instead of rewriting.
+@dataclass
+class Lineage:
+    """Where the next snapshot appends: the resolved lineage ``root``
+    (None before the first snapshot), the ``generation`` of its logs and
+    per shard ``[bytes, blake2b]`` of the prefix the last committed
+    snapshot named.  :func:`write_checkpoint` starts a new generation
+    when it would append into another directory, and advances the
+    prefixes to each snapshot it commits."""
 
-    ``path`` is that snapshot's directory (None: nothing to link), and
-    ``shards[i]`` shard ``i``'s ``[(name, info), ...]`` in segment order,
-    ``info`` the manifest's ``{"bytes", "blake2b"}`` — a linked file is
-    never hashed again.  A run starts with an empty chain or the one
-    :func:`restore_store` adopts from the checkpoint it resumed, and
-    :func:`write_checkpoint` advances it to each snapshot it commits
-    from what it wrote, never from a manifest read back.
-    """
-
-    def __init__(self):
-        self.path: Path | None = None
-        self.shards: dict[int, list] = {}
-
-    def advance(self, path: Path, files: dict) -> None:
-        """Make the snapshot at ``path`` the chain's head; ``files`` maps
-        each of its record files to its manifest info."""
-        self.path, self.shards = path, {}
-        for name in sorted(files, key=_parse_record_name):
-            self.shards.setdefault(_parse_record_name(name)[0], []).append(
-                (name, files[name]))
+    root: Path | None = None
+    generation: int = 0
+    prefixes: dict = field(default_factory=dict)
 
 
-def restore_store(store: StateStore, checkpoint: Checkpoint) -> SegmentChain:
+def restore_store(store: StateStore, checkpoint: Checkpoint) -> Lineage:
     """Rebuild ``store`` from ``checkpoint``: preload every digest, then
-    adopt the checkpoint's record files as the chain the next snapshot
-    links from — iff each shard's segments hold exactly the bytes the
-    preloaded shard does (same shard assignment and order, so the same
-    records).  Otherwise the chain is empty and the next snapshot writes
-    every record, which is always correct."""
+    adopt the logs of a format-3 checkpoint iff they hold, shard by
+    shard, exactly the bytes the preloaded store does (same shard
+    assignment and order, so the same records).  Otherwise the next
+    snapshot starts a new generation and writes every record."""
     store.preload(checkpoint.iter_digests())
-    chain = SegmentChain()
-    chain.advance(checkpoint.path, {path.name: checkpoint.file_info[path.name]
-                                    for path in checkpoint.record_files})
     held = {shard: size
             for shard, size in enumerate(store.record_bytes()) if size}
-    if held == {shard: sum(info["bytes"] for _, info in segments)
-                for shard, segments in chain.shards.items()}:
-        return chain
-    return SegmentChain()
+    logs = {_parse_log_name(path.name): path.name
+            for path in checkpoint.record_files}
+    if checkpoint.format != CHECKPOINT_FORMAT or not logs or held != {
+            shard: checkpoint.file_info[name]["bytes"]
+            for (shard, _), name in logs.items()}:
+        return Lineage()
+    return Lineage(checkpoint.path.parent.resolve(), min(logs)[1], {
+        shard: [held[shard], checkpoint.hashes[name]]
+        for (shard, _), name in logs.items()})
 
 
-def _write_segments(store: StateStore, staging: Path,
-                    chain: SegmentChain) -> dict:
-    """Lay ``store``'s records into ``staging`` as segments.  Per shard,
-    the chain's segments are hard-linked (same inode, no byte copied)
-    while their byte total fits in the shard's — its records are
-    append-only, so those bytes are unchanged — and the rest is written
-    as one new segment.  Returns ``{name: info}`` in record order, None
-    for a segment written here."""
-    files: dict[str, dict | None] = {}
-    for shard, size in enumerate(store.record_bytes()):
-        linked = segment = 0
-        for name, info in chain.shards.get(shard, ()):
-            if linked + info["bytes"] > size:
-                break
-            try:
-                os.link(chain.path / name, staging / name)
-            except OSError:
-                break  # cross-device, no links, pruned: write the rest
-            files[name] = info
-            linked += info["bytes"]
-            segment = _parse_record_name(name)[1] + 1
-        if size > linked:
-            name = _record_name(shard, segment)
-            store.copy_records(shard, linked, size, staging / name)
-            files[name] = None
-    return files
-
-
-def _file_digest(path: Path) -> str:
-    digest = hashlib.blake2b(digest_size=16)
+def _blake2b(path: Path, end: int, start: int = 0, digest=None):
+    """``digest`` (a fresh blake2b-16 when None) advanced over bytes
+    ``start:end`` of ``path`` — the one hash of a prefix, a whole file
+    or what an append added to a log."""
+    digest = digest or hashlib.blake2b(digest_size=16)
     with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
+        handle.seek(start)
+        while start < end:
+            chunk = handle.read(min(1 << 20, end - start))
+            if not chunk:
+                raise CheckpointError(f"{path.name} ends before byte {end}")
             digest.update(chunk)
-    return digest.hexdigest()
+            start += len(chunk)
+    return digest
 
 
-def _fsync_dir(path: Path) -> None:
+def _fsync(path: Path) -> None:
+    """fsync ``path`` (a directory only where the platform can)."""
     try:
         fd = os.open(path, os.O_RDONLY)
     except OSError:
-        return  # platform without directory fsync
+        return
     try:
         os.fsync(fd)
     finally:
@@ -810,82 +774,116 @@ def _next_sequence(directory: Path) -> int:
     return highest + 1
 
 
+def _logs(root: Path) -> dict:
+    """The record logs at a lineage root: ``{name: (shard, generation)}``."""
+    return {name: parsed for name in os.listdir(root)
+            if (parsed := _parse_log_name(name))}
+
+
 def write_checkpoint(directory: str | Path, *, spec, config, stats,
                      frontier, rng_state, store: StateStore,
-                     chain: SegmentChain | None = None
-                     ) -> tuple[Path, int]:
+                     lineage: Lineage | None = None) -> tuple[Path, int]:
     """Atomically snapshot one consistent master state; returns the new
     checkpoint's path and the bytes written for it (its manifest's
-    ``bytes_written``).  ``chain`` holds the last committed snapshot of
-    this same store, if any: its segments are hard-linked instead of
-    rewritten, which is what makes snapshot cost O(new states), and it
-    advances to this snapshot once it is committed.  The manifest
-    records the write's ``seconds``, up to its own write.  See the module
-    docstring for the atomicity protocol."""
+    ``bytes_written``: the records appended and ``meta.pkl``).
+    ``lineage`` holds the prefixes the last committed snapshot of this
+    store named, if any: each grown log is cut back to its prefix —
+    dropping what a torn or failed write appended — and the store's
+    bytes since are appended.  The manifest records the write's
+    ``seconds``, up to its own write.  See the module docstring for the
+    atomicity protocol."""
     started = time.perf_counter()
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
+    lineage = lineage if lineage is not None else Lineage()
+    if lineage.root != root.resolve():
+        lineage.root, lineage.prefixes = root.resolve(), {}
+        lineage.generation = 1 + max(
+            (generation for _, generation in _logs(root).values()),
+            default=-1)
     sequence = _next_sequence(root)
     name = f"{_CKPT_PREFIX}{sequence:08d}"
     staging = root / f"{_TMP_PREFIX}{sequence:08d}"
     if staging.exists():
         shutil.rmtree(staging)
     staging.mkdir()
-    chain = chain if chain is not None else SegmentChain()
     try:
-        files = _write_segments(store, staging, chain)
+        prefixes, files, bytes_written = {}, {}, 0
+        for shard, size in enumerate(store.record_bytes()):
+            if not size:
+                continue
+            held, digest = lineage.prefixes.get(shard, (0, None))
+            log = root / _log_name(shard, lineage.generation)
+            if size > held:
+                with open(log, "ab") as handle:
+                    handle.truncate(held)
+                    store.copy_records(shard, held, size, handle)
+                digest = _blake2b(log, size, held, digest and digest.copy())
+                _fsync(log)
+                bytes_written += size - held
+            prefixes[shard] = [size, digest]
+            files[log.name] = {"bytes": size, "blake2b": digest.hexdigest()}
         record_files = list(files)
+        # Nothing names a path: nice.resume says where the lineage is.
+        # A spec's config equal to the run's pickles as the run's.
+        config = replace(config, checkpoint_dir=None)
+        if spec is not None:
+            own = replace(spec.config, checkpoint_dir=None)
+            spec = replace(spec, config=config if own == config else own)
         meta = {
             "spec": spec,
             "config": config,
-            "stats": dict(stats.__dict__),
+            "stats": {key: value for key, value in stats.__dict__.items()
+                      if key != "resumed_from"},
             "frontier": list(frontier),
             "rng_state": rng_state,
         }
         with open(staging / _META, "wb") as handle:
             pickle.dump(meta, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        files[_META] = None
-        written = [file_name for file_name, info in files.items()
-                   if info is None]
-        bytes_written = 0
-        for file_name in written:
-            path = staging / file_name
-            files[file_name] = {"bytes": path.stat().st_size,
-                                "blake2b": _file_digest(path)}
-            bytes_written += files[file_name]["bytes"]
+            size = handle.tell()
+        files[_META] = {"bytes": size, "blake2b": _blake2b(
+            staging / _META, size).hexdigest()}
         manifest = {
             "format": CHECKPOINT_FORMAT,
             "states": len(store),
             "record_width": store.record_width(),
             "record_encoding": RECORD_HEX,
             "record_files": record_files,
-            "bytes_written": bytes_written,
+            "bytes_written": bytes_written + size,
             "seconds": time.perf_counter() - started,
             "store": store.kind,
             "files": files,
         }
         # The manifest is written (and fsynced) last: a crash before this
         # point leaves a manifest-less temp directory resume ignores.
-        # A hard-linked segment is durable already.
         (staging / _MANIFEST).write_text(json.dumps(manifest, indent=1))
-        for file_name in [*written, _MANIFEST]:
-            with open(staging / file_name, "rb") as handle:
-                os.fsync(handle.fileno())
+        for file_name in (_META, _MANIFEST):
+            _fsync(staging / file_name)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
     os.rename(staging, root / name)
-    _fsync_dir(root)
-    chain.advance(root / name, {file_name: files[file_name]
-                                for file_name in record_files})
+    _fsync(root)
+    lineage.prefixes = prefixes
     _prune(root)
-    return root / name, bytes_written
+    return root / name, manifest["bytes_written"]
 
 
 def _prune(root: Path) -> None:
+    """Keep the newest ``CHECKPOINT_KEEP`` snapshots and every log their
+    manifests name; a manifest that cannot be read keeps every log."""
     complete = sorted(root.glob(f"{_CKPT_PREFIX}*"))
     for stale in complete[:-CHECKPOINT_KEEP]:
         shutil.rmtree(stale, ignore_errors=True)
+    named = set()
+    for kept in complete[-CHECKPOINT_KEEP:]:
+        try:
+            named.update(json.loads(
+                (kept / _MANIFEST).read_text())["record_files"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return
+    for log in _logs(root).keys() - named:
+        (root / log).unlink(missing_ok=True)
 
 
 #: ``NiceConfig`` fields that no longer exist (CHANGES.md, PR 14) -> the
@@ -901,24 +899,30 @@ _FOREIGN_DIGEST_KNOBS = {"hash_mode": "full", "hash_memoization": False}
 
 def _validate(path: Path) -> Checkpoint:
     manifest = json.loads((path / _MANIFEST).read_text())
-    if manifest.get("format") != CHECKPOINT_FORMAT:
+    fmt = manifest.get("format")
+    if fmt not in (2, CHECKPOINT_FORMAT):
         raise CheckpointError(
-            f"{path.name}: checkpoint format {manifest.get('format')!r} "
-            f"is not readable (this build reads format "
-            f"{CHECKPOINT_FORMAT})")
-    files = manifest["files"]
+            f"{path.name}: checkpoint format {fmt!r} is not readable (this "
+            f"build reads formats 2 and {CHECKPOINT_FORMAT})")
+    files, records = manifest["files"], manifest["record_files"]
+    # Format 3 names a prefix of each log at the lineage root; format 2's
+    # record files are the snapshot's own, each its own whole prefix.
+    logs = path.parent if fmt == CHECKPOINT_FORMAT else path
     # Every listed file is checked, whatever it is: a manifest written
     # by an older build also lists per-shard filter bitsets (its
     # ``summary_files``); they are validated like the rest, then ignored.
+    hashes = {}
     for file_name, expected in files.items():
-        target = path / file_name
+        target = (logs if file_name in records else path) / file_name
         if not target.is_file():
             raise CheckpointError(f"{path.name}: missing {file_name}")
-        if target.stat().st_size != expected["bytes"]:
+        size, prefix = target.stat().st_size, expected["bytes"]
+        if size < prefix or (size > prefix and target.parent == path):
             raise CheckpointError(
-                f"{path.name}: {file_name} is {target.stat().st_size} "
-                f"bytes, manifest says {expected['bytes']} (torn write?)")
-        if _file_digest(target) != expected["blake2b"]:
+                f"{path.name}: {file_name} is {size} bytes, manifest says "
+                f"{prefix} (torn write?)")
+        hashes[file_name] = _blake2b(target, prefix)
+        if hashes[file_name].hexdigest() != expected["blake2b"]:
             raise CheckpointError(
                 f"{path.name}: {file_name} fails its checksum")
     if manifest["record_encoding"] != RECORD_HEX:
@@ -931,7 +935,7 @@ def _validate(path: Path) -> Checkpoint:
     width = manifest["record_width"]
     record_bytes = 0
     for name in manifest["record_files"]:
-        if name not in files or _parse_record_name(name) is None:
+        if name not in files or _parse_log_name(name) is None:
             raise CheckpointError(
                 f"{path.name}: record file {name!r} is not a record file "
                 f"name the manifest lists")
@@ -965,8 +969,9 @@ def _validate(path: Path) -> Checkpoint:
         rng_state=meta["rng_state"],
         states=manifest["states"],
         record_width=width,
-        record_files=[path / name for name in manifest["record_files"]],
+        record_files=[logs / name for name in records],
         file_info=files,
+        hashes=hashes,
         format=manifest["format"],
         bytes_written=manifest["bytes_written"],
         seconds=manifest.get("seconds", 0.0),
@@ -1043,13 +1048,13 @@ class Checkpointer:
     ``install()``/``restore()`` bracket the run so the previous SIGTERM
     handler (coverage.py installs one, for instance) is always put back.
 
-    ``chain`` is where the incremental snapshots start: the one
+    ``lineage`` is where the snapshots append: the one
     :func:`restore_store` adopted for a resumed run, else empty; each
     snapshot this run writes then advances it.
     """
 
     def __init__(self, config, spec, store: StateStore, stats,
-                 chain: SegmentChain | None = None):
+                 lineage: Lineage | None = None):
         self.config = config
         self.spec = spec
         self.store = store
@@ -1058,7 +1063,7 @@ class Checkpointer:
         self.sigterm = False
         self._last_progress = self._progress()
         self._previous_handler = None
-        self._chain = chain if chain is not None else SegmentChain()
+        self._lineage = lineage if lineage is not None else Lineage()
         # Store counters are deltas since this run's store came up; a
         # resumed SearchStats already carries the previous legs' totals,
         # so sync() adds the live deltas onto that base (absolute set —
@@ -1131,7 +1136,7 @@ class Checkpointer:
                 self.config.checkpoint_dir, spec=self.spec,
                 config=self.config, stats=self.stats,
                 frontier=frontier_groups, rng_state=rng_state,
-                store=self.store, chain=self._chain)
+                store=self.store, lineage=self._lineage)
         except BaseException:
             # A failed snapshot must not inflate the counter: the next
             # successful snapshot would bake the phantom write into its

@@ -38,7 +38,6 @@ import traceback
 from repro.mc.replay import Retention
 from repro.mc.store import pack_digest
 from repro.mc.strategies import make_strategy
-from repro.mc.system import System
 from repro.mc.wire import (
     Codec,
     ExpandTask,
@@ -124,12 +123,8 @@ class WorkerRuntime:
         for prop in searcher.properties:
             prop.reset(initial)
         #: Every System this worker keeps: children under ``(task id,
-        #: node position)`` and kid index, and the replay LRU.  A rebuilt
-        #: node is hashed once, so the clones taken from it inherit warm
-        #: digests (pointless when no child is hashed).
-        self.retention = Retention(
-            initial, self.strategy,
-            warm=System.state_hash if self.config.state_matching else None)
+        #: node position)`` and kid index, and the replay LRU.
+        self.retention = Retention(initial, self.strategy)
         #: Retention hint: the digests this worker has hashed.  A child
         #: whose digest is (probably) among them is a revisit the master
         #: will drop, so it is shipped but not retained.  Nothing checks
@@ -275,7 +270,7 @@ class WorkerRuntime:
               f" worker_memory_limit {limit} B; shedding replay cache"
               f" ({len(old.cache)} entries) and {old.systems}"
               f" retained children", file=sys.stderr, flush=True)
-        self.retention = Retention(old.initial, self.strategy, old.warm)
+        self.retention = Retention(old.initial, self.strategy)
         del old
         gc.collect()
         rss = _rss_bytes()

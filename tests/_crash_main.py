@@ -12,7 +12,10 @@ the exit status is ``-SIGKILL``.
 The interruption point is planted through the
 :func:`repro.mc.store.create_store` seam (the engines resolve it at run
 time for exactly this purpose): every *fresh* digest admitted to the
-explored set counts toward ``kill_after_states``.
+explored set counts toward ``kill_after_states``.  With
+``kill_in_snapshot`` = n the kill falls inside the n-th snapshot
+instead: its records are appended to the logs and its manifest is
+fsynced, but its directory is never renamed into place.
 
 Tasks are one node each (:func:`fault_helpers.small_tasks`, applied to
 this process's scheduler), as in the suites that launch this script.
@@ -20,7 +23,7 @@ this process's scheduler), as in the suites that launch this script.
 Usage: ``python _crash_main.py '<json payload>'`` with keys
 ``scenario`` (registry name), ``kwargs`` (builder kwargs),
 ``overrides`` (NiceConfig fields — must include ``checkpoint_dir``),
-and ``kill_after_states``.
+``kill_after_states`` and, optionally, ``kill_in_snapshot``.
 """
 
 from __future__ import annotations
@@ -51,6 +54,19 @@ def main() -> int:
 
     store_mod.create_store = interrupting_create_store(
         kill_after, kill_own_process_group)
+    snapshot = payload.get("kill_in_snapshot")
+    if snapshot:
+        real_fsync = store_mod._fsync
+        manifests = []
+
+        def fsync(path):
+            real_fsync(path)
+            if path.name == "MANIFEST.json":
+                manifests.append(path)
+                if len(manifests) == snapshot:
+                    kill_own_process_group()
+
+        store_mod._fsync = fsync
 
     scenario = scenarios.REGISTRY[payload["scenario"]](
         **payload.get("kwargs", {}))

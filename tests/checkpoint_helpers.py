@@ -36,9 +36,12 @@ class Interrupted(Exception):
 
 
 def crash_run(checkpoint_dir, kill_after_states: int, *, scenario="ping",
-              kwargs=None, timeout=180.0, **overrides) -> pathlib.Path:
+              kwargs=None, timeout=180.0, kill_in_snapshot=None,
+              **overrides) -> pathlib.Path:
     """Run a checkpointing search in a subprocess and SIGKILL it (master
-    plus workers) once ``kill_after_states`` states are explored; returns
+    plus workers) once ``kill_after_states`` states are explored — or,
+    with ``kill_in_snapshot`` = n, inside the n-th snapshot, after its
+    records are appended and before it is renamed into place; returns
     ``checkpoint_dir`` with at least one completed snapshot in it."""
     checkpoint_dir = pathlib.Path(checkpoint_dir)
     payload = {
@@ -46,6 +49,7 @@ def crash_run(checkpoint_dir, kill_after_states: int, *, scenario="ping",
         "kwargs": kwargs or {"pings": 2},
         "overrides": {"checkpoint_dir": str(checkpoint_dir), **overrides},
         "kill_after_states": kill_after_states,
+        "kill_in_snapshot": kill_in_snapshot,
     }
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -162,6 +162,39 @@ class TestTornWrites:
 
 
 # ----------------------------------------------------------------------
+# Killed inside a snapshot: its appended records are a torn log tail
+# ----------------------------------------------------------------------
+
+class TestKillMidSnapshot:
+    @pytest.mark.parametrize("overrides", [
+        pytest.param(dict(workers=0), id="serial"),
+        pytest.param(dict(workers=2, start_method="fork"),
+                     marks=requires_fork, id="fork2")])
+    def test_resume_cuts_the_torn_tail_before_appending(
+            self, overrides, serial_ping, tmp_path):
+        """SIGKILLed after the third snapshot's records reached the log
+        and before its directory was renamed: resume loads the second,
+        cuts the log back to the prefix it names before its first
+        append, and ends where the uninterrupted search does."""
+        ckpt_dir = crash_run(tmp_path / "ckpt", 10 ** 9, kill_in_snapshot=3,
+                             checkpoint_interval=60, **KNOBS, **overrides)
+        assert list(ckpt_dir.glob("tmp-ckpt-*"))
+        previous = sorted(ckpt_dir.glob("ckpt-*"))[-1]
+        loaded = store_mod.validate_checkpoint(previous)
+        log, = loaded.record_files
+        prefix = loaded.file_info[log.name]["bytes"]
+        assert log.stat().st_size > prefix  # the torn tail
+        _, stats = nice.resume(ckpt_dir)
+        assert stats.resumed_from == str(previous)
+        assert_matches_serial(stats, serial_ping)
+        newest = load_latest_checkpoint(ckpt_dir)
+        assert newest.path != previous and newest.states > loaded.states
+        digests = list(newest.iter_digests())
+        assert len(set(digests)) == len(digests) == newest.states
+        assert digests[:loaded.states] == list(loaded.iter_digests())
+
+
+# ----------------------------------------------------------------------
 # The manifest is checked against itself: it is the one file no checksum
 # covers, so an edit that keeps every listed file intact must still send
 # resume back to the previous snapshot
@@ -492,7 +525,9 @@ class TestCheckpointMachinery:
         assert loaded.frontier == frontier
         assert loaded.rng_state == ("x", 1)
         assert loaded.stats["transitions_executed"] == 42
-        assert loaded.config == config
+        # Everything but the directory, which the snapshot never names.
+        assert loaded.config == dataclasses.replace(config,
+                                                    checkpoint_dir=None)
 
     def test_unportable_spec_warns_but_checkpoints(self, tmp_path):
         """Hand-built scenarios (no registry spec) still checkpoint; the

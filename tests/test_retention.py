@@ -579,6 +579,28 @@ class TestSerialBound:
             == FIRST_VIOLATION[order, seed]
         assert stats.rebuilt_transitions > 0
 
+    @pytest.mark.parametrize("order", ORDERS,
+                             ids=["dfs", "bfs", "random-7"])
+    def test_a_rebuilt_node_is_hashed_like_a_workers(self, order,
+                                                     monkeypatch):
+        """Serial restoration warms what it rebuilds, as a worker's does:
+        no node the serial engine rebuilds has a digest slot left empty,
+        so its children re-digest only what their own step touched."""
+        _bounded(monkeypatch)
+        rebuilt = []
+        restore = Retention.restore
+
+        def recording(retention, trace, steps, picked, out):
+            nodes = restore(retention, trace, steps, picked, out)
+            rebuilt.extend(node for index, node in enumerate(nodes)
+                           if not picked or picked[index] is None)
+            return nodes
+
+        monkeypatch.setattr(Retention, "restore", recording)
+        stats = nice.run(SERIAL_SEARCHES["ping3"](**order))
+        assert len(rebuilt) == stats.rebuilt_transitions > 0
+        assert all(None not in node._digests for node in rebuilt)
+
     def test_shedding_drops_what_the_order_reaches_last(self):
         """DFS reaches its oldest groups last, BFS its newest."""
         for shed_newest, kept in ((False, {2, 3}), (True, {0, 1})):

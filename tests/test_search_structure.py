@@ -77,15 +77,30 @@ def _callers(*wanted: str, outside: str | None = None) -> set[tuple]:
             if module != outside and set(wanted) <= _calls(function)}
 
 
+def _digest_uses(function) -> int:
+    """How many ``.state_hash()`` calls in ``function`` use the digest
+    (anything but a bare expression statement, which only warms the
+    System's digest cache)."""
+    bare = {id(node.value) for node in ast.walk(function)
+            if isinstance(node, ast.Expr)}
+    return sum(id(node) not in bare for node in ast.walk(function)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "state_hash")
+
+
 def test_one_clone_execute_check_hash_body():
     """Besides ``Retention.restore``'s rebuild of a sibling that was not
     kept (restoration: never counted, never property-checked), the
     only function that clones a System and executes a transition on the
-    clone is ``expand_node`` — and it alone goes on to hash the child."""
+    clone is ``expand_node`` — and it alone uses the child's digest:
+    restoration hashes what it rebuilt only to warm its digest cache."""
+    rebuild = ("replay", "Retention.restore")
     assert _callers(".clone", ".execute") == {
-        ("search", "Searcher.expand_node"), ("replay", "Retention.restore")}
+        ("search", "Searcher.expand_node"), rebuild}
     assert _callers(".clone", ".execute", ".state_hash") == {
-        ("search", "Searcher.expand_node")}
+        ("search", "Searcher.expand_node"), rebuild}
+    assert _digest_uses(FUNCTIONS[rebuild]) == 0
+    assert _digest_uses(FUNCTIONS["search", "Searcher.expand_node"]) > 0
 
 
 def test_one_driver_owns_the_store_and_the_checkpointer():
@@ -355,20 +370,32 @@ def _record_name_spellings(sources: dict = SOURCES) -> dict:
     return found
 
 
+def _links(sources: dict) -> set[str]:
+    """The modules of ``sources`` that hard-link a file: call
+    ``os.link``, ``Path.hardlink_to`` or ``Path.link_to``."""
+    return {module for module, text in sources.items()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Call) and getattr(
+                node.func, "attr", None) in ("link", "hardlink_to", "link_to")}
+
+
 def test_one_snapshot_writer():
     """A store hands the checkpoint writer its record bytes and nothing
     more: no store has a snapshot, segment or baseline method of its
-    own, and a record file's name is formatted in one function and
-    parsed in one, both the writer's."""
+    own, a record log's name is formatted in one function and parsed in
+    one, both the writer's, and nothing in ``src/repro`` hard-links a
+    file — a snapshot names a prefix of one log per shard."""
     assert _snapshot_methods() == set()
     assert _record_name_spellings() == {
-        "format": {("store", "_record_name")},
-        "parse": {("store", "_parse_record_name")}}
+        "format": {("store", "_log_name")},
+        "parse": {("store", "_parse_log_name")}}
+    assert _links(ALL_SOURCES) == set()
 
 
 def test_a_store_side_snapshot_planted_back_is_caught():
     """The guard's own mutation demo: the sharded store's segment
-    bookkeeping and the memory store's whole-log writer, put back."""
+    bookkeeping, the memory store's whole-log writer and the hard-linked
+    segment chain, put back."""
     planted = dict(SOURCES)
     planted["store"] += '''
 class Spilling(ShardedStore):
@@ -381,13 +408,19 @@ class Spilling(ShardedStore):
 
 def snapshot_into(store, directory):
     (directory / "states-0000.bin").write_bytes(store._log)
+
+
+def _write_segments(store, staging, chain):
+    for name, info in chain.shards.get(0, ()):
+        os.link(chain.path / name, staging / name)
 '''
     assert _snapshot_methods(planted) == {
         "Spilling._segment_name", "Spilling.adopt_baseline"}
     assert _record_name_spellings(planted) == {
-        "format": {("store", "_record_name"), ("store", "_segment_name")},
-        "parse": {("store", "_parse_record_name"),
+        "format": {("store", "_log_name"), ("store", "_segment_name")},
+        "parse": {("store", "_parse_log_name"),
                   ("store", "adopt_baseline"), ("store", "snapshot_into")}}
+    assert _links(planted) == {"store"}
 
 
 # ----------------------------------------------------------------------

@@ -32,9 +32,10 @@ from repro.mc.search import SearchStats
 from repro.mc.store import (
     CheckpointError,
     Checkpointer,
+    Lineage,
     MemoryStore,
-    SegmentChain,
     ShardedStore,
+    list_checkpoints,
     load_latest_checkpoint,
     restore_store,
     validate_checkpoint,
@@ -56,6 +57,11 @@ def _hex(i: int) -> str:
 
 def _digests(n: int) -> list[str]:
     return [_hex(i) for i in range(n)]
+
+
+def _digest_of(path) -> str:
+    """The manifest's checksum of the whole file at ``path``."""
+    return store_mod._blake2b(path, path.stat().st_size).hexdigest()
 
 
 def _shard0_digest(i: int, shards: int = 4) -> str:
@@ -206,19 +212,20 @@ class TestMixedWidthGuard:
         with pytest.raises(ValueError, match="two digest schemes"):
             "b" * 64 in store
         assert len(store) == 1 and store.record_width() == 16
-        snapshot, _ = write_checkpoint(
+        write_checkpoint(
             tmp_path, spec=None, config=NiceConfig(), stats=SearchStats(),
             frontier=[], rng_state=None, store=store)
-        assert (snapshot / "states-0000-0000.bin").read_bytes() == \
+        assert (tmp_path / "states-0000-0000.bin").read_bytes() == \
             b"\xaa" * 16
 
     def test_the_record_bytes_are_the_ones_every_build_wrote(self, tmp_path):
         """Literals recorded at the commit before the second record
         encoding was deleted: for a fixed digest list, each store's
         record files (blake2b-16 of their bytes) and what the manifest
-        says of them — checkpoints of either build are the other's.  The
-        memory store's one file was ``states-0000.bin`` until it wrote
-        segments; its bytes are the same."""
+        says of them: the bytes of a format-3 log are a format-2
+        snapshot's record file, shard by shard.  The memory store's one
+        file was ``states-0000.bin`` until it wrote segments; its bytes
+        are the same."""
         recorded = {
             MemoryStore: {
                 "states-0000-0000.bin": "b3251294848cd1eb37129648c13939dc"},
@@ -241,163 +248,223 @@ class TestMixedWidthGuard:
             assert {key: manifest[key] for key in (
                 "format", "states", "record_width", "record_encoding",
                 "record_files", "store")} == {
-                "format": 2, "states": 40, "record_width": 16,
+                "format": 3, "states": 40, "record_width": 16,
                 "record_encoding": "hex", "record_files": list(files),
                 "store": kind.kind}
-            assert {name: store_mod._file_digest(snapshot / name)
+            assert {name: _digest_of(root / "c" / name)
                     for name in files} == files
             store.close()
 
 
 # ----------------------------------------------------------------------
-# Hard-link compaction
+# One append-only log per shard
 # ----------------------------------------------------------------------
 
-def _as_parent_memory_snapshot(snapshot) -> None:
-    """Rewrite ``snapshot`` as the build before the memory store wrote
-    segments left it: the whole log in one ``states-0000.bin``, written
-    (and counted in ``bytes_written``) at every snapshot."""
+def _as_format_2(snapshot, whole_log: bool = False) -> None:
+    """Rewrite ``snapshot`` as a format-2 build left it: each log's
+    prefix as two segments of the snapshot's own, ``states-SSSS-0000.bin``
+    and ``-0001`` — or, with ``whole_log``, the memory store's records in
+    one ``states-0000.bin``, as the builds before segments wrote them."""
     manifest = json.loads((snapshot / "MANIFEST.json").read_text())
-    log = b"".join((snapshot / name).read_bytes()
-                   for name in manifest["record_files"])
+    records = {}
     for name in manifest["record_files"]:
-        (snapshot / name).unlink()
-        del manifest["files"][name]
-    (snapshot / "states-0000.bin").write_bytes(log)
-    manifest["record_files"] = ["states-0000.bin"]
-    manifest["files"] = {"states-0000.bin": {
-        "bytes": len(log),
-        "blake2b": store_mod._file_digest(snapshot / "states-0000.bin")},
-        **manifest["files"]}
-    manifest["bytes_written"] = \
-        len(log) + manifest["files"]["meta.pkl"]["bytes"]
+        data = (snapshot.parent / name).read_bytes()[
+            :manifest["files"].pop(name)["bytes"]]
+        half = len(data) // WIDTH // 2 * WIDTH
+        records[name] = data[:half]
+        records[name.replace("-0000.bin", "-0001.bin")] = data[half:]
+    if whole_log and records:
+        records = {"states-0000.bin": b"".join(records.values())}
+    for name, data in records.items():
+        (snapshot / name).write_bytes(data)
+        manifest["files"][name] = {"bytes": len(data),
+                                   "blake2b": _digest_of(snapshot / name)}
+    manifest.update(format=2, record_files=list(records))
     (snapshot / "MANIFEST.json").write_text(json.dumps(manifest))
 
 
+def _as_format_2_lineage(directory, whole_log: bool = False) -> None:
+    """Every snapshot of ``directory`` as format 2, and no log left at
+    its root: what a format-2 build's lineage holds."""
+    for snapshot in directory.glob("ckpt-*"):
+        _as_format_2(snapshot, whole_log)
+    for log in directory.glob("states-*"):
+        log.unlink()
+
+
+def _logs(directory) -> dict:
+    """The lineage root's logs: ``{name: size}``."""
+    return {path.name: path.stat().st_size
+            for path in directory.glob("states-*")}
+
+
 class TestCompaction:
-    def _write(self, root, store, chain):
+    def _write(self, root, store, lineage):
         path, _ = write_checkpoint(
             root, spec=None, config=NiceConfig(checkpoint_dir=str(root)),
             stats=SearchStats(), frontier=[], rng_state=None,
-            store=store, chain=chain)
+            store=store, lineage=lineage)
         return path
 
-    def test_unchanged_shards_are_linked_grown_shards_append(self, tmp_path):
+    def test_a_snapshot_appends_to_the_grown_shards_only(self, tmp_path):
         store = ShardedStore(shards=4, memory_budget=16,
                              directory=str(tmp_path / "s"))
-        chain = SegmentChain()
+        lineage = Lineage()
         store.add_batch(_digests(200))
-        first = self._write(tmp_path / "c", store, chain)
+        first = self._write(tmp_path / "c", store, lineage)
         full_bytes = validate_checkpoint(first).bytes_written
+        before = _logs(tmp_path / "c")
         # Grow shard 0 only; shards 1-3 must ride along untouched.
         extra = [_shard0_digest(i) for i in range(10)]
         store.add_batch(extra)
-        second = self._write(tmp_path / "c", store, chain)
-        for name in os.listdir(first):
-            if name.startswith("states-") and not name.startswith(
-                    "states-0000"):
-                assert (second / name).stat().st_ino == \
-                    (first / name).stat().st_ino
-        delta = second / "states-0000-0001.bin"
-        assert delta.stat().st_size == len(extra) * WIDTH
-        assert (second / "states-0000-0000.bin").stat().st_ino == \
-            (first / "states-0000-0000.bin").stat().st_ino
+        second = self._write(tmp_path / "c", store, lineage)
+        after = _logs(tmp_path / "c")
+        assert sorted(after) == sorted(before) == [
+            f"states-{shard:04d}-0000.bin" for shard in range(4)]
+        assert after == {**before, "states-0000-0000.bin":
+                         before["states-0000-0000.bin"] + len(extra) * WIDTH}
         # O(new states): the second snapshot writes exactly the grown
-        # shard's delta segment + the meta blob — every other byte is a
-        # hard link.
+        # shard's appended records + the meta blob.
         loaded_second = validate_checkpoint(second)
         meta_bytes = loaded_second.file_info["meta.pkl"]["bytes"]
         assert loaded_second.bytes_written == \
-            meta_bytes + delta.stat().st_size
+            meta_bytes + len(extra) * WIDTH
         assert loaded_second.bytes_written < full_bytes
+        assert sorted(os.listdir(second)) == ["MANIFEST.json", "meta.pkl"]
         loaded = load_latest_checkpoint(tmp_path / "c")
         assert sorted(loaded.iter_digests()) == sorted(_digests(200) + extra)
+        # The older snapshot's prefix is still its own.
+        assert sorted(validate_checkpoint(first).iter_digests()) == \
+            sorted(_digests(200))
         store.close()
 
     def test_a_memory_lineage_writes_only_its_new_records(self, tmp_path):
         """The memory store's log is one append-only shard: its second
-        snapshot links the first one's segment and writes the records
-        added since plus ``meta.pkl``, a third with nothing new writes
-        ``meta.pkl`` alone, and the log still grows after each (no view
-        of it outlives a snapshot)."""
+        snapshot appends the records added since plus ``meta.pkl``, a
+        third with nothing new writes ``meta.pkl`` alone, and the log
+        still grows after each (no view of it outlives a snapshot)."""
         store = MemoryStore()
-        chain = SegmentChain()
+        lineage = Lineage()
         store.add_batch(_digests(200))
-        first = self._write(tmp_path / "c", store, chain)
+        first = self._write(tmp_path / "c", store, lineage)
         assert validate_checkpoint(first).bytes_written == \
             200 * WIDTH + (first / "meta.pkl").stat().st_size
         store.add_batch(_digests(250))
-        second = self._write(tmp_path / "c", store, chain)
-        assert (second / "states-0000-0000.bin").stat().st_ino == \
-            (first / "states-0000-0000.bin").stat().st_ino
+        second = self._write(tmp_path / "c", store, lineage)
         loaded = validate_checkpoint(second)
         assert [path.name for path in loaded.record_files] == [
-            "states-0000-0000.bin", "states-0000-0001.bin"]
-        assert loaded.file_info["states-0000-0001.bin"]["bytes"] == \
-            50 * WIDTH
+            "states-0000-0000.bin"]
+        assert loaded.file_info["states-0000-0000.bin"]["bytes"] == \
+            250 * WIDTH
         assert loaded.bytes_written == \
             50 * WIDTH + loaded.file_info["meta.pkl"]["bytes"]
         assert list(loaded.iter_digests()) == _digests(250)
-        third = self._write(tmp_path / "c", store, chain)
+        assert list(validate_checkpoint(first).iter_digests()) == \
+            _digests(200)
+        third = self._write(tmp_path / "c", store, lineage)
         loaded = validate_checkpoint(third)
         assert loaded.bytes_written == loaded.file_info["meta.pkl"]["bytes"]
         assert list(loaded.iter_digests()) == _digests(250)
         assert store.add(_hex(250)) and len(store) == 251
 
-    def test_links_survive_retention_pruning(self, tmp_path):
-        """CHECKPOINT_KEEP drops the snapshot a segment was first
-        written into; the hard link keeps the inode alive and the
-        newest snapshot keeps validating (checksums included)."""
+    def test_pruning_keeps_the_logs_kept_snapshots_name(self, tmp_path):
+        """CHECKPOINT_KEEP drops old snapshots, never a log a kept one
+        names: a second run in the same directory starts generation 1
+        beside generation 0, whose logs go once no kept snapshot names
+        them."""
+        root = tmp_path / "c"
         store = ShardedStore(shards=2, directory=str(tmp_path / "s"))
-        chain = SegmentChain()
+        lineage = Lineage()
         store.add_batch(_digests(100))
-        self._write(tmp_path / "c", store, chain)
-        for start in (100, 110, 120):  # two prunes of the chain's head
+        self._write(root, store, lineage)
+        for start in (100, 110, 120):  # two prunes
             store.add_batch([_hex(i) for i in range(start, start + 10)])
-            self._write(tmp_path / "c", store, chain)
-        snapshots = sorted((tmp_path / "c").glob("ckpt-*"))
+            self._write(root, store, lineage)
+        snapshots = sorted(root.glob("ckpt-*"))
         assert len(snapshots) == store_mod.CHECKPOINT_KEEP
         loaded = validate_checkpoint(snapshots[-1])  # checksums intact
         assert sorted(loaded.iter_digests()) == sorted(_digests(130))
+        rerun = MemoryStore()
+        rerun.add_batch(_digests(5))
+        again = Lineage()
+        self._write(root, rerun, again)
+        assert again.generation == 1
+        assert sorted(_logs(root)) == [
+            "states-0000-0000.bin", "states-0000-0001.bin",
+            "states-0001-0000.bin"]
+        self._write(root, rerun, again)
+        assert sorted(_logs(root)) == ["states-0000-0001.bin"]
+        assert list(load_latest_checkpoint(root).iter_digests()) == \
+            _digests(5)
         store.close()
 
-    def test_adopted_baseline_links_on_the_first_resumed_snapshot(
+    def test_an_adopted_lineage_appends_on_the_first_resumed_snapshot(
             self, tmp_path):
         store = ShardedStore(shards=4, memory_budget=16,
                              directory=str(tmp_path / "a"))
         store.add_batch(_digests(300))
-        first = self._write(tmp_path / "c", store, SegmentChain())
+        self._write(tmp_path / "c", store, Lineage())
         store.close()
+        before = _logs(tmp_path / "c")
 
         fresh = ShardedStore(shards=4, memory_budget=16,
                              directory=str(tmp_path / "b"))
         ckpt = load_latest_checkpoint(tmp_path / "c")
-        chain = restore_store(fresh, ckpt)
-        assert chain.path == ckpt.path
+        lineage = restore_store(fresh, ckpt)
+        assert lineage.root == (tmp_path / "c").resolve()
         assert len(fresh) == 300
         assert all(digest in fresh for digest in _digests(300))
-        second = self._write(tmp_path / "c", fresh, chain)
-        for name in os.listdir(first):
-            if name.endswith(".bin"):
-                assert (second / name).stat().st_ino == \
-                    (first / name).stat().st_ino
+        fresh.add_batch(_digests(310))
+        second = validate_checkpoint(self._write(tmp_path / "c", fresh,
+                                                 lineage))
+        assert second.bytes_written == \
+            10 * WIDTH + second.file_info["meta.pkl"]["bytes"]
+        assert sorted(_logs(tmp_path / "c")) == sorted(before)
+        assert sum(_logs(tmp_path / "c").values()) == 310 * WIDTH
         fresh.close()
 
     def test_a_foreign_layout_is_not_adopted(self, tmp_path):
         """A checkpoint whose shards hold other bytes than the preloaded
-        store's (another shard count) is no baseline: the chain is empty
-        and the next snapshot writes every record."""
+        store's (another shard count) is no lineage to append to: the
+        next snapshot starts a new generation and writes every record."""
         store = ShardedStore(shards=4, directory=str(tmp_path / "a"))
         store.add_batch(_digests(300))
-        self._write(tmp_path / "c", store, SegmentChain())
+        self._write(tmp_path / "c", store, Lineage())
         store.close()
         for fresh in (MemoryStore(), ShardedStore(
                 shards=2, directory=str(tmp_path / "b"))):
-            chain = restore_store(fresh, load_latest_checkpoint(
+            lineage = restore_store(fresh, load_latest_checkpoint(
                 tmp_path / "c"))
-            assert chain.path is None and chain.shards == {}
+            assert lineage.root is None and lineage.prefixes == {}
             assert len(fresh) == 300
             fresh.close()
+
+    @pytest.mark.parametrize("store", ["memory", "sharded"])
+    def test_a_snapshot_is_two_files_over_one_log_per_shard(
+            self, store, tmp_path, monkeypatch):
+        """The shape, on a checkpointed ``ping`` run of either store:
+        snapshot k's directory holds ``meta.pkl`` and the manifest only,
+        the lineage root at most one log per shard, and the manifest's
+        size does not grow with k."""
+        monkeypatch.setattr(store_mod, "CHECKPOINT_KEEP", 1 << 30)
+        shards = 1 if store == "memory" else 4
+        root = tmp_path / "c"
+        stats = nice.run(_ping(store=store, store_shards=shards,
+                               checkpoint_dir=str(root),
+                               checkpoint_interval=25))
+        snapshots = list_checkpoints(root)
+        assert len(snapshots) == stats.checkpoints_written > 15
+        for snapshot in snapshots:
+            assert sorted(os.listdir(snapshot)) == \
+                ["MANIFEST.json", "meta.pkl"]
+        assert sorted(_logs(root)) == [
+            f"states-{shard:04d}-0000.bin" for shard in range(shards)]
+        manifests = [len((snapshot / "MANIFEST.json").read_bytes())
+                     for snapshot in snapshots]
+        # Digits of growing counts aside, every manifest is as long: one
+        # more entry per snapshot would add ~90 bytes each time.
+        assert max(manifests) - min(manifests) < 32
+        assert max(manifests) < 512 + 128 * shards
 
     # -- a memory-store search, resumed ---------------------------------
 
@@ -426,52 +493,99 @@ class TestCompaction:
         return adopted, first_resumed
 
     @staticmethod
-    def _assert_links_and_one_new_segment(adopted, first_resumed):
-        """``first_resumed`` hard-links every record file of ``adopted``
-        and writes one segment more, and that and ``meta.pkl`` are all it
+    def _assert_appends_only_new_records(adopted, first_resumed):
+        """``first_resumed`` names longer prefixes of ``adopted``'s logs,
+        and the records appended to them and ``meta.pkl`` are all it
         wrote."""
-        names = [path.name for path in
-                 validate_checkpoint(adopted).record_files]
-        assert names
-        for name in names:
-            assert (first_resumed / name).stat().st_ino == \
-                (adopted / name).stat().st_ino
-        loaded = validate_checkpoint(first_resumed)
-        new = [path.name for path in loaded.record_files
-               if path.name not in names]
-        assert new == [f"states-0000-{len(names):04d}.bin"]
-        assert loaded.bytes_written == loaded.file_info[new[0]]["bytes"] \
-            + loaded.file_info["meta.pkl"]["bytes"]
+        old, new = validate_checkpoint(adopted), validate_checkpoint(
+            first_resumed)
+        assert [path.name for path in new.record_files] == \
+            [path.name for path in old.record_files] != []
+        assert new.bytes_written == \
+            (new.states - old.states) * WIDTH \
+            + new.file_info["meta.pkl"]["bytes"]
+        assert list(new.iter_digests())[:old.states] == \
+            list(old.iter_digests())
 
-    def test_a_resumed_memory_run_links_the_adopted_segments(
+    def test_a_resumed_memory_run_appends_to_the_adopted_log(
             self, memory_lineage, serial_ping, monkeypatch):
         adopted, first_resumed = self._first_resumed_snapshot(
             memory_lineage, monkeypatch)
-        self._assert_links_and_one_new_segment(adopted, first_resumed)
+        self._assert_appends_only_new_records(adopted, first_resumed)
         _, stats = nice.resume(memory_lineage)
         assert_matches_serial(stats, serial_ping)
 
-    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "workers2"])
-    def test_a_parent_written_memory_checkpoint_resumes(
-            self, memory_lineage, serial_ping, workers):
+    def test_a_moved_lineage_appends_only_its_new_records(
+            self, memory_lineage, serial_ping, monkeypatch, tmp_path):
+        """Nothing in a snapshot names the lineage's path: moved between
+        two resumes, the first snapshot of the second appends to the
+        moved logs, and the search ends where the unmoved one does."""
+        self._first_resumed_snapshot(memory_lineage, monkeypatch)
+        moved = tmp_path / "moved" / "lineage"
+        moved.parent.mkdir()
+        os.rename(memory_lineage, moved)
+        logs = _logs(moved)
+        adopted, first_resumed = self._first_resumed_snapshot(
+            moved, monkeypatch)
+        self._assert_appends_only_new_records(adopted, first_resumed)
+        assert sorted(_logs(moved)) == sorted(logs)
+        assert not memory_lineage.exists()
+        _, stats = nice.resume(moved)
+        assert_matches_serial(stats, serial_ping)
+
+    def test_a_resume_into_another_directory_writes_every_record(
+            self, memory_lineage, serial_ping, tmp_path, monkeypatch):
+        """The logs it resumed from are another lineage's: its first
+        snapshot writes a log of its own, and the original stays as it
+        was."""
+        monkeypatch.setattr(store_mod, "CHECKPOINT_KEEP", 1 << 30)
+        before = {path: path.read_bytes()
+                  for path in memory_lineage.rglob("*") if path.is_file()}
+        other = tmp_path / "other"
+        _, stats = nice.resume(memory_lineage, checkpoint_dir=str(other))
+        assert_matches_serial(stats, serial_ping)
+        first = validate_checkpoint(list_checkpoints(other)[0])
+        assert first.bytes_written == first.states * WIDTH \
+            + first.file_info["meta.pkl"]["bytes"]
+        assert sorted(_logs(other)) == ["states-0000-0000.bin"]
+        assert {path: path.read_bytes() for path in memory_lineage.rglob("*")
+                if path.is_file()} == before
+
+    def test_a_snapshot_names_no_path(self, memory_lineage, monkeypatch):
+        """Not the lineage's absolute path, in any byte of ``meta.pkl``
+        or a manifest — of a first run nor of a resumed one."""
+        self._first_resumed_snapshot(memory_lineage, monkeypatch)
+        paths = {str(memory_lineage).encode(),
+                 str(memory_lineage.resolve()).encode()}
         for snapshot in memory_lineage.glob("ckpt-*"):
-            _as_parent_memory_snapshot(snapshot)
+            for name in ("meta.pkl", "MANIFEST.json"):
+                data = (snapshot / name).read_bytes()
+                assert not any(path in data for path in paths)
+
+    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "workers2"])
+    @pytest.mark.parametrize("whole_log", [False, True],
+                             ids=["segments", "states-0000"])
+    def test_a_format_2_memory_checkpoint_resumes(
+            self, memory_lineage, serial_ping, workers, whole_log):
+        _as_format_2_lineage(memory_lineage, whole_log)
         _, stats = nice.resume(memory_lineage, workers=workers)
         assert stats.workers == workers
         assert_matches_serial(stats, serial_ping)
 
-    def test_a_parent_written_memory_checkpoint_is_the_link_baseline(
+    def test_a_format_2_checkpoint_starts_a_new_generation(
             self, memory_lineage, serial_ping, monkeypatch):
-        """Its ``states-0000.bin`` is segment 0 of shard 0: linked under
-        its own name, the records added since written after it."""
-        for snapshot in memory_lineage.glob("ckpt-*"):
-            _as_parent_memory_snapshot(snapshot)
+        """A format-2 snapshot's record files are its own: the first
+        snapshot of its resume writes every record into a log of its
+        own, and the format-2 snapshot still validates beside it."""
+        _as_format_2_lineage(memory_lineage, whole_log=True)
         adopted, first_resumed = self._first_resumed_snapshot(
             memory_lineage, monkeypatch)
-        assert [path.name for path in validate_checkpoint(
-            first_resumed).record_files] == [
-            "states-0000.bin", "states-0000-0001.bin"]
-        self._assert_links_and_one_new_segment(adopted, first_resumed)
+        loaded = validate_checkpoint(first_resumed)
+        assert [path.name for path in loaded.record_files] == [
+            "states-0000-0000.bin"]
+        assert loaded.bytes_written == loaded.states * WIDTH \
+            + loaded.file_info["meta.pkl"]["bytes"]
+        assert validate_checkpoint(adopted).format == 2
         _, stats = nice.resume(memory_lineage)
         assert_matches_serial(stats, serial_ping)
 
@@ -492,7 +606,7 @@ def _plant_in_pickled_config(snapshot, **stale) -> None:
     manifest = json.loads((snapshot / "MANIFEST.json").read_text())
     manifest["files"]["meta.pkl"] = {
         "bytes": (snapshot / "meta.pkl").stat().st_size,
-        "blake2b": store_mod._file_digest(snapshot / "meta.pkl")}
+        "blake2b": _digest_of(snapshot / "meta.pkl")}
     (snapshot / "MANIFEST.json").write_text(json.dumps(manifest))
 
 
@@ -511,7 +625,7 @@ def _add_bloom_files(snapshot) -> None:
         (snapshot / name).write_bytes(bytes([index + 1]) * (1 << 17))
         manifest["files"][name] = {
             "bytes": 1 << 17,
-            "blake2b": store_mod._file_digest(snapshot / name)}
+            "blake2b": _digest_of(snapshot / name)}
         manifest["bytes_written"] += 1 << 17
     (snapshot / "MANIFEST.json").write_text(json.dumps(manifest))
 
@@ -657,20 +771,21 @@ class TestResumeAcrossDeletedKnobs:
         assert_matches_serial(stats, serial_ping)
         assert not hasattr(scenario.config, "heartbeat_interval")
 
-    def test_checkpoints_hold_segments_meta_and_manifest_only(
-            self, interrupted):
-        names = {path.name for snapshot in interrupted.glob("ckpt-*")
-                 for path in snapshot.iterdir()}
-        assert names >= {"meta.pkl", "MANIFEST.json"}
-        assert all(
-            store_mod._parse_record_name(name) is not None
-            for name in names - {"meta.pkl", "MANIFEST.json"}), names
+    def test_checkpoints_hold_meta_and_manifest_only(self, interrupted):
+        """And the lineage root holds the snapshots and their logs."""
+        for snapshot in interrupted.glob("ckpt-*"):
+            assert sorted(os.listdir(snapshot)) == \
+                ["MANIFEST.json", "meta.pkl"]
+        assert all(name.startswith("ckpt-") or
+                   store_mod._parse_log_name(name) is not None
+                   for name in os.listdir(interrupted))
 
     @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "workers2"])
     def test_bloom_carrying_checkpoint_resumes(self, interrupted,
                                                serial_ping, workers):
         """The files are validated like any other, then ignored; the
         stale field does not survive ``with_config``."""
+        _as_format_2_lineage(interrupted)
         for snapshot in interrupted.glob("ckpt-*"):
             _add_bloom_files(snapshot)
         assert load_latest_checkpoint(interrupted).config.store_bloom_bits
@@ -679,10 +794,11 @@ class TestResumeAcrossDeletedKnobs:
         assert_matches_serial(stats, serial_ping)
         assert not hasattr(scenario.config, "store_bloom_bits")
 
-    def test_bloom_carrying_checkpoint_is_the_link_baseline(
+    def test_bloom_carrying_checkpoint_leaves_its_files_behind(
             self, interrupted, serial_ping, monkeypatch):
-        """The first snapshot a resumed run writes hard-links the adopted
-        segments and carries no Bloom file forward."""
+        """The first snapshot a resumed run writes starts a log per shard
+        of its own and carries no Bloom file forward."""
+        _as_format_2_lineage(interrupted)
         for snapshot in interrupted.glob("ckpt-*"):
             _add_bloom_files(snapshot)
         adopted = sorted(interrupted.glob("ckpt-*"))[-1]
@@ -694,13 +810,13 @@ class TestResumeAcrossDeletedKnobs:
         monkeypatch.undo()
         kept, first_resumed = sorted(interrupted.glob("ckpt-*"))
         assert kept == adopted
-        segments = [path for path in adopted.iterdir()
-                    if path.name.startswith("states-")]
-        assert segments
-        for segment in segments:
-            assert (first_resumed / segment.name).stat().st_ino == \
-                segment.stat().st_ino
-        assert not list(first_resumed.glob("bloom-*"))
+        assert sorted(os.listdir(first_resumed)) == \
+            ["MANIFEST.json", "meta.pkl"]
+        loaded = validate_checkpoint(first_resumed)
+        assert {path.parent for path in loaded.record_files} == \
+            {interrupted}
+        assert loaded.bytes_written == loaded.states * WIDTH \
+            + loaded.file_info["meta.pkl"]["bytes"]
         assert "summary_files" not in json.loads(
             (first_resumed / "MANIFEST.json").read_text())
         _, stats = nice.resume(interrupted)
@@ -731,26 +847,47 @@ class TestResumeAcrossDeletedKnobs:
 
 class TestWriteRollback:
     def test_failed_snapshot_rolls_back_checkpoints_written(self, tmp_path):
+        """A write that fails half way through an append counts nothing,
+        and the next one cuts the log back to the last committed prefix
+        before it appends: its bytes and records are what they would
+        have been without the failure."""
         config = NiceConfig(checkpoint_dir=str(tmp_path))
         store = MemoryStore()
         store.preload(_digests(5))
         stats = SearchStats()
         with pytest.warns(RuntimeWarning):
             checkpointer = Checkpointer(config, None, store, stats)
+        real = store.copy_records
 
         def failing_copy_records(shard, start, end, dest):
+            real(shard, start, start + (end - start) // 2 + 3, dest)
             raise OSError("disk full")
 
-        real = store.copy_records
-        store.copy_records = failing_copy_records
-        with pytest.raises(OSError, match="disk full"):
-            checkpointer.write([], None)
-        assert stats.checkpoints_written == 0
-        assert stats.checkpoint_bytes_written == 0
-        store.copy_records = real
-        checkpointer.write([], None)
+        def write(digests):
+            store.add_batch(digests)
+            counted = (stats.checkpoints_written,
+                       stats.checkpoint_bytes_written)
+            store.copy_records = failing_copy_records
+            with pytest.raises(OSError, match="disk full"):
+                checkpointer.write([], None)
+            assert (stats.checkpoints_written,
+                    stats.checkpoint_bytes_written) == counted
+            store.copy_records = real
+            return checkpointer.write([], None)
+
+        first = validate_checkpoint(write(_digests(5)))
         assert stats.checkpoints_written == 1
-        assert stats.checkpoint_bytes_written > 0
+        assert stats.checkpoint_bytes_written == first.bytes_written == \
+            5 * WIDTH + first.file_info["meta.pkl"]["bytes"]
+        second = validate_checkpoint(write(_digests(9)))
+        assert stats.checkpoints_written == 2
+        assert second.bytes_written == \
+            4 * WIDTH + second.file_info["meta.pkl"]["bytes"]
+        assert stats.checkpoint_bytes_written == \
+            first.bytes_written + second.bytes_written
+        assert list(second.iter_digests()) == _digests(9)
+        assert (tmp_path / "states-0000-0000.bin").read_bytes() == \
+            b"".join(bytes.fromhex(digest) for digest in _digests(9))
 
     def test_bytes_written_come_from_the_write_not_a_read_back(
             self, tmp_path, monkeypatch):
